@@ -11,8 +11,7 @@ grace window saves everything.
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.dfs import DfsConfig
 from storagesim.placement import ClusterState, place_vm, reference_vm_spec
-from storagesim.simengine import Resource, Simulation
-from storagesim.snapshot import SnapshotPolicy, network_bytes, plan_snapshots, recoverable_bytes
+from storagesim.snapshot import SnapshotPolicy, network_bytes, recoverable_bytes
 from storagesim.topology import reference_cluster
 from storagesim.volumes import NETWORKED, ROOT, attach_volume
 
@@ -33,39 +32,34 @@ def build(storage):
 
 
 def write_then_read(storage, reads=5):
+    """Write once (snapshotting local volumes hourly as it runs), then read."""
     state, hdfs = build(storage)
     spec = DfsioSpec(n_files=10, file_size_mb=1024.0, mode="write", slots_per_vm=2)
-    w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=9)
+    snapshots = SnapshotPolicy(interval_s=3600.0) if storage == "local" else None
+    w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=9, snapshots=snapshots)
     traces, st = [w.trace], w.state
     for _ in range(reads):
         r = run_dfsio(st, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
                       dfs_config=DfsConfig(replication_factor=1), seed=9, files=w.files)
         st, traces = r.state, traces + [r.trace]
-    return st, traces
+    return st, traces, w.snapshot_records
 
 
 print("workload: write 10 GB once, read it five times\n")
 
-local_state, local_traces = write_then_read("local")
-plan = plan_snapshots(local_traces[0], local_state.volumes, SnapshotPolicy(interval_s=3600.0),
-                      topology=local_state.topology)
-print("hourly snapshot plan (dirty bytes per volume):")
-for rec in plan.records:
+local_state, local_traces, records = write_then_read("local")
+print("hourly snapshots (dirty bytes per volume):")
+for rec in records:
     print(f"  {rec.volume_id}: {rec.bytes_copied:.0f} MB at t={rec.taken_at:.0f} s")
 
-sim = Simulation({rid: Resource(rid, 125.0, 125.0) for s, _ in plan.flows for rid in s.path.resources})
-for s, at in plan.flows:
-    sim.add_flow(s, at)
-snap_trace = sim.run()
-
-local_net = sum(network_bytes(t) for t in local_traces) + network_bytes(snap_trace)
-_, networked_traces = write_then_read("networked")
+local_net = sum(network_bytes(t) for t in local_traces)
+_, networked_traces, _ = write_then_read("networked")
 networked_net = sum(network_bytes(t) for t in networked_traces)
 print(f"\nnetwork bytes, local + snapshots: {local_net:.0f} MB (the written 10 GB, once)")
 print(f"network bytes, networked volumes: {networked_net:.0f} MB (10 GB written + 50 GB read)")
 
-vol = local_state.volumes[plan.records[0].volume_id]
+vol = local_state.volumes[records[0].volume_id]
 print(f"\ncrash stories for {vol.id} ({vol.stored_mb:.0f} MB stored):")
-print(f"  crash at t=1000 s, before any snapshot: {recoverable_bytes(vol, 1000.0, plan.records):.0f} MB recoverable")
-print(f"  crash at t=4000 s, after the snapshot:  {recoverable_bytes(vol, 4000.0, plan.records):.0f} MB recoverable")
-print(f"  crash + reboot within the grace window: {recoverable_bytes(vol, 1000.0, plan.records, quick_reboot=True):.0f} MB")
+print(f"  crash at t=1000 s, before any snapshot: {recoverable_bytes(vol, 1000.0, records):.0f} MB recoverable")
+print(f"  crash at t=4000 s, after the snapshot:  {recoverable_bytes(vol, 4000.0, records):.0f} MB recoverable")
+print(f"  crash + reboot within the grace window: {recoverable_bytes(vol, 1000.0, records, quick_reboot=True):.0f} MB")

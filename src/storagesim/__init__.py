@@ -53,7 +53,6 @@ from .simengine import (
     verify_trace,
 )
 from .snapshot import (
-    SnapshotPlan,
     SnapshotPolicy,
     SnapshotRecord,
     network_bytes,

@@ -25,7 +25,8 @@ from typing import Iterable, Mapping, Sequence
 from .dfs import DfsConfig, DfsFile, MapTask, place_file, schedule_map_task
 from .errors import EmptyStatsError, ReadBeforeWriteError, SimError
 from .placement import ClusterState
-from .simengine import FlowSpec, Resource, Simulation, SimTrace, build_resources
+from .simengine import FlowSpec, Simulation, SimTrace, build_resources
+from .snapshot import SnapshotPolicy, SnapshotRecord, merge_snapshot_events, plan_snapshots
 from .topology import management_path
 from .volumes import ResourcePath, link_resource_id, resolve_io_path
 
@@ -139,6 +140,7 @@ class DfsioRun:
     stats: list[TaskStat]
     files: list[DfsFile]
     state: ClusterState
+    snapshot_records: list[SnapshotRecord]
 
 
 @dataclass
@@ -179,9 +181,7 @@ def run_dfsio(
     seed: int = 0,
     files: Sequence[DfsFile] | None = None,
     pipeline: str = "full",  # full | ack_first
-    read_policy: str = "locality_aware",
-    background_flows: Sequence[tuple[FlowSpec, float]] = (),
-    extra_resources: Mapping[str, Resource] | None = None,
+    snapshots: SnapshotPolicy | None = None,
 ) -> DfsioRun:
     """Run the benchmark over the VMs in ``hdfs_volumes`` (vm id -> volume id).
 
@@ -189,9 +189,12 @@ def run_dfsio(
     member i mod n, the even distribution a real job settles into), place
     the file's replicas there, and stream through the writer's volume
     path. Read tasks are scheduled by replica locality and read remote
-    blocks over the management network when they must. Returns the metric
-    record, the flow trace, the placed files, and the post-run state with
-    dirty bytes accounted for snapshots.
+    blocks over the management network when they must. With a
+    ``snapshots`` policy, non-persistent volumes are snapshotted during
+    the run and the transfers contend with the tasks. Returns the metric
+    record, the flow trace (with snapshot markers), the placed files, the
+    post-run state with dirty bytes accounted for snapshots, and the
+    snapshot records.
     """
     if spec.n_files < 1 or spec.file_size_mb <= 0 or spec.map_capacity < 1 or spec.slots_per_vm < 1:
         raise ValueError(f"invalid benchmark spec {spec}")
@@ -234,12 +237,8 @@ def run_dfsio(
             )
         )
 
-    resources = dict(build_resources(work_state.topology))
-    if extra_resources:
-        resources.update(extra_resources)
-    sim = Simulation(resources)
-    for bg_spec, at_time in background_flows:
-        sim.add_flow(bg_spec, at_time)
+    sim = Simulation(build_resources(work_state.topology))
+    records = [] if snapshots is None else plan_snapshots(sim, work_state.volumes, snapshots, work_state.topology)
     slots = {vm: spec.slots_per_vm for vm in members}
     queue: list[_Task] = list(tasks)
     running = [0]  # boxed for closure mutation
@@ -368,7 +367,6 @@ def run_dfsio(
                         work_state,
                         MapTask(task_id=f"t{task.index:04d}", target=task.file_name, mode=task.mode),
                         slots,
-                        policy=read_policy,
                         rng=rng,
                         replicas=task.file.holders() if task.file else (),
                     )
@@ -400,6 +398,8 @@ def run_dfsio(
 
     dispatch(0.0)
     trace = sim.run(on_complete=on_complete)
+    if snapshots is not None:
+        merge_snapshot_events(trace, records)
     unfinished = [t.index for t in tasks if t.end is None]
     if unfinished:
         raise SimError(f"tasks never completed: {unfinished}")
@@ -416,4 +416,6 @@ def run_dfsio(
     finished_at = max(t.end for t in tasks)
     result = BenchmarkResult.from_stats(spec.mode, stats, finished_at)
     out_files = [t.file for t in sorted(tasks, key=lambda t: t.index) if t.file is not None]
-    return DfsioRun(result=result, trace=trace, stats=stats, files=out_files, state=work_state)
+    return DfsioRun(
+        result=result, trace=trace, stats=stats, files=out_files, state=work_state, snapshot_records=records
+    )

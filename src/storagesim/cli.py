@@ -64,9 +64,12 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def _verify_or_fail(run: ScenarioRun) -> None:
-    violations = verify_trace(run.trace)
+    """Audit the measured trace and every prep-pass trace."""
+    violations = [str(v) for v in verify_trace(run.trace)]
+    for i, trace in enumerate(run.prep_traces):
+        violations += [f"prep trace {i}: {v}" for v in verify_trace(trace)]
     if violations:
-        raise _InternalViolation("\n".join(str(v) for v in violations))
+        raise _InternalViolation("\n".join(violations))
 
 
 class _InternalViolation(Exception):

@@ -5,8 +5,8 @@ benchmark shape, the snapshot policy, and the price table, plus a single
 seed. Identical scenario + seed means byte-identical traces and reports;
 every number in a report can be recomputed from the emitted trace.
 
-Storage configs: ``local`` (DFS on the VM root disk, with snapshot
-transfers planned as background flows), ``networked`` (DFS on
+Storage configs: ``local`` (DFS on the VM root disk, snapshotted to the
+controller during the measured run), ``networked`` (DFS on
 controller-served volumes), and ``local_persistent`` (DFS on host
 partitions that outlive the VM; no snapshots needed).
 """
@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 import yaml
 
-from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioRun, DfsioSpec, TaskStat, run_dfsio
+from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
 from .cost import (
     EBS_STANDARD,
     EPHEMERAL_LOCAL,
@@ -36,7 +36,7 @@ from .dfs import DfsConfig, DfsFile
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
 from .placement import ClusterState, VmSpec, place_vm
 from .simengine import SimTrace
-from .snapshot import SnapshotPolicy, SnapshotRecord, merge_snapshot_events, network_bytes, plan_snapshots
+from .snapshot import SnapshotPolicy, SnapshotRecord, network_bytes
 from .topology import (
     ClusterTopology,
     ControllerNode,
@@ -259,8 +259,10 @@ def parse_scenario(data: Any) -> Scenario:
     snapshot_policy = SnapshotPolicy(
         interval_s=_num(snap_data, "interval_s", "snapshot", 3600.0),
         bandwidth_cap=None if cap is None else float(cap),
-        target=str(_get(snap_data, "target", (str,), "snapshot", "controller")),
     )
+    target = _get(snap_data, "target", (str,), "snapshot", "controller")
+    if target != "controller":
+        raise ScenarioParseError(f"field snapshot.target: only 'controller' is supported, got {target!r}")
     if snapshot_policy.interval_s <= 0:
         raise ScenarioParseError("field snapshot.interval_s: must be positive")
 
@@ -399,9 +401,9 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
     """Run the benchmark under one storage config, snapshots included.
 
     Read and mixed modes get the conventional preparatory write pass so
-    the files exist. Under the ``local`` config the measured run is then
-    re-executed with the planned snapshot transfers injected as background
-    flows, so their contention is visible in the metrics.
+    the files exist; it is not snapshotted. Under the ``local`` config the
+    measured run takes its snapshots as it goes, in the same single
+    simulation, so their transfers' contention is visible in the metrics.
     """
     cfg = storage_config or scenario.storage_config
     run_seed = scenario.seed if seed is None else seed
@@ -421,27 +423,15 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
         prep_files = prep.files
         prep_traces.append(prep.trace)
 
-    def measured(background=(), extra_resources=None) -> DfsioRun:
-        return run_dfsio(
-            state,
-            scenario.dfsio,
-            hdfs_volumes,
-            dfs_config=scenario.dfs,
-            seed=run_seed,
-            files=prep_files,
-            background_flows=background,
-            extra_resources=extra_resources,
-        )
-
-    run = measured()
-    records: list[SnapshotRecord] = []
-    if cfg == "local":
-        plan = plan_snapshots(run.trace, run.state.volumes, scenario.snapshot, topology=state.topology)
-        records = plan.records
-        if plan.flows:
-            run = measured(background=plan.flows, extra_resources=plan.extra_resources)
-            plan_snapshots(run.trace, run.state.volumes, scenario.snapshot)  # settle dirty counters
-            merge_snapshot_events(run.trace, records)
+    run = run_dfsio(
+        state,
+        scenario.dfsio,
+        hdfs_volumes,
+        dfs_config=scenario.dfs,
+        seed=run_seed,
+        files=prep_files,
+        snapshots=scenario.snapshot if cfg == "local" else None,
+    )
 
     io_ops = count_io_ops(run.trace, scenario.op_size_kb)
     billing = StorageBilling(EBS_STANDARD if cfg == "networked" else EPHEMERAL_LOCAL)
@@ -456,7 +446,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
         stats=run.stats,
         trace=run.trace,
         files=run.files,
-        snapshot_records=records,
+        snapshot_records=run.snapshot_records,
         cost=cost_report,
         io_ops=io_ops,
         network_mb=network_bytes(run.trace),

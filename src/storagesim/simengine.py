@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import SimulationStalledError, UnknownResourceError, UnresolvablePathError
 from .topology import ClusterTopology
@@ -179,22 +179,28 @@ class SimTrace:
 
 # Callback invoked after completions at one instant; may add_flow() at `now`.
 CompletionHook = Callable[["Simulation", list[FlowRecord], float], None]
+# Callback invoked at its scheduled time; may add_flow() or add_timer().
+TimerCallback = Callable[["Simulation", float], None]
 
 
 class Simulation:
-    """Event-driven executor over a fixed resource set.
+    """Event-driven executor over a resource set.
 
-    Flows can be injected up front or from a completion hook (which is how
-    the benchmark layer dispatches queued tasks the moment a slot frees).
+    Flows can be injected up front, from a completion hook (which is how
+    the benchmark layer dispatches queued tasks the moment a slot frees),
+    or from a timer (which is how snapshots are taken mid-run). The trace
+    shares ``resources``, so a resource added there mid-run, before the
+    first flow that crosses it, is audited with the rest.
     """
 
     def __init__(self, resources: Mapping[str, Resource]):
         self.resources = dict(resources)
         self.now = 0.0
         self._pending: list[tuple[float, int, FlowSpec]] = []
+        self._timers: list[tuple[float, int, TimerCallback]] = []
         self._active: dict[str, IoFlow] = {}
         self._seq = 0
-        self._trace = SimTrace(resources=dict(resources))
+        self._trace = SimTrace(resources=self.resources)
         self._last_rate: dict[str, float] = {}
 
     def add_flow(self, spec: FlowSpec, at_time: float) -> None:
@@ -208,9 +214,28 @@ class Simulation:
         heappush(self._pending, (at_time, self._seq, spec))
         self._seq += 1
 
-    def mark(self, kind: str, flow_id: str, resource_id: str, value: float) -> None:
-        """Record an informational event (e.g. a snapshot) at the current time."""
-        self._trace.events.append(TraceEvent(self.now, kind, flow_id, resource_id, value))
+    def add_timer(self, at_time: float, callback: TimerCallback) -> None:
+        """Call ``callback(sim, now)`` at ``at_time``.
+
+        Due timers fire after the completions at that instant and after
+        the completion hook; flows they add at ``now`` start at once.
+        """
+        if at_time < self.now:
+            raise ValueError(f"cannot set a timer in the past ({at_time} < {self.now})")
+        heappush(self._timers, (at_time, self._seq, callback))
+        self._seq += 1
+
+    @property
+    def idle(self) -> bool:
+        """True when no flow is pending or active."""
+        return not (self._pending or self._active)
+
+    def progress(self) -> Iterator[tuple[FlowRecord, float]]:
+        """Each started flow, in flow-id order, with the MB it has moved by ``now``."""
+        for fid in sorted(self._trace.flows):
+            record = self._trace.flows[fid]
+            flow = self._active.get(fid)
+            yield record, record.size_mb if flow is None else flow.size_mb - flow.remaining_mb
 
     # -- internals ----------------------------------------------------------
 
@@ -271,13 +296,13 @@ class Simulation:
         return started
 
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:
-        """Execute until no flow is pending or active; returns the trace."""
-        while self._pending or self._active:
+        """Execute until no flow or timer is pending and no flow is active; returns the trace."""
+        while self._pending or self._active or self._timers:
             t_arrival = self._pending[0][0] if self._pending else math.inf
-            t_done = self._next_completion()
-            t = min(t_arrival, t_done)
-            if math.isinf(t):
+            t_flows = min(t_arrival, self._next_completion())
+            if self._active and math.isinf(t_flows):
                 raise SimulationStalledError(f"{len(self._active)} active flows cannot progress at t={self.now}")
+            t = min(t_flows, self._timers[0][0] if self._timers else math.inf)
 
             dt = t - self.now
             if dt > 0:
@@ -302,6 +327,9 @@ class Simulation:
             if done_records and on_complete is not None:
                 on_complete(self, done_records, self.now)
                 self._start_arrivals()  # the hook may have queued flows for right now
+            while self._timers and self._timers[0][0] <= self.now:
+                heappop(self._timers)[2](self, self.now)
+                self._start_arrivals()  # the timer may have queued flows for right now
             if self._active:
                 self._reallocate()
         return self._trace

@@ -8,18 +8,22 @@ network once, whereas serving the same workload from networked volumes
 ships every read too. That asymmetry is what the overhead comparison
 quantifies.
 
-Planning is trace-driven: the write timeline of each volume is integrated
-from the piecewise-constant flow rates, so interval accounting is exact.
+Snapshots are taken inside the measured run, on engine timers: at each
+interval boundary a volume's dirty bytes are the bytes the engine has
+moved into it since its previous snapshot, and its transfer starts at
+once and contends with the workload it copies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import merge
+from operator import attrgetter
 from typing import Iterable, Mapping
 
-from .simengine import FlowSpec, Resource, SimTrace, TraceEvent
-from .topology import management_path
+from .simengine import FlowSpec, Resource, SimTrace, Simulation, TraceEvent
+from .topology import ClusterTopology, management_path
 from .volumes import (
     EPHEMERAL,
     ROOT,
@@ -37,7 +41,6 @@ SNAPSHOT_KINDS = frozenset({ROOT, EPHEMERAL})
 class SnapshotPolicy:
     interval_s: float = 3600.0
     bandwidth_cap: float | None = None  # MB/s per snapshot transfer
-    target: str = "controller"
 
 
 @dataclass(frozen=True)
@@ -48,131 +51,93 @@ class SnapshotRecord:
     covers_writes_up_to: float
 
 
-@dataclass
-class SnapshotPlan:
-    records: list[SnapshotRecord] = field(default_factory=list)
-    flows: list[tuple[FlowSpec, float]] = field(default_factory=list)
-    extra_resources: dict[str, Resource] = field(default_factory=dict)  # per-flow caps
-
-
-def _write_segments(trace: SimTrace) -> dict[str, list[tuple[float, float, float]]]:
-    """Per-volume (t0, t1, MB/s) segments of combined write rates."""
-    segments: dict[str, list[tuple[float, float, float]]] = {}
-    rate: dict[str, float] = {}
-    active: dict[str, str] = {}  # flow id -> volume id
-    prev_t = 0.0
-    for event in trace.events:
-        if event.time > prev_t:
-            per_volume: dict[str, float] = {}
-            for fid, vol_id in active.items():
-                per_volume[vol_id] = per_volume.get(vol_id, 0.0) + rate.get(fid, 0.0)
-            for vol_id, r in per_volume.items():
-                if r > 0:
-                    segments.setdefault(vol_id, []).append((prev_t, event.time, r))
-            prev_t = event.time
-        record = trace.flows.get(event.flow_id)
-        if event.kind == "flow_start" and record is not None and record.path.direction == "write":
-            vol_id = record.tags.get("volume_id")
-            if vol_id is not None:
-                active[event.flow_id] = vol_id
-        elif event.kind == "rate_change":
-            rate[event.flow_id] = event.value
-        elif event.kind == "flow_end":
-            active.pop(event.flow_id, None)
-            rate.pop(event.flow_id, None)
-    return segments
-
-
-def _written_between(segments: list[tuple[float, float, float]], a: float, b: float) -> float:
-    total = 0.0
-    for t0, t1, r in segments:
-        lo, hi = max(t0, a), min(t1, b)
-        if hi > lo:
-            total += r * (hi - lo)
-    return total
+def _written_mb(sim: Simulation, volumes: Mapping[str, Volume]) -> dict[str, float]:
+    """MB the engine has moved into each snapshotted volume so far."""
+    parts: dict[str, list[float]] = {}
+    for record, moved in sim.progress():
+        vol_id = record.tags.get("volume_id")
+        if (
+            record.path.direction == "write"
+            and vol_id in volumes
+            and volumes[vol_id].kind in SNAPSHOT_KINDS
+            and record.tags.get("kind") != "snapshot"
+        ):
+            parts.setdefault(vol_id, []).append(moved)
+    return {vol_id: math.fsum(mb) for vol_id, mb in parts.items()}
 
 
 def plan_snapshots(
-    trace: SimTrace,
+    sim: Simulation,
     volumes: Mapping[str, Volume],
     policy: SnapshotPolicy,
-    topology=None,
-) -> SnapshotPlan:
-    """Plan interval snapshots of every non-persistent volume in the trace.
+    topology: ClusterTopology,
+) -> list[SnapshotRecord]:
+    """Snapshot every non-persistent volume at each interval boundary of ``sim``.
 
-    At each interval boundary the bytes written since the previous
-    snapshot are emitted as one SnapshotRecord plus a background transfer
-    flow from the volume's host to the controller over the management
-    path (subject to the policy's per-transfer bandwidth cap). Zero-byte
-    intervals are skipped. Dirty counters on the passed volumes are reset
-    to reflect the coverage.
+    Arms a timer at ``k * interval_s``. At each boundary every volume
+    with bytes written since its previous snapshot gets a SnapshotRecord
+    and a transfer flow from its host to the controller over the
+    management path (subject to the policy's per-transfer bandwidth
+    cap). Each boundary leaves every written volume's dirty counter at
+    zero, as all its bytes are then covered. The timer re-arms while any
+    flow is pending or active, so the last snapshot falls at the first
+    boundary at or after the last write.
 
-    ``topology`` is needed to route the transfer flows; omit it to plan
-    records only.
+    Returns the record list, which fills in as ``sim`` runs.
     """
-    segments = _write_segments(trace)
-    end_time = max((e.time for e in trace.events), default=0.0)
-    plan = SnapshotPlan()
-    if end_time <= 0:
-        return plan
+    if policy.interval_s <= 0:
+        raise ValueError(f"snapshot interval must be positive, got {policy.interval_s}")
+    records: list[SnapshotRecord] = []
+    covered: dict[str, float] = {}  # volume id -> MB captured so far
+    k = 0  # boundaries passed
 
-    n_intervals = max(1, math.ceil(end_time / policy.interval_s))
-    eligible = sorted(
-        vol_id
-        for vol_id, vol in volumes.items()
-        if vol.kind in SNAPSHOT_KINDS and vol_id in segments
-    )
-    covered = {vol_id: 0.0 for vol_id in eligible}
-    for k in range(1, n_intervals + 1):
-        boundary = k * policy.interval_s
-        for vol_id in eligible:
-            dirty = _written_between(segments[vol_id], covered[vol_id], boundary)
+    def take(sim: Simulation, now: float) -> None:
+        nonlocal k
+        k += 1
+        for vol_id, written in sorted(_written_mb(sim, volumes).items()):
+            dirty = written - covered.get(vol_id, 0.0)
+            volumes[vol_id].dirty_mb = 0.0
             if dirty <= 0:
                 continue  # nothing written since the last snapshot
-            plan.records.append(
-                SnapshotRecord(
-                    volume_id=vol_id,
-                    taken_at=boundary,
-                    bytes_copied=dirty,
-                    covers_writes_up_to=boundary,
-                )
+            records.append(SnapshotRecord(vol_id, taken_at=now, bytes_copied=dirty, covers_writes_up_to=now))
+            covered[vol_id] = written
+            flow_id = f"snap.{vol_id}.{k:03d}"
+            host_id, disk_id = volumes[vol_id].backing
+            links = tuple(
+                link_resource_id(l.id) for l in management_path(topology, host_id, topology.controller.id)
             )
-            covered[vol_id] = boundary
-            if topology is not None:
-                flow_id = f"snap.{vol_id}.{k:03d}"
-                vol = volumes[vol_id]
-                host_id, disk_id = vol.backing
-                links = tuple(
-                    link_resource_id(l.id) for l in management_path(topology, host_id, topology.controller.id)
-                )
-                sink = disk_resource_id(topology.controller.id, topology.controller.disks[0].id)
-                resources = (disk_resource_id(host_id, disk_id),) + links + (sink,)
-                if policy.bandwidth_cap is not None:
-                    cap_id = f"cap:{flow_id}"
-                    plan.extra_resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)
-                    resources = (cap_id,) + resources
-                plan.flows.append(
-                    (
-                        FlowSpec(
-                            flow_id,
-                            ResourcePath(resources, "write"),
-                            dirty,
-                            tags={"kind": "snapshot", "volume_id": vol_id},
-                        ),
-                        boundary,
-                    )
-                )
-    for vol_id in eligible:
-        volumes[vol_id].dirty_mb = max(0.0, _written_between(segments[vol_id], covered[vol_id], end_time))
-    return plan
+            sink = disk_resource_id(topology.controller.id, topology.controller.disks[0].id)
+            resources = (disk_resource_id(host_id, disk_id),) + links + (sink,)
+            if policy.bandwidth_cap is not None:
+                cap_id = f"cap:{flow_id}"
+                sim.resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)
+                resources = (cap_id,) + resources
+            sim.add_flow(
+                FlowSpec(
+                    flow_id,
+                    ResourcePath(resources, "write"),
+                    dirty,
+                    tags={"kind": "snapshot", "volume_id": vol_id},
+                ),
+                now,
+            )
+        if not sim.idle:
+            sim.add_timer((k + 1) * policy.interval_s, take)
+
+    sim.add_timer(policy.interval_s, take)
+    return records
 
 
 def merge_snapshot_events(trace: SimTrace, records: Iterable[SnapshotRecord]) -> SimTrace:
-    """Splice snapshot marker events into a trace, keeping time order."""
-    markers = [
+    """Splice snapshot marker events into a time-ordered trace, in one pass.
+
+    Records must be in ``taken_at`` order; a marker follows the trace's
+    events at its instant.
+    """
+    markers = (
         TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied) for r in records
-    ]
-    trace.events = sorted(trace.events + markers, key=lambda e: e.time)
+    )
+    trace.events = list(merge(trace.events, markers, key=attrgetter("time")))
     return trace
 
 

@@ -19,7 +19,7 @@ from storagesim.errors import MigrationDisabledError, NoCandidateHostError
 from storagesim.placement import ClusterState, VmSpec, migrate_vm, place_vm
 from storagesim.scenario import parse_scenario, run_scenario
 from storagesim.topology import reference_cluster
-from storagesim.simengine import FlowSpec, IoFlow, Resource, Simulation, allocate_rates, verify_trace
+from storagesim.simengine import FlowSpec, IoFlow, Simulation, allocate_rates, build_resources, verify_trace
 from storagesim.snapshot import SnapshotPolicy, overhead_comparison, plan_snapshots
 from storagesim.volumes import ResourcePath
 
@@ -192,7 +192,8 @@ def test_criterion_6_snapshot_byte_accounting():
     def run_phases(storage):
         state, hdfs = dfs_cluster(n_hosts=5, storage=storage)
         spec = DfsioSpec(n_files=10, file_size_mb=1024.0, mode="write", slots_per_vm=2)
-        w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=6)
+        snapshots = SnapshotPolicy() if storage == "local" else None
+        w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=6, snapshots=snapshots)
         traces, st = [w.trace], w.state
         for _ in range(5):
             r = run_dfsio(st, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
@@ -200,12 +201,7 @@ def test_criterion_6_snapshot_byte_accounting():
             st, traces = r.state, traces + [r.trace]
         return st, traces
 
-    local_state, local_traces = run_phases("local")
-    plan = plan_snapshots(local_traces[0], local_state.volumes, SnapshotPolicy(), topology=local_state.topology)
-    sim = Simulation({rid: Resource(rid, 1e6, 1e6) for s, _ in plan.flows for rid in s.path.resources})
-    for s, at in plan.flows:
-        sim.add_flow(s, at)
-    local_traces.append(sim.run())
+    _, local_traces = run_phases("local")
     _, networked_traces = run_phases("networked")
     local_mb, networked_mb = overhead_comparison(local_traces, networked_traces)
     exact_ok = local_mb == 10 * 1024.0 and networked_mb == 60 * 1024.0
@@ -216,8 +212,8 @@ def test_criterion_6_snapshot_byte_accounting():
     conserved = 0
     for _ in range(1000):
         n_flows = rng.randint(1, 6)
-        resources = {"disk:h01:disk1": Resource("disk:h01:disk1", 1000.0, 1000.0)}
-        sim = Simulation(resources)
+        topology = reference_cluster(disk_read_bw=1000.0, disk_write_bw=1000.0)
+        sim = Simulation(build_resources(topology))
         total = 0.0
         for j in range(n_flows):
             size = rng.choice([16.0, 64.0, 333.0, 1024.0]) * rng.randint(1, 4)
@@ -231,14 +227,14 @@ def test_criterion_6_snapshot_byte_accounting():
                 ),
                 rng.uniform(0.0, 30.0),
             )
-        trace = sim.run()
         from storagesim.volumes import Volume
 
         volumes = {
             f"vol{k:03d}": Volume(f"vol{k:03d}", "root", 100.0, ("h01", "disk1"), False) for k in range(2)
         }
-        plan = plan_snapshots(trace, volumes, SnapshotPolicy(interval_s=rng.choice([3.0, 11.0, 3600.0])))
-        copied = math.fsum(r.bytes_copied for r in plan.records)
+        records = plan_snapshots(sim, volumes, SnapshotPolicy(interval_s=rng.choice([3.0, 11.0, 3600.0])), topology)
+        sim.run()
+        copied = math.fsum(r.bytes_copied for r in records)
         if abs(copied - total) <= 1e-6 * total:
             conserved += 1
     ok = exact_ok and conserved == 1000

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from storagesim import cli
 from storagesim.cli import main
 from storagesim.errors import ScenarioParseError, ScenarioValidationError
 from storagesim.scenario import build_state, compare, load_scenario, parse_scenario, run_scenario
@@ -193,6 +194,32 @@ def test_cli_bad_field_exits_2_with_field(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["validate", "--scenario", str(path)]) == 2
     assert "dfsio.file_size_mb" in capsys.readouterr().err
+
+
+def test_snapshot_target_accepts_only_controller(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["snapshot"]["target"] = "controller"
+    assert main(["validate", "--scenario", str(write_scenario(tmp_path, doc))]) == 0
+    doc["snapshot"]["target"] = "s3"
+    assert main(["validate", "--scenario", str(write_scenario(tmp_path, doc))]) == 2
+    assert "field snapshot.target: " in capsys.readouterr().err
+
+
+def test_cli_audits_prep_traces(tmp_path, monkeypatch, capsys):
+    doc = scenario_doc()
+    doc["dfsio"]["mode"] = "read"
+    path = write_scenario(tmp_path, doc)
+    real_run_scenario = cli.run_scenario
+
+    def corrupted(scenario, *args, **kwargs):
+        run = real_run_scenario(scenario, *args, **kwargs)
+        record = next(iter(run.prep_traces[0].flows.values()))
+        record.size_mb *= 2  # the prep trace now moves half of this flow's bytes
+        return run
+
+    monkeypatch.setattr(cli, "run_scenario", corrupted)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert "prep trace 0: [byte-conservation]" in capsys.readouterr().err
 
 
 def test_cli_rf_over_vms_exits_3(tmp_path, capsys):

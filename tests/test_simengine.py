@@ -177,6 +177,38 @@ def test_on_complete_hook_can_inject_flows():
     assert trace.flows["second"].end_time == 15.0
 
 
+def test_timers_fire_after_completions_and_the_hook_and_start_their_flows_at_once():
+    sim = Simulation({"d1": res("d1", 100.0)})
+    sim.add_flow(FlowSpec("a", ResourcePath(("d1",), "write"), 1000.0), 0.0)
+    seen = []
+
+    def look(sim, now):
+        seen.append((now, sim.idle, {rec.flow_id: mb for rec, mb in sim.progress()}))
+
+    def chain(sim, records, now):
+        if records[0].flow_id == "a":
+            sim.add_flow(FlowSpec("b", ResourcePath(("d1",), "write"), 500.0), now)
+
+    def at_ten(sim, now):
+        look(sim, now)
+        sim.add_flow(FlowSpec("c", ResourcePath(("d1",), "write"), 500.0), now)
+        sim.add_timer(15.0, look)
+
+    sim.add_timer(10.0, at_ten)  # the instant "a" completes
+    sim.add_timer(30.0, look)  # after the last flow
+    trace = sim.run(on_complete=chain)
+    assert seen == [
+        (10.0, False, {"a": 1000.0, "b": 0.0}),
+        (15.0, False, {"a": 1000.0, "b": 250.0, "c": 250.0}),
+        (30.0, True, {"a": 1000.0, "b": 500.0, "c": 500.0}),
+    ]
+    assert trace.flows["c"].start_time == 10.0
+    assert trace.flows["b"].end_time == trace.flows["c"].end_time == 20.0
+    assert verify_trace(trace) == []
+    with pytest.raises(ValueError):
+        sim.add_timer(1.0, look)
+
+
 def test_determinism_byte_identical_traces():
     topo = reference_cluster()
     resources = build_resources(topo)
@@ -205,10 +237,13 @@ def test_unresolvable_path_rejected_at_add():
 
 
 def test_zero_capacity_stalls_cleanly():
-    sim = Simulation({"d1": res("d1", 0.0)})
-    sim.add_flow(FlowSpec("f", ResourcePath(("d1",), "read"), 10.0), 0.0)
-    with pytest.raises(SimulationStalledError):
-        sim.run()
+    for timer in (False, True):  # a pending timer cannot unstick a stalled flow
+        sim = Simulation({"d1": res("d1", 0.0)})
+        sim.add_flow(FlowSpec("f", ResourcePath(("d1",), "read"), 10.0), 0.0)
+        if timer:
+            sim.add_timer(5.0, lambda sim, now: None)
+        with pytest.raises(SimulationStalledError):
+            sim.run()
 
 
 def test_verify_trace_flags_hand_built_overcapacity():
