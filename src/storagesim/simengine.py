@@ -2,13 +2,15 @@
 
 Flows are continuous streams (no packets, no seeks) competing for disks
 and links. At every arrival or completion the engine recomputes the
-max-min fair allocation by progressive filling: all unfrozen flows rise
-together until some resource saturates, the flows crossing it freeze
-there, and the rest keep rising. Between events rates are constant, so
+max-min fair allocation by progressive filling (Bertsekas & Gallager,
+*Data Networks*, 6.5.2): all unfrozen flows rise together until some
+resource saturates, the flows crossing it freeze there, and the rest keep
+rising. Each resource's saturation level is cached and re-solved only
+when one of its flows freezes. Between events rates are constant, so
 completion times are closed-form and runs are exactly reproducible.
 
-Ties are broken by resource id, then flow id; identical inputs produce
-byte-identical traces.
+The solver sums in flow-id order and no float depends on set or dict
+iteration order; identical inputs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -64,6 +66,18 @@ def build_resources(topology: ClusterTopology) -> dict[str, Resource]:
     return resources
 
 
+def _directions(paths: Iterable[ResourcePath]) -> dict[str, set[str]]:
+    """The directions of the paths crossing each resource, for ``Resource.capacity_for``."""
+    crossed: dict[str, set[str]] = {}  # direction -> resources its paths cross
+    for p in paths:
+        crossed.setdefault(p.direction, set()).update(p.resources)
+    dirs: dict[str, set[str]] = {}
+    for direction, rids in crossed.items():
+        for rid in rids:
+            dirs.setdefault(rid, set()).add(direction)
+    return dirs
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """A transfer to simulate: id, path, size; tags are free-form labels."""
@@ -88,54 +102,59 @@ class IoFlow:
 def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> dict[str, float]:
     """Max-min fair rates by progressive filling.
 
-    All unfrozen flows rise uniformly; each round the resource that
-    saturates first (lowest saturation level, ties by resource id) freezes
-    the flows crossing it at that level. Repeats until every flow is
-    frozen. Raises UnknownResourceError for a path resource with no
-    capacity entry.
+    All unfrozen flows rise uniformly; each round, every resource whose
+    saturation level is at most the round's level (the lowest cached
+    level, never below the previous round's) freezes its unfrozen flows
+    at that level. Repeats until every flow is frozen. Raises
+    UnknownResourceError for a path resource with no capacity entry.
+
+    Each resource caches its live (unfrozen) flow count and its saturation
+    level, ``(capacity - frozen usage) / live count``. Only the resources
+    crossed by a newly frozen flow are re-solved after a round. Exactness
+    contract: a re-solved frozen usage is the plain ``sum`` of its frozen
+    members' rates in member (flow-id) order, never ``fsum`` or a running
+    total, and no float depends on the order of a set or of the inputs.
+    The rates are therefore the same floats for any order of ``flows``
+    and ``capacities``, and equal those of a full rescan every round.
     """
     flow_list = sorted(flows, key=lambda f: f.flow_id)
-    members: dict[str, list[str]] = {}
-    paths: dict[str, tuple[str, ...]] = {}
+    members: dict[str, list[str]] = {}  # flow ids in flow-id order
+    hops: dict[str, tuple[str, ...]] = {}
     for f in flow_list:
         for rid in f.path.resources:
             if rid not in capacities:
                 raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
-        paths[f.flow_id] = f.path.resources
-        for rid in f.path.resources:
-            members.setdefault(rid, [])
-            if f.flow_id not in members[rid]:  # duplicate hops share one reservation
-                members[rid].append(f.flow_id)
+        hops[f.flow_id] = tuple(dict.fromkeys(f.path.resources))  # duplicate hops share one reservation
+        for rid in hops[f.flow_id]:
+            members.setdefault(rid, []).append(f.flow_id)
 
     rates = {f.flow_id: 0.0 for f in flow_list}
     unfrozen = set(rates)
+    n_live = {rid: len(fids) for rid, fids in members.items()}
+    saturation = {rid: capacities[rid] / len(fids) for rid, fids in members.items()}
     level = 0.0
-    while unfrozen:
-        # level at which each resource saturates, given already-frozen rates
-        best_level = math.inf
-        for rid in sorted(members):
-            live = [fid for fid in members[rid] if fid in unfrozen]
-            if not live:
-                continue
-            frozen_usage = sum(rates[fid] for fid in members[rid] if fid not in unfrozen)
-            lvl = (capacities[rid] - frozen_usage) / len(live)
-            best_level = min(best_level, lvl)
-        if best_level is math.inf:
-            break  # unfrozen flows cross no shared resource (impossible: paths are non-empty)
-        level = max(level, best_level)
+    # no math.inf guard: ResourcePath rejects empty paths, so `saturation` empties only when all flows froze
+    while saturation:
+        level = max(level, min(saturation.values()))
+        # no float-corner fallback: the argmin resource passes its own `<= level` test
         newly_frozen = set()
-        for rid in sorted(members):
-            live = [fid for fid in members[rid] if fid in unfrozen]
-            if not live:
+        for rid, lvl in saturation.items():
+            if lvl <= level:
+                newly_frozen.update(members[rid])
+        newly_frozen &= unfrozen
+        unfrozen -= newly_frozen
+        touched = set()
+        for fid in newly_frozen:
+            rates[fid] = level
+            for rid in hops[fid]:
+                n_live[rid] -= 1
+            touched.update(hops[fid])
+        for rid in touched:
+            if not n_live[rid]:
+                del saturation[rid]
                 continue
             frozen_usage = sum(rates[fid] for fid in members[rid] if fid not in unfrozen)
-            if (capacities[rid] - frozen_usage) / len(live) <= level:
-                newly_frozen.update(live)
-        if not newly_frozen:  # float corner: force the slowest resource's flows
-            newly_frozen = set(fid for fid in unfrozen)
-        for fid in sorted(newly_frozen):
-            rates[fid] = level
-        unfrozen -= newly_frozen
+            saturation[rid] = (capacities[rid] - frozen_usage) / n_live[rid]
     return rates
 
 
@@ -240,14 +259,9 @@ class Simulation:
     # -- internals ----------------------------------------------------------
 
     def _effective_capacities(self) -> dict[str, float]:
-        dirs: dict[str, set[str]] = {}
-        for f in self._active.values():
-            for rid in f.path.resources:
-                dirs.setdefault(rid, set()).add(f.path.direction)
-        caps = {}
-        for rid, resource in self.resources.items():
-            caps[rid] = resource.capacity_for(frozenset(dirs.get(rid, {"read"})))
-        return caps
+        """Pooled capacity of each resource that an active flow crosses."""
+        dirs = _directions(f.path for f in self._active.values())
+        return {rid: self.resources[rid].capacity_for(frozenset(d)) for rid, d in dirs.items()}
 
     def _reallocate(self) -> None:
         rates = allocate_rates(self._active.values(), self._effective_capacities())
@@ -257,17 +271,21 @@ class Simulation:
                 self._trace.events.append(TraceEvent(self.now, "rate_change", fid, "", rates[fid]))
                 self._last_rate[fid] = rates[fid]
 
-    def _completion_slack(self, rate: float) -> float:
-        # a remainder that cannot advance the clock (progress below the
-        # float resolution of `now`) must complete now or spin forever
-        return max(COMPLETION_EPS, rate * 8.0 * math.ulp(max(self.now, 1.0)))
+    def _slack_per_rate(self) -> float:
+        """A flow is due now once ``remaining_mb <= max(COMPLETION_EPS, rate * this)``.
+
+        A remainder that cannot advance the clock (progress below the float
+        resolution of ``now``) must complete now or spin forever.
+        """
+        return 8.0 * math.ulp(max(self.now, 1.0))
 
     def _next_completion(self) -> float:
+        per_rate = self._slack_per_rate()
         t = math.inf
         for f in self._active.values():
-            if f.remaining_mb <= self._completion_slack(f.rate):
-                t = min(t, self.now)
-            elif f.rate > 0:
+            if f.remaining_mb <= max(COMPLETION_EPS, f.rate * per_rate):
+                return self.now  # no other flow can finish before now
+            if f.rate > 0:
                 t = min(t, self.now + f.remaining_mb / f.rate)
         return t
 
@@ -310,7 +328,8 @@ class Simulation:
                     f.remaining_mb = max(0.0, f.remaining_mb - f.rate * dt)
                 self.now = t
 
-            completed = [f for f in self._active.values() if f.remaining_mb <= self._completion_slack(f.rate)]
+            per_rate = self._slack_per_rate()
+            completed = [f for f in self._active.values() if f.remaining_mb <= max(COMPLETION_EPS, f.rate * per_rate)]
             completed.sort(key=lambda f: f.flow_id)
             done_records = []
             for f in completed:
@@ -371,20 +390,19 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
     violations: list[TraceViolation] = []
     prev_t = -math.inf
     active: dict[str, FlowRecord] = {}
+    hops: dict[str, tuple[str, ...]] = {}  # each active flow's distinct resources
     rate: dict[str, float] = {}
     moved: dict[str, float] = {}
     ended: set[str] = set()
 
     def check_interval(t0: float, t1: float) -> None:
-        if t1 <= t0 or not active:
-            return
         usage: dict[str, float] = {}
-        dirs: dict[str, set[str]] = {}
-        for fid, rec in active.items():
-            for rid in set(rec.path.resources):
-                usage[rid] = usage.get(rid, 0.0) + rate.get(fid, 0.0)
-                dirs.setdefault(rid, set()).add(rec.path.direction)
-            moved[fid] = moved.get(fid, 0.0) + rate.get(fid, 0.0) * (t1 - t0)
+        for fid in active:
+            r = rate.get(fid, 0.0)
+            for rid in hops[fid]:
+                usage[rid] = usage.get(rid, 0.0) + r
+            moved[fid] += r * (t1 - t0)
+        dirs = _directions(rec.path for rec in active.values())
         for rid, used in sorted(usage.items()):
             resource = trace.resources.get(rid)
             if resource is None:
@@ -400,13 +418,15 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
                 TraceViolation("monotonicity", event.time, f"timestamp {event.time} after {prev_t}")
             )
         else:
-            check_interval(prev_t, event.time)
+            if event.time > prev_t and active:
+                check_interval(prev_t, event.time)
             prev_t = event.time
 
         if event.kind == "flow_start":
-            active[event.flow_id] = trace.flows.get(event.flow_id) or FlowRecord(
+            rec = active[event.flow_id] = trace.flows.get(event.flow_id) or FlowRecord(
                 event.flow_id, ResourcePath(("?",), "read"), event.value, event.time, None, {}
             )
+            hops[event.flow_id] = tuple(dict.fromkeys(rec.path.resources))
             moved.setdefault(event.flow_id, 0.0)
         elif event.kind == "rate_change":
             rate[event.flow_id] = event.value
@@ -427,6 +447,7 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
                         )
                     )
             rate.pop(event.flow_id, None)
+            hops.pop(event.flow_id, None)
         # snapshot events are informational markers
 
     for fid in active:

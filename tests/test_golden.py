@@ -1,0 +1,72 @@
+"""Golden outputs: the sha256 of every file `storagesim run` writes.
+
+A solver or engine change that claims to keep outputs byte-identical must
+leave these digests alone. A change that moves any value on purpose
+records the new digests here and lists the changed values in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+import yaml
+
+from storagesim.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+OUTPUTS = ("trace.csv", "tasks.csv", "result.json", "cost.json")
+
+
+def reference_doc(storage_config):
+    doc = yaml.safe_load((SCENARIOS / "reference.yaml").read_text())
+    doc["storage_config"] = storage_config
+    return doc
+
+
+def mixed_doc():
+    doc = reference_doc("local")
+    doc["dfsio"].update(n_files=10, file_size_mb=256, mode="mixed", read_fraction=0.5)
+    doc["snapshot"]["interval_s"] = 10
+    return doc
+
+
+GOLDEN = {
+    "reference_local": (
+        reference_doc("local"),
+        {
+            "trace.csv": "f6f155a16d595a001e64feb177d93591c26ba42cd205b17070cf96c59939b721",
+            "tasks.csv": "922415ede06e74a441b145195c02eadff81576585efa848ca166daef8916298e",
+            "result.json": "c4d7d7e61175ea177729e6f0378a7fd69a5c893111282f02e45aefccab6f6e2d",
+            "cost.json": "619e329fa2e722341f79493115812e932a7e5fae2dd6bba4550c19cad3f2e7ce",
+        },
+    ),
+    "reference_networked": (
+        reference_doc("networked"),
+        {
+            "trace.csv": "57d424a34c293e645b3dce8644bd4f70449e7df9d6f070008201bfd0722ef50c",
+            "tasks.csv": "5a8ded70520c070985822a3d738df8ec618d2283efe4bd91fe1621b26360678c",
+            "result.json": "bc7cd35b8291775551b15b5d93bc4fddd13863d0d350eeda8dcf87af69c9a28a",
+            "cost.json": "08827f3f4e912b524a45b1669aa586e2bd2732ff7a2b8dd8bbac9bbabb865bbf",
+        },
+    ),
+    "mixed_snapshots": (
+        mixed_doc(),
+        {
+            "trace.csv": "9a36d840634a62cffec36deb5c292180675fab577ef7a094ce417b0f5e75e55d",
+            "tasks.csv": "8b61d381b88a315f932041bfb79c74e1fc4ffe23661675131dc78b723193f9f0",
+            "result.json": "44fa2b6e07b50d32d882c7834ec1905da2ed96c776fe985800b98aaf5d60a26a",
+            "cost.json": "619e329fa2e722341f79493115812e932a7e5fae2dd6bba4550c19cad3f2e7ce",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_outputs_match_golden_digests(tmp_path, name):
+    doc, digests = GOLDEN[name]
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS}
+    assert got == digests

@@ -77,6 +77,26 @@ def test_allocation_matches_oracle_on_random_small_instances():
         assert bottleneck_violations(paths, caps, got) == []
 
 
+def test_allocation_is_exactly_independent_of_input_order():
+    # levels like 100/3 make float sums order-sensitive; duplicate hops,
+    # equal capacities (level ties) and a zero-capacity resource included
+    rng = random.Random(29)
+    for trial in range(200):
+        n_res = rng.randint(2, 6)
+        caps = {f"r{i}": rng.choice([0.1, 10.0, 33.3, 100.0 / 3, 100.0, 125.0]) for i in range(n_res)}
+        caps[f"r{rng.randrange(n_res)}"] = 0.0
+        flows = []
+        for j in rng.sample(range(100), rng.randint(1, 12)):
+            hops = [rng.choice(sorted(caps)) for _ in range(rng.randint(1, 4))]
+            flows.append(flow(f"f{j}", hops))
+        want = allocate_rates(flows, caps)
+        for _ in range(5):
+            shuffled_flows = rng.sample(flows, len(flows))
+            shuffled_caps = dict(rng.sample(sorted(caps.items()), len(caps)))
+            got = allocate_rates(shuffled_flows, shuffled_caps)
+            assert got == want, (trial, [f.path.resources for f in flows], caps)
+
+
 def test_adding_a_flow_to_the_shared_bottleneck_never_raises_other_rates():
     # star instances: every flow crosses one shared resource plus its own
     # private one; joining the shared pool can only slow the others down.
