@@ -60,18 +60,29 @@ def _require_stats(stats: Sequence[TaskStat]) -> None:
         raise EmptyStatsError("no task statistics")
 
 
+def _exact_sum(values: Iterable[float]) -> Fraction:
+    """The exact rational sum of floats or ints.
+
+    Every float is n / 2**k, so the terms are summed as integers over the
+    largest denominator, with one Fraction at the end instead of one per term.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
+
+
 def throughput(stats: Sequence[TaskStat]) -> float:
     """Total data over total task time: sum(size_i) / sum(time_i)."""
     _require_stats(stats)
-    total_size = sum(Fraction(s.file_size_mb) for s in stats)
-    total_time = sum(Fraction(s.elapsed_s) for s in stats)
+    total_size = _exact_sum(s.file_size_mb for s in stats)
+    total_time = _exact_sum(s.elapsed_s for s in stats)
     return float(total_size / total_time)
 
 
 def avg_io_rate(stats: Sequence[TaskStat]) -> float:
     """Mean of per-task rates: sum(size_i / time_i) / N."""
     _require_stats(stats)
-    return float(sum(Fraction(s.rate) for s in stats) / len(stats))
+    return float(_exact_sum(s.rate for s in stats) / len(stats))
 
 
 def stddev_io_rate(stats: Sequence[TaskStat]) -> float:
@@ -243,6 +254,21 @@ def run_dfsio(
     queue: list[_Task] = list(tasks)
     running = [0]  # boxed for closure mutation
     by_flow: dict[str, _Task] = {}
+    # Topology and volume attachments stay fixed during a run, so each path is resolved once.
+    io_paths: dict[tuple[str, str], ResourcePath] = {}  # (vm, direction) -> DFS volume path
+    host_links: dict[tuple[str, str], tuple[str, ...]] = {}  # (src host, dst host) -> link resources
+
+    def io_path(vm: str, direction: str) -> ResourcePath:
+        path = io_paths.get((vm, direction))
+        if path is None:
+            path = io_paths[vm, direction] = resolve_io_path(work_state, vm, hdfs_volumes[vm], direction)
+        return path
+
+    def links(src_host: str, dst_host: str) -> tuple[str, ...]:
+        found = host_links.get((src_host, dst_host))
+        if found is None:
+            found = host_links[src_host, dst_host] = _interhost_links(work_state, src_host, dst_host)
+        return found
 
     def start_write(task: _Task, now: float) -> None:
         vm = task.writer_vm
@@ -256,12 +282,11 @@ def run_dfsio(
                 targets[peer] = targets.get(peer, 0.0) + block.bytes_mb
         task.write_targets = targets
         fid = f"t{task.index:04d}.write"
-        path = resolve_io_path(work_state, vm, hdfs_volumes[vm], "write")
         vol = work_state.volumes[hdfs_volumes[vm]]
         sim.add_flow(
             FlowSpec(
                 fid,
-                path,
+                io_path(vm, "write"),
                 task.size_mb,
                 tags={
                     "task": str(task.index),
@@ -282,9 +307,8 @@ def run_dfsio(
         for peer in sorted(task.write_targets):
             mb = task.write_targets[peer]
             vol = work_state.volumes[hdfs_volumes[peer]]
-            vol_path = resolve_io_path(work_state, peer, hdfs_volumes[peer], "write")
             dst_host = work_state.instances[peer].host_id
-            resources = _dedup(_interhost_links(work_state, src_host, dst_host) + vol_path.resources)
+            resources = _dedup(links(src_host, dst_host) + io_path(peer, "write").resources)
             fid = f"t{task.index:04d}.rep.{peer}"
             sim.add_flow(
                 FlowSpec(
@@ -318,9 +342,8 @@ def run_dfsio(
         dst_host = work_state.instances[vm].host_id
         for src in sorted(by_source):
             vol = work_state.volumes[hdfs_volumes[src]]
-            vol_path = resolve_io_path(work_state, src, hdfs_volumes[src], "read")
             src_host = work_state.instances[src].host_id
-            resources = _dedup(vol_path.resources + _interhost_links(work_state, src_host, dst_host))
+            resources = _dedup(io_path(src, "read").resources + links(src_host, dst_host))
             fid = f"t{task.index:04d}.read.{src}"
             sim.add_flow(
                 FlowSpec(

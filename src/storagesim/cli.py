@@ -3,7 +3,8 @@
 Outputs are machine-first (result.json, trace.csv, cost.json); the tables
 printed to stdout are renderings of the same data. Exit codes: 0 ok,
 2 scenario parse error, 3 validation error, 4 internal invariant
-violation (a produced trace failing its own audit).
+violation (a produced trace failing its own audit) or internal error,
+whose traceback goes to ``<out>/error.log``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .errors import (
@@ -168,6 +170,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_error(out: Path, message: str) -> int:
+    """Report an unexpected failure in one line; the traceback goes to ``out/error.log``."""
+    log = out / "error.log"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        log.write_text(traceback.format_exc())
+    except OSError as e:
+        print(f"internal error: {message} (could not write {log}: {e})", file=sys.stderr)
+    else:
+        print(f"internal error: {message} (traceback in {log})", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -185,11 +200,9 @@ def main(argv=None) -> int:
         print(f"internal invariant violation:\n{e}", file=sys.stderr)
         return EXIT_INTERNAL
     except SimError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as e:  # last resort: never leak a traceback as the UI
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(Path(args.out), str(e))
+    except Exception as e:  # last resort: the traceback goes to a file, not the UI
+        return _internal_error(Path(args.out), f"{type(e).__name__}: {e}")
 
 
 if __name__ == "__main__":

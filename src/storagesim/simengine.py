@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import SimulationStalledError, UnknownResourceError, UnresolvablePathError
 from .topology import ClusterTopology
@@ -158,8 +158,7 @@ def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> 
     return rates
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: float
     kind: str  # flow_start | rate_change | flow_end | snapshot
     flow_id: str
@@ -216,6 +215,7 @@ class Simulation:
         self.resources = dict(resources)
         self.now = 0.0
         self._pending: list[tuple[float, int, FlowSpec]] = []
+        self._pending_ids: set[str] = set()
         self._timers: list[tuple[float, int, TimerCallback]] = []
         self._active: dict[str, IoFlow] = {}
         self._seq = 0
@@ -225,12 +225,13 @@ class Simulation:
     def add_flow(self, spec: FlowSpec, at_time: float) -> None:
         if at_time < self.now:
             raise ValueError(f"cannot schedule {spec.flow_id} in the past ({at_time} < {self.now})")
-        if spec.flow_id in self._trace.flows or any(p[2].flow_id == spec.flow_id for p in self._pending):
+        if spec.flow_id in self._trace.flows or spec.flow_id in self._pending_ids:
             raise ValueError(f"duplicate flow id {spec.flow_id!r}")
         for rid in spec.path.resources:
             if rid not in self.resources:
                 raise UnresolvablePathError(f"flow {spec.flow_id} references unknown resource {rid!r}")
         heappush(self._pending, (at_time, self._seq, spec))
+        self._pending_ids.add(spec.flow_id)
         self._seq += 1
 
     def add_timer(self, at_time: float, callback: TimerCallback) -> None:
@@ -293,6 +294,7 @@ class Simulation:
         started = False
         while self._pending and self._pending[0][0] <= self.now:
             _, _, spec = heappop(self._pending)
+            self._pending_ids.discard(spec.flow_id)
             flow = IoFlow(
                 flow_id=spec.flow_id,
                 path=spec.path,

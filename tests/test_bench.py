@@ -1,10 +1,13 @@
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from helpers import SMALL_VM, dfs_cluster
 from oracles import avg_rate_oracle, throughput_oracle
+from storagesim import bench
 from storagesim.bench import BenchmarkResult, DfsioSpec, TaskStat, avg_io_rate, run_dfsio, stddev_io_rate, throughput
 from storagesim.dfs import DfsConfig
 from storagesim.errors import EmptyStatsError, ReadBeforeWriteError
@@ -61,6 +64,29 @@ def test_heterogeneous_metrics_match_direct_formula_oracle():
         tasks = stats_of(list(zip(sizes, times)))
         assert throughput(tasks) == pytest.approx(throughput_oracle(sizes, times), rel=1e-12)
         assert avg_io_rate(tasks) == pytest.approx(avg_rate_oracle(sizes, times), rel=1e-12)
+
+
+def test_metrics_equal_the_fraction_sums_exactly():
+    # the per-item Fraction sums the metrics are defined by, compared with ==
+    def fraction_throughput(tasks):
+        return float(sum(Fraction(t.file_size_mb) for t in tasks) / sum(Fraction(t.elapsed_s) for t in tasks))
+
+    def fraction_avg_rate(tasks):
+        return float(sum(Fraction(t.rate) for t in tasks) / len(tasks))
+
+    rng = random.Random(12)
+    for case in range(400):
+        n = rng.randint(1, 40)
+        if case % 4 == 0:  # YAML `file_size_mb: 1000` arrives as an int
+            sizes = [rng.randint(1, 10_000)] * n if case % 8 else [rng.randint(1, 10_000) for _ in range(n)]
+        else:  # spread over +/-40 binades
+            sizes = [rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-40, 40) for _ in range(n)]
+        times = [rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-40, 40) for _ in range(n)]
+        if case % 3 == 0:  # identical tasks
+            sizes, times = [sizes[0]] * n, [times[0]] * n
+        tasks = stats_of(list(zip(sizes, times)))
+        assert throughput(tasks) == fraction_throughput(tasks)
+        assert avg_io_rate(tasks) == fraction_avg_rate(tasks)
 
 
 def test_stddev_zero_for_identical_rates():
@@ -207,6 +233,37 @@ def test_mixed_mode_interleaves_reads_and_writes():
     stages = {rec.tags["stage"] for rec in mixed.trace.flows.values()}
     assert "read" in stages and "primary" in stages
     assert verify_trace(mixed.trace) == []
+
+
+def test_each_run_resolves_every_path_once(monkeypatch):
+    state, hdfs = dfs_cluster(n_hosts=5, storage="networked")
+    dfs_config = DfsConfig(replication_factor=3)
+    w = run_dfsio(state, DfsioSpec(n_files=60, file_size_mb=128.0), hdfs, dfs_config=dfs_config, seed=4)
+    calls = Counter()
+    real_management_path, real_resolve_io_path = bench.management_path, bench.resolve_io_path
+
+    def management_path(topology, src, dst):
+        calls["link", src, dst] += 1
+        return real_management_path(topology, src, dst)
+
+    def resolve_io_path(state, vm_id, volume_id, direction):
+        calls["volume", vm_id, direction] += 1
+        return real_resolve_io_path(state, vm_id, volume_id, direction)
+
+    monkeypatch.setattr(bench, "management_path", management_path)
+    monkeypatch.setattr(bench, "resolve_io_path", resolve_io_path)
+    run = run_dfsio(
+        w.state,
+        DfsioSpec(n_files=60, file_size_mb=128.0, mode="mixed", read_fraction=0.5),
+        hdfs,
+        dfs_config=dfs_config,
+        seed=4,
+        files=w.files,
+    )
+    assert {rec.tags["stage"] for rec in run.trace.flows.values()} == {"primary", "replica", "read"}
+    assert {key[0] for key in calls} == {"link", "volume"}
+    assert {key[2] for key in calls if key[0] == "volume"} == {"read", "write"}
+    assert max(calls.values()) == 1, calls.most_common(3)
 
 
 def test_dirty_bytes_marked_for_snapshot_accounting():

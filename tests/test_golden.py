@@ -58,6 +58,16 @@ GOLDEN = {
             "cost.json": "619e329fa2e722341f79493115812e932a7e5fae2dd6bba4550c19cad3f2e7ce",
         },
     ),
+    # reads and writes through the controller: the only golden that covers networked read paths
+    "mixed_networked": (
+        mixed_doc() | {"storage_config": "networked"},
+        {
+            "trace.csv": "6f0136611319eb9ef4cf9d596537154464ef9736846f1f37e2a1967391614b8d",
+            "tasks.csv": "38d1f1c6f5244d7f5c9c07cada7e009438366c4c1ca9e0e499d1fe62bc4ab87c",
+            "result.json": "09c725adbcb3407a1cc11987f26775c96399bb6e666161b83c4b6f5c5f584841",
+            "cost.json": "f3d131f9845060b657f5a05e9fcfb7f46fd549902fe4be327ed4a692d1aa6acf",
+        },
+    ),
 }
 
 

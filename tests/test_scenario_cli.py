@@ -7,7 +7,7 @@ import yaml
 
 from storagesim import cli
 from storagesim.cli import main
-from storagesim.errors import ScenarioParseError, ScenarioValidationError
+from storagesim.errors import ScenarioParseError, ScenarioValidationError, SimError
 from storagesim.scenario import build_state, compare, load_scenario, parse_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -323,3 +323,19 @@ def test_cli_never_leaks_tracebacks(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "file_size_mb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RuntimeError, SimError])
+def test_internal_error_exits_4_and_leaves_a_traceback(tmp_path, monkeypatch, capsys, error):
+    path = write_scenario(tmp_path, scenario_doc())
+
+    def broken(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    out = tmp_path / "fresh" / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 4
+    log = (out / "error.log").read_text()
+    assert "Traceback" in log and f"{error.__name__}: boom" in log
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(out / "error.log") in err[0] and "Traceback" not in err[0]

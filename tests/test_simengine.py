@@ -250,6 +250,28 @@ def test_work_conservation_some_resource_saturated():
     assert any(abs(usage[r] - caps[r]) <= 1e-9 * caps[r] for r in caps)
 
 
+def test_duplicate_flow_id_rejected_while_pending_active_or_finished():
+    sim = Simulation({"d1": res("d1", 100.0)})
+    spec = FlowSpec("a", ResourcePath(("d1",), "write"), 100.0)
+    sim.add_flow(spec, 5.0)
+    with pytest.raises(ValueError, match="duplicate flow id 'a'"):
+        sim.add_flow(spec, 7.0)  # pending
+    checked = []
+
+    def while_active(sim, now):
+        with pytest.raises(ValueError, match="duplicate flow id 'a'"):
+            sim.add_flow(spec, now)
+        checked.append(now)
+
+    sim.add_timer(5.5, while_active)
+    trace = sim.run()
+    assert checked == [5.5] and trace.flows["a"].end_time == 6.0
+    with pytest.raises(ValueError, match="duplicate flow id 'a'"):
+        sim.add_flow(spec, sim.now)  # finished
+    sim.add_flow(FlowSpec("b", ResourcePath(("d1",), "write"), 100.0), sim.now)
+    assert sim.run().flows["b"].end_time == 7.0
+
+
 def test_unresolvable_path_rejected_at_add():
     sim = Simulation({"d1": res("d1", 10.0)})
     with pytest.raises(UnresolvablePathError):
