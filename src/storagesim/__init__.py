@@ -12,7 +12,6 @@ from .dfs import (
     BlockReplicaSet,
     DfsConfig,
     DfsFile,
-    MapTask,
     ReplicaCoLocationWarning,
     dfs_members,
     place_file,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dfs import DfsConfig, DfsFile, MapTask, place_file, schedule_map_task
+from .dfs import DfsConfig, DfsFile, place_file, schedule_map_task
 from .errors import EmptyStatsError, ReadBeforeWriteError, SimError
 from .placement import ClusterState
 from .simengine import FlowSpec, Simulation, SimTrace, build_resources
@@ -169,14 +169,6 @@ class _Task:
     write_targets: dict[str, float] = field(default_factory=dict)  # replica vm -> MB
 
 
-def _dedup(resources: Iterable[str]) -> tuple[str, ...]:
-    seen: list[str] = []
-    for rid in resources:
-        if rid not in seen:
-            seen.append(rid)
-    return tuple(seen)
-
-
 def _interhost_links(state: ClusterState, src_host: str, dst_host: str) -> tuple[str, ...]:
     if src_host == dst_host:
         return ()
@@ -308,7 +300,7 @@ def run_dfsio(
             mb = task.write_targets[peer]
             vol = work_state.volumes[hdfs_volumes[peer]]
             dst_host = work_state.instances[peer].host_id
-            resources = _dedup(links(src_host, dst_host) + io_path(peer, "write").resources)
+            resources = tuple(dict.fromkeys(links(src_host, dst_host) + io_path(peer, "write").resources))
             fid = f"t{task.index:04d}.rep.{peer}"
             sim.add_flow(
                 FlowSpec(
@@ -343,7 +335,7 @@ def run_dfsio(
         for src in sorted(by_source):
             vol = work_state.volumes[hdfs_volumes[src]]
             src_host = work_state.instances[src].host_id
-            resources = _dedup(io_path(src, "read").resources + links(src_host, dst_host))
+            resources = tuple(dict.fromkeys(io_path(src, "read").resources + links(src_host, dst_host)))
             fid = f"t{task.index:04d}.read.{src}"
             sim.add_flow(
                 FlowSpec(
@@ -388,7 +380,7 @@ def run_dfsio(
                         break
                     vm = schedule_map_task(
                         work_state,
-                        MapTask(task_id=f"t{task.index:04d}", target=task.file_name, mode=task.mode),
+                        f"t{task.index:04d}",
                         slots,
                         rng=rng,
                         replicas=task.file.holders() if task.file else (),

@@ -58,14 +58,6 @@ class DfsFile:
         return tuple(sorted({vm for b in self.blocks for vm in b.vms()}))
 
 
-@dataclass(frozen=True)
-class MapTask:
-    task_id: str
-    target: str  # file name or block id
-    mode: str  # read | write
-    assigned_vm: str | None = None
-
-
 def dfs_members(state: ClusterState) -> list[str]:
     """Running VMs participating in the DFS, in id order."""
     return sorted(vm.id for vm in state.instances.values() if vm.state == RUNNING)
@@ -163,7 +155,7 @@ def place_file(
 
 def schedule_map_task(
     state: ClusterState,
-    task: MapTask,
+    task_id: str,
     slots: dict[str, int],
     policy: str = "locality_aware",
     rng: random.Random | None = None,
@@ -177,7 +169,7 @@ def schedule_map_task(
     """
     free = [vm for vm in sorted(slots) if slots[vm] > 0]
     if not free:
-        raise NoFreeSlotsError(f"no free slot for task {task.task_id}")
+        raise NoFreeSlotsError(f"no free slot for task {task_id}")
     if policy == "locality_aware":
         holder_set = set(replicas)
         local = [vm for vm in free if vm in holder_set]

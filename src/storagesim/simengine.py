@@ -6,8 +6,12 @@ max-min fair allocation by progressive filling (Bertsekas & Gallager,
 *Data Networks*, 6.5.2): all unfrozen flows rise together until some
 resource saturates, the flows crossing it freeze there, and the rest keep
 rising. Each resource's saturation level is cached and re-solved only
-when one of its flows freezes. Between events rates are constant, so
-completion times are closed-form and runs are exactly reproducible.
+when one of its flows freezes, its frozen usage summed at C level. A
+resource that reads as fast as it writes (every link, and every disk of
+the shipped scenarios) has one capacity for the whole run; only an
+asymmetric one is pooled over the directions of the flows crossing it,
+at each step. Between events rates are constant, so completion times are
+closed-form and runs are exactly reproducible.
 
 The solver sums in flow-id order and no float depends on set or dict
 iteration order; identical inputs produce byte-identical traces.
@@ -16,8 +20,10 @@ iteration order; identical inputs produce byte-identical traces.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import SimulationStalledError, UnknownResourceError, UnresolvablePathError
@@ -106,32 +112,39 @@ def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> 
     saturation level is at most the round's level (the lowest cached
     level, never below the previous round's) freezes its unfrozen flows
     at that level. Repeats until every flow is frozen. Raises
-    UnknownResourceError for a path resource with no capacity entry.
+    UnknownResourceError for a path resource with no capacity entry;
+    entries for resources no flow crosses are never read.
 
     Each resource caches its live (unfrozen) flow count and its saturation
     level, ``(capacity - frozen usage) / live count``. Only the resources
     crossed by a newly frozen flow are re-solved after a round. Exactness
-    contract: a re-solved frozen usage is the plain ``sum`` of its frozen
-    members' rates in member (flow-id) order, never ``fsum`` or a running
-    total, and no float depends on the order of a set or of the inputs.
-    The rates are therefore the same floats for any order of ``flows``
-    and ``capacities``, and equal those of a full rescan every round.
+    contract: a re-solved frozen usage is the plain ``sum`` of its members'
+    rates in member (flow-id) order, a live member counting 0.0 (``x + 0.0
+    == x`` for every ``x >= 0``, so this is the sum over the frozen members
+    alone), never ``fsum`` or a running total, and no float depends on the
+    order of a set or of the inputs. The rates are therefore the same
+    floats for any order of ``flows`` and ``capacities``, and equal those
+    of a full rescan every round.
     """
-    flow_list = sorted(flows, key=lambda f: f.flow_id)
-    members: dict[str, list[str]] = {}  # flow ids in flow-id order
-    hops: dict[str, tuple[str, ...]] = {}
+    flow_list = sorted(flows, key=attrgetter("flow_id"))
+    # resource -> {flow id: its frozen rate, 0.0 while live}, keyed in flow-id order
+    members: defaultdict[str, dict[str, float]] = defaultdict(dict)
+    hops: dict[str, dict[str, None]] = {}  # flow id -> its distinct resources
     for f in flow_list:
-        for rid in f.path.resources:
-            if rid not in capacities:
-                raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
-        hops[f.flow_id] = tuple(dict.fromkeys(f.path.resources))  # duplicate hops share one reservation
-        for rid in hops[f.flow_id]:
-            members.setdefault(rid, []).append(f.flow_id)
+        fid = f.flow_id
+        hops[fid] = fhops = dict.fromkeys(f.path.resources)  # duplicate hops share one reservation
+        for rid in fhops:
+            members[rid][fid] = 0.0
+    if not members.keys() <= capacities.keys():
+        for f in flow_list:
+            for rid in f.path.resources:
+                if rid not in capacities:
+                    raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
 
-    rates = {f.flow_id: 0.0 for f in flow_list}
+    rates = dict.fromkeys(hops, 0.0)
     unfrozen = set(rates)
     n_live = {rid: len(fids) for rid, fids in members.items()}
-    saturation = {rid: capacities[rid] / len(fids) for rid, fids in members.items()}
+    saturation = {rid: capacities[rid] / n for rid, n in n_live.items()}
     level = 0.0
     # no math.inf guard: ResourcePath rejects empty paths, so `saturation` empties only when all flows froze
     while saturation:
@@ -146,15 +159,17 @@ def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> 
         touched = set()
         for fid in newly_frozen:
             rates[fid] = level
-            for rid in hops[fid]:
+            fhops = hops[fid]
+            for rid in fhops:
+                members[rid][fid] = level
                 n_live[rid] -= 1
-            touched.update(hops[fid])
+            touched.update(fhops)
         for rid in touched:
-            if not n_live[rid]:
+            n = n_live[rid]
+            if n:
+                saturation[rid] = (capacities[rid] - sum(members[rid].values())) / n
+            else:
                 del saturation[rid]
-                continue
-            frozen_usage = sum(rates[fid] for fid in members[rid] if fid not in unfrozen)
-            saturation[rid] = (capacities[rid] - frozen_usage) / n_live[rid]
     return rates
 
 
@@ -208,7 +223,8 @@ class Simulation:
     the benchmark layer dispatches queued tasks the moment a slot frees),
     or from a timer (which is how snapshots are taken mid-run). The trace
     shares ``resources``, so a resource added there mid-run, before the
-    first flow that crosses it, is audited with the rest.
+    first flow that crosses it, is audited with the rest. A resource's
+    capacities are read once, when the first flow crossing it is added.
     """
 
     def __init__(self, resources: Mapping[str, Resource]):
@@ -221,6 +237,10 @@ class Simulation:
         self._seq = 0
         self._trace = SimTrace(resources=self.resources)
         self._last_rate: dict[str, float] = {}
+        # Filled as flows are added: a symmetric resource's one capacity, and
+        # the asymmetric resources, pooled afresh at each reallocation.
+        self._capacities: dict[str, float] = {}
+        self._pooled: dict[str, Resource] = {}
 
     def add_flow(self, spec: FlowSpec, at_time: float) -> None:
         if at_time < self.now:
@@ -228,8 +248,14 @@ class Simulation:
         if spec.flow_id in self._trace.flows or spec.flow_id in self._pending_ids:
             raise ValueError(f"duplicate flow id {spec.flow_id!r}")
         for rid in spec.path.resources:
-            if rid not in self.resources:
-                raise UnresolvablePathError(f"flow {spec.flow_id} references unknown resource {rid!r}")
+            if rid not in self._capacities and rid not in self._pooled:
+                resource = self.resources.get(rid)
+                if resource is None:
+                    raise UnresolvablePathError(f"flow {spec.flow_id} references unknown resource {rid!r}")
+                if resource.read_capacity == resource.write_capacity:
+                    self._capacities[rid] = resource.read_capacity
+                else:
+                    self._pooled[rid] = resource
         heappush(self._pending, (at_time, self._seq, spec))
         self._pending_ids.add(spec.flow_id)
         self._seq += 1
@@ -260,17 +286,30 @@ class Simulation:
     # -- internals ----------------------------------------------------------
 
     def _effective_capacities(self) -> dict[str, float]:
-        """Pooled capacity of each resource that an active flow crosses."""
-        dirs = _directions(f.path for f in self._active.values())
-        return {rid: self.resources[rid].capacity_for(frozenset(d)) for rid, d in dirs.items()}
+        """Capacity of each resource the active flows cross, or a superset of them.
+
+        While no flow has crossed an asymmetric resource, this is the fixed
+        table of symmetric capacities, returned as is (it must not be
+        mutated). Once one has, every reallocation gathers the directions of
+        all active flows and builds a table over their resources alone,
+        pooling only the asymmetric ones.
+        """
+        if not self._pooled:
+            return self._capacities
+        fixed, pooled = self._capacities, self._pooled
+        return {
+            rid: pooled[rid].capacity_for(frozenset(d)) if rid in pooled else fixed[rid]
+            for rid, d in _directions(f.path for f in self._active.values()).items()
+        }
 
     def _reallocate(self) -> None:
         rates = allocate_rates(self._active.values(), self._effective_capacities())
-        for fid in sorted(rates):
-            self._active[fid].rate = rates[fid]
-            if self._last_rate.get(fid) != rates[fid]:
-                self._trace.events.append(TraceEvent(self.now, "rate_change", fid, "", rates[fid]))
-                self._last_rate[fid] = rates[fid]
+        active, last_rate, events, now = self._active, self._last_rate, self._trace.events, self.now
+        for fid, r in rates.items():  # flow-id order
+            active[fid].rate = r
+            if last_rate.get(fid) != r:
+                events.append(TraceEvent(now, "rate_change", fid, "", r))
+                last_rate[fid] = r
 
     def _slack_per_rate(self) -> float:
         """A flow is due now once ``remaining_mb <= max(COMPLETION_EPS, rate * this)``.
@@ -281,13 +320,17 @@ class Simulation:
         return 8.0 * math.ulp(max(self.now, 1.0))
 
     def _next_completion(self) -> float:
+        now = self.now
         per_rate = self._slack_per_rate()
         t = math.inf
         for f in self._active.values():
-            if f.remaining_mb <= max(COMPLETION_EPS, f.rate * per_rate):
-                return self.now  # no other flow can finish before now
-            if f.rate > 0:
-                t = min(t, self.now + f.remaining_mb / f.rate)
+            remaining, rate = f.remaining_mb, f.rate
+            if remaining <= COMPLETION_EPS or remaining <= rate * per_rate:
+                return now  # no other flow can finish before now
+            if rate > 0:
+                end = now + remaining / rate
+                if end < t:
+                    t = end
         return t
 
     def _start_arrivals(self) -> bool:
@@ -325,14 +368,19 @@ class Simulation:
             t = min(t_flows, self._timers[0][0] if self._timers else math.inf)
 
             dt = t - self.now
-            if dt > 0:
-                for f in self._active.values():
-                    f.remaining_mb = max(0.0, f.remaining_mb - f.rate * dt)
+            advance = dt > 0
+            if advance:
                 self.now = t
-
             per_rate = self._slack_per_rate()
-            completed = [f for f in self._active.values() if f.remaining_mb <= max(COMPLETION_EPS, f.rate * per_rate)]
-            completed.sort(key=lambda f: f.flow_id)
+            completed = []
+            for f in self._active.values():  # advance to now and collect the due flows in one pass
+                remaining = f.remaining_mb
+                if advance:
+                    remaining -= f.rate * dt
+                    f.remaining_mb = remaining = remaining if remaining > 0.0 else 0.0  # max(0.0, remaining)
+                if remaining <= COMPLETION_EPS or remaining <= f.rate * per_rate:
+                    completed.append(f)
+            completed.sort(key=attrgetter("flow_id"))
             done_records = []
             for f in completed:
                 f.remaining_mb = 0.0
@@ -390,29 +438,38 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
     hand-built traces can be checked the same way as simulated ones.
     """
     violations: list[TraceViolation] = []
+    resources = trace.resources
     prev_t = -math.inf
     active: dict[str, FlowRecord] = {}
-    hops: dict[str, tuple[str, ...]] = {}  # each active flow's distinct resources
+    hops: dict[str, tuple[str, ...]] = {}  # each active flow's distinct resources; keyed like `active`
     rate: dict[str, float] = {}
     moved: dict[str, float] = {}
-    ended: set[str] = set()
 
     def check_interval(t0: float, t1: float) -> None:
+        dt = t1 - t0
         usage: dict[str, float] = {}
-        for fid in active:
+        used_by = usage.get
+        for fid, fhops in hops.items():  # the active flows, in start order
             r = rate.get(fid, 0.0)
-            for rid in hops[fid]:
-                usage[rid] = usage.get(rid, 0.0) + r
-            moved[fid] += r * (t1 - t0)
-        dirs = _directions(rec.path for rec in active.values())
-        for rid, used in sorted(usage.items()):
-            resource = trace.resources.get(rid)
+            for rid in fhops:
+                usage[rid] = used_by(rid, 0.0) + r
+            moved[fid] += r * dt
+        dirs = None  # gathered only if an asymmetric resource is in use
+        over: list[tuple[str, str]] = []  # (resource, message), sorted below
+        for rid, used in usage.items():
+            resource = resources.get(rid)
             if resource is None:
-                violations.append(TraceViolation("capacity", t0, f"unknown resource {rid!r} in use"))
+                over.append((rid, f"unknown resource {rid!r} in use"))
                 continue
-            cap = resource.capacity_for(frozenset(dirs[rid]))
+            cap = resource.read_capacity
+            if cap != resource.write_capacity:
+                if dirs is None:
+                    dirs = _directions(rec.path for rec in active.values())
+                cap = resource.capacity_for(frozenset(dirs[rid]))
             if used > cap * (1 + CAPACITY_REL_EPS):
-                violations.append(TraceViolation("capacity", t0, f"{rid} carries {used} MB/s > capacity {cap}"))
+                over.append((rid, f"{rid} carries {used} MB/s > capacity {cap}"))
+        for _, message in sorted(over):
+            violations.append(TraceViolation("capacity", t0, message))
 
     for event in trace.events:
         if event.time < prev_t:
@@ -437,7 +494,6 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
             if rec is None:
                 violations.append(TraceViolation("unmatched-flow", event.time, f"end without start: {event.flow_id}"))
             else:
-                ended.add(event.flow_id)
                 got = moved.get(event.flow_id, 0.0)
                 tol = max(BYTE_REL_TOL * rec.size_mb, 1e-6)
                 if abs(got - rec.size_mb) > tol:

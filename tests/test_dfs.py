@@ -6,7 +6,6 @@ import pytest
 from helpers import SMALL_VM, placed_cluster
 from storagesim.dfs import (
     DfsConfig,
-    MapTask,
     ReplicaCoLocationWarning,
     dfs_members,
     place_file,
@@ -97,30 +96,27 @@ def test_rack_spread_degenerate_cases(five_hosts, one_host_three_vms):
 
 
 def test_schedule_prefers_replica_holder_with_free_slot(five_hosts):
-    task = MapTask("t0", "data", "read")
     slots = {"vm001": 0, "vm002": 0, "vm003": 1, "vm004": 1, "vm005": 1}
-    vm = schedule_map_task(five_hosts, task, slots, replicas=("vm002", "vm004"))
+    vm = schedule_map_task(five_hosts, "t0", slots, replicas=("vm002", "vm004"))
     assert vm == "vm004"
 
 
 def test_schedule_falls_back_to_lowest_free_vm(five_hosts):
-    task = MapTask("t0", "data", "read")
     slots = {"vm001": 1, "vm002": 1, "vm003": 0, "vm004": 0, "vm005": 0}
-    vm = schedule_map_task(five_hosts, task, slots, replicas=("vm003", "vm004"))
+    vm = schedule_map_task(five_hosts, "t0", slots, replicas=("vm003", "vm004"))
     assert vm == "vm001"
 
 
 def test_schedule_random_is_seed_deterministic(five_hosts):
-    task = MapTask("t0", "data", "read")
     slots = {m: 1 for m in dfs_members(five_hosts)}
-    a = schedule_map_task(five_hosts, task, slots, policy="random", rng=random.Random(5))
-    b = schedule_map_task(five_hosts, task, slots, policy="random", rng=random.Random(5))
+    a = schedule_map_task(five_hosts, "t0", slots, policy="random", rng=random.Random(5))
+    b = schedule_map_task(five_hosts, "t0", slots, policy="random", rng=random.Random(5))
     assert a == b
 
 
 def test_schedule_no_free_slots(five_hosts):
     with pytest.raises(NoFreeSlotsError):
-        schedule_map_task(five_hosts, MapTask("t", "x", "read"), {m: 0 for m in dfs_members(five_hosts)})
+        schedule_map_task(five_hosts, "t", {m: 0 for m in dfs_members(five_hosts)})
 
 
 def test_locality_schedule_returns_holder_whenever_one_is_free(five_hosts):
@@ -131,7 +127,7 @@ def test_locality_schedule_returns_holder_whenever_one_is_free(five_hosts):
         if all(v == 0 for v in slots.values()):
             continue
         replicas = tuple(rng.sample(members, rng.randint(1, 3)))
-        vm = schedule_map_task(five_hosts, MapTask("t", "x", "read"), slots, replicas=replicas)
+        vm = schedule_map_task(five_hosts, "t", slots, replicas=replicas)
         free_holders = [m for m in replicas if slots[m] > 0]
         if free_holders:
             assert vm in free_holders

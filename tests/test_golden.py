@@ -30,6 +30,12 @@ def mixed_doc():
     return doc
 
 
+def asymmetric_doc(storage_config):
+    doc = mixed_doc() | {"storage_config": storage_config}
+    doc["topology"]["reference"].update(disk_read_bw=150, disk_write_bw=80)
+    return doc
+
+
 GOLDEN = {
     "reference_local": (
         reference_doc("local"),
@@ -65,6 +71,25 @@ GOLDEN = {
             "trace.csv": "6f0136611319eb9ef4cf9d596537154464ef9736846f1f37e2a1967391614b8d",
             "tasks.csv": "38d1f1c6f5244d7f5c9c07cada7e009438366c4c1ca9e0e499d1fe62bc4ab87c",
             "result.json": "09c725adbcb3407a1cc11987f26775c96399bb6e666161b83c4b6f5c5f584841",
+            "cost.json": "f3d131f9845060b657f5a05e9fcfb7f46fd549902fe4be327ed4a692d1aa6acf",
+        },
+    ),
+    # disks read faster than they write: the only goldens where mixed-direction pooling sets a rate
+    "asymmetric_local": (
+        asymmetric_doc("local"),
+        {
+            "trace.csv": "693cb0f7a92315c682eb55e668abe856e7b745f82096a386df4aaf2d753241de",
+            "tasks.csv": "0d807c7b658d33166343992cd3f60e54e6aefa6f4ecdde8e5ca599e52acf3639",
+            "result.json": "6723d43c1e2ad7de632464743c7e0fbb5ac98eaddaab677b28d9c560074e9173",
+            "cost.json": "619e329fa2e722341f79493115812e932a7e5fae2dd6bba4550c19cad3f2e7ce",
+        },
+    ),
+    "asymmetric_networked": (
+        asymmetric_doc("networked"),
+        {
+            "trace.csv": "6c966b8e240d30c9c22c8b70dfecc35b14120e300ef46afbf0b02e90e76f35ca",
+            "tasks.csv": "5dc957f0f21baa25a3abd2adcf25bfe088e7e9cb8bb77c95d50d29ffd150446a",
+            "result.json": "776c8b7e5fec7eafb82713efc18b0cabf4f1fb4e3dab97f16b9cf6db591a84da",
             "cost.json": "f3d131f9845060b657f5a05e9fcfb7f46fd549902fe4be327ed4a692d1aa6acf",
         },
     ),

@@ -1,10 +1,15 @@
 import random
+from pathlib import Path
 
 import pytest
+import yaml
 
 from oracles import bottleneck_violations, maxmin_fill_oracle
+from storagesim import simengine
+from storagesim.cli import main
 from storagesim.errors import SimulationStalledError, UnknownResourceError, UnresolvablePathError
 from storagesim.simengine import (
+    FlowRecord,
     FlowSpec,
     IoFlow,
     Resource,
@@ -95,6 +100,102 @@ def test_allocation_is_exactly_independent_of_input_order():
             shuffled_caps = dict(rng.sample(sorted(caps.items()), len(caps)))
             got = allocate_rates(shuffled_flows, shuffled_caps)
             assert got == want, (trial, [f.path.resources for f in flows], caps)
+
+
+def _generator_resum_rates(flows, capacities):
+    """Reference solver: the same progressive filling, each frozen usage re-summed
+    by a generator over the resource's members in flow-id order, skipping live ones."""
+    flow_list = sorted(flows, key=lambda f: f.flow_id)
+    members: dict[str, list[str]] = {}  # flow ids in flow-id order
+    hops: dict[str, tuple[str, ...]] = {}
+    for f in flow_list:
+        for rid in f.path.resources:
+            if rid not in capacities:
+                raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
+        hops[f.flow_id] = tuple(dict.fromkeys(f.path.resources))  # duplicate hops share one reservation
+        for rid in hops[f.flow_id]:
+            members.setdefault(rid, []).append(f.flow_id)
+
+    rates = {f.flow_id: 0.0 for f in flow_list}
+    unfrozen = set(rates)
+    n_live = {rid: len(fids) for rid, fids in members.items()}
+    saturation = {rid: capacities[rid] / len(fids) for rid, fids in members.items()}
+    level = 0.0
+    while saturation:
+        level = max(level, min(saturation.values()))
+        newly_frozen = set()
+        for rid, lvl in saturation.items():
+            if lvl <= level:
+                newly_frozen.update(members[rid])
+        newly_frozen &= unfrozen
+        unfrozen -= newly_frozen
+        touched = set()
+        for fid in newly_frozen:
+            rates[fid] = level
+            for rid in hops[fid]:
+                n_live[rid] -= 1
+            touched.update(hops[fid])
+        for rid in touched:
+            if not n_live[rid]:
+                del saturation[rid]
+                continue
+            frozen_usage = sum(rates[fid] for fid in members[rid] if fid not in unfrozen)
+            saturation[rid] = (capacities[rid] - frozen_usage) / n_live[rid]
+    return rates
+
+
+def test_allocation_equals_the_generator_resum_exactly():
+    # levels like 100/3 make the frozen-usage sums inexact, so any change of
+    # summation order or method shows; level ties, duplicate hops, a
+    # zero-capacity resource and capacity entries no flow crosses included
+    rng = random.Random(47)
+    multi_round = 0
+    for trial in range(300):
+        n_res = rng.randint(2, 8)
+        caps = {f"r{i}": rng.choice([0.1, 10.0, 33.3, 100.0 / 3, 100.0, 125.0, 1000.0 / 7]) for i in range(n_res)}
+        caps[f"r{rng.randrange(n_res)}"] = 0.0
+        flows = []
+        for j in rng.sample(range(200), rng.randint(1, 30)):
+            hops = [rng.choice(sorted(caps)) for _ in range(rng.randint(1, 5))]
+            flows.append(flow(f"f{j}", hops))
+        got = allocate_rates(flows, caps)
+        want = _generator_resum_rates(flows, caps)
+        assert got == want, (trial, [f.path.resources for f in flows], caps)
+        assert list(got) == list(want)  # flow-id order, which the engine relies on
+        multi_round += len(set(want.values())) > 2
+    assert multi_round > 150  # most instances freeze flows at several distinct levels
+
+
+def _count_directions_calls(monkeypatch):
+    calls = []
+    real = simengine._directions
+
+    def counting(paths):
+        calls.append(1)
+        return real(paths)
+
+    monkeypatch.setattr(simengine, "_directions", counting)
+    return calls
+
+
+def _run_scenario(tmp_path, doc):
+    tmp_path.mkdir()
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_directions_are_gathered_only_for_asymmetric_resources(monkeypatch, tmp_path):
+    calls = _count_directions_calls(monkeypatch)
+    doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml").read_text())
+    assert doc["storage_config"] == "local"
+    # every link and disk reads as fast as it writes: no capacity depends on direction
+    _run_scenario(tmp_path / "symmetric", doc)
+    assert len(calls) == 0
+    doc["topology"]["reference"].update(disk_read_bw=150, disk_write_bw=80)
+    doc["dfsio"].update(n_files=4, mode="mixed", read_fraction=0.5)
+    _run_scenario(tmp_path / "asymmetric", doc)
+    assert len(calls) > 0
 
 
 def test_adding_a_flow_to_the_shared_bottleneck_never_raises_other_rates():
@@ -308,6 +409,29 @@ def test_verify_trace_flags_hand_built_overcapacity():
     ]
     codes = {v.code for v in verify_trace(trace)}
     assert "capacity" in codes
+
+
+def test_verify_trace_pools_mixed_directions_on_an_asymmetric_disk():
+    # reads share 200 MB/s, writes 100 MB/s, and mixed traffic the smaller 100
+    disk = Resource("d1", read_capacity=200.0, write_capacity=100.0)
+
+    def violations(directions, rate):
+        trace = SimTrace(resources={"d1": disk})
+        fids = ("a", "b")
+        for fid, direction in zip(fids, directions):
+            trace.flows[fid] = FlowRecord(fid, ResourcePath(("d1",), direction), rate * 10.0, 0.0, 10.0, {})
+        trace.events = (
+            [TraceEvent(0.0, "flow_start", fid, "", rate * 10.0) for fid in fids]
+            + [TraceEvent(0.0, "rate_change", fid, "", rate) for fid in fids]
+            + [TraceEvent(10.0, "flow_end", fid, "", rate * 10.0) for fid in fids]
+        )
+        return verify_trace(trace)
+
+    flagged = violations(("read", "write"), 60.0)
+    assert [v.code for v in flagged] == ["capacity"]
+    assert "d1 carries 120.0 MB/s > capacity 100.0" in flagged[0].message
+    assert violations(("read", "write"), 50.0) == []
+    assert violations(("read", "read"), 90.0) == []
 
 
 def test_verify_trace_flags_decreasing_timestamps():
