@@ -48,8 +48,8 @@ for storage in ("local", "networked"):
         files=write.files,
     )
     w, r = write.result, read.result
-    print(f"  write: throughput {w.throughput_mbps:7.2f} MB/s, avg rate {w.avg_io_rate_mbps:7.2f}, exec {w.exec_time_s:6.1f} s")
-    print(f"  read:  throughput {r.throughput_mbps:7.2f} MB/s, avg rate {r.avg_io_rate_mbps:7.2f}, exec {r.exec_time_s:6.1f} s")
+    print(f"  write: throughput {w.throughput_mbps:7.2f} MB/s, avg rate {w.avg_io_rate_mbps:7.2f}, exec {w.finished_at:6.1f} s")
+    print(f"  read:  throughput {r.throughput_mbps:7.2f} MB/s, avg rate {r.avg_io_rate_mbps:7.2f}, exec {r.finished_at:6.1f} s")
     print()
 
 print("throughput and average I/O rate agree exactly here because the tasks are identical;")

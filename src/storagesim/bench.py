@@ -107,8 +107,6 @@ class BenchmarkResult:
     throughput_mbps: float
     avg_io_rate_mbps: float
     stddev_io_rate_mbps: float
-    exec_time_s: float
-    tasks_completed: int
     sum_rate: float
     sum_rate_sq: float
 
@@ -122,8 +120,6 @@ class BenchmarkResult:
             throughput_mbps=throughput(stats),
             avg_io_rate_mbps=avg_io_rate(stats),
             stddev_io_rate_mbps=stddev_io_rate(stats),
-            exec_time_s=finished_at,
-            tasks_completed=len(stats),
             sum_rate=math.fsum(s.rate for s in stats),
             sum_rate_sq=math.fsum(s.rate * s.rate for s in stats),
         )
@@ -137,8 +133,6 @@ class BenchmarkResult:
             "throughput_mbps": self.throughput_mbps,
             "avg_io_rate_mbps": self.avg_io_rate_mbps,
             "stddev_io_rate_mbps": self.stddev_io_rate_mbps,
-            "exec_time_s": self.exec_time_s,
-            "tasks_completed": self.tasks_completed,
             "sum_rate": self.sum_rate,
             "sum_rate_sq": self.sum_rate_sq,
         }
@@ -379,11 +373,7 @@ def run_dfsio(
                     if all(s <= 0 for s in slots.values()):
                         break
                     vm = schedule_map_task(
-                        work_state,
-                        f"t{task.index:04d}",
-                        slots,
-                        rng=rng,
-                        replicas=task.file.holders() if task.file else (),
+                        work_state, f"t{task.index:04d}", slots, replicas=task.file.holders() if task.file else ()
                     )
                 queue.remove(task)
                 slots[vm] -= 1

@@ -105,7 +105,7 @@ def cmd_run(scenario: Scenario, args) -> int:
     print(
         f"{run.config}: throughput {run.result.throughput_mbps:.3f} MB/s, "
         f"avg rate {run.result.avg_io_rate_mbps:.3f} MB/s, "
-        f"exec {run.result.exec_time_s:.2f} s -> {out}/"
+        f"exec {run.result.finished_at:.2f} s -> {out}/"
     )
     return EXIT_OK
 

@@ -157,28 +157,19 @@ def schedule_map_task(
     state: ClusterState,
     task_id: str,
     slots: dict[str, int],
-    policy: str = "locality_aware",
-    rng: random.Random | None = None,
     replicas: tuple[str, ...] = (),
 ) -> str:
-    """Pick the VM a map task runs on.
+    """Pick the VM a map task runs on, by locality.
 
-    locality_aware prefers a replica holder with a free slot (lowest vm id
-    on ties) and falls back to any free VM; random draws uniformly from
-    the free VMs using the caller's rng.
+    Prefers a replica holder with a free slot (lowest vm id on ties) and
+    falls back to the lowest free VM.
     """
     free = [vm for vm in sorted(slots) if slots[vm] > 0]
     if not free:
         raise NoFreeSlotsError(f"no free slot for task {task_id}")
-    if policy == "locality_aware":
-        holder_set = set(replicas)
-        local = [vm for vm in free if vm in holder_set]
-        return local[0] if local else free[0]
-    if policy == "random":
-        if rng is None:
-            raise ValueError("random policy needs an rng")
-        return rng.choice(free)
-    raise ValueError(f"unknown scheduling policy {policy!r}")
+    holder_set = set(replicas)
+    local = [vm for vm in free if vm in holder_set]
+    return local[0] if local else free[0]
 
 
 def rack_spread(file: DfsFile) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import yaml
 
@@ -32,7 +32,7 @@ from .cost import (
     count_io_ops,
     savings,
 )
-from .dfs import DfsConfig, DfsFile
+from .dfs import DfsConfig
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
 from .placement import ClusterState, VmSpec, place_vm
 from .simengine import SimTrace
@@ -61,7 +61,6 @@ class VmGroup:
 
 @dataclass
 class Scenario:
-    schema: int
     seed: int
     topology: ClusterTopology
     vms: list[VmGroup]
@@ -77,9 +76,13 @@ class Scenario:
 # -- parsing ------------------------------------------------------------------
 
 
-def _mapping(value: Any, where: str) -> dict:
+def _mapping(value: Any, where: str, keys: Iterable[str]) -> dict:
+    """``value`` as a dict, rejecting any key outside ``keys``."""
     if not isinstance(value, Mapping):
         raise ScenarioParseError(f"field {where}: expected a mapping, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ScenarioParseError(f"field {where}.{key}: unknown option")
     return dict(value)
 
 
@@ -109,8 +112,22 @@ def _num(data: Mapping, key: str, where: str, default: Any = _MISSING) -> float:
     return float(_get(data, key, (int, float), where, default))
 
 
+def _positive(data: Mapping, key: str, where: str, default: Any = _MISSING) -> float:
+    value = _num(data, key, where, default)
+    if not value > 0:
+        raise ScenarioParseError(f"field {where}.{key}: must be positive, got {value}")
+    return value
+
+
+def _count(data: Mapping, key: str, where: str, default: Any = _MISSING) -> int:
+    value = int(_num(data, key, where, default))
+    if value < 1:
+        raise ScenarioParseError(f"field {where}.{key}: must be at least 1, got {value}")
+    return value
+
+
 def _parse_disk(data: Mapping, where: str) -> DiskSpec:
-    data = _mapping(data, where)
+    data = _mapping(data, where, ("id", "capacity_gb", "write_bw", "read_bw"))
     return DiskSpec(
         id=str(_get(data, "id", (str,), where)),
         capacity_gb=_num(data, "capacity_gb", where),
@@ -120,7 +137,7 @@ def _parse_disk(data: Mapping, where: str) -> DiskSpec:
 
 
 def _parse_link(data: Mapping, where: str) -> NetworkLink:
-    data = _mapping(data, where)
+    data = _mapping(data, where, ("id", "bandwidth", "endpoints", "role", "efficiency"))
     endpoints = _get(data, "endpoints", (list, tuple), where)
     if len(endpoints) != 2:
         raise ScenarioParseError(f"field {where}.endpoints: expected two node ids")
@@ -133,34 +150,35 @@ def _parse_link(data: Mapping, where: str) -> NetworkLink:
     )
 
 
-def _parse_topology(data: Mapping) -> ClusterTopology:
-    data = _mapping(data, "topology")
-    if "reference" in data:
-        ref = _mapping(data["reference"], "topology.reference")
-        known = {
-            "n_hosts": int,
-            "disk_capacity_gb": float,
-            "disk_read_bw": float,
-            "disk_write_bw": float,
-            "controller_disk_capacity_gb": float,
-            "controller_read_bw": float,
-            "controller_write_bw": float,
-            "link_bw": float,
-            "local_persistent_gb": float,
-            "vcpus": int,
-            "ram_gb": float,
-        }
-        kwargs = {}
-        for key, value in ref.items():
-            if key not in known:
-                raise ScenarioParseError(f"field topology.reference.{key}: unknown option")
-            kwargs[key] = known[key](value)
-        return reference_cluster(**kwargs)
+# The knobs of ``reference_cluster``: the integer ones must be at least 1.
+_REFERENCE_KNOBS = {
+    "n_hosts": int,
+    "disk_capacity_gb": float,
+    "disk_read_bw": float,
+    "disk_write_bw": float,
+    "controller_disk_capacity_gb": float,
+    "controller_read_bw": float,
+    "controller_write_bw": float,
+    "link_bw": float,
+    "local_persistent_gb": float,
+    "vcpus": int,
+    "ram_gb": float,
+}
 
+
+def _parse_topology(data: Mapping) -> ClusterTopology:
+    if "reference" in data:
+        where = "topology.reference"
+        ref = _mapping(_mapping(data, "topology", ("reference",))["reference"], where, _REFERENCE_KNOBS)
+        return reference_cluster(
+            **{key: _count(ref, key, where) if _REFERENCE_KNOBS[key] is int else _num(ref, key, where) for key in ref}
+        )
+
+    data = _mapping(data, "topology", ("hosts", "controller", "links"))
     hosts = []
     for i, h in enumerate(_get(data, "hosts", (list,), "topology")):
         where = f"topology.hosts[{i}]"
-        h = _mapping(h, where)
+        h = _mapping(h, where, ("id", "vcpus", "ram_gb", "disks", "local_persistent_group", "nic_links"))
         hosts.append(
             PhysicalHost(
                 id=str(_get(h, "id", (str,), where)),
@@ -174,7 +192,7 @@ def _parse_topology(data: Mapping) -> ClusterTopology:
                 nic_links=tuple(str(x) for x in _get(h, "nic_links", (list,), where, [])),
             )
         )
-    c = _mapping(_get(data, "controller", (dict,), "topology"), "topology.controller")
+    c = _mapping(_get(data, "controller", (dict,), "topology"), "topology.controller", ("id", "disks", "nic_links"))
     controller = ControllerNode(
         id=str(_get(c, "id", (str,), "topology.controller", "controller")),
         disks=tuple(
@@ -189,13 +207,19 @@ def _parse_topology(data: Mapping) -> ClusterTopology:
     return ClusterTopology(hosts=tuple(hosts), controller=controller, links=links)
 
 
+_VM_KEYS = (
+    "vcpus", "ram_gb", "root_disk_gb", "ephemeral_gb", "requires_local_persistent", "long_running", "migratable",
+    "policy", "count",
+)
+
+
 def _parse_vms(data: Any) -> list[VmGroup]:
     groups = []
     if not isinstance(data, list):
         raise ScenarioParseError("field vms: expected a list of VM groups")
     for i, g in enumerate(data):
         where = f"vms[{i}]"
-        g = _mapping(g, where)
+        g = _mapping(g, where, _VM_KEYS)
         spec = VmSpec(
             vcpus=int(_num(g, "vcpus", where)),
             ram_gb=_num(g, "ram_gb", where),
@@ -208,16 +232,23 @@ def _parse_vms(data: Any) -> list[VmGroup]:
         policy = str(_get(g, "policy", (str,), where, "spread"))
         if policy not in ("spread", "first_fit"):
             raise ScenarioParseError(f"field {where}.policy: unknown policy {policy!r}")
-        count = int(_num(g, "count", where, 1))
-        if count < 1:
-            raise ScenarioParseError(f"field {where}.count: must be at least 1, got {count}")
-        groups.append(VmGroup(spec=spec, count=count, policy=policy))
+        groups.append(VmGroup(spec=spec, count=_count(g, "count", where, 1), policy=policy))
     return groups
 
 
+_ROOT_KEYS = (
+    "schema", "seed", "topology", "vms", "storage_config", "dfs", "dfsio", "snapshot", "prices", "volume_size_gb",
+    "op_size_kb",
+)
+
+
 def parse_scenario(data: Any) -> Scenario:
-    """Build a Scenario from parsed config data (field errors carry paths)."""
-    data = _mapping(data, "<root>")
+    """Build a Scenario from parsed config data (field errors carry paths).
+
+    Every mapping section rejects keys it does not know, so a misspelt
+    option is an error rather than a silently ignored line.
+    """
+    data = _mapping(data, "<root>", _ROOT_KEYS)
     schema = int(_num(data, "schema", "<root>", SCHEMA_VERSION))
     if schema != SCHEMA_VERSION:
         raise ScenarioParseError(f"field schema: unsupported version {schema} (expected {SCHEMA_VERSION})")
@@ -226,47 +257,52 @@ def parse_scenario(data: Any) -> Scenario:
     if storage_config not in STORAGE_CONFIGS:
         raise ScenarioParseError(f"field storage_config: {storage_config!r} not in {STORAGE_CONFIGS}")
 
-    dfs_data = _mapping(_get(data, "dfs", (dict,), "<root>", {}), "dfs")
+    dfs_data = _mapping(
+        _get(data, "dfs", (dict,), "<root>", {}), "dfs", ("block_size_mb", "replication_factor", "seed")
+    )
     dfs_config = DfsConfig(
-        block_size_mb=_num(dfs_data, "block_size_mb", "dfs", 64.0),
-        replication_factor=int(_num(dfs_data, "replication_factor", "dfs", 3)),
+        block_size_mb=_positive(dfs_data, "block_size_mb", "dfs", 64.0),
+        replication_factor=_count(dfs_data, "replication_factor", "dfs", 3),
         seed=int(_num(dfs_data, "seed", "dfs", 0)),
     )
 
-    io_data = _mapping(_get(data, "dfsio", (dict,), "<root>"), "dfsio")
+    io_data = _mapping(
+        _get(data, "dfsio", (dict,), "<root>"),
+        "dfsio",
+        ("n_files", "file_size_mb", "mode", "map_capacity", "slots_per_vm", "read_fraction"),
+    )
     mode = str(_get(io_data, "mode", (str,), "dfsio", WRITE))
     if mode not in (WRITE, READ, MIXED):
         raise ScenarioParseError(f"field dfsio.mode: unknown mode {mode!r}")
+    read_fraction = _num(io_data, "read_fraction", "dfsio", 0.5)
+    if not 0.0 <= read_fraction <= 1.0:
+        raise ScenarioParseError(f"field dfsio.read_fraction: must be in [0, 1], got {read_fraction}")
     dfsio = DfsioSpec(
-        n_files=int(_num(io_data, "n_files", "dfsio")),
-        file_size_mb=_num(io_data, "file_size_mb", "dfsio"),
+        n_files=_count(io_data, "n_files", "dfsio"),
+        file_size_mb=_positive(io_data, "file_size_mb", "dfsio"),
         mode=mode,
-        map_capacity=int(_num(io_data, "map_capacity", "dfsio", 25)),
-        slots_per_vm=int(_num(io_data, "slots_per_vm", "dfsio", 5)),
-        read_fraction=_num(io_data, "read_fraction", "dfsio", 0.5),
+        map_capacity=_count(io_data, "map_capacity", "dfsio", 25),
+        slots_per_vm=_count(io_data, "slots_per_vm", "dfsio", 5),
+        read_fraction=read_fraction,
     )
-    for field_name, value in (
-        ("n_files", dfsio.n_files),
-        ("file_size_mb", dfsio.file_size_mb),
-        ("map_capacity", dfsio.map_capacity),
-        ("slots_per_vm", dfsio.slots_per_vm),
-    ):
-        if value <= 0:
-            raise ScenarioParseError(f"field dfsio.{field_name}: must be positive, got {value}")
 
-    snap_data = _mapping(_get(data, "snapshot", (dict,), "<root>", {}), "snapshot")
+    snap_data = _mapping(
+        _get(data, "snapshot", (dict,), "<root>", {}), "snapshot", ("interval_s", "bandwidth_cap", "target")
+    )
     cap = snap_data.get("bandwidth_cap")
     snapshot_policy = SnapshotPolicy(
-        interval_s=_num(snap_data, "interval_s", "snapshot", 3600.0),
-        bandwidth_cap=None if cap is None else float(cap),
+        interval_s=_positive(snap_data, "interval_s", "snapshot", 3600.0),
+        bandwidth_cap=None if cap is None else _positive(snap_data, "bandwidth_cap", "snapshot"),
     )
     target = _get(snap_data, "target", (str,), "snapshot", "controller")
     if target != "controller":
         raise ScenarioParseError(f"field snapshot.target: only 'controller' is supported, got {target!r}")
-    if snapshot_policy.interval_s <= 0:
-        raise ScenarioParseError("field snapshot.interval_s: must be positive")
 
-    price_data = _mapping(_get(data, "prices", (dict,), "<root>", {}), "prices")
+    price_data = _mapping(
+        _get(data, "prices", (dict,), "<root>", {}),
+        "prices",
+        ("instance_per_hour", "ebs_standard_per_million_ops", "ebs_provisioned_per_iops_month"),
+    )
     prices = PriceTable(
         instance_per_hour=_num(price_data, "instance_per_hour", "prices", 0.24),
         ebs_standard_per_million_ops=_num(price_data, "ebs_standard_per_million_ops", "prices", 0.10),
@@ -274,7 +310,6 @@ def parse_scenario(data: Any) -> Scenario:
     )
 
     return Scenario(
-        schema=schema,
         seed=int(_num(data, "seed", "<root>", 0)),
         topology=_parse_topology(_get(data, "topology", (dict,), "<root>")),
         vms=_parse_vms(_get(data, "vms", (list,), "<root>")),
@@ -283,8 +318,8 @@ def parse_scenario(data: Any) -> Scenario:
         dfsio=dfsio,
         snapshot=snapshot_policy,
         prices=prices,
-        volume_size_gb=_num(data, "volume_size_gb", "<root>", 100.0),
-        op_size_kb=_num(data, "op_size_kb", "<root>", 64.0),
+        volume_size_gb=_positive(data, "volume_size_gb", "<root>", 100.0),
+        op_size_kb=_positive(data, "op_size_kb", "<root>", 64.0),
     )
 
 
@@ -361,7 +396,6 @@ class ScenarioRun:
     result: BenchmarkResult
     stats: list[TaskStat]
     trace: SimTrace
-    files: list[DfsFile]
     snapshot_records: list[SnapshotRecord]
     cost: CostReport
     io_ops: int
@@ -373,21 +407,11 @@ class ScenarioRun:
             "config": self.config,
             "seed": self.seed,
             "result": self.result.to_dict(),
-            "tasks": [
-                {
-                    "task_index": s.task_index,
-                    "file_size_mb": s.file_size_mb,
-                    "elapsed_s": s.elapsed_s,
-                    "rate_mbps": s.rate,
-                }
-                for s in self.stats
-            ],
             "snapshots": [
                 {
                     "volume_id": r.volume_id,
                     "taken_at_s": r.taken_at,
                     "bytes_copied_mb": r.bytes_copied,
-                    "covers_writes_up_to_s": r.covers_writes_up_to,
                 }
                 for r in self.snapshot_records
             ],
@@ -404,6 +428,11 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
     the files exist; it is not snapshotted. Under the ``local`` config the
     measured run takes its snapshots as it goes, in the same single
     simulation, so their transfers' contention is visible in the metrics.
+
+    Only the measured run is billed: ``io_ops`` and the instance-hours
+    count its trace and its ``finished_at``, never the prep pass, because
+    the benchmark prices the workload it measures, not the set-up of its
+    input files.
     """
     cfg = storage_config or scenario.storage_config
     run_seed = scenario.seed if seed is None else seed
@@ -435,7 +464,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
 
     io_ops = count_io_ops(run.trace, scenario.op_size_kb)
     billing = StorageBilling(EBS_STANDARD if cfg == "networked" else EPHEMERAL_LOCAL)
-    hours_each = math.ceil(run.result.exec_time_s / 3600.0)
+    hours_each = math.ceil(run.result.finished_at / 3600.0)
     usage = UsageRecord(instance_hours=len(hdfs_volumes) * hours_each, io_ops=io_ops, storage=billing)
     cost_report = replace(compute_cost(usage, scenario.prices), config=cfg)
 
@@ -445,7 +474,6 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
         result=run.result,
         stats=run.stats,
         trace=run.trace,
-        files=run.files,
         snapshot_records=run.snapshot_records,
         cost=cost_report,
         io_ops=io_ops,
@@ -510,7 +538,7 @@ def render_comparison_table(report: ComparisonReport) -> str:
     for name, run in report.runs.items():
         lines.append(
             f"{name:<18} {run.result.throughput_mbps:>16.3f} {run.result.avg_io_rate_mbps:>14.3f}"
-            f" {run.result.exec_time_s:>10.2f} {run.network_mb:>12.1f} {run.cost.total:>10.4f}"
+            f" {run.result.finished_at:>10.2f} {run.network_mb:>12.1f} {run.cost.total:>10.4f}"
         )
     for pair in report.pairs():
         lines.append(

@@ -101,8 +101,6 @@ class IoFlow:
     size_mb: float
     remaining_mb: float
     rate: float = 0.0
-    start_time: float | None = None
-    end_time: float | None = None
 
 
 def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> dict[str, float]:
@@ -236,7 +234,6 @@ class Simulation:
         self._active: dict[str, IoFlow] = {}
         self._seq = 0
         self._trace = SimTrace(resources=self.resources)
-        self._last_rate: dict[str, float] = {}
         # Filled as flows are added: a symmetric resource's one capacity, and
         # the asymmetric resources, pooled afresh at each reallocation.
         self._capacities: dict[str, float] = {}
@@ -304,12 +301,14 @@ class Simulation:
 
     def _reallocate(self) -> None:
         rates = allocate_rates(self._active.values(), self._effective_capacities())
-        active, last_rate, events, now = self._active, self._last_rate, self._trace.events, self.now
+        active, events, now = self._active, self._trace.events, self.now
         for fid, r in rates.items():  # flow-id order
-            active[fid].rate = r
-            if last_rate.get(fid) != r:
+            flow = active[fid]
+            # A new flow's rate is 0.0, so its first allocation is logged unless it is 0.0, which
+            # only a zero capacity gives, and such a run ends in SimulationStalledError.
+            if flow.rate != r:
+                flow.rate = r
                 events.append(TraceEvent(now, "rate_change", fid, "", r))
-                last_rate[fid] = r
 
     def _slack_per_rate(self) -> float:
         """A flow is due now once ``remaining_mb <= max(COMPLETION_EPS, rate * this)``.
@@ -333,19 +332,11 @@ class Simulation:
                     t = end
         return t
 
-    def _start_arrivals(self) -> bool:
-        started = False
+    def _start_arrivals(self) -> None:
         while self._pending and self._pending[0][0] <= self.now:
             _, _, spec = heappop(self._pending)
             self._pending_ids.discard(spec.flow_id)
-            flow = IoFlow(
-                flow_id=spec.flow_id,
-                path=spec.path,
-                size_mb=spec.size_mb,
-                remaining_mb=spec.size_mb,
-                start_time=self.now,
-            )
-            self._active[spec.flow_id] = flow
+            self._active[spec.flow_id] = IoFlow(spec.flow_id, spec.path, spec.size_mb, remaining_mb=spec.size_mb)
             self._trace.flows[spec.flow_id] = FlowRecord(
                 flow_id=spec.flow_id,
                 path=spec.path,
@@ -355,8 +346,6 @@ class Simulation:
                 tags=dict(spec.tags),
             )
             self._trace.events.append(TraceEvent(self.now, "flow_start", spec.flow_id, "", spec.size_mb))
-            started = True
-        return started
 
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:
         """Execute until no flow or timer is pending and no flow is active; returns the trace."""
@@ -383,10 +372,7 @@ class Simulation:
             completed.sort(key=attrgetter("flow_id"))
             done_records = []
             for f in completed:
-                f.remaining_mb = 0.0
-                f.end_time = self.now
                 del self._active[f.flow_id]
-                self._last_rate.pop(f.flow_id, None)
                 record = self._trace.flows[f.flow_id]
                 record.end_time = self.now
                 self._trace.events.append(TraceEvent(self.now, "flow_end", f.flow_id, "", f.size_mb))

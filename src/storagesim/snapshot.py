@@ -48,7 +48,6 @@ class SnapshotRecord:
     volume_id: str
     taken_at: float
     bytes_copied: float  # MB, exactly the dirty bytes at taken_at
-    covers_writes_up_to: float
 
 
 def _written_mb(sim: Simulation, volumes: Mapping[str, Volume]) -> dict[str, float]:
@@ -99,7 +98,7 @@ def plan_snapshots(
             volumes[vol_id].dirty_mb = 0.0
             if dirty <= 0:
                 continue  # nothing written since the last snapshot
-            records.append(SnapshotRecord(vol_id, taken_at=now, bytes_copied=dirty, covers_writes_up_to=now))
+            records.append(SnapshotRecord(vol_id, taken_at=now, bytes_copied=dirty))
             covered[vol_id] = written
             flow_id = f"snap.{vol_id}.{k:03d}"
             host_id, disk_id = volumes[vol_id].backing

@@ -88,12 +88,6 @@ class ClusterTopology:
                 return h
         raise KeyError(host_id)
 
-    def link(self, link_id: str) -> NetworkLink:
-        for l in self.links:
-            if l.id == link_id:
-                return l
-        raise KeyError(link_id)
-
     def management_links(self) -> tuple[NetworkLink, ...]:
         return tuple(l for l in self.links if l.role == ROLE_MANAGEMENT)
 

@@ -32,13 +32,9 @@ NETWORKED = "networked"
 LOCAL_PERSISTENT = "local_persistent"
 
 KINDS = (ROOT, EPHEMERAL, NETWORKED, LOCAL_PERSISTENT)
-PERSISTENT_KINDS = frozenset({NETWORKED, LOCAL_PERSISTENT})
 LOCAL_KINDS = frozenset({ROOT, EPHEMERAL, LOCAL_PERSISTENT})
 
 Direction = Literal["read", "write"]
-
-# How long crashed-VM storage lingers before the hypervisor reclaims it.
-DEFAULT_CRASH_GRACE_S = 300.0
 
 
 @dataclass

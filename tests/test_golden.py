@@ -42,7 +42,7 @@ GOLDEN = {
         {
             "trace.csv": "f6f155a16d595a001e64feb177d93591c26ba42cd205b17070cf96c59939b721",
             "tasks.csv": "922415ede06e74a441b145195c02eadff81576585efa848ca166daef8916298e",
-            "result.json": "c4d7d7e61175ea177729e6f0378a7fd69a5c893111282f02e45aefccab6f6e2d",
+            "result.json": "79972e8e5dfa126664cbc7f2c96c722897be893502c3ab8dad03f798b5cbf7ce",
             "cost.json": "619e329fa2e722341f79493115812e932a7e5fae2dd6bba4550c19cad3f2e7ce",
         },
     ),
@@ -51,7 +51,7 @@ GOLDEN = {
         {
             "trace.csv": "57d424a34c293e645b3dce8644bd4f70449e7df9d6f070008201bfd0722ef50c",
             "tasks.csv": "5a8ded70520c070985822a3d738df8ec618d2283efe4bd91fe1621b26360678c",
-            "result.json": "bc7cd35b8291775551b15b5d93bc4fddd13863d0d350eeda8dcf87af69c9a28a",
+            "result.json": "192f571137925d31a2371c086d96471494ff017cda9b45fb9e511484109a37fb",
             "cost.json": "08827f3f4e912b524a45b1669aa586e2bd2732ff7a2b8dd8bbac9bbabb865bbf",
         },
     ),
@@ -60,7 +60,7 @@ GOLDEN = {
         {
             "trace.csv": "9a36d840634a62cffec36deb5c292180675fab577ef7a094ce417b0f5e75e55d",
             "tasks.csv": "8b61d381b88a315f932041bfb79c74e1fc4ffe23661675131dc78b723193f9f0",
-            "result.json": "44fa2b6e07b50d32d882c7834ec1905da2ed96c776fe985800b98aaf5d60a26a",
+            "result.json": "c747267efdf39c587fb0bda7e85d55513884acb136de727a46475792b9774848",
             "cost.json": "619e329fa2e722341f79493115812e932a7e5fae2dd6bba4550c19cad3f2e7ce",
         },
     ),
@@ -70,7 +70,7 @@ GOLDEN = {
         {
             "trace.csv": "6f0136611319eb9ef4cf9d596537154464ef9736846f1f37e2a1967391614b8d",
             "tasks.csv": "38d1f1c6f5244d7f5c9c07cada7e009438366c4c1ca9e0e499d1fe62bc4ab87c",
-            "result.json": "09c725adbcb3407a1cc11987f26775c96399bb6e666161b83c4b6f5c5f584841",
+            "result.json": "5f03efcd75f665385818bf821e34241e499bddb9b6a0f93d6d0b0cab0d8a92b6",
             "cost.json": "f3d131f9845060b657f5a05e9fcfb7f46fd549902fe4be327ed4a692d1aa6acf",
         },
     ),
@@ -80,7 +80,7 @@ GOLDEN = {
         {
             "trace.csv": "693cb0f7a92315c682eb55e668abe856e7b745f82096a386df4aaf2d753241de",
             "tasks.csv": "0d807c7b658d33166343992cd3f60e54e6aefa6f4ecdde8e5ca599e52acf3639",
-            "result.json": "6723d43c1e2ad7de632464743c7e0fbb5ac98eaddaab677b28d9c560074e9173",
+            "result.json": "37d8b8fcb8653a64f66539f9f16709f616a263cdd6c0e8e849494051521871d3",
             "cost.json": "619e329fa2e722341f79493115812e932a7e5fae2dd6bba4550c19cad3f2e7ce",
         },
     ),
@@ -89,7 +89,7 @@ GOLDEN = {
         {
             "trace.csv": "6c966b8e240d30c9c22c8b70dfecc35b14120e300ef46afbf0b02e90e76f35ca",
             "tasks.csv": "5dc957f0f21baa25a3abd2adcf25bfe088e7e9cb8bb77c95d50d29ffd150446a",
-            "result.json": "776c8b7e5fec7eafb82713efc18b0cabf4f1fb4e3dab97f16b9cf6db591a84da",
+            "result.json": "7556a089d76ed441705cd27c46029fc8a876cbda7d0178eeb372d8b0f3900579",
             "cost.json": "f3d131f9845060b657f5a05e9fcfb7f46fd549902fe4be327ed4a692d1aa6acf",
         },
     ),

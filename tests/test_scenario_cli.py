@@ -7,6 +7,7 @@ import yaml
 
 from storagesim import cli
 from storagesim.cli import main
+from storagesim.cost import count_io_ops
 from storagesim.errors import ScenarioParseError, ScenarioValidationError, SimError
 from storagesim.scenario import build_state, compare, load_scenario, parse_scenario, run_scenario
 
@@ -109,7 +110,7 @@ def test_explicit_topology_section_round_trips():
     scenario = parse_scenario(doc)
     assert scenario.topology.hosts[0].disks[0].read_bw == 150
     run = run_scenario(scenario)
-    assert run.result.tasks_completed == 2
+    assert run.result.n_files == 2
 
 
 # -- scenario execution --------------------------------------------------------
@@ -140,10 +141,26 @@ def test_read_mode_scenario_runs_the_conventional_write_pass_first():
     run = run_scenario(parse_scenario(doc), storage_config="local")
     assert run.result.mode == "read"
     assert run.prep_traces, "the preparatory write pass must be kept for auditing"
-    assert run.result.tasks_completed == 10
+    assert run.result.n_files == 10
     # local reads are all replica-local: the measured run touches no link
     assert run.network_mb == 0.0
     assert run.snapshot_records == []  # nothing written in the measured window
+
+
+def test_read_mode_bills_only_the_measured_run():
+    # The prep write pass only creates the input files; io_ops and instance-hours come from the measured reads.
+    doc = scenario_doc(storage_config="networked")
+    doc["dfsio"].update(mode="read", file_size_mb=25_000)
+    scenario = parse_scenario(doc)
+    run = run_scenario(scenario)
+    (prep,) = run.prep_traces
+    prep_s = max(rec.end_time for rec in prep.flows.values())
+    assert count_io_ops(prep, scenario.op_size_kb) > 0
+    assert run.io_ops == count_io_ops(run.trace, scenario.op_size_kb)
+    assert run.cost.storage_cost == run.io_ops / 1_000_000 * scenario.prices.ebs_standard_per_million_ops
+    # billing the prep pass too would cross the hour boundary and bill two hours per VM
+    assert run.result.finished_at < 3600.0 < prep_s + run.result.finished_at
+    assert run.cost.instance_cost == scenario.vms[0].count * scenario.prices.instance_per_hour  # one hour per VM
 
 
 def test_comparison_local_beats_networked():
@@ -237,11 +254,25 @@ def test_cli_run_emits_files(tmp_path, capsys):
     for name in ("result.json", "trace.csv", "tasks.csv", "cost.json", "gnuplot.dat"):
         assert (out / name).exists(), name
     result = json.loads((out / "result.json").read_text())
-    assert result["result"]["tasks_completed"] == 10
+    assert result["result"]["n_files"] == 10
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "time,event_kind,flow_id,resource_id,value"
     tasks = (out / "tasks.csv").read_text().splitlines()
     assert tasks[0] == "task_index,file_size_mb,elapsed_s,rate_mbps" and len(tasks) == 11
+
+
+def test_result_json_reports_each_number_once(tmp_path):
+    # per-task rows live in tasks.csv only; exec time is finished_at_s and the task count is n_files
+    path = write_scenario(tmp_path, scenario_doc())
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert set(result) == {"config", "seed", "result", "snapshots", "cost", "io_ops", "network_mb"}
+    assert set(result["result"]) == {
+        "mode", "finished_at_s", "n_files", "total_mb", "throughput_mbps", "avg_io_rate_mbps",
+        "stddev_io_rate_mbps", "sum_rate", "sum_rate_sq",
+    }
+    assert result["snapshots"] and all(set(r) == {"volume_id", "taken_at_s", "bytes_copied_mb"} for r in result["snapshots"])
 
 
 def test_cli_outputs_are_byte_identical_across_runs(tmp_path):
@@ -323,6 +354,36 @@ def test_cli_never_leaks_tracebacks(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "file_size_mb" in capsys.readouterr().err
+
+
+MALFORMED = [
+    (("snapshot", "bandwidth_cap"), "fast"),
+    (("snapshot", "bandwidth_cap"), 0),
+    (("snapshot", "bandwidth_cap"), -5),
+    (("topology", "reference", "n_hosts"), "five"),
+    (("dfs", "replication_factor"), 0),
+    (("dfs", "block_size_mb"), 0),
+    (("op_size_kb",), 0),
+    (("dfsio", "slot_per_vm"), 5),  # a misspelt slots_per_vm
+    (("dfsio", "read_fraction"), 2),
+    (("volume_size_gb",), -1),
+]
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=[f"{'.'.join(p)}={v}" for p, v in MALFORMED])
+def test_cli_malformed_scenario_exits_2_with_the_field_path(tmp_path, capsys, path, value):
+    doc = yaml.safe_load((SCENARIOS / "reference.yaml").read_text())
+    doc["dfsio"]["n_files"] = 3
+    *parents, key = path
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: field ") and f"{'.'.join(path)}: " in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, SimError])

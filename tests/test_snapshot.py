@@ -122,10 +122,10 @@ def test_conservation_snapshot_bytes_equal_written_bytes():
 
 def test_recoverable_bytes_cases():
     vol = Volume(id="v1", kind="root", size_gb=32.0, backing=("h01", "disk1"), persistent=False, stored_mb=3000.0)
-    records = [SnapshotRecord("v1", taken_at=100.0, bytes_copied=2000.0, covers_writes_up_to=100.0)]
+    records = [SnapshotRecord("v1", taken_at=100.0, bytes_copied=2000.0)]
     assert recoverable_bytes(vol, 50.0, records) == 0.0  # crash before the first snapshot
     assert recoverable_bytes(vol, 150.0, records) == 2000.0  # only the covered 2 GB
-    full = [SnapshotRecord("v1", 100.0, 3000.0, 100.0)]
+    full = [SnapshotRecord("v1", 100.0, 3000.0)]
     assert recoverable_bytes(vol, 150.0, full) == 3000.0  # snapshot covered everything
     assert recoverable_bytes(vol, 50.0, records, quick_reboot=True) == 3000.0  # grace window
 
