@@ -1,7 +1,7 @@
 """Build the canonical 5-node cluster and place a DFS fleet on it.
 
-Shows the filter-scheduler pipeline, the virtual-rack assignment (rack id
-== host id), and why migration is refused for pinned VMs.
+Shows the filter-scheduler pipeline, the virtual racks (a VM's rack is
+its host), and why migration is refused for pinned VMs.
 """
 
 from storagesim.errors import MigrationDisabledError
@@ -26,7 +26,7 @@ print(f"\ncandidates for the first VM: {filter_hosts(state, spec, [CAPACITY_FILT
 
 for i in range(5):
     state, vm = place_vm(state, spec, policy="spread")
-    print(f"placed {vm.id} on {vm.host_id} -> virtual rack {vm.rack_id}")
+    print(f"placed {vm.id} on {vm.host_id} -> virtual rack {vm.host_id}")
 
 vm_id = sorted(state.instances)[0]
 print(f"\ntrying to migrate {vm_id} (a pinned DFS VM) to h05:")

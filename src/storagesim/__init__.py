@@ -24,7 +24,6 @@ from .placement import (
     HostFilter,
     VmInstance,
     VmSpec,
-    assign_virtual_rack,
     filter_hosts,
     migrate_vm,
     place_vm,

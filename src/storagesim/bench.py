@@ -2,7 +2,8 @@
 
 Write mode places each file's replicas and streams it through the task
 VM's DFS volume path (followed, for replication factors above one, by a
-pipeline of replica-copy flows; the task is done when the pipeline is).
+pipeline of replica-copy flows; the task is done when its last replica
+lands).
 Read mode re-reads previously written files, preferring the local replica.
 Tasks queue behind per-VM slots and the cluster-wide map capacity and are
 dispatched the instant a slot frees.
@@ -177,7 +178,6 @@ def run_dfsio(
     dfs_config: DfsConfig | None = None,
     seed: int = 0,
     files: Sequence[DfsFile] | None = None,
-    pipeline: str = "full",  # full | ack_first
     snapshots: SnapshotPolicy | None = None,
 ) -> DfsioRun:
     """Run the benchmark over the VMs in ``hdfs_volumes`` (vm id -> volume id).
@@ -190,8 +190,8 @@ def run_dfsio(
     ``snapshots`` policy, non-persistent volumes are snapshotted during
     the run and the transfers contend with the tasks. Returns the metric
     record, the flow trace (with snapshot markers), the placed files, the
-    post-run state with dirty bytes accounted for snapshots, and the
-    snapshot records.
+    post-run state with each task's written bytes recorded on its volumes,
+    and the snapshot records.
     """
     if spec.n_files < 1 or spec.file_size_mb <= 0 or spec.map_capacity < 1 or spec.slots_per_vm < 1:
         raise ValueError(f"invalid benchmark spec {spec}")
@@ -256,98 +256,45 @@ def run_dfsio(
             found = host_links[src_host, dst_host] = _interhost_links(work_state, src_host, dst_host)
         return found
 
+    def start_flow(
+        task: _Task, fid: str, path: ResourcePath, mb: float, stage: str, vm: str, volume_vm: str, now: float
+    ) -> None:
+        vol = work_state.volumes[hdfs_volumes[volume_vm]]
+        tags = {"task": str(task.index), "stage": stage, "vm": vm, "volume_id": vol.id, "volume_kind": vol.kind}
+        sim.add_flow(FlowSpec(fid, path, mb, tags=tags), now)
+        task.outstanding.add(fid)
+        by_flow[fid] = task
+
     def start_write(task: _Task, now: float) -> None:
-        vm = task.writer_vm
-        task.vm = vm
-        task.file = place_file(
-            work_state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, members=members
-        )
-        targets: dict[str, float] = {}
+        vm = task.vm = task.writer_vm
+        task.file = place_file(work_state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, members=members)
+        targets = task.write_targets
         for block in task.file.blocks:
             for peer, _rack in block.replicas[1:]:
                 targets[peer] = targets.get(peer, 0.0) + block.bytes_mb
-        task.write_targets = targets
-        fid = f"t{task.index:04d}.write"
-        vol = work_state.volumes[hdfs_volumes[vm]]
-        sim.add_flow(
-            FlowSpec(
-                fid,
-                io_path(vm, "write"),
-                task.size_mb,
-                tags={
-                    "task": str(task.index),
-                    "stage": "primary",
-                    "vm": vm,
-                    "volume_id": vol.id,
-                    "volume_kind": vol.kind,
-                },
-            ),
-            now,
-        )
-        task.outstanding = {fid}
-        by_flow[fid] = task
+        start_flow(task, f"t{task.index:04d}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm, now)
 
-    def start_replicas(task: _Task, now: float, background: bool) -> set[str]:
+    def start_replicas(task: _Task, now: float) -> None:
         src_host = work_state.instances[task.vm].host_id
-        flow_ids = set()
-        for peer in sorted(task.write_targets):
-            mb = task.write_targets[peer]
-            vol = work_state.volumes[hdfs_volumes[peer]]
+        for peer, mb in sorted(task.write_targets.items()):
             dst_host = work_state.instances[peer].host_id
             resources = tuple(dict.fromkeys(links(src_host, dst_host) + io_path(peer, "write").resources))
             fid = f"t{task.index:04d}.rep.{peer}"
-            sim.add_flow(
-                FlowSpec(
-                    fid,
-                    ResourcePath(resources, "write"),
-                    mb,
-                    tags={
-                        "task": str(task.index),
-                        "stage": "background" if background else "replica",
-                        "vm": peer,
-                        "volume_id": vol.id,
-                        "volume_kind": vol.kind,
-                    },
-                ),
-                now,
-            )
-            flow_ids.add(fid)
-            by_flow[fid] = task
-        return flow_ids
+            start_flow(task, fid, ResourcePath(resources, "write"), mb, "replica", peer, peer, now)
 
     def start_read(task: _Task, now: float, vm: str) -> None:
         task.vm = vm
-        holder_of: dict[str, str] = {}
-        for block in task.file.blocks:
-            block_vms = block.vms()
-            holder_of[block.block_id] = vm if vm in block_vms else min(block_vms)
         by_source: dict[str, float] = {}
         for block in task.file.blocks:
-            src = holder_of[block.block_id]
+            block_vms = block.vms()
+            src = vm if vm in block_vms else min(block_vms)
             by_source[src] = by_source.get(src, 0.0) + block.bytes_mb
         dst_host = work_state.instances[vm].host_id
         for src in sorted(by_source):
-            vol = work_state.volumes[hdfs_volumes[src]]
             src_host = work_state.instances[src].host_id
             resources = tuple(dict.fromkeys(io_path(src, "read").resources + links(src_host, dst_host)))
             fid = f"t{task.index:04d}.read.{src}"
-            sim.add_flow(
-                FlowSpec(
-                    fid,
-                    ResourcePath(resources, "read"),
-                    by_source[src],
-                    tags={
-                        "task": str(task.index),
-                        "stage": "read",
-                        "vm": vm,
-                        "volume_id": vol.id,
-                        "volume_kind": vol.kind,
-                    },
-                ),
-                now,
-            )
-            task.outstanding.add(fid)
-            by_flow[fid] = task
+            start_flow(task, fid, ResourcePath(resources, "read"), by_source[src], "read", vm, src, now)
 
     def finish_task(task: _Task, now: float) -> None:
         task.end = now
@@ -359,45 +306,36 @@ def run_dfsio(
                 work_state.volumes[hdfs_volumes[peer]].record_write(mb)
 
     def dispatch(now: float) -> None:
-        progressed = True
-        while progressed and queue and running[0] < spec.map_capacity:
-            progressed = False
-            for task in list(queue):
-                if running[0] >= spec.map_capacity:
-                    break
-                if task.mode == WRITE:
-                    if slots[task.writer_vm] <= 0:
-                        continue
-                    vm = task.writer_vm
-                else:
-                    if all(s <= 0 for s in slots.values()):
-                        break
-                    vm = schedule_map_task(
-                        work_state, f"t{task.index:04d}", slots, replicas=task.file.holders() if task.file else ()
-                    )
-                queue.remove(task)
-                slots[vm] -= 1
-                running[0] += 1
-                task.start = now
-                if task.mode == WRITE:
-                    start_write(task, now)
-                else:
-                    start_read(task, now, vm)
-                progressed = True
+        # Slots only fall and running only rises within a call, so a task skipped once stays skipped: one pass.
+        for task in list(queue):
+            if running[0] >= spec.map_capacity:
+                break
+            if task.mode == WRITE:
+                vm = task.writer_vm
+                if slots[vm] <= 0:
+                    continue
+            elif all(s <= 0 for s in slots.values()):
+                break
+            else:
+                vm = schedule_map_task(f"t{task.index:04d}", slots, replicas=task.file.holders())
+            queue.remove(task)
+            slots[vm] -= 1
+            running[0] += 1
+            task.start = now
+            if task.mode == WRITE:
+                start_write(task, now)
+            else:
+                start_read(task, now, vm)
 
     def on_complete(_sim, records, now) -> None:
         for record in records:
             task = by_flow.get(record.flow_id)
             if task is None:
-                continue
+                continue  # a snapshot transfer
             task.outstanding.discard(record.flow_id)
-            stage = record.tags.get("stage")
-            if stage == "primary" and task.write_targets:
-                if pipeline == "full":
-                    task.outstanding |= start_replicas(task, now, background=False)
-                else:  # ack_first: replicas continue without holding the slot
-                    start_replicas(task, now, background=True)
-            if not task.outstanding and task.end is None and stage != "background":
+            if record.tags["stage"] == "primary":
+                start_replicas(task, now)
+            if not task.outstanding:
                 finish_task(task, now)
         dispatch(now)
 

@@ -15,21 +15,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .errors import (
-    EmptyStatsError,
-    InsufficientCapacityError,
-    InsufficientSpaceError,
-    InsufficientVmsError,
-    MigrationDisabledError,
-    NoCandidateHostError,
-    NoFreeSlotsError,
-    NoLocalPersistentGroupError,
-    ReadBeforeWriteError,
-    ScenarioParseError,
-    ScenarioValidationError,
-    SimError,
-    TopologyValidationError,
-)
+from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
 from .scenario import (
     Scenario,
     ScenarioRun,
@@ -46,19 +32,9 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
-_VALIDATION_ERRORS = (
-    ScenarioValidationError,
-    TopologyValidationError,
-    InsufficientVmsError,
-    InsufficientCapacityError,
-    InsufficientSpaceError,
-    NoCandidateHostError,
-    NoFreeSlotsError,
-    NoLocalPersistentGroupError,
-    MigrationDisabledError,
-    ReadBeforeWriteError,
-    EmptyStatsError,
-)
+# The only errors a scenario can raise past parsing: build_state wraps placement and attach
+# failures, and reference_cluster validates its knobs. Any other SimError is a bug.
+_VALIDATION_ERRORS = (ScenarioValidationError, TopologyValidationError)
 
 
 def _write_json(path: Path, data: dict) -> None:

@@ -89,7 +89,7 @@ def place_replicas(
     if len(members) < rf:
         raise InsufficientVmsError(f"{len(members)} DFS VMs < replication factor {rf}")
 
-    rack_of = {vm: state.instances[vm].rack_id for vm in members}
+    rack_of = {vm: state.instances[vm].host_id for vm in members}  # a VM's virtual rack is its host
     member_racks = set(rack_of.values())
     chosen = [writer_vm]
 
@@ -153,12 +153,7 @@ def place_file(
     )
 
 
-def schedule_map_task(
-    state: ClusterState,
-    task_id: str,
-    slots: dict[str, int],
-    replicas: tuple[str, ...] = (),
-) -> str:
+def schedule_map_task(task_id: str, slots: dict[str, int], replicas: tuple[str, ...] = ()) -> str:
     """Pick the VM a map task runs on, by locality.
 
     Prefers a replica holder with a free slot (lowest vm id on ties) and

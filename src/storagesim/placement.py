@@ -1,9 +1,9 @@
 """Filter-scheduler VM placement, virtual racks, and the no-migration rule.
 
-Every VM lands on a host chosen by a filter pipeline (capacity,
-local-persistent availability, or custom predicates). The host id doubles
-as the VM's virtual rack id, which is what lets the DFS layer treat
-co-located VMs as a single failure domain. Hadoop-style VMs are pinned:
+Every VM lands on a host chosen by a filter pipeline (capacity and
+local-persistent availability). A VM's virtual rack is its host, so the
+DFS layer reads ``host_id`` as the rack and treats co-located VMs as a
+single failure domain. Hadoop-style VMs are pinned:
 ``migratable=False`` makes migration fail without touching state.
 
 All operations are pure: they return a new ClusterState and never mutate
@@ -13,7 +13,7 @@ their input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal
+from typing import Literal
 
 from . import volumes as volumes_mod
 from .errors import (
@@ -27,8 +27,6 @@ from .topology import ClusterTopology, DiskSpec, PhysicalHost, validate_topology
 Policy = Literal["first_fit", "spread"]
 
 RUNNING = "running"
-TERMINATED = "terminated"
-CRASHED = "crashed"
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,6 @@ class VmInstance:
     id: str
     host_id: str
     spec: VmSpec
-    rack_id: str
     volumes: list[str] = field(default_factory=list)
     state: str = RUNNING
 
@@ -64,26 +61,13 @@ class VmInstance:
 
 @dataclass(frozen=True)
 class HostFilter:
-    """A named predicate over (state, host, spec)."""
+    """A filter-scheduler check over (state, host, spec): ``capacity`` or ``local_persistent``."""
 
     kind: str
-    predicate: Callable[["ClusterState", PhysicalHost, VmSpec], bool] | None = None
 
 
 CAPACITY_FILTER = HostFilter("capacity")
 LOCAL_PERSISTENT_FILTER = HostFilter("local_persistent")
-
-_BUILTIN_FILTERS = {
-    "capacity": CAPACITY_FILTER,
-    "local_persistent": LOCAL_PERSISTENT_FILTER,
-}
-
-
-def filter_from_name(name: str) -> HostFilter:
-    try:
-        return _BUILTIN_FILTERS[name]
-    except KeyError:
-        raise KeyError(f"unknown host filter {name!r}; expected one of {sorted(_BUILTIN_FILTERS)}") from None
 
 
 @dataclass
@@ -174,9 +158,6 @@ def capacity_violations(state: ClusterState) -> list[str]:
     for disk in state.topology.controller.disks:
         if state.disk_free_gb(state.topology.controller.id, disk.id) < -1e-9:
             out.append(f"controller disk {disk.id} overcommitted")
-    for vm in state.instances.values():
-        if vm.state == RUNNING and vm.rack_id != vm.host_id:
-            out.append(f"vm {vm.id} rack {vm.rack_id} != host {vm.host_id}")
     return out
 
 
@@ -188,15 +169,13 @@ def _passes(state: ClusterState, host: PhysicalHost, spec: VmSpec, f: HostFilter
         return any(state.disk_free_gb(host.id, d.id) >= need for d in host.disks)
     if f.kind == "local_persistent":
         return len(host.local_persistent_group) > 0
-    if f.predicate is None:
-        raise ValueError(f"filter {f.kind!r} has no predicate")
-    return f.predicate(state, host, spec)
+    raise ValueError(f"unknown host filter {f.kind!r}")
 
 
 def filter_hosts(state: ClusterState, spec: VmSpec, filters: list[HostFilter]) -> list[str]:
     """Hosts passing every filter, in stable topology order.
 
-    Filters are pure predicates, so their order never changes the result.
+    Filters are pure checks, so their order never changes the result.
     An empty candidate list is a legal outcome.
     """
     return [h.id for h in state.topology.hosts if all(_passes(state, h, spec, f) for f in filters)]
@@ -209,20 +188,10 @@ def default_filters(spec: VmSpec) -> list[HostFilter]:
     return filters
 
 
-def assign_virtual_rack(instance: VmInstance) -> str:
-    """Rack id of a running VM: its physical host's id.
-
-    Co-located VMs therefore share a rack, which is exactly what the
-    replica placement layer needs to see.
-    """
-    return instance.host_id
-
-
 def place_vm(
     state: ClusterState,
     spec: VmSpec,
     policy: Policy = "first_fit",
-    filters: list[HostFilter] | None = None,
 ) -> tuple[ClusterState, VmInstance]:
     """Place one VM and provision its root (and ephemeral) volume.
 
@@ -231,8 +200,7 @@ def place_vm(
     Root and ephemeral storage land together on the host's first disk with
     enough free space.
     """
-    if filters is None:
-        filters = default_filters(spec)
+    filters = default_filters(spec)
     candidates = filter_hosts(state, spec, filters)
     if not candidates:
         raise NoCandidateHostError(f"no host passes {[f.kind for f in filters]} for spec {spec}")
@@ -246,8 +214,7 @@ def place_vm(
 
     new = state.clone()
     vm_id = new.next_vm_id()
-    vm = VmInstance(id=vm_id, host_id=host_id, spec=spec, rack_id=host_id)
-    vm.rack_id = assign_virtual_rack(vm)
+    vm = VmInstance(id=vm_id, host_id=host_id, spec=spec)
     new.instances[vm_id] = vm
 
     host = new.topology.host(host_id)
@@ -266,7 +233,7 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
 
     VMs with ``migratable=False`` (the Hadoop case) fail with
     MigrationDisabledError and the state is returned untouched. On success
-    the rack id follows the host, root/ephemeral volumes are re-provisioned
+    the virtual rack follows the host, root/ephemeral volumes are re-provisioned
     empty on the target (contents lost), local-persistent volumes detach in
     place keeping their data, and networked volumes stay attached.
     """
@@ -293,12 +260,10 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
             vol.backing = (target_host, target_disk.id)
             vol.data_lost = True
             vol.stored_mb = 0.0
-            vol.dirty_mb = 0.0
         elif vol.kind == volumes_mod.LOCAL_PERSISTENT:
             # partition stays put with its data; volume detaches
             vol.attached_to = None
             vm.volumes.remove(vol_id)
         # networked volumes remain attached unchanged
     vm.host_id = target_host
-    vm.rack_id = assign_virtual_rack(vm)
     return new

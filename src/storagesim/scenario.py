@@ -119,8 +119,15 @@ def _positive(data: Mapping, key: str, where: str, default: Any = _MISSING) -> f
     return value
 
 
+def _int(data: Mapping, key: str, where: str, default: Any = _MISSING) -> int:
+    value = _get(data, key, (int, float), where, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioParseError(f"field {where}.{key}: must be an integer, got {value}")
+    return int(value)
+
+
 def _count(data: Mapping, key: str, where: str, default: Any = _MISSING) -> int:
-    value = int(_num(data, key, where, default))
+    value = _int(data, key, where, default)
     if value < 1:
         raise ScenarioParseError(f"field {where}.{key}: must be at least 1, got {value}")
     return value
@@ -182,7 +189,7 @@ def _parse_topology(data: Mapping) -> ClusterTopology:
         hosts.append(
             PhysicalHost(
                 id=str(_get(h, "id", (str,), where)),
-                vcpus=int(_num(h, "vcpus", where)),
+                vcpus=_int(h, "vcpus", where),
                 ram_gb=_num(h, "ram_gb", where),
                 disks=tuple(_parse_disk(d, f"{where}.disks[{j}]") for j, d in enumerate(_get(h, "disks", (list,), where))),
                 local_persistent_group=tuple(
@@ -221,7 +228,7 @@ def _parse_vms(data: Any) -> list[VmGroup]:
         where = f"vms[{i}]"
         g = _mapping(g, where, _VM_KEYS)
         spec = VmSpec(
-            vcpus=int(_num(g, "vcpus", where)),
+            vcpus=_int(g, "vcpus", where),
             ram_gb=_num(g, "ram_gb", where),
             root_disk_gb=_num(g, "root_disk_gb", where),
             ephemeral_gb=_num(g, "ephemeral_gb", where, 0.0),
@@ -249,7 +256,7 @@ def parse_scenario(data: Any) -> Scenario:
     option is an error rather than a silently ignored line.
     """
     data = _mapping(data, "<root>", _ROOT_KEYS)
-    schema = int(_num(data, "schema", "<root>", SCHEMA_VERSION))
+    schema = _int(data, "schema", "<root>", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ScenarioParseError(f"field schema: unsupported version {schema} (expected {SCHEMA_VERSION})")
 
@@ -263,7 +270,7 @@ def parse_scenario(data: Any) -> Scenario:
     dfs_config = DfsConfig(
         block_size_mb=_positive(dfs_data, "block_size_mb", "dfs", 64.0),
         replication_factor=_count(dfs_data, "replication_factor", "dfs", 3),
-        seed=int(_num(dfs_data, "seed", "dfs", 0)),
+        seed=_int(dfs_data, "seed", "dfs", 0),
     )
 
     io_data = _mapping(
@@ -310,7 +317,7 @@ def parse_scenario(data: Any) -> Scenario:
     )
 
     return Scenario(
-        seed=int(_num(data, "seed", "<root>", 0)),
+        seed=_int(data, "seed", "<root>", 0),
         topology=_parse_topology(_get(data, "topology", (dict,), "<root>")),
         vms=_parse_vms(_get(data, "vms", (list,), "<root>")),
         storage_config=storage_config,

@@ -77,10 +77,8 @@ def plan_snapshots(
     with bytes written since its previous snapshot gets a SnapshotRecord
     and a transfer flow from its host to the controller over the
     management path (subject to the policy's per-transfer bandwidth
-    cap). Each boundary leaves every written volume's dirty counter at
-    zero, as all its bytes are then covered. The timer re-arms while any
-    flow is pending or active, so the last snapshot falls at the first
-    boundary at or after the last write.
+    cap). The timer re-arms while any flow is pending or active, so the
+    last snapshot falls at the first boundary at or after the last write.
 
     Returns the record list, which fills in as ``sim`` runs.
     """
@@ -95,7 +93,6 @@ def plan_snapshots(
         k += 1
         for vol_id, written in sorted(_written_mb(sim, volumes).items()):
             dirty = written - covered.get(vol_id, 0.0)
-            volumes[vol_id].dirty_mb = 0.0
             if dirty <= 0:
                 continue  # nothing written since the last snapshot
             records.append(SnapshotRecord(vol_id, taken_at=now, bytes_copied=dirty))

@@ -43,9 +43,7 @@ class Volume:
     kind: str
     size_gb: float
     backing: tuple[str, str]  # (node id, disk id)
-    persistent: bool
     attached_to: str | None = None
-    dirty_mb: float = 0.0  # written since the last snapshot
     stored_mb: float = 0.0  # live bytes
     data_lost: bool = False
 
@@ -58,7 +56,6 @@ class Volume:
 
     def record_write(self, mb: float) -> None:
         self.stored_mb += mb
-        self.dirty_mb += mb
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,6 @@ def provision_local_volume(state: ClusterState, vm: VmInstance, kind: str, size_
         kind=kind,
         size_gb=size_gb,
         backing=(vm.host_id, disk_id),
-        persistent=False,
         attached_to=vm.id,
     )
     state.volumes[vol.id] = vol
@@ -132,7 +128,6 @@ def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) ->
             kind=kind,
             size_gb=size_gb,
             backing=(ctl.id, disk.id),
-            persistent=True,
             attached_to=vm_id,
         )
     elif kind == LOCAL_PERSISTENT:
@@ -145,14 +140,7 @@ def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) ->
         disk = next((d for d in host.disks if new.disk_free_gb(vm.host_id, d.id) >= size_gb), None)
         if disk is None:
             raise InsufficientSpaceError(f"host {vm.host_id} has no disk with {size_gb} GB free")
-        vol = Volume(
-            id=new.next_volume_id(),
-            kind=kind,
-            size_gb=size_gb,
-            backing=(vm.host_id, disk.id),
-            persistent=False,
-            attached_to=vm_id,
-        )
+        vol = provision_local_volume(new, vm, kind, size_gb, disk.id)
 
     if vol.id not in new.volumes:
         new.volumes[vol.id] = vol
@@ -180,7 +168,6 @@ def _attach_partition(state: ClusterState, vm: VmInstance, size_gb: float, host)
                 kind=LOCAL_PERSISTENT,
                 size_gb=part.capacity_gb,  # the volume is the partition
                 backing=(host.id, part.id),
-                persistent=True,
                 attached_to=vm.id,
             )
     raise InsufficientSpaceError(f"host {host.id} has no free local-persistent partition >= {size_gb} GB")
@@ -235,7 +222,6 @@ def terminate_vm(
         if vol.kind in (ROOT, EPHEMERAL):
             vol.data_lost = True
             vol.stored_mb = 0.0
-            vol.dirty_mb = 0.0
         vol.attached_to = None
     vm.volumes.clear()
     vm.state = "terminated" if mode == "clean" else "crashed"

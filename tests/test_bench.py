@@ -178,17 +178,6 @@ def test_replication_pipeline_extends_task_time():
     assert stored_rf3 == pytest.approx(3 * 5 * 500.0)
 
 
-def test_ack_first_pipeline_finishes_tasks_at_primary():
-    state, hdfs = dfs_cluster(n_hosts=5)
-    spec = DfsioSpec(n_files=5, file_size_mb=500.0, mode="write", slots_per_vm=1)
-    full = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=3), seed=3)
-    acked = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=3), seed=3, pipeline="ack_first")
-    assert acked.result.finished_at <= full.result.finished_at
-    # background replica flows still ran to completion
-    assert all(rec.end_time is not None for rec in acked.trace.flows.values())
-    assert verify_trace(acked.trace) == []
-
-
 def test_tasks_queue_behind_map_capacity_and_slots():
     state, hdfs = dfs_cluster(n_hosts=5)
     run = run_dfsio(
@@ -264,19 +253,6 @@ def test_each_run_resolves_every_path_once(monkeypatch):
     assert {key[0] for key in calls} == {"link", "volume"}
     assert {key[2] for key in calls if key[0] == "volume"} == {"read", "write"}
     assert max(calls.values()) == 1, calls.most_common(3)
-
-
-def test_dirty_bytes_marked_for_snapshot_accounting():
-    state, hdfs = dfs_cluster(n_hosts=2, spec=SMALL_VM)
-    run = run_dfsio(
-        state,
-        DfsioSpec(n_files=2, file_size_mb=300.0, mode="write", slots_per_vm=1),
-        hdfs,
-        dfs_config=DfsConfig(replication_factor=1),
-        seed=6,
-    )
-    dirty = {v.id: v.dirty_mb for v in run.state.volumes.values() if v.dirty_mb > 0}
-    assert sum(dirty.values()) == 600.0
 
 
 def test_local_beats_networked_when_controller_path_is_tighter():

@@ -97,19 +97,19 @@ def test_rack_spread_degenerate_cases(five_hosts, one_host_three_vms):
 
 def test_schedule_prefers_replica_holder_with_free_slot(five_hosts):
     slots = {"vm001": 0, "vm002": 0, "vm003": 1, "vm004": 1, "vm005": 1}
-    vm = schedule_map_task(five_hosts, "t0", slots, replicas=("vm002", "vm004"))
+    vm = schedule_map_task("t0", slots, replicas=("vm002", "vm004"))
     assert vm == "vm004"
 
 
 def test_schedule_falls_back_to_lowest_free_vm(five_hosts):
     slots = {"vm001": 1, "vm002": 1, "vm003": 0, "vm004": 0, "vm005": 0}
-    vm = schedule_map_task(five_hosts, "t0", slots, replicas=("vm003", "vm004"))
+    vm = schedule_map_task("t0", slots, replicas=("vm003", "vm004"))
     assert vm == "vm001"
 
 
 def test_schedule_no_free_slots(five_hosts):
     with pytest.raises(NoFreeSlotsError):
-        schedule_map_task(five_hosts, "t", {m: 0 for m in dfs_members(five_hosts)})
+        schedule_map_task("t", {m: 0 for m in dfs_members(five_hosts)})
 
 
 def test_locality_schedule_returns_holder_whenever_one_is_free(five_hosts):
@@ -120,7 +120,7 @@ def test_locality_schedule_returns_holder_whenever_one_is_free(five_hosts):
         if all(v == 0 for v in slots.values()):
             continue
         replicas = tuple(rng.sample(members, rng.randint(1, 3)))
-        vm = schedule_map_task(five_hosts, "t", slots, replicas=replicas)
+        vm = schedule_map_task("t", slots, replicas=replicas)
         free_holders = [m for m in replicas if slots[m] > 0]
         if free_holders:
             assert vm in free_holders

@@ -10,8 +10,8 @@ from storagesim.placement import (
     CAPACITY_FILTER,
     LOCAL_PERSISTENT_FILTER,
     ClusterState,
+    HostFilter,
     VmSpec,
-    assign_virtual_rack,
     capacity_violations,
     filter_hosts,
     migrate_vm,
@@ -28,6 +28,11 @@ def empty_state():
 
 def test_no_filters_returns_all_hosts_in_topology_order(empty_state):
     assert filter_hosts(empty_state, PINNED_VM, []) == ["h01", "h02", "h03", "h04", "h05"]
+
+
+def test_unknown_filter_kind_is_rejected(empty_state):
+    with pytest.raises(ValueError, match="gpu"):
+        filter_hosts(empty_state, PINNED_VM, [HostFilter("gpu")])
 
 
 def test_local_persistent_filter_keeps_partitioned_hosts():
@@ -75,7 +80,7 @@ def test_first_fit_picks_first_candidate(empty_state):
 def test_placement_is_deterministic(empty_state):
     a = place_vm(empty_state, PINNED_VM, policy="spread")[1]
     b = place_vm(empty_state, PINNED_VM, policy="spread")[1]
-    assert (a.id, a.host_id, a.rack_id) == (b.id, b.host_id, b.rack_id)
+    assert (a.id, a.host_id) == (b.id, b.host_id)
 
 
 def test_no_candidate_when_spec_exceeds_host(empty_state):
@@ -92,18 +97,12 @@ def test_place_creates_root_and_ephemeral_on_same_disk(empty_state):
     assert state.disk_used_gb(vm.host_id, "disk1") == 52.0
 
 
-def test_rack_is_host_id(empty_state):
-    state, vm = place_vm(empty_state, SMALL_VM, policy="spread")
-    assert vm.rack_id == vm.host_id
-    assert assign_virtual_rack(vm) == vm.host_id
-
-
 def test_colocated_vms_share_rack_distinct_hosts_do_not(empty_state):
     state, a = place_vm(empty_state, SMALL_VM, policy="first_fit")
     state, b = place_vm(state, SMALL_VM, policy="first_fit")
-    assert a.host_id == b.host_id and a.rack_id == b.rack_id
+    assert a.host_id == b.host_id
     state, c = place_vm(state, SMALL_VM, policy="spread")
-    assert c.host_id != a.host_id and c.rack_id != a.rack_id
+    assert c.host_id != a.host_id
 
 
 def test_migration_disabled_for_pinned_vms(empty_state):
@@ -123,7 +122,7 @@ def test_migration_moves_rack_and_loses_local_data(empty_state):
 
     moved = migrate_vm(state, vm.id, "h02")
     vm2 = moved.instances[vm.id]
-    assert vm2.host_id == "h02" and vm2.rack_id == "h02"
+    assert vm2.host_id == "h02"
     root = moved.volumes[root_id]
     assert root.backing[0] == "h02" and root.data_lost and root.stored_mb == 0.0
     net = moved.volumes[net_vol.id]
@@ -162,24 +161,3 @@ def test_random_place_terminate_sequences_never_overcommit():
                 except NoCandidateHostError:
                     pass
             assert capacity_violations(state) == []
-            for inst in state.instances.values():
-                if inst.state == "running":
-                    assert inst.rack_id == inst.host_id
-
-
-def test_named_predicate_filter(empty_state):
-    from storagesim.placement import HostFilter
-
-    odd_hosts = HostFilter("odd", lambda state, host, spec: int(host.id[1:]) % 2 == 1)
-    assert filter_hosts(empty_state, SMALL_VM, [odd_hosts]) == ["h01", "h03", "h05"]
-    state, vm = place_vm(empty_state, SMALL_VM, policy="spread", filters=[CAPACITY_FILTER, odd_hosts])
-    assert vm.host_id == "h01"
-
-
-def test_filter_from_name_resolves_builtins():
-    from storagesim.placement import filter_from_name
-
-    assert filter_from_name("capacity") is CAPACITY_FILTER
-    assert filter_from_name("local_persistent") is LOCAL_PERSISTENT_FILTER
-    with pytest.raises(KeyError):
-        filter_from_name("gpu")

@@ -8,7 +8,13 @@ import yaml
 from storagesim import cli
 from storagesim.cli import main
 from storagesim.cost import count_io_ops
-from storagesim.errors import ScenarioParseError, ScenarioValidationError, SimError
+from storagesim.errors import (
+    NoFreeSlotsError,
+    ReadBeforeWriteError,
+    ScenarioParseError,
+    ScenarioValidationError,
+    SimError,
+)
 from storagesim.scenario import build_state, compare, load_scenario, parse_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -367,6 +373,11 @@ MALFORMED = [
     (("dfsio", "slot_per_vm"), 5),  # a misspelt slots_per_vm
     (("dfsio", "read_fraction"), 2),
     (("volume_size_gb",), -1),
+    (("dfsio", "n_files"), 2.7),
+    (("dfsio", "map_capacity"), 1.5),
+    (("dfs", "replication_factor"), 2.5),
+    (("seed",), 1.5),
+    (("topology", "reference", "n_hosts"), 4.5),
 ]
 
 
@@ -386,7 +397,16 @@ def test_cli_malformed_scenario_exits_2_with_the_field_path(tmp_path, capsys, pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("error", [RuntimeError, SimError])
+def test_invalid_reference_knob_exits_3(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["topology"]["reference"]["disk_read_bw"] = 0
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, SimError, ReadBeforeWriteError, NoFreeSlotsError])
 def test_internal_error_exits_4_and_leaves_a_traceback(tmp_path, monkeypatch, capsys, error):
     path = write_scenario(tmp_path, scenario_doc())
 

@@ -64,8 +64,6 @@ def test_write_once_yields_one_snapshot_then_silence():
     rec = run.snapshot_records[0]
     assert rec.bytes_copied == 1000.0
     assert rec.taken_at == 100.0
-    # the volume's dirty counter is reset by the snapshot
-    assert run.state.volumes[rec.volume_id].dirty_mb == 0.0
 
 
 def test_nonpositive_interval_is_rejected():
@@ -117,11 +115,10 @@ def test_conservation_snapshot_bytes_equal_written_bytes():
                         dfs_config=DfsConfig(replication_factor=1), seed=rng.randrange(1000),
                         snapshots=SnapshotPolicy(interval_s=rng.choice([5.0, 50.0, 3600.0])))
         assert math.fsum(r.bytes_copied for r in run.snapshot_records) == pytest.approx(n * size, rel=1e-9)
-        assert all(v.dirty_mb == 0.0 for v in run.state.volumes.values())
 
 
 def test_recoverable_bytes_cases():
-    vol = Volume(id="v1", kind="root", size_gb=32.0, backing=("h01", "disk1"), persistent=False, stored_mb=3000.0)
+    vol = Volume(id="v1", kind="root", size_gb=32.0, backing=("h01", "disk1"), stored_mb=3000.0)
     records = [SnapshotRecord("v1", taken_at=100.0, bytes_copied=2000.0)]
     assert recoverable_bytes(vol, 50.0, records) == 0.0  # crash before the first snapshot
     assert recoverable_bytes(vol, 150.0, records) == 2000.0  # only the covered 2 GB
