@@ -9,19 +9,29 @@ Storage configs: ``local`` (DFS on the VM root disk, snapshotted to the
 controller during the measured run), ``networked`` (DFS on
 controller-served volumes), and ``local_persistent`` (DFS on host
 partitions that outlive the VM; no snapshots needed).
+
+Parsing is one check table per section, and every default lives on the
+config type a section builds (``Scenario``, ``DfsConfig``, ``VmSpec``, the
+``reference_cluster`` knobs), so an absent key or a bare ``key:`` line takes
+that default. Unknown keys, wrong types, non-finite numbers and
+out-of-range values are parse errors that name the field path.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 import yaml
 
 from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
 from .cost import (
+    DEFAULT_OP_SIZE_KB,
     EBS_STANDARD,
     EPHEMERAL_LOCAL,
     CostReport,
@@ -51,6 +61,8 @@ from . import volumes as volumes_mod
 SCHEMA_VERSION = 1
 STORAGE_CONFIGS = ("local", "networked", "local_persistent")
 
+Check = Callable[[Any, str], Any]
+
 
 @dataclass(frozen=True)
 class VmGroup:
@@ -59,275 +71,241 @@ class VmGroup:
     policy: str = "spread"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
-    seed: int
+    seed: int = 0
     topology: ClusterTopology
     vms: list[VmGroup]
-    storage_config: str
-    dfs: DfsConfig
+    storage_config: str = "local"
+    dfs: DfsConfig = DfsConfig()
     dfsio: DfsioSpec
-    snapshot: SnapshotPolicy
-    prices: PriceTable
+    snapshot: SnapshotPolicy = SnapshotPolicy()
+    prices: PriceTable = PriceTable()
     volume_size_gb: float = 100.0
-    op_size_kb: float = 64.0
+    op_size_kb: float = DEFAULT_OP_SIZE_KB
 
 
 # -- parsing ------------------------------------------------------------------
+#
+# A check is ``(value, field_path) -> parsed value``; it raises
+# ScenarioParseError naming the path.
 
 
-def _mapping(value: Any, where: str, keys: Iterable[str]) -> dict:
-    """``value`` as a dict, rejecting any key outside ``keys``."""
-    if not isinstance(value, Mapping):
-        raise ScenarioParseError(f"field {where}: expected a mapping, got {type(value).__name__}")
-    for key in value:
-        if key not in keys:
-            raise ScenarioParseError(f"field {where}.{key}: unknown option")
-    return dict(value)
+def _fail(path: str, message: str) -> NoReturn:
+    raise ScenarioParseError(f"field {path or '<root>'}: {message}")
 
 
-_MISSING = object()
-
-
-def _get(data: Mapping, key: str, kinds: tuple[type, ...], where: str, default: Any = _MISSING) -> Any:
-    if key not in data:
-        if default is _MISSING:
-            raise ScenarioParseError(f"field {where}.{key}: missing")
-        return default
-    value = data[key]
-    if value is None and default is not _MISSING:
-        return default  # a bare `key:` line in YAML means "use the default"
-    if bool in kinds and isinstance(value, bool):
+def _is(*kinds: type) -> Check:
+    def check(value: Any, path: str) -> Any:
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            _fail(path, f"expected {'/'.join(k.__name__ for k in kinds)}, got {type(value).__name__}")
         return value
-    if isinstance(value, bool) and bool not in kinds:
-        raise ScenarioParseError(f"field {where}.{key}: expected {kinds[0].__name__}, got bool")
-    if not isinstance(value, kinds):
-        raise ScenarioParseError(
-            f"field {where}.{key}: expected {'/'.join(k.__name__ for k in kinds)}, got {type(value).__name__}"
-        )
-    return value
+
+    return check
 
 
-def _num(data: Mapping, key: str, where: str, default: Any = _MISSING) -> float:
-    return float(_get(data, key, (int, float), where, default))
+_str = _is(str)
+_bool = _is(bool)
+_mapping = _is(Mapping)
+_number = _is(int, float)
 
 
-def _positive(data: Mapping, key: str, where: str, default: Any = _MISSING) -> float:
-    value = _num(data, key, where, default)
-    if not value > 0:
-        raise ScenarioParseError(f"field {where}.{key}: must be positive, got {value}")
-    return value
+def _text(value: Any, path: str) -> str:
+    """A link name, taken as text: YAML reads ``nic_links: [1]`` as an int."""
+    return str(value)
 
 
-def _int(data: Mapping, key: str, where: str, default: Any = _MISSING) -> int:
-    value = _get(data, key, (int, float), where, default)
+def _num(value: Any, path: str) -> float:
+    value = _number(value, path)
+    if not abs(value) <= sys.float_info.max:  # NaN, the infinities, and ints too large for a float
+        _fail(path, f"must be finite, got {value}")
+    return float(value)
+
+
+def _num_where(holds: Callable[[float], bool], text: str) -> Check:
+    def check(value: Any, path: str) -> float:
+        value = _num(value, path)
+        if not holds(value):
+            _fail(path, f"must be {text}, got {value}")
+        return value
+
+    return check
+
+
+_positive = _num_where(lambda x: x > 0, "positive")
+_nonnegative = _num_where(lambda x: x >= 0, "non-negative")
+_fraction = _num_where(lambda x: 0 <= x <= 1, "in [0, 1]")
+
+
+def _int(value: Any, path: str) -> int:
+    value = _number(value, path)
     if isinstance(value, float) and not value.is_integer():
-        raise ScenarioParseError(f"field {where}.{key}: must be an integer, got {value}")
+        _fail(path, f"must be an integer, got {value}")
     return int(value)
 
 
-def _count(data: Mapping, key: str, where: str, default: Any = _MISSING) -> int:
-    value = _int(data, key, where, default)
+def _count(value: Any, path: str) -> int:
+    value = _int(value, path)
     if value < 1:
-        raise ScenarioParseError(f"field {where}.{key}: must be at least 1, got {value}")
+        _fail(path, f"must be at least 1, got {value}")
     return value
 
 
-def _parse_disk(data: Mapping, where: str) -> DiskSpec:
-    data = _mapping(data, where, ("id", "capacity_gb", "write_bw", "read_bw"))
-    return DiskSpec(
-        id=str(_get(data, "id", (str,), where)),
-        capacity_gb=_num(data, "capacity_gb", where),
-        write_bw=_num(data, "write_bw", where),
-        read_bw=_num(data, "read_bw", where),
-    )
+def _one_of(check: Check, *choices: Any) -> Check:
+    def one_of(value: Any, path: str) -> Any:
+        value = check(value, path)
+        if value not in choices:
+            _fail(path, f"must be one of {choices}, got {value!r}")
+        return value
+
+    return one_of
 
 
-def _parse_link(data: Mapping, where: str) -> NetworkLink:
-    data = _mapping(data, where, ("id", "bandwidth", "endpoints", "role", "efficiency"))
-    endpoints = _get(data, "endpoints", (list, tuple), where)
+def _list_of(check: Check, into: type = tuple) -> Check:
+    def list_of(value: Any, path: str):
+        if not isinstance(value, (list, tuple)):
+            _fail(path, f"expected a list, got {type(value).__name__}")
+        return into(check(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+    return list_of
+
+
+def _section(build: Callable, **checks: Check) -> Check:
+    """A mapping check that calls ``build`` with the fields present.
+
+    A key outside ``checks`` is an error, so a misspelt option is never
+    silently ignored. An absent key, or a bare ``key:`` line, takes
+    ``build``'s own default; a parameter without one is reported missing.
+    A key that ``build`` has no parameter for is checked and dropped.
+    """
+    params = inspect.signature(build).parameters
+
+    def section(value: Any, path: str):
+        fields = {}
+        for key, item in _mapping(value, path).items():
+            where = f"{path}.{key}" if path else key
+            if key not in checks:
+                _fail(where, "unknown option")
+            if item is not None:
+                fields[key] = checks[key](item, where)
+        for name, param in params.items():
+            if param.default is param.empty and name not in fields:
+                _fail(f"{path}.{name}" if path else name, "missing")
+        return build(**{key: fields[key] for key in fields if key in params})
+
+    return section
+
+
+_names = _list_of(_text)
+
+
+def _endpoints(value: Any, path: str) -> tuple[str, str]:
+    endpoints = _names(value, path)
     if len(endpoints) != 2:
-        raise ScenarioParseError(f"field {where}.endpoints: expected two node ids")
-    return NetworkLink(
-        id=str(_get(data, "id", (str,), where)),
-        bandwidth=_num(data, "bandwidth", where),
-        endpoints=(str(endpoints[0]), str(endpoints[1])),
-        role=str(_get(data, "role", (str,), where, "management")),
-        efficiency=_num(data, "efficiency", where, 1.0),
-    )
+        _fail(path, "expected two node ids")
+    return endpoints
 
 
-# The knobs of ``reference_cluster``: the integer ones must be at least 1.
-_REFERENCE_KNOBS = {
-    "n_hosts": int,
-    "disk_capacity_gb": float,
-    "disk_read_bw": float,
-    "disk_write_bw": float,
-    "controller_disk_capacity_gb": float,
-    "controller_read_bw": float,
-    "controller_write_bw": float,
-    "link_bw": float,
-    "local_persistent_gb": float,
-    "vcpus": int,
-    "ram_gb": float,
-}
+_disks = _list_of(_section(DiskSpec, id=_str, capacity_gb=_num, write_bw=_num, read_bw=_num))
 
-
-def _parse_topology(data: Mapping) -> ClusterTopology:
-    if "reference" in data:
-        where = "topology.reference"
-        ref = _mapping(_mapping(data, "topology", ("reference",))["reference"], where, _REFERENCE_KNOBS)
-        return reference_cluster(
-            **{key: _count(ref, key, where) if _REFERENCE_KNOBS[key] is int else _num(ref, key, where) for key in ref}
+_explicit_topology = _section(
+    ClusterTopology,
+    hosts=_list_of(
+        _section(
+            PhysicalHost,
+            id=_str,
+            vcpus=_int,
+            ram_gb=_num,
+            disks=_disks,
+            local_persistent_group=_disks,
+            nic_links=_names,
         )
+    ),
+    controller=_section(ControllerNode, id=_str, disks=_disks, nic_links=_names),
+    links=_list_of(
+        _section(NetworkLink, id=_str, bandwidth=_num, endpoints=_endpoints, role=_str, efficiency=_num)
+    ),
+)
 
-    data = _mapping(data, "topology", ("hosts", "controller", "links"))
-    hosts = []
-    for i, h in enumerate(_get(data, "hosts", (list,), "topology")):
-        where = f"topology.hosts[{i}]"
-        h = _mapping(h, where, ("id", "vcpus", "ram_gb", "disks", "local_persistent_group", "nic_links"))
-        hosts.append(
-            PhysicalHost(
-                id=str(_get(h, "id", (str,), where)),
-                vcpus=_int(h, "vcpus", where),
-                ram_gb=_num(h, "ram_gb", where),
-                disks=tuple(_parse_disk(d, f"{where}.disks[{j}]") for j, d in enumerate(_get(h, "disks", (list,), where))),
-                local_persistent_group=tuple(
-                    _parse_disk(d, f"{where}.local_persistent_group[{j}]")
-                    for j, d in enumerate(_get(h, "local_persistent_group", (list,), where, []))
-                ),
-                nic_links=tuple(str(x) for x in _get(h, "nic_links", (list,), where, [])),
-            )
-        )
-    c = _mapping(_get(data, "controller", (dict,), "topology"), "topology.controller", ("id", "disks", "nic_links"))
-    controller = ControllerNode(
-        id=str(_get(c, "id", (str,), "topology.controller", "controller")),
-        disks=tuple(
-            _parse_disk(d, f"topology.controller.disks[{j}]")
-            for j, d in enumerate(_get(c, "disks", (list,), "topology.controller"))
-        ),
-        nic_links=tuple(str(x) for x in _get(c, "nic_links", (list,), "topology.controller", [])),
-    )
-    links = tuple(
-        _parse_link(l, f"topology.links[{j}]") for j, l in enumerate(_get(data, "links", (list,), "topology", []))
-    )
-    return ClusterTopology(hosts=tuple(hosts), controller=controller, links=links)
-
-
-_VM_KEYS = (
-    "vcpus", "ram_gb", "root_disk_gb", "ephemeral_gb", "requires_local_persistent", "long_running", "migratable",
-    "policy", "count",
+_reference_topology = _section(
+    lambda reference: reference,
+    reference=_section(
+        reference_cluster,
+        n_hosts=_count,
+        disk_capacity_gb=_num,
+        disk_read_bw=_num,
+        disk_write_bw=_num,
+        controller_disk_capacity_gb=_num,
+        controller_read_bw=_num,
+        controller_write_bw=_num,
+        link_bw=_num,
+        local_persistent_gb=_num,
+        vcpus=_count,
+        ram_gb=_num,
+    ),
 )
 
 
-def _parse_vms(data: Any) -> list[VmGroup]:
-    groups = []
-    if not isinstance(data, list):
-        raise ScenarioParseError("field vms: expected a list of VM groups")
-    for i, g in enumerate(data):
-        where = f"vms[{i}]"
-        g = _mapping(g, where, _VM_KEYS)
-        spec = VmSpec(
-            vcpus=_int(g, "vcpus", where),
-            ram_gb=_num(g, "ram_gb", where),
-            root_disk_gb=_num(g, "root_disk_gb", where),
-            ephemeral_gb=_num(g, "ephemeral_gb", where, 0.0),
-            requires_local_persistent=_get(g, "requires_local_persistent", (bool,), where, False),
-            long_running=_get(g, "long_running", (bool,), where, False),
-            migratable=_get(g, "migratable", (bool,), where, True),
-        )
-        policy = str(_get(g, "policy", (str,), where, "spread"))
-        if policy not in ("spread", "first_fit"):
-            raise ScenarioParseError(f"field {where}.policy: unknown policy {policy!r}")
-        groups.append(VmGroup(spec=spec, count=_count(g, "count", where, 1), policy=policy))
-    return groups
+def _topology(value: Any, path: str) -> ClusterTopology:
+    """``reference:`` with ``reference_cluster`` knobs, or explicit hosts, controller and links."""
+    if isinstance(value, Mapping) and "reference" in value:
+        return _reference_topology(value, path)
+    return _explicit_topology(value, path)
 
 
-_ROOT_KEYS = (
-    "schema", "seed", "topology", "vms", "storage_config", "dfs", "dfsio", "snapshot", "prices", "volume_size_gb",
-    "op_size_kb",
+_vm_spec = _section(
+    VmSpec,
+    vcpus=_count,
+    ram_gb=_positive,
+    root_disk_gb=_positive,
+    ephemeral_gb=_nonnegative,
+    requires_local_persistent=_bool,
+    long_running=_bool,
+    migratable=_bool,
+)
+_VM_GROUP_CHECKS = {"count": _count, "policy": _one_of(_str, "spread", "first_fit")}
+
+
+def _vm_group(value: Any, path: str) -> VmGroup:
+    """One mapping holds the ``VmSpec`` fields beside the group's ``count`` and ``policy``."""
+    data = _mapping(value, path)
+    spec = _vm_spec({k: v for k, v in data.items() if k not in _VM_GROUP_CHECKS}, path)
+    group = _section(partial(VmGroup, spec), **_VM_GROUP_CHECKS)
+    return group({k: v for k, v in data.items() if k in _VM_GROUP_CHECKS}, path)
+
+
+_scenario = _section(
+    Scenario,
+    schema=_one_of(_int, SCHEMA_VERSION),
+    seed=_int,
+    topology=_topology,
+    vms=_list_of(_vm_group, into=list),
+    storage_config=_one_of(_str, *STORAGE_CONFIGS),
+    dfs=_section(DfsConfig, block_size_mb=_positive, replication_factor=_count, seed=_int),
+    dfsio=_section(
+        DfsioSpec,
+        n_files=_count,
+        file_size_mb=_positive,
+        mode=_one_of(_str, WRITE, READ, MIXED),
+        map_capacity=_count,
+        slots_per_vm=_count,
+        read_fraction=_fraction,
+    ),
+    snapshot=_section(SnapshotPolicy, interval_s=_positive, bandwidth_cap=_positive, target=_one_of(_str, "controller")),
+    prices=_section(
+        PriceTable,
+        instance_per_hour=_nonnegative,
+        ebs_standard_per_million_ops=_nonnegative,
+        ebs_provisioned_per_iops_month=_nonnegative,
+    ),
+    volume_size_gb=_positive,
+    op_size_kb=_positive,
 )
 
 
 def parse_scenario(data: Any) -> Scenario:
-    """Build a Scenario from parsed config data (field errors carry paths).
-
-    Every mapping section rejects keys it does not know, so a misspelt
-    option is an error rather than a silently ignored line.
-    """
-    data = _mapping(data, "<root>", _ROOT_KEYS)
-    schema = _int(data, "schema", "<root>", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ScenarioParseError(f"field schema: unsupported version {schema} (expected {SCHEMA_VERSION})")
-
-    storage_config = str(_get(data, "storage_config", (str,), "<root>", "local"))
-    if storage_config not in STORAGE_CONFIGS:
-        raise ScenarioParseError(f"field storage_config: {storage_config!r} not in {STORAGE_CONFIGS}")
-
-    dfs_data = _mapping(
-        _get(data, "dfs", (dict,), "<root>", {}), "dfs", ("block_size_mb", "replication_factor", "seed")
-    )
-    dfs_config = DfsConfig(
-        block_size_mb=_positive(dfs_data, "block_size_mb", "dfs", 64.0),
-        replication_factor=_count(dfs_data, "replication_factor", "dfs", 3),
-        seed=_int(dfs_data, "seed", "dfs", 0),
-    )
-
-    io_data = _mapping(
-        _get(data, "dfsio", (dict,), "<root>"),
-        "dfsio",
-        ("n_files", "file_size_mb", "mode", "map_capacity", "slots_per_vm", "read_fraction"),
-    )
-    mode = str(_get(io_data, "mode", (str,), "dfsio", WRITE))
-    if mode not in (WRITE, READ, MIXED):
-        raise ScenarioParseError(f"field dfsio.mode: unknown mode {mode!r}")
-    read_fraction = _num(io_data, "read_fraction", "dfsio", 0.5)
-    if not 0.0 <= read_fraction <= 1.0:
-        raise ScenarioParseError(f"field dfsio.read_fraction: must be in [0, 1], got {read_fraction}")
-    dfsio = DfsioSpec(
-        n_files=_count(io_data, "n_files", "dfsio"),
-        file_size_mb=_positive(io_data, "file_size_mb", "dfsio"),
-        mode=mode,
-        map_capacity=_count(io_data, "map_capacity", "dfsio", 25),
-        slots_per_vm=_count(io_data, "slots_per_vm", "dfsio", 5),
-        read_fraction=read_fraction,
-    )
-
-    snap_data = _mapping(
-        _get(data, "snapshot", (dict,), "<root>", {}), "snapshot", ("interval_s", "bandwidth_cap", "target")
-    )
-    cap = snap_data.get("bandwidth_cap")
-    snapshot_policy = SnapshotPolicy(
-        interval_s=_positive(snap_data, "interval_s", "snapshot", 3600.0),
-        bandwidth_cap=None if cap is None else _positive(snap_data, "bandwidth_cap", "snapshot"),
-    )
-    target = _get(snap_data, "target", (str,), "snapshot", "controller")
-    if target != "controller":
-        raise ScenarioParseError(f"field snapshot.target: only 'controller' is supported, got {target!r}")
-
-    price_data = _mapping(
-        _get(data, "prices", (dict,), "<root>", {}),
-        "prices",
-        ("instance_per_hour", "ebs_standard_per_million_ops", "ebs_provisioned_per_iops_month"),
-    )
-    prices = PriceTable(
-        instance_per_hour=_num(price_data, "instance_per_hour", "prices", 0.24),
-        ebs_standard_per_million_ops=_num(price_data, "ebs_standard_per_million_ops", "prices", 0.10),
-        ebs_provisioned_per_iops_month=_num(price_data, "ebs_provisioned_per_iops_month", "prices", 0.10),
-    )
-
-    return Scenario(
-        seed=_int(data, "seed", "<root>", 0),
-        topology=_parse_topology(_get(data, "topology", (dict,), "<root>")),
-        vms=_parse_vms(_get(data, "vms", (list,), "<root>")),
-        storage_config=storage_config,
-        dfs=dfs_config,
-        dfsio=dfsio,
-        snapshot=snapshot_policy,
-        prices=prices,
-        volume_size_gb=_positive(data, "volume_size_gb", "<root>", 100.0),
-        op_size_kb=_positive(data, "op_size_kb", "<root>", 64.0),
-    )
+    """Build a Scenario from parsed config data (field errors carry paths)."""
+    return _scenario(data, "")
 
 
 def load_scenario(path) -> Scenario:
@@ -428,7 +406,7 @@ class ScenarioRun:
         }
 
 
-def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: int | None = None) -> ScenarioRun:
+def run_scenario(scenario: Scenario, storage_config: str | None = None) -> ScenarioRun:
     """Run the benchmark under one storage config, snapshots included.
 
     Read and mixed modes get the conventional preparatory write pass so
@@ -442,7 +420,6 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
     input files.
     """
     cfg = storage_config or scenario.storage_config
-    run_seed = scenario.seed if seed is None else seed
     state, hdfs_volumes = build_state(scenario, cfg)
 
     prep_traces = []
@@ -453,7 +430,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
             replace(scenario.dfsio, mode=WRITE),
             hdfs_volumes,
             dfs_config=scenario.dfs,
-            seed=run_seed,
+            seed=scenario.seed,
         )
         state = prep.state
         prep_files = prep.files
@@ -464,7 +441,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
         scenario.dfsio,
         hdfs_volumes,
         dfs_config=scenario.dfs,
-        seed=run_seed,
+        seed=scenario.seed,
         files=prep_files,
         snapshots=scenario.snapshot if cfg == "local" else None,
     )
@@ -477,7 +454,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None, seed: in
 
     return ScenarioRun(
         config=cfg,
-        seed=run_seed,
+        seed=scenario.seed,
         result=run.result,
         stats=run.stats,
         trace=run.trace,
@@ -518,7 +495,7 @@ class ComparisonReport:
         }
 
 
-def compare(scenario: Scenario, configs: list[str], seed: int | None = None) -> ComparisonReport:
+def compare(scenario: Scenario, configs: list[str]) -> ComparisonReport:
     """Run the identical workload and seed under each storage config.
 
     Repeating a config is allowed (labels get a #n suffix); identical
@@ -532,8 +509,8 @@ def compare(scenario: Scenario, configs: list[str], seed: int | None = None) -> 
         while label in runs:
             n += 1
             label = f"{cfg}#{n}"
-        runs[label] = run_scenario(scenario, storage_config=cfg, seed=seed)
-    return ComparisonReport(seed=next(iter(runs.values())).seed, runs=runs)
+        runs[label] = run_scenario(scenario, storage_config=cfg)
+    return ComparisonReport(seed=scenario.seed, runs=runs)
 
 
 def render_comparison_table(report: ComparisonReport) -> str:

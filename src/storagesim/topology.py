@@ -11,6 +11,7 @@ Units: capacities in GB, bandwidth in MB/s (1 Gbit/s = 125 MB/s).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ MBPS_PER_GBPS = 125.0  # 1 Gbit/s in MB/s; no protocol overhead by default
 
 ROLE_MANAGEMENT = "management"
 ROLE_PUBLIC = "public"
+CONTROLLER_ID = "controller"
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,11 @@ class PhysicalHost:
     nic_links: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ControllerNode:
     """The node whose disks back every networked volume."""
 
-    id: str
+    id: str = CONTROLLER_ID
     disks: tuple[DiskSpec, ...]
     nic_links: tuple[str, ...] = ()
 
@@ -80,7 +82,7 @@ class ControllerNode:
 class ClusterTopology:
     hosts: tuple[PhysicalHost, ...]
     controller: ControllerNode
-    links: tuple[NetworkLink, ...]
+    links: tuple[NetworkLink, ...] = ()
 
     def host(self, host_id: str) -> PhysicalHost:
         for h in self.hosts:
@@ -106,12 +108,16 @@ class TopologyIssue:
         return f"{self.code}: {self.message}"
 
 
+def _finite_positive(x: float) -> bool:
+    return 0 < x < math.inf  # False for NaN too
+
+
 def _disk_issues(owner: str, disks: tuple[DiskSpec, ...]) -> list[TopologyIssue]:
     issues = []
     for d in disks:
-        if d.capacity_gb <= 0:
+        if not _finite_positive(d.capacity_gb):
             issues.append(TopologyIssue("nonpositive-capacity", f"disk {owner}/{d.id} capacity_gb={d.capacity_gb}"))
-        if d.read_bw <= 0 or d.write_bw <= 0:
+        if not (_finite_positive(d.read_bw) and _finite_positive(d.write_bw)):
             issues.append(
                 TopologyIssue("nonpositive-capacity", f"disk {owner}/{d.id} bandwidth read={d.read_bw} write={d.write_bw}")
             )
@@ -137,7 +143,7 @@ def topology_issues(t: ClusterTopology) -> list[TopologyIssue]:
 
     link_ids = {l.id for l in t.links}
     for l in t.links:
-        if l.bandwidth <= 0:
+        if not _finite_positive(l.bandwidth):
             issues.append(TopologyIssue("nonpositive-capacity", f"link {l.id} bandwidth={l.bandwidth}"))
         if not 0 < l.efficiency <= 1:
             issues.append(TopologyIssue("nonpositive-capacity", f"link {l.id} efficiency={l.efficiency} outside (0, 1]"))
@@ -147,7 +153,7 @@ def topology_issues(t: ClusterTopology) -> list[TopologyIssue]:
     for h in t.hosts:
         if h.vcpus <= 0:
             issues.append(TopologyIssue("nonpositive-capacity", f"host {h.id} vcpus={h.vcpus}"))
-        if h.ram_gb <= 0:
+        if not _finite_positive(h.ram_gb):
             issues.append(TopologyIssue("nonpositive-capacity", f"host {h.id} ram_gb={h.ram_gb}"))
         if not h.disks:
             issues.append(TopologyIssue("nonpositive-capacity", f"host {h.id} has no disks"))
@@ -242,7 +248,6 @@ def validate_topology(t: ClusterTopology) -> ClusterTopology:
 # Virtual switch node ids used by the reference cluster's star networks.
 MANAGEMENT_NET = "mgmt-net"
 PUBLIC_NET = "pub-net"
-CONTROLLER_ID = "controller"
 
 
 def reference_cluster(

@@ -15,7 +15,10 @@ from storagesim.errors import (
     ScenarioValidationError,
     SimError,
 )
-from storagesim.scenario import build_state, compare, load_scenario, parse_scenario, run_scenario
+from storagesim.bench import DfsioSpec
+from storagesim.placement import VmSpec
+from storagesim.scenario import Scenario, VmGroup, build_state, compare, load_scenario, parse_scenario, run_scenario
+from storagesim.topology import reference_cluster
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -117,6 +120,19 @@ def test_explicit_topology_section_round_trips():
     assert scenario.topology.hosts[0].disks[0].read_bw == 150
     run = run_scenario(scenario)
     assert run.result.n_files == 2
+
+
+def test_defaults_live_on_the_config_types():
+    doc = {
+        "topology": {"reference": {"n_hosts": 3}},
+        "vms": [{"vcpus": 2, "ram_gb": 4, "root_disk_gb": 20}],
+        "dfsio": {"n_files": 4, "file_size_mb": 100},
+    }
+    assert parse_scenario(doc) == Scenario(
+        topology=reference_cluster(3),
+        vms=[VmGroup(VmSpec(vcpus=2, ram_gb=4, root_disk_gb=20))],
+        dfsio=DfsioSpec(n_files=4, file_size_mb=100),
+    )
 
 
 # -- scenario execution --------------------------------------------------------
@@ -378,10 +394,23 @@ MALFORMED = [
     (("dfs", "replication_factor"), 2.5),
     (("seed",), 1.5),
     (("topology", "reference", "n_hosts"), 4.5),
+    (("vms", 0, "vcpus"), -4),
+    (("vms", 0, "ram_gb"), -8),
+    (("vms", 0, "root_disk_gb"), -32),
+    (("prices", "instance_per_hour"), -1),
+    (("dfsio", "file_size_mb"), math.inf),
+    (("dfs", "block_size_mb"), math.inf),
+    (("topology", "reference", "disk_read_bw"), math.nan),
+    (("snapshot", "interval_s"), math.inf),  # these two never finished when accepted
+    (("topology", "reference", "link_bw"), math.nan),
 ]
 
 
-@pytest.mark.parametrize("path, value", MALFORMED, ids=[f"{'.'.join(p)}={v}" for p, v in MALFORMED])
+def field_path(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=[f"{field_path(p)}={v}" for p, v in MALFORMED])
 def test_cli_malformed_scenario_exits_2_with_the_field_path(tmp_path, capsys, path, value):
     doc = yaml.safe_load((SCENARIOS / "reference.yaml").read_text())
     doc["dfsio"]["n_files"] = 3
@@ -393,7 +422,7 @@ def test_cli_malformed_scenario_exits_2_with_the_field_path(tmp_path, capsys, pa
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("parse error: field ") and f"{'.'.join(path)}: " in err
+    assert err.startswith("parse error: field ") and f"{field_path(path)}: " in err
     assert not out.exists()
 
 

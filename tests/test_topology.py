@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from storagesim.errors import TopologyValidationError
@@ -94,6 +97,20 @@ def test_nonpositive_capacity_detected():
         links=topo.links[:-1] + (NetworkLink(id="zero", bandwidth=0.0, endpoints=("a", "b")),),
     )
     assert any(i.code == "nonpositive-capacity" for i in topology_issues(bad))
+    # NaN and infinity are no usable capacity either: NaN fails every comparison and inf never drains
+    host, rest = topo.hosts[0], topo.hosts[1:]
+    for value in (0.0, -1.0, math.nan, math.inf):
+        bad_topologies = [
+            replace(topo, links=(replace(topo.links[0], bandwidth=value),) + topo.links[1:]),
+            replace(topo, hosts=(replace(host, ram_gb=value),) + rest),
+            replace(topo, hosts=(replace(host, disks=(disk(cap=value),)),) + rest),
+            replace(topo, hosts=(replace(host, disks=(replace(disk(), read_bw=value),)),) + rest),
+            replace(topo, controller=replace(topo.controller, disks=(replace(disk(), write_bw=value),))),
+        ]
+        for bad in bad_topologies:
+            assert [i.code for i in topology_issues(bad)] == ["nonpositive-capacity"], (value, bad)
+    with pytest.raises(TopologyValidationError, match="nonpositive-capacity"):
+        reference_cluster(2, link_bw=math.nan)
 
 
 def test_link_efficiency_scales_effective_bandwidth():
