@@ -1,12 +1,11 @@
 """Build the canonical 5-node cluster and place a DFS fleet on it.
 
-Shows the filter-scheduler pipeline, the virtual racks (a VM's rack is
+Shows which hosts fit a VM, the virtual racks (a VM's rack is
 its host), and why migration is refused for pinned VMs.
 """
 
 from storagesim.errors import MigrationDisabledError
 from storagesim.placement import (
-    CAPACITY_FILTER,
     ClusterState,
     filter_hosts,
     migrate_vm,
@@ -22,7 +21,7 @@ for link in topo.management_links():
 
 state = ClusterState.from_topology(topo)
 spec = reference_vm_spec()  # 4 vcpus, 8 GB RAM, 32 GB root + 20 GB ephemeral, pinned
-print(f"\ncandidates for the first VM: {filter_hosts(state, spec, [CAPACITY_FILTER])}")
+print(f"\ncandidates for the first VM: {filter_hosts(state, spec)}")
 
 for i in range(5):
     state, vm = place_vm(state, spec, policy="spread")

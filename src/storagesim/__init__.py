@@ -2,7 +2,7 @@
 
 Compares DFS clusters backed by VM-local disks against controller-served
 networked volumes: rack-aware replica placement over virtual racks,
-filter-scheduler VM placement, max-min fair I/O contention, DFSIO-style
+capacity-checked VM placement, max-min fair I/O contention, DFSIO-style
 benchmarking, dirty-byte snapshot overhead, and instance/volume pricing.
 """
 
@@ -21,7 +21,6 @@ from .dfs import (
 )
 from .placement import (
     ClusterState,
-    HostFilter,
     VmInstance,
     VmSpec,
     filter_hosts,

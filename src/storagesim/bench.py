@@ -278,7 +278,7 @@ def run_dfsio(
         src_host = work_state.instances[task.vm].host_id
         for peer, mb in sorted(task.write_targets.items()):
             dst_host = work_state.instances[peer].host_id
-            resources = tuple(dict.fromkeys(links(src_host, dst_host) + io_path(peer, "write").resources))
+            resources = links(src_host, dst_host) + io_path(peer, "write").resources
             fid = f"t{task.index:04d}.rep.{peer}"
             start_flow(task, fid, ResourcePath(resources, "write"), mb, "replica", peer, peer, now)
 
@@ -292,7 +292,7 @@ def run_dfsio(
         dst_host = work_state.instances[vm].host_id
         for src in sorted(by_source):
             src_host = work_state.instances[src].host_id
-            resources = tuple(dict.fromkeys(io_path(src, "read").resources + links(src_host, dst_host)))
+            resources = io_path(src, "read").resources + links(src_host, dst_host)
             fid = f"t{task.index:04d}.read.{src}"
             start_flow(task, fid, ResourcePath(resources, "read"), by_source[src], "read", vm, src, now)
 

@@ -1,7 +1,8 @@
-"""Filter-scheduler VM placement, virtual racks, and the no-migration rule.
+"""VM placement, virtual racks, and the no-migration rule.
 
-Every VM lands on a host chosen by a filter pipeline (capacity and
-local-persistent availability). A VM's virtual rack is its host, so the
+Every VM lands on a host with free vcpus, RAM and a disk with room for
+its root and ephemeral storage, and, when the VM asks for one, a
+local-persistent partition group. A VM's virtual rack is its host, so the
 DFS layer reads ``host_id`` as the rack and treats co-located VMs as a
 single failure domain. Hadoop-style VMs are pinned:
 ``migratable=False`` makes migration fail without touching state.
@@ -57,17 +58,6 @@ class VmInstance:
 
     def copy(self) -> VmInstance:
         return replace(self, volumes=list(self.volumes))
-
-
-@dataclass(frozen=True)
-class HostFilter:
-    """A filter-scheduler check over (state, host, spec): ``capacity`` or ``local_persistent``."""
-
-    kind: str
-
-
-CAPACITY_FILTER = HostFilter("capacity")
-LOCAL_PERSISTENT_FILTER = HostFilter("local_persistent")
 
 
 @dataclass
@@ -129,6 +119,10 @@ class ClusterState:
                 return d
         raise KeyError((node_id, disk_id))
 
+    def disk_with_room(self, node_id: str, disks: tuple[DiskSpec, ...], gb: float) -> DiskSpec | None:
+        """The first of ``disks`` (on ``node_id``) with ``gb`` free, or None."""
+        return next((d for d in disks if self.disk_free_gb(node_id, d.id) >= gb), None)
+
     def running_vm(self, vm_id: str) -> VmInstance:
         vm = self.instances.get(vm_id)
         if vm is None or vm.state != RUNNING:
@@ -161,31 +155,25 @@ def capacity_violations(state: ClusterState) -> list[str]:
     return out
 
 
-def _passes(state: ClusterState, host: PhysicalHost, spec: VmSpec, f: HostFilter) -> bool:
-    if f.kind == "capacity":
-        if state.free_vcpus(host.id) < spec.vcpus or state.free_ram_gb(host.id) < spec.ram_gb:
-            return False
-        need = spec.root_disk_gb + spec.ephemeral_gb
-        return any(state.disk_free_gb(host.id, d.id) >= need for d in host.disks)
-    if f.kind == "local_persistent":
-        return len(host.local_persistent_group) > 0
-    raise ValueError(f"unknown host filter {f.kind!r}")
+def _fits(state: ClusterState, host: PhysicalHost, spec: VmSpec) -> DiskSpec | None:
+    """The disk of ``host`` that takes ``spec``'s root and ephemeral storage.
 
-
-def filter_hosts(state: ClusterState, spec: VmSpec, filters: list[HostFilter]) -> list[str]:
-    """Hosts passing every filter, in stable topology order.
-
-    Filters are pure checks, so their order never changes the result.
-    An empty candidate list is a legal outcome.
+    None when the host lacks the free vcpus, the RAM or a disk with room.
     """
-    return [h.id for h in state.topology.hosts if all(_passes(state, h, spec, f) for f in filters)]
+    if state.free_vcpus(host.id) < spec.vcpus or state.free_ram_gb(host.id) < spec.ram_gb:
+        return None
+    return state.disk_with_room(host.id, host.disks, spec.root_disk_gb + spec.ephemeral_gb)
 
 
-def default_filters(spec: VmSpec) -> list[HostFilter]:
-    filters = [CAPACITY_FILTER]
-    if spec.requires_local_persistent:
-        filters.append(LOCAL_PERSISTENT_FILTER)
-    return filters
+def filter_hosts(state: ClusterState, spec: VmSpec) -> list[str]:
+    """Hosts that fit ``spec`` (and carry a local-persistent group when it
+    requires one), in stable topology order. An empty list is a legal outcome.
+    """
+    return [
+        h.id
+        for h in state.topology.hosts
+        if _fits(state, h, spec) and (h.local_persistent_group or not spec.requires_local_persistent)
+    ]
 
 
 def place_vm(
@@ -200,10 +188,9 @@ def place_vm(
     Root and ephemeral storage land together on the host's first disk with
     enough free space.
     """
-    filters = default_filters(spec)
-    candidates = filter_hosts(state, spec, filters)
+    candidates = filter_hosts(state, spec)
     if not candidates:
-        raise NoCandidateHostError(f"no host passes {[f.kind for f in filters]} for spec {spec}")
+        raise NoCandidateHostError(f"no host fits spec {spec}")
 
     if policy == "spread":
         host_id = min(candidates, key=lambda h: (len(state.running_on(h)), h))
@@ -217,11 +204,7 @@ def place_vm(
     vm = VmInstance(id=vm_id, host_id=host_id, spec=spec)
     new.instances[vm_id] = vm
 
-    host = new.topology.host(host_id)
-    need = spec.root_disk_gb + spec.ephemeral_gb
-    disk = next((d for d in host.disks if new.disk_free_gb(host_id, d.id) >= need), None)
-    if disk is None:
-        raise NoCandidateHostError(f"host {host_id} has no disk with {need} GB free")
+    disk = _fits(state, state.topology.host(host_id), spec)
     volumes_mod.provision_local_volume(new, vm, volumes_mod.ROOT, spec.root_disk_gb, disk.id)
     if spec.ephemeral_gb > 0:
         volumes_mod.provision_local_volume(new, vm, volumes_mod.EPHEMERAL, spec.ephemeral_gb, disk.id)
@@ -244,12 +227,9 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
     if target_host == vm.host_id:
         return state.clone()  # nothing moves, nothing lost
 
-    if state.free_vcpus(target_host) < vm.spec.vcpus or state.free_ram_gb(target_host) < vm.spec.ram_gb:
-        raise InsufficientCapacityError(f"host {target_host} lacks vcpus/ram for {vm_id}")
-    need = vm.spec.root_disk_gb + vm.spec.ephemeral_gb
-    target_disk = next((d for d in target.disks if state.disk_free_gb(target_host, d.id) >= need), None)
+    target_disk = _fits(state, target, vm.spec)
     if target_disk is None:
-        raise InsufficientCapacityError(f"host {target_host} lacks {need} GB disk for {vm_id}")
+        raise InsufficientCapacityError(f"host {target_host} lacks vcpus, RAM or disk room for {vm_id}")
 
     new = state.clone()
     vm = new.instances[vm_id]

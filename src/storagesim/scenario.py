@@ -54,7 +54,6 @@ from .topology import (
     NetworkLink,
     PhysicalHost,
     reference_cluster,
-    validate_topology,
 )
 from . import volumes as volumes_mod
 
@@ -111,8 +110,10 @@ _number = _is(int, float)
 
 
 def _text(value: Any, path: str) -> str:
-    """A link name, taken as text: YAML reads ``nic_links: [1]`` as an int."""
-    return str(value)
+    """A link name: a string, or an int taken as its decimal text (YAML reads ``nic_links: [1]`` as an int)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return _str(value, path)
 
 
 def _num(value: Any, path: str) -> float:
@@ -223,7 +224,7 @@ _explicit_topology = _section(
     ),
     controller=_section(ControllerNode, id=_str, disks=_disks, nic_links=_names),
     links=_list_of(
-        _section(NetworkLink, id=_str, bandwidth=_num, endpoints=_endpoints, role=_str, efficiency=_num)
+        _section(NetworkLink, id=_str, bandwidth=_num, endpoints=_endpoints, role=_str)
     ),
 )
 
@@ -333,7 +334,7 @@ def build_state(scenario: Scenario, storage_config: str | None = None) -> tuple[
     if cfg not in STORAGE_CONFIGS:
         raise ScenarioValidationError(f"unknown storage_config {cfg!r}")
     try:
-        state = ClusterState.from_topology(validate_topology(scenario.topology))
+        state = ClusterState.from_topology(scenario.topology)
     except TopologyValidationError as e:
         raise ScenarioValidationError(f"topology invalid: {e}") from e
 

@@ -67,8 +67,7 @@ def build_resources(topology: ClusterTopology) -> dict[str, Resource]:
         resources[rid] = Resource(rid, read_capacity=d.read_bw, write_capacity=d.write_bw)
     for l in topology.links:
         rid = link_resource_id(l.id)
-        bw = l.effective_bandwidth
-        resources[rid] = Resource(rid, read_capacity=bw, write_capacity=bw)
+        resources[rid] = Resource(rid, read_capacity=l.bandwidth, write_capacity=l.bandwidth)
     return resources
 
 
@@ -127,10 +126,10 @@ def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> 
     flow_list = sorted(flows, key=attrgetter("flow_id"))
     # resource -> {flow id: its frozen rate, 0.0 while live}, keyed in flow-id order
     members: defaultdict[str, dict[str, float]] = defaultdict(dict)
-    hops: dict[str, dict[str, None]] = {}  # flow id -> its distinct resources
+    hops: dict[str, tuple[str, ...]] = {}  # flow id -> its distinct resources
     for f in flow_list:
         fid = f.flow_id
-        hops[fid] = fhops = dict.fromkeys(f.path.resources)  # duplicate hops share one reservation
+        hops[fid] = fhops = f.path.resources
         for rid in fhops:
             members[rid][fid] = 0.0
     if not members.keys() <= capacities.keys():
@@ -471,7 +470,7 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
             rec = active[event.flow_id] = trace.flows.get(event.flow_id) or FlowRecord(
                 event.flow_id, ResourcePath(("?",), "read"), event.value, event.time, None, {}
             )
-            hops[event.flow_id] = tuple(dict.fromkeys(rec.path.resources))
+            hops[event.flow_id] = rec.path.resources
             moved.setdefault(event.flow_id, 0.0)
         elif event.kind == "rate_change":
             rate[event.flow_id] = event.value

@@ -36,21 +36,12 @@ class DiskSpec:
 
 @dataclass(frozen=True)
 class NetworkLink:
-    """A shared point-to-point link between two nodes.
-
-    ``efficiency`` is a calibration scalar in (0, 1] applied to the raw
-    bandwidth; the default of 1.0 models no protocol overhead.
-    """
+    """A shared point-to-point link between two nodes."""
 
     id: str
     bandwidth: float  # MB/s
     endpoints: tuple[str, str]
     role: str = ROLE_MANAGEMENT
-    efficiency: float = 1.0
-
-    @property
-    def effective_bandwidth(self) -> float:
-        return self.bandwidth * self.efficiency
 
 
 @dataclass(frozen=True)
@@ -145,8 +136,6 @@ def topology_issues(t: ClusterTopology) -> list[TopologyIssue]:
     for l in t.links:
         if not _finite_positive(l.bandwidth):
             issues.append(TopologyIssue("nonpositive-capacity", f"link {l.id} bandwidth={l.bandwidth}"))
-        if not 0 < l.efficiency <= 1:
-            issues.append(TopologyIssue("nonpositive-capacity", f"link {l.id} efficiency={l.efficiency} outside (0, 1]"))
         if l.endpoints[0] == l.endpoints[1]:
             issues.append(TopologyIssue("identical-endpoints", f"link {l.id} connects {l.endpoints[0]} to itself"))
 
@@ -172,7 +161,7 @@ def topology_issues(t: ClusterTopology) -> list[TopologyIssue]:
                 TopologyIssue("dangling-link-reference", f"controller {t.controller.id} references unknown link {lid!r}")
             )
 
-    reachable = _management_reachable(t)
+    reachable = _management_tree(t, t.controller.id)
     for h in t.hosts:
         if h.id not in reachable:
             issues.append(
@@ -182,22 +171,26 @@ def topology_issues(t: ClusterTopology) -> list[TopologyIssue]:
     return issues
 
 
-def _management_reachable(t: ClusterTopology) -> set[str]:
-    """Node ids reachable from the controller over management links (BFS)."""
-    adjacency: dict[str, set[str]] = {}
-    for l in t.management_links():
+def _management_tree(t: ClusterTopology, src: str) -> dict[str, tuple[str, NetworkLink | None]]:
+    """BFS over management links from ``src``: reached node -> (previous node, link into it).
+
+    Links are visited in id order, so among shortest paths the one through
+    lower link ids wins. ``src`` maps to ``(src, None)``.
+    """
+    adjacency: dict[str, list[tuple[str, NetworkLink]]] = {}
+    for l in sorted(t.management_links(), key=lambda x: x.id):
         a, b = l.endpoints
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-    reached = {t.controller.id}
-    frontier = deque([t.controller.id])
+        adjacency.setdefault(a, []).append((b, l))
+        adjacency.setdefault(b, []).append((a, l))
+    tree: dict[str, tuple[str, NetworkLink | None]] = {src: (src, None)}
+    frontier = deque([src])
     while frontier:
         node = frontier.popleft()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in reached:
-                reached.add(nxt)
+        for nxt, link in adjacency.get(node, ()):
+            if nxt not in tree:
+                tree[nxt] = (node, link)
                 frontier.append(nxt)
-    return reached
+    return tree
 
 
 def management_path(t: ClusterTopology, src_node: str, dst_node: str) -> list[NetworkLink]:
@@ -205,31 +198,15 @@ def management_path(t: ClusterTopology, src_node: str, dst_node: str) -> list[Ne
 
     Ties are broken by link id order. Raises KeyError when no path exists.
     """
-    if src_node == dst_node:
-        return []
-    adjacency: dict[str, list[tuple[str, NetworkLink]]] = {}
-    for l in sorted(t.management_links(), key=lambda x: x.id):
-        a, b = l.endpoints
-        adjacency.setdefault(a, []).append((b, l))
-        adjacency.setdefault(b, []).append((a, l))
-    frontier = deque([src_node])
-    came_from: dict[str, tuple[str, NetworkLink]] = {}
-    while frontier:
-        node = frontier.popleft()
-        for nxt, link in adjacency.get(node, ()):
-            if nxt in came_from or nxt == src_node:
-                continue
-            came_from[nxt] = (node, link)
-            if nxt == dst_node:
-                path = []
-                cur = dst_node
-                while cur != src_node:
-                    prev, l = came_from[cur]
-                    path.append(l)
-                    cur = prev
-                return list(reversed(path))
-            frontier.append(nxt)
-    raise KeyError(f"no management path from {src_node} to {dst_node}")
+    tree = _management_tree(t, src_node)
+    if dst_node not in tree:
+        raise KeyError(f"no management path from {src_node} to {dst_node}")
+    path = []
+    cur = dst_node
+    while cur != src_node:
+        cur, link = tree[cur]
+        path.append(link)
+    return path[::-1]
 
 
 def validate_topology(t: ClusterTopology) -> ClusterTopology:

@@ -63,7 +63,9 @@ class ResourcePath:
     """Ordered shared resources one I/O stream crosses, plus direction.
 
     Local kinds resolve to exactly one disk; networked volumes cross at
-    least one management link before the controller disk.
+    least one management link before the controller disk. A resource named
+    twice (a relayed path crossing the same link or disk again) is kept
+    once, at its first position: duplicate hops share one reservation.
     """
 
     resources: tuple[str, ...]
@@ -72,6 +74,7 @@ class ResourcePath:
     def __post_init__(self):
         if not self.resources:
             raise ValueError("empty resource path")
+        object.__setattr__(self, "resources", tuple(dict.fromkeys(self.resources)))
 
 
 def disk_resource_id(node_id: str, disk_id: str) -> str:
@@ -120,7 +123,7 @@ def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) ->
 
     if kind == NETWORKED:
         ctl = new.topology.controller
-        disk = next((d for d in ctl.disks if new.disk_free_gb(ctl.id, d.id) >= size_gb), None)
+        disk = new.disk_with_room(ctl.id, ctl.disks, size_gb)
         if disk is None:
             raise InsufficientSpaceError(f"controller has no disk with {size_gb} GB free")
         vol = Volume(
@@ -136,8 +139,7 @@ def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) ->
             raise NoLocalPersistentGroupError(f"host {vm.host_id} has no local-persistent partition group")
         vol = _attach_partition(new, vm, size_gb, host)
     else:  # root / ephemeral
-        host = new.topology.host(vm.host_id)
-        disk = next((d for d in host.disks if new.disk_free_gb(vm.host_id, d.id) >= size_gb), None)
+        disk = new.disk_with_room(vm.host_id, new.topology.host(vm.host_id).disks, size_gb)
         if disk is None:
             raise InsufficientSpaceError(f"host {vm.host_id} has no disk with {size_gb} GB free")
         vol = provision_local_volume(new, vm, kind, size_gb, disk.id)

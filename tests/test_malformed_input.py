@@ -105,7 +105,7 @@ def run_cli(doc: dict) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150)
 @given(st.sampled_from(LEAVES), st.sampled_from((DELETE, UNKNOWN_KEY) + PALETTE))
 def test_single_leaf_edits_exit_0_2_or_3_and_parse_errors_name_a_field(leaf, edit):
     code, err = run_cli(mutate(*leaf, edit))

@@ -7,10 +7,7 @@ import pytest
 from helpers import PINNED_VM, SMALL_VM
 from storagesim.errors import InsufficientCapacityError, MigrationDisabledError, NoCandidateHostError
 from storagesim.placement import (
-    CAPACITY_FILTER,
-    LOCAL_PERSISTENT_FILTER,
     ClusterState,
-    HostFilter,
     VmSpec,
     capacity_violations,
     filter_hosts,
@@ -26,15 +23,6 @@ def empty_state():
     return ClusterState.from_topology(reference_cluster())
 
 
-def test_no_filters_returns_all_hosts_in_topology_order(empty_state):
-    assert filter_hosts(empty_state, PINNED_VM, []) == ["h01", "h02", "h03", "h04", "h05"]
-
-
-def test_unknown_filter_kind_is_rejected(empty_state):
-    with pytest.raises(ValueError, match="gpu"):
-        filter_hosts(empty_state, PINNED_VM, [HostFilter("gpu")])
-
-
 def test_local_persistent_filter_keeps_partitioned_hosts():
     # two-host cluster where only h01 carries a partition group
     topo = reference_cluster(2, local_persistent_gb=100.0)
@@ -42,24 +30,17 @@ def test_local_persistent_filter_keeps_partitioned_hosts():
     topo = ClusterTopology(hosts=hosts, controller=topo.controller, links=topo.links)
     state = ClusterState.from_topology(topo)
     spec = VmSpec(vcpus=1, ram_gb=1, root_disk_gb=10, requires_local_persistent=True)
-    assert filter_hosts(state, spec, [LOCAL_PERSISTENT_FILTER]) == ["h01"]
+    assert filter_hosts(state, spec) == ["h01"]
 
 
 def test_capacity_filter_accounts_for_running_vms(empty_state):
     # 16 GB host running an 8 GB VM still fits a second 8 GB VM
     spec = VmSpec(vcpus=2, ram_gb=8.0, root_disk_gb=10.0)
     state, _ = place_vm(empty_state, spec, policy="first_fit")
-    assert "h01" in filter_hosts(state, spec, [CAPACITY_FILTER])
+    assert "h01" in filter_hosts(state, spec)
     # but not a third
     state, _ = place_vm(state, spec, policy="first_fit")
-    assert "h01" not in filter_hosts(state, spec, [CAPACITY_FILTER])
-
-
-def test_filters_commute(empty_state):
-    spec = VmSpec(vcpus=1, ram_gb=1, root_disk_gb=10, requires_local_persistent=True)
-    a = filter_hosts(empty_state, spec, [CAPACITY_FILTER, LOCAL_PERSISTENT_FILTER])
-    b = filter_hosts(empty_state, spec, [LOCAL_PERSISTENT_FILTER, CAPACITY_FILTER])
-    assert a == b
+    assert "h01" not in filter_hosts(state, spec)
 
 
 def test_spread_places_one_vm_per_host(empty_state):
@@ -137,6 +118,19 @@ def test_migration_to_full_host_fails(empty_state):
     state, b = place_vm(state, big, policy="first_fit")  # h02
     with pytest.raises(InsufficientCapacityError):
         migrate_vm(state, a.id, "h02")
+
+
+def test_migration_to_host_without_disk_room_fails(empty_state):
+    # h02 keeps free vcpus and RAM, but its 1000 GB disk has 900 GB taken
+    spec = VmSpec(vcpus=1, ram_gb=1.0, root_disk_gb=200.0, migratable=True)
+    state, vm = place_vm(empty_state, spec, policy="first_fit")  # h01
+    state, filler = place_vm(state, replace(spec, root_disk_gb=900.0), policy="spread")  # h02
+    assert filler.host_id == "h02"
+    assert state.free_vcpus("h02") >= spec.vcpus and state.free_ram_gb("h02") >= spec.ram_gb
+    before = copy.deepcopy(state)
+    with pytest.raises(InsufficientCapacityError, match="h02"):
+        migrate_vm(state, vm.id, "h02")
+    assert state == before
 
 
 def test_random_place_terminate_sequences_never_overcommit():

@@ -1,9 +1,11 @@
 """End-to-end properties of `storagesim run` over generated valid scenarios.
 
-Each example is a small reference cluster with drawn knobs: 1-4 hosts,
-disks that may read and write at different speeds, every storage config
-and benchmark mode, replication up to the host count, and snapshot
-intervals with or without a bandwidth cap. Every run must exit 0 (so its
+Each example is a small cluster of 1-4 hosts: either the reference
+cluster with drawn knobs, or an explicit topology whose hosts sit behind
+one or two switches, so a management path crosses two or three links.
+Disks may read and write at different speeds; every storage config and
+benchmark mode is drawn, with replication up to the host count (at most
+4), and snapshot intervals with or without a bandwidth cap. Every run must exit 0 (so its
 measured and prep traces pass the audit), write byte-identical outputs
 when repeated, and keep the DFSIO identities of tasks.csv exactly.
 """
@@ -26,25 +28,66 @@ from storagesim.cli import main  # noqa: E402
 OUTPUTS = ("result.json", "trace.csv", "tasks.csv", "cost.json")
 
 
+DISK_BW = st.integers(20, 200)
+LINK_BW = st.integers(50, 250)
+
+
+@st.composite
+def switched_topologies(draw, n_hosts: int) -> dict:
+    """Hosts behind switch sw1 or sw2; the controller hangs off sw1, and a trunk joins sw2 to it."""
+
+    def link(link_id: str, a: str, b: str) -> dict:
+        return {"id": link_id, "bandwidth": draw(LINK_BW), "endpoints": [a, b]}
+
+    def disk(disk_id: str, capacity_gb: int) -> dict:
+        return {"id": disk_id, "capacity_gb": capacity_gb, "write_bw": draw(DISK_BW), "read_bw": draw(DISK_BW)}
+
+    n_switches = draw(st.integers(1, 2))
+    links = [link("up-controller", "controller", "sw1")]
+    if n_switches == 2:
+        links.append(link("trunk", "sw1", "sw2"))
+    hosts = []
+    for i in range(1, n_hosts + 1):
+        host_id = f"h{i}"
+        links.append(link(f"up-{host_id}", host_id, f"sw{draw(st.integers(1, n_switches))}"))
+        hosts.append(
+            {
+                "id": host_id,
+                "vcpus": 4,
+                "ram_gb": 16,
+                "disks": [disk("disk1", 1000)],
+                "local_persistent_group": [disk("part1", 200)],
+                "nic_links": [f"up-{host_id}"],
+            }
+        )
+    controller = {"id": "controller", "disks": [disk("disk1", 1000)], "nic_links": ["up-controller"]}
+    return {"hosts": hosts, "controller": controller, "links": links}
+
+
+@st.composite
+def reference_topologies(draw, n_hosts: int) -> dict:
+    return {
+        "reference": {
+            "n_hosts": n_hosts,
+            "disk_read_bw": draw(DISK_BW),
+            "disk_write_bw": draw(DISK_BW),
+            "link_bw": draw(LINK_BW),
+            "local_persistent_gb": 200,
+        }
+    }
+
+
 @st.composite
 def scenarios(draw) -> dict:
     n_hosts = draw(st.integers(1, 4))
     return {
         "seed": draw(st.integers(0, 2**31 - 1)),
-        "topology": {
-            "reference": {
-                "n_hosts": n_hosts,
-                "disk_read_bw": draw(st.integers(20, 200)),
-                "disk_write_bw": draw(st.integers(20, 200)),
-                "link_bw": draw(st.integers(50, 250)),
-                "local_persistent_gb": 200,
-            }
-        },
+        "topology": draw(st.one_of(reference_topologies(n_hosts), switched_topologies(n_hosts))),
         "vms": [{"vcpus": 4, "ram_gb": 8, "root_disk_gb": 32, "ephemeral_gb": 20, "count": n_hosts}],
         "storage_config": draw(st.sampled_from(["local", "networked", "local_persistent"])),
         "dfs": {
             "block_size_mb": draw(st.sampled_from([16, 64, 128])),
-            "replication_factor": draw(st.integers(1, min(3, n_hosts))),
+            "replication_factor": draw(st.integers(1, n_hosts)),
             "seed": draw(st.integers(0, 1000)),
         },
         "dfsio": {
@@ -76,7 +119,7 @@ def dfsio_identities(out: Path, n_files: int) -> None:
     assert result["avg_io_rate_mbps"] == float(sum(map(Fraction, rate)) / n_files)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@settings(max_examples=50)
 @given(scenarios())
 def test_generated_scenarios_run_clean_repeat_exactly_and_keep_dfsio_identities(doc):
     with tempfile.TemporaryDirectory() as tmp:

@@ -122,6 +122,47 @@ def test_explicit_topology_section_round_trips():
     assert run.result.n_files == 2
 
 
+def one_host_doc(nic_link="1", endpoint="controller"):
+    """A one-host explicit topology with one link, id "1", from h01 to ``endpoint``."""
+    doc = scenario_doc()
+    doc["topology"] = {
+        "hosts": [
+            {
+                "id": "h01",
+                "vcpus": 8,
+                "ram_gb": 32,
+                "disks": [{"id": "disk1", "capacity_gb": 500, "write_bw": 120, "read_bw": 150}],
+                "nic_links": [nic_link],
+            }
+        ],
+        "controller": {"id": "controller", "disks": [{"id": "disk1", "capacity_gb": 2000, "write_bw": 100, "read_bw": 100}]},
+        "links": [{"id": "1", "bandwidth": 125, "endpoints": ["h01", endpoint]}],
+    }
+    doc["vms"] = [{"vcpus": 2, "ram_gb": 4, "root_disk_gb": 20, "count": 2}]
+    doc["dfsio"]["n_files"] = 2
+    return doc
+
+
+def test_integer_link_name_is_read_as_its_decimal_text(tmp_path):
+    # YAML reads `nic_links: [1]` as an int; it names link "1"
+    path = write_scenario(tmp_path, one_host_doc(nic_link=1))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+NOT_TEXT = [("nic_link", v) for v in (None, True, [], {"id": "1"}, 1.5, math.nan)]
+NOT_TEXT += [("endpoint", v) for v in (None, 2.0, {})]
+NAME_FIELD = {"nic_link": "topology.hosts[0].nic_links[0]", "endpoint": "topology.links[0].endpoints[1]"}
+
+
+@pytest.mark.parametrize("key, value", NOT_TEXT, ids=[f"{k}={v!r}" for k, v in NOT_TEXT])
+def test_link_name_that_is_not_text_exits_2_with_the_field_path(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, one_host_doc(**{key: value}))
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: field {NAME_FIELD[key]}: expected str, got ")
+    assert not out.exists()
+
+
 def test_defaults_live_on_the_config_types():
     doc = {
         "topology": {"reference": {"n_hosts": 3}},

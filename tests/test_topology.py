@@ -35,7 +35,6 @@ def test_reference_cluster_link_bandwidth_is_one_gbps():
     assert 1000.0 / 8.0 == 125.0
     topo = reference_cluster()
     assert all(l.bandwidth == 125.0 for l in topo.links)
-    assert all(l.effective_bandwidth == 125.0 for l in topo.links)
 
 
 def test_validate_is_idempotent_and_returns_same_object():
@@ -113,21 +112,6 @@ def test_nonpositive_capacity_detected():
         reference_cluster(2, link_bw=math.nan)
 
 
-def test_link_efficiency_scales_effective_bandwidth():
-    link = NetworkLink(id="l", bandwidth=125.0, endpoints=("a", "b"), efficiency=0.8)
-    assert link.effective_bandwidth == 100.0
-    assert any(
-        i.code == "nonpositive-capacity"
-        for i in topology_issues(
-            ClusterTopology(
-                hosts=(PhysicalHost(id="h1", vcpus=1, ram_gb=1, disks=(disk(),)),),
-                controller=ControllerNode(id="c", disks=(disk(),)),
-                links=(NetworkLink(id="l", bandwidth=125.0, endpoints=("h1", "c"), efficiency=1.5),),
-            )
-        )
-    )
-
-
 def test_management_path_host_to_controller():
     topo = reference_cluster()
     links = management_path(topo, "h01", "controller")
@@ -138,3 +122,34 @@ def test_management_path_host_to_controller():
 def test_management_path_is_deterministic_between_hosts():
     topo = reference_cluster()
     assert [l.id for l in management_path(topo, "h01", "h02")] == ["mgmt-h01", "mgmt-h02"]
+
+
+def two_route_topology() -> ClusterTopology:
+    """h1 reaches controller c over s1 (links b1, b2) or s2 (links a1, a2); h2 has no management link."""
+
+    def mgmt(link_id, a, b):
+        return NetworkLink(id=link_id, bandwidth=125.0, endpoints=(a, b))
+
+    return ClusterTopology(
+        hosts=(
+            PhysicalHost(id="h1", vcpus=1, ram_gb=1, disks=(disk(),), nic_links=("b1", "a1")),
+            PhysicalHost(id="h2", vcpus=1, ram_gb=1, disks=(disk(),)),
+        ),
+        controller=ControllerNode(id="c", disks=(disk(),), nic_links=("b2", "a2")),
+        links=(mgmt("b1", "h1", "s1"), mgmt("b2", "s1", "c"), mgmt("a1", "h1", "s2"), mgmt("a2", "s2", "c")),
+    )
+
+
+def test_management_path_takes_the_route_through_lower_link_ids():
+    topo = two_route_topology()
+    assert [l.id for l in management_path(topo, "h1", "c")] == ["a1", "a2"]
+    assert [l.id for l in management_path(topo, "c", "h1")] == ["a2", "a1"]
+
+
+def test_management_path_raises_and_topology_flags_a_disconnected_host():
+    topo = two_route_topology()
+    with pytest.raises(KeyError):
+        management_path(topo, "h2", "c")
+    with pytest.raises(KeyError):
+        management_path(topo, "c", "h2")
+    assert [(i.code, "h2" in i.message) for i in topology_issues(topo)] == [("unreachable-host", True)]
