@@ -166,8 +166,9 @@ def _fits(state: ClusterState, host: PhysicalHost, spec: VmSpec) -> DiskSpec | N
 
 
 def filter_hosts(state: ClusterState, spec: VmSpec) -> list[str]:
-    """Hosts that fit ``spec`` (and carry a local-persistent group when it
-    requires one), in stable topology order. An empty list is a legal outcome.
+    """Hosts that fit ``spec``, in stable topology order; an empty list is a legal outcome.
+
+    A spec that requires local-persistent storage also needs a host with a partition group.
     """
     return [
         h.id

@@ -474,9 +474,9 @@ def test_csv_round_trip_format():
 
 def test_duplicate_hops_reserve_capacity_once():
     # a relayed path may name the same link twice; the fluid model pools it
+    assert ResourcePath(("d1", "l", "d1"), "write").resources == ("d1", "l")
     rates = allocate_rates([flow("f1", ["link", "link", "disk"])], {"link": 100.0, "disk": 80.0})
     assert rates["f1"] == 80.0
-    assert ResourcePath(("d1", "l", "d1"), "write").resources == ("d1", "l")
 
 
 def test_verify_trace_flags_start_without_end():
