@@ -13,6 +13,24 @@ asymmetric one is pooled over the directions of the flows crossing it,
 at each step. Between events rates are constant, so completion times are
 closed-form and runs are exactly reproducible.
 
+The solve is warm-started. Filling rounds run in increasing level order,
+and a step can only change the rounds at or above a cut, the lowest of:
+
+- the previous rate of each flow that ended since the last solve;
+- for each flow that started, ``(1 - 1e-9)`` times the equal share of its
+  tightest resource, ``min(capacity / flows crossing it)``. A max-min rate
+  is never below that share; the factor absorbs the rounding of the
+  frozen-usage sums.
+
+A departure only raises the saturation of resources that froze no flow
+below its old rate, and an arrival cannot freeze anything below its own
+new rate, so every round below the cut freezes the same flows at the same
+float. Each flow whose previous rate is below the cut keeps it; the rest
+and the arrivals are re-solved from the highest kept rate. A resource's
+saturation at the cut, recomputed as ``(capacity - sum(members)) / live``
+over the same members in the same order, is the float the full solve
+cached at that point.
+
 The solver sums in flow-id order and no float depends on set or dict
 iteration order; identical inputs produce byte-identical traces.
 """
@@ -102,6 +120,50 @@ class IoFlow:
     rate: float = 0.0
 
 
+def _fill(
+    members: Mapping[str, dict[str, float]],
+    hops: dict[str, tuple[str, ...]],
+    n_live: dict[str, int],
+    level: float,
+    capacities: Mapping[str, float],
+) -> dict[str, float]:
+    """Progressive filling of the live flows ``hops`` upward from ``level``.
+
+    ``members`` maps each resource to ``{flow id: frozen rate, 0.0 while
+    live}`` in flow-id order, and ``n_live`` counts the live flows of each
+    resource that has any. Each frozen rate is written into ``members``;
+    returns the live flows' rates, in ``hops`` order.
+    """
+    rates = dict.fromkeys(hops, 0.0)
+    unfrozen = set(rates)
+    saturation = {rid: (capacities[rid] - sum(members[rid].values())) / n for rid, n in n_live.items()}
+    # no math.inf guard: ResourcePath rejects empty paths, so `saturation` empties only when all flows froze
+    while saturation:
+        level = max(level, min(saturation.values()))
+        # no float-corner fallback: the argmin resource passes its own `<= level` test
+        newly_frozen = set()
+        for rid, lvl in saturation.items():
+            if lvl <= level:
+                newly_frozen.update(members[rid])
+        newly_frozen &= unfrozen
+        unfrozen -= newly_frozen
+        touched = set()
+        for fid in newly_frozen:
+            rates[fid] = level
+            fhops = hops[fid]
+            for rid in fhops:
+                members[rid][fid] = level
+                n_live[rid] -= 1
+            touched.update(fhops)
+        for rid in touched:
+            n = n_live[rid]
+            if n:
+                saturation[rid] = (capacities[rid] - sum(members[rid].values())) / n
+            else:
+                del saturation[rid]
+    return rates
+
+
 def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> dict[str, float]:
     """Max-min fair rates by progressive filling.
 
@@ -138,36 +200,7 @@ def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> 
                 if rid not in capacities:
                     raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
 
-    rates = dict.fromkeys(hops, 0.0)
-    unfrozen = set(rates)
-    n_live = {rid: len(fids) for rid, fids in members.items()}
-    saturation = {rid: capacities[rid] / n for rid, n in n_live.items()}
-    level = 0.0
-    # no math.inf guard: ResourcePath rejects empty paths, so `saturation` empties only when all flows froze
-    while saturation:
-        level = max(level, min(saturation.values()))
-        # no float-corner fallback: the argmin resource passes its own `<= level` test
-        newly_frozen = set()
-        for rid, lvl in saturation.items():
-            if lvl <= level:
-                newly_frozen.update(members[rid])
-        newly_frozen &= unfrozen
-        unfrozen -= newly_frozen
-        touched = set()
-        for fid in newly_frozen:
-            rates[fid] = level
-            fhops = hops[fid]
-            for rid in fhops:
-                members[rid][fid] = level
-                n_live[rid] -= 1
-            touched.update(fhops)
-        for rid in touched:
-            n = n_live[rid]
-            if n:
-                saturation[rid] = (capacities[rid] - sum(members[rid].values())) / n
-            else:
-                del saturation[rid]
-    return rates
+    return _fill(members, hops, {rid: len(fids) for rid, fids in members.items()}, 0.0, capacities)
 
 
 class TraceEvent(NamedTuple):
@@ -222,6 +255,14 @@ class Simulation:
     shares ``resources``, so a resource added there mid-run, before the
     first flow that crosses it, is audited with the rest. A resource's
     capacities are read once, when the first flow crossing it is added.
+
+    Each reallocation re-solves only the flows at or above the cut (see the
+    module docstring) and logs their changed rates in flow-id order; a step
+    that starts and ends no flow re-solves nothing. The full solve,
+    ``allocate_rates``, runs when there is nothing to keep: the first
+    solve, a step after every previous flow ended, and every step once an
+    asymmetric resource is pooled, since its capacity can change with the
+    directions of the flows.
     """
 
     def __init__(self, resources: Mapping[str, Resource]):
@@ -237,10 +278,19 @@ class Simulation:
         # the asymmetric resources, pooled afresh at each reallocation.
         self._capacities: dict[str, float] = {}
         self._pooled: dict[str, Resource] = {}
+        # Warm-start state: the flows started and ended since the last solve, and each
+        # resource's {flow id: rate} in flow-id order (None: rebuilt from `_active` when needed).
+        self._arrived: list[IoFlow] = []
+        self._departed: list[IoFlow] = []
+        self._members: defaultdict[str, dict[str, float]] | None = None
 
     def add_flow(self, spec: FlowSpec, at_time: float) -> None:
+        if not math.isfinite(at_time):
+            raise ValueError(f"cannot schedule {spec.flow_id} at {at_time}")
         if at_time < self.now:
             raise ValueError(f"cannot schedule {spec.flow_id} in the past ({at_time} < {self.now})")
+        if not 0.0 <= spec.size_mb < math.inf:
+            raise ValueError(f"flow {spec.flow_id} has size {spec.size_mb} MB")
         if spec.flow_id in self._trace.flows or spec.flow_id in self._pending_ids:
             raise ValueError(f"duplicate flow id {spec.flow_id!r}")
         for rid in spec.path.resources:
@@ -262,6 +312,8 @@ class Simulation:
         Due timers fire after the completions at that instant and after
         the completion hook; flows they add at ``now`` start at once.
         """
+        if not math.isfinite(at_time):
+            raise ValueError(f"cannot set a timer at {at_time}")
         if at_time < self.now:
             raise ValueError(f"cannot set a timer in the past ({at_time} < {self.now})")
         heappush(self._timers, (at_time, self._seq, callback))
@@ -299,8 +351,16 @@ class Simulation:
         }
 
     def _reallocate(self) -> None:
-        rates = allocate_rates(self._active.values(), self._effective_capacities())
-        active, events, now = self._active, self._trace.events, self.now
+        active, arrived, departed = self._active, self._arrived, self._departed
+        self._arrived, self._departed = [], []
+        if self._pooled or len(arrived) == len(active):  # nothing to keep
+            self._members = None
+            rates = allocate_rates(active.values(), self._effective_capacities())
+        elif arrived or departed:
+            rates = self._resolve(arrived, departed)
+        else:
+            return  # the same flows over the same capacities keep their rates
+        events, now = self._trace.events, self.now
         for fid, r in rates.items():  # flow-id order
             flow = active[fid]
             # A new flow's rate is 0.0, so its first allocation is logged unless it is 0.0, which
@@ -308,6 +368,51 @@ class Simulation:
             if flow.rate != r:
                 flow.rate = r
                 events.append(TraceEvent(now, "rate_change", fid, "", r))
+
+    def _resolve(self, arrived: list[IoFlow], departed: list[IoFlow]) -> dict[str, float]:
+        """Re-solve the flows at or above the cut, and the arrivals; return their rates in flow-id order."""
+        active, capacities, members = self._active, self._capacities, self._members
+        if members is None:
+            members = self._members = defaultdict(dict)
+            for fid in sorted(active):
+                f = active[fid]
+                for rid in f.path.resources:
+                    members[rid][fid] = f.rate
+        else:
+            for f in departed:
+                for rid in f.path.resources:
+                    del members[rid][f.flow_id]
+            batches: defaultdict[str, list[str]] = defaultdict(list)
+            for f in sorted(arrived, key=attrgetter("flow_id")):
+                for rid in f.path.resources:
+                    batches[rid].append(f.flow_id)
+            for rid, fids in batches.items():
+                m = members[rid]
+                in_order = not m or next(reversed(m)) < fids[0]
+                m.update(dict.fromkeys(fids, 0.0))
+                if not in_order:
+                    members[rid] = dict(sorted(m.items()))
+
+        cut = min([f.rate for f in departed], default=math.inf)
+        for f in arrived:
+            share = min(capacities[rid] / len(members[rid]) for rid in f.path.resources)
+            cut = min(cut, (1 - 1e-9) * share)
+        live = {f.flow_id: f for f in arrived}
+        level = 0.0  # the highest kept rate: the last round the new solve shares with the old one
+        for fid, f in active.items():
+            r = f.rate
+            if r >= cut:
+                live[fid] = f
+            elif r > level:
+                level = r
+        hops: dict[str, tuple[str, ...]] = {}
+        n_live: dict[str, int] = {}
+        for fid in sorted(live):
+            hops[fid] = fhops = live[fid].path.resources
+            for rid in fhops:
+                members[rid][fid] = 0.0
+                n_live[rid] = n_live.get(rid, 0) + 1
+        return _fill(members, hops, n_live, level, capacities)
 
     def _slack_per_rate(self) -> float:
         """A flow is due now once ``remaining_mb <= max(COMPLETION_EPS, rate * this)``.
@@ -335,7 +440,8 @@ class Simulation:
         while self._pending and self._pending[0][0] <= self.now:
             _, _, spec = heappop(self._pending)
             self._pending_ids.discard(spec.flow_id)
-            self._active[spec.flow_id] = IoFlow(spec.flow_id, spec.path, spec.size_mb, remaining_mb=spec.size_mb)
+            self._active[spec.flow_id] = flow = IoFlow(spec.flow_id, spec.path, spec.size_mb, remaining_mb=spec.size_mb)
+            self._arrived.append(flow)
             self._trace.flows[spec.flow_id] = FlowRecord(
                 flow_id=spec.flow_id,
                 path=spec.path,
@@ -369,6 +475,7 @@ class Simulation:
                 if remaining <= COMPLETION_EPS or remaining <= f.rate * per_rate:
                     completed.append(f)
             completed.sort(key=attrgetter("flow_id"))
+            self._departed += completed
             done_records = []
             for f in completed:
                 del self._active[f.flow_id]
@@ -451,7 +558,7 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
                 if dirs is None:
                     dirs = _directions(rec.path for rec in active.values())
                 cap = resource.capacity_for(frozenset(dirs[rid]))
-            if used > cap * (1 + CAPACITY_REL_EPS):
+            if not used <= cap * (1 + CAPACITY_REL_EPS):  # a NaN is flagged
                 over.append((rid, f"{rid} carries {used} MB/s > capacity {cap}"))
         for _, message in sorted(over):
             violations.append(TraceViolation("capacity", t0, message))
@@ -481,7 +588,7 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
             else:
                 got = moved.get(event.flow_id, 0.0)
                 tol = max(BYTE_REL_TOL * rec.size_mb, 1e-6)
-                if abs(got - rec.size_mb) > tol:
+                if not abs(got - rec.size_mb) <= tol:  # a NaN is flagged
                     violations.append(
                         TraceViolation(
                             "byte-conservation",

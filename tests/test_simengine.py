@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -500,3 +501,160 @@ def test_completion_ties_processed_together_in_flow_id_order():
     ends = [e for e in trace.events if e.kind == "flow_end"]
     assert [e.flow_id for e in ends] == ["f0", "f1", "f2"]
     assert len({e.time for e in ends}) == 1
+
+
+def _random_run(rng, monkeypatch, check):
+    """One seeded engine run with ``check(sim)`` called after every reallocation.
+
+    Levels like 100/3 make the frozen-usage sums inexact; some resources are
+    asymmetric; equal sizes make several flows finish at once; paths may name
+    a resource twice; a completion hook and timers inject flows, and some
+    timers add nothing.
+    """
+    n_res = rng.randint(2, 8)
+    resources = {}
+    for i in range(n_res):
+        cap = rng.choice([10.0, 33.3, 100.0 / 3, 100.0, 125.0, 1000.0 / 7])
+        write = rng.choice([cap, cap / 2]) if rng.random() < 0.1 else cap
+        resources[f"r{i}"] = Resource(f"r{i}", read_capacity=cap, write_capacity=write)
+    ids = iter(rng.sample(range(1000), 60))
+
+    def spec():
+        hops = tuple(rng.choice(sorted(resources)) for _ in range(rng.randint(1, 4)))
+        size = rng.choice([100.0, 100.0, 250.0, rng.uniform(1.0, 500.0)])
+        return FlowSpec(f"f{next(ids):03d}", ResourcePath(hops, rng.choice(["read", "write"])), size)
+
+    def hook(sim, records, now):
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            sim.add_flow(spec(), now)
+
+    def timer(sim, now):
+        if rng.random() < 0.5:
+            sim.add_flow(spec(), now)
+
+    sim = Simulation(resources)
+    for _ in range(rng.randint(2, 20)):
+        sim.add_flow(spec(), rng.choice([0.0, 0.0, 1.0, rng.uniform(0.0, 20.0)]))
+    for _ in range(rng.randint(0, 3)):
+        sim.add_timer(rng.uniform(0.0, 30.0), timer)
+    real = Simulation._reallocate
+
+    def checked(sim):
+        real(sim)
+        check(sim)
+
+    with monkeypatch.context() as m:
+        m.setattr(Simulation, "_reallocate", checked)
+        try:
+            return sim.run(on_complete=hook)
+        except StopIteration:  # the run drew more than 60 flow ids
+            return None
+
+
+def test_warm_solve_equals_a_cold_solve_at_every_reallocation(monkeypatch):
+    warm = []
+    real_resolve = Simulation._resolve
+    monkeypatch.setattr(Simulation, "_resolve", lambda sim, *a: warm.append(1) or real_resolve(sim, *a))
+    checks = []
+
+    def check(sim):
+        want = allocate_rates(list(sim._active.values()), sim._effective_capacities())
+        assert {fid: f.rate for fid, f in sim._active.items()} == want, sim.now
+        checks.append(1)
+
+    rng = random.Random(2014)
+    runs = 0
+    for _ in range(400):
+        trace = _random_run(rng, monkeypatch, check)
+        if trace is None:
+            continue
+        runs += 1
+        assert verify_trace(trace) == []
+        batch: list[str] = []  # the rate_change events since the last other event
+        for e in trace.events + [TraceEvent(math.inf, "end", "", "", 0.0)]:
+            if e.kind == "rate_change":
+                batch.append(e.flow_id)
+            else:
+                assert batch == sorted(batch) and len(set(batch)) == len(batch), batch
+                batch = []
+    assert runs > 300 and len(checks) > 4000 and len(warm) > len(checks) / 2
+
+
+def test_warm_solves_re_solve_a_minority_of_the_flows(monkeypatch):
+    from storagesim.scenario import parse_scenario, run_scenario
+
+    # the local_write_wide shape: 16 hosts with one DFS VM each, 40 files of 1000 MB, local writes
+    doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml").read_text())
+    doc["topology"]["reference"]["n_hosts"] = doc["vms"][0]["count"] = 16
+    doc["dfsio"]["n_files"] = 40
+    assert doc["storage_config"] == "local" and doc["dfsio"]["mode"] == "write"
+    resolved: list[int] = []  # flows handed to the filling loop, one entry per call
+    steps: list[tuple[float, int, int]] = []  # (now, active flows, flows re-solved) per reallocation
+    cold: list[int] = []
+    real_fill, real_allocate = simengine._fill, simengine.allocate_rates
+    real_reallocate, real_run = Simulation._reallocate, Simulation.run
+
+    def fill(members, hops, *args):
+        resolved.append(len(hops))
+        return real_fill(members, hops, *args)
+
+    def allocate(flows, capacities):
+        cold.append(1)
+        return real_allocate(flows, capacities)
+
+    def reallocate(sim):
+        before = len(resolved)
+        real_reallocate(sim)
+        steps.append((sim.now, len(sim._active), sum(resolved[before:])))
+
+    def run_with_an_idle_timer(sim, on_complete=None):
+        sim.add_timer(7.25, lambda sim, now: None)
+        return real_run(sim, on_complete)
+
+    monkeypatch.setattr(simengine, "_fill", fill)
+    monkeypatch.setattr(simengine, "allocate_rates", allocate)
+    monkeypatch.setattr(Simulation, "_reallocate", reallocate)
+    monkeypatch.setattr(Simulation, "run", run_with_an_idle_timer)
+    trace = run_scenario(parse_scenario(doc)).trace
+
+    assert len(steps) > 50 and cold  # the first solve of the run goes through the module binding
+    assert sum(n for _, _, n in steps) <= 0.6 * sum(n for _, n, _ in steps)
+    flow_instants = {e.time for e in trace.events if e.kind in ("flow_start", "flow_end")}
+    idle = [n for now, _, n in steps if now not in flow_instants]
+    assert idle == [0]  # the timer's step started and ended no flow, so nothing was re-solved
+
+
+@pytest.mark.parametrize("at_time", [math.nan, math.inf])
+def test_non_finite_times_are_rejected_at_add(at_time):
+    sim = Simulation({"d1": res("d1", 100.0)})
+    with pytest.raises(ValueError):
+        sim.add_flow(FlowSpec("f", ResourcePath(("d1",), "write"), 100.0), at_time)
+    with pytest.raises(ValueError):
+        sim.add_timer(at_time, lambda sim, now: None)
+    assert sim.idle and sim.run().events == []
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf, -1.0])
+def test_negative_or_non_finite_sizes_are_rejected_at_add(size):
+    sim = Simulation({"d1": res("d1", 100.0)})
+    with pytest.raises(ValueError):
+        sim.add_flow(FlowSpec("f", ResourcePath(("d1",), "write"), size), 0.0)
+    sim.add_flow(FlowSpec("empty", ResourcePath(("d1",), "write"), 0.0), 0.0)
+    trace = sim.run()
+    assert trace.flows["empty"].end_time == 0.0 and verify_trace(trace) == []
+
+
+def test_verify_trace_flags_nan_bytes_and_rates():
+    def violations(size, rate):
+        trace = SimTrace(resources={"d1": res("d1", 100.0)})
+        trace.flows["a"] = FlowRecord("a", ResourcePath(("d1",), "write"), size, 0.0, 5.0, {})
+        trace.events = [
+            TraceEvent(0.0, "flow_start", "a", "", size),
+            TraceEvent(0.0, "rate_change", "a", "", rate),
+            TraceEvent(5.0, "flow_end", "a", "", size),
+        ]
+        return [v.code for v in verify_trace(trace)]
+
+    assert violations(500.0, 100.0) == []
+    assert violations(math.nan, 100.0) == ["byte-conservation"]
+    assert violations(500.0, math.nan) == ["capacity", "byte-conservation"]
