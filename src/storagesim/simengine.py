@@ -5,13 +5,19 @@ and links. At every arrival or completion the engine recomputes the
 max-min fair allocation by progressive filling (Bertsekas & Gallager,
 *Data Networks*, 6.5.2): all unfrozen flows rise together until some
 resource saturates, the flows crossing it freeze there, and the rest keep
-rising. Each resource's saturation level is cached and re-solved only
-when one of its flows freezes, its frozen usage summed at C level. A
-resource that reads as fast as it writes (every link, and every disk of
-the shipped scenarios) has one capacity for the whole run; only an
-asymmetric one is pooled over the directions of the flows crossing it,
-at each step. Between events rates are constant, so completion times are
-closed-form and runs are exactly reproducible.
+rising. The saturation levels sit in a heap, and a resource that a
+freeze touches is only marked stale: it is re-summed (at C level) when its
+old entry comes within a slack of a round's level, so a resource touched
+in several rounds is summed once. A freeze below a resource's level can
+only raise it, bar rounding far below the slack, so an old entry never
+hides a resource that saturates; and with no member changed since its last
+touch, the re-sum is the float a re-sum after every touch gives. The
+rounds, their levels and every rate are thus the floats of a full rescan
+every round (see ``_fill``). A resource that reads as fast as it writes
+(every link, and every disk of the shipped scenarios) has one capacity for
+the whole run; only an asymmetric one is pooled over the directions of the
+flows crossing it, at each step. Between events rates are constant, so
+completion times are closed-form and runs are exactly reproducible.
 
 The solve is warm-started. Filling rounds run in increasing level order,
 and a step can only change the rounds at or above a cut, the lowest of:
@@ -40,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -120,47 +126,94 @@ class IoFlow:
     rate: float = 0.0
 
 
+# Rounding can leave a re-summed saturation below its value before a freeze touched it,
+# by far less than this share of the fill's largest capacity (see `_fill`).
+LEVEL_KEY_SLACK = 1e-9
+
+
 def _fill(
     members: Mapping[str, dict[str, float]],
     hops: dict[str, tuple[str, ...]],
-    n_live: dict[str, int],
+    live: dict[str, set[str]],
     level: float,
     capacities: Mapping[str, float],
 ) -> dict[str, float]:
     """Progressive filling of the live flows ``hops`` upward from ``level``.
 
-    ``members`` maps each resource to ``{flow id: frozen rate, 0.0 while
-    live}`` in flow-id order, and ``n_live`` counts the live flows of each
-    resource that has any. Each frozen rate is written into ``members``;
-    returns the live flows' rates, in ``hops`` order.
+    ``members`` maps each resource to ``{flow id: rate}`` in flow-id order,
+    a live flow counting 0.0 until it freezes, when its rate is written
+    there. ``live`` maps each resource the live flows cross to those flows,
+    and is emptied as they freeze. Returns the live flows' rates, in
+    ``hops`` order.
+
+    A resource's saturation is ``(capacity - sum(members)) / live flows``.
+    Each round freezes, at the round's level, the live flows of every
+    resource whose saturation is at most that level: the least saturation,
+    never below the previous round's level.
+
+    The saturations sit in a heap of ``(saturation, resource id)``. A
+    resource that a freeze touches keeps its entry and is only marked
+    stale. A stale entry at the top is re-summed and put back. Once the top
+    is fresh, the round pops every entry up to ``slack`` above the level
+    the top gives, re-summing the stale ones, and its level is the least
+    saturation popped. So a stale resource whose re-sum ties the level, or
+    falls below the top's saturation, counts in that round. No member
+    changed since the last touch, so a re-sum is the float a re-sum after
+    every touch gives, and the rounds freeze the same flows at the same
+    floats as a full rescan every round.
+
+    Why no saturation lies more than ``slack`` below its entry: freezing
+    flows below a resource's saturation can only raise it, exactly by
+    ``(saturation - level) * frozen / still live``. A re-sum over ``m``
+    members rounds it by about ``m * 2**-53`` capacities, which over the
+    touches of a resource with ``n`` live flows adds up to under ``(m + 2)
+    * (ln n + 3) * 2**-53`` capacities: below ``LEVEL_KEY_SLACK`` for any
+    resource under 10**5 flows.
     """
     rates = dict.fromkeys(hops, 0.0)
-    unfrozen = set(rates)
-    saturation = {rid: (capacities[rid] - sum(members[rid].values())) / n for rid, n in n_live.items()}
-    # no math.inf guard: ResourcePath rejects empty paths, so `saturation` empties only when all flows froze
-    while saturation:
-        level = max(level, min(saturation.values()))
-        # no float-corner fallback: the argmin resource passes its own `<= level` test
-        newly_frozen = set()
-        for rid, lvl in saturation.items():
+    heap = [((capacities[rid] - sum(members[rid].values())) / len(fids), rid) for rid, fids in live.items()]
+    heapify(heap)
+    slack = LEVEL_KEY_SLACK * max(map(capacities.__getitem__, live), default=0.0)
+    stale: set[str] = set()  # touched by a freeze since its entry was summed
+    while heap:
+        least, rid = heap[0]
+        fids = live[rid]
+        if not fids:  # every flow of it froze at another resource
+            heappop(heap)
+            continue
+        if rid in stale:
+            stale.remove(rid)
+            heapreplace(heap, ((capacities[rid] - sum(members[rid].values())) / len(fids), rid))
+            continue
+        # The top is fresh. Every resource whose saturation is at most the
+        # round's level, which is at most `reach - slack`, has its entry within reach.
+        reach = (level if level > least else least) + slack
+        popped = []  # (saturation, resource id)
+        while heap and heap[0][0] <= reach:
+            lvl, rid = heappop(heap)
+            fids = live[rid]
+            if fids:
+                if rid in stale:
+                    stale.remove(rid)
+                    lvl = (capacities[rid] - sum(members[rid].values())) / len(fids)
+                if lvl < least:
+                    least = lvl
+                popped.append((lvl, rid))
+        if least > level:
+            level = least
+        newly_frozen: set[str] = set()
+        for lvl, rid in popped:
             if lvl <= level:
-                newly_frozen.update(members[rid])
-        newly_frozen &= unfrozen
-        unfrozen -= newly_frozen
-        touched = set()
+                newly_frozen |= live[rid]
+            else:
+                heappush(heap, (lvl, rid))
         for fid in newly_frozen:
             rates[fid] = level
             fhops = hops[fid]
             for rid in fhops:
                 members[rid][fid] = level
-                n_live[rid] -= 1
-            touched.update(fhops)
-        for rid in touched:
-            n = n_live[rid]
-            if n:
-                saturation[rid] = (capacities[rid] - sum(members[rid].values())) / n
-            else:
-                del saturation[rid]
+                live[rid].discard(fid)
+            stale.update(fhops)
     return rates
 
 
@@ -174,16 +227,16 @@ def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> 
     UnknownResourceError for a path resource with no capacity entry;
     entries for resources no flow crosses are never read.
 
-    Each resource caches its live (unfrozen) flow count and its saturation
-    level, ``(capacity - frozen usage) / live count``. Only the resources
-    crossed by a newly frozen flow are re-solved after a round. Exactness
-    contract: a re-solved frozen usage is the plain ``sum`` of its members'
-    rates in member (flow-id) order, a live member counting 0.0 (``x + 0.0
-    == x`` for every ``x >= 0``, so this is the sum over the frozen members
-    alone), never ``fsum`` or a running total, and no float depends on the
-    order of a set or of the inputs. The rates are therefore the same
-    floats for any order of ``flows`` and ``capacities``, and equal those
-    of a full rescan every round.
+    Each resource's saturation level is ``(capacity - frozen usage) / live
+    count``; ``_fill`` keeps the levels in a heap and re-sums a resource
+    touched by a freeze only when the round's level could reach it.
+    Exactness contract: a re-summed frozen usage is the plain ``sum`` of its
+    members' rates in member (flow-id) order, a live member counting 0.0
+    (``x + 0.0 == x`` for every ``x >= 0``, so this is the sum over the
+    frozen members alone), never ``fsum`` or a running total, and no float
+    depends on the order of a set or of the inputs. The rates are therefore
+    the same floats for any order of ``flows`` and ``capacities``, and equal
+    those of a full rescan every round.
     """
     flow_list = sorted(flows, key=attrgetter("flow_id"))
     # resource -> {flow id: its frozen rate, 0.0 while live}, keyed in flow-id order
@@ -200,7 +253,7 @@ def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> 
                 if rid not in capacities:
                     raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
 
-    return _fill(members, hops, {rid: len(fids) for rid, fids in members.items()}, 0.0, capacities)
+    return _fill(members, hops, {rid: set(fids) for rid, fids in members.items()}, 0.0, capacities)
 
 
 class TraceEvent(NamedTuple):
@@ -230,9 +283,25 @@ class SimTrace:
     resources: dict[str, Resource] = field(default_factory=dict)
 
     def csv_lines(self) -> list[str]:
+        """The header and one line per event; floats written by ``repr``.
+
+        A float is formatted once per run of events that hold the same
+        object in its column. A step stamps all of its events with one
+        ``now`` object, and the flows frozen in one filling round share the
+        round's level object, so most runs are long. Objects are compared by
+        identity (``is``), never by ``==``, so ``-0.0`` and ``0.0`` each keep
+        their own text.
+        """
         lines = ["time,event_kind,flow_id,resource_id,value"]
-        for e in self.events:
-            lines.append(f"{e.time!r},{e.kind},{e.flow_id},{e.resource_id},{e.value!r}")
+        append = lines.append
+        last_time = last_value = object()
+        time_text = value_text = ""
+        for time, kind, flow_id, resource_id, value in self.events:
+            if time is not last_time:
+                last_time, time_text = time, repr(time)
+            if value is not last_value:
+                last_value, value_text = value, repr(value)
+            append(f"{time_text},{kind},{flow_id},{resource_id},{value_text}")
         return lines
 
     def write_csv(self, path) -> None:
@@ -325,10 +394,10 @@ class Simulation:
         return not (self._pending or self._active)
 
     def progress(self) -> Iterator[tuple[FlowRecord, float]]:
-        """Each started flow, in flow-id order, with the MB it has moved by ``now``."""
-        for fid in sorted(self._trace.flows):
-            record = self._trace.flows[fid]
-            flow = self._active.get(fid)
+        """Each started flow, in start order, with the MB it has moved by ``now``."""
+        active = self._active
+        for fid, record in self._trace.flows.items():
+            flow = active.get(fid)
             yield record, record.size_mb if flow is None else flow.size_mb - flow.remaining_mb
 
     # -- internals ----------------------------------------------------------
@@ -406,13 +475,17 @@ class Simulation:
             elif r > level:
                 level = r
         hops: dict[str, tuple[str, ...]] = {}
-        n_live: dict[str, int] = {}
+        flows_of: dict[str, set[str]] = {}  # resource -> the live flows crossing it
         for fid in sorted(live):
             hops[fid] = fhops = live[fid].path.resources
             for rid in fhops:
                 members[rid][fid] = 0.0
-                n_live[rid] = n_live.get(rid, 0) + 1
-        return _fill(members, hops, n_live, level, capacities)
+                fids = flows_of.get(rid)
+                if fids is None:
+                    flows_of[rid] = {fid}
+                else:
+                    fids.add(fid)
+        return _fill(members, hops, flows_of, level, capacities)
 
     def _slack_per_rate(self) -> float:
         """A flow is due now once ``remaining_mb <= max(COMPLETION_EPS, rate * this)``.
@@ -534,70 +607,73 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
     prev_t = -math.inf
     active: dict[str, FlowRecord] = {}
     hops: dict[str, tuple[str, ...]] = {}  # each active flow's distinct resources; keyed like `active`
-    rate: dict[str, float] = {}
+    rate: dict[str, float] = {}  # holds every active flow: 0.0 from its start until its first rate_change
     moved: dict[str, float] = {}
+    limits: dict[str, float] = {}  # symmetric resource -> its capacity with the float slack
 
     def check_interval(t0: float, t1: float) -> None:
         dt = t1 - t0
         usage: dict[str, float] = {}
         used_by = usage.get
         for fid, fhops in hops.items():  # the active flows, in start order
-            r = rate.get(fid, 0.0)
+            r = rate[fid]
             for rid in fhops:
                 usage[rid] = used_by(rid, 0.0) + r
             moved[fid] += r * dt
         dirs = None  # gathered only if an asymmetric resource is in use
-        over: list[tuple[str, str]] = []  # (resource, message), sorted below
+        over: list[tuple[str, str]] = []  # (resource, message)
         for rid, used in usage.items():
+            limit = limits.get(rid)
+            if limit is not None and used <= limit:
+                continue
             resource = resources.get(rid)
             if resource is None:
                 over.append((rid, f"unknown resource {rid!r} in use"))
                 continue
             cap = resource.read_capacity
-            if cap != resource.write_capacity:
+            if cap == resource.write_capacity:
+                limit = limits[rid] = cap * (1 + CAPACITY_REL_EPS)
+            else:
                 if dirs is None:
                     dirs = _directions(rec.path for rec in active.values())
                 cap = resource.capacity_for(frozenset(dirs[rid]))
-            if not used <= cap * (1 + CAPACITY_REL_EPS):  # a NaN is flagged
+                limit = cap * (1 + CAPACITY_REL_EPS)
+            if not used <= limit:  # a NaN is flagged
                 over.append((rid, f"{rid} carries {used} MB/s > capacity {cap}"))
-        for _, message in sorted(over):
-            violations.append(TraceViolation("capacity", t0, message))
+        if over:
+            for _, message in sorted(over):
+                violations.append(TraceViolation("capacity", t0, message))
 
-    for event in trace.events:
-        if event.time < prev_t:
-            violations.append(
-                TraceViolation("monotonicity", event.time, f"timestamp {event.time} after {prev_t}")
-            )
+    for time, kind, fid, _, value in trace.events:
+        if time < prev_t:
+            violations.append(TraceViolation("monotonicity", time, f"timestamp {time} after {prev_t}"))
         else:
-            if event.time > prev_t and active:
-                check_interval(prev_t, event.time)
-            prev_t = event.time
+            if time > prev_t and active:
+                check_interval(prev_t, time)
+            prev_t = time
 
-        if event.kind == "flow_start":
-            rec = active[event.flow_id] = trace.flows.get(event.flow_id) or FlowRecord(
-                event.flow_id, ResourcePath(("?",), "read"), event.value, event.time, None, {}
+        if kind == "flow_start":
+            rec = active[fid] = trace.flows.get(fid) or FlowRecord(
+                fid, ResourcePath(("?",), "read"), value, time, None, {}
             )
-            hops[event.flow_id] = rec.path.resources
-            moved.setdefault(event.flow_id, 0.0)
-        elif event.kind == "rate_change":
-            rate[event.flow_id] = event.value
-        elif event.kind == "flow_end":
-            rec = active.pop(event.flow_id, None)
+            hops[fid] = rec.path.resources
+            rate.setdefault(fid, 0.0)
+            moved.setdefault(fid, 0.0)
+        elif kind == "rate_change":
+            rate[fid] = value
+        elif kind == "flow_end":
+            rec = active.pop(fid, None)
             if rec is None:
-                violations.append(TraceViolation("unmatched-flow", event.time, f"end without start: {event.flow_id}"))
+                violations.append(TraceViolation("unmatched-flow", time, f"end without start: {fid}"))
             else:
-                got = moved.get(event.flow_id, 0.0)
+                got = moved.get(fid, 0.0)
                 tol = max(BYTE_REL_TOL * rec.size_mb, 1e-6)
                 if not abs(got - rec.size_mb) <= tol:  # a NaN is flagged
                     violations.append(
-                        TraceViolation(
-                            "byte-conservation",
-                            event.time,
-                            f"flow {event.flow_id} moved {got} MB of {rec.size_mb} MB",
-                        )
+                        TraceViolation("byte-conservation", time, f"flow {fid} moved {got} MB of {rec.size_mb} MB")
                     )
-            rate.pop(event.flow_id, None)
-            hops.pop(event.flow_id, None)
+            rate.pop(fid, None)
+            hops.pop(fid, None)
         # snapshot events are informational markers
 
     for fid in active:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import merge
+from bisect import bisect_right
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -87,6 +87,8 @@ def plan_snapshots(
     records: list[SnapshotRecord] = []
     covered: dict[str, float] = {}  # volume id -> MB captured so far
     k = 0  # boundaries passed
+    # The topology stays fixed during a run, so each host's path to the controller is resolved once.
+    host_links: dict[str, tuple[str, ...]] = {}  # host -> management-link resources to the controller
 
     def take(sim: Simulation, now: float) -> None:
         nonlocal k
@@ -99,9 +101,11 @@ def plan_snapshots(
             covered[vol_id] = written
             flow_id = f"snap.{vol_id}.{k:03d}"
             host_id, disk_id = volumes[vol_id].backing
-            links = tuple(
-                link_resource_id(l.id) for l in management_path(topology, host_id, topology.controller.id)
-            )
+            links = host_links.get(host_id)
+            if links is None:
+                links = host_links[host_id] = tuple(
+                    link_resource_id(l.id) for l in management_path(topology, host_id, topology.controller.id)
+                )
             sink = disk_resource_id(topology.controller.id, topology.controller.disks[0].id)
             resources = (disk_resource_id(host_id, disk_id),) + links + (sink,)
             if policy.bandwidth_cap is not None:
@@ -125,15 +129,19 @@ def plan_snapshots(
 
 
 def merge_snapshot_events(trace: SimTrace, records: Iterable[SnapshotRecord]) -> SimTrace:
-    """Splice snapshot marker events into a time-ordered trace, in one pass.
+    """Splice snapshot marker events into a time-ordered trace, in place.
 
     Records must be in ``taken_at`` order; a marker follows the trace's
-    events at its instant.
+    events at its instant, and markers of one instant keep their order.
     """
-    markers = (
-        TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied) for r in records
-    )
-    trace.events = list(merge(trace.events, markers, key=attrgetter("time")))
+    events = trace.events
+    spliced: list[tuple[int, TraceEvent]] = []  # (index in the unspliced trace, marker)
+    at = 0
+    for r in records:
+        at = bisect_right(events, r.taken_at, lo=at, key=attrgetter("time"))
+        spliced.append((at, TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied)))
+    for at, marker in reversed(spliced):  # from the back, so each index still holds
+        events.insert(at, marker)
     return trace
 
 

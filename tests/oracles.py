@@ -3,10 +3,18 @@
 These deliberately use different algorithm structure than the package:
 the fair-share oracle raises rates by explicit uniform increments instead
 of solving saturation levels, and the metric oracles are the naive direct
-formulas. They must stay independent of the code paths they audit.
+formulas. The trace references are the plain one-pass forms of the
+package's trace writer and audit, kept so that their faster forms can be
+checked for byte-equal output. They must stay independent of the code
+paths they audit.
 """
 
 from __future__ import annotations
+
+import math
+
+from storagesim.simengine import BYTE_REL_TOL, CAPACITY_REL_EPS, FlowRecord, SimTrace, TraceViolation
+from storagesim.volumes import ResourcePath
 
 EPS = 1e-12
 
@@ -82,3 +90,87 @@ def throughput_oracle(sizes: list[float], times: list[float]) -> float:
 
 def avg_rate_oracle(sizes: list[float], times: list[float]) -> float:
     return sum(s / t for s, t in zip(sizes, times)) / len(sizes)
+
+
+def csv_lines_reference(trace: SimTrace) -> list[str]:
+    """``SimTrace.csv_lines`` formatting every field of every event."""
+    lines = ["time,event_kind,flow_id,resource_id,value"]
+    for e in trace.events:
+        lines.append(f"{e.time!r},{e.kind},{e.flow_id},{e.resource_id},{e.value!r}")
+    return lines
+
+
+def verify_trace_reference(trace: SimTrace) -> list[TraceViolation]:
+    """``verify_trace`` re-checking every resource in use at every interval."""
+    violations: list[TraceViolation] = []
+    resources = trace.resources
+    prev_t = -math.inf
+    active: dict[str, FlowRecord] = {}
+    hops: dict[str, tuple[str, ...]] = {}
+    rate: dict[str, float] = {}
+    moved: dict[str, float] = {}
+
+    def directions() -> dict[str, set[str]]:
+        dirs: dict[str, set[str]] = {}
+        for rec in active.values():
+            for rid in rec.path.resources:
+                dirs.setdefault(rid, set()).add(rec.path.direction)
+        return dirs
+
+    def check_interval(t0: float, t1: float) -> None:
+        dt = t1 - t0
+        usage: dict[str, float] = {}
+        for fid, fhops in hops.items():
+            r = rate.get(fid, 0.0)
+            for rid in fhops:
+                usage[rid] = usage.get(rid, 0.0) + r
+            moved[fid] += r * dt
+        over: list[tuple[str, str]] = []
+        for rid, used in usage.items():
+            resource = resources.get(rid)
+            if resource is None:
+                over.append((rid, f"unknown resource {rid!r} in use"))
+                continue
+            cap = resource.read_capacity
+            if cap != resource.write_capacity:
+                cap = resource.capacity_for(frozenset(directions()[rid]))
+            if not used <= cap * (1 + CAPACITY_REL_EPS):
+                over.append((rid, f"{rid} carries {used} MB/s > capacity {cap}"))
+        for _, message in sorted(over):
+            violations.append(TraceViolation("capacity", t0, message))
+
+    for event in trace.events:
+        if event.time < prev_t:
+            violations.append(TraceViolation("monotonicity", event.time, f"timestamp {event.time} after {prev_t}"))
+        else:
+            if event.time > prev_t and active:
+                check_interval(prev_t, event.time)
+            prev_t = event.time
+
+        if event.kind == "flow_start":
+            rec = active[event.flow_id] = trace.flows.get(event.flow_id) or FlowRecord(
+                event.flow_id, ResourcePath(("?",), "read"), event.value, event.time, None, {}
+            )
+            hops[event.flow_id] = rec.path.resources
+            moved.setdefault(event.flow_id, 0.0)
+        elif event.kind == "rate_change":
+            rate[event.flow_id] = event.value
+        elif event.kind == "flow_end":
+            rec = active.pop(event.flow_id, None)
+            if rec is None:
+                violations.append(TraceViolation("unmatched-flow", event.time, f"end without start: {event.flow_id}"))
+            else:
+                got = moved.get(event.flow_id, 0.0)
+                tol = max(BYTE_REL_TOL * rec.size_mb, 1e-6)
+                if not abs(got - rec.size_mb) <= tol:
+                    violations.append(
+                        TraceViolation(
+                            "byte-conservation", event.time, f"flow {event.flow_id} moved {got} MB of {rec.size_mb} MB"
+                        )
+                    )
+            rate.pop(event.flow_id, None)
+            hops.pop(event.flow_id, None)
+
+    for fid in active:
+        violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))
+    return violations

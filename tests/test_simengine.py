@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from oracles import bottleneck_violations, maxmin_fill_oracle
+from oracles import bottleneck_violations, csv_lines_reference, maxmin_fill_oracle, verify_trace_reference
 from storagesim import simengine
 from storagesim.cli import main
 from storagesim.errors import SimulationStalledError, UnknownResourceError, UnresolvablePathError
@@ -165,6 +165,95 @@ def test_allocation_equals_the_generator_resum_exactly():
         assert list(got) == list(want)  # flow-id order, which the engine relies on
         multi_round += len(set(want.values())) > 2
     assert multi_round > 150  # most instances freeze flows at several distinct levels
+
+
+def test_a_stale_resource_that_ties_the_level_freezes_in_that_round():
+    # Round 1 freezes y at 33.33333333333333 on "s" and leaves "stale" re-summing to
+    # 33.333333333333336, the same float as the fresh resource's level in round 2.
+    # Both freeze there; deferring "stale" to round 3 would re-sum it after x froze
+    # and give z 33.33333333333334.
+    low, high = 33.33333333333333, 100.0 / 3  # adjacent floats
+    assert low == math.nextafter(high, 0.0)
+    assert (100.0 - low) / 2 == high
+    for fresh, stale in (("a", "b"), ("b", "a")):  # the stale entry within reach, or at the top
+        caps = {"s": low, stale: 100.0, fresh: 100.0}
+        flows = [
+            flow("p", [fresh]),
+            flow("q", [fresh]),
+            flow("x", [fresh, stale]),
+            flow("y", ["s", stale]),
+            flow("z", [stale]),
+        ]
+        want = {"p": high, "q": high, "x": high, "y": low, "z": high}
+        assert _generator_resum_rates(flows, caps) == want
+        assert allocate_rates(flows, caps) == want
+
+
+def test_a_re_sum_below_its_old_entry_still_sets_the_round():
+    # Freezing y one or two ulps below resource b's saturation re-sums b an ulp *lower*
+    # (a float corner of the drift `_fill` bounds by its slack). Then:
+    k = 90.0 / 7
+    low = math.nextafter(k, 0.0)
+    assert (90.0 - low) / 6 == low < k
+    # b's old entry ties the fresh resource a at k, and its re-sum lowers round 2's level to `low`.
+    caps = {"s": low, "b": 90.0, "a": k}
+    flows = [flow("w", ["a"]), flow("y", ["s", "b"])] + [flow(f"z{i}", ["b"]) for i in range(6)]
+    want = dict.fromkeys(["w"], k) | dict.fromkeys(["y"] + [f"z{i}" for i in range(6)], low)
+    assert _generator_resum_rates(flows, caps) == want
+    assert allocate_rates(flows, caps) == want
+
+    # b's old entry lies above round 2's level, yet its re-sum equals that level: the slack
+    # must reach it, or x freezes alone and the z flows get another float one round later.
+    k = 0.3 / 7
+    low = math.nextafter(math.nextafter(k, 0.0), 0.0)
+    mid = (0.3 - low) / 6
+    assert low < mid < k
+    caps = {"s": low, "b": 0.3, "a": mid}
+    flows = [flow("x", ["a", "b"]), flow("y", ["s", "b"])] + [flow(f"z{i}", ["b"]) for i in range(5)]
+    want = {"x": mid, "y": low} | {f"z{i}": mid for i in range(5)}
+    assert _generator_resum_rates(flows, caps) == want
+    assert allocate_rates(flows, caps) == want
+
+
+def test_a_warm_fill_from_a_kept_level_equals_the_generator_resum():
+    # Keep every flow the full solve froze below a cut, at its rate, and re-fill the
+    # rest upward from the highest kept rate: the same rounds give the same floats.
+    def check(flows, caps):
+        want = _generator_resum_rates(flows, caps)
+        for cut in sorted(set(want.values()))[1:]:
+            members: dict[str, dict[str, float]] = {}
+            hops, live = {}, {}
+            for f in sorted(flows, key=lambda f: f.flow_id):
+                kept = want[f.flow_id] < cut
+                for rid in f.path.resources:
+                    members.setdefault(rid, {})[f.flow_id] = want[f.flow_id] if kept else 0.0
+                    if not kept:
+                        live.setdefault(rid, set()).add(f.flow_id)
+                if not kept:
+                    hops[f.flow_id] = f.path.resources
+            level = max(r for r in want.values() if r < cut)
+            assert level > 0.0
+            got = simengine._fill(members, hops, live, level, caps)
+            assert got == {fid: want[fid] for fid in hops}, (cut, [f.path.resources for f in flows], caps)
+            assert all(members[rid][fid] == want[fid] for fid in hops for rid in hops[fid])
+        return len(want) > 1
+
+    # by hand: three levels, 10 on "a", 20 on "b" and 45 on "c"
+    assert check(
+        [flow("f1", ["a"]), flow("f2", ["a", "b"]), flow("f3", ["b", "c"]), flow("f4", ["c"]), flow("f5", ["b"])],
+        {"a": 20.0, "b": 50.0, "c": 75.0},
+    )
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(150):
+        levels = [10.0, 33.3, 100.0 / 3, 100.0, 125.0, 1000.0 / 7]
+        caps = {f"r{i}": rng.choice(levels) for i in range(rng.randint(2, 6))}
+        flows = [
+            flow(f"f{j:02d}", [rng.choice(sorted(caps)) for _ in range(rng.randint(1, 4))])
+            for j in range(rng.randint(2, 20))
+        ]
+        checked += check(flows, caps)
+    assert checked > 100
 
 
 def _count_directions_calls(monkeypatch):
@@ -471,6 +560,97 @@ def test_csv_round_trip_format():
     assert lines[0] == "time,event_kind,flow_id,resource_id,value"
     kinds = [line.split(",")[1] for line in lines[1:]]
     assert kinds == ["flow_start", "rate_change", "flow_end"]
+
+
+def test_csv_lines_equal_the_reference_byte_for_byte():
+    zero, neg_zero = 0.0, -0.0
+    t1, t1_copy = 1.5, float("1.5")  # equal floats, distinct objects
+    nan = math.nan
+    trace = SimTrace()
+    trace.events = [
+        TraceEvent(neg_zero, "flow_start", "a", "", 10.0),
+        TraceEvent(zero, "flow_start", "b", "", 10.0),  # == the time before it, printed differently
+        TraceEvent(zero, "rate_change", "a", "", nan),
+        TraceEvent(zero, "rate_change", "b", "", -0.0),
+        TraceEvent(t1, "rate_change", "a", "", 1e-300),
+        TraceEvent(t1_copy, "flow_end", "b", "", 10.0),
+        TraceEvent(t1_copy, "snapshot", "snap.v1", "v1", 2.5),
+        TraceEvent(t1, "snapshot", "snap.v2", "v2", 1.0 / 3),
+        TraceEvent(nan, "rate_change", "a", "", math.inf),
+        TraceEvent(float("nan"), "rate_change", "a", "", -math.inf),
+        TraceEvent(nan, "flow_end", "a", "", 10.0),
+        TraceEvent(t1, "rate_change", "c", "", zero),  # values: -0.0 after 0.0, equal but distinct objects
+        TraceEvent(t1, "rate_change", "d", "", neg_zero),
+        TraceEvent(t1, "rate_change", "e", "", t1),
+        TraceEvent(t1, "rate_change", "f", "", t1_copy),
+        TraceEvent(t1, "rate_change", "g", "", 3),
+    ]
+    lines = trace.csv_lines()
+    assert lines == csv_lines_reference(trace)
+    assert [line.split(",")[0] for line in lines[1:4]] == ["-0.0", "0.0", "0.0"]
+    assert [line.split(",")[-1] for line in lines[-5:-2]] == ["0.0", "-0.0", "1.5"]
+    assert run({"d1": res("d1", 100.0)}, []).csv_lines() == csv_lines_reference(SimTrace())
+
+
+def _corrupted_traces(seed, n):
+    """Seeded engine traces, each with one to three faults an audit must report exactly."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        resources = {}
+        for i in range(rng.randint(1, 5)):
+            cap = rng.choice([10.0, 100.0 / 3, 100.0, 125.0])
+            write = cap / 2 if rng.random() < 0.3 else cap  # some disks read faster than they write
+            resources[f"r{i}"] = Resource(f"r{i}", read_capacity=cap, write_capacity=write)
+        workload = []
+        for j in range(rng.randint(1, 8)):
+            hops = tuple(rng.choice(sorted(resources)) for _ in range(rng.randint(1, 3)))
+            path = ResourcePath(hops, rng.choice(["read", "write"]))
+            size = rng.choice([50.0, 100.0, rng.uniform(1.0, 300.0)])
+            workload.append((FlowSpec(f"f{j}", path, size), rng.choice([0.0, 2.0, rng.uniform(0.0, 5.0)])))
+        trace = run(resources, workload)
+        events = trace.events
+        for _ in range(rng.randint(1, 3)):
+            fault = rng.choice(
+                ["drop", "duplicate", "reorder", "inflate", "nan", "unknown", "asymmetric", "marker", "stranger"]
+            )
+            i = rng.randrange(len(events))
+            e = events[i]
+            if fault == "drop":
+                del events[i]
+            elif fault == "duplicate":
+                events.insert(i, e)
+            elif fault == "reorder":
+                events.insert(rng.randrange(len(events)), events.pop(i))
+            elif fault == "inflate" and e.kind == "rate_change":
+                events[i] = e._replace(value=e.value * rng.choice([1.5, 1 + 1e-6, 3.0]))
+            elif fault == "nan":
+                events[i] = e._replace(**{rng.choice(["time", "value"]): math.nan})
+            elif fault == "unknown" and trace.resources:
+                del trace.resources[rng.choice(sorted(trace.resources))]
+            elif fault == "asymmetric" and trace.resources:
+                rid = rng.choice(sorted(trace.resources))
+                cap = trace.resources[rid].read_capacity
+                trace.resources[rid] = Resource(rid, read_capacity=cap * 2, write_capacity=cap / 2)
+            elif fault == "marker":
+                events.insert(i, TraceEvent(e.time, "snapshot", "snap.v", "v", 5.0))
+            elif fault == "stranger":  # a flow the trace has no record of
+                events.insert(i, TraceEvent(e.time, "flow_start", "ghost", "", 10.0))
+            if not events:
+                break
+        yield trace
+
+
+def test_verify_trace_equals_the_reference_on_corrupted_traces():
+    def report(violations):
+        return [(v.code, repr(v.time), v.message) for v in violations]
+
+    codes = set()
+    for trace in _corrupted_traces(2014, 200):
+        want = report(verify_trace_reference(trace))
+        assert report(verify_trace(trace)) == want
+        assert trace.csv_lines() == csv_lines_reference(trace)
+        codes.update(code for code, _, _ in want)
+    assert codes == {"monotonicity", "capacity", "byte-conservation", "unmatched-flow"}
 
 
 def test_duplicate_hops_reserve_capacity_once():

@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import os
@@ -15,10 +16,11 @@ from storagesim import cli
 from storagesim import scenario as scenario_mod
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.dfs import DfsConfig
-from storagesim.simengine import verify_trace
+from storagesim.simengine import SimTrace, TraceEvent, verify_trace
 from storagesim.snapshot import (
     SnapshotPolicy,
     SnapshotRecord,
+    merge_snapshot_events,
     network_bytes,
     overhead_comparison,
     recoverable_bytes,
@@ -194,6 +196,21 @@ def test_merge_snapshot_events_keeps_time_order():
     # a marker follows every event of its instant, the transfer's start included
     for i in markers:
         assert all(e.kind == "snapshot" for e in events[i + 1 :] if e.time == events[i].time)
+
+
+def test_merge_snapshot_events_equals_a_stable_merge_by_time():
+    rng = random.Random(5)
+    for _ in range(50):
+        times = sorted(rng.choice([0.0, 1.0, 2.5, 4.0, 7.0]) for _ in range(rng.randint(0, 12)))
+        events = [TraceEvent(t, "flow_start", f"f{i}", "", 1.0) for i, t in enumerate(times)]
+        # markers before, between, at and after the events' instants; several per instant
+        taken = sorted(rng.choice([-1.0, 0.0, 1.0, 3.0, 4.0, 9.0]) for _ in range(rng.randint(0, 6)))
+        records = [SnapshotRecord(f"v{i}", t, 1.0) for i, t in enumerate(taken)]
+        markers = [
+            TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied) for r in records
+        ]
+        want = list(heapq.merge(events, markers, key=lambda e: e.time))
+        assert merge_snapshot_events(SimTrace(events=list(events)), records).events == want
 
 
 # -- snapshots inside a full run ------------------------------------------------
