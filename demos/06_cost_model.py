@@ -20,7 +20,7 @@ from storagesim.cost import (
 )
 from storagesim.scenario import compare, load_scenario, render_comparison_table
 
-prices = PriceTable()  # $0.24/h m1.large, $0.10 per million ops, $0.10 per IOPS-month
+prices = PriceTable()  # $0.24/h m1.large, $0.10 per million ops on standard networked volumes
 print("price table:", prices)
 
 ephemeral = compute_cost(UsageRecord(instance_hours=1.0, io_ops=1_000_000, storage=StorageBilling(EPHEMERAL_LOCAL)), prices)

@@ -13,7 +13,6 @@ from .dfs import (
     DfsConfig,
     DfsFile,
     ReplicaCoLocationWarning,
-    dfs_members,
     place_file,
     place_replicas,
     rack_spread,

@@ -1,6 +1,7 @@
-"""Command-line front end: run, compare, cost, and validate scenarios.
+"""Command-line front end: run, compare, and validate scenarios.
 
-Outputs are machine-first (result.json, trace.csv, cost.json); the tables
+Outputs are machine-first (result.json, tasks.csv, trace.csv from ``run``;
+comparison.json and one trace per config from ``compare``); the lines
 printed to stdout are renderings of the same data. Exit codes: 0 ok,
 2 scenario parse error, 3 validation error, 4 internal invariant
 violation (a produced trace failing its own audit) or internal error,
@@ -61,14 +62,6 @@ def _emit_run(run: ScenarioRun, out: Path) -> None:
     lines = ["task_index,file_size_mb,elapsed_s,rate_mbps"]
     lines += [f"{s.task_index},{s.file_size_mb!r},{s.elapsed_s!r},{s.rate!r}" for s in run.stats]
     (out / "tasks.csv").write_text("\n".join(lines) + "\n")
-    _write_json(out / "cost.json", run.cost.to_dict() | {"io_ops": run.io_ops})
-
-
-def _emit_gnuplot(runs: dict[str, ScenarioRun], path: Path) -> None:
-    lines = ["# config throughput_mbps avg_io_rate_mbps"]
-    for name, run in runs.items():
-        lines.append(f"{name} {run.result.throughput_mbps!r} {run.result.avg_io_rate_mbps!r}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_run(scenario: Scenario, args) -> int:
@@ -76,8 +69,6 @@ def cmd_run(scenario: Scenario, args) -> int:
     _verify_or_fail(run)
     out = Path(args.out)
     _emit_run(run, out)
-    if args.emit_gnuplot_data:
-        _emit_gnuplot({run.config: run}, out / "gnuplot.dat")
     print(
         f"{run.config}: throughput {run.result.throughput_mbps:.3f} MB/s, "
         f"avg rate {run.result.avg_io_rate_mbps:.3f} MB/s, "
@@ -95,20 +86,7 @@ def cmd_compare(scenario: Scenario, args) -> int:
     _write_json(out / "comparison.json", report.to_dict())
     for name, run in report.runs.items():
         run.trace.write_csv(out / f"trace_{name}.csv")  # reports stay recomputable
-    if args.emit_gnuplot_data:
-        _emit_gnuplot(report.runs, out / "gnuplot.dat")
     print(render_comparison_table(report))
-    return EXIT_OK
-
-
-def cmd_cost(scenario: Scenario, args) -> int:
-    run = run_scenario(scenario)
-    _verify_or_fail(run)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "cost.json", run.cost.to_dict() | {"io_ops": run.io_ops})
-    print(f"{'config':<18} {'instance $':>12} {'storage $':>12} {'total $':>10}")
-    print(f"{run.cost.config:<18} {run.cost.instance_cost:>12.4f} {run.cost.storage_cost:>12.4f} {run.cost.total:>10.4f}")
     return EXIT_OK
 
 
@@ -125,16 +103,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text in (
-        ("run", cmd_run, "run one scenario and emit result.json, trace.csv, cost.json"),
+        ("run", cmd_run, "run one scenario and emit result.json, tasks.csv, trace.csv"),
         ("compare", cmd_compare, "run the same workload under several storage configs"),
-        ("cost", cmd_cost, "price a scenario run"),
         ("validate", cmd_validate, "parse and validate a scenario without running it"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="path to the scenario YAML file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--emit-gnuplot-data", action="store_true", help="write bar-chart columns")
+        if name != "validate":  # build_state never reads the seed
+            p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         if name == "compare":
             p.add_argument(
                 "--configs",
@@ -163,7 +140,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             scenario.seed = args.seed
         return args.handler(scenario, args)
     except ScenarioParseError as e:

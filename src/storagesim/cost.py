@@ -1,11 +1,11 @@
 """Price a benchmark run: instance hours plus per-operation volume charges.
 
 The default prices are the 2013 North Virginia numbers the comparison was
-built on: $0.24/hour for an m1.large, $0.10 per million I/O operations on
-standard networked volumes, $0.10 per provisioned IOPS-month. Local
-(ephemeral) storage is bundled into the instance price, which is the
-entire cost case for it: a one-hour run doing a million I/O operations
-costs $0.34 on networked volumes and $0.24 on local disks, 29% less.
+built on: $0.24/hour for an m1.large and $0.10 per million I/O operations
+on standard networked volumes. Local (ephemeral) storage is bundled into
+the instance price, which is the entire cost case for it: a one-hour run
+doing a million I/O operations costs $0.34 on networked volumes and $0.24
+on local disks, 29% less.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .simengine import SimTrace
 
 EPHEMERAL_LOCAL = "ephemeral_local"
 EBS_STANDARD = "ebs_standard"
-EBS_PROVISIONED = "ebs_provisioned"
 
 KB_PER_MB = 1024.0
 DEFAULT_OP_SIZE_KB = 64.0
@@ -27,17 +26,16 @@ DEFAULT_OP_SIZE_KB = 64.0
 class PriceTable:
     instance_per_hour: float = 0.24
     ebs_standard_per_million_ops: float = 0.10
+    # Accepted in a scenario's ``prices`` but never billed: runs only use local or standard volumes.
     ebs_provisioned_per_iops_month: float = 0.10
 
 
 @dataclass(frozen=True)
 class StorageBilling:
-    kind: str  # ephemeral_local | ebs_standard | ebs_provisioned
-    provisioned_iops: float = 0.0
-    months: float = 0.0
+    kind: str  # ephemeral_local | ebs_standard
 
     def __post_init__(self):
-        if self.kind not in (EPHEMERAL_LOCAL, EBS_STANDARD, EBS_PROVISIONED):
+        if self.kind not in (EPHEMERAL_LOCAL, EBS_STANDARD):
             raise ValueError(f"unknown storage billing kind {self.kind!r}")
 
 
@@ -70,16 +68,14 @@ class CostReport:
 def compute_cost(usage: UsageRecord, prices: PriceTable = PriceTable()) -> CostReport:
     """Instance hours round up; storage is billed by the volume class.
 
-    Local storage adds nothing, standard networked volumes charge per
-    million operations, provisioned ones per IOPS-month.
+    Local storage adds nothing; standard networked volumes charge per
+    million operations.
     """
     instance_cost = math.ceil(usage.instance_hours) * prices.instance_per_hour
     if usage.storage.kind == EPHEMERAL_LOCAL:
         storage_cost = 0.0
-    elif usage.storage.kind == EBS_STANDARD:
-        storage_cost = (usage.io_ops / 1_000_000) * prices.ebs_standard_per_million_ops
     else:
-        storage_cost = usage.storage.provisioned_iops * usage.storage.months * prices.ebs_provisioned_per_iops_month
+        storage_cost = (usage.io_ops / 1_000_000) * prices.ebs_standard_per_million_ops
     return CostReport(config=usage.storage.kind, instance_cost=instance_cost, storage_cost=storage_cost)
 
 

@@ -138,23 +138,6 @@ class ClusterState:
         return f"vol{self.vol_seq:03d}"
 
 
-def capacity_violations(state: ClusterState) -> list[str]:
-    """Committed-resources-over-total violations; empty when healthy."""
-    out = []
-    for host in state.topology.hosts:
-        if state.free_vcpus(host.id) < 0:
-            out.append(f"host {host.id} vcpus overcommitted")
-        if state.free_ram_gb(host.id) < -1e-9:
-            out.append(f"host {host.id} ram overcommitted")
-        for disk in host.disks + host.local_persistent_group:
-            if state.disk_free_gb(host.id, disk.id) < -1e-9:
-                out.append(f"disk {host.id}/{disk.id} overcommitted")
-    for disk in state.topology.controller.disks:
-        if state.disk_free_gb(state.topology.controller.id, disk.id) < -1e-9:
-            out.append(f"controller disk {disk.id} overcommitted")
-    return out
-
-
 def _fits(state: ClusterState, host: PhysicalHost, spec: VmSpec) -> DiskSpec | None:
     """The disk of ``host`` that takes ``spec``'s root and ephemeral storage.
 

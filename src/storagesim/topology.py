@@ -84,9 +84,6 @@ class ClusterTopology:
     def management_links(self) -> tuple[NetworkLink, ...]:
         return tuple(l for l in self.links if l.role == ROLE_MANAGEMENT)
 
-    def host_ids(self) -> tuple[str, ...]:
-        return tuple(h.id for h in self.hosts)
-
 
 @dataclass(frozen=True)
 class TopologyIssue:

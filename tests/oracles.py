@@ -3,16 +3,18 @@
 These deliberately use different algorithm structure than the package:
 the fair-share oracle raises rates by explicit uniform increments instead
 of solving saturation levels, and the metric oracles are the naive direct
-formulas. The trace references are the plain one-pass forms of the
-package's trace writer and audit, kept so that their faster forms can be
-checked for byte-equal output. They must stay independent of the code
-paths they audit.
+formulas. The capacity oracle checks every committed resource against its
+total after placement. The trace references are the plain one-pass forms
+of the package's trace writer and audit, kept so that their faster forms
+can be checked for byte-equal output. They must stay independent of the
+code paths they audit.
 """
 
 from __future__ import annotations
 
 import math
 
+from storagesim.placement import ClusterState
 from storagesim.simengine import BYTE_REL_TOL, CAPACITY_REL_EPS, FlowRecord, SimTrace, TraceViolation
 from storagesim.volumes import ResourcePath
 
@@ -90,6 +92,23 @@ def throughput_oracle(sizes: list[float], times: list[float]) -> float:
 
 def avg_rate_oracle(sizes: list[float], times: list[float]) -> float:
     return sum(s / t for s, t in zip(sizes, times)) / len(sizes)
+
+
+def capacity_violations(state: ClusterState) -> list[str]:
+    """Committed-resources-over-total violations; empty when healthy."""
+    out = []
+    for host in state.topology.hosts:
+        if state.free_vcpus(host.id) < 0:
+            out.append(f"host {host.id} vcpus overcommitted")
+        if state.free_ram_gb(host.id) < -1e-9:
+            out.append(f"host {host.id} ram overcommitted")
+        for disk in host.disks + host.local_persistent_group:
+            if state.disk_free_gb(host.id, disk.id) < -1e-9:
+                out.append(f"disk {host.id}/{disk.id} overcommitted")
+    for disk in state.topology.controller.disks:
+        if state.disk_free_gb(state.topology.controller.id, disk.id) < -1e-9:
+            out.append(f"controller disk {disk.id} overcommitted")
+    return out
 
 
 def csv_lines_reference(trace: SimTrace) -> list[str]:

@@ -301,7 +301,7 @@ def test_criterion_8_migration_disabled_leaves_state_unchanged():
                 break  # cluster is full; what is placed suffices
         snapshot_before = state.clone()
         vm_id = rng.choice(sorted(state.instances))
-        target = rng.choice(state.topology.host_ids())
+        target = rng.choice([h.id for h in state.topology.hosts])
         with pytest.raises(MigrationDisabledError):
             migrate_vm(state, vm_id, target)
         assert state == snapshot_before

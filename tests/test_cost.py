@@ -3,7 +3,6 @@ import random
 import pytest
 
 from storagesim.cost import (
-    EBS_PROVISIONED,
     EBS_STANDARD,
     EPHEMERAL_LOCAL,
     CostReport,
@@ -46,12 +45,6 @@ def test_two_hours_three_million_ops():
 def test_fractional_hours_round_up():
     report = compute_cost(usage(1.01, 0, StorageBilling(EPHEMERAL_LOCAL)), TABLE)
     assert report.instance_cost == pytest.approx(0.48)
-
-
-def test_provisioned_iops_billing():
-    billing = StorageBilling(EBS_PROVISIONED, provisioned_iops=1000.0, months=2.0)
-    report = compute_cost(usage(1.0, 0, billing), TABLE)
-    assert report.storage_cost == pytest.approx(1000.0 * 2.0 * 0.10)
 
 
 def test_cost_linear_in_io_ops_for_standard_and_flat_for_local():

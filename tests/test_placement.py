@@ -5,11 +5,11 @@ from dataclasses import replace
 import pytest
 
 from helpers import PINNED_VM, SMALL_VM
+from oracles import capacity_violations
 from storagesim.errors import InsufficientCapacityError, MigrationDisabledError, NoCandidateHostError
 from storagesim.placement import (
     ClusterState,
     VmSpec,
-    capacity_violations,
     filter_hosts,
     migrate_vm,
     place_vm,

@@ -25,7 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from storagesim.cli import main  # noqa: E402
 
-OUTPUTS = ("result.json", "trace.csv", "tasks.csv", "cost.json")
+OUTPUTS = ("result.json", "trace.csv", "tasks.csv")
 
 
 DISK_BW = st.integers(20, 200)

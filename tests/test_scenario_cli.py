@@ -313,11 +313,12 @@ def test_cli_rf_over_vms_exits_3(tmp_path, capsys):
 def test_cli_run_emits_files(tmp_path, capsys):
     path = write_scenario(tmp_path, scenario_doc())
     out = tmp_path / "out"
-    assert main(["run", "--scenario", str(path), "--out", str(out), "--emit-gnuplot-data"]) == 0
-    for name in ("result.json", "trace.csv", "tasks.csv", "cost.json", "gnuplot.dat"):
-        assert (out / name).exists(), name
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["result.json", "tasks.csv", "trace.csv"]
     result = json.loads((out / "result.json").read_text())
     assert result["result"]["n_files"] == 10
+    cost = result["cost"]
+    assert cost["total_usd"] == cost["instance_cost_usd"] + cost["storage_cost_usd"]
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "time,event_kind,flow_id,resource_id,value"
     tasks = (out / "tasks.csv").read_text().splitlines()
@@ -344,7 +345,7 @@ def test_cli_outputs_are_byte_identical_across_runs(tmp_path):
     for sub in ("a", "b"):
         out = tmp_path / sub
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
-        outs.append({name: (out / name).read_bytes() for name in ("result.json", "trace.csv", "cost.json")})
+        outs.append({name: (out / name).read_bytes() for name in ("result.json", "trace.csv")})
     assert outs[0] == outs[1]
 
 
@@ -357,15 +358,15 @@ def test_cli_compare_table_and_report(tmp_path, capsys):
     assert "local" in table and "networked" in table and "ratio" in table
     report = json.loads((out / "comparison.json").read_text())
     assert set(report["configs"]) == {"local", "networked"}
-    assert (out / "trace_local.csv").exists() and (out / "trace_networked.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["comparison.json", "trace_local.csv", "trace_networked.csv"]
 
 
-def test_cli_cost_command(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["cost"], ["run", "--emit-gnuplot-data"], ["validate", "--seed", "3"]])
+def test_cli_removed_commands_and_flags_exit_2(tmp_path, argv):
     path = write_scenario(tmp_path, scenario_doc())
-    out = tmp_path / "cost"
-    assert main(["cost", "--scenario", str(path), "--out", str(out)]) == 0
-    data = json.loads((out / "cost.json").read_text())
-    assert data["total_usd"] == data["instance_cost_usd"] + data["storage_cost_usd"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 def test_cli_seed_override_changes_recorded_seed(tmp_path):
