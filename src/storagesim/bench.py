@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dfs import DfsConfig, DfsFile, place_file, schedule_map_task
+from .dfs import DfsConfig, DfsFile, PlacementTables, place_file, schedule_map_task
 from .errors import EmptyStatsError, ReadBeforeWriteError, SimError
 from .placement import ClusterState
 from .simengine import FlowSpec, Simulation, SimTrace, build_resources
@@ -243,6 +243,8 @@ def run_dfsio(
     # Topology and volume attachments stay fixed during a run, so each path is resolved once.
     io_paths: dict[tuple[str, str], ResourcePath] = {}  # (vm, direction) -> DFS volume path
     host_links: dict[tuple[str, str], tuple[str, ...]] = {}  # (src host, dst host) -> link resources
+    replica_paths: dict[tuple[str, str], ResourcePath] = {}  # (src host, peer vm) -> replica copy path
+    placement = PlacementTables(work_state, members)  # members and their hosts too: one set of pools per run
 
     def io_path(vm: str, direction: str) -> ResourcePath:
         path = io_paths.get((vm, direction))
@@ -256,6 +258,13 @@ def run_dfsio(
             found = host_links[src_host, dst_host] = _interhost_links(work_state, src_host, dst_host)
         return found
 
+    def replica_path(src_host: str, peer: str) -> ResourcePath:
+        path = replica_paths.get((src_host, peer))
+        if path is None:
+            resources = links(src_host, work_state.instances[peer].host_id) + io_path(peer, "write").resources
+            path = replica_paths[src_host, peer] = ResourcePath(resources, "write")
+        return path
+
     def start_flow(
         task: _Task, fid: str, path: ResourcePath, mb: float, stage: str, vm: str, volume_vm: str, now: float
     ) -> None:
@@ -267,7 +276,7 @@ def run_dfsio(
 
     def start_write(task: _Task, now: float) -> None:
         vm = task.vm = task.writer_vm
-        task.file = place_file(work_state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, members=members)
+        task.file = place_file(work_state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, placement)
         targets = task.write_targets
         for block in task.file.blocks:
             for peer, _rack in block.replicas[1:]:
@@ -277,10 +286,8 @@ def run_dfsio(
     def start_replicas(task: _Task, now: float) -> None:
         src_host = work_state.instances[task.vm].host_id
         for peer, mb in sorted(task.write_targets.items()):
-            dst_host = work_state.instances[peer].host_id
-            resources = links(src_host, dst_host) + io_path(peer, "write").resources
             fid = f"t{task.index:04d}.rep.{peer}"
-            start_flow(task, fid, ResourcePath(resources, "write"), mb, "replica", peer, peer, now)
+            start_flow(task, fid, replica_path(src_host, peer), mb, "replica", peer, peer, now)
 
     def start_read(task: _Task, now: float, vm: str) -> None:
         task.vm = vm

@@ -9,6 +9,11 @@ cloud scheduler from silently stacking all three replicas on one machine.
 Single-rack clusters are modeled rather than rejected: placement still
 spreads over distinct VMs but emits a ReplicaCoLocationWarning, because
 demonstrating the failure mode is the point.
+
+Members and their hosts stay fixed for a whole benchmark run, so the rack
+map and the candidate pools live in ``PlacementTables``, built once per run
+and kept across its files and blocks. The pools and the ``rng`` draws over
+them are those of a per-block rebuild, so the draw sequence is unchanged.
 """
 
 from __future__ import annotations
@@ -63,6 +68,40 @@ def dfs_members(state: ClusterState) -> list[str]:
     return sorted(vm.id for vm in state.instances.values() if vm.state == RUNNING)
 
 
+class PlacementTables:
+    """The members' virtual racks and replica candidate pools, fixed while members and hosts are.
+
+    A pool is built the first time a (writer) or (writer, second replica)
+    asks for it and kept, so each is built once per tables object.
+    """
+
+    def __init__(self, state: ClusterState, members: list[str]):
+        self.members = members
+        self.rack_of = {vm: state.instances[vm].host_id for vm in members}  # a VM's virtual rack is its host
+        self.n_racks = len(set(self.rack_of.values()))
+        self._second: dict[str, list[str]] = {}  # writer -> candidates for replica 2
+        self._third: dict[tuple[str, str], list[str]] = {}  # (writer, replica 2) -> candidates for replica 3
+
+    def second_pool(self, writer: str) -> list[str]:
+        """Off the writer's rack, or any other member on a single rack; sorted."""
+        pool = self._second.get(writer)
+        if pool is None:
+            members, rack_of = self.members, self.rack_of
+            off_rack = sorted(m for m in members if rack_of[m] != rack_of[writer])
+            pool = self._second[writer] = off_rack or sorted(m for m in members if m != writer)
+        return pool
+
+    def third_pool(self, writer: str, second: str) -> list[str]:
+        """Another member on the second replica's rack, or any member not yet chosen; sorted."""
+        pool = self._third.get((writer, second))
+        if pool is None:
+            members, rack_of = self.members, self.rack_of
+            chosen = (writer, second)
+            same_as_second = sorted(m for m in members if m not in chosen and rack_of[m] == rack_of[second])
+            pool = self._third[writer, second] = same_as_second or sorted(m for m in members if m not in chosen)
+        return pool
+
+
 def place_replicas(
     state: ClusterState,
     writer_vm: str,
@@ -70,7 +109,7 @@ def place_replicas(
     bytes_mb: float,
     rf: int,
     rng: random.Random,
-    members: list[str] | None = None,
+    tables: PlacementTables | None = None,
 ) -> BlockReplicaSet:
     """Pick rf replica holders for one block, writer first.
 
@@ -79,9 +118,15 @@ def place_replicas(
     but a different VM when one exists. Remaining replicas are drawn
     uniformly from the leftover VMs. Selection is deterministic for a
     given rng state.
+
+    ``tables`` holds the members (all running VMs when omitted, built here)
+    and their pools; a run builds it once and passes it to every block. The
+    draws and their pools do not depend on whether the tables were built
+    for this block or kept from earlier ones.
     """
-    if members is None:
-        members = dfs_members(state)
+    if tables is None:
+        tables = PlacementTables(state, dfs_members(state))
+    members = tables.members
     if writer_vm not in members:
         raise InsufficientVmsError(f"writer {writer_vm!r} is not a DFS member")
     if rf < 1:
@@ -89,23 +134,17 @@ def place_replicas(
     if len(members) < rf:
         raise InsufficientVmsError(f"{len(members)} DFS VMs < replication factor {rf}")
 
-    rack_of = {vm: state.instances[vm].host_id for vm in members}  # a VM's virtual rack is its host
-    member_racks = set(rack_of.values())
+    rack_of = tables.rack_of
     chosen = [writer_vm]
-
     if rf >= 2:
-        off_rack = sorted(m for m in members if rack_of[m] != rack_of[writer_vm])
-        pool = off_rack or sorted(m for m in members if m not in chosen)
-        chosen.append(rng.choice(pool))
+        chosen.append(rng.choice(tables.second_pool(writer_vm)))
     if rf >= 3:
-        same_as_second = sorted(m for m in members if m not in chosen and rack_of[m] == rack_of[chosen[1]])
-        pool = same_as_second or sorted(m for m in members if m not in chosen)
-        chosen.append(rng.choice(pool))
+        chosen.append(rng.choice(tables.third_pool(writer_vm, chosen[1])))
     if rf > 3:
         rest = sorted(m for m in members if m not in chosen)
         chosen.extend(rng.sample(rest, rf - 3))
 
-    if rf >= 2 and len(member_racks) == 1:
+    if rf >= 2 and tables.n_racks == 1:
         # stable message so the default warning filter collapses repeats
         warnings.warn(
             f"all {rf} replicas share rack {rack_of[writer_vm]!r} (single-rack cluster)",
@@ -114,7 +153,7 @@ def place_replicas(
         )
     return BlockReplicaSet(
         block_id=block_id,
-        replicas=tuple((vm, rack_of[vm]) for vm in chosen),
+        replicas=tuple([(vm, rack_of[vm]) for vm in chosen]),
         bytes_mb=bytes_mb,
     )
 
@@ -126,9 +165,14 @@ def place_file(
     writer_vm: str,
     config: DfsConfig,
     rng: random.Random,
-    members: list[str] | None = None,
+    tables: PlacementTables | None = None,
 ) -> DfsFile:
-    """Split a file into blocks and place each block's replica set."""
+    """Split a file into blocks and place each block's replica set.
+
+    Without ``tables``, one set is built over all running VMs for this file.
+    """
+    if tables is None:
+        tables = PlacementTables(state, dfs_members(state))
     n_blocks = max(1, math.ceil(size_mb / config.block_size_mb))
     blocks = []
     for i in range(n_blocks):
@@ -141,7 +185,7 @@ def place_file(
                 bytes_mb=block_bytes,
                 rf=config.replication_factor,
                 rng=rng,
-                members=members,
+                tables=tables,
             )
         )
     return DfsFile(

@@ -264,6 +264,12 @@ class TraceEvent(NamedTuple):
     value: float
 
 
+# ``TraceEvent._make`` without the method call: the engine's hot loops build
+# events as ``_event(TraceEvent, (time, kind, flow id, resource id, value))``,
+# skipping the generated ``__new__`` wrapper. The result is a TraceEvent.
+_event = tuple.__new__
+
+
 @dataclass
 class FlowRecord:
     flow_id: str
@@ -272,6 +278,10 @@ class FlowRecord:
     start_time: float
     end_time: float | None
     tags: dict[str, str]
+
+
+# Lines per write of ``SimTrace.write_csv``: bounds the joined string to a few hundred KB.
+CSV_CHUNK_LINES = 4096
 
 
 @dataclass
@@ -305,8 +315,11 @@ class SimTrace:
         return lines
 
     def write_csv(self, path) -> None:
+        """``csv_lines``, one per line, written in chunks of ``CSV_CHUNK_LINES``."""
+        lines = self.csv_lines()
         with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
+            for i in range(0, len(lines), CSV_CHUNK_LINES):
+                fh.write("\n".join(lines[i : i + CSV_CHUNK_LINES]) + "\n")
 
 
 # Callback invoked after completions at one instant; may add_flow() at `now`.
@@ -429,14 +442,14 @@ class Simulation:
             rates = self._resolve(arrived, departed)
         else:
             return  # the same flows over the same capacities keep their rates
-        events, now = self._trace.events, self.now
+        append, now = self._trace.events.append, self.now
         for fid, r in rates.items():  # flow-id order
             flow = active[fid]
             # A new flow's rate is 0.0, so its first allocation is logged unless it is 0.0, which
             # only a zero capacity gives, and such a run ends in SimulationStalledError.
             if flow.rate != r:
                 flow.rate = r
-                events.append(TraceEvent(now, "rate_change", fid, "", r))
+                append(_event(TraceEvent, (now, "rate_change", fid, "", r)))
 
     def _resolve(self, arrived: list[IoFlow], departed: list[IoFlow]) -> dict[str, float]:
         """Re-solve the flows at or above the cut, and the arrivals; return their rates in flow-id order."""
@@ -510,20 +523,16 @@ class Simulation:
         return t
 
     def _start_arrivals(self) -> None:
-        while self._pending and self._pending[0][0] <= self.now:
-            _, _, spec = heappop(self._pending)
-            self._pending_ids.discard(spec.flow_id)
-            self._active[spec.flow_id] = flow = IoFlow(spec.flow_id, spec.path, spec.size_mb, remaining_mb=spec.size_mb)
-            self._arrived.append(flow)
-            self._trace.flows[spec.flow_id] = FlowRecord(
-                flow_id=spec.flow_id,
-                path=spec.path,
-                size_mb=spec.size_mb,
-                start_time=self.now,
-                end_time=None,
-                tags=dict(spec.tags),
-            )
-            self._trace.events.append(TraceEvent(self.now, "flow_start", spec.flow_id, "", spec.size_mb))
+        pending, now = self._pending, self.now
+        active, arrived, flows, events = self._active, self._arrived, self._trace.flows, self._trace.events
+        while pending and pending[0][0] <= now:
+            spec = heappop(pending)[2]
+            fid, path, size_mb = spec.flow_id, spec.path, spec.size_mb
+            self._pending_ids.discard(fid)
+            active[fid] = flow = IoFlow(fid, path, size_mb, size_mb)
+            arrived.append(flow)
+            flows[fid] = FlowRecord(fid, path, size_mb, now, None, dict(spec.tags))
+            events.append(_event(TraceEvent, (now, "flow_start", fid, "", size_mb)))
 
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:
         """Execute until no flow or timer is pending and no flow is active; returns the trace."""
@@ -550,11 +559,13 @@ class Simulation:
             completed.sort(key=attrgetter("flow_id"))
             self._departed += completed
             done_records = []
+            now, active, flows, events = self.now, self._active, self._trace.flows, self._trace.events
             for f in completed:
-                del self._active[f.flow_id]
-                record = self._trace.flows[f.flow_id]
-                record.end_time = self.now
-                self._trace.events.append(TraceEvent(self.now, "flow_end", f.flow_id, "", f.size_mb))
+                fid = f.flow_id
+                del active[fid]
+                record = flows[fid]
+                record.end_time = now
+                events.append(_event(TraceEvent, (now, "flow_end", fid, "", f.size_mb)))
                 done_records.append(record)
 
             self._start_arrivals()

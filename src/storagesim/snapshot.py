@@ -165,12 +165,23 @@ def recoverable_bytes(
 
 
 def network_bytes(trace: SimTrace) -> float:
-    """MB that crossed any network link in this trace (completed flows)."""
-    return math.fsum(
-        rec.size_mb
-        for rec in trace.flows.values()
-        if rec.end_time is not None and any(is_link_resource(rid) for rid in rec.path.resources)
-    )
+    """MB that crossed any network link in this trace (completed flows).
+
+    Many flows share a path, so whether one crosses a link is decided once
+    per distinct resource tuple.
+    """
+    crosses_link: dict[tuple[str, ...], bool] = {}
+    sizes = []
+    for rec in trace.flows.values():
+        if rec.end_time is None:
+            continue
+        resources = rec.path.resources
+        crosses = crosses_link.get(resources)
+        if crosses is None:
+            crosses = crosses_link[resources] = any(is_link_resource(rid) for rid in resources)
+        if crosses:
+            sizes.append(rec.size_mb)
+    return math.fsum(sizes)
 
 
 def overhead_comparison(

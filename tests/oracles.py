@@ -6,17 +6,22 @@ of solving saturation levels, and the metric oracles are the naive direct
 formulas. The capacity oracle checks every committed resource against its
 total after placement. The trace references are the plain one-pass forms
 of the package's trace writer and audit, kept so that their faster forms
-can be checked for byte-equal output. They must stay independent of the
-code paths they audit.
+can be checked for byte-equal output. The placement and network-bytes
+references rebuild per block and per flow what the package keeps per run.
+They must stay independent of the code paths they audit.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import warnings
 
+from storagesim.dfs import BlockReplicaSet, ReplicaCoLocationWarning, dfs_members
+from storagesim.errors import InsufficientVmsError
 from storagesim.placement import ClusterState
 from storagesim.simengine import BYTE_REL_TOL, CAPACITY_REL_EPS, FlowRecord, SimTrace, TraceViolation
-from storagesim.volumes import ResourcePath
+from storagesim.volumes import ResourcePath, is_link_resource
 
 EPS = 1e-12
 
@@ -193,3 +198,60 @@ def verify_trace_reference(trace: SimTrace) -> list[TraceViolation]:
     for fid in active:
         violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))
     return violations
+
+
+def place_replicas_reference(
+    state: ClusterState,
+    writer_vm: str,
+    block_id: str,
+    bytes_mb: float,
+    rf: int,
+    rng: random.Random,
+    members: list[str] | None = None,
+) -> BlockReplicaSet:
+    """``dfs.place_replicas`` rebuilding the rack map and every pool for each block."""
+    if members is None:
+        members = dfs_members(state)
+    if writer_vm not in members:
+        raise InsufficientVmsError(f"writer {writer_vm!r} is not a DFS member")
+    if rf < 1:
+        raise ValueError(f"replication factor {rf} < 1")
+    if len(members) < rf:
+        raise InsufficientVmsError(f"{len(members)} DFS VMs < replication factor {rf}")
+
+    rack_of = {vm: state.instances[vm].host_id for vm in members}
+    member_racks = set(rack_of.values())
+    chosen = [writer_vm]
+
+    if rf >= 2:
+        off_rack = sorted(m for m in members if rack_of[m] != rack_of[writer_vm])
+        pool = off_rack or sorted(m for m in members if m not in chosen)
+        chosen.append(rng.choice(pool))
+    if rf >= 3:
+        same_as_second = sorted(m for m in members if m not in chosen and rack_of[m] == rack_of[chosen[1]])
+        pool = same_as_second or sorted(m for m in members if m not in chosen)
+        chosen.append(rng.choice(pool))
+    if rf > 3:
+        rest = sorted(m for m in members if m not in chosen)
+        chosen.extend(rng.sample(rest, rf - 3))
+
+    if rf >= 2 and len(member_racks) == 1:
+        warnings.warn(
+            f"all {rf} replicas share rack {rack_of[writer_vm]!r} (single-rack cluster)",
+            ReplicaCoLocationWarning,
+            stacklevel=2,
+        )
+    return BlockReplicaSet(
+        block_id=block_id,
+        replicas=tuple((vm, rack_of[vm]) for vm in chosen),
+        bytes_mb=bytes_mb,
+    )
+
+
+def network_bytes_reference(trace: SimTrace) -> float:
+    """``snapshot.network_bytes`` testing every completed flow's path for a link."""
+    return math.fsum(
+        rec.size_mb
+        for rec in trace.flows.values()
+        if rec.end_time is not None and any(is_link_resource(rid) for rid in rec.path.resources)
+    )

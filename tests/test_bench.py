@@ -12,6 +12,7 @@ from storagesim.bench import BenchmarkResult, DfsioSpec, TaskStat, avg_io_rate, 
 from storagesim.dfs import DfsConfig
 from storagesim.errors import EmptyStatsError, ReadBeforeWriteError
 from storagesim.simengine import verify_trace
+from storagesim.volumes import ResourcePath, link_resource_id
 
 
 def stat(i, size, t):
@@ -253,6 +254,22 @@ def test_each_run_resolves_every_path_once(monkeypatch):
     assert {key[0] for key in calls} == {"link", "volume"}
     assert {key[2] for key in calls if key[0] == "volume"} == {"read", "write"}
     assert max(calls.values()) == 1, calls.most_common(3)
+    # every replica flow of one (source host, peer) pair carries one path object, equal to a fresh resolve
+    host_of = {vm: inst.host_id for vm, inst in run.state.instances.items()}
+    writer_of = {rec.tags["task"]: rec.tags["vm"] for rec in run.trace.flows.values() if rec.tags["stage"] == "primary"}
+    replica_paths = {}  # (source host, peer) -> {id(path): path}
+    for rec in run.trace.flows.values():
+        if rec.tags["stage"] == "replica":
+            key = host_of[writer_of[rec.tags["task"]]], rec.tags["vm"]
+            replica_paths.setdefault(key, {})[id(rec.path)] = rec.path
+
+    def fresh_replica_path(src_host, peer):
+        dst_host = host_of[peer]
+        links = () if src_host == dst_host else real_management_path(run.state.topology, src_host, dst_host)
+        volume = real_resolve_io_path(run.state, peer, hdfs[peer], "write").resources
+        return ResourcePath(tuple(link_resource_id(l.id) for l in links) + volume, "write")
+
+    assert all(list(paths.values()) == [fresh_replica_path(*key)] for key, paths in replica_paths.items())
 
 
 def test_local_beats_networked_when_controller_path_is_tighter():

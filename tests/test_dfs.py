@@ -1,11 +1,14 @@
+import math
 import random
 import warnings
 
 import pytest
 
 from helpers import SMALL_VM, placed_cluster
+from oracles import place_replicas_reference
 from storagesim.dfs import (
     DfsConfig,
+    PlacementTables,
     ReplicaCoLocationWarning,
     dfs_members,
     place_file,
@@ -93,6 +96,52 @@ def test_rack_spread_degenerate_cases(five_hosts, one_host_three_vms):
     with pytest.warns(ReplicaCoLocationWarning):
         single = place_file(one_host_three_vms, "b", 64.0, "vm001", DfsConfig(replication_factor=3), random.Random(0))
     assert rack_spread(single) == 1
+
+
+def _recorded(call):
+    """``call()``'s result, and the category of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [w.category for w in caught]
+
+
+def test_per_run_tables_place_every_file_like_the_per_block_reference():
+    # One PlacementTables per cluster and member set serves every file, writer and rf,
+    # as in a run; each file's blocks, draws and warnings must match a per-block rebuild.
+    rng = random.Random(13)
+    layouts = [(1, 4)] + [(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(30)]  # (hosts, VMs per host)
+    files = warned = 0
+    rfs = set()
+    for n_hosts, per_host in layouts:
+        state = placed_cluster(n_hosts=n_hosts, vms_per_host=per_host, spec=SMALL_VM)
+        vms = sorted(state.instances)
+        members = rng.sample(vms, rng.randint(1, len(vms)))  # a random subset, in random order
+        tables = PlacementTables(state, members)
+        for rf in range(1, min(5, len(members)) + 1):
+            config = DfsConfig(block_size_mb=64.0, replication_factor=rf)
+            seed = rng.randrange(2**32)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for writer in members:
+                name, size_mb = f"f.{writer}.{rf}", rng.choice([10.0, 64.0, 200.0, 640.0])
+                got, got_warnings = _recorded(
+                    lambda: place_file(state, name, size_mb, writer, config, got_rng, tables)
+                )
+                want, want_warnings = _recorded(
+                    lambda: [
+                        place_replicas_reference(
+                            state, writer, f"{name}:b{i:04d}", min(64.0, size_mb - i * 64.0), rf, want_rng, members
+                        )
+                        for i in range(max(1, math.ceil(size_mb / 64.0)))
+                    ]
+                )
+                assert list(got.blocks) == want, (n_hosts, per_host, members, rf, writer)
+                assert got_rng.getstate() == want_rng.getstate()
+                assert got_warnings == want_warnings
+                files += 1
+                warned += bool(want_warnings)
+            rfs.add(rf)
+    assert files > 300 and warned > 0 and rfs == {1, 2, 3, 4, 5}
 
 
 def test_schedule_prefers_replica_holder_with_free_slot(five_hosts):

@@ -22,6 +22,7 @@ from storagesim.simengine import (
     run,
     verify_trace,
 )
+from storagesim.snapshot import SnapshotRecord, merge_snapshot_events
 from storagesim.topology import reference_cluster
 from storagesim.volumes import ResourcePath
 
@@ -420,6 +421,21 @@ def test_timers_fire_after_completions_and_the_hook_and_start_their_flows_at_onc
         sim.add_timer(1.0, look)
 
 
+def test_every_engine_event_and_snapshot_marker_is_a_trace_event():
+    sim = Simulation({"d1": res("d1", 100.0), "d2": res("d2", 50.0)})
+    sim.add_flow(FlowSpec("a", ResourcePath(("d1",), "write"), 1000.0), 0.0)
+    sim.add_flow(FlowSpec("empty", ResourcePath(("d2",), "write"), 0.0), 1.0)  # starts and ends at once
+    sim.add_flow(FlowSpec("b", ResourcePath(("d1", "d2"), "read"), 300.0), 2.0)
+    trace = merge_snapshot_events(sim.run(), [SnapshotRecord("v1", taken_at=3.0, bytes_copied=12.5)])
+    empty = [(e.time, e.kind) for e in trace.events if e.flow_id == "empty"]
+    assert empty[0] == (1.0, "flow_start") and empty[-1] == (1.0, "flow_end")
+    assert {e.kind for e in trace.events} == {"flow_start", "rate_change", "flow_end", "snapshot"}
+    for e in trace.events:
+        assert type(e) is TraceEvent
+        assert (e.time, e.kind, e.flow_id, e.resource_id, e.value) == tuple(e)
+        assert e == TraceEvent(*e)
+
+
 def test_determinism_byte_identical_traces():
     topo = reference_cluster()
     resources = build_resources(topo)
@@ -590,6 +606,19 @@ def test_csv_lines_equal_the_reference_byte_for_byte():
     assert [line.split(",")[0] for line in lines[1:4]] == ["-0.0", "0.0", "0.0"]
     assert [line.split(",")[-1] for line in lines[-5:-2]] == ["0.0", "-0.0", "1.5"]
     assert run({"d1": res("d1", 100.0)}, []).csv_lines() == csv_lines_reference(SimTrace())
+
+
+def test_write_csv_writes_the_joined_lines_at_every_chunk_size(tmp_path, monkeypatch):
+    path = ResourcePath(("d1",), "write")
+    trace = run({"d1": res("d1", 100.0)}, [(FlowSpec(f"f{i}", path, 10.0 * (i + 1)), float(i)) for i in range(4)])
+    lines = csv_lines_reference(trace)
+    want = ("\n".join(lines) + "\n").encode()
+    for chunk in sorted({1, 2, 3, len(lines) - 1, len(lines), len(lines) + 1, simengine.CSV_CHUNK_LINES}):
+        monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", chunk)
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == want, chunk
+        SimTrace().write_csv(tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == b"time,event_kind,flow_id,resource_id,value\n"
 
 
 def _corrupted_traces(seed, n):

@@ -12,11 +12,13 @@ import yaml
 
 import storagesim
 from helpers import SMALL_VM, dfs_cluster
+from oracles import network_bytes_reference
+from test_golden import GOLDEN
 from storagesim import cli
 from storagesim import scenario as scenario_mod
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.dfs import DfsConfig
-from storagesim.simengine import SimTrace, TraceEvent, verify_trace
+from storagesim.simengine import FlowRecord, SimTrace, TraceEvent, verify_trace
 from storagesim.snapshot import (
     SnapshotPolicy,
     SnapshotRecord,
@@ -26,7 +28,7 @@ from storagesim.snapshot import (
     recoverable_bytes,
 )
 from storagesim.scenario import parse_scenario, run_scenario
-from storagesim.volumes import Volume
+from storagesim.volumes import ResourcePath, Volume
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -183,6 +185,46 @@ def test_ratio_identity_for_read_write_mix():
             st, traces = r.state, traces + [r.trace]
         total = math.fsum(network_bytes(t) for t in traces)
         assert total == pytest.approx(800.0 * (1 + reads))
+
+
+def test_network_bytes_equals_the_reference_on_every_golden_trace():
+    for name, (doc, _digests) in sorted(GOLDEN.items()):
+        run = run_scenario(parse_scenario(doc))
+        for trace in [run.trace] + run.prep_traces:
+            assert network_bytes(trace) == network_bytes_reference(trace), name
+        assert run.network_mb == network_bytes_reference(run.trace)
+
+
+def test_network_bytes_equals_the_reference_on_hand_built_traces():
+    over_link = ResourcePath(("disk:h01:d1", "link:l1", "disk:ctl:d1"), "write")
+    paths = [
+        over_link,
+        ResourcePath(over_link.resources, "read"),  # a distinct object with an equal resource tuple
+        ResourcePath(("link:l2",), "read"),
+        ResourcePath(("disk:h01:d1",), "write"),
+        ResourcePath(("disk:h02:d1", "disk:h02:d2"), "read"),
+    ]
+    fixed = SimTrace(
+        flows={
+            "a": FlowRecord("a", over_link, 0.1, 0.0, 1.0, {}),
+            "b": FlowRecord("b", over_link, 0.2, 0.0, 2.0, {}),
+            "c": FlowRecord("c", over_link, 1e16, 0.0, None, {}),  # unfinished: not counted
+            "d": FlowRecord("d", paths[3], 5.0, 0.0, 1.0, {}),  # no link
+        }
+    )
+    assert network_bytes(fixed) == network_bytes_reference(fixed) == 0.1 + 0.2
+    rng = random.Random(31)
+    sizes = [0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 64.0, 1e16]
+    for _ in range(200):
+        flows = {}
+        for i in range(rng.randint(0, 25)):
+            path = rng.choice(paths)
+            if rng.random() < 0.3:
+                path = ResourcePath(path.resources, path.direction)  # equal to a shared path, not the same object
+            end = None if rng.random() < 0.2 else rng.uniform(0.0, 100.0)
+            flows[f"f{i}"] = FlowRecord(f"f{i}", path, rng.choice(sizes), 0.0, end, {})
+        trace = SimTrace(flows=flows)
+        assert network_bytes(trace) == network_bytes_reference(trace)
 
 
 def test_merge_snapshot_events_keeps_time_order():
