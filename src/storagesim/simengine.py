@@ -15,9 +15,9 @@ touch, the re-sum is the float a re-sum after every touch gives. The
 rounds, their levels and every rate are thus the floats of a full rescan
 every round (see ``_fill``). A resource that reads as fast as it writes
 (every link, and every disk of the shipped scenarios) has one capacity for
-the whole run; only an asymmetric one is pooled over the directions of the
-flows crossing it, at each step. Between events rates are constant, so
-completion times are closed-form and runs are exactly reproducible.
+the whole run; an asymmetric one is re-pooled over the directions of the
+flows crossing it as they start and end. Between events rates are constant,
+so completion times are closed-form and runs are exactly reproducible.
 
 The solve is warm-started. Filling rounds run in increasing level order,
 and a step can only change the rounds at or above a cut, the lowest of:
@@ -37,6 +37,14 @@ saturation at the cut, recomputed as ``(capacity - sum(members)) / live``
 over the same members in the same order, is the float the full solve
 cached at that point.
 
+The cut stays as it is when a step re-pools an asymmetric capacity. The
+capacity falls only when an arrival adds a direction, since mixed traffic
+pools the smaller bandwidth, and that arrival's equal share is taken at
+the new capacity. It rises only when a departure removes a direction, and
+the departed flow's old rate is at most the resource's old saturation, or
+when every flow crossing it is an arrival. Either way the resource freezes
+nothing below the cut, before the step or after it.
+
 The solver sums in flow-id order and no float depends on set or dict
 iteration order; identical inputs produce byte-identical traces.
 """
@@ -44,7 +52,7 @@ iteration order; identical inputs produce byte-identical traces.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import attrgetter
@@ -277,7 +285,7 @@ class FlowRecord:
     size_mb: float
     start_time: float
     end_time: float | None
-    tags: dict[str, str]
+    tags: Mapping[str, str]
 
 
 # Lines per write of ``SimTrace.write_csv``: bounds the joined string to a few hundred KB.
@@ -341,10 +349,8 @@ class Simulation:
     Each reallocation re-solves only the flows at or above the cut (see the
     module docstring) and logs their changed rates in flow-id order; a step
     that starts and ends no flow re-solves nothing. The full solve,
-    ``allocate_rates``, runs when there is nothing to keep: the first
-    solve, a step after every previous flow ended, and every step once an
-    asymmetric resource is pooled, since its capacity can change with the
-    directions of the flows.
+    ``allocate_rates``, runs only when there is nothing to keep: the first
+    solve, and a step after every previous flow ended.
     """
 
     def __init__(self, resources: Mapping[str, Resource]):
@@ -356,10 +362,10 @@ class Simulation:
         self._active: dict[str, IoFlow] = {}
         self._seq = 0
         self._trace = SimTrace(resources=self.resources)
-        # Filled as flows are added: a symmetric resource's one capacity, and
-        # the asymmetric resources, pooled afresh at each reallocation.
+        # Filled as flows are added: each crossed resource's capacity, and each asymmetric resource
+        # with the directions of the active flows crossing it, counted for `_reallocate` to re-pool it.
         self._capacities: dict[str, float] = {}
-        self._pooled: dict[str, Resource] = {}
+        self._pooled: dict[str, tuple[Resource, Counter[str]]] = {}
         # Warm-start state: the flows started and ended since the last solve, and each
         # resource's {flow id: rate} in flow-id order (None: rebuilt from `_active` when needed).
         self._arrived: list[IoFlow] = []
@@ -376,14 +382,13 @@ class Simulation:
         if spec.flow_id in self._trace.flows or spec.flow_id in self._pending_ids:
             raise ValueError(f"duplicate flow id {spec.flow_id!r}")
         for rid in spec.path.resources:
-            if rid not in self._capacities and rid not in self._pooled:
+            if rid not in self._capacities:
                 resource = self.resources.get(rid)
                 if resource is None:
                     raise UnresolvablePathError(f"flow {spec.flow_id} references unknown resource {rid!r}")
-                if resource.read_capacity == resource.write_capacity:
-                    self._capacities[rid] = resource.read_capacity
-                else:
-                    self._pooled[rid] = resource
+                if resource.read_capacity != resource.write_capacity:
+                    self._pooled[rid] = (resource, Counter())
+                self._capacities[rid] = min(resource.read_capacity, resource.write_capacity)
         heappush(self._pending, (at_time, self._seq, spec))
         self._pending_ids.add(spec.flow_id)
         self._seq += 1
@@ -415,29 +420,23 @@ class Simulation:
 
     # -- internals ----------------------------------------------------------
 
-    def _effective_capacities(self) -> dict[str, float]:
-        """Capacity of each resource the active flows cross, or a superset of them.
-
-        While no flow has crossed an asymmetric resource, this is the fixed
-        table of symmetric capacities, returned as is (it must not be
-        mutated). Once one has, every reallocation gathers the directions of
-        all active flows and builds a table over their resources alone,
-        pooling only the asymmetric ones.
-        """
-        if not self._pooled:
-            return self._capacities
-        fixed, pooled = self._capacities, self._pooled
-        return {
-            rid: pooled[rid].capacity_for(frozenset(d)) if rid in pooled else fixed[rid]
-            for rid, d in _directions(f.path for f in self._active.values()).items()
-        }
-
     def _reallocate(self) -> None:
         active, arrived, departed = self._active, self._arrived, self._departed
         self._arrived, self._departed = [], []
-        if self._pooled or len(arrived) == len(active):  # nothing to keep
+        if self._pooled:  # re-pool each asymmetric resource that a started or ended flow crosses
+            pooled, touched = self._pooled, set()
+            for flows, step in ((arrived, 1), (departed, -1)):
+                for f in flows:
+                    for rid in f.path.resources:
+                        if rid in pooled:
+                            pooled[rid][1][f.path.direction] += step
+                            touched.add(rid)
+            for rid in touched:
+                resource, crossing = pooled[rid]
+                self._capacities[rid] = resource.capacity_for(frozenset(d for d, n in crossing.items() if n))
+        if len(arrived) == len(active):  # nothing to keep
             self._members = None
-            rates = allocate_rates(active.values(), self._effective_capacities())
+            rates = allocate_rates(active.values(), self._capacities)
         elif arrived or departed:
             rates = self._resolve(arrived, departed)
         else:
@@ -531,7 +530,7 @@ class Simulation:
             self._pending_ids.discard(fid)
             active[fid] = flow = IoFlow(fid, path, size_mb, size_mb)
             arrived.append(flow)
-            flows[fid] = FlowRecord(fid, path, size_mb, now, None, dict(spec.tags))
+            flows[fid] = FlowRecord(fid, path, size_mb, now, None, spec.tags)
             events.append(_event(TraceEvent, (now, "flow_start", fid, "", size_mb)))
 
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:

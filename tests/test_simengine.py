@@ -258,15 +258,28 @@ def test_a_warm_fill_from_a_kept_level_equals_the_generator_resum():
 
 
 def _count_directions_calls(monkeypatch):
-    calls = []
-    real = simengine._directions
+    """Count ``simengine._directions`` calls, and those made inside ``Simulation.run``."""
+    calls, in_run = [], []
+    real_directions, real_run = simengine._directions, Simulation.run
 
     def counting(paths):
-        calls.append(1)
-        return real(paths)
+        calls.append(bool(in_run))
+        return real_directions(paths)
+
+    def run(sim, on_complete=None):
+        in_run.append(1)
+        try:
+            return real_run(sim, on_complete)
+        finally:
+            in_run.pop()
 
     monkeypatch.setattr(simengine, "_directions", counting)
+    monkeypatch.setattr(Simulation, "run", run)
     return calls
+
+
+def _reference_doc():
+    return yaml.safe_load((Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml").read_text())
 
 
 def _run_scenario(tmp_path, doc):
@@ -278,7 +291,7 @@ def _run_scenario(tmp_path, doc):
 
 def test_directions_are_gathered_only_for_asymmetric_resources(monkeypatch, tmp_path):
     calls = _count_directions_calls(monkeypatch)
-    doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml").read_text())
+    doc = _reference_doc()
     assert doc["storage_config"] == "local"
     # every link and disk reads as fast as it writes: no capacity depends on direction
     _run_scenario(tmp_path / "symmetric", doc)
@@ -287,6 +300,29 @@ def test_directions_are_gathered_only_for_asymmetric_resources(monkeypatch, tmp_
     doc["dfsio"].update(n_files=4, mode="mixed", read_fraction=0.5)
     _run_scenario(tmp_path / "asymmetric", doc)
     assert len(calls) > 0
+    # the engine keeps pooled capacities from direction counts; only the audit gathers directions
+    assert not any(calls)
+
+
+def test_an_asymmetric_scenario_takes_one_full_solve_per_pass(monkeypatch):
+    from storagesim.scenario import parse_scenario, run_scenario
+
+    # the local_mixed_snapshots shape, shrunk: queued tasks and snapshots keep flows active
+    # throughout each pass, so only its first solve has nothing to keep
+    doc = _reference_doc()
+    doc["topology"]["reference"].update(disk_read_bw=150, disk_write_bw=100)
+    doc["dfsio"].update(n_files=20, file_size_mb=256, mode="mixed", map_capacity=6)
+    doc["snapshot"]["interval_s"] = 10
+    passes: list[list[str]] = []  # per Simulation.run: "cold" or "warm" for each solve
+    real_run, real_resolve, real_allocate = Simulation.run, Simulation._resolve, simengine.allocate_rates
+    monkeypatch.setattr(simengine, "allocate_rates", lambda *a: passes[-1].append("cold") or real_allocate(*a))
+    monkeypatch.setattr(Simulation, "_resolve", lambda sim, *a: passes[-1].append("warm") or real_resolve(sim, *a))
+    monkeypatch.setattr(Simulation, "run", lambda sim, **kw: passes.append([]) or real_run(sim, **kw))
+    run = run_scenario(parse_scenario(doc))
+
+    assert {rec.path.direction for rec in run.trace.flows.values()} == {"read", "write"}
+    assert len(passes) >= 2 and all(solves.count("cold") <= 1 for solves in passes), passes
+    assert sum(solves.count("warm") for solves in passes) > 50
 
 
 def test_adding_a_flow_to_the_shared_bottleneck_never_raises_other_rates():
@@ -712,11 +748,12 @@ def test_completion_ties_processed_together_in_flow_id_order():
     assert len({e.time for e in ends}) == 1
 
 
-def _random_run(rng, monkeypatch, check):
+def _random_run(rng, monkeypatch, check, asymmetric=0.1):
     """One seeded engine run with ``check(sim)`` called after every reallocation.
 
-    Levels like 100/3 make the frozen-usage sums inexact; some resources are
-    asymmetric; equal sizes make several flows finish at once; paths may name
+    Levels like 100/3 make the frozen-usage sums inexact; a share
+    ``asymmetric`` of the resources writes at half or 1.5 times the read
+    bandwidth; equal sizes make several flows finish at once; paths may name
     a resource twice; a completion hook and timers inject flows, and some
     timers add nothing.
     """
@@ -724,7 +761,7 @@ def _random_run(rng, monkeypatch, check):
     resources = {}
     for i in range(n_res):
         cap = rng.choice([10.0, 33.3, 100.0 / 3, 100.0, 125.0, 1000.0 / 7])
-        write = rng.choice([cap, cap / 2]) if rng.random() < 0.1 else cap
+        write = rng.choice([cap / 2, 1.5 * cap]) if rng.random() < asymmetric else cap
         resources[f"r{i}"] = Resource(f"r{i}", read_capacity=cap, write_capacity=write)
     ids = iter(rng.sample(range(1000), 60))
 
@@ -760,15 +797,28 @@ def _random_run(rng, monkeypatch, check):
             return None
 
 
+def _cold_rates(sim):
+    """A from-scratch solve of the active flows, each resource pooled over the directions crossing it."""
+    flows = list(sim._active.values())
+    dirs = simengine._directions(f.path for f in flows)
+    return allocate_rates(flows, {rid: sim.resources[rid].capacity_for(frozenset(d)) for rid, d in dirs.items()})
+
+
+def _count_solves(monkeypatch):
+    """Record "warm" for each ``Simulation._resolve`` and "cold" for each ``allocate_rates`` through its binding."""
+    solves = []
+    real_resolve, real_allocate = Simulation._resolve, simengine.allocate_rates
+    monkeypatch.setattr(Simulation, "_resolve", lambda sim, *a: solves.append("warm") or real_resolve(sim, *a))
+    monkeypatch.setattr(simengine, "allocate_rates", lambda *a: solves.append("cold") or real_allocate(*a))
+    return solves
+
+
 def test_warm_solve_equals_a_cold_solve_at_every_reallocation(monkeypatch):
-    warm = []
-    real_resolve = Simulation._resolve
-    monkeypatch.setattr(Simulation, "_resolve", lambda sim, *a: warm.append(1) or real_resolve(sim, *a))
+    solves = _count_solves(monkeypatch)
     checks = []
 
     def check(sim):
-        want = allocate_rates(list(sim._active.values()), sim._effective_capacities())
-        assert {fid: f.rate for fid, f in sim._active.items()} == want, sim.now
+        assert {fid: f.rate for fid, f in sim._active.items()} == _cold_rates(sim), sim.now
         checks.append(1)
 
     rng = random.Random(2014)
@@ -786,14 +836,72 @@ def test_warm_solve_equals_a_cold_solve_at_every_reallocation(monkeypatch):
             else:
                 assert batch == sorted(batch) and len(set(batch)) == len(batch), batch
                 batch = []
-    assert runs > 300 and len(checks) > 4000 and len(warm) > len(checks) / 2
+    assert runs > 300 and len(checks) > 4000 and solves.count("warm") > len(checks) / 2
+
+
+def test_warm_solves_stay_warm_when_most_resources_are_asymmetric(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    checks = []
+    pooled = {"less": 0, "more": 0}  # asymmetric resources that write slower / faster than they read
+
+    def check(sim):
+        assert {fid: f.rate for fid, f in sim._active.items()} == _cold_rates(sim), sim.now
+        checks.append(1)
+
+    rng = random.Random(70)
+    for _ in range(120):
+        trace = _random_run(rng, monkeypatch, check, asymmetric=0.7)
+        if trace is not None:
+            assert verify_trace(trace) == []
+            for r in trace.resources.values():
+                if r.write_capacity != r.read_capacity:
+                    pooled["less" if r.write_capacity < r.read_capacity else "more"] += 1
+    assert min(pooled.values()) > 100 and len(checks) > 1000
+    assert solves.count("warm") > 0.9 * len(solves)
+
+
+def test_pooled_capacity_falls_and_rises_with_the_directions_under_warm_solves(monkeypatch):
+    disk = Resource("d", read_capacity=150.0, write_capacity=100.0)
+    sim = Simulation({"d": disk, "l": res("l", 120.0)})
+
+    def spec(fid, hops, direction, size):
+        return FlowSpec(fid, ResourcePath(hops, direction), size)
+
+    sim.add_flow(spec("r1", ("d",), "read", 150.0), 0.0)
+    sim.add_flow(spec("r2", ("d", "l"), "read", 300.0), 0.0)
+    sim.add_flow(spec("x", ("l",), "write", 1000.0), 0.0)
+    sim.add_flow(spec("w", ("d",), "write", 10.0), 0.5)  # mixed: the disk pools min(150, 100)
+
+    def hook(sim, records, now):
+        if any(rec.flow_id == "r2" for rec in records):  # the last read ends as a write starts
+            sim.add_flow(spec("w2", ("d",), "write", 50.0), now)
+
+    solves = _count_solves(monkeypatch)
+    disk_capacity = []  # the disk's from-scratch capacity at each reallocation that crosses it
+    real = Simulation._reallocate
+
+    def checked(sim):
+        real(sim)
+        assert {fid: f.rate for fid, f in sim._active.items()} == _cold_rates(sim), sim.now
+        dirs = simengine._directions(f.path for f in sim._active.values())
+        if "d" in dirs:
+            disk_capacity.append((disk.capacity_for(frozenset(dirs["d"])), sorted(dirs["d"])))
+
+    monkeypatch.setattr(Simulation, "_reallocate", checked)
+    trace = sim.run(on_complete=hook)
+
+    steps = [c for i, c in enumerate(disk_capacity) if i == 0 or c != disk_capacity[i - 1]]
+    assert steps == [(150.0, ["read"]), (100.0, ["read", "write"]), (150.0, ["read"]), (100.0, ["write"])]
+    assert trace.flows["w2"].start_time == trace.flows["r2"].end_time
+    assert solves[0] == "cold" and solves.count("cold") == 1 and len(solves) >= 5
+    assert verify_trace(trace) == []
 
 
 def test_warm_solves_re_solve_a_minority_of_the_flows(monkeypatch):
     from storagesim.scenario import parse_scenario, run_scenario
 
     # the local_write_wide shape: 16 hosts with one DFS VM each, 40 files of 1000 MB, local writes
-    doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml").read_text())
+    doc = _reference_doc()
     doc["topology"]["reference"]["n_hosts"] = doc["vms"][0]["count"] = 16
     doc["dfsio"]["n_files"] = 40
     assert doc["storage_config"] == "local" and doc["dfsio"]["mode"] == "write"
