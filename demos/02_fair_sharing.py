@@ -5,8 +5,13 @@ the rest keep rising. The second example is the classic asymmetric case:
 a flow pinned by a narrow link releases capacity to its competitor.
 """
 
-from storagesim.simengine import FlowSpec, IoFlow, Resource, allocate_rates, run, verify_trace
+from storagesim.simengine import FlowRecord, FlowSpec, Resource, allocate_rates, run, verify_trace
 from storagesim.volumes import ResourcePath
+
+
+def running(fid, resources, size_mb=1000.0):
+    """A flow that has started at t=0 and not finished, as the engine holds it."""
+    return FlowRecord(fid, ResourcePath(resources, "write"), size_mb, 0.0, None, {}, size_mb)
 
 
 def show(title, flows, caps):
@@ -17,17 +22,12 @@ def show(title, flows, caps):
 
 
 # five writers behind one 1 Gbps (125 MB/s) link, each with a fast disk
-flows = [
-    IoFlow(f"task{i}", ResourcePath(("link", f"disk{i}"), "write"), 1000.0, 1000.0) for i in range(5)
-]
+flows = [running(f"task{i}", ("link", f"disk{i}")) for i in range(5)]
 caps = {"link": 125.0} | {f"disk{i}": 160.0 for i in range(5)}
 show("five flows share a 125 MB/s link:", flows, caps)
 
 # asymmetric paths: B is pinned at 30 by link2, so A gets the remaining 70
-flows = [
-    IoFlow("A", ResourcePath(("link1",), "write"), 1000.0, 1000.0),
-    IoFlow("B", ResourcePath(("link1", "link2"), "write"), 1000.0, 1000.0),
-]
+flows = [running("A", ("link1",)), running("B", ("link1", "link2"))]
 show("\nA on link1(100); B on link1 and link2(30):", flows, {"link1": 100.0, "link2": 30.0})
 
 # the event-driven run: piecewise-constant rates, exact completion times

@@ -9,22 +9,15 @@ flows imply exactly one million 64 KB operations.
 
 from pathlib import Path
 
-from storagesim.cost import (
-    EBS_STANDARD,
-    EPHEMERAL_LOCAL,
-    PriceTable,
-    StorageBilling,
-    UsageRecord,
-    compute_cost,
-    savings,
-)
+from storagesim.cost import PriceTable, compute_cost, savings
 from storagesim.scenario import compare, load_scenario, render_comparison_table
 
 prices = PriceTable()  # $0.24/h m1.large, $0.10 per million ops on standard networked volumes
 print("price table:", prices)
 
-ephemeral = compute_cost(UsageRecord(instance_hours=1.0, io_ops=1_000_000, storage=StorageBilling(EPHEMERAL_LOCAL)), prices)
-ebs = compute_cost(UsageRecord(instance_hours=1.0, io_ops=1_000_000, storage=StorageBilling(EBS_STANDARD)), prices)
+# The same hour of work: on local disks none of its million I/Os is a billed operation.
+ephemeral = compute_cost("local", instance_hours=1.0, io_ops=0, prices=prices)
+ebs = compute_cost("networked", instance_hours=1.0, io_ops=1_000_000, prices=prices)
 print(f"\nlocal (ephemeral):  ${ephemeral.total:.2f}  (instance only)")
 print(f"networked volume:   ${ebs.total:.2f}  (${ebs.instance_cost:.2f} instance + ${ebs.storage_cost:.2f} for 1M ops)")
 print(f"savings: {savings(ephemeral, ebs):.1%}")

@@ -7,7 +7,7 @@ benchmarking, dirty-byte snapshot overhead, and instance/volume pricing.
 """
 
 from .bench import BenchmarkResult, DfsioRun, DfsioSpec, TaskStat, avg_io_rate, run_dfsio, stddev_io_rate, throughput
-from .cost import CostReport, PriceTable, StorageBilling, UsageRecord, compute_cost, count_io_ops, savings
+from .cost import CostReport, PriceTable, compute_cost, count_io_ops, savings
 from .dfs import (
     BlockReplicaSet,
     DfsConfig,
@@ -38,8 +38,8 @@ from .scenario import (
     run_scenario,
 )
 from .simengine import (
+    FlowRecord,
     FlowSpec,
-    IoFlow,
     Resource,
     SimTrace,
     Simulation,

@@ -2,10 +2,11 @@
 
 The default prices are the 2013 North Virginia numbers the comparison was
 built on: $0.24/hour for an m1.large and $0.10 per million I/O operations
-on standard networked volumes. Local (ephemeral) storage is bundled into
-the instance price, which is the entire cost case for it: a one-hour run
-doing a million I/O operations costs $0.34 on networked volumes and $0.24
-on local disks, 29% less.
+on standard networked volumes. Local storage is bundled into the instance
+price, which is the entire cost case for it: a one-hour run doing a
+million I/O operations costs $0.34 on networked volumes and $0.24 on local
+disks, 29% less. Only networked-volume flows count as billed operations,
+so one rule prices every storage config.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 
 from .simengine import SimTrace
 
-EPHEMERAL_LOCAL = "ephemeral_local"
-EBS_STANDARD = "ebs_standard"
-
 KB_PER_MB = 1024.0
 DEFAULT_OP_SIZE_KB = 64.0
 
@@ -26,24 +24,6 @@ DEFAULT_OP_SIZE_KB = 64.0
 class PriceTable:
     instance_per_hour: float = 0.24
     ebs_standard_per_million_ops: float = 0.10
-    # Accepted in a scenario's ``prices`` but never billed: runs only use local or standard volumes.
-    ebs_provisioned_per_iops_month: float = 0.10
-
-
-@dataclass(frozen=True)
-class StorageBilling:
-    kind: str  # ephemeral_local | ebs_standard
-
-    def __post_init__(self):
-        if self.kind not in (EPHEMERAL_LOCAL, EBS_STANDARD):
-            raise ValueError(f"unknown storage billing kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class UsageRecord:
-    instance_hours: float  # aggregate; fractional hours are billed whole
-    io_ops: int
-    storage: StorageBilling
 
 
 @dataclass(frozen=True)
@@ -65,18 +45,15 @@ class CostReport:
         }
 
 
-def compute_cost(usage: UsageRecord, prices: PriceTable = PriceTable()) -> CostReport:
-    """Instance hours round up; storage is billed by the volume class.
+def compute_cost(config: str, instance_hours: float, io_ops: int, prices: PriceTable) -> CostReport:
+    """Price ``instance_hours`` (aggregate, rounded up to whole hours) and ``io_ops``.
 
-    Local storage adds nothing; standard networked volumes charge per
-    million operations.
+    Every operation is billed at the networked-volume rate; a local run
+    performs none, since ``count_io_ops`` counts networked-volume flows only.
     """
-    instance_cost = math.ceil(usage.instance_hours) * prices.instance_per_hour
-    if usage.storage.kind == EPHEMERAL_LOCAL:
-        storage_cost = 0.0
-    else:
-        storage_cost = (usage.io_ops / 1_000_000) * prices.ebs_standard_per_million_ops
-    return CostReport(config=usage.storage.kind, instance_cost=instance_cost, storage_cost=storage_cost)
+    instance_cost = math.ceil(instance_hours) * prices.instance_per_hour
+    storage_cost = (io_ops / 1_000_000) * prices.ebs_standard_per_million_ops
+    return CostReport(config=config, instance_cost=instance_cost, storage_cost=storage_cost)
 
 
 def savings(cheap: CostReport, expensive: CostReport) -> float:

@@ -39,13 +39,12 @@ class VmSpec:
     root_disk_gb: float
     ephemeral_gb: float = 0.0
     requires_local_persistent: bool = False
-    long_running: bool = False
     migratable: bool = True
 
 
 def reference_vm_spec() -> VmSpec:
-    """The long-running DFS node shape used by the reference scenario."""
-    return VmSpec(vcpus=4, ram_gb=8.0, root_disk_gb=32.0, ephemeral_gb=20.0, long_running=True, migratable=False)
+    """The pinned DFS node shape used by the reference scenario."""
+    return VmSpec(vcpus=4, ram_gb=8.0, root_disk_gb=32.0, ephemeral_gb=20.0, migratable=False)
 
 
 @dataclass
@@ -219,7 +218,7 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
     vm = new.instances[vm_id]
     for vol_id in list(vm.volumes):
         vol = new.volumes[vol_id]
-        if vol.kind in (volumes_mod.ROOT, volumes_mod.EPHEMERAL):
+        if vol.kind in volumes_mod.VM_LIFETIME_KINDS:
             # file-backed local disk: recreated empty on the target
             vol.backing = (target_host, target_disk.id)
             vol.data_lost = True

@@ -30,18 +30,7 @@ from typing import Any, Callable, Mapping, NoReturn
 import yaml
 
 from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
-from .cost import (
-    DEFAULT_OP_SIZE_KB,
-    EBS_STANDARD,
-    EPHEMERAL_LOCAL,
-    CostReport,
-    PriceTable,
-    StorageBilling,
-    UsageRecord,
-    compute_cost,
-    count_io_ops,
-    savings,
-)
+from .cost import DEFAULT_OP_SIZE_KB, CostReport, PriceTable, compute_cost, count_io_ops, savings
 from .dfs import DfsConfig
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
 from .placement import ClusterState, VmSpec, place_vm
@@ -261,7 +250,7 @@ _vm_spec = _section(
     root_disk_gb=_positive,
     ephemeral_gb=_nonnegative,
     requires_local_persistent=_bool,
-    long_running=_bool,
+    long_running=_bool,  # accepted and ignored
     migratable=_bool,
 )
 _VM_GROUP_CHECKS = {"count": _count, "policy": _one_of(_str, "spread", "first_fit")}
@@ -297,7 +286,7 @@ _scenario = _section(
         PriceTable,
         instance_per_hour=_nonnegative,
         ebs_standard_per_million_ops=_nonnegative,
-        ebs_provisioned_per_iops_month=_nonnegative,
+        ebs_provisioned_per_iops_month=_nonnegative,  # accepted and ignored
     ),
     volume_size_gb=_positive,
     op_size_kb=_positive,
@@ -448,10 +437,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
     )
 
     io_ops = count_io_ops(run.trace, scenario.op_size_kb)
-    billing = StorageBilling(EBS_STANDARD if cfg == "networked" else EPHEMERAL_LOCAL)
     hours_each = math.ceil(run.result.finished_at / 3600.0)
-    usage = UsageRecord(instance_hours=len(hdfs_volumes) * hours_each, io_ops=io_ops, storage=billing)
-    cost_report = replace(compute_cost(usage, scenario.prices), config=cfg)
 
     return ScenarioRun(
         config=cfg,
@@ -460,7 +446,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
         stats=run.stats,
         trace=run.trace,
         snapshot_records=run.snapshot_records,
-        cost=cost_report,
+        cost=compute_cost(cfg, len(hdfs_volumes) * hours_each, io_ops, scenario.prices),
         io_ops=io_ops,
         network_mb=network_bytes(run.trace),
         prep_traces=prep_traces,

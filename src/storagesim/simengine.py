@@ -18,6 +18,8 @@ every round (see ``_fill``). A resource that reads as fast as it writes
 the whole run; an asymmetric one is re-pooled over the directions of the
 flows crossing it as they start and end. Between events rates are constant,
 so completion times are closed-form and runs are exactly reproducible.
+Once a ``FlowSpec`` starts, its ``FlowRecord`` in the trace is the only
+object the engine keeps for it, advanced and completed in place.
 
 The solve is warm-started. Filling rounds run in increasing level order,
 and a step can only change the rounds at or above a cut, the lowest of:
@@ -126,12 +128,21 @@ class FlowSpec:
 
 
 @dataclass
-class IoFlow:
+class FlowRecord:
+    """A started flow, and the engine's only object for it.
+
+    The engine advances ``remaining_mb`` and ``rate`` in place while the
+    flow runs, and sets ``end_time`` and zeroes ``remaining_mb`` when it ends.
+    """
+
     flow_id: str
     path: ResourcePath
     size_mb: float
-    remaining_mb: float
-    rate: float = 0.0
+    start_time: float
+    end_time: float | None
+    tags: Mapping[str, str]
+    remaining_mb: float = 0.0
+    rate: float = 0.0  # MB/s
 
 
 # Rounding can leave a re-summed saturation below its value before a freeze touched it,
@@ -225,7 +236,7 @@ def _fill(
     return rates
 
 
-def allocate_rates(flows: Iterable[IoFlow], capacities: Mapping[str, float]) -> dict[str, float]:
+def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float]) -> dict[str, float]:
     """Max-min fair rates by progressive filling.
 
     All unfrozen flows rise uniformly; each round, every resource whose
@@ -276,16 +287,6 @@ class TraceEvent(NamedTuple):
 # events as ``_event(TraceEvent, (time, kind, flow id, resource id, value))``,
 # skipping the generated ``__new__`` wrapper. The result is a TraceEvent.
 _event = tuple.__new__
-
-
-@dataclass
-class FlowRecord:
-    flow_id: str
-    path: ResourcePath
-    size_mb: float
-    start_time: float
-    end_time: float | None
-    tags: Mapping[str, str]
 
 
 # Lines per write of ``SimTrace.write_csv``: bounds the joined string to a few hundred KB.
@@ -341,10 +342,11 @@ class Simulation:
 
     Flows can be injected up front, from a completion hook (which is how
     the benchmark layer dispatches queued tasks the moment a slot frees),
-    or from a timer (which is how snapshots are taken mid-run). The trace
-    shares ``resources``, so a resource added there mid-run, before the
-    first flow that crosses it, is audited with the rest. A resource's
-    capacities are read once, when the first flow crossing it is added.
+    or from a timer (which is how snapshots are taken mid-run). The hook
+    gets the completed flows' records in flow-id order. The trace shares
+    ``resources``, so a resource added there mid-run, before the first flow
+    that crosses it, is audited with the rest. A resource's capacities are
+    read once, when the first flow crossing it is added.
 
     Each reallocation re-solves only the flows at or above the cut (see the
     module docstring) and logs their changed rates in flow-id order; a step
@@ -359,7 +361,7 @@ class Simulation:
         self._pending: list[tuple[float, int, FlowSpec]] = []
         self._pending_ids: set[str] = set()
         self._timers: list[tuple[float, int, TimerCallback]] = []
-        self._active: dict[str, IoFlow] = {}
+        self._active: dict[str, FlowRecord] = {}
         self._seq = 0
         self._trace = SimTrace(resources=self.resources)
         # Filled as flows are added: each crossed resource's capacity, and each asymmetric resource
@@ -368,8 +370,8 @@ class Simulation:
         self._pooled: dict[str, tuple[Resource, Counter[str]]] = {}
         # Warm-start state: the flows started and ended since the last solve, and each
         # resource's {flow id: rate} in flow-id order (None: rebuilt from `_active` when needed).
-        self._arrived: list[IoFlow] = []
-        self._departed: list[IoFlow] = []
+        self._arrived: list[FlowRecord] = []
+        self._departed: list[FlowRecord] = []
         self._members: defaultdict[str, dict[str, float]] | None = None
 
     def add_flow(self, spec: FlowSpec, at_time: float) -> None:
@@ -413,10 +415,8 @@ class Simulation:
 
     def progress(self) -> Iterator[tuple[FlowRecord, float]]:
         """Each started flow, in start order, with the MB it has moved by ``now``."""
-        active = self._active
-        for fid, record in self._trace.flows.items():
-            flow = active.get(fid)
-            yield record, record.size_mb if flow is None else flow.size_mb - flow.remaining_mb
+        for record in self._trace.flows.values():
+            yield record, record.size_mb - record.remaining_mb
 
     # -- internals ----------------------------------------------------------
 
@@ -450,7 +450,7 @@ class Simulation:
                 flow.rate = r
                 append(_event(TraceEvent, (now, "rate_change", fid, "", r)))
 
-    def _resolve(self, arrived: list[IoFlow], departed: list[IoFlow]) -> dict[str, float]:
+    def _resolve(self, arrived: list[FlowRecord], departed: list[FlowRecord]) -> dict[str, float]:
         """Re-solve the flows at or above the cut, and the arrivals; return their rates in flow-id order."""
         active, capacities, members = self._active, self._capacities, self._members
         if members is None:
@@ -526,11 +526,11 @@ class Simulation:
         active, arrived, flows, events = self._active, self._arrived, self._trace.flows, self._trace.events
         while pending and pending[0][0] <= now:
             spec = heappop(pending)[2]
-            fid, path, size_mb = spec.flow_id, spec.path, spec.size_mb
+            fid, size_mb = spec.flow_id, spec.size_mb
             self._pending_ids.discard(fid)
-            active[fid] = flow = IoFlow(fid, path, size_mb, size_mb)
-            arrived.append(flow)
-            flows[fid] = FlowRecord(fid, path, size_mb, now, None, spec.tags)
+            record = FlowRecord(fid, spec.path, size_mb, now, None, spec.tags, size_mb)
+            active[fid] = flows[fid] = record
+            arrived.append(record)
             events.append(_event(TraceEvent, (now, "flow_start", fid, "", size_mb)))
 
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:
@@ -557,19 +557,17 @@ class Simulation:
                     completed.append(f)
             completed.sort(key=attrgetter("flow_id"))
             self._departed += completed
-            done_records = []
-            now, active, flows, events = self.now, self._active, self._trace.flows, self._trace.events
+            now, active, events = self.now, self._active, self._trace.events
             for f in completed:
                 fid = f.flow_id
                 del active[fid]
-                record = flows[fid]
-                record.end_time = now
+                f.end_time = now
+                f.remaining_mb = 0.0
                 events.append(_event(TraceEvent, (now, "flow_end", fid, "", f.size_mb)))
-                done_records.append(record)
 
             self._start_arrivals()
-            if done_records and on_complete is not None:
-                on_complete(self, done_records, self.now)
+            if completed and on_complete is not None:
+                on_complete(self, completed, self.now)
                 self._start_arrivals()  # the hook may have queued flows for right now
             while self._timers and self._timers[0][0] <= self.now:
                 heappop(self._timers)[2](self, self.now)

@@ -25,16 +25,13 @@ from typing import Iterable, Mapping
 from .simengine import FlowSpec, Resource, SimTrace, Simulation, TraceEvent
 from .topology import ClusterTopology, management_path
 from .volumes import (
-    EPHEMERAL,
-    ROOT,
+    VM_LIFETIME_KINDS,
     ResourcePath,
     Volume,
     disk_resource_id,
     is_link_resource,
     link_resource_id,
 )
-
-SNAPSHOT_KINDS = frozenset({ROOT, EPHEMERAL})
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ def _written_mb(sim: Simulation, volumes: Mapping[str, Volume]) -> dict[str, flo
         if (
             record.path.direction == "write"
             and vol_id in volumes
-            and volumes[vol_id].kind in SNAPSHOT_KINDS
+            and volumes[vol_id].kind in VM_LIFETIME_KINDS
             and record.tags.get("kind") != "snapshot"
         ):
             parts.setdefault(vol_id, []).append(moved)

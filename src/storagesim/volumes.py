@@ -33,6 +33,8 @@ LOCAL_PERSISTENT = "local_persistent"
 
 KINDS = (ROOT, EPHEMERAL, NETWORKED, LOCAL_PERSISTENT)
 LOCAL_KINDS = frozenset({ROOT, EPHEMERAL, LOCAL_PERSISTENT})
+# File-backed on the VM's host disk: their data dies with the VM.
+VM_LIFETIME_KINDS = frozenset({ROOT, EPHEMERAL})
 
 Direction = Literal["read", "write"]
 
@@ -50,7 +52,7 @@ class Volume:
     def occupies_space(self) -> bool:
         # file-backed local disks are deleted on detach; persistent kinds
         # keep their allocation while holding data
-        if self.kind in (ROOT, EPHEMERAL):
+        if self.kind in VM_LIFETIME_KINDS:
             return self.attached_to is not None
         return True
 
@@ -221,7 +223,7 @@ def terminate_vm(
 
     for vol_id in list(vm.volumes):
         vol = new.volumes[vol_id]
-        if vol.kind in (ROOT, EPHEMERAL):
+        if vol.kind in VM_LIFETIME_KINDS:
             vol.data_lost = True
             vol.stored_mb = 0.0
         vol.attached_to = None

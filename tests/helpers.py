@@ -7,7 +7,7 @@ from storagesim.topology import reference_cluster
 from storagesim.volumes import LOCAL_PERSISTENT, NETWORKED, ROOT, attach_volume
 
 SMALL_VM = VmSpec(vcpus=1, ram_gb=1.0, root_disk_gb=10.0, ephemeral_gb=0.0, migratable=False)
-PINNED_VM = VmSpec(vcpus=4, ram_gb=8.0, root_disk_gb=32.0, ephemeral_gb=20.0, long_running=True, migratable=False)
+PINNED_VM = VmSpec(vcpus=4, ram_gb=8.0, root_disk_gb=32.0, ephemeral_gb=20.0, migratable=False)
 
 
 def placed_cluster(

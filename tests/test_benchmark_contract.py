@@ -1,33 +1,35 @@
-"""The benchmark under perfbench/ wraps named program functions: they must keep resolving.
+"""The benchmark under perfbench/ wraps named program functions and feeds the program scenarios.
 
-perfbench/tracer.py is loaded from its file and only read; nothing is patched.
+The traced functions must keep resolving, and every workload's scenario must keep parsing and
+building, so a change that breaks the benchmark fails here first. perfbench/tracer.py and
+perfbench/workloads.py are loaded from their files and only read; nothing is patched.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 
-import storagesim  # noqa: F401  (loads every submodule)
 import storagesim.bench
+from storagesim.scenario import build_state, parse_scenario
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TARGETS = _tracer().TARGETS
+TARGETS = _load("tracer").TARGETS
+WORKLOADS = _load("workloads")
 
 
 @pytest.mark.parametrize("module_name, attr, span", TARGETS, ids=[t[2] for t in TARGETS])
 def test_traced_target_resolves(module_name, attr, span):
-    home = sys.modules[f"storagesim.{module_name}"]
+    home = importlib.import_module(f"storagesim.{module_name}")
     if "." in attr:  # a method, patched on the class that defines it
         cls_name, meth = attr.split(".")
         assert callable(vars(getattr(home, cls_name)).get(meth)), span
@@ -38,3 +40,8 @@ def test_traced_target_resolves(module_name, attr, span):
 def test_run_dfsio_defines_an_on_complete_hook():
     consts = storagesim.bench.run_dfsio.__code__.co_consts
     assert any(getattr(c, "co_name", "") == "on_complete" for c in consts)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_scenario_parses_and_builds(name):
+    build_state(parse_scenario(WORKLOADS.scenario_data(name, 1, 0)))

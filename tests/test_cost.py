@@ -2,68 +2,55 @@ import random
 
 import pytest
 
-from storagesim.cost import (
-    EBS_STANDARD,
-    EPHEMERAL_LOCAL,
-    CostReport,
-    PriceTable,
-    StorageBilling,
-    UsageRecord,
-    compute_cost,
-    count_io_ops,
-    savings,
-)
+from storagesim.cost import CostReport, PriceTable, compute_cost, count_io_ops, savings
 from storagesim.simengine import FlowRecord, SimTrace
 from storagesim.volumes import ResourcePath
 
 TABLE = PriceTable()  # the canonical 2013 prices
 
 
-def usage(hours, ops, billing):
-    return UsageRecord(instance_hours=hours, io_ops=ops, storage=billing)
-
-
 def test_one_hour_million_ops_on_networked_storage():
-    report = compute_cost(usage(1.0, 1_000_000, StorageBilling(EBS_STANDARD)), TABLE)
+    report = compute_cost("networked", 1.0, 1_000_000, TABLE)
+    assert report.config == "networked"
     assert report.instance_cost == 0.24
     assert report.storage_cost == pytest.approx(0.10)
     assert report.total == pytest.approx(0.34)
 
 
 def test_local_storage_costs_only_the_instance():
-    report = compute_cost(usage(1.0, 10_000_000, StorageBilling(EPHEMERAL_LOCAL)), TABLE)
+    # a local run bills no operations: count_io_ops counts networked-volume flows only
+    report = compute_cost("local", 1.0, 0, TABLE)
+    assert report.storage_cost == 0.0
     assert report.total == 0.24
 
 
 def test_two_hours_three_million_ops():
-    report = compute_cost(usage(2.0, 3_000_000, StorageBilling(EBS_STANDARD)), TABLE)
+    report = compute_cost("networked", 2.0, 3_000_000, TABLE)
     assert report.instance_cost == pytest.approx(0.48)
     assert report.storage_cost == pytest.approx(0.30)
     assert report.total == pytest.approx(0.78)
 
 
 def test_fractional_hours_round_up():
-    report = compute_cost(usage(1.01, 0, StorageBilling(EPHEMERAL_LOCAL)), TABLE)
+    report = compute_cost("local", 1.01, 0, TABLE)
     assert report.instance_cost == pytest.approx(0.48)
 
 
-def test_cost_linear_in_io_ops_for_standard_and_flat_for_local():
+def test_cost_linear_in_io_ops():
     rng = random.Random(9)
     for _ in range(100):
         ops = rng.randrange(0, 10_000_000)
         k = rng.randint(2, 5)
-        std_one = compute_cost(usage(1.0, ops, StorageBilling(EBS_STANDARD)), TABLE).storage_cost
-        std_k = compute_cost(usage(1.0, k * ops, StorageBilling(EBS_STANDARD)), TABLE).storage_cost
-        assert std_k == pytest.approx(k * std_one, abs=1e-12)
-        local = compute_cost(usage(1.0, ops, StorageBilling(EPHEMERAL_LOCAL)), TABLE)
-        assert local.storage_cost == 0.0
+        one = compute_cost("networked", 1.0, ops, TABLE).storage_cost
+        scaled = compute_cost("networked", 1.0, k * ops, TABLE).storage_cost
+        assert scaled == pytest.approx(k * one, abs=1e-12)
 
 
 def test_savings_reproduces_the_29_percent_figure():
-    ephemeral = compute_cost(usage(1.0, 1_000_000, StorageBilling(EPHEMERAL_LOCAL)), TABLE)
-    ebs = compute_cost(usage(1.0, 1_000_000, StorageBilling(EBS_STANDARD)), TABLE)
-    assert savings(ephemeral, ebs) == pytest.approx(0.10 / 0.34)
-    assert savings(ephemeral, ebs) == pytest.approx(0.2941, abs=1e-4)
+    local = compute_cost("local", 1.0, 0, TABLE)
+    networked = compute_cost("networked", 1.0, 1_000_000, TABLE)
+    assert savings(local, networked) == pytest.approx(0.10 / 0.34)
+    assert savings(local, networked) == pytest.approx(0.2941, abs=1e-4)
 
 
 def test_savings_identities():

@@ -251,6 +251,24 @@ def test_cost_walkthrough_savings_fraction():
     assert pair["savings_of_a_vs_b"] == pytest.approx(0.2941, abs=1e-4)
 
 
+@pytest.mark.parametrize("mode", ["write", "mixed"])
+@pytest.mark.parametrize("config", ["local", "local_persistent", "networked"])
+def test_cost_walkthrough_bills_operations_on_networked_runs_only(config, mode):
+    # One billing rule prices every config; local storage is free per operation because none is counted.
+    doc = yaml.safe_load((SCENARIOS / "cost_reference.yaml").read_text())
+    doc["topology"]["reference"]["local_persistent_gb"] = 200
+    doc["dfsio"]["mode"] = mode
+    scenario = parse_scenario(doc)
+    run = run_scenario(scenario, storage_config=config)
+    assert run.cost.config == config
+    assert run.cost.storage_cost == run.io_ops / 1_000_000 * scenario.prices.ebs_standard_per_million_ops
+    if config == "networked":
+        assert run.io_ops > 0
+    else:
+        assert run.io_ops == 0
+        assert run.cost.storage_cost == 0.0
+
+
 # -- CLI ------------------------------------------------------------------------
 
 

@@ -12,7 +12,6 @@ from storagesim.errors import SimulationStalledError, UnknownResourceError, Unre
 from storagesim.simengine import (
     FlowRecord,
     FlowSpec,
-    IoFlow,
     Resource,
     SimTrace,
     Simulation,
@@ -27,13 +26,9 @@ from storagesim.topology import reference_cluster
 from storagesim.volumes import ResourcePath
 
 
-def flow(fid, resources, size=1000.0, direction="write", remaining=None):
-    return IoFlow(
-        flow_id=fid,
-        path=ResourcePath(tuple(resources), direction),
-        size_mb=size,
-        remaining_mb=size if remaining is None else remaining,
-    )
+def flow(fid, resources, size=1000.0, direction="write"):
+    """A running flow's record, as ``allocate_rates`` takes it."""
+    return FlowRecord(fid, ResourcePath(tuple(resources), direction), size, 0.0, None, {}, size)
 
 
 def res(rid, cap):
