@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dfs import DfsConfig, DfsFile, PlacementTables, place_file, schedule_map_task
 from .errors import EmptyStatsError, ReadBeforeWriteError, SimError
@@ -48,8 +48,7 @@ class DfsioSpec:
     read_fraction: float = 0.5  # mixed mode only
 
 
-@dataclass(frozen=True)
-class TaskStat:
+class TaskStat(NamedTuple):
     task_index: int  # 1..N
     file_size_mb: float
     elapsed_s: float
@@ -86,17 +85,22 @@ def avg_io_rate(stats: Sequence[TaskStat]) -> float:
     return float(_exact_sum(s.rate for s in stats) / len(stats))
 
 
+def _rate_moments(stats: Sequence[TaskStat]) -> tuple[float, float, float]:
+    """The reducer's sum and sum of squares of the per-task rates, and the standard deviation from them."""
+    _require_stats(stats)
+    n = len(stats)
+    sum_rate = math.fsum(s.rate for s in stats)
+    sum_sq = math.fsum(s.rate * s.rate for s in stats)
+    return sum_rate, sum_sq, math.sqrt(max(0.0, sum_sq / n - (sum_rate / n) ** 2))
+
+
 def stddev_io_rate(stats: Sequence[TaskStat]) -> float:
     """Population standard deviation of per-task rates.
 
     Computed from the running sum and sum-of-squares the reducer collects,
     clamped at zero against cancellation dust.
     """
-    _require_stats(stats)
-    n = len(stats)
-    sum_rate = math.fsum(s.rate for s in stats)
-    sum_sq = math.fsum(s.rate * s.rate for s in stats)
-    return math.sqrt(max(0.0, sum_sq / n - (sum_rate / n) ** 2))
+    return _rate_moments(stats)[2]
 
 
 @dataclass
@@ -113,6 +117,7 @@ class BenchmarkResult:
 
     @classmethod
     def from_stats(cls, mode: str, stats: Sequence[TaskStat], finished_at: float) -> BenchmarkResult:
+        sum_rate, sum_rate_sq, stddev = _rate_moments(stats)
         return cls(
             mode=mode,
             finished_at=finished_at,
@@ -120,9 +125,9 @@ class BenchmarkResult:
             total_mb=math.fsum(s.file_size_mb for s in stats),
             throughput_mbps=throughput(stats),
             avg_io_rate_mbps=avg_io_rate(stats),
-            stddev_io_rate_mbps=stddev_io_rate(stats),
-            sum_rate=math.fsum(s.rate for s in stats),
-            sum_rate_sq=math.fsum(s.rate * s.rate for s in stats),
+            stddev_io_rate_mbps=stddev,
+            sum_rate=sum_rate,
+            sum_rate_sq=sum_rate_sq,
         )
 
     def to_dict(self) -> dict:
@@ -149,7 +154,7 @@ class DfsioRun:
     snapshot_records: list[SnapshotRecord]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Task:
     index: int  # 0-based internally
     mode: str
@@ -245,6 +250,10 @@ def run_dfsio(
     host_links: dict[tuple[str, str], tuple[str, ...]] = {}  # (src host, dst host) -> link resources
     replica_paths: dict[tuple[str, str], ResourcePath] = {}  # (src host, peer vm) -> replica copy path
     placement = PlacementTables(work_state, members)  # members and their hosts too: one set of pools per run
+    volume_tags: dict[str, tuple[str, str]] = {}  # member -> its DFS volume's (id, kind)
+    for vm in members:
+        vol = work_state.volumes[hdfs_volumes[vm]]
+        volume_tags[vm] = (vol.id, vol.kind)
 
     def io_path(vm: str, direction: str) -> ResourcePath:
         path = io_paths.get((vm, direction))
@@ -268,8 +277,8 @@ def run_dfsio(
     def start_flow(
         task: _Task, fid: str, path: ResourcePath, mb: float, stage: str, vm: str, volume_vm: str, now: float
     ) -> None:
-        vol = work_state.volumes[hdfs_volumes[volume_vm]]
-        tags = {"task": str(task.index), "stage": stage, "vm": vm, "volume_id": vol.id, "volume_kind": vol.kind}
+        volume_id, volume_kind = volume_tags[volume_vm]
+        tags = {"task": str(task.index), "stage": stage, "vm": vm, "volume_id": volume_id, "volume_kind": volume_kind}
         sim.add_flow(FlowSpec(fid, path, mb, tags=tags), now)
         task.outstanding.add(fid)
         by_flow[fid] = task
@@ -314,18 +323,19 @@ def run_dfsio(
 
     def dispatch(now: float) -> None:
         # Slots only fall and running only rises within a call, so a task skipped once stays skipped: one pass.
-        for task in list(queue):
-            if running[0] >= spec.map_capacity:
-                break
+        i = 0
+        while i < len(queue) and running[0] < spec.map_capacity:
+            task = queue[i]
             if task.mode == WRITE:
                 vm = task.writer_vm
                 if slots[vm] <= 0:
+                    i += 1
                     continue
             elif all(s <= 0 for s in slots.values()):
                 break
             else:
                 vm = schedule_map_task(f"t{task.index:04d}", slots, replicas=task.file.holders())
-            queue.remove(task)
+            del queue[i]
             slots[vm] -= 1
             running[0] += 1
             task.start = now

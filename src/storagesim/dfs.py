@@ -22,6 +22,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InsufficientVmsError, NoFreeSlotsError
 from .placement import RUNNING, ClusterState
@@ -38,8 +39,7 @@ class DfsConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class BlockReplicaSet:
+class BlockReplicaSet(NamedTuple):
     block_id: str
     replicas: tuple[tuple[str, str], ...]  # (vm id, rack id), writer first
     bytes_mb: float
@@ -51,8 +51,7 @@ class BlockReplicaSet:
         return {rack for _, rack in self.replicas}
 
 
-@dataclass(frozen=True)
-class DfsFile:
+class DfsFile(NamedTuple):
     name: str
     size_mb: float
     block_size_mb: float

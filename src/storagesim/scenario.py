@@ -109,7 +109,7 @@ def _num(value: Any, path: str) -> float:
     value = _number(value, path)
     if not abs(value) <= sys.float_info.max:  # NaN, the infinities, and ints too large for a float
         _fail(path, f"must be finite, got {value}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 + 0.0 is 0.0, so no output prints a negative zero; every other float is kept
 
 
 def _num_where(holds: Callable[[float], bool], text: str) -> Check:

@@ -19,7 +19,11 @@ the whole run; an asymmetric one is re-pooled over the directions of the
 flows crossing it as they start and end. Between events rates are constant,
 so completion times are closed-form and runs are exactly reproducible.
 Once a ``FlowSpec`` starts, its ``FlowRecord`` in the trace is the only
-object the engine keeps for it, advanced and completed in place.
+object the engine keeps for it, advanced and completed in place. A run
+builds one of each per flow, and every step reads each active record's
+rate and remainder, so a spec is a tuple and a record a slotted object. A
+path's resources are checked once per simulation, when the first flow on
+that path object is added.
 
 The solve is warm-started. Filling rounds run in increasing level order,
 and a step can only change the rounds at or above a cut, the lowest of:
@@ -58,6 +62,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import SimulationStalledError, UnknownResourceError, UnresolvablePathError
@@ -117,17 +122,20 @@ def _directions(paths: Iterable[ResourcePath]) -> dict[str, set[str]]:
     return dirs
 
 
-@dataclass(frozen=True)
-class FlowSpec:
-    """A transfer to simulate: id, path, size; tags are free-form labels."""
+class FlowSpec(NamedTuple):
+    """A transfer to simulate: id, path, size; tags are free-form labels, by default none.
+
+    The default ``tags`` is one shared empty mapping, read-only so no flow can
+    write into another's labels.
+    """
 
     flow_id: str
     path: ResourcePath
     size_mb: float
-    tags: Mapping[str, str] = field(default_factory=dict)
+    tags: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """A started flow, and the engine's only object for it.
 
@@ -156,6 +164,7 @@ def _fill(
     live: dict[str, set[str]],
     level: float,
     capacities: Mapping[str, float],
+    keep_tables: bool = True,
 ) -> dict[str, float]:
     """Progressive filling of the live flows ``hops`` upward from ``level``.
 
@@ -164,6 +173,12 @@ def _fill(
     there. ``live`` maps each resource the live flows cross to those flows,
     and is emptied as they freeze. Returns the live flows' rates, in
     ``hops`` order.
+
+    With ``keep_tables`` false the caller drops ``members`` and ``live``
+    after the call, so the round that freezes every flow still live writes
+    its level into the returned rates alone and the fill returns there: no
+    later read could see the skipped writes. The warm solve keeps its
+    ``members`` across steps and so keeps every write.
 
     A resource's saturation is ``(capacity - sum(members)) / live flows``.
     Each round freezes, at the round's level, the live flows of every
@@ -190,6 +205,7 @@ def _fill(
     resource under 10**5 flows.
     """
     rates = dict.fromkeys(hops, 0.0)
+    n_live = len(rates)
     heap = [((capacities[rid] - sum(members[rid].values())) / len(fids), rid) for rid, fids in live.items()]
     heapify(heap)
     slack = LEVEL_KEY_SLACK * max(map(capacities.__getitem__, live), default=0.0)
@@ -226,6 +242,10 @@ def _fill(
                 newly_frozen |= live[rid]
             else:
                 heappush(heap, (lvl, rid))
+        n_live -= len(newly_frozen)
+        if not (n_live or keep_tables):
+            rates.update(dict.fromkeys(newly_frozen, level))
+            return rates
         for fid in newly_frozen:
             rates[fid] = level
             fhops = hops[fid]
@@ -248,7 +268,10 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float])
 
     Each resource's saturation level is ``(capacity - frozen usage) / live
     count``; ``_fill`` keeps the levels in a heap and re-sums a resource
-    touched by a freeze only when the round's level could reach it.
+    touched by a freeze only when the round's level could reach it. The
+    solve's tables die with the call, so ``_fill`` returns as soon as a
+    round freezes every flow still live, without writing that round into
+    them: a solve that one round settles is one pass over the heap.
     Exactness contract: a re-summed frozen usage is the plain ``sum`` of its
     members' rates in member (flow-id) order, a live member counting 0.0
     (``x + 0.0 == x`` for every ``x >= 0``, so this is the sum over the
@@ -272,7 +295,7 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float])
                 if rid not in capacities:
                     raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
 
-    return _fill(members, hops, {rid: set(fids) for rid, fids in members.items()}, 0.0, capacities)
+    return _fill(members, hops, {rid: set(fids) for rid, fids in members.items()}, 0.0, capacities, False)
 
 
 class TraceEvent(NamedTuple):
@@ -353,13 +376,23 @@ class Simulation:
     that starts and ends no flow re-solves nothing. The full solve,
     ``allocate_rates``, runs only when there is nothing to keep: the first
     solve, and a step after every previous flow ended.
+
+    Flows start in (arrival time, add order). A flow added for a later time
+    waits in a heap; one added at ``now`` (the hook's and the timers' flows,
+    and those added at 0.0 before ``run``) skips the heap and joins a list
+    in add order, started right after the heap's flows due at ``now``. That
+    is the heap's own order: a heap entry due at ``now`` was added before
+    the clock reached ``now``, so before every flow in the list.
     """
 
     def __init__(self, resources: Mapping[str, Resource]):
         self.resources = dict(resources)
         self.now = 0.0
-        self._pending: list[tuple[float, int, FlowSpec]] = []
-        self._pending_ids: set[str] = set()
+        self._pending: list[tuple[float, int, FlowSpec]] = []  # heap of the flows added for a later time
+        self._due_now: list[FlowSpec] = []  # the flows added at `now`, in add order
+        self._pending_ids: set[str] = set()  # the flows of both
+        # id -> each path whose every resource has a capacity entry; holding the path keeps its id unique.
+        self._checked_paths: dict[int, ResourcePath] = {}
         self._timers: list[tuple[float, int, TimerCallback]] = []
         self._active: dict[str, FlowRecord] = {}
         self._seq = 0
@@ -383,17 +416,23 @@ class Simulation:
             raise ValueError(f"flow {spec.flow_id} has size {spec.size_mb} MB")
         if spec.flow_id in self._trace.flows or spec.flow_id in self._pending_ids:
             raise ValueError(f"duplicate flow id {spec.flow_id!r}")
-        for rid in spec.path.resources:
-            if rid not in self._capacities:
-                resource = self.resources.get(rid)
-                if resource is None:
-                    raise UnresolvablePathError(f"flow {spec.flow_id} references unknown resource {rid!r}")
-                if resource.read_capacity != resource.write_capacity:
-                    self._pooled[rid] = (resource, Counter())
-                self._capacities[rid] = min(resource.read_capacity, resource.write_capacity)
-        heappush(self._pending, (at_time, self._seq, spec))
+        path = spec.path
+        if self._checked_paths.get(id(path)) is not path:
+            for rid in path.resources:
+                if rid not in self._capacities:
+                    resource = self.resources.get(rid)
+                    if resource is None:
+                        raise UnresolvablePathError(f"flow {spec.flow_id} references unknown resource {rid!r}")
+                    if resource.read_capacity != resource.write_capacity:
+                        self._pooled[rid] = (resource, Counter())
+                    self._capacities[rid] = min(resource.read_capacity, resource.write_capacity)
+            self._checked_paths[id(path)] = path
+        if at_time == self.now:
+            self._due_now.append(spec)
+        else:
+            heappush(self._pending, (at_time, self._seq, spec))
+            self._seq += 1
         self._pending_ids.add(spec.flow_id)
-        self._seq += 1
 
     def add_timer(self, at_time: float, callback: TimerCallback) -> None:
         """Call ``callback(sim, now)`` at ``at_time``.
@@ -411,7 +450,7 @@ class Simulation:
     @property
     def idle(self) -> bool:
         """True when no flow is pending or active."""
-        return not (self._pending or self._active)
+        return not (self._pending or self._due_now or self._active)
 
     def progress(self) -> Iterator[tuple[FlowRecord, float]]:
         """Each started flow, in start order, with the MB it has moved by ``now``."""
@@ -522,21 +561,32 @@ class Simulation:
         return t
 
     def _start_arrivals(self) -> None:
-        pending, now = self._pending, self.now
+        """Start the flows due at ``now``: the heap's in (time, add) order, then those added at ``now``."""
+        pending, due, now = self._pending, self._due_now, self.now
+        if pending and pending[0][0] <= now:
+            from_heap = []
+            while pending and pending[0][0] <= now:
+                from_heap.append(heappop(pending)[2])
+            due[:0] = from_heap
+        if not due:
+            return
         active, arrived, flows, events = self._active, self._arrived, self._trace.flows, self._trace.events
-        while pending and pending[0][0] <= now:
-            spec = heappop(pending)[2]
-            fid, size_mb = spec.flow_id, spec.size_mb
-            self._pending_ids.discard(fid)
-            record = FlowRecord(fid, spec.path, size_mb, now, None, spec.tags, size_mb)
+        pending_ids = self._pending_ids
+        for fid, path, size_mb, tags in due:
+            pending_ids.discard(fid)
+            record = FlowRecord(fid, path, size_mb, now, None, tags, size_mb)
             active[fid] = flows[fid] = record
             arrived.append(record)
             events.append(_event(TraceEvent, (now, "flow_start", fid, "", size_mb)))
+        due.clear()
 
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:
         """Execute until no flow or timer is pending and no flow is active; returns the trace."""
-        while self._pending or self._active or self._timers:
-            t_arrival = self._pending[0][0] if self._pending else math.inf
+        while self._pending or self._due_now or self._active or self._timers:
+            if self._due_now:
+                t_arrival = self.now
+            else:
+                t_arrival = self._pending[0][0] if self._pending else math.inf
             t_flows = min(t_arrival, self._next_completion())
             if self._active and math.isinf(t_flows):
                 raise SimulationStalledError(f"{len(self._active)} active flows cannot progress at t={self.now}")

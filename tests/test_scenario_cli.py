@@ -269,6 +269,20 @@ def test_cost_walkthrough_bills_operations_on_networked_runs_only(config, mode):
         assert run.cost.storage_cost == 0.0
 
 
+@pytest.mark.parametrize("config", ["local", "networked"])
+def test_a_negative_zero_price_is_read_as_zero(tmp_path, config):
+    # -0.0 passes the non-negative check; read as 0.0, no cost is written with a minus sign
+    doc = yaml.safe_load((SCENARIOS / "cost_reference.yaml").read_text())
+    doc["prices"]["ebs_standard_per_million_ops"] = -0.0
+    doc["storage_config"] = config
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+    text = (out / "result.json").read_text()
+    storage_cost = json.loads(text)["cost"]["storage_cost_usd"]
+    assert storage_cost == 0.0 and math.copysign(1.0, storage_cost) == 1.0
+    assert "-0.0" not in text
+
+
 # -- CLI ------------------------------------------------------------------------
 
 

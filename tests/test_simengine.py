@@ -252,6 +252,27 @@ def test_a_warm_fill_from_a_kept_level_equals_the_generator_resum():
     assert checked > 100
 
 
+def test_a_cold_solve_whose_last_round_freezes_every_flow_equals_the_oracle():
+    instances = [
+        # one round: five flows share a 125 MB/s link, each also crossing its own 160 MB/s disk
+        ({f"f{i}": ("link", f"d{i}") for i in range(5)}, {"link": 125.0} | {f"d{i}": 160.0 for i in range(5)}),
+        # two rounds: B and C freeze at 15 on link2, then A and D together at 42.5 on link1
+        ({"A": ("link1",), "B": ("link1", "link2"), "C": ("link2",), "D": ("link1",)}, {"link1": 100.0, "link2": 30.0}),
+    ]
+    for paths, caps in instances:
+        want = maxmin_fill_oracle(paths, caps)
+        assert allocate_rates([flow(f, p) for f, p in paths.items()], caps) == want
+        # the same fill writing its last round into the tables gives the same rates
+        members: dict[str, dict[str, float]] = {}
+        for fid in sorted(paths):
+            for rid in paths[fid]:
+                members.setdefault(rid, {})[fid] = 0.0
+        live = {rid: set(fids) for rid, fids in members.items()}
+        assert simengine._fill(members, dict(paths), live, 0.0, caps) == want
+        assert all(members[rid][fid] == want[fid] for fid in paths for rid in paths[fid])
+    assert set(want.values()) == {15.0, 42.5}
+
+
 def _count_directions_calls(monkeypatch):
     """Count ``simengine._directions`` calls, and those made inside ``Simulation.run``."""
     calls, in_run = [], []
@@ -452,6 +473,68 @@ def test_timers_fire_after_completions_and_the_hook_and_start_their_flows_at_onc
         sim.add_timer(1.0, look)
 
 
+def test_flows_start_in_add_order_when_added_at_now_beside_flows_due_now():
+    # "m" and "b" wait in the heap for t=5; "x" ends then, and the hook and a timer add flows at now
+    disk = ResourcePath(("d1",), "write")
+    sim = Simulation({"d1": res("d1", 100.0)})
+    sim.add_flow(FlowSpec("x", disk, 500.0), 0.0)
+    sim.add_flow(FlowSpec("m", disk, 100.0), 5.0)
+    sim.add_flow(FlowSpec("b", disk, 100.0), 5.0)
+
+    def hook(sim, records, now):
+        if records[0].flow_id == "x":
+            sim.add_flow(FlowSpec("h", disk, 100.0), now)
+
+    def at_five(sim, now):
+        for fid in ("z", "a"):
+            sim.add_flow(FlowSpec(fid, disk, 100.0), now)
+
+    sim.add_timer(5.0, at_five)
+    trace = sim.run(on_complete=hook)
+    starts = [e.flow_id for e in trace.events if e.kind == "flow_start" and e.time == 5.0]
+    assert starts == ["m", "b", "h", "z", "a"]
+    assert verify_trace(trace) == []
+
+
+def test_flows_added_at_zero_before_run_start_and_keep_the_simulation_busy():
+    sim = Simulation({"d1": res("d1", 100.0)})
+    assert sim.idle
+    sim.add_flow(FlowSpec("a", ResourcePath(("d1",), "write"), 100.0), 0.0)
+    assert not sim.idle  # only the flows added at `now` hold it
+    seen = []
+
+    def add_at_now(sim, now):
+        sim.add_flow(FlowSpec("b", ResourcePath(("d1",), "write"), 100.0), now)
+        seen.append(sim.idle)
+
+    sim.add_timer(2.0, add_at_now)  # after "a" ended: nothing else is pending or active
+    trace = sim.run()
+    assert seen == [False]
+    assert (trace.flows["a"].start_time, trace.flows["a"].end_time) == (0.0, 1.0)
+    assert (trace.flows["b"].start_time, trace.flows["b"].end_time) == (2.0, 3.0)
+    assert sim.idle
+
+
+def test_a_resource_added_mid_run_is_picked_up():
+    # a capped snapshot adds its cap resource at each take, on a new path
+    sim = Simulation({"d1": res("d1", 100.0)})
+    sim.add_flow(FlowSpec("w", ResourcePath(("d1",), "write"), 1000.0), 0.0)
+
+    def take(sim, now):
+        cap_id = f"cap:{now}"
+        sim.resources[cap_id] = res(cap_id, 10.0)
+        sim.add_flow(FlowSpec(f"snap@{now}", ResourcePath((cap_id, "d1"), "write"), 50.0), now)
+
+    for t in (1.0, 2.0):
+        sim.add_timer(t, take)
+    trace = sim.run()
+    for t in (1.0, 2.0):
+        rec = trace.flows[f"snap@{t}"]
+        assert f"cap:{t}" in trace.resources
+        assert rec.end_time - rec.start_time == pytest.approx(5.0)  # 50 MB at the 10 MB/s cap
+    assert verify_trace(trace) == []
+
+
 def test_every_engine_event_and_snapshot_marker_is_a_trace_event():
     sim = Simulation({"d1": res("d1", 100.0), "d2": res("d2", 50.0)})
     sim.add_flow(FlowSpec("a", ResourcePath(("d1",), "write"), 1000.0), 0.0)
@@ -512,8 +595,11 @@ def test_duplicate_flow_id_rejected_while_pending_active_or_finished():
 
 def test_unresolvable_path_rejected_at_add():
     sim = Simulation({"d1": res("d1", 10.0)})
-    with pytest.raises(UnresolvablePathError):
-        sim.add_flow(FlowSpec("f", ResourcePath(("ghost",), "read"), 1.0), 0.0)
+    path = ResourcePath(("d1", "ghost"), "read")
+    for fid in ("f", "g"):  # a path that failed its check is checked again
+        with pytest.raises(UnresolvablePathError):
+            sim.add_flow(FlowSpec(fid, path, 1.0), 0.0)
+    assert sim.idle
 
 
 def test_zero_capacity_stalls_cleanly():

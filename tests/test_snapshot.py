@@ -107,6 +107,12 @@ def test_bandwidth_cap_limits_snapshot_transfer():
     # 500 MB at the 10 MB/s cap takes 50 s
     assert rec.end_time - rec.start_time == pytest.approx(50.0)
     assert verify_trace(run.trace) == []
+    # each take adds its own cap resource mid-run, and every transfer stays under it
+    run = _write_run([500.0] * 3, interval_s=4.0, bandwidth_cap=10.0)
+    snaps = {rec.flow_id for rec in _snapshot_flows(run.trace)}
+    rates = [e.value for e in run.trace.events if e.kind == "rate_change" and e.flow_id in snaps]
+    assert len(snaps) >= 3 and max(rates) <= 10.0
+    assert verify_trace(run.trace) == []
 
 
 def test_conservation_snapshot_bytes_equal_written_bytes():
