@@ -16,8 +16,8 @@ prices = PriceTable()  # $0.24/h m1.large, $0.10 per million ops on standard net
 print("price table:", prices)
 
 # The same hour of work: on local disks none of its million I/Os is a billed operation.
-ephemeral = compute_cost("local", instance_hours=1.0, io_ops=0, prices=prices)
-ebs = compute_cost("networked", instance_hours=1.0, io_ops=1_000_000, prices=prices)
+ephemeral = compute_cost(instance_hours=1.0, io_ops=0, prices=prices)
+ebs = compute_cost(instance_hours=1.0, io_ops=1_000_000, prices=prices)
 print(f"\nlocal (ephemeral):  ${ephemeral.total:.2f}  (instance only)")
 print(f"networked volume:   ${ebs.total:.2f}  (${ebs.instance_cost:.2f} instance + ${ebs.storage_cost:.2f} for 1M ops)")
 print(f"savings: {savings(ephemeral, ebs):.1%}")

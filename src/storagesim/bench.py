@@ -11,8 +11,10 @@ dispatched the instant a slot frees.
 Throughput is total data over summed task time; the average I/O rate is
 the mean of per-task rates. Both are evaluated in exact rational
 arithmetic with a single final rounding, so N identical tasks yield
-exactly equal metrics, not merely close ones. The standard deviation
-keeps the reducer-style sum / sum-of-squares form.
+exactly equal metrics, not merely close ones. The standard deviation is
+computed from the sum and sum of squares of the rates, as TestDFSIO's
+reducer does; the result reports only the deviation, since ``tasks.csv``
+holds every rate.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import EmptyStatsError, ReadBeforeWriteError, SimError
 from .placement import ClusterState
 from .simengine import FlowSpec, Simulation, SimTrace, build_resources
 from .snapshot import SnapshotPolicy, SnapshotRecord, merge_snapshot_events, plan_snapshots
-from .topology import management_path
-from .volumes import ResourcePath, link_resource_id, resolve_io_path
+from .topology import management_path  # noqa: F401  (unused; perfbench's traced-run test asserts this binding)
+from .volumes import ResourcePath, link_resources, resolve_io_path
 
 WRITE = "write"
 READ = "read"
@@ -85,22 +87,17 @@ def avg_io_rate(stats: Sequence[TaskStat]) -> float:
     return float(_exact_sum(s.rate for s in stats) / len(stats))
 
 
-def _rate_moments(stats: Sequence[TaskStat]) -> tuple[float, float, float]:
-    """The reducer's sum and sum of squares of the per-task rates, and the standard deviation from them."""
-    _require_stats(stats)
-    n = len(stats)
-    sum_rate = math.fsum(s.rate for s in stats)
-    sum_sq = math.fsum(s.rate * s.rate for s in stats)
-    return sum_rate, sum_sq, math.sqrt(max(0.0, sum_sq / n - (sum_rate / n) ** 2))
-
-
 def stddev_io_rate(stats: Sequence[TaskStat]) -> float:
     """Population standard deviation of per-task rates.
 
     Computed from the running sum and sum-of-squares the reducer collects,
     clamped at zero against cancellation dust.
     """
-    return _rate_moments(stats)[2]
+    _require_stats(stats)
+    n = len(stats)
+    sum_rate = math.fsum(s.rate for s in stats)
+    sum_sq = math.fsum(s.rate * s.rate for s in stats)
+    return math.sqrt(max(0.0, sum_sq / n - (sum_rate / n) ** 2))
 
 
 @dataclass
@@ -112,12 +109,9 @@ class BenchmarkResult:
     throughput_mbps: float
     avg_io_rate_mbps: float
     stddev_io_rate_mbps: float
-    sum_rate: float
-    sum_rate_sq: float
 
     @classmethod
     def from_stats(cls, mode: str, stats: Sequence[TaskStat], finished_at: float) -> BenchmarkResult:
-        sum_rate, sum_rate_sq, stddev = _rate_moments(stats)
         return cls(
             mode=mode,
             finished_at=finished_at,
@@ -125,9 +119,7 @@ class BenchmarkResult:
             total_mb=math.fsum(s.file_size_mb for s in stats),
             throughput_mbps=throughput(stats),
             avg_io_rate_mbps=avg_io_rate(stats),
-            stddev_io_rate_mbps=stddev,
-            sum_rate=sum_rate,
-            sum_rate_sq=sum_rate_sq,
+            stddev_io_rate_mbps=stddev_io_rate(stats),
         )
 
     def to_dict(self) -> dict:
@@ -139,8 +131,6 @@ class BenchmarkResult:
             "throughput_mbps": self.throughput_mbps,
             "avg_io_rate_mbps": self.avg_io_rate_mbps,
             "stddev_io_rate_mbps": self.stddev_io_rate_mbps,
-            "sum_rate": self.sum_rate,
-            "sum_rate_sq": self.sum_rate_sq,
         }
 
 
@@ -167,12 +157,6 @@ class _Task:
     end: float | None = None
     outstanding: set[str] = field(default_factory=set)
     write_targets: dict[str, float] = field(default_factory=dict)  # replica vm -> MB
-
-
-def _interhost_links(state: ClusterState, src_host: str, dst_host: str) -> tuple[str, ...]:
-    if src_host == dst_host:
-        return ()
-    return tuple(link_resource_id(l.id) for l in management_path(state.topology, src_host, dst_host))
 
 
 def run_dfsio(
@@ -249,6 +233,7 @@ def run_dfsio(
     io_paths: dict[tuple[str, str], ResourcePath] = {}  # (vm, direction) -> DFS volume path
     host_links: dict[tuple[str, str], tuple[str, ...]] = {}  # (src host, dst host) -> link resources
     replica_paths: dict[tuple[str, str], ResourcePath] = {}  # (src host, peer vm) -> replica copy path
+    read_paths: dict[tuple[str, str], ResourcePath] = {}  # (src vm, reader host) -> remote or local read path
     placement = PlacementTables(work_state, members)  # members and their hosts too: one set of pools per run
     volume_tags: dict[str, tuple[str, str]] = {}  # member -> its DFS volume's (id, kind)
     for vm in members:
@@ -264,7 +249,7 @@ def run_dfsio(
     def links(src_host: str, dst_host: str) -> tuple[str, ...]:
         found = host_links.get((src_host, dst_host))
         if found is None:
-            found = host_links[src_host, dst_host] = _interhost_links(work_state, src_host, dst_host)
+            found = host_links[src_host, dst_host] = link_resources(work_state.topology, src_host, dst_host)
         return found
 
     def replica_path(src_host: str, peer: str) -> ResourcePath:
@@ -272,6 +257,13 @@ def run_dfsio(
         if path is None:
             resources = links(src_host, work_state.instances[peer].host_id) + io_path(peer, "write").resources
             path = replica_paths[src_host, peer] = ResourcePath(resources, "write")
+        return path
+
+    def read_path(src: str, dst_host: str) -> ResourcePath:
+        path = read_paths.get((src, dst_host))
+        if path is None:
+            resources = io_path(src, "read").resources + links(work_state.instances[src].host_id, dst_host)
+            path = read_paths[src, dst_host] = ResourcePath(resources, "read")
         return path
 
     def start_flow(
@@ -307,10 +299,8 @@ def run_dfsio(
             by_source[src] = by_source.get(src, 0.0) + block.bytes_mb
         dst_host = work_state.instances[vm].host_id
         for src in sorted(by_source):
-            src_host = work_state.instances[src].host_id
-            resources = io_path(src, "read").resources + links(src_host, dst_host)
             fid = f"t{task.index:04d}.read.{src}"
-            start_flow(task, fid, ResourcePath(resources, "read"), by_source[src], "read", vm, src, now)
+            start_flow(task, fid, read_path(src, dst_host), by_source[src], "read", vm, src, now)
 
     def finish_task(task: _Task, now: float) -> None:
         task.end = now

@@ -6,7 +6,8 @@ on standard networked volumes. Local storage is bundled into the instance
 price, which is the entire cost case for it: a one-hour run doing a
 million I/O operations costs $0.34 on networked volumes and $0.24 on local
 disks, 29% less. Only networked-volume flows count as billed operations,
-so one rule prices every storage config.
+so one rule prices every storage config, and a report need not name the
+config it prices: the run that holds it does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class PriceTable:
 
 @dataclass(frozen=True)
 class CostReport:
-    config: str
     instance_cost: float
     storage_cost: float
 
@@ -38,14 +38,13 @@ class CostReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config,
             "instance_cost_usd": self.instance_cost,
             "storage_cost_usd": self.storage_cost,
             "total_usd": self.total,
         }
 
 
-def compute_cost(config: str, instance_hours: float, io_ops: int, prices: PriceTable) -> CostReport:
+def compute_cost(instance_hours: float, io_ops: int, prices: PriceTable) -> CostReport:
     """Price ``instance_hours`` (aggregate, rounded up to whole hours) and ``io_ops``.
 
     Every operation is billed at the networked-volume rate; a local run
@@ -53,7 +52,7 @@ def compute_cost(config: str, instance_hours: float, io_ops: int, prices: PriceT
     """
     instance_cost = math.ceil(instance_hours) * prices.instance_per_hour
     storage_cost = (io_ops / 1_000_000) * prices.ebs_standard_per_million_ops
-    return CostReport(config=config, instance_cost=instance_cost, storage_cost=storage_cost)
+    return CostReport(instance_cost=instance_cost, storage_cost=storage_cost)
 
 
 def savings(cheap: CostReport, expensive: CostReport) -> float:

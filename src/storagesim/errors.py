@@ -66,10 +66,6 @@ class UnknownResourceError(SimError):
     """A flow path references a resource id with no known capacity."""
 
 
-class UnresolvablePathError(SimError):
-    """A workload flow's path cannot be resolved to simulated resources."""
-
-
 class SimulationStalledError(SimError):
     """Active flows exist but none can make progress (zero rates)."""
 

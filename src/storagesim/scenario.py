@@ -446,7 +446,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
         stats=run.stats,
         trace=run.trace,
         snapshot_records=run.snapshot_records,
-        cost=compute_cost(cfg, len(hdfs_volumes) * hours_each, io_ops, scenario.prices),
+        cost=compute_cost(len(hdfs_volumes) * hours_each, io_ops, scenario.prices),
         io_ops=io_ops,
         network_mb=network_bytes(run.trace),
         prep_traces=prep_traces,

@@ -65,7 +65,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import SimulationStalledError, UnknownResourceError, UnresolvablePathError
+from .errors import SimulationStalledError, UnknownResourceError
 from .topology import ClusterTopology
 from .volumes import ResourcePath, disk_resource_id, link_resource_id
 
@@ -422,7 +422,7 @@ class Simulation:
                 if rid not in self._capacities:
                     resource = self.resources.get(rid)
                     if resource is None:
-                        raise UnresolvablePathError(f"flow {spec.flow_id} references unknown resource {rid!r}")
+                        raise UnknownResourceError(f"flow {spec.flow_id} crosses unknown resource {rid!r}")
                     if resource.read_capacity != resource.write_capacity:
                         self._pooled[rid] = (resource, Counter())
                     self._capacities[rid] = min(resource.read_capacity, resource.write_capacity)
@@ -625,18 +625,6 @@ class Simulation:
             if self._active:
                 self._reallocate()
         return self._trace
-
-
-def run(
-    resources: Mapping[str, Resource],
-    workload: Iterable[tuple[FlowSpec, float]],
-    on_complete: CompletionHook | None = None,
-) -> SimTrace:
-    """Simulate a finite workload of (flow spec, arrival time) pairs."""
-    sim = Simulation(resources)
-    for spec, at_time in workload:
-        sim.add_flow(spec, at_time)
-    return sim.run(on_complete=on_complete)
 
 
 @dataclass(frozen=True)

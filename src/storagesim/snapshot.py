@@ -23,15 +23,8 @@ from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .simengine import FlowSpec, Resource, SimTrace, Simulation, TraceEvent
-from .topology import ClusterTopology, management_path
-from .volumes import (
-    VM_LIFETIME_KINDS,
-    ResourcePath,
-    Volume,
-    disk_resource_id,
-    is_link_resource,
-    link_resource_id,
-)
+from .topology import ClusterTopology
+from .volumes import VM_LIFETIME_KINDS, ResourcePath, Volume, disk_resource_id, is_link_resource, link_resources
 
 
 @dataclass(frozen=True)
@@ -84,8 +77,18 @@ def plan_snapshots(
     records: list[SnapshotRecord] = []
     covered: dict[str, float] = {}  # volume id -> MB captured so far
     k = 0  # boundaries passed
-    # The topology stays fixed during a run, so each host's path to the controller is resolved once.
-    host_links: dict[str, tuple[str, ...]] = {}  # host -> management-link resources to the controller
+    # The topology and the volumes' backing stay fixed during a run, so each volume's path is built once.
+    paths: dict[str, ResourcePath] = {}  # volume id -> uncapped transfer path to the controller
+
+    def transfer_path(vol_id: str) -> ResourcePath:
+        path = paths.get(vol_id)
+        if path is None:
+            host_id, disk_id = volumes[vol_id].backing
+            controller = topology.controller
+            links = link_resources(topology, host_id, controller.id)
+            sink = disk_resource_id(controller.id, controller.disks[0].id)
+            path = paths[vol_id] = ResourcePath((disk_resource_id(host_id, disk_id),) + links + (sink,), "write")
+        return path
 
     def take(sim: Simulation, now: float) -> None:
         nonlocal k
@@ -97,27 +100,12 @@ def plan_snapshots(
             records.append(SnapshotRecord(vol_id, taken_at=now, bytes_copied=dirty))
             covered[vol_id] = written
             flow_id = f"snap.{vol_id}.{k:03d}"
-            host_id, disk_id = volumes[vol_id].backing
-            links = host_links.get(host_id)
-            if links is None:
-                links = host_links[host_id] = tuple(
-                    link_resource_id(l.id) for l in management_path(topology, host_id, topology.controller.id)
-                )
-            sink = disk_resource_id(topology.controller.id, topology.controller.disks[0].id)
-            resources = (disk_resource_id(host_id, disk_id),) + links + (sink,)
-            if policy.bandwidth_cap is not None:
+            path = transfer_path(vol_id)
+            if policy.bandwidth_cap is not None:  # each transfer gets its own cap resource, so its own path
                 cap_id = f"cap:{flow_id}"
                 sim.resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)
-                resources = (cap_id,) + resources
-            sim.add_flow(
-                FlowSpec(
-                    flow_id,
-                    ResourcePath(resources, "write"),
-                    dirty,
-                    tags={"kind": "snapshot", "volume_id": vol_id},
-                ),
-                now,
-            )
+                path = ResourcePath((cap_id,) + path.resources, "write")
+            sim.add_flow(FlowSpec(flow_id, path, dirty, tags={"kind": "snapshot", "volume_id": vol_id}), now)
         if not sim.idle:
             sim.add_timer((k + 1) * policy.interval_s, take)
 

@@ -7,7 +7,9 @@ partition that survives the VM, attached whole and never reformatted.
 
 ``resolve_io_path`` is the bridge into the flow simulator: it names the
 shared resources (disks, links) an I/O stream crosses, which is where the
-local-versus-networked performance difference comes from.
+local-versus-networked performance difference comes from. Every route
+between two nodes, for volume I/O, remote reads, replica copies and
+snapshots, is ``link_resources``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     VmNotFoundError,
     VolumeNotAttachedError,
 )
-from .topology import management_path
+from .topology import ClusterTopology, management_path
 
 if TYPE_CHECKING:  # placement imports this module at runtime
     from .placement import ClusterState, VmInstance
@@ -89,6 +91,13 @@ def link_resource_id(link_id: str) -> str:
 
 def is_link_resource(resource_id: str) -> bool:
     return resource_id.startswith("link:")
+
+
+def link_resources(topology: ClusterTopology, src: str, dst: str) -> tuple[str, ...]:
+    """The management links from node ``src`` to node ``dst``, as resource ids; none within one node."""
+    if src == dst:
+        return ()
+    return tuple(link_resource_id(l.id) for l in management_path(topology, src, dst))
 
 
 def provision_local_volume(state: ClusterState, vm: VmInstance, kind: str, size_gb: float, disk_id: str) -> Volume:
@@ -194,9 +203,8 @@ def resolve_io_path(state: ClusterState, vm_id: str, volume_id: str, direction: 
     node_id, disk_id = vol.backing
     if vol.kind in LOCAL_KINDS:
         return ResourcePath((disk_resource_id(node_id, disk_id),), direction)
-    links = management_path(state.topology, vm.host_id, state.topology.controller.id)
-    resources = tuple(link_resource_id(l.id) for l in links) + (disk_resource_id(node_id, disk_id),)
-    return ResourcePath(resources, direction)
+    links = link_resources(state.topology, vm.host_id, node_id)
+    return ResourcePath(links + (disk_resource_id(node_id, disk_id),), direction)
 
 
 def terminate_vm(

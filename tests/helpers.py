@@ -1,8 +1,11 @@
-"""Shared builders: placed clusters with a DFS volume bound per VM."""
+"""Shared helpers: placed clusters with a DFS volume bound per VM, and one-call engine runs."""
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping
+
 from storagesim.placement import ClusterState, VmSpec, place_vm
+from storagesim.simengine import CompletionHook, FlowSpec, Resource, Simulation, SimTrace
 from storagesim.topology import reference_cluster
 from storagesim.volumes import LOCAL_PERSISTENT, NETWORKED, ROOT, attach_volume
 
@@ -39,3 +42,15 @@ def bind_dfs_volumes(state: ClusterState, storage: str = "local", volume_size_gb
 def dfs_cluster(n_hosts=5, vms_per_host=1, storage="local", spec=PINNED_VM, **topology_kwargs):
     state = placed_cluster(n_hosts, vms_per_host, spec, **topology_kwargs)
     return bind_dfs_volumes(state, storage)
+
+
+def run(
+    resources: Mapping[str, Resource],
+    workload: Iterable[tuple[FlowSpec, float]],
+    on_complete: CompletionHook | None = None,
+) -> SimTrace:
+    """Simulate a finite workload of (flow spec, arrival time) pairs."""
+    sim = Simulation(resources)
+    for spec, at_time in workload:
+        sim.add_flow(spec, at_time)
+    return sim.run(on_complete=on_complete)

@@ -37,8 +37,8 @@ def test_criterion_1_cost_reproduction():
     table = PriceTable()
     t0 = time.perf_counter()
     # The same hour of work: a local run performs no billed operations, a networked one a million.
-    ephemeral = compute_cost("local", 1.0, 0, table)
-    ebs = compute_cost("networked", 1.0, 1_000_000, table)
+    ephemeral = compute_cost(1.0, 0, table)
+    ebs = compute_cost(1.0, 1_000_000, table)
     fraction = savings(ephemeral, ebs)
     elapsed = time.perf_counter() - t0
     ok = abs(fraction - 0.2941) <= 0.0001 and elapsed < 0.001

@@ -12,7 +12,7 @@ from storagesim.bench import BenchmarkResult, DfsioSpec, TaskStat, avg_io_rate, 
 from storagesim.dfs import DfsConfig
 from storagesim.errors import EmptyStatsError, ReadBeforeWriteError
 from storagesim.simengine import FlowSpec, verify_trace
-from storagesim.volumes import ResourcePath, link_resource_id
+from storagesim.volumes import ResourcePath
 
 
 def stat(i, size, t):
@@ -243,17 +243,17 @@ def test_each_run_resolves_every_path_once(monkeypatch):
     dfs_config = DfsConfig(replication_factor=3)
     w = run_dfsio(state, DfsioSpec(n_files=60, file_size_mb=128.0), hdfs, dfs_config=dfs_config, seed=4)
     calls = Counter()
-    real_management_path, real_resolve_io_path = bench.management_path, bench.resolve_io_path
+    real_link_resources, real_resolve_io_path = bench.link_resources, bench.resolve_io_path
 
-    def management_path(topology, src, dst):
+    def link_resources(topology, src, dst):
         calls["link", src, dst] += 1
-        return real_management_path(topology, src, dst)
+        return real_link_resources(topology, src, dst)
 
     def resolve_io_path(state, vm_id, volume_id, direction):
         calls["volume", vm_id, direction] += 1
         return real_resolve_io_path(state, vm_id, volume_id, direction)
 
-    monkeypatch.setattr(bench, "management_path", management_path)
+    monkeypatch.setattr(bench, "link_resources", link_resources)
     monkeypatch.setattr(bench, "resolve_io_path", resolve_io_path)
     run = run_dfsio(
         w.state,
@@ -267,22 +267,37 @@ def test_each_run_resolves_every_path_once(monkeypatch):
     assert {key[0] for key in calls} == {"link", "volume"}
     assert {key[2] for key in calls if key[0] == "volume"} == {"read", "write"}
     assert max(calls.values()) == 1, calls.most_common(3)
-    # every replica flow of one (source host, peer) pair carries one path object, equal to a fresh resolve
     host_of = {vm: inst.host_id for vm, inst in run.state.instances.items()}
+    topology = run.state.topology
+
+    def shared_paths(stage, key_of):
+        """key -> {id(path): path} over the flows of one stage."""
+        paths = {}
+        for rec in run.trace.flows.values():
+            if rec.tags["stage"] == stage:
+                paths.setdefault(key_of(rec), {})[id(rec.path)] = rec.path
+        return paths
+
+    # every replica flow of one (source host, peer) pair carries one path object, equal to a fresh resolve
     writer_of = {rec.tags["task"]: rec.tags["vm"] for rec in run.trace.flows.values() if rec.tags["stage"] == "primary"}
-    replica_paths = {}  # (source host, peer) -> {id(path): path}
-    for rec in run.trace.flows.values():
-        if rec.tags["stage"] == "replica":
-            key = host_of[writer_of[rec.tags["task"]]], rec.tags["vm"]
-            replica_paths.setdefault(key, {})[id(rec.path)] = rec.path
+    replica_paths = shared_paths("replica", lambda rec: (host_of[writer_of[rec.tags["task"]]], rec.tags["vm"]))
 
     def fresh_replica_path(src_host, peer):
-        dst_host = host_of[peer]
-        links = () if src_host == dst_host else real_management_path(run.state.topology, src_host, dst_host)
-        volume = real_resolve_io_path(run.state, peer, hdfs[peer], "write").resources
-        return ResourcePath(tuple(link_resource_id(l.id) for l in links) + volume, "write")
+        links = real_link_resources(topology, src_host, host_of[peer])
+        return ResourcePath(links + real_resolve_io_path(run.state, peer, hdfs[peer], "write").resources, "write")
 
     assert all(list(paths.values()) == [fresh_replica_path(*key)] for key, paths in replica_paths.items())
+    # and so does every read flow of one (source VM, reader host) pair
+    read_paths = shared_paths("read", lambda rec: (rec.flow_id.split(".read.")[1], host_of[rec.tags["vm"]]))
+
+    def fresh_read_path(src, reader_host):
+        links = real_link_resources(topology, host_of[src], reader_host)
+        return ResourcePath(real_resolve_io_path(run.state, src, hdfs[src], "read").resources + links, "read")
+
+    assert all(list(paths.values()) == [fresh_read_path(*key)] for key, paths in read_paths.items())
+    n_reads = sum(rec.tags["stage"] == "read" for rec in run.trace.flows.values())
+    assert n_reads > len(read_paths)  # some read path is shared
+    assert any(host_of[src] != reader_host for src, reader_host in read_paths)  # some read is remote
 
 
 def test_local_beats_networked_when_controller_path_is_tighter():
@@ -304,11 +319,6 @@ def test_benchmark_result_record_is_consistent():
     result = BenchmarkResult.from_stats("write", tasks, finished_at=4.0)
     assert result.n_files == 2
     assert result.total_mb == 400.0
-    assert result.sum_rate == pytest.approx(125.0)
-    assert result.sum_rate_sq == pytest.approx(50.0**2 + 75.0**2)
-    # one pass of sums feeds both the reducer fields and the deviation, as the separate functions compute them
     assert result.stddev_io_rate_mbps == stddev_io_rate(tasks) == 12.5
-    assert result.sum_rate == math.fsum(s.rate for s in tasks)
-    assert result.sum_rate_sq == math.fsum(s.rate * s.rate for s in tasks)
     d = result.to_dict()
     assert d["throughput_mbps"] == result.throughput_mbps

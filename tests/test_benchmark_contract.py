@@ -1,16 +1,19 @@
 """The benchmark under perfbench/ wraps named program functions and feeds the program scenarios.
 
-The traced functions must keep resolving, and every workload's scenario must keep parsing and
-building, so a change that breaks the benchmark fails here first. perfbench/tracer.py and
-perfbench/workloads.py are loaded from their files and only read; nothing is patched.
+The traced functions must keep resolving, every workload's scenario must keep parsing and
+building, and a run of it must pass the benchmark's own checks, so a change that breaks the
+benchmark fails here first. perfbench/tracer.py, perfbench/workloads.py and perfbench/checks.py
+are loaded from their files and only read; nothing of them is patched.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import storagesim.bench
+from storagesim import cli
 from storagesim.scenario import build_state, parse_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -25,6 +28,7 @@ def _load(name):
 
 TARGETS = _load("tracer").TARGETS
 WORKLOADS = _load("workloads")
+CHECKS = _load("checks")
 
 
 @pytest.mark.parametrize("module_name, attr, span", TARGETS, ids=[t[2] for t in TARGETS])
@@ -45,3 +49,23 @@ def test_run_dfsio_defines_an_on_complete_hook():
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_workload_scenario_parses_and_builds(name):
     build_state(parse_scenario(WORKLOADS.scenario_data(name, 1, 0)))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_run_passes_the_benchmark_checks(name, tmp_path, monkeypatch):
+    # check_run reads n_files, throughput_mbps, avg_io_rate_mbps, finished_at_s, io_ops, network_mb and
+    # cost.total_usd from result.json, so a deleted field the benchmark reads fails here, not in its pipeline
+    runs = []
+    run_scenario = cli.run_scenario
+
+    def capture(*args, **kwargs):
+        runs.append(run_scenario(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", capture)
+    data = WORKLOADS.scenario_data(name, 1, 0)
+    path, out = tmp_path / "scenario.yaml", tmp_path / "out"
+    path.write_text(json.dumps(data))  # JSON is YAML
+    rc = cli.main(["run", "--scenario", str(path), "--out", str(out)])
+    assert rc == 0 and len(runs) == 1
+    assert CHECKS.check_run(rc, out, runs[0], data["dfsio"]["n_files"])["problems"] == []

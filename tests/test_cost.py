@@ -10,8 +10,7 @@ TABLE = PriceTable()  # the canonical 2013 prices
 
 
 def test_one_hour_million_ops_on_networked_storage():
-    report = compute_cost("networked", 1.0, 1_000_000, TABLE)
-    assert report.config == "networked"
+    report = compute_cost(1.0, 1_000_000, TABLE)
     assert report.instance_cost == 0.24
     assert report.storage_cost == pytest.approx(0.10)
     assert report.total == pytest.approx(0.34)
@@ -19,20 +18,20 @@ def test_one_hour_million_ops_on_networked_storage():
 
 def test_local_storage_costs_only_the_instance():
     # a local run bills no operations: count_io_ops counts networked-volume flows only
-    report = compute_cost("local", 1.0, 0, TABLE)
+    report = compute_cost(1.0, 0, TABLE)
     assert report.storage_cost == 0.0
     assert report.total == 0.24
 
 
 def test_two_hours_three_million_ops():
-    report = compute_cost("networked", 2.0, 3_000_000, TABLE)
+    report = compute_cost(2.0, 3_000_000, TABLE)
     assert report.instance_cost == pytest.approx(0.48)
     assert report.storage_cost == pytest.approx(0.30)
     assert report.total == pytest.approx(0.78)
 
 
 def test_fractional_hours_round_up():
-    report = compute_cost("local", 1.01, 0, TABLE)
+    report = compute_cost(1.01, 0, TABLE)
     assert report.instance_cost == pytest.approx(0.48)
 
 
@@ -41,23 +40,23 @@ def test_cost_linear_in_io_ops():
     for _ in range(100):
         ops = rng.randrange(0, 10_000_000)
         k = rng.randint(2, 5)
-        one = compute_cost("networked", 1.0, ops, TABLE).storage_cost
-        scaled = compute_cost("networked", 1.0, k * ops, TABLE).storage_cost
+        one = compute_cost(1.0, ops, TABLE).storage_cost
+        scaled = compute_cost(1.0, k * ops, TABLE).storage_cost
         assert scaled == pytest.approx(k * one, abs=1e-12)
 
 
 def test_savings_reproduces_the_29_percent_figure():
-    local = compute_cost("local", 1.0, 0, TABLE)
-    networked = compute_cost("networked", 1.0, 1_000_000, TABLE)
+    local = compute_cost(1.0, 0, TABLE)
+    networked = compute_cost(1.0, 1_000_000, TABLE)
     assert savings(local, networked) == pytest.approx(0.10 / 0.34)
     assert savings(local, networked) == pytest.approx(0.2941, abs=1e-4)
 
 
 def test_savings_identities():
-    a = CostReport("x", 0.24, 0.0)
+    a = CostReport(0.24, 0.0)
     assert savings(a, a) == 0.0
-    cheap = CostReport("a", 0.48, 0.0)
-    pricey = CostReport("b", 0.48, 0.30)
+    cheap = CostReport(0.48, 0.0)
+    pricey = CostReport(0.48, 0.30)
     assert savings(cheap, pricey) == pytest.approx(0.30 / 0.78)
     assert savings(cheap, pricey) == pytest.approx(0.3846, abs=1e-4)
 
@@ -68,14 +67,14 @@ def test_savings_scale_invariant():
         cheap_total = rng.uniform(0.01, 10.0)
         pricey_total = cheap_total + rng.uniform(0.01, 10.0)
         k = rng.uniform(0.1, 1000.0)
-        base = savings(CostReport("a", cheap_total, 0.0), CostReport("b", pricey_total, 0.0))
-        scaled = savings(CostReport("a", k * cheap_total, 0.0), CostReport("b", k * pricey_total, 0.0))
+        base = savings(CostReport(cheap_total, 0.0), CostReport(pricey_total, 0.0))
+        scaled = savings(CostReport(k * cheap_total, 0.0), CostReport(k * pricey_total, 0.0))
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
 def test_savings_guards_zero_denominator():
     with pytest.raises(ValueError):
-        savings(CostReport("a", 0.0, 0.0), CostReport("b", 0.0, 0.0))
+        savings(CostReport(0.0, 0.0), CostReport(0.0, 0.0))
 
 
 def _trace_with_networked_flow(size_mb: float) -> SimTrace:

@@ -42,7 +42,7 @@ GOLDEN = {
         {
             "trace.csv": "f6f155a16d595a001e64feb177d93591c26ba42cd205b17070cf96c59939b721",
             "tasks.csv": "922415ede06e74a441b145195c02eadff81576585efa848ca166daef8916298e",
-            "result.json": "79972e8e5dfa126664cbc7f2c96c722897be893502c3ab8dad03f798b5cbf7ce",
+            "result.json": "48df77f6309bd7f9c638741d2be55186d923241f74dce420c2506a73cce3e8fa",
         },
     ),
     "reference_networked": (
@@ -50,7 +50,7 @@ GOLDEN = {
         {
             "trace.csv": "57d424a34c293e645b3dce8644bd4f70449e7df9d6f070008201bfd0722ef50c",
             "tasks.csv": "5a8ded70520c070985822a3d738df8ec618d2283efe4bd91fe1621b26360678c",
-            "result.json": "192f571137925d31a2371c086d96471494ff017cda9b45fb9e511484109a37fb",
+            "result.json": "30a05c362cb72a283076d0fd16c24070781f5eb5106f41ced372cd0333f88f46",
         },
     ),
     "mixed_snapshots": (
@@ -58,7 +58,7 @@ GOLDEN = {
         {
             "trace.csv": "9a36d840634a62cffec36deb5c292180675fab577ef7a094ce417b0f5e75e55d",
             "tasks.csv": "8b61d381b88a315f932041bfb79c74e1fc4ffe23661675131dc78b723193f9f0",
-            "result.json": "c747267efdf39c587fb0bda7e85d55513884acb136de727a46475792b9774848",
+            "result.json": "ef5502750244bb36d765a46ac3346107fe7fda8dde3b13b4285e505afff060e0",
         },
     ),
     # reads and writes through the controller: the only golden that covers networked read paths
@@ -67,7 +67,7 @@ GOLDEN = {
         {
             "trace.csv": "6f0136611319eb9ef4cf9d596537154464ef9736846f1f37e2a1967391614b8d",
             "tasks.csv": "38d1f1c6f5244d7f5c9c07cada7e009438366c4c1ca9e0e499d1fe62bc4ab87c",
-            "result.json": "5f03efcd75f665385818bf821e34241e499bddb9b6a0f93d6d0b0cab0d8a92b6",
+            "result.json": "0c4ad8094b69fcf252ee3ad6c7c897183e8d876dbe306a46dea54b6d290cb342",
         },
     ),
     # disks read faster than they write: the only goldens where mixed-direction pooling sets a rate
@@ -76,7 +76,7 @@ GOLDEN = {
         {
             "trace.csv": "693cb0f7a92315c682eb55e668abe856e7b745f82096a386df4aaf2d753241de",
             "tasks.csv": "0d807c7b658d33166343992cd3f60e54e6aefa6f4ecdde8e5ca599e52acf3639",
-            "result.json": "37d8b8fcb8653a64f66539f9f16709f616a263cdd6c0e8e849494051521871d3",
+            "result.json": "d0a2d21cefb00a60f17dbeb4cec3d6b643bc8f88d6919ea23b59aa1e2dac6e39",
         },
     ),
     "asymmetric_networked": (
@@ -84,7 +84,7 @@ GOLDEN = {
         {
             "trace.csv": "6c966b8e240d30c9c22c8b70dfecc35b14120e300ef46afbf0b02e90e76f35ca",
             "tasks.csv": "5dc957f0f21baa25a3abd2adcf25bfe088e7e9cb8bb77c95d50d29ffd150446a",
-            "result.json": "7556a089d76ed441705cd27c46029fc8a876cbda7d0178eeb372d8b0f3900579",
+            "result.json": "a1eab4aaf6f705156ab521a585f5933ba67b39a650b090232e9508b146bceca1",
         },
     ),
 }

@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from helpers import run
 from oracles import bottleneck_violations, csv_lines_reference, maxmin_fill_oracle, verify_trace_reference
 from storagesim import simengine
 from storagesim.cli import main
-from storagesim.errors import SimulationStalledError, UnknownResourceError, UnresolvablePathError
+from storagesim.errors import SimulationStalledError, UnknownResourceError
 from storagesim.simengine import (
     FlowRecord,
     FlowSpec,
@@ -18,7 +19,6 @@ from storagesim.simengine import (
     TraceEvent,
     allocate_rates,
     build_resources,
-    run,
     verify_trace,
 )
 from storagesim.snapshot import SnapshotRecord, merge_snapshot_events
@@ -597,7 +597,7 @@ def test_unresolvable_path_rejected_at_add():
     sim = Simulation({"d1": res("d1", 10.0)})
     path = ResourcePath(("d1", "ghost"), "read")
     for fid in ("f", "g"):  # a path that failed its check is checked again
-        with pytest.raises(UnresolvablePathError):
+        with pytest.raises(UnknownResourceError, match="ghost"):
             sim.add_flow(FlowSpec(fid, path, 1.0), 0.0)
     assert sim.idle
 

@@ -28,7 +28,7 @@ from storagesim.snapshot import (
     recoverable_bytes,
 )
 from storagesim.scenario import parse_scenario, run_scenario
-from storagesim.volumes import ResourcePath, Volume
+from storagesim.volumes import ResourcePath, Volume, link_resources
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -112,6 +112,28 @@ def test_bandwidth_cap_limits_snapshot_transfer():
     snaps = {rec.flow_id for rec in _snapshot_flows(run.trace)}
     rates = [e.value for e in run.trace.events if e.kind == "rate_change" and e.flow_id in snaps]
     assert len(snaps) >= 3 and max(rates) <= 10.0
+    assert verify_trace(run.trace) == []
+
+
+@pytest.mark.parametrize("cap", [None, 10.0])
+def test_snapshots_of_one_volume_share_one_path_unless_capped(cap):
+    state, hdfs = dfs_cluster(n_hosts=3, spec=SMALL_VM)
+    run = run_dfsio(state, DfsioSpec(n_files=6, file_size_mb=500.0, mode="write", slots_per_vm=1), hdfs,
+                    dfs_config=DfsConfig(replication_factor=1), seed=0,
+                    snapshots=SnapshotPolicy(interval_s=4.0, bandwidth_cap=cap))
+    by_volume = {}
+    for rec in _snapshot_flows(run.trace):
+        by_volume.setdefault(rec.tags["volume_id"], []).append(rec)
+    assert len(by_volume) == 3 and min(len(recs) for recs in by_volume.values()) > 1
+    for vol_id, recs in by_volume.items():
+        host, disk = run.state.volumes[vol_id].backing
+        links = link_resources(run.state.topology, host, "controller")
+        route = (f"disk:{host}:{disk}",) + links + ("disk:controller:disk1",)
+        if cap is None:  # one path object, equal to a fresh build
+            assert len({id(rec.path) for rec in recs}) == 1
+            assert recs[0].path == ResourcePath(route, "write")
+        else:  # each transfer crosses its own cap resource ahead of the same route
+            assert [rec.path.resources for rec in recs] == [(f"cap:{rec.flow_id}",) + route for rec in recs]
     assert verify_trace(run.trace) == []
 
 

@@ -11,6 +11,7 @@ from storagesim.volumes import (
     ROOT,
     attach_volume,
     is_link_resource,
+    link_resources,
     resolve_io_path,
     terminate_vm,
 )
@@ -75,6 +76,13 @@ def test_io_path_networked_crosses_management_links(state):
     path = resolve_io_path(state, vm, vol.id, "write")
     assert path.resources == ("link:mgmt-h01", "link:mgmt-controller", "disk:controller:disk1")
     assert sum(is_link_resource(r) for r in path.resources) >= 1
+
+
+def test_link_resources_name_the_management_route_and_nothing_within_a_node(state):
+    topology = state.topology
+    assert link_resources(topology, "h01", "controller") == ("link:mgmt-h01", "link:mgmt-controller")
+    assert link_resources(topology, "h01", "h02") == ("link:mgmt-h01", "link:mgmt-h02")
+    assert link_resources(topology, "h01", "h01") == ()
 
 
 def test_path_shape_matches_kind_invariant(state):
