@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dfs import DfsConfig, DfsFile, PlacementTables, place_file, schedule_map_task
@@ -38,8 +36,7 @@ READ = "read"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class DfsioSpec:
+class DfsioSpec(NamedTuple):
     """Benchmark shape: how many files, how big, and how parallel."""
 
     n_files: int
@@ -62,29 +59,31 @@ def _require_stats(stats: Sequence[TaskStat]) -> None:
         raise EmptyStatsError("no task statistics")
 
 
-def _exact_sum(values: Iterable[float]) -> Fraction:
-    """The exact rational sum of floats or ints.
+def _exact_sum(values: Iterable[float]) -> tuple[int, int]:
+    """The exact rational sum of floats or ints, as (numerator, denominator).
 
     Every float is n / 2**k, so the terms are summed as integers over the
-    largest denominator, with one Fraction at the end instead of one per term.
+    largest denominator. A quotient of such sums is then one ``int / int``,
+    which rounds the exact ratio once, to the nearest float.
     """
     ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)
-    return Fraction(sum(n * (den // d) for n, d in ratios), den)
+    return sum(n * (den // d) for n, d in ratios), den
 
 
 def throughput(stats: Sequence[TaskStat]) -> float:
     """Total data over total task time: sum(size_i) / sum(time_i)."""
     _require_stats(stats)
-    total_size = _exact_sum(s.file_size_mb for s in stats)
-    total_time = _exact_sum(s.elapsed_s for s in stats)
-    return float(total_size / total_time)
+    size_num, size_den = _exact_sum(s.file_size_mb for s in stats)
+    time_num, time_den = _exact_sum(s.elapsed_s for s in stats)
+    return (size_num * time_den) / (size_den * time_num)
 
 
 def avg_io_rate(stats: Sequence[TaskStat]) -> float:
     """Mean of per-task rates: sum(size_i / time_i) / N."""
     _require_stats(stats)
-    return float(_exact_sum(s.rate for s in stats) / len(stats))
+    rate_num, rate_den = _exact_sum(s.rate for s in stats)
+    return rate_num / (rate_den * len(stats))
 
 
 def stddev_io_rate(stats: Sequence[TaskStat]) -> float:
@@ -100,8 +99,7 @@ def stddev_io_rate(stats: Sequence[TaskStat]) -> float:
     return math.sqrt(max(0.0, sum_sq / n - (sum_rate / n) ** 2))
 
 
-@dataclass
-class BenchmarkResult:
+class BenchmarkResult(NamedTuple):
     mode: str
     finished_at: float  # simulated seconds
     n_files: int
@@ -134,8 +132,7 @@ class BenchmarkResult:
         }
 
 
-@dataclass
-class DfsioRun:
+class DfsioRun(NamedTuple):
     result: BenchmarkResult
     trace: SimTrace
     stats: list[TaskStat]
@@ -144,19 +141,37 @@ class DfsioRun:
     snapshot_records: list[SnapshotRecord]
 
 
-@dataclass(slots=True)
 class _Task:
-    index: int  # 0-based internally
-    mode: str
-    file_name: str
-    size_mb: float
-    writer_vm: str | None  # pinned target for writes
-    file: DfsFile | None = None
-    vm: str | None = None
-    start: float | None = None
-    end: float | None = None
-    outstanding: set[str] = field(default_factory=set)
-    write_targets: dict[str, float] = field(default_factory=dict)  # replica vm -> MB
+    __slots__ = (
+        "index", "mode", "file_name", "size_mb", "writer_vm",
+        "file", "vm", "start", "end", "outstanding", "write_targets",
+    )
+
+    def __init__(
+        self,
+        index: int,  # 0-based internally
+        mode: str,
+        file_name: str,
+        size_mb: float,
+        writer_vm: str | None,  # pinned target for writes
+        file: DfsFile | None = None,
+        vm: str | None = None,
+        start: float | None = None,
+        end: float | None = None,
+        outstanding: set[str] | None = None,
+        write_targets: dict[str, float] | None = None,  # replica vm -> MB
+    ):
+        self.index = index
+        self.mode = mode
+        self.file_name = file_name
+        self.size_mb = size_mb
+        self.writer_vm = writer_vm
+        self.file = file
+        self.vm = vm
+        self.start = start
+        self.end = end
+        self.outstanding = set() if outstanding is None else outstanding
+        self.write_targets = {} if write_targets is None else write_targets
 
 
 def run_dfsio(

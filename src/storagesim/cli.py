@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if getattr(args, "seed", None) is not None:
-            scenario.seed = args.seed
+            scenario = scenario._replace(seed=args.seed)
         return args.handler(scenario, args)
     except ScenarioParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

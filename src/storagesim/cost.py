@@ -13,7 +13,7 @@ config it prices: the run that holds it does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .simengine import SimTrace
 
@@ -21,14 +21,12 @@ KB_PER_MB = 1024.0
 DEFAULT_OP_SIZE_KB = 64.0
 
 
-@dataclass(frozen=True)
-class PriceTable:
+class PriceTable(NamedTuple):
     instance_per_hour: float = 0.24
     ebs_standard_per_million_ops: float = 0.10
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     instance_cost: float
     storage_cost: float
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InsufficientVmsError, NoFreeSlotsError
@@ -32,8 +31,7 @@ class ReplicaCoLocationWarning(UserWarning):
     """All replicas share one rack: a host loss would take every copy."""
 
 
-@dataclass(frozen=True)
-class DfsConfig:
+class DfsConfig(NamedTuple):
     block_size_mb: float = 64.0
     replication_factor: int = 3
     seed: int = 0

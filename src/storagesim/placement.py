@@ -13,8 +13,7 @@ their input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from . import volumes as volumes_mod
 from .errors import (
@@ -30,8 +29,7 @@ Policy = Literal["first_fit", "spread"]
 RUNNING = "running"
 
 
-@dataclass(frozen=True)
-class VmSpec:
+class VmSpec(NamedTuple):
     """Resource shape of a VM; the reference shape is 4/8/32+20."""
 
     vcpus: int
@@ -47,19 +45,22 @@ def reference_vm_spec() -> VmSpec:
     return VmSpec(vcpus=4, ram_gb=8.0, root_disk_gb=32.0, ephemeral_gb=20.0, migratable=False)
 
 
-@dataclass
 class VmInstance:
-    id: str
-    host_id: str
-    spec: VmSpec
-    volumes: list[str] = field(default_factory=list)
-    state: str = RUNNING
+    __slots__ = ("id", "host_id", "spec", "volumes", "state")
+
+    def __init__(self, id: str, host_id: str, spec: VmSpec, volumes: list[str] | None = None, state: str = RUNNING):
+        self.id = id
+        self.host_id = host_id
+        self.spec = spec
+        self.volumes = [] if volumes is None else volumes
+        self.state = state
+
+    __eq__ = volumes_mod.same_fields
 
     def copy(self) -> VmInstance:
-        return replace(self, volumes=list(self.volumes))
+        return VmInstance(self.id, self.host_id, self.spec, list(self.volumes), self.state)
 
 
-@dataclass
 class ClusterState:
     """The whole simulation state: topology plus placed VMs and volumes.
 
@@ -67,11 +68,23 @@ class ClusterState:
     than cached, so it cannot drift.
     """
 
-    topology: ClusterTopology
-    instances: dict[str, VmInstance] = field(default_factory=dict)
-    volumes: dict[str, volumes_mod.Volume] = field(default_factory=dict)
-    vm_seq: int = 0
-    vol_seq: int = 0
+    __slots__ = ("topology", "instances", "volumes", "vm_seq", "vol_seq")
+
+    def __init__(
+        self,
+        topology: ClusterTopology,
+        instances: dict[str, VmInstance] | None = None,
+        volumes: dict[str, volumes_mod.Volume] | None = None,
+        vm_seq: int = 0,
+        vol_seq: int = 0,
+    ):
+        self.topology = topology
+        self.instances = {} if instances is None else instances
+        self.volumes = {} if volumes is None else volumes
+        self.vm_seq = vm_seq
+        self.vol_seq = vol_seq
+
+    __eq__ = volumes_mod.same_fields
 
     @classmethod
     def from_topology(cls, topology: ClusterTopology) -> ClusterState:
@@ -79,11 +92,11 @@ class ClusterState:
 
     def clone(self) -> ClusterState:
         return ClusterState(
-            topology=self.topology,
-            instances={k: v.copy() for k, v in self.instances.items()},
-            volumes={k: replace(v) for k, v in self.volumes.items()},
-            vm_seq=self.vm_seq,
-            vol_seq=self.vol_seq,
+            self.topology,
+            {k: v.copy() for k, v in self.instances.items()},
+            {k: v.copy() for k, v in self.volumes.items()},
+            self.vm_seq,
+            self.vol_seq,
         )
 
     # -- capacity accounting ------------------------------------------------

@@ -22,10 +22,9 @@ from __future__ import annotations
 import inspect
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
-from typing import Any, Callable, Mapping, NoReturn
+from typing import Any, Callable, Mapping, NamedTuple, NoReturn
 
 import yaml
 
@@ -52,21 +51,19 @@ STORAGE_CONFIGS = ("local", "networked", "local_persistent")
 Check = Callable[[Any, str], Any]
 
 
-@dataclass(frozen=True)
-class VmGroup:
+class VmGroup(NamedTuple):
     spec: VmSpec
     count: int = 1
     policy: str = "spread"
 
 
-@dataclass(kw_only=True)
-class Scenario:
-    seed: int = 0
+class Scenario(NamedTuple):
     topology: ClusterTopology
     vms: list[VmGroup]
+    dfsio: DfsioSpec
+    seed: int = 0
     storage_config: str = "local"
     dfs: DfsConfig = DfsConfig()
-    dfsio: DfsioSpec
     snapshot: SnapshotPolicy = SnapshotPolicy()
     prices: PriceTable = PriceTable()
     volume_size_gb: float = 100.0
@@ -332,7 +329,7 @@ def build_state(scenario: Scenario, storage_config: str | None = None) -> tuple[
         for group in scenario.vms:
             spec = group.spec
             if cfg == "local_persistent":
-                spec = replace(spec, requires_local_persistent=True)
+                spec = spec._replace(requires_local_persistent=True)
             for _ in range(group.count):
                 state, vm = place_vm(state, spec, policy=group.policy)
                 vm_ids.append(vm.id)
@@ -362,8 +359,7 @@ def build_state(scenario: Scenario, storage_config: str | None = None) -> tuple[
     return state, hdfs_volumes
 
 
-@dataclass
-class ScenarioRun:
+class ScenarioRun(NamedTuple):
     """Everything one storage config produced for one scenario."""
 
     config: str
@@ -375,7 +371,7 @@ class ScenarioRun:
     cost: CostReport
     io_ops: int
     network_mb: float
-    prep_traces: list[SimTrace] = field(default_factory=list)
+    prep_traces: list[SimTrace]
 
     def to_dict(self) -> dict:
         return {
@@ -417,7 +413,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
     if scenario.dfsio.mode in (READ, MIXED):
         prep = run_dfsio(
             state,
-            replace(scenario.dfsio, mode=WRITE),
+            scenario.dfsio._replace(mode=WRITE),
             hdfs_volumes,
             dfs_config=scenario.dfs,
             seed=scenario.seed,
@@ -453,8 +449,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
     )
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Identical workload + seed across storage configs, side by side."""
 
     seed: int

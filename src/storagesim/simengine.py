@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import attrgetter
 from types import MappingProxyType
@@ -73,8 +72,7 @@ from .volumes import ResourcePath, disk_resource_id, link_resource_id
 COMPLETION_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class Resource:
+class Resource(NamedTuple):
     """One shared capacity: a disk (direction-dependent) or a link."""
 
     id: str
@@ -135,7 +133,6 @@ class FlowSpec(NamedTuple):
     tags: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass(slots=True)
 class FlowRecord:
     """A started flow, and the engine's only object for it.
 
@@ -143,14 +140,27 @@ class FlowRecord:
     flow runs, and sets ``end_time`` and zeroes ``remaining_mb`` when it ends.
     """
 
-    flow_id: str
-    path: ResourcePath
-    size_mb: float
-    start_time: float
-    end_time: float | None
-    tags: Mapping[str, str]
-    remaining_mb: float = 0.0
-    rate: float = 0.0  # MB/s
+    __slots__ = ("flow_id", "path", "size_mb", "start_time", "end_time", "tags", "remaining_mb", "rate")
+
+    def __init__(
+        self,
+        flow_id: str,
+        path: ResourcePath,
+        size_mb: float,
+        start_time: float,
+        end_time: float | None,
+        tags: Mapping[str, str],
+        remaining_mb: float = 0.0,
+        rate: float = 0.0,  # MB/s
+    ):
+        self.flow_id = flow_id
+        self.path = path
+        self.size_mb = size_mb
+        self.start_time = start_time
+        self.end_time = end_time
+        self.tags = tags
+        self.remaining_mb = remaining_mb
+        self.rate = rate
 
 
 # Rounding can leave a re-summed saturation below its value before a freeze touched it,
@@ -316,13 +326,20 @@ _event = tuple.__new__
 CSV_CHUNK_LINES = 4096
 
 
-@dataclass
 class SimTrace:
     """Ordered event history plus the flow/resource tables to audit it."""
 
-    events: list[TraceEvent] = field(default_factory=list)
-    flows: dict[str, FlowRecord] = field(default_factory=dict)
-    resources: dict[str, Resource] = field(default_factory=dict)
+    __slots__ = ("events", "flows", "resources")
+
+    def __init__(
+        self,
+        events: list[TraceEvent] | None = None,
+        flows: dict[str, FlowRecord] | None = None,
+        resources: dict[str, Resource] | None = None,
+    ):
+        self.events = [] if events is None else events
+        self.flows = {} if flows is None else flows
+        self.resources = {} if resources is None else resources
 
     def csv_lines(self) -> list[str]:
         """The header and one line per event; floats written by ``repr``.
@@ -627,8 +644,7 @@ class Simulation:
         return self._trace
 
 
-@dataclass(frozen=True)
-class TraceViolation:
+class TraceViolation(NamedTuple):
     code: str  # monotonicity | capacity | byte-conservation | unmatched-flow
     time: float
     message: str

@@ -17,24 +17,21 @@ once and contends with the workload it copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from bisect import bisect_right
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .simengine import FlowSpec, Resource, SimTrace, Simulation, TraceEvent
 from .topology import ClusterTopology
 from .volumes import VM_LIFETIME_KINDS, ResourcePath, Volume, disk_resource_id, is_link_resource, link_resources
 
 
-@dataclass(frozen=True)
-class SnapshotPolicy:
+class SnapshotPolicy(NamedTuple):
     interval_s: float = 3600.0
     bandwidth_cap: float | None = None  # MB/s per snapshot transfer
 
 
-@dataclass(frozen=True)
-class SnapshotRecord:
+class SnapshotRecord(NamedTuple):
     volume_id: str
     taken_at: float
     bytes_copied: float  # MB, exactly the dirty bytes at taken_at

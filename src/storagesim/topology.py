@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TopologyValidationError
 
@@ -24,8 +24,7 @@ ROLE_PUBLIC = "public"
 CONTROLLER_ID = "controller"
 
 
-@dataclass(frozen=True)
-class DiskSpec:
+class DiskSpec(NamedTuple):
     """A physical disk with separate sequential read/write bandwidth."""
 
     id: str
@@ -34,8 +33,7 @@ class DiskSpec:
     read_bw: float  # MB/s
 
 
-@dataclass(frozen=True)
-class NetworkLink:
+class NetworkLink(NamedTuple):
     """A shared point-to-point link between two nodes."""
 
     id: str
@@ -44,8 +42,7 @@ class NetworkLink:
     role: str = ROLE_MANAGEMENT
 
 
-@dataclass(frozen=True)
-class PhysicalHost:
+class PhysicalHost(NamedTuple):
     """A compute host: vcpus, RAM, local disks, and NIC attachments.
 
     ``local_persistent_group`` models the proposed storage class: disk
@@ -60,17 +57,15 @@ class PhysicalHost:
     nic_links: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, kw_only=True)
-class ControllerNode:
+class ControllerNode(NamedTuple):
     """The node whose disks back every networked volume."""
 
-    id: str = CONTROLLER_ID
     disks: tuple[DiskSpec, ...]
+    id: str = CONTROLLER_ID
     nic_links: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ClusterTopology:
+class ClusterTopology(NamedTuple):
     hosts: tuple[PhysicalHost, ...]
     controller: ControllerNode
     links: tuple[NetworkLink, ...] = ()
@@ -85,8 +80,7 @@ class ClusterTopology:
         return tuple(l for l in self.links if l.role == ROLE_MANAGEMENT)
 
 
-@dataclass(frozen=True)
-class TopologyIssue:
+class TopologyIssue(NamedTuple):
     """One violated invariant; validation reports all of them."""
 
     code: str

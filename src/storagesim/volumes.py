@@ -14,7 +14,7 @@ snapshots, is ``link_resources``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Literal
 
 from .errors import (
@@ -41,15 +41,38 @@ VM_LIFETIME_KINDS = frozenset({ROOT, EPHEMERAL})
 Direction = Literal["read", "write"]
 
 
-@dataclass
+def same_fields(a, b):
+    """``==`` for a slotted record: the same class, and equal slots in order."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    return [getattr(a, s) for s in a.__slots__] == [getattr(b, s) for s in b.__slots__]
+
+
 class Volume:
-    id: str
-    kind: str
-    size_gb: float
-    backing: tuple[str, str]  # (node id, disk id)
-    attached_to: str | None = None
-    stored_mb: float = 0.0  # live bytes
-    data_lost: bool = False
+    __slots__ = ("id", "kind", "size_gb", "backing", "attached_to", "stored_mb", "data_lost")
+
+    def __init__(
+        self,
+        id: str,
+        kind: str,
+        size_gb: float,
+        backing: tuple[str, str],  # (node id, disk id)
+        attached_to: str | None = None,
+        stored_mb: float = 0.0,  # live bytes
+        data_lost: bool = False,
+    ):
+        self.id = id
+        self.kind = kind
+        self.size_gb = size_gb
+        self.backing = backing
+        self.attached_to = attached_to
+        self.stored_mb = stored_mb
+        self.data_lost = data_lost
+
+    __eq__ = same_fields
+
+    def copy(self) -> Volume:
+        return Volume(self.id, self.kind, self.size_gb, self.backing, self.attached_to, self.stored_mb, self.data_lost)
 
     def occupies_space(self) -> bool:
         # file-backed local disks are deleted on detach; persistent kinds
@@ -62,9 +85,8 @@ class Volume:
         self.stored_mb += mb
 
 
-@dataclass(frozen=True)
-class ResourcePath:
-    """Ordered shared resources one I/O stream crosses, plus direction.
+class ResourcePath(namedtuple("ResourcePath", ("resources", "direction"))):
+    """Ordered shared resources (a tuple of ids) one I/O stream crosses, plus direction.
 
     Local kinds resolve to exactly one disk; networked volumes cross at
     least one management link before the controller disk. A resource named
@@ -72,13 +94,12 @@ class ResourcePath:
     once, at its first position: duplicate hops share one reservation.
     """
 
-    resources: tuple[str, ...]
-    direction: Direction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.resources:
+    def __new__(cls, resources: tuple[str, ...], direction: Direction):
+        if not resources:
             raise ValueError("empty resource path")
-        object.__setattr__(self, "resources", tuple(dict.fromkeys(self.resources)))
+        return super().__new__(cls, tuple(dict.fromkeys(resources)), direction)
 
 
 def disk_resource_id(node_id: str, disk_id: str) -> str:

@@ -11,7 +11,7 @@ from storagesim import bench
 from storagesim.bench import BenchmarkResult, DfsioSpec, TaskStat, avg_io_rate, run_dfsio, stddev_io_rate, throughput
 from storagesim.dfs import DfsConfig
 from storagesim.errors import EmptyStatsError, ReadBeforeWriteError
-from storagesim.simengine import FlowSpec, verify_trace
+from storagesim.simengine import verify_trace
 from storagesim.volumes import ResourcePath
 
 
@@ -101,19 +101,6 @@ def test_stddev_hand_evaluated():
 
 def test_stddev_single_task_is_zero():
     assert stddev_io_rate(stats_of([(123.0, 7.0)])) == 0.0
-
-
-def test_task_stats_and_flow_specs_keep_their_fields():
-    assert TaskStat._fields == ("task_index", "file_size_mb", "elapsed_s", "rate") and not TaskStat._field_defaults
-    assert stat(1, 100.0, 4.0) == TaskStat(1, 100.0, 4.0, 25.0)
-    assert FlowSpec._fields == ("flow_id", "path", "size_mb", "tags")
-    spec = FlowSpec("f", ResourcePath(("d1",), "write"), 10.0)
-    assert dict(spec.tags) == {} and FlowSpec("g", spec.path, 1.0).tags is spec.tags  # one shared default
-    with pytest.raises(TypeError):
-        spec.tags["stage"] = "primary"  # read-only, so no flow writes into another's labels
-    with pytest.raises(AttributeError):
-        spec.tags = {}
-    assert FlowSpec("f", spec.path, 10.0, {"stage": "read"}).tags == {"stage": "read"}
 
 
 def test_empty_stats_rejected():

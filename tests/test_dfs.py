@@ -7,9 +7,7 @@ import pytest
 from helpers import SMALL_VM, placed_cluster
 from oracles import place_replicas_reference
 from storagesim.dfs import (
-    BlockReplicaSet,
     DfsConfig,
-    DfsFile,
     PlacementTables,
     ReplicaCoLocationWarning,
     dfs_members,
@@ -90,21 +88,6 @@ def test_place_file_blocks_and_sizes(five_hosts):
     assert len(f.blocks) == 4  # ceil(200/64)
     assert [b.bytes_mb for b in f.blocks] == [64.0, 64.0, 64.0, 8.0]
     assert rack_spread(f) >= 2
-
-
-def test_block_and_file_records_keep_their_fields_and_methods():
-    assert BlockReplicaSet._fields == ("block_id", "replicas", "bytes_mb") and not BlockReplicaSet._field_defaults
-    assert DfsFile._fields == ("name", "size_mb", "block_size_mb", "replication_factor", "blocks")
-    assert not DfsFile._field_defaults
-    b0 = BlockReplicaSet("f:b0000", (("vm003", "h03"), ("vm001", "h01"), ("vm002", "h01")), 64.0)
-    b1 = BlockReplicaSet("f:b0001", (("vm003", "h03"), ("vm004", "h04")), 8.0)
-    assert b0.vms() == ("vm003", "vm001", "vm002")  # writer first
-    assert b0.racks() == {"h03", "h01"}
-    f = DfsFile("f", 72.0, 64.0, 3, (b0, b1))
-    assert f.holders() == ("vm001", "vm002", "vm003", "vm004")  # sorted, each once
-    assert (f.name, f.blocks[1].bytes_mb) == ("f", 8.0)
-    with pytest.raises(AttributeError):
-        f.size_mb = 1.0
 
 
 def test_rack_spread_degenerate_cases(five_hosts, one_host_three_vms):

@@ -1,6 +1,5 @@
 import copy
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -26,7 +25,7 @@ def empty_state():
 def test_local_persistent_filter_keeps_partitioned_hosts():
     # two-host cluster where only h01 carries a partition group
     topo = reference_cluster(2, local_persistent_gb=100.0)
-    hosts = (topo.hosts[0], replace(topo.hosts[1], local_persistent_group=()))
+    hosts = (topo.hosts[0], topo.hosts[1]._replace(local_persistent_group=()))
     topo = ClusterTopology(hosts=hosts, controller=topo.controller, links=topo.links)
     state = ClusterState.from_topology(topo)
     spec = VmSpec(vcpus=1, ram_gb=1, root_disk_gb=10, requires_local_persistent=True)
@@ -124,7 +123,7 @@ def test_migration_to_host_without_disk_room_fails(empty_state):
     # h02 keeps free vcpus and RAM, but its 1000 GB disk has 900 GB taken
     spec = VmSpec(vcpus=1, ram_gb=1.0, root_disk_gb=200.0, migratable=True)
     state, vm = place_vm(empty_state, spec, policy="first_fit")  # h01
-    state, filler = place_vm(state, replace(spec, root_disk_gb=900.0), policy="spread")  # h02
+    state, filler = place_vm(state, spec._replace(root_disk_gb=900.0), policy="spread")  # h02
     assert filler.host_id == "h02"
     assert state.free_vcpus("h02") >= spec.vcpus and state.free_ram_gb("h02") >= spec.ram_gb
     before = copy.deepcopy(state)

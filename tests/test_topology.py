@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -100,11 +99,11 @@ def test_nonpositive_capacity_detected():
     host, rest = topo.hosts[0], topo.hosts[1:]
     for value in (0.0, -1.0, math.nan, math.inf):
         bad_topologies = [
-            replace(topo, links=(replace(topo.links[0], bandwidth=value),) + topo.links[1:]),
-            replace(topo, hosts=(replace(host, ram_gb=value),) + rest),
-            replace(topo, hosts=(replace(host, disks=(disk(cap=value),)),) + rest),
-            replace(topo, hosts=(replace(host, disks=(replace(disk(), read_bw=value),)),) + rest),
-            replace(topo, controller=replace(topo.controller, disks=(replace(disk(), write_bw=value),))),
+            topo._replace(links=(topo.links[0]._replace(bandwidth=value),) + topo.links[1:]),
+            topo._replace(hosts=(host._replace(ram_gb=value),) + rest),
+            topo._replace(hosts=(host._replace(disks=(disk(cap=value),)),) + rest),
+            topo._replace(hosts=(host._replace(disks=(disk()._replace(read_bw=value),)),) + rest),
+            topo._replace(controller=topo.controller._replace(disks=(disk()._replace(write_bw=value),))),
         ]
         for bad in bad_topologies:
             assert [i.code for i in topology_issues(bad)] == ["nonpositive-capacity"], (value, bad)
