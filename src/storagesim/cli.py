@@ -6,11 +6,20 @@ printed to stdout are renderings of the same data. Exit codes: 0 ok,
 2 scenario parse error, 3 validation error, 4 internal invariant
 violation (a produced trace failing its own audit) or internal error,
 whose traceback goes to ``<out>/error.log``.
+
+A command runs with CPython's automatic cycle collection paused, and
+``main`` restores the caller's setting when it returns. A run builds tens of
+thousands of objects that live until its outputs are written and leaves only
+a few hundred in reference cycles, so the collector's passes would walk the
+live model again and again and reclaim almost nothing. ``main`` owns the
+process; library entry points such as ``run_scenario`` leave the collector
+as they find it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import traceback
@@ -138,6 +147,8 @@ def _internal_error(out: Path, message: str) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         scenario = load_scenario(args.scenario)
         if getattr(args, "seed", None) is not None:
@@ -156,6 +167,9 @@ def main(argv=None) -> int:
         return _internal_error(Path(args.out), str(e))
     except Exception as e:  # last resort: the traceback goes to a file, not the UI
         return _internal_error(Path(args.out), f"{type(e).__name__}: {e}")
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

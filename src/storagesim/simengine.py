@@ -23,7 +23,10 @@ object the engine keeps for it, advanced and completed in place. A run
 builds one of each per flow, and every step reads each active record's
 rate and remainder, so a spec is a tuple and a record a slotted object. A
 path's resources are checked once per simulation, when the first flow on
-that path object is added.
+that path object is added. A trace event is an exact tuple ``(time, kind,
+flow_id, resource_id, value)`` (see ``SimTrace``): one allocation each, and
+CPython stops tracking it for cycle collection at the first pass. Other
+interpreters lose that gain, not correctness.
 
 The solve is warm-started. Filling rounds run in increasing level order,
 and a step can only change the rounds at or above a cut, the lowest of:
@@ -308,18 +311,8 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float])
     return _fill(members, hops, {rid: set(fids) for rid, fids in members.items()}, 0.0, capacities, False)
 
 
-class TraceEvent(NamedTuple):
-    time: float
-    kind: str  # flow_start | rate_change | flow_end | snapshot
-    flow_id: str
-    resource_id: str
-    value: float
-
-
-# ``TraceEvent._make`` without the method call: the engine's hot loops build
-# events as ``_event(TraceEvent, (time, kind, flow id, resource id, value))``,
-# skipping the generated ``__new__`` wrapper. The result is a TraceEvent.
-_event = tuple.__new__
+# (time, kind, flow id, resource id, value); see ``SimTrace``.
+Event = tuple[float, str, str, str, float]
 
 
 # Lines per write of ``SimTrace.write_csv``: bounds the joined string to a few hundred KB.
@@ -327,13 +320,22 @@ CSV_CHUNK_LINES = 4096
 
 
 class SimTrace:
-    """Ordered event history plus the flow/resource tables to audit it."""
+    """Ordered event history plus the flow/resource tables to audit it.
+
+    Each event is an exact ``tuple`` ``(time, kind, flow_id, resource_id,
+    value)``, in the order of the ``trace.csv`` header, where ``kind`` is
+    ``flow_start``, ``rate_change``, ``flow_end`` or ``snapshot``. Readers
+    unpack events by position. A plain tuple takes one allocation, and since
+    its fields are all atomic, CPython's cycle collector untracks it at its
+    first pass, so later passes no longer walk the trace; a tuple subclass
+    would stay tracked for its whole life.
+    """
 
     __slots__ = ("events", "flows", "resources")
 
     def __init__(
         self,
-        events: list[TraceEvent] | None = None,
+        events: list[Event] | None = None,
         flows: dict[str, FlowRecord] | None = None,
         resources: dict[str, Resource] | None = None,
     ):
@@ -504,7 +506,7 @@ class Simulation:
             # only a zero capacity gives, and such a run ends in SimulationStalledError.
             if flow.rate != r:
                 flow.rate = r
-                append(_event(TraceEvent, (now, "rate_change", fid, "", r)))
+                append((now, "rate_change", fid, "", r))
 
     def _resolve(self, arrived: list[FlowRecord], departed: list[FlowRecord]) -> dict[str, float]:
         """Re-solve the flows at or above the cut, and the arrivals; return their rates in flow-id order."""
@@ -594,7 +596,7 @@ class Simulation:
             record = FlowRecord(fid, path, size_mb, now, None, tags, size_mb)
             active[fid] = flows[fid] = record
             arrived.append(record)
-            events.append(_event(TraceEvent, (now, "flow_start", fid, "", size_mb)))
+            events.append((now, "flow_start", fid, "", size_mb))
         due.clear()
 
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:
@@ -630,7 +632,7 @@ class Simulation:
                 del active[fid]
                 f.end_time = now
                 f.remaining_mb = 0.0
-                events.append(_event(TraceEvent, (now, "flow_end", fid, "", f.size_mb)))
+                events.append((now, "flow_end", fid, "", f.size_mb))
 
             self._start_arrivals()
             if completed and on_complete is not None:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .simengine import FlowSpec, Resource, SimTrace, Simulation, TraceEvent
+from .simengine import Event, FlowSpec, Resource, SimTrace, Simulation
 from .topology import ClusterTopology
 from .volumes import VM_LIFETIME_KINDS, ResourcePath, Volume, disk_resource_id, is_link_resource, link_resources
 
@@ -117,11 +117,11 @@ def merge_snapshot_events(trace: SimTrace, records: Iterable[SnapshotRecord]) ->
     events at its instant, and markers of one instant keep their order.
     """
     events = trace.events
-    spliced: list[tuple[int, TraceEvent]] = []  # (index in the unspliced trace, marker)
+    spliced: list[tuple[int, Event]] = []  # (index in the unspliced trace, marker)
     at = 0
     for r in records:
-        at = bisect_right(events, r.taken_at, lo=at, key=attrgetter("time"))
-        spliced.append((at, TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied)))
+        at = bisect_right(events, r.taken_at, lo=at, key=itemgetter(0))  # the event time
+        spliced.append((at, (r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied)))
     for at, marker in reversed(spliced):  # from the back, so each index still holds
         events.insert(at, marker)
     return trace

@@ -101,6 +101,11 @@ class ResourcePath(namedtuple("ResourcePath", ("resources", "direction"))):
             raise ValueError("empty resource path")
         return super().__new__(cls, tuple(dict.fromkeys(resources)), direction)
 
+    @classmethod
+    def _make(cls, iterable) -> ResourcePath:
+        # namedtuple's own ``_make`` (which ``_replace`` calls) skips ``__new__`` and its checks.
+        return cls(*iterable)
+
 
 def disk_resource_id(node_id: str, disk_id: str) -> str:
     return f"disk:{node_id}:{disk_id}"

@@ -1,13 +1,28 @@
-"""Shared helpers: placed clusters with a DFS volume bound per VM, and one-call engine runs."""
+"""Shared helpers: placed clusters with a DFS volume bound per VM, one-call engine runs, and named trace events."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from storagesim.placement import ClusterState, VmSpec, place_vm
 from storagesim.simengine import CompletionHook, FlowSpec, Resource, Simulation, SimTrace
 from storagesim.topology import reference_cluster
 from storagesim.volumes import LOCAL_PERSISTENT, NETWORKED, ROOT, attach_volume
+
+
+class TraceEvent(NamedTuple):
+    """A trace event with named fields, for building traces by hand.
+
+    The engine emits plain tuples in this field order, and a ``TraceEvent``
+    equals the plain tuple with the same fields.
+    """
+
+    time: float
+    kind: str  # flow_start | rate_change | flow_end | snapshot
+    flow_id: str
+    resource_id: str
+    value: float
+
 
 SMALL_VM = VmSpec(vcpus=1, ram_gb=1.0, root_disk_gb=10.0, ephemeral_gb=0.0, migratable=False)
 PINNED_VM = VmSpec(vcpus=4, ram_gb=8.0, root_disk_gb=32.0, ephemeral_gb=20.0, migratable=False)

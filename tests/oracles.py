@@ -119,8 +119,8 @@ def capacity_violations(state: ClusterState) -> list[str]:
 def csv_lines_reference(trace: SimTrace) -> list[str]:
     """``SimTrace.csv_lines`` formatting every field of every event."""
     lines = ["time,event_kind,flow_id,resource_id,value"]
-    for e in trace.events:
-        lines.append(f"{e.time!r},{e.kind},{e.flow_id},{e.resource_id},{e.value!r}")
+    for time, kind, flow_id, resource_id, value in trace.events:
+        lines.append(f"{time!r},{kind},{flow_id},{resource_id},{value!r}")
     return lines
 
 
@@ -163,37 +163,32 @@ def verify_trace_reference(trace: SimTrace) -> list[TraceViolation]:
         for _, message in sorted(over):
             violations.append(TraceViolation("capacity", t0, message))
 
-    for event in trace.events:
-        if event.time < prev_t:
-            violations.append(TraceViolation("monotonicity", event.time, f"timestamp {event.time} after {prev_t}"))
+    for t, kind, fid, _, value in trace.events:
+        if t < prev_t:
+            violations.append(TraceViolation("monotonicity", t, f"timestamp {t} after {prev_t}"))
         else:
-            if event.time > prev_t and active:
-                check_interval(prev_t, event.time)
-            prev_t = event.time
+            if t > prev_t and active:
+                check_interval(prev_t, t)
+            prev_t = t
 
-        if event.kind == "flow_start":
-            rec = active[event.flow_id] = trace.flows.get(event.flow_id) or FlowRecord(
-                event.flow_id, ResourcePath(("?",), "read"), event.value, event.time, None, {}
-            )
-            hops[event.flow_id] = rec.path.resources
-            moved.setdefault(event.flow_id, 0.0)
-        elif event.kind == "rate_change":
-            rate[event.flow_id] = event.value
-        elif event.kind == "flow_end":
-            rec = active.pop(event.flow_id, None)
+        if kind == "flow_start":
+            rec = active[fid] = trace.flows.get(fid) or FlowRecord(fid, ResourcePath(("?",), "read"), value, t, None, {})
+            hops[fid] = rec.path.resources
+            moved.setdefault(fid, 0.0)
+        elif kind == "rate_change":
+            rate[fid] = value
+        elif kind == "flow_end":
+            rec = active.pop(fid, None)
             if rec is None:
-                violations.append(TraceViolation("unmatched-flow", event.time, f"end without start: {event.flow_id}"))
+                violations.append(TraceViolation("unmatched-flow", t, f"end without start: {fid}"))
             else:
-                got = moved.get(event.flow_id, 0.0)
+                got = moved.get(fid, 0.0)
                 tol = max(BYTE_REL_TOL * rec.size_mb, 1e-6)
                 if not abs(got - rec.size_mb) <= tol:
-                    violations.append(
-                        TraceViolation(
-                            "byte-conservation", event.time, f"flow {event.flow_id} moved {got} MB of {rec.size_mb} MB"
-                        )
-                    )
-            rate.pop(event.flow_id, None)
-            hops.pop(event.flow_id, None)
+                    message = f"flow {fid} moved {got} MB of {rec.size_mb} MB"
+                    violations.append(TraceViolation("byte-conservation", t, message))
+            rate.pop(fid, None)
+            hops.pop(fid, None)
 
     for fid in active:
         violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))

@@ -6,6 +6,7 @@ benchmark fails here first. perfbench/tracer.py, perfbench/workloads.py and perf
 are loaded from their files and only read; nothing of them is patched.
 """
 
+import gc
 import importlib.util
 import json
 from pathlib import Path
@@ -66,6 +67,19 @@ def test_workload_run_passes_the_benchmark_checks(name, tmp_path, monkeypatch):
     data = WORKLOADS.scenario_data(name, 1, 0)
     path, out = tmp_path / "scenario.yaml", tmp_path / "out"
     path.write_text(json.dumps(data))  # JSON is YAML
-    rc = cli.main(["run", "--scenario", str(path), "--out", str(out)])
+    collections = []  # the generation of each cycle collection pass
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        rc = cli.main(["run", "--scenario", str(path), "--out", str(out)])
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []  # the command pauses automatic collection...
+    assert gc.isenabled()  # ...and restores it on return
     assert rc == 0 and len(runs) == 1
     assert CHECKS.check_run(rc, out, runs[0], data["dfsio"]["n_files"])["problems"] == []

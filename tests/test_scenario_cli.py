@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from pathlib import Path
@@ -182,7 +183,7 @@ def test_defaults_live_on_the_config_types():
 def test_local_config_plans_snapshots_networked_does_not(tmp_path):
     scenario = parse_scenario(scenario_doc())
     local = run_scenario(scenario, storage_config="local")
-    assert local.snapshot_records and any(e.kind == "snapshot" for e in local.trace.events)
+    assert local.snapshot_records and any(kind == "snapshot" for _, kind, _, _, _ in local.trace.events)
     assert sum(r.bytes_copied for r in local.snapshot_records) == 10_000.0
     networked = run_scenario(scenario, storage_config="networked")
     assert networked.snapshot_records == []
@@ -523,3 +524,32 @@ def test_internal_error_exits_4_and_leaves_a_traceback(tmp_path, monkeypatch, ca
     assert "Traceback" in log and f"{error.__name__}: boom" in log
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(out / "error.log") in err[0] and "Traceback" not in err[0]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_a_command_pauses_cycle_collection_and_restores_the_callers_setting(tmp_path, monkeypatch, code, collecting):
+    doc = scenario_doc()
+    if code == 2:
+        doc["dfsio"]["file_size_mb"] = "huge"
+    elif code == 3:
+        doc["dfs"]["replication_factor"] = 50
+    during = []
+    real_run_scenario = cli.run_scenario
+
+    def watched(*args, **kwargs):
+        during.append(gc.isenabled())
+        if code == 4:
+            raise RuntimeError("boom")
+        return real_run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", watched)
+    path = write_scenario(tmp_path, doc)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == ([] if code == 2 else [False])  # a parse error stops before the run

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from helpers import run
+from helpers import TraceEvent, run
 from oracles import bottleneck_violations, csv_lines_reference, maxmin_fill_oracle, verify_trace_reference
 from storagesim import simengine
 from storagesim.cli import main
@@ -16,7 +17,6 @@ from storagesim.simengine import (
     Resource,
     SimTrace,
     Simulation,
-    TraceEvent,
     allocate_rates,
     build_resources,
     verify_trace,
@@ -491,7 +491,7 @@ def test_flows_start_in_add_order_when_added_at_now_beside_flows_due_now():
 
     sim.add_timer(5.0, at_five)
     trace = sim.run(on_complete=hook)
-    starts = [e.flow_id for e in trace.events if e.kind == "flow_start" and e.time == 5.0]
+    starts = [fid for t, kind, fid, _, _ in trace.events if kind == "flow_start" and t == 5.0]
     assert starts == ["m", "b", "h", "z", "a"]
     assert verify_trace(trace) == []
 
@@ -535,19 +535,22 @@ def test_a_resource_added_mid_run_is_picked_up():
     assert verify_trace(trace) == []
 
 
-def test_every_engine_event_and_snapshot_marker_is_a_trace_event():
+def test_every_engine_event_and_snapshot_marker_is_an_untracked_plain_tuple():
     sim = Simulation({"d1": res("d1", 100.0), "d2": res("d2", 50.0)})
     sim.add_flow(FlowSpec("a", ResourcePath(("d1",), "write"), 1000.0), 0.0)
     sim.add_flow(FlowSpec("empty", ResourcePath(("d2",), "write"), 0.0), 1.0)  # starts and ends at once
     sim.add_flow(FlowSpec("b", ResourcePath(("d1", "d2"), "read"), 300.0), 2.0)
     trace = merge_snapshot_events(sim.run(), [SnapshotRecord("v1", taken_at=3.0, bytes_copied=12.5)])
-    empty = [(e.time, e.kind) for e in trace.events if e.flow_id == "empty"]
+    empty = [(t, kind) for t, kind, fid, _, _ in trace.events if fid == "empty"]
     assert empty[0] == (1.0, "flow_start") and empty[-1] == (1.0, "flow_end")
-    assert {e.kind for e in trace.events} == {"flow_start", "rate_change", "flow_end", "snapshot"}
+    assert {kind for _, kind, _, _, _ in trace.events} == {"flow_start", "rate_change", "flow_end", "snapshot"}
+    assert trace.csv_lines()[0] == "time,event_kind,flow_id,resource_id,value"
+    gc.collect()
     for e in trace.events:
-        assert type(e) is TraceEvent
-        assert (e.time, e.kind, e.flow_id, e.resource_id, e.value) == tuple(e)
+        assert type(e) is tuple
+        assert [type(field) for field in e] == [float, str, str, str, float]  # the trace.csv columns
         assert e == TraceEvent(*e)
+        assert not gc.is_tracked(e)  # a tuple of atomic fields leaves the collector at its first pass
 
 
 def test_determinism_byte_identical_traces():
@@ -767,10 +770,11 @@ def _corrupted_traces(seed, n):
                 events.insert(i, e)
             elif fault == "reorder":
                 events.insert(rng.randrange(len(events)), events.pop(i))
-            elif fault == "inflate" and e.kind == "rate_change":
-                events[i] = e._replace(value=e.value * rng.choice([1.5, 1 + 1e-6, 3.0]))
+            elif fault == "inflate" and e[1] == "rate_change":
+                events[i] = e[:4] + (e[4] * rng.choice([1.5, 1 + 1e-6, 3.0]),)  # the value
             elif fault == "nan":
-                events[i] = e._replace(**{rng.choice(["time", "value"]): math.nan})
+                field = rng.choice([0, 4])  # the time or the value
+                events[i] = e[:field] + (math.nan,) + e[field + 1 :]
             elif fault == "unknown" and trace.resources:
                 del trace.resources[rng.choice(sorted(trace.resources))]
             elif fault == "asymmetric" and trace.resources:
@@ -778,9 +782,9 @@ def _corrupted_traces(seed, n):
                 cap = trace.resources[rid].read_capacity
                 trace.resources[rid] = Resource(rid, read_capacity=cap * 2, write_capacity=cap / 2)
             elif fault == "marker":
-                events.insert(i, TraceEvent(e.time, "snapshot", "snap.v", "v", 5.0))
+                events.insert(i, TraceEvent(e[0], "snapshot", "snap.v", "v", 5.0))
             elif fault == "stranger":  # a flow the trace has no record of
-                events.insert(i, TraceEvent(e.time, "flow_start", "ghost", "", 10.0))
+                events.insert(i, TraceEvent(e[0], "flow_start", "ghost", "", 10.0))
             if not events:
                 break
         yield trace
@@ -824,9 +828,9 @@ def test_completion_ties_processed_together_in_flow_id_order():
     resources = {"link": res("link", 100.0)}
     workload = [(FlowSpec(f"f{i}", ResourcePath(("link",), "write"), 500.0), 0.0) for i in (2, 0, 1)]
     trace = run(resources, workload)
-    ends = [e for e in trace.events if e.kind == "flow_end"]
-    assert [e.flow_id for e in ends] == ["f0", "f1", "f2"]
-    assert len({e.time for e in ends}) == 1
+    ends = [(t, fid) for t, kind, fid, _, _ in trace.events if kind == "flow_end"]
+    assert [fid for _, fid in ends] == ["f0", "f1", "f2"]
+    assert len({t for t, _ in ends}) == 1
 
 
 def _random_run(rng, monkeypatch, check, asymmetric=0.1):
@@ -911,9 +915,9 @@ def test_warm_solve_equals_a_cold_solve_at_every_reallocation(monkeypatch):
         runs += 1
         assert verify_trace(trace) == []
         batch: list[str] = []  # the rate_change events since the last other event
-        for e in trace.events + [TraceEvent(math.inf, "end", "", "", 0.0)]:
-            if e.kind == "rate_change":
-                batch.append(e.flow_id)
+        for _, kind, fid, _, _ in trace.events + [TraceEvent(math.inf, "end", "", "", 0.0)]:
+            if kind == "rate_change":
+                batch.append(fid)
             else:
                 assert batch == sorted(batch) and len(set(batch)) == len(batch), batch
                 batch = []
@@ -1017,7 +1021,7 @@ def test_warm_solves_re_solve_a_minority_of_the_flows(monkeypatch):
 
     assert len(steps) > 50 and cold  # the first solve of the run goes through the module binding
     assert sum(n for _, _, n in steps) <= 0.6 * sum(n for _, n, _ in steps)
-    flow_instants = {e.time for e in trace.events if e.kind in ("flow_start", "flow_end")}
+    flow_instants = {t for t, kind, _, _, _ in trace.events if kind in ("flow_start", "flow_end")}
     idle = [n for now, _, n in steps if now not in flow_instants]
     assert idle == [0]  # the timer's step started and ended no flow, so nothing was re-solved
 

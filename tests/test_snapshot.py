@@ -11,14 +11,14 @@ import pytest
 import yaml
 
 import storagesim
-from helpers import SMALL_VM, dfs_cluster
+from helpers import SMALL_VM, TraceEvent, dfs_cluster
 from oracles import network_bytes_reference
 from test_golden import GOLDEN
 from storagesim import cli
 from storagesim import scenario as scenario_mod
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.dfs import DfsConfig
-from storagesim.simengine import FlowRecord, SimTrace, TraceEvent, verify_trace
+from storagesim.simengine import FlowRecord, SimTrace, verify_trace
 from storagesim.snapshot import (
     SnapshotPolicy,
     SnapshotRecord,
@@ -110,7 +110,7 @@ def test_bandwidth_cap_limits_snapshot_transfer():
     # each take adds its own cap resource mid-run, and every transfer stays under it
     run = _write_run([500.0] * 3, interval_s=4.0, bandwidth_cap=10.0)
     snaps = {rec.flow_id for rec in _snapshot_flows(run.trace)}
-    rates = [e.value for e in run.trace.events if e.kind == "rate_change" and e.flow_id in snaps]
+    rates = [value for _, kind, fid, _, value in run.trace.events if kind == "rate_change" and fid in snaps]
     assert len(snaps) >= 3 and max(rates) <= 10.0
     assert verify_trace(run.trace) == []
 
@@ -258,14 +258,15 @@ def test_network_bytes_equals_the_reference_on_hand_built_traces():
 def test_merge_snapshot_events_keeps_time_order():
     run = _write_run([500.0, 500.0], interval_s=4.0)
     events = run.trace.events
-    assert [e.time for e in events] == sorted(e.time for e in events)
-    markers = [i for i, e in enumerate(events) if e.kind == "snapshot"]
-    assert [(events[i].time, events[i].value) for i in markers] == [
+    times = [t for t, _, _, _, _ in events]
+    assert times == sorted(times)
+    markers = [i for i, (_, kind, _, _, _) in enumerate(events) if kind == "snapshot"]
+    assert [(events[i][0], events[i][4]) for i in markers] == [  # (time, value)
         (r.taken_at, r.bytes_copied) for r in run.snapshot_records
     ]
     # a marker follows every event of its instant, the transfer's start included
     for i in markers:
-        assert all(e.kind == "snapshot" for e in events[i + 1 :] if e.time == events[i].time)
+        assert all(kind == "snapshot" for t, kind, _, _, _ in events[i + 1 :] if t == events[i][0])
 
 
 def test_merge_snapshot_events_equals_a_stable_merge_by_time():

@@ -43,7 +43,6 @@ NAMED_TUPLES = {
     dfs.DfsFile: ("name size_mb block_size_mb replication_factor blocks", {}),
     simengine.Resource: ("id read_capacity write_capacity", {}),
     simengine.FlowSpec: ("flow_id path size_mb tags", {"tags": {}}),
-    simengine.TraceEvent: ("time kind flow_id resource_id value", {}),
     simengine.TraceViolation: ("code time message", {}),
     snapshot.SnapshotPolicy: ("interval_s bandwidth_cap", {"interval_s": 3600.0, "bandwidth_cap": None}),
     snapshot.SnapshotRecord: ("volume_id taken_at bytes_copied", {}),
@@ -139,6 +138,14 @@ def test_resource_path_drops_repeated_hops_and_stays_hashable():
         volumes.ResourcePath((), "read")
     with pytest.raises(AttributeError):
         path.resources = ("link:a",)
+    # _make and _replace (which calls _make) build through the constructor and its checks
+    with pytest.raises(ValueError, match="empty resource path"):
+        path._replace(resources=())
+    with pytest.raises(ValueError, match="empty resource path"):
+        volumes.ResourcePath._make([(), "read"])
+    assert path._replace(resources=("link:a", "link:a")).resources == ("link:a",)
+    assert volumes.ResourcePath._make([("b", "b"), "write"]) == volumes.ResourcePath(("b",), "write")
+    assert type(path._replace(direction="read")) is volumes.ResourcePath
     assert not hasattr(path, "__dict__")
 
 
