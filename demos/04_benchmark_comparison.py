@@ -40,7 +40,7 @@ for storage in ("local", "networked"):
 
     write = run_dfsio(state, SPEC, hdfs, dfs_config=CFG, seed=42)
     read = run_dfsio(
-        write.state,
+        state,
         DfsioSpec(n_files=10, file_size_mb=1000.0, mode="read", map_capacity=25, slots_per_vm=5),
         hdfs,
         dfs_config=CFG,

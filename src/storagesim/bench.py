@@ -137,7 +137,6 @@ class DfsioRun(NamedTuple):
     trace: SimTrace
     stats: list[TaskStat]
     files: list[DfsFile]
-    state: ClusterState
     snapshot_records: list[SnapshotRecord]
 
 
@@ -154,12 +153,7 @@ class _Task:
         file_name: str,
         size_mb: float,
         writer_vm: str | None,  # pinned target for writes
-        file: DfsFile | None = None,
-        vm: str | None = None,
-        start: float | None = None,
-        end: float | None = None,
-        outstanding: set[str] | None = None,
-        write_targets: dict[str, float] | None = None,  # replica vm -> MB
+        file: DfsFile | None,  # the file a read re-reads; placed at start for a write
     ):
         self.index = index
         self.mode = mode
@@ -167,11 +161,11 @@ class _Task:
         self.size_mb = size_mb
         self.writer_vm = writer_vm
         self.file = file
-        self.vm = vm
-        self.start = start
-        self.end = end
-        self.outstanding = set() if outstanding is None else outstanding
-        self.write_targets = {} if write_targets is None else write_targets
+        self.vm: str | None = None
+        self.start: float | None = None
+        self.end: float | None = None
+        self.outstanding: set[str] = set()
+        self.write_targets: dict[str, float] = {}  # replica vm -> MB
 
 
 def run_dfsio(
@@ -179,7 +173,7 @@ def run_dfsio(
     spec: DfsioSpec,
     hdfs_volumes: Mapping[str, str],
     *,
-    dfs_config: DfsConfig | None = None,
+    dfs_config: DfsConfig = DfsConfig(),
     seed: int = 0,
     files: Sequence[DfsFile] | None = None,
     snapshots: SnapshotPolicy | None = None,
@@ -193,15 +187,14 @@ def run_dfsio(
     blocks over the management network when they must. With a
     ``snapshots`` policy, non-persistent volumes are snapshotted during
     the run and the transfers contend with the tasks. Returns the metric
-    record, the flow trace (with snapshot markers), the placed files, the
-    post-run state with each task's written bytes recorded on its volumes,
-    and the snapshot records.
+    record, the flow trace (with snapshot markers), the placed files and
+    the snapshot records; ``state`` is only read, and the trace's write
+    flows hold every byte the run wrote.
     """
     if spec.n_files < 1 or spec.file_size_mb <= 0 or spec.map_capacity < 1 or spec.slots_per_vm < 1:
         raise ValueError(f"invalid benchmark spec {spec}")
     if spec.mode not in (WRITE, READ, MIXED):
         raise ValueError(f"unknown mode {spec.mode!r}")
-    dfs_config = dfs_config or DfsConfig()
     members = sorted(hdfs_volumes)
     if not members:
         raise ValueError("no DFS members")
@@ -222,7 +215,6 @@ def run_dfsio(
     if READ in task_modes and (files is None or len(files) < spec.n_files):
         raise ReadBeforeWriteError(f"{spec.n_files} files must be written before they can be read")
 
-    work_state = state.clone()
     tasks = []
     for i in range(spec.n_files):
         name = f"test_io_{i}"
@@ -238,46 +230,46 @@ def run_dfsio(
             )
         )
 
-    sim = Simulation(build_resources(work_state.topology))
-    records = [] if snapshots is None else plan_snapshots(sim, work_state.volumes, snapshots, work_state.topology)
+    sim = Simulation(build_resources(state.topology))
+    records = [] if snapshots is None else plan_snapshots(sim, state.volumes, snapshots, state.topology)
     slots = {vm: spec.slots_per_vm for vm in members}
     queue: list[_Task] = list(tasks)
-    running = [0]  # boxed for closure mutation
+    running = 0
     by_flow: dict[str, _Task] = {}
     # Topology and volume attachments stay fixed during a run, so each path is resolved once.
     io_paths: dict[tuple[str, str], ResourcePath] = {}  # (vm, direction) -> DFS volume path
     host_links: dict[tuple[str, str], tuple[str, ...]] = {}  # (src host, dst host) -> link resources
     replica_paths: dict[tuple[str, str], ResourcePath] = {}  # (src host, peer vm) -> replica copy path
     read_paths: dict[tuple[str, str], ResourcePath] = {}  # (src vm, reader host) -> remote or local read path
-    placement = PlacementTables(work_state, members)  # members and their hosts too: one set of pools per run
+    placement = PlacementTables(state, members)  # members and their hosts too: one set of pools per run
     volume_tags: dict[str, tuple[str, str]] = {}  # member -> its DFS volume's (id, kind)
     for vm in members:
-        vol = work_state.volumes[hdfs_volumes[vm]]
+        vol = state.volumes[hdfs_volumes[vm]]
         volume_tags[vm] = (vol.id, vol.kind)
 
     def io_path(vm: str, direction: str) -> ResourcePath:
         path = io_paths.get((vm, direction))
         if path is None:
-            path = io_paths[vm, direction] = resolve_io_path(work_state, vm, hdfs_volumes[vm], direction)
+            path = io_paths[vm, direction] = resolve_io_path(state, vm, hdfs_volumes[vm], direction)
         return path
 
     def links(src_host: str, dst_host: str) -> tuple[str, ...]:
         found = host_links.get((src_host, dst_host))
         if found is None:
-            found = host_links[src_host, dst_host] = link_resources(work_state.topology, src_host, dst_host)
+            found = host_links[src_host, dst_host] = link_resources(state.topology, src_host, dst_host)
         return found
 
     def replica_path(src_host: str, peer: str) -> ResourcePath:
         path = replica_paths.get((src_host, peer))
         if path is None:
-            resources = links(src_host, work_state.instances[peer].host_id) + io_path(peer, "write").resources
+            resources = links(src_host, state.instances[peer].host_id) + io_path(peer, "write").resources
             path = replica_paths[src_host, peer] = ResourcePath(resources, "write")
         return path
 
     def read_path(src: str, dst_host: str) -> ResourcePath:
         path = read_paths.get((src, dst_host))
         if path is None:
-            resources = io_path(src, "read").resources + links(work_state.instances[src].host_id, dst_host)
+            resources = io_path(src, "read").resources + links(state.instances[src].host_id, dst_host)
             path = read_paths[src, dst_host] = ResourcePath(resources, "read")
         return path
 
@@ -292,7 +284,7 @@ def run_dfsio(
 
     def start_write(task: _Task, now: float) -> None:
         vm = task.vm = task.writer_vm
-        task.file = place_file(work_state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, placement)
+        task.file = place_file(state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, placement)
         targets = task.write_targets
         for block in task.file.blocks:
             for peer, _rack in block.replicas[1:]:
@@ -300,7 +292,7 @@ def run_dfsio(
         start_flow(task, f"t{task.index:04d}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm, now)
 
     def start_replicas(task: _Task, now: float) -> None:
-        src_host = work_state.instances[task.vm].host_id
+        src_host = state.instances[task.vm].host_id
         for peer, mb in sorted(task.write_targets.items()):
             fid = f"t{task.index:04d}.rep.{peer}"
             start_flow(task, fid, replica_path(src_host, peer), mb, "replica", peer, peer, now)
@@ -312,24 +304,22 @@ def run_dfsio(
             block_vms = block.vms()
             src = vm if vm in block_vms else min(block_vms)
             by_source[src] = by_source.get(src, 0.0) + block.bytes_mb
-        dst_host = work_state.instances[vm].host_id
+        dst_host = state.instances[vm].host_id
         for src in sorted(by_source):
             fid = f"t{task.index:04d}.read.{src}"
             start_flow(task, fid, read_path(src, dst_host), by_source[src], "read", vm, src, now)
 
     def finish_task(task: _Task, now: float) -> None:
+        nonlocal running
         task.end = now
         slots[task.vm] += 1
-        running[0] -= 1
-        if task.mode == WRITE:
-            work_state.volumes[hdfs_volumes[task.vm]].record_write(task.size_mb)
-            for peer, mb in sorted(task.write_targets.items()):
-                work_state.volumes[hdfs_volumes[peer]].record_write(mb)
+        running -= 1
 
     def dispatch(now: float) -> None:
         # Slots only fall and running only rises within a call, so a task skipped once stays skipped: one pass.
+        nonlocal running
         i = 0
-        while i < len(queue) and running[0] < spec.map_capacity:
+        while i < len(queue) and running < spec.map_capacity:
             task = queue[i]
             if task.mode == WRITE:
                 vm = task.writer_vm
@@ -342,7 +332,7 @@ def run_dfsio(
                 vm = schedule_map_task(f"t{task.index:04d}", slots, replicas=task.file.holders())
             del queue[i]
             slots[vm] -= 1
-            running[0] += 1
+            running += 1
             task.start = now
             if task.mode == WRITE:
                 start_write(task, now)
@@ -376,11 +366,9 @@ def run_dfsio(
             elapsed_s=t.end - t.start,
             rate=t.size_mb / (t.end - t.start),
         )
-        for t in sorted(tasks, key=lambda t: t.index)
+        for t in tasks
     ]
     finished_at = max(t.end for t in tasks)
     result = BenchmarkResult.from_stats(spec.mode, stats, finished_at)
-    out_files = [t.file for t in sorted(tasks, key=lambda t: t.index) if t.file is not None]
-    return DfsioRun(
-        result=result, trace=trace, stats=stats, files=out_files, state=work_state, snapshot_records=records
-    )
+    out_files = [t.file for t in tasks if t.file is not None]
+    return DfsioRun(result=result, trace=trace, stats=stats, files=out_files, snapshot_records=records)

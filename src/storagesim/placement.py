@@ -235,7 +235,6 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
             # file-backed local disk: recreated empty on the target
             vol.backing = (target_host, target_disk.id)
             vol.data_lost = True
-            vol.stored_mb = 0.0
         elif vol.kind == volumes_mod.LOCAL_PERSISTENT:
             # partition stays put with its data; volume detaches
             vol.attached_to = None

@@ -418,7 +418,6 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
             dfs_config=scenario.dfs,
             seed=scenario.seed,
         )
-        state = prep.state
         prep_files = prep.files
         prep_traces.append(prep.trace)
 

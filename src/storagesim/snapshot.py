@@ -127,20 +127,8 @@ def merge_snapshot_events(trace: SimTrace, records: Iterable[SnapshotRecord]) ->
     return trace
 
 
-def recoverable_bytes(
-    volume: Volume,
-    crash_time: float,
-    records: Iterable[SnapshotRecord],
-    quick_reboot: bool = False,
-) -> float:
-    """MB that survive a crash at ``crash_time``.
-
-    A reboot within the grace window keeps the whole volume; otherwise
-    only the bytes captured by snapshots taken at or before the crash
-    remain.
-    """
-    if quick_reboot:
-        return volume.stored_mb
+def recoverable_bytes(volume: Volume, crash_time: float, records: Iterable[SnapshotRecord]) -> float:
+    """MB that survive a crash at ``crash_time``: those captured by snapshots taken at or before it."""
     return math.fsum(
         r.bytes_copied for r in records if r.volume_id == volume.id and r.taken_at <= crash_time
     )

@@ -1,9 +1,10 @@
 """The four storage kinds and the hardware path each VM-volume pair uses.
 
-root/ephemeral: file-backed on the VM's host disk, gone when the VM goes.
-networked: served from a controller disk over the management network (the
-iSCSI-style default of cloud stacks). local_persistent: a host disk
-partition that survives the VM, attached whole and never reformatted.
+root/ephemeral: file-backed on the VM's host disk, created with the VM by
+``place_vm`` and gone when the VM goes. networked: served from a
+controller disk over the management network (the iSCSI-style default of
+cloud stacks). local_persistent: a host disk partition that survives the
+VM, attached whole and never reformatted. Only the last two are attached.
 
 ``resolve_io_path`` is the bridge into the flow simulator: it names the
 shared resources (disks, links) an I/O stream crosses, which is where the
@@ -33,7 +34,6 @@ EPHEMERAL = "ephemeral"
 NETWORKED = "networked"
 LOCAL_PERSISTENT = "local_persistent"
 
-KINDS = (ROOT, EPHEMERAL, NETWORKED, LOCAL_PERSISTENT)
 LOCAL_KINDS = frozenset({ROOT, EPHEMERAL, LOCAL_PERSISTENT})
 # File-backed on the VM's host disk: their data dies with the VM.
 VM_LIFETIME_KINDS = frozenset({ROOT, EPHEMERAL})
@@ -49,7 +49,7 @@ def same_fields(a, b):
 
 
 class Volume:
-    __slots__ = ("id", "kind", "size_gb", "backing", "attached_to", "stored_mb", "data_lost")
+    __slots__ = ("id", "kind", "size_gb", "backing", "attached_to", "data_lost")
 
     def __init__(
         self,
@@ -58,7 +58,6 @@ class Volume:
         size_gb: float,
         backing: tuple[str, str],  # (node id, disk id)
         attached_to: str | None = None,
-        stored_mb: float = 0.0,  # live bytes
         data_lost: bool = False,
     ):
         self.id = id
@@ -66,13 +65,12 @@ class Volume:
         self.size_gb = size_gb
         self.backing = backing
         self.attached_to = attached_to
-        self.stored_mb = stored_mb
         self.data_lost = data_lost
 
     __eq__ = same_fields
 
     def copy(self) -> Volume:
-        return Volume(self.id, self.kind, self.size_gb, self.backing, self.attached_to, self.stored_mb, self.data_lost)
+        return Volume(self.id, self.kind, self.size_gb, self.backing, self.attached_to, self.data_lost)
 
     def occupies_space(self) -> bool:
         # file-backed local disks are deleted on detach; persistent kinds
@@ -80,9 +78,6 @@ class Volume:
         if self.kind in VM_LIFETIME_KINDS:
             return self.attached_to is not None
         return True
-
-    def record_write(self, mb: float) -> None:
-        self.stored_mb += mb
 
 
 class ResourcePath(namedtuple("ResourcePath", ("resources", "direction"))):
@@ -129,8 +124,8 @@ def link_resources(topology: ClusterTopology, src: str, dst: str) -> tuple[str, 
 def provision_local_volume(state: ClusterState, vm: VmInstance, kind: str, size_gb: float, disk_id: str) -> Volume:
     """Create a root/ephemeral volume on a specific host disk.
 
-    Internal helper for place_vm/migrate; mutates the (already cloned)
-    state in place.
+    Internal helper for place_vm; mutates the (already cloned) state in
+    place.
     """
     vol = Volume(
         id=state.next_volume_id(),
@@ -145,15 +140,15 @@ def provision_local_volume(state: ClusterState, vm: VmInstance, kind: str, size_
 
 
 def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) -> tuple[ClusterState, Volume]:
-    """Attach a new volume of the given kind to a running VM.
+    """Attach a new networked or local_persistent volume to a running VM.
 
     networked volumes land on the first controller disk with room;
     local_persistent attaches a whole partition from the host's group,
     adopting a previously detached partition (and its contents) when one
-    exists. root/ephemeral go on the host's own disks.
+    exists. Root and ephemeral volumes come with the VM from ``place_vm``.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown volume kind {kind!r}")
+    if kind not in (NETWORKED, LOCAL_PERSISTENT):
+        raise ValueError(f"cannot attach a volume of kind {kind!r}: only {NETWORKED} and {LOCAL_PERSISTENT} attach")
     state.running_vm(vm_id)  # raises VmNotFoundError
     new = state.clone()
     vm = new.instances[vm_id]
@@ -170,21 +165,14 @@ def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) ->
             backing=(ctl.id, disk.id),
             attached_to=vm_id,
         )
-    elif kind == LOCAL_PERSISTENT:
+    else:
         host = new.topology.host(vm.host_id)
         if not host.local_persistent_group:
             raise NoLocalPersistentGroupError(f"host {vm.host_id} has no local-persistent partition group")
         vol = _attach_partition(new, vm, size_gb, host)
-    else:  # root / ephemeral
-        disk = new.disk_with_room(vm.host_id, new.topology.host(vm.host_id).disks, size_gb)
-        if disk is None:
-            raise InsufficientSpaceError(f"host {vm.host_id} has no disk with {size_gb} GB free")
-        vol = provision_local_volume(new, vm, kind, size_gb, disk.id)
 
-    if vol.id not in new.volumes:
-        new.volumes[vol.id] = vol
-    if vol.id not in vm.volumes:
-        vm.volumes.append(vol.id)
+    new.volumes[vol.id] = vol
+    vm.volumes.append(vol.id)
     return new, vol
 
 
@@ -233,34 +221,20 @@ def resolve_io_path(state: ClusterState, vm_id: str, volume_id: str, direction: 
     return ResourcePath(links + (disk_resource_id(node_id, disk_id),), direction)
 
 
-def terminate_vm(
-    state: ClusterState,
-    vm_id: str,
-    mode: Literal["clean", "crash"] = "clean",
-    reboot_within_grace: bool = False,
-) -> ClusterState:
-    """Terminate or crash a VM and settle its volumes.
+def terminate_vm(state: ClusterState, vm_id: str) -> ClusterState:
+    """Terminate a VM and settle its volumes.
 
-    Clean termination loses root/ephemeral data (recoverable only from
-    snapshots) while networked and local-persistent volumes survive
-    detached. A crash rebooted within the grace window keeps everything
-    and the VM returns to running; a slow reboot is a clean terminate.
+    Root/ephemeral data is lost (recoverable only from snapshots) while
+    networked and local-persistent volumes survive detached.
     """
-    vm = state.instances.get(vm_id)
-    if vm is None or vm.state != "running":
-        raise VmNotFoundError(f"no running VM {vm_id!r}")
+    state.running_vm(vm_id)  # raises VmNotFoundError
     new = state.clone()
     vm = new.instances[vm_id]
-
-    if mode == "crash" and reboot_within_grace:
-        return new  # storage had not been reclaimed yet; VM is back up
-
-    for vol_id in list(vm.volumes):
+    for vol_id in vm.volumes:
         vol = new.volumes[vol_id]
         if vol.kind in VM_LIFETIME_KINDS:
             vol.data_lost = True
-            vol.stored_mb = 0.0
         vol.attached_to = None
     vm.volumes.clear()
-    vm.state = "terminated" if mode == "clean" else "crashed"
+    vm.state = "terminated"
     return new

@@ -196,15 +196,15 @@ def test_criterion_6_snapshot_byte_accounting():
         spec = DfsioSpec(n_files=10, file_size_mb=1024.0, mode="write", slots_per_vm=2)
         snapshots = SnapshotPolicy() if storage == "local" else None
         w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=6, snapshots=snapshots)
-        traces, st = [w.trace], w.state
+        traces = [w.trace]
         for _ in range(5):
-            r = run_dfsio(st, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
+            r = run_dfsio(state, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
                           dfs_config=DfsConfig(replication_factor=1), seed=6, files=w.files)
-            st, traces = r.state, traces + [r.trace]
-        return st, traces
+            traces.append(r.trace)
+        return traces
 
-    _, local_traces = run_phases("local")
-    _, networked_traces = run_phases("networked")
+    local_traces = run_phases("local")
+    networked_traces = run_phases("networked")
     local_mb, networked_mb = overhead_comparison(local_traces, networked_traces)
     exact_ok = local_mb == 10 * 1024.0 and networked_mb == 60 * 1024.0
 
@@ -232,7 +232,7 @@ def test_criterion_6_snapshot_byte_accounting():
         from storagesim.volumes import Volume
 
         volumes = {
-            f"vol{k:03d}": Volume(f"vol{k:03d}", "root", 100.0, ("h01", "disk1"), False) for k in range(2)
+            f"vol{k:03d}": Volume(f"vol{k:03d}", "root", 100.0, ("h01", "disk1")) for k in range(2)
         }
         records = plan_snapshots(sim, volumes, SnapshotPolicy(interval_s=rng.choice([3.0, 11.0, 3600.0])), topology)
         sim.run()

@@ -11,8 +11,10 @@ from storagesim import bench
 from storagesim.bench import BenchmarkResult, DfsioSpec, TaskStat, avg_io_rate, run_dfsio, stddev_io_rate, throughput
 from storagesim.dfs import DfsConfig
 from storagesim.errors import EmptyStatsError, ReadBeforeWriteError
+from storagesim.placement import ClusterState
 from storagesim.simengine import verify_trace
-from storagesim.volumes import ResourcePath
+from storagesim.snapshot import SnapshotPolicy
+from storagesim.volumes import ResourcePath, disk_resource_id
 
 
 def stat(i, size, t):
@@ -153,7 +155,7 @@ def test_write_then_read_locality_keeps_reads_local():
     spec = DfsioSpec(n_files=5, file_size_mb=1000.0, mode="write", slots_per_vm=1)
     w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=3), seed=2)
     r = run_dfsio(
-        w.state,
+        state,
         DfsioSpec(n_files=5, file_size_mb=1000.0, mode="read", slots_per_vm=1),
         hdfs,
         dfs_config=DfsConfig(replication_factor=3),
@@ -174,9 +176,43 @@ def test_replication_pipeline_extends_task_time():
     rf3 = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=3), seed=3)
     assert rf3.result.finished_at > rf1.result.finished_at
     assert verify_trace(rf3.trace) == []
-    # replica copies land on the peers' volumes: written bytes triple
-    stored_rf3 = sum(v.stored_mb for v in rf3.state.volumes.values())
-    assert stored_rf3 == pytest.approx(3 * 5 * 500.0)
+    # replica copies land on the peers' DFS volumes, so the trace's write flows hold triple the bytes
+    writer_of = {rec.tags["task"]: rec.tags["vm"] for rec in rf3.trace.flows.values() if rec.tags["stage"] == "primary"}
+    written: dict[str, float] = {}
+    for rec in rf3.trace.flows.values():
+        assert rec.path.direction == "write"
+        written[rec.tags["volume_id"]] = written.get(rec.tags["volume_id"], 0.0) + rec.size_mb
+        if rec.tags["stage"] == "replica":
+            peer = rec.tags["vm"]
+            assert peer != writer_of[rec.tags["task"]] and rec.tags["volume_id"] == hdfs[peer]
+            assert rec.path.resources[-1] == disk_resource_id(*state.volumes[hdfs[peer]].backing)
+    assert set(written) <= set(hdfs.values())
+    assert math.fsum(written.values()) == pytest.approx(3 * 5 * 500.0)
+
+
+@pytest.mark.parametrize("mode", ["write", "mixed"])
+def test_run_dfsio_leaves_its_input_state_alone(monkeypatch, mode):
+    state, hdfs = dfs_cluster(n_hosts=5)
+    cfg = DfsConfig(replication_factor=3)
+    spec = DfsioSpec(n_files=10, file_size_mb=128.0, mode=mode, slots_per_vm=2)
+    files = None
+    if mode == "mixed":
+        files = run_dfsio(state, spec._replace(mode="write"), hdfs, dfs_config=cfg, seed=8).files
+    before = state.clone()
+    cloned = []
+    real_clone = ClusterState.clone
+
+    def clone(self):
+        cloned.append(self)
+        return real_clone(self)
+
+    monkeypatch.setattr(ClusterState, "clone", clone)
+    run = run_dfsio(state, spec, hdfs, dfs_config=cfg, seed=8, files=files, snapshots=SnapshotPolicy(interval_s=2.0))
+    assert cloned == []  # nothing is written to the state, so there is nothing to copy
+    assert state == before
+    stages = {rec.tags["stage"] for rec in run.trace.flows.values() if "stage" in rec.tags}
+    assert stages == ({"primary", "replica", "read"} if mode == "mixed" else {"primary", "replica"})
+    assert run.snapshot_records
 
 
 def test_tasks_queue_behind_map_capacity_and_slots():
@@ -213,7 +249,7 @@ def test_mixed_mode_interleaves_reads_and_writes():
     spec = DfsioSpec(n_files=6, file_size_mb=200.0, mode="write", slots_per_vm=2)
     w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=5)
     mixed = run_dfsio(
-        w.state,
+        state,
         DfsioSpec(n_files=6, file_size_mb=200.0, mode="mixed", slots_per_vm=2, read_fraction=0.5),
         hdfs,
         dfs_config=DfsConfig(replication_factor=1),
@@ -243,7 +279,7 @@ def test_each_run_resolves_every_path_once(monkeypatch):
     monkeypatch.setattr(bench, "link_resources", link_resources)
     monkeypatch.setattr(bench, "resolve_io_path", resolve_io_path)
     run = run_dfsio(
-        w.state,
+        state,
         DfsioSpec(n_files=60, file_size_mb=128.0, mode="mixed", read_fraction=0.5),
         hdfs,
         dfs_config=dfs_config,
@@ -254,8 +290,8 @@ def test_each_run_resolves_every_path_once(monkeypatch):
     assert {key[0] for key in calls} == {"link", "volume"}
     assert {key[2] for key in calls if key[0] == "volume"} == {"read", "write"}
     assert max(calls.values()) == 1, calls.most_common(3)
-    host_of = {vm: inst.host_id for vm, inst in run.state.instances.items()}
-    topology = run.state.topology
+    host_of = {vm: inst.host_id for vm, inst in state.instances.items()}
+    topology = state.topology
 
     def shared_paths(stage, key_of):
         """key -> {id(path): path} over the flows of one stage."""
@@ -271,7 +307,7 @@ def test_each_run_resolves_every_path_once(monkeypatch):
 
     def fresh_replica_path(src_host, peer):
         links = real_link_resources(topology, src_host, host_of[peer])
-        return ResourcePath(links + real_resolve_io_path(run.state, peer, hdfs[peer], "write").resources, "write")
+        return ResourcePath(links + real_resolve_io_path(state, peer, hdfs[peer], "write").resources, "write")
 
     assert all(list(paths.values()) == [fresh_replica_path(*key)] for key, paths in replica_paths.items())
     # and so does every read flow of one (source VM, reader host) pair
@@ -279,7 +315,7 @@ def test_each_run_resolves_every_path_once(monkeypatch):
 
     def fresh_read_path(src, reader_host):
         links = real_link_resources(topology, host_of[src], reader_host)
-        return ResourcePath(real_resolve_io_path(run.state, src, hdfs[src], "read").resources + links, "read")
+        return ResourcePath(real_resolve_io_path(state, src, hdfs[src], "read").resources + links, "read")
 
     assert all(list(paths.values()) == [fresh_read_path(*key)] for key, paths in read_paths.items())
     n_reads = sum(rec.tags["stage"] == "read" for rec in run.trace.flows.values())

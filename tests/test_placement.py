@@ -98,13 +98,12 @@ def test_migration_moves_rack_and_loses_local_data(empty_state):
     state, vm = place_vm(empty_state, spec, policy="first_fit")
     state, net_vol = attach_volume(state, vm.id, NETWORKED, 50.0)
     root_id = next(v for v in state.instances[vm.id].volumes if state.volumes[v].kind == "root")
-    state.volumes[root_id].record_write(500.0)
 
     moved = migrate_vm(state, vm.id, "h02")
     vm2 = moved.instances[vm.id]
     assert vm2.host_id == "h02"
     root = moved.volumes[root_id]
-    assert root.backing[0] == "h02" and root.data_lost and root.stored_mb == 0.0
+    assert root.backing[0] == "h02" and root.data_lost
     net = moved.volumes[net_vol.id]
     assert net.attached_to == vm.id and not net.data_lost and net.backing[0] == "controller"
     assert moved.free_vcpus("h01") == 4  # capacity returned to the source host
@@ -140,7 +139,7 @@ def test_random_place_terminate_sequences_never_overcommit():
         for _ in range(rng.randint(1, 25)):
             if live and rng.random() < 0.4:
                 vm_id = live.pop(rng.randrange(len(live)))
-                state = terminate_vm(state, vm_id, mode="clean")
+                state = terminate_vm(state, vm_id)
             else:
                 spec = VmSpec(
                     vcpus=rng.randint(1, 2),

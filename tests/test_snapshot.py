@@ -54,7 +54,7 @@ def test_read_only_trace_produces_no_snapshots():
     state, hdfs = dfs_cluster(n_hosts=2, spec=SMALL_VM)
     w = run_dfsio(state, DfsioSpec(n_files=2, file_size_mb=100.0, mode="write", slots_per_vm=1), hdfs,
                   dfs_config=DfsConfig(replication_factor=1), seed=0)
-    r = run_dfsio(w.state, DfsioSpec(n_files=2, file_size_mb=100.0, mode="read", slots_per_vm=1), hdfs,
+    r = run_dfsio(state, DfsioSpec(n_files=2, file_size_mb=100.0, mode="read", slots_per_vm=1), hdfs,
                   dfs_config=DfsConfig(replication_factor=1), seed=0, files=w.files,
                   snapshots=SnapshotPolicy(interval_s=10.0))
     assert r.snapshot_records == []
@@ -126,8 +126,8 @@ def test_snapshots_of_one_volume_share_one_path_unless_capped(cap):
         by_volume.setdefault(rec.tags["volume_id"], []).append(rec)
     assert len(by_volume) == 3 and min(len(recs) for recs in by_volume.values()) > 1
     for vol_id, recs in by_volume.items():
-        host, disk = run.state.volumes[vol_id].backing
-        links = link_resources(run.state.topology, host, "controller")
+        host, disk = state.volumes[vol_id].backing
+        links = link_resources(state.topology, host, "controller")
         route = (f"disk:{host}:{disk}",) + links + ("disk:controller:disk1",)
         if cap is None:  # one path object, equal to a fresh build
             assert len({id(rec.path) for rec in recs}) == 1
@@ -150,13 +150,12 @@ def test_conservation_snapshot_bytes_equal_written_bytes():
 
 
 def test_recoverable_bytes_cases():
-    vol = Volume(id="v1", kind="root", size_gb=32.0, backing=("h01", "disk1"), stored_mb=3000.0)
+    vol = Volume(id="v1", kind="root", size_gb=32.0, backing=("h01", "disk1"))
     records = [SnapshotRecord("v1", taken_at=100.0, bytes_copied=2000.0)]
     assert recoverable_bytes(vol, 50.0, records) == 0.0  # crash before the first snapshot
     assert recoverable_bytes(vol, 150.0, records) == 2000.0  # only the covered 2 GB
     full = [SnapshotRecord("v1", 100.0, 3000.0)]
     assert recoverable_bytes(vol, 150.0, full) == 3000.0  # snapshot covered everything
-    assert recoverable_bytes(vol, 50.0, records, quick_reboot=True) == 3000.0  # grace window
 
 
 def test_write_once_read_five_times_network_bytes():
@@ -167,16 +166,14 @@ def test_write_once_read_five_times_network_bytes():
         snapshots = SnapshotPolicy() if storage == "local" else None
         w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=1, snapshots=snapshots)
         traces = [w.trace]
-        st = w.state
         for i in range(5):
-            r = run_dfsio(st, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
+            r = run_dfsio(state, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
                           dfs_config=DfsConfig(replication_factor=1), seed=1, files=w.files)
-            st = r.state
             traces.append(r.trace)
-        return st, traces
+        return traces
 
-    _, local_traces = phases("local")
-    _, networked_traces = phases("networked")
+    local_traces = phases("local")
+    networked_traces = phases("networked")
     local_mb, networked_mb = overhead_comparison(local_traces, networked_traces)
     assert local_mb == 10 * 1024.0  # exactly the written bytes
     assert networked_mb == 6 * 10 * 1024.0  # writes once plus five reads
@@ -206,11 +203,10 @@ def test_ratio_identity_for_read_write_mix():
         spec = DfsioSpec(n_files=2, file_size_mb=400.0, mode="write", slots_per_vm=1)
         w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=3)
         traces = [w.trace]
-        st = w.state
         for _ in range(reads):
-            r = run_dfsio(st, DfsioSpec(n_files=2, file_size_mb=400.0, mode="read", slots_per_vm=1), hdfs,
+            r = run_dfsio(state, DfsioSpec(n_files=2, file_size_mb=400.0, mode="read", slots_per_vm=1), hdfs,
                           dfs_config=DfsConfig(replication_factor=1), seed=3, files=w.files)
-            st, traces = r.state, traces + [r.trace]
+            traces.append(r.trace)
         total = math.fsum(network_bytes(t) for t in traces)
         assert total == pytest.approx(800.0 * (1 + reads))
 

@@ -55,7 +55,7 @@ NAMED_TUPLES = {
         "mode finished_at n_files total_mb throughput_mbps avg_io_rate_mbps stddev_io_rate_mbps",
         {},
     ),
-    bench.DfsioRun: ("result trace stats files state snapshot_records", {}),
+    bench.DfsioRun: ("result trace stats files snapshot_records", {}),
     cost.PriceTable: (
         "instance_per_hour ebs_standard_per_million_ops",
         {"instance_per_hour": 0.24, "ebs_standard_per_million_ops": 0.10},
@@ -154,7 +154,7 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     records = [
         simengine.FlowRecord("f", path, 1.0, 0.0, None, {}),
         simengine.SimTrace(),
-        bench._Task(0, bench.WRITE, "test_io_0", 1.0, "vm001"),
+        bench._Task(0, bench.WRITE, "test_io_0", 1.0, "vm001", None),
         placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0)),
         placement.ClusterState(topology.reference_cluster(1)),
         volumes.Volume("vol001", volumes.ROOT, 10.0, ("h01", "disk1")),
@@ -162,8 +162,8 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     assert [type(r) for r in records] == list(SLOTTED)
     assert not any(hasattr(r, "__dict__") for r in records)
     assert simengine.SimTrace().events is not simengine.SimTrace().events
-    task = bench._Task(1, bench.READ, "f", 1.0, None)
-    assert task.outstanding is not bench._Task(2, bench.READ, "f", 1.0, None).outstanding
+    task = bench._Task(1, bench.READ, "f", 1.0, None, None)
+    assert task.outstanding is not bench._Task(2, bench.READ, "f", 1.0, None, None).outstanding
     vm = placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0))
     assert vm.volumes is not placement.VmInstance("vm002", "h01", vm.spec).volumes
     assert vm == vm.copy() and vm.copy().volumes is not vm.volumes

@@ -6,6 +6,7 @@ from helpers import SMALL_VM, placed_cluster
 from storagesim.errors import InsufficientSpaceError, NoLocalPersistentGroupError, VolumeNotAttachedError
 from storagesim.placement import place_vm
 from storagesim.volumes import (
+    EPHEMERAL,
     LOCAL_PERSISTENT,
     NETWORKED,
     ROOT,
@@ -39,21 +40,27 @@ def test_local_persistent_requires_partition_group():
 
 def test_attach_beyond_disk_capacity_fails(state):
     with pytest.raises(InsufficientSpaceError):
-        attach_volume(state, vm_of(state), ROOT, 10_000.0)
+        attach_volume(state, vm_of(state), NETWORKED, 10_000.0)
+
+
+@pytest.mark.parametrize("kind", [ROOT, EPHEMERAL])
+def test_root_and_ephemeral_volumes_do_not_attach(state, kind):
+    with pytest.raises(ValueError, match=kind):
+        attach_volume(state, vm_of(state), kind, 5.0)
 
 
 def test_volume_sizes_never_exceed_disk_capacity(state):
     vm = vm_of(state)
-    # keep attaching 300 GB root volumes until the 1 TB disk fills
+    # keep attaching 300 GB networked volumes until the 1 TB controller disk fills
     attached = 0
     while True:
         try:
-            state, _ = attach_volume(state, vm, ROOT, 300.0)
+            state, _ = attach_volume(state, vm, NETWORKED, 300.0)
             attached += 1
         except InsufficientSpaceError:
             break
-    assert attached == 3  # 10 GB root + 3x300 fits, a 4th would not
-    assert state.disk_used_gb("h01", "disk1") <= 1000.0
+    assert attached == 3  # 3x300 fits, a 4th would not
+    assert state.disk_used_gb("controller", "disk1") <= 1000.0
 
 
 def test_io_path_local_kinds_touch_only_the_host_disk(state):
@@ -63,8 +70,9 @@ def test_io_path_local_kinds_touch_only_the_host_disk(state):
     assert path.resources == ("disk:h01:disk1",)
     assert path.direction == "read"
 
-    state, eph = attach_volume(state, vm, "ephemeral", 5.0)
-    assert resolve_io_path(state, vm, eph.id, "write").resources == ("disk:h01:disk1",)
+    state, placed = place_vm(state, SMALL_VM._replace(ephemeral_gb=5.0), policy="first_fit")
+    eph = next(v for v in placed.volumes if state.volumes[v].kind == EPHEMERAL)
+    assert resolve_io_path(state, placed.id, eph, "write").resources == (f"disk:{placed.host_id}:disk1",)
 
     state, part = attach_volume(state, vm, LOCAL_PERSISTENT, 50.0)
     assert resolve_io_path(state, vm, part.id, "write").resources == ("disk:h01:part1",)
@@ -102,7 +110,7 @@ def test_path_shape_matches_kind_invariant(state):
 def test_detached_volume_has_no_path(state):
     vm = vm_of(state)
     state, vol = attach_volume(state, vm, NETWORKED, 10.0)
-    after = terminate_vm(state, vm, mode="clean")
+    after = terminate_vm(state, vm)
     with pytest.raises(VolumeNotAttachedError):
         resolve_io_path(after, vm, vol.id, "read")
 
@@ -111,46 +119,25 @@ def test_clean_terminate_loses_root_keeps_networked(state):
     vm = vm_of(state)
     root = next(v for v in state.instances[vm].volumes if state.volumes[v].kind == ROOT)
     state, net = attach_volume(state, vm, NETWORKED, 10.0)
-    state.volumes[root].record_write(100.0)
-    state.volumes[net.id].record_write(200.0)
 
-    after = terminate_vm(state, vm, mode="clean")
-    assert after.volumes[root].data_lost and after.volumes[root].stored_mb == 0.0
-    assert not after.volumes[net.id].data_lost and after.volumes[net.id].stored_mb == 200.0
+    after = terminate_vm(state, vm)
+    assert after.volumes[root].data_lost
+    assert not after.volumes[net.id].data_lost
     assert after.volumes[net.id].attached_to is None
     assert after.instances[vm].state == "terminated"
-
-
-def test_crash_with_quick_reboot_preserves_everything(state):
-    vm = vm_of(state)
-    root = next(v for v in state.instances[vm].volumes if state.volumes[v].kind == ROOT)
-    state.volumes[root].record_write(123.0)
-    after = terminate_vm(state, vm, mode="crash", reboot_within_grace=True)
-    assert after.instances[vm].state == "running"
-    assert after.volumes[root].stored_mb == 123.0 and not after.volumes[root].data_lost
-
-
-def test_crash_without_quick_reboot_is_a_clean_terminate(state):
-    vm = vm_of(state)
-    root = next(v for v in state.instances[vm].volumes if state.volumes[v].kind == ROOT)
-    state.volumes[root].record_write(123.0)
-    after = terminate_vm(state, vm, mode="crash", reboot_within_grace=False)
-    assert after.volumes[root].data_lost
-    assert after.instances[vm].state == "crashed"
 
 
 def test_local_persistent_partition_survives_and_reattaches(state):
     vm = vm_of(state)
     state, part = attach_volume(state, vm, LOCAL_PERSISTENT, 50.0)
-    state.volumes[part.id].record_write(777.0)
-    state = terminate_vm(state, vm, mode="clean")
-    assert state.volumes[part.id].stored_mb == 777.0  # data stays on the partition
+    state = terminate_vm(state, vm)
+    assert not state.volumes[part.id].data_lost  # data stays on the partition
 
     # a new VM on the same host adopts the partition, contents intact
     state, vm2 = place_vm(state, SMALL_VM, policy="first_fit")
     assert vm2.host_id == "h01"
     state, again = attach_volume(state, vm2.id, LOCAL_PERSISTENT, 50.0)
-    assert again.id == part.id and again.stored_mb == 777.0
+    assert again.id == part.id and not again.data_lost
 
 
 def test_persistent_volumes_never_lost_under_random_operations():
@@ -163,12 +150,11 @@ def test_persistent_volumes_never_lost_under_random_operations():
             try:
                 state, vol = attach_volume(state, vm_id, kind, 30.0)
                 persistent_ids.append(vol.id)
-                state.volumes[vol.id].record_write(rng.randint(1, 100))
             except InsufficientSpaceError:
                 pass
         for vm_id in sorted(state.instances):
             if rng.random() < 0.7:
-                state = terminate_vm(state, vm_id, mode=rng.choice(["clean", "crash"]))
+                state = terminate_vm(state, vm_id)
         for vol_id in persistent_ids:
             assert not state.volumes[vol_id].data_lost
 
@@ -203,7 +189,7 @@ def test_terminate_unknown_vm_errors():
 
     state = placed_cluster(n_hosts=1, spec=SMALL_VM)
     with pytest.raises(VmNotFoundError):
-        terminate_vm(state, "vm999", mode="clean")
-    state2 = terminate_vm(state, "vm001", mode="clean")
+        terminate_vm(state, "vm999")
+    state2 = terminate_vm(state, "vm001")
     with pytest.raises(VmNotFoundError):  # already gone
-        terminate_vm(state2, "vm001", mode="clean")
+        terminate_vm(state2, "vm001")
