@@ -42,24 +42,24 @@ def write_then_read(storage, reads=5):
         r = run_dfsio(state, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
                       dfs_config=DfsConfig(replication_factor=1), seed=9, files=w.files)
         traces.append(r.trace)
-    return state, traces, w.snapshot_records
+    return traces, w.snapshot_records
 
 
 print("workload: write 10 GB once, read it five times\n")
 
-local_state, local_traces, records = write_then_read("local")
+local_traces, records = write_then_read("local")
 print("hourly snapshots (dirty bytes per volume):")
 for rec in records:
     print(f"  {rec.volume_id}: {rec.bytes_copied:.0f} MB at t={rec.taken_at:.0f} s")
 
 local_net = sum(network_bytes(t) for t in local_traces)
-_, networked_traces, _ = write_then_read("networked")
+networked_traces, _ = write_then_read("networked")
 networked_net = sum(network_bytes(t) for t in networked_traces)
 print(f"\nnetwork bytes, local + snapshots: {local_net:.0f} MB (the written 10 GB, once)")
 print(f"network bytes, networked volumes: {networked_net:.0f} MB (10 GB written + 50 GB read)")
 
-vol = local_state.volumes[records[0].volume_id]
-snapshotted = sum(r.bytes_copied for r in records if r.volume_id == vol.id)
-print(f"\ncrash stories for {vol.id} ({snapshotted:.0f} MB written, all of it snapshotted by the end):")
-print(f"  crash at t=1000 s, before any snapshot: {recoverable_bytes(vol, 1000.0, records):.0f} MB recoverable")
-print(f"  crash at t=4000 s, after the snapshot:  {recoverable_bytes(vol, 4000.0, records):.0f} MB recoverable")
+vol_id = records[0].volume_id
+snapshotted = sum(r.bytes_copied for r in records if r.volume_id == vol_id)
+print(f"\ncrash stories for {vol_id} ({snapshotted:.0f} MB written, all of it snapshotted by the end):")
+print(f"  crash at t=1000 s, before any snapshot: {recoverable_bytes(vol_id, 1000.0, records):.0f} MB recoverable")
+print(f"  crash at t=4000 s, after the snapshot:  {recoverable_bytes(vol_id, 4000.0, records):.0f} MB recoverable")

@@ -142,8 +142,8 @@ class DfsioRun(NamedTuple):
 
 class _Task:
     __slots__ = (
-        "index", "mode", "file_name", "size_mb", "writer_vm",
-        "file", "vm", "start", "end", "outstanding", "write_targets",
+        "index", "label", "mode", "file_name", "size_mb", "writer_vm",
+        "file", "vm", "start", "end", "outstanding",
     )
 
     def __init__(
@@ -156,6 +156,7 @@ class _Task:
         file: DfsFile | None,  # the file a read re-reads; placed at start for a write
     ):
         self.index = index
+        self.label = str(index)  # the "task" tag of every flow the task starts
         self.mode = mode
         self.file_name = file_name
         self.size_mb = size_mb
@@ -164,8 +165,7 @@ class _Task:
         self.vm: str | None = None
         self.start: float | None = None
         self.end: float | None = None
-        self.outstanding: set[str] = set()
-        self.write_targets: dict[str, float] = {}  # replica vm -> MB
+        self.outstanding = 0  # flows started and not yet completed
 
 
 def run_dfsio(
@@ -277,23 +277,23 @@ def run_dfsio(
         task: _Task, fid: str, path: ResourcePath, mb: float, stage: str, vm: str, volume_vm: str, now: float
     ) -> None:
         volume_id, volume_kind = volume_tags[volume_vm]
-        tags = {"task": str(task.index), "stage": stage, "vm": vm, "volume_id": volume_id, "volume_kind": volume_kind}
+        tags = {"task": task.label, "stage": stage, "vm": vm, "volume_id": volume_id, "volume_kind": volume_kind}
         sim.add_flow(FlowSpec(fid, path, mb, tags=tags), now)
-        task.outstanding.add(fid)
+        task.outstanding += 1
         by_flow[fid] = task
 
     def start_write(task: _Task, now: float) -> None:
         vm = task.vm = task.writer_vm
         task.file = place_file(state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, placement)
-        targets = task.write_targets
-        for block in task.file.blocks:
-            for peer, _rack in block.replicas[1:]:
-                targets[peer] = targets.get(peer, 0.0) + block.bytes_mb
         start_flow(task, f"t{task.index:04d}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm, now)
 
     def start_replicas(task: _Task, now: float) -> None:
+        targets: dict[str, float] = {}  # replica vm -> MB, summed in block order
+        for block in task.file.blocks:
+            for peer, _rack in block.replicas[1:]:
+                targets[peer] = targets.get(peer, 0.0) + block.bytes_mb
         src_host = state.instances[task.vm].host_id
-        for peer, mb in sorted(task.write_targets.items()):
+        for peer, mb in sorted(targets.items()):
             fid = f"t{task.index:04d}.rep.{peer}"
             start_flow(task, fid, replica_path(src_host, peer), mb, "replica", peer, peer, now)
 
@@ -341,12 +341,12 @@ def run_dfsio(
 
     def on_complete(_sim, records, now) -> None:
         for record in records:
-            task = by_flow.get(record.flow_id)
+            task = by_flow.pop(record.flow_id, None)
             if task is None:
                 continue  # a snapshot transfer
-            task.outstanding.discard(record.flow_id)
+            task.outstanding -= 1
             if record.tags["stage"] == "primary":
-                start_replicas(task, now)
+                start_replicas(task, now)  # none at rf = 1, so the task is done below
             if not task.outstanding:
                 finish_task(task, now)
         dispatch(now)

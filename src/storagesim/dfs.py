@@ -11,9 +11,11 @@ spreads over distinct VMs but emits a ReplicaCoLocationWarning, because
 demonstrating the failure mode is the point.
 
 Members and their hosts stay fixed for a whole benchmark run, so the rack
-map and the candidate pools live in ``PlacementTables``, built once per run
-and kept across its files and blocks. The pools and the ``rng`` draws over
-them are those of a per-block rebuild, so the draw sequence is unchanged.
+map, the candidate pools and each member's ``(vm, rack)`` replica pair live
+in ``PlacementTables``, built once per run and kept across its files and
+blocks, so every block a run places names its replicas by the same pair
+objects. The pools and the ``rng`` draws over them are those of a per-block
+rebuild, so the draw sequence is unchanged.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def dfs_members(state: ClusterState) -> list[str]:
 
 
 class PlacementTables:
-    """The members' virtual racks and replica candidate pools, fixed while members and hosts are.
+    """The members' virtual racks, replica pairs and candidate pools, fixed while members and hosts are.
 
     A pool is built the first time a (writer) or (writer, second replica)
     asks for it and kept, so each is built once per tables object.
@@ -75,6 +77,7 @@ class PlacementTables:
     def __init__(self, state: ClusterState, members: list[str]):
         self.members = members
         self.rack_of = {vm: state.instances[vm].host_id for vm in members}  # a VM's virtual rack is its host
+        self.pair_of = {vm: (vm, rack) for vm, rack in self.rack_of.items()}  # every block's replica entries
         self.n_racks = len(set(self.rack_of.values()))
         self._second: dict[str, list[str]] = {}  # writer -> candidates for replica 2
         self._third: dict[tuple[str, str], list[str]] = {}  # (writer, replica 2) -> candidates for replica 3
@@ -150,7 +153,7 @@ def place_replicas(
         )
     return BlockReplicaSet(
         block_id=block_id,
-        replicas=tuple([(vm, rack_of[vm]) for vm in chosen]),
+        replicas=tuple([tables.pair_of[vm] for vm in chosen]),
         bytes_mb=bytes_mb,
     )
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import islice
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -315,7 +316,7 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float])
 Event = tuple[float, str, str, str, float]
 
 
-# Lines per write of ``SimTrace.write_csv``: bounds the joined string to a few hundred KB.
+# Lines per write of ``SimTrace.write_csv``: bounds the chunk's text to a few hundred KB.
 CSV_CHUNK_LINES = 4096
 
 
@@ -328,7 +329,9 @@ class SimTrace:
     unpack events by position. A plain tuple takes one allocation, and since
     its fields are all atomic, CPython's cycle collector untracks it at its
     first pass, so later passes no longer walk the trace; a tuple subclass
-    would stay tracked for its whole life.
+    would stay tracked for its whole life. ``write_csv`` streams the CSV
+    from the events in chunks, so the text of the whole file never exists
+    at once.
     """
 
     __slots__ = ("events", "flows", "resources")
@@ -343,8 +346,8 @@ class SimTrace:
         self.flows = {} if flows is None else flows
         self.resources = {} if resources is None else resources
 
-    def csv_lines(self) -> list[str]:
-        """The header and one line per event; floats written by ``repr``.
+    def csv_lines(self) -> Iterator[str]:
+        """The header, then one line per event, made as they are read; floats written by ``repr``.
 
         A float is formatted once per run of events that hold the same
         object in its column. A step stamps all of its events with one
@@ -353,8 +356,7 @@ class SimTrace:
         identity (``is``), never by ``==``, so ``-0.0`` and ``0.0`` each keep
         their own text.
         """
-        lines = ["time,event_kind,flow_id,resource_id,value"]
-        append = lines.append
+        yield "time,event_kind,flow_id,resource_id,value"
         last_time = last_value = object()
         time_text = value_text = ""
         for time, kind, flow_id, resource_id, value in self.events:
@@ -362,15 +364,20 @@ class SimTrace:
                 last_time, time_text = time, repr(time)
             if value is not last_value:
                 last_value, value_text = value, repr(value)
-            append(f"{time_text},{kind},{flow_id},{resource_id},{value_text}")
-        return lines
+            yield f"{time_text},{kind},{flow_id},{resource_id},{value_text}"
 
     def write_csv(self, path) -> None:
-        """``csv_lines``, one per line, written in chunks of ``CSV_CHUNK_LINES``."""
+        """``csv_lines``, one per line, streamed: ``CSV_CHUNK_LINES`` lines are made, joined and written at a time.
+
+        Only one chunk's lines and text are held at once, so the writer's
+        memory does not grow with the trace. No line is empty, so an empty
+        chunk means the lines have run out.
+        """
         lines = self.csv_lines()
         with open(path, "w") as fh:
-            for i in range(0, len(lines), CSV_CHUNK_LINES):
-                fh.write("\n".join(lines[i : i + CSV_CHUNK_LINES]) + "\n")
+            while chunk := "\n".join(islice(lines, CSV_CHUNK_LINES)):
+                fh.write(chunk)
+                fh.write("\n")
 
 
 # Callback invoked after completions at one instant; may add_flow() at `now`.

@@ -127,11 +127,9 @@ def merge_snapshot_events(trace: SimTrace, records: Iterable[SnapshotRecord]) ->
     return trace
 
 
-def recoverable_bytes(volume: Volume, crash_time: float, records: Iterable[SnapshotRecord]) -> float:
-    """MB that survive a crash at ``crash_time``: those captured by snapshots taken at or before it."""
-    return math.fsum(
-        r.bytes_copied for r in records if r.volume_id == volume.id and r.taken_at <= crash_time
-    )
+def recoverable_bytes(volume_id: str, crash_time: float, records: Iterable[SnapshotRecord]) -> float:
+    """MB of volume ``volume_id`` that survive a crash at ``crash_time``: those its snapshots took at or before it."""
+    return math.fsum(r.bytes_copied for r in records if r.volume_id == volume_id and r.taken_at <= crash_time)
 
 
 def network_bytes(trace: SimTrace) -> float:

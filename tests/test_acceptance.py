@@ -270,7 +270,7 @@ def test_criterion_7_determinism_and_trace_conservation():
     repeat = [run_scenario(parse_scenario(_scenario_doc()), storage_config=cfg)
               for cfg in ("local", "networked")]
     identical = all(
-        a.trace.csv_lines() == b.trace.csv_lines() for a, b in zip(runs, repeat)
+        list(a.trace.csv_lines()) == list(b.trace.csv_lines()) for a, b in zip(runs, repeat)
     )
     violations = [v for run in runs + repeat for v in verify_trace(run.trace)]
     ok = identical and not violations

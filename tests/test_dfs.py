@@ -144,6 +144,23 @@ def test_per_run_tables_place_every_file_like_the_per_block_reference():
     assert files > 300 and warned > 0 and rfs == {1, 2, 3, 4, 5}
 
 
+def test_blocks_placed_through_one_table_share_its_replica_pairs():
+    state = placed_cluster(n_hosts=4, vms_per_host=2, spec=SMALL_VM)
+    members = dfs_members(state)
+    tables = PlacementTables(state, members)
+    got_rng, want_rng = random.Random(21), random.Random(21)
+    pairs = set()
+    for writer in members:
+        got = place_file(state, f"f.{writer}", 640.0, writer, DfsConfig(), got_rng, tables)
+        want = [place_replicas_reference(state, writer, f"f.{writer}:b{i:04d}", 64.0, 3, want_rng) for i in range(10)]
+        assert list(got.blocks) == want
+        for block in got.blocks:
+            for pair in block.replicas:
+                assert pair is tables.pair_of[pair[0]]  # the table's own object, not an equal copy
+                pairs.add(id(pair))
+    assert len(pairs) == len(members)  # 80 blocks, 240 replicas, one pair object per member
+
+
 def test_schedule_prefers_replica_holder_with_free_slot(five_hosts):
     slots = {"vm001": 0, "vm002": 0, "vm003": 1, "vm004": 1, "vm005": 1}
     vm = schedule_map_task("t0", slots, replicas=("vm002", "vm004"))

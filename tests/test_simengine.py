@@ -1,6 +1,8 @@
 import gc
 import math
 import random
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -544,7 +546,7 @@ def test_every_engine_event_and_snapshot_marker_is_an_untracked_plain_tuple():
     empty = [(t, kind) for t, kind, fid, _, _ in trace.events if fid == "empty"]
     assert empty[0] == (1.0, "flow_start") and empty[-1] == (1.0, "flow_end")
     assert {kind for _, kind, _, _, _ in trace.events} == {"flow_start", "rate_change", "flow_end", "snapshot"}
-    assert trace.csv_lines()[0] == "time,event_kind,flow_id,resource_id,value"
+    assert list(trace.csv_lines())[0] == "time,event_kind,flow_id,resource_id,value"
     gc.collect()
     for e in trace.events:
         assert type(e) is tuple
@@ -560,8 +562,8 @@ def test_determinism_byte_identical_traces():
         (FlowSpec(f"f{i}", ResourcePath(("link:mgmt-h01", "link:mgmt-controller", "disk:controller:disk1"), "write"), 700.0), float(i))
         for i in range(4)
     ]
-    a = run(resources, list(workload)).csv_lines()
-    b = run(resources, list(workload)).csv_lines()
+    a = list(run(resources, list(workload)).csv_lines())
+    b = list(run(resources, list(workload)).csv_lines())
     assert a == b
 
 
@@ -692,7 +694,7 @@ def test_verify_trace_flags_byte_shortfall():
 
 def test_csv_round_trip_format():
     trace = run({"d1": res("d1", 100.0)}, [(FlowSpec("f1", ResourcePath(("d1",), "write"), 100.0), 0.0)])
-    lines = trace.csv_lines()
+    lines = list(trace.csv_lines())
     assert lines[0] == "time,event_kind,flow_id,resource_id,value"
     kinds = [line.split(",")[1] for line in lines[1:]]
     assert kinds == ["flow_start", "rate_change", "flow_end"]
@@ -721,11 +723,11 @@ def test_csv_lines_equal_the_reference_byte_for_byte():
         TraceEvent(t1, "rate_change", "f", "", t1_copy),
         TraceEvent(t1, "rate_change", "g", "", 3),
     ]
-    lines = trace.csv_lines()
+    lines = list(trace.csv_lines())
     assert lines == csv_lines_reference(trace)
     assert [line.split(",")[0] for line in lines[1:4]] == ["-0.0", "0.0", "0.0"]
     assert [line.split(",")[-1] for line in lines[-5:-2]] == ["0.0", "-0.0", "1.5"]
-    assert run({"d1": res("d1", 100.0)}, []).csv_lines() == csv_lines_reference(SimTrace())
+    assert list(run({"d1": res("d1", 100.0)}, []).csv_lines()) == csv_lines_reference(SimTrace())
 
 
 def test_write_csv_writes_the_joined_lines_at_every_chunk_size(tmp_path, monkeypatch):
@@ -739,6 +741,32 @@ def test_write_csv_writes_the_joined_lines_at_every_chunk_size(tmp_path, monkeyp
         assert (tmp_path / "trace.csv").read_bytes() == want, chunk
         SimTrace().write_csv(tmp_path / "empty.csv")
         assert (tmp_path / "empty.csv").read_bytes() == b"time,event_kind,flow_id,resource_id,value\n"
+
+
+def test_write_csv_peak_memory_does_not_grow_with_the_trace(tmp_path):
+    # The writer streams chunks, so 16 chunks of events must not peak above 4 chunks by a chunk's text.
+    chunk = simengine.CSV_CHUNK_LINES
+    flow_ids = [f"f{i}" for i in range(97)]
+    value = 12.5
+
+    def trace_of(n_events):
+        trace = SimTrace()
+        trace.events = [(float(i), "rate_change", flow_ids[i % 97], "", value) for i in range(n_events)]
+        return trace
+
+    def writer_peak(trace):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace.write_csv(tmp_path / "trace.csv")
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = trace_of(4 * chunk), trace_of(16 * chunk)
+    chunk_text = len("\n".join(islice(large.csv_lines(), chunk)))
+    small_peak, large_peak = writer_peak(small), writer_peak(large)
+    assert large_peak - small_peak < chunk_text, (small_peak, large_peak, chunk_text)
 
 
 def _corrupted_traces(seed, n):
@@ -798,7 +826,7 @@ def test_verify_trace_equals_the_reference_on_corrupted_traces():
     for trace in _corrupted_traces(2014, 200):
         want = report(verify_trace_reference(trace))
         assert report(verify_trace(trace)) == want
-        assert trace.csv_lines() == csv_lines_reference(trace)
+        assert list(trace.csv_lines()) == csv_lines_reference(trace)
         codes.update(code for code, _, _ in want)
     assert codes == {"monotonicity", "capacity", "byte-conservation", "unmatched-flow"}
 

@@ -28,7 +28,7 @@ from storagesim.snapshot import (
     recoverable_bytes,
 )
 from storagesim.scenario import parse_scenario, run_scenario
-from storagesim.volumes import ResourcePath, Volume, link_resources
+from storagesim.volumes import ResourcePath, link_resources
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -150,12 +150,11 @@ def test_conservation_snapshot_bytes_equal_written_bytes():
 
 
 def test_recoverable_bytes_cases():
-    vol = Volume(id="v1", kind="root", size_gb=32.0, backing=("h01", "disk1"))
     records = [SnapshotRecord("v1", taken_at=100.0, bytes_copied=2000.0)]
-    assert recoverable_bytes(vol, 50.0, records) == 0.0  # crash before the first snapshot
-    assert recoverable_bytes(vol, 150.0, records) == 2000.0  # only the covered 2 GB
+    assert recoverable_bytes("v1", 50.0, records) == 0.0  # crash before the first snapshot
+    assert recoverable_bytes("v1", 150.0, records) == 2000.0  # only the covered 2 GB
     full = [SnapshotRecord("v1", 100.0, 3000.0)]
-    assert recoverable_bytes(vol, 150.0, full) == 3000.0  # snapshot covered everything
+    assert recoverable_bytes("v1", 150.0, full) == 3000.0  # snapshot covered everything
 
 
 def test_write_once_read_five_times_network_bytes():

@@ -163,7 +163,8 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     assert not any(hasattr(r, "__dict__") for r in records)
     assert simengine.SimTrace().events is not simengine.SimTrace().events
     task = bench._Task(1, bench.READ, "f", 1.0, None, None)
-    assert task.outstanding is not bench._Task(2, bench.READ, "f", 1.0, None, None).outstanding
+    assert (task.outstanding, task.label) == (0, "1")  # a count and the flows' "task" tag, not a per-task set
+    assert not [s for s in bench._Task.__slots__ if isinstance(getattr(task, s), (list, set, dict))]
     vm = placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0))
     assert vm.volumes is not placement.VmInstance("vm002", "h01", vm.spec).volumes
     assert vm == vm.copy() and vm.copy().volumes is not vm.volumes
