@@ -5,7 +5,7 @@ the rest keep rising. The second example is the classic asymmetric case:
 a flow pinned by a narrow link releases capacity to its competitor.
 """
 
-from storagesim.simengine import FlowRecord, FlowSpec, Resource, Simulation, allocate_rates, verify_trace
+from storagesim.simengine import FlowRecord, Resource, Simulation, allocate_rates, verify_trace
 from storagesim.volumes import ResourcePath
 
 
@@ -33,8 +33,9 @@ show("\nA on link1(100); B on link1 and link2(30):", flows, {"link1": 100.0, "li
 # the event-driven run: piecewise-constant rates, exact completion times
 print("\nevent-driven run, 500 MB and 1000 MB sharing a 100 MB/s link:")
 sim = Simulation({"link": Resource("link", 100.0, 100.0)})
-sim.add_flow(FlowSpec("short", ResourcePath(("link",), "write"), 500.0), 0.0)
-sim.add_flow(FlowSpec("long", ResourcePath(("link",), "write"), 1000.0), 0.0)
+link = ResourcePath(("link",), "write")
+sim.add_flow("short", link, 500.0, 0.0)
+sim.add_flow("long", link, 1000.0, 0.0)
 trace = sim.run()
 for rec in trace.flows.values():
     print(f"  {rec.flow_id}: [{rec.start_time}, {rec.end_time}] s")

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dfs import DfsConfig, DfsFile, PlacementTables, place_file, schedule_map_task
 from .errors import EmptyStatsError, ReadBeforeWriteError, SimError
 from .placement import ClusterState
-from .simengine import FlowSpec, Simulation, SimTrace, build_resources
+from .simengine import Simulation, SimTrace, build_resources
 from .snapshot import SnapshotPolicy, SnapshotRecord, merge_snapshot_events, plan_snapshots
 from .topology import management_path  # noqa: F401  (unused; perfbench's traced-run test asserts this binding)
 from .volumes import ResourcePath, link_resources, resolve_io_path
@@ -142,7 +144,7 @@ class DfsioRun(NamedTuple):
 
 class _Task:
     __slots__ = (
-        "index", "label", "mode", "file_name", "size_mb", "writer_vm",
+        "index", "task_id", "mode", "file_name", "size_mb", "writer_vm",
         "file", "vm", "start", "end", "outstanding",
     )
 
@@ -156,7 +158,7 @@ class _Task:
         file: DfsFile | None,  # the file a read re-reads; placed at start for a write
     ):
         self.index = index
-        self.label = str(index)  # the "task" tag of every flow the task starts
+        self.task_id = f"t{index:04d}"  # the prefix of every flow id the task starts
         self.mode = mode
         self.file_name = file_name
         self.size_mb = size_mb
@@ -233,7 +235,7 @@ def run_dfsio(
     sim = Simulation(build_resources(state.topology))
     records = [] if snapshots is None else plan_snapshots(sim, state.volumes, snapshots, state.topology)
     slots = {vm: spec.slots_per_vm for vm in members}
-    queue: list[_Task] = list(tasks)
+    queue = deque(tasks)
     running = 0
     by_flow: dict[str, _Task] = {}
     # Topology and volume attachments stay fixed during a run, so each path is resolved once.
@@ -242,10 +244,8 @@ def run_dfsio(
     replica_paths: dict[tuple[str, str], ResourcePath] = {}  # (src host, peer vm) -> replica copy path
     read_paths: dict[tuple[str, str], ResourcePath] = {}  # (src vm, reader host) -> remote or local read path
     placement = PlacementTables(state, members)  # members and their hosts too: one set of pools per run
-    volume_tags: dict[str, tuple[str, str]] = {}  # member -> its DFS volume's (id, kind)
-    for vm in members:
-        vol = state.volumes[hdfs_volumes[vm]]
-        volume_tags[vm] = (vol.id, vol.kind)
+    # (stage, vm, volume vm) -> the tags of every flow of that route, shared and read-only
+    route_tags: dict[tuple[str, str, str], Mapping[str, str]] = {}
 
     def io_path(vm: str, direction: str) -> ResourcePath:
         path = io_paths.get((vm, direction))
@@ -276,16 +276,20 @@ def run_dfsio(
     def start_flow(
         task: _Task, fid: str, path: ResourcePath, mb: float, stage: str, vm: str, volume_vm: str, now: float
     ) -> None:
-        volume_id, volume_kind = volume_tags[volume_vm]
-        tags = {"task": task.label, "stage": stage, "vm": vm, "volume_id": volume_id, "volume_kind": volume_kind}
-        sim.add_flow(FlowSpec(fid, path, mb, tags=tags), now)
+        tags = route_tags.get((stage, vm, volume_vm))
+        if tags is None:
+            vol = state.volumes[hdfs_volumes[volume_vm]]
+            tags = route_tags[stage, vm, volume_vm] = MappingProxyType(
+                {"stage": stage, "vm": vm, "volume_id": vol.id, "volume_kind": vol.kind}
+            )
+        sim.add_flow(fid, path, mb, now, tags)
         task.outstanding += 1
         by_flow[fid] = task
 
     def start_write(task: _Task, now: float) -> None:
         vm = task.vm = task.writer_vm
         task.file = place_file(state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, placement)
-        start_flow(task, f"t{task.index:04d}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm, now)
+        start_flow(task, f"{task.task_id}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm, now)
 
     def start_replicas(task: _Task, now: float) -> None:
         targets: dict[str, float] = {}  # replica vm -> MB, summed in block order
@@ -294,7 +298,7 @@ def run_dfsio(
                 targets[peer] = targets.get(peer, 0.0) + block.bytes_mb
         src_host = state.instances[task.vm].host_id
         for peer, mb in sorted(targets.items()):
-            fid = f"t{task.index:04d}.rep.{peer}"
+            fid = f"{task.task_id}.rep.{peer}"
             start_flow(task, fid, replica_path(src_host, peer), mb, "replica", peer, peer, now)
 
     def start_read(task: _Task, now: float, vm: str) -> None:
@@ -306,7 +310,7 @@ def run_dfsio(
             by_source[src] = by_source.get(src, 0.0) + block.bytes_mb
         dst_host = state.instances[vm].host_id
         for src in sorted(by_source):
-            fid = f"t{task.index:04d}.read.{src}"
+            fid = f"{task.task_id}.read.{src}"
             start_flow(task, fid, read_path(src, dst_host), by_source[src], "read", vm, src, now)
 
     def finish_task(task: _Task, now: float) -> None:
@@ -329,7 +333,7 @@ def run_dfsio(
             elif all(s <= 0 for s in slots.values()):
                 break
             else:
-                vm = schedule_map_task(f"t{task.index:04d}", slots, replicas=task.file.holders())
+                vm = schedule_map_task(task.task_id, slots, replicas=task.file.holders())
             del queue[i]
             slots[vm] -= 1
             running += 1

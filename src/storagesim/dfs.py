@@ -126,15 +126,14 @@ def place_replicas(
     """
     if tables is None:
         tables = PlacementTables(state, dfs_members(state))
-    members = tables.members
-    if writer_vm not in members:
+    members, rack_of = tables.members, tables.rack_of
+    if writer_vm not in rack_of:  # keyed by the members: a lookup, not a scan of the list
         raise InsufficientVmsError(f"writer {writer_vm!r} is not a DFS member")
     if rf < 1:
         raise ValueError(f"replication factor {rf} < 1")
     if len(members) < rf:
         raise InsufficientVmsError(f"{len(members)} DFS VMs < replication factor {rf}")
 
-    rack_of = tables.rack_of
     chosen = [writer_vm]
     if rf >= 2:
         chosen.append(rng.choice(tables.second_pool(writer_vm)))
@@ -151,11 +150,7 @@ def place_replicas(
             ReplicaCoLocationWarning,
             stacklevel=2,
         )
-    return BlockReplicaSet(
-        block_id=block_id,
-        replicas=tuple([tables.pair_of[vm] for vm in chosen]),
-        bytes_mb=bytes_mb,
-    )
+    return BlockReplicaSet(block_id, tuple([tables.pair_of[vm] for vm in chosen]), bytes_mb)
 
 
 def place_file(
@@ -173,28 +168,12 @@ def place_file(
     """
     if tables is None:
         tables = PlacementTables(state, dfs_members(state))
-    n_blocks = max(1, math.ceil(size_mb / config.block_size_mb))
+    block_size_mb, rf = config.block_size_mb, config.replication_factor
     blocks = []
-    for i in range(n_blocks):
-        block_bytes = min(config.block_size_mb, size_mb - i * config.block_size_mb)
-        blocks.append(
-            place_replicas(
-                state,
-                writer_vm,
-                block_id=f"{name}:b{i:04d}",
-                bytes_mb=block_bytes,
-                rf=config.replication_factor,
-                rng=rng,
-                tables=tables,
-            )
-        )
-    return DfsFile(
-        name=name,
-        size_mb=size_mb,
-        block_size_mb=config.block_size_mb,
-        replication_factor=config.replication_factor,
-        blocks=tuple(blocks),
-    )
+    for i in range(max(1, math.ceil(size_mb / block_size_mb))):
+        block_mb = min(block_size_mb, size_mb - i * block_size_mb)
+        blocks.append(place_replicas(state, writer_vm, f"{name}:b{i:04d}", block_mb, rf, rng, tables))
+    return DfsFile(name, size_mb, block_size_mb, rf, tuple(blocks))
 
 
 def schedule_map_task(task_id: str, slots: dict[str, int], replicas: tuple[str, ...] = ()) -> str:

@@ -18,10 +18,10 @@ every round (see ``_fill``). A resource that reads as fast as it writes
 the whole run; an asymmetric one is re-pooled over the directions of the
 flows crossing it as they start and end. Between events rates are constant,
 so completion times are closed-form and runs are exactly reproducible.
-Once a ``FlowSpec`` starts, its ``FlowRecord`` in the trace is the only
-object the engine keeps for it, advanced and completed in place. A run
-builds one of each per flow, and every step reads each active record's
-rate and remainder, so a spec is a tuple and a record a slotted object. A
+A flow is one ``FlowRecord`` from ``add_flow`` on: it waits as the
+record, gets its ``start_time`` when it starts and is then the trace's
+entry for it, advanced and completed in place. Every step reads each
+active record's rate and remainder, so a record is a slotted object. A
 path's resources are checked once per simulation, when the first flow on
 that path object is added. A trace event is an exact tuple ``(time, kind,
 flow_id, resource_id, value)`` (see ``SimTrace``): one allocation each, and
@@ -124,24 +124,16 @@ def _directions(paths: Iterable[ResourcePath]) -> dict[str, set[str]]:
     return dirs
 
 
-class FlowSpec(NamedTuple):
-    """A transfer to simulate: id, path, size; tags are free-form labels, by default none.
-
-    The default ``tags`` is one shared empty mapping, read-only so no flow can
-    write into another's labels.
-    """
-
-    flow_id: str
-    path: ResourcePath
-    size_mb: float
-    tags: Mapping[str, str] = MappingProxyType({})
+# The tags of a flow added without any: one shared mapping, read-only so no flow can write into another's labels.
+_NO_TAGS: Mapping[str, str] = MappingProxyType({})
 
 
 class FlowRecord:
-    """A started flow, and the engine's only object for it.
+    """A flow, and the engine's only object for it, from ``Simulation.add_flow`` on.
 
-    The engine advances ``remaining_mb`` and ``rate`` in place while the
-    flow runs, and sets ``end_time`` and zeroes ``remaining_mb`` when it ends.
+    ``start_time`` is None until the flow starts. The engine advances
+    ``remaining_mb`` and ``rate`` in place while the flow runs, and sets
+    ``end_time`` and zeroes ``remaining_mb`` when it ends.
     """
 
     __slots__ = ("flow_id", "path", "size_mb", "start_time", "end_time", "tags", "remaining_mb", "rate")
@@ -151,7 +143,7 @@ class FlowRecord:
         flow_id: str,
         path: ResourcePath,
         size_mb: float,
-        start_time: float,
+        start_time: float | None,
         end_time: float | None,
         tags: Mapping[str, str],
         remaining_mb: float = 0.0,
@@ -414,8 +406,8 @@ class Simulation:
     def __init__(self, resources: Mapping[str, Resource]):
         self.resources = dict(resources)
         self.now = 0.0
-        self._pending: list[tuple[float, int, FlowSpec]] = []  # heap of the flows added for a later time
-        self._due_now: list[FlowSpec] = []  # the flows added at `now`, in add order
+        self._pending: list[tuple[float, int, FlowRecord]] = []  # heap of the flows added for a later time
+        self._due_now: list[FlowRecord] = []  # the flows added at `now`, in add order
         self._pending_ids: set[str] = set()  # the flows of both
         # id -> each path whose every resource has a capacity entry; holding the path keeps its id unique.
         self._checked_paths: dict[int, ResourcePath] = {}
@@ -433,32 +425,39 @@ class Simulation:
         self._departed: list[FlowRecord] = []
         self._members: defaultdict[str, dict[str, float]] | None = None
 
-    def add_flow(self, spec: FlowSpec, at_time: float) -> None:
+    def add_flow(
+        self, flow_id: str, path: ResourcePath, size_mb: float, at_time: float, tags: Mapping[str, str] = _NO_TAGS
+    ) -> None:
+        """Start a transfer of ``size_mb`` MB over ``path`` at ``at_time``; ``tags`` are free-form labels.
+
+        The flow's ``FlowRecord`` is built here and waits until ``at_time``;
+        a rejected flow leaves nothing pending.
+        """
         if not math.isfinite(at_time):
-            raise ValueError(f"cannot schedule {spec.flow_id} at {at_time}")
+            raise ValueError(f"cannot schedule {flow_id} at {at_time}")
         if at_time < self.now:
-            raise ValueError(f"cannot schedule {spec.flow_id} in the past ({at_time} < {self.now})")
-        if not 0.0 <= spec.size_mb < math.inf:
-            raise ValueError(f"flow {spec.flow_id} has size {spec.size_mb} MB")
-        if spec.flow_id in self._trace.flows or spec.flow_id in self._pending_ids:
-            raise ValueError(f"duplicate flow id {spec.flow_id!r}")
-        path = spec.path
+            raise ValueError(f"cannot schedule {flow_id} in the past ({at_time} < {self.now})")
+        if not 0.0 <= size_mb < math.inf:
+            raise ValueError(f"flow {flow_id} has size {size_mb} MB")
+        if flow_id in self._trace.flows or flow_id in self._pending_ids:
+            raise ValueError(f"duplicate flow id {flow_id!r}")
         if self._checked_paths.get(id(path)) is not path:
             for rid in path.resources:
                 if rid not in self._capacities:
                     resource = self.resources.get(rid)
                     if resource is None:
-                        raise UnknownResourceError(f"flow {spec.flow_id} crosses unknown resource {rid!r}")
+                        raise UnknownResourceError(f"flow {flow_id} crosses unknown resource {rid!r}")
                     if resource.read_capacity != resource.write_capacity:
                         self._pooled[rid] = (resource, Counter())
                     self._capacities[rid] = min(resource.read_capacity, resource.write_capacity)
             self._checked_paths[id(path)] = path
+        record = FlowRecord(flow_id, path, size_mb, None, None, tags, size_mb)
         if at_time == self.now:
-            self._due_now.append(spec)
+            self._due_now.append(record)
         else:
-            heappush(self._pending, (at_time, self._seq, spec))
+            heappush(self._pending, (at_time, self._seq, record))
             self._seq += 1
-        self._pending_ids.add(spec.flow_id)
+        self._pending_ids.add(flow_id)
 
     def add_timer(self, at_time: float, callback: TimerCallback) -> None:
         """Call ``callback(sim, now)`` at ``at_time``.
@@ -478,10 +477,16 @@ class Simulation:
         """True when no flow is pending or active."""
         return not (self._pending or self._due_now or self._active)
 
-    def progress(self) -> Iterator[tuple[FlowRecord, float]]:
-        """Each started flow, in start order, with the MB it has moved by ``now``."""
-        for record in self._trace.flows.values():
-            yield record, record.size_mb - record.remaining_mb
+    def started(self, skip: int) -> list[FlowRecord]:
+        """The flows started after the first ``skip``, in start order.
+
+        They are read from the newest back, so a caller that passes the
+        number it has already seen visits only the flows started since.
+        """
+        flows = self._trace.flows
+        new = list(islice(reversed(flows.values()), len(flows) - skip))
+        new.reverse()
+        return new
 
     # -- internals ----------------------------------------------------------
 
@@ -598,12 +603,13 @@ class Simulation:
             return
         active, arrived, flows, events = self._active, self._arrived, self._trace.flows, self._trace.events
         pending_ids = self._pending_ids
-        for fid, path, size_mb, tags in due:
+        for record in due:
+            fid = record.flow_id
             pending_ids.discard(fid)
-            record = FlowRecord(fid, path, size_mb, now, None, tags, size_mb)
+            record.start_time = now
             active[fid] = flows[fid] = record
-            arrived.append(record)
-            events.append((now, "flow_start", fid, "", size_mb))
+            events.append((now, "flow_start", fid, "", record.size_mb))
+        arrived += due
         due.clear()
 
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:

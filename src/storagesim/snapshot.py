@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import chain
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .simengine import Event, FlowSpec, Resource, SimTrace, Simulation
+from .simengine import Event, FlowRecord, Resource, SimTrace, Simulation
 from .topology import ClusterTopology
 from .volumes import VM_LIFETIME_KINDS, ResourcePath, Volume, disk_resource_id, is_link_resource, link_resources
 
@@ -35,21 +37,6 @@ class SnapshotRecord(NamedTuple):
     volume_id: str
     taken_at: float
     bytes_copied: float  # MB, exactly the dirty bytes at taken_at
-
-
-def _written_mb(sim: Simulation, volumes: Mapping[str, Volume]) -> dict[str, float]:
-    """MB the engine has moved into each snapshotted volume so far."""
-    parts: dict[str, list[float]] = {}
-    for record, moved in sim.progress():
-        vol_id = record.tags.get("volume_id")
-        if (
-            record.path.direction == "write"
-            and vol_id in volumes
-            and volumes[vol_id].kind in VM_LIFETIME_KINDS
-            and record.tags.get("kind") != "snapshot"
-        ):
-            parts.setdefault(vol_id, []).append(moved)
-    return {vol_id: math.fsum(mb) for vol_id, mb in parts.items()}
 
 
 def plan_snapshots(
@@ -76,6 +63,7 @@ def plan_snapshots(
     k = 0  # boundaries passed
     # The topology and the volumes' backing stay fixed during a run, so each volume's path is built once.
     paths: dict[str, ResourcePath] = {}  # volume id -> uncapped transfer path to the controller
+    tags_of: dict[str, Mapping[str, str]] = {}  # volume id -> the tags of every transfer of it
 
     def transfer_path(vol_id: str) -> ResourcePath:
         path = paths.get(vol_id)
@@ -87,10 +75,45 @@ def plan_snapshots(
             path = paths[vol_id] = ResourcePath((disk_resource_id(host_id, disk_id),) + links + (sink,), "write")
         return path
 
+    # The write flows into snapshotted volumes, each sorted out once, when first seen.
+    seen = 0  # flows of the simulation already sorted out
+    running: list[tuple[str, FlowRecord]] = []  # (volume id, write flow into it) running at the last take
+    ended: dict[str, list[float]] = {}  # volume id -> MB of each write flow into it that has ended
+
+    def written_mb(sim: Simulation) -> dict[str, float]:
+        """MB the engine has moved into each snapshotted volume so far.
+
+        Visits only the flows running at the last take and those started
+        since. ``math.fsum`` is exactly rounded, so the order of a volume's
+        parts does not change the float it gives.
+        """
+        nonlocal seen
+        new = sim.started(seen)
+        seen += len(new)
+        for record in new:
+            vol_id = record.tags.get("volume_id")
+            if (
+                record.path.direction == "write"
+                and vol_id in volumes
+                and volumes[vol_id].kind in VM_LIFETIME_KINDS
+                and record.tags.get("kind") != "snapshot"
+            ):
+                running.append((vol_id, record))
+        moved: dict[str, list[float]] = {}  # volume id -> MB moved by each write flow into it still running
+        still_running = []
+        for vol_id, record in running:
+            if record.end_time is None:
+                moved.setdefault(vol_id, []).append(record.size_mb - record.remaining_mb)
+                still_running.append((vol_id, record))
+            else:
+                ended.setdefault(vol_id, []).append(record.size_mb)
+        running[:] = still_running
+        return {vol_id: math.fsum(chain(ended.get(vol_id, ()), moved.get(vol_id, ()))) for vol_id in ended.keys() | moved}
+
     def take(sim: Simulation, now: float) -> None:
         nonlocal k
         k += 1
-        for vol_id, written in sorted(_written_mb(sim, volumes).items()):
+        for vol_id, written in sorted(written_mb(sim).items()):
             dirty = written - covered.get(vol_id, 0.0)
             if dirty <= 0:
                 continue  # nothing written since the last snapshot
@@ -102,7 +125,10 @@ def plan_snapshots(
                 cap_id = f"cap:{flow_id}"
                 sim.resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)
                 path = ResourcePath((cap_id,) + path.resources, "write")
-            sim.add_flow(FlowSpec(flow_id, path, dirty, tags={"kind": "snapshot", "volume_id": vol_id}), now)
+            tags = tags_of.get(vol_id)
+            if tags is None:
+                tags = tags_of[vol_id] = MappingProxyType({"kind": "snapshot", "volume_id": vol_id})
+            sim.add_flow(flow_id, path, dirty, now, tags)
         if not sim.idle:
             sim.add_timer((k + 1) * policy.interval_s, take)
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple
 
 from storagesim.placement import ClusterState, VmSpec, place_vm
-from storagesim.simengine import CompletionHook, FlowSpec, Resource, Simulation, SimTrace
+from storagesim.simengine import CompletionHook, Resource, Simulation, SimTrace
 from storagesim.topology import reference_cluster
-from storagesim.volumes import LOCAL_PERSISTENT, NETWORKED, ROOT, attach_volume
+from storagesim.volumes import LOCAL_PERSISTENT, NETWORKED, ROOT, ResourcePath, attach_volume
 
 
 class TraceEvent(NamedTuple):
@@ -22,6 +22,15 @@ class TraceEvent(NamedTuple):
     flow_id: str
     resource_id: str
     value: float
+
+
+class FlowSpec(NamedTuple):
+    """One flow of a test workload: ``Simulation.add_flow``'s arguments bar the arrival time."""
+
+    flow_id: str
+    path: ResourcePath
+    size_mb: float
+    tags: Mapping[str, str] = Simulation.add_flow.__defaults__[0]  # the engine's shared empty tags
 
 
 SMALL_VM = VmSpec(vcpus=1, ram_gb=1.0, root_disk_gb=10.0, ephemeral_gb=0.0, migratable=False)
@@ -66,6 +75,6 @@ def run(
 ) -> SimTrace:
     """Simulate a finite workload of (flow spec, arrival time) pairs."""
     sim = Simulation(resources)
-    for spec, at_time in workload:
-        sim.add_flow(spec, at_time)
+    for (flow_id, path, size_mb, tags), at_time in workload:
+        sim.add_flow(flow_id, path, size_mb, at_time, tags)
     return sim.run(on_complete=on_complete)

@@ -19,7 +19,7 @@ from storagesim.errors import MigrationDisabledError, NoCandidateHostError
 from storagesim.placement import ClusterState, VmSpec, migrate_vm, place_vm
 from storagesim.scenario import parse_scenario, run_scenario
 from storagesim.topology import reference_cluster
-from storagesim.simengine import FlowRecord, FlowSpec, Simulation, allocate_rates, build_resources, verify_trace
+from storagesim.simengine import FlowRecord, Simulation, allocate_rates, build_resources, verify_trace
 from storagesim.snapshot import SnapshotPolicy, overhead_comparison, plan_snapshots
 from storagesim.volumes import ResourcePath
 
@@ -221,13 +221,11 @@ def test_criterion_6_snapshot_byte_accounting():
             size = rng.choice([16.0, 64.0, 333.0, 1024.0]) * rng.randint(1, 4)
             total += size
             sim.add_flow(
-                FlowSpec(
-                    f"w{j}",
-                    ResourcePath(("disk:h01:disk1",), "write"),
-                    size,
-                    tags={"volume_id": f"vol{j % 2:03d}", "volume_kind": "root"},
-                ),
+                f"w{j}",
+                ResourcePath(("disk:h01:disk1",), "write"),
+                size,
                 rng.uniform(0.0, 30.0),
+                {"volume_id": f"vol{j % 2:03d}", "volume_kind": "root"},
             )
         from storagesim.volumes import Volume
 

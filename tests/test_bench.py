@@ -17,6 +17,11 @@ from storagesim.snapshot import SnapshotPolicy
 from storagesim.volumes import ResourcePath, disk_resource_id
 
 
+def task_of(rec):
+    """The task a benchmark flow belongs to: its flow id names it (``tNNNN.<stage>...``)."""
+    return rec.flow_id.split(".", 1)[0]
+
+
 def stat(i, size, t):
     return TaskStat(task_index=i, file_size_mb=size, elapsed_s=t, rate=size / t)
 
@@ -177,14 +182,14 @@ def test_replication_pipeline_extends_task_time():
     assert rf3.result.finished_at > rf1.result.finished_at
     assert verify_trace(rf3.trace) == []
     # replica copies land on the peers' DFS volumes, so the trace's write flows hold triple the bytes
-    writer_of = {rec.tags["task"]: rec.tags["vm"] for rec in rf3.trace.flows.values() if rec.tags["stage"] == "primary"}
+    writer_of = {task_of(rec): rec.tags["vm"] for rec in rf3.trace.flows.values() if rec.tags["stage"] == "primary"}
     written: dict[str, float] = {}
     for rec in rf3.trace.flows.values():
         assert rec.path.direction == "write"
         written[rec.tags["volume_id"]] = written.get(rec.tags["volume_id"], 0.0) + rec.size_mb
         if rec.tags["stage"] == "replica":
             peer = rec.tags["vm"]
-            assert peer != writer_of[rec.tags["task"]] and rec.tags["volume_id"] == hdfs[peer]
+            assert peer != writer_of[task_of(rec)] and rec.tags["volume_id"] == hdfs[peer]
             assert rec.path.resources[-1] == disk_resource_id(*state.volumes[hdfs[peer]].backing)
     assert set(written) <= set(hdfs.values())
     assert math.fsum(written.values()) == pytest.approx(3 * 5 * 500.0)
@@ -229,7 +234,7 @@ def test_tasks_queue_behind_map_capacity_and_slots():
     intervals = {}
     vm_of_task = {}
     for rec in run.trace.flows.values():
-        idx = rec.tags["task"]
+        idx = task_of(rec)
         s, e = intervals.get(idx, (math.inf, 0.0))
         intervals[idx] = (min(s, rec.start_time), max(e, rec.end_time))
         if rec.tags["stage"] == "primary":
@@ -302,8 +307,8 @@ def test_each_run_resolves_every_path_once(monkeypatch):
         return paths
 
     # every replica flow of one (source host, peer) pair carries one path object, equal to a fresh resolve
-    writer_of = {rec.tags["task"]: rec.tags["vm"] for rec in run.trace.flows.values() if rec.tags["stage"] == "primary"}
-    replica_paths = shared_paths("replica", lambda rec: (host_of[writer_of[rec.tags["task"]]], rec.tags["vm"]))
+    writer_of = {task_of(rec): rec.tags["vm"] for rec in run.trace.flows.values() if rec.tags["stage"] == "primary"}
+    replica_paths = shared_paths("replica", lambda rec: (host_of[writer_of[task_of(rec)]], rec.tags["vm"]))
 
     def fresh_replica_path(src_host, peer):
         links = real_link_resources(topology, src_host, host_of[peer])
@@ -321,6 +326,29 @@ def test_each_run_resolves_every_path_once(monkeypatch):
     n_reads = sum(rec.tags["stage"] == "read" for rec in run.trace.flows.values())
     assert n_reads > len(read_paths)  # some read path is shared
     assert any(host_of[src] != reader_host for src, reader_host in read_paths)  # some read is remote
+
+
+@pytest.mark.parametrize("storage", ["networked", "local"])
+def test_flows_of_one_route_share_one_read_only_tags_mapping(storage):
+    state, hdfs = dfs_cluster(n_hosts=5, storage=storage)
+    spec = DfsioSpec(n_files=40, file_size_mb=128.0, slots_per_vm=2)
+    files = run_dfsio(state, spec, hdfs, seed=6).files
+    snapshots = SnapshotPolicy(interval_s=2.0) if storage == "local" else None
+    run = run_dfsio(state, spec._replace(mode="mixed"), hdfs, seed=6, files=files, snapshots=snapshots)
+    flows = run.trace.flows.values()
+    bench_flows = [rec for rec in flows if "stage" in rec.tags]
+    snapshot_flows = [rec for rec in flows if rec.tags.get("kind") == "snapshot"]
+    assert len(bench_flows) + len(snapshot_flows) == len(run.trace.flows)
+    routes = {(rec.tags["stage"], rec.tags["vm"], rec.tags["volume_id"]) for rec in bench_flows}
+    assert {stage for stage, _, _ in routes} == {"primary", "replica", "read"}
+    assert len({id(rec.tags) for rec in bench_flows}) == len(routes) < len(bench_flows)
+    # a snapshot transfer carries its volume's one mapping
+    assert bool(snapshot_flows) == (storage == "local")
+    assert len({id(rec.tags) for rec in snapshot_flows}) == len({rec.tags["volume_id"] for rec in snapshot_flows})
+    for rec in flows:
+        assert "task" not in rec.tags  # the flow id names the task
+        with pytest.raises(TypeError):
+            rec.tags["stage"] = "primary"  # shared, so read-only
 
 
 def test_local_beats_networked_when_controller_path_is_tighter():

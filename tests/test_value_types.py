@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from helpers import dfs_cluster
+from helpers import FlowSpec, dfs_cluster
 from storagesim import bench, cost, dfs, placement, scenario, simengine, snapshot, topology, volumes
 from storagesim.cli import main
 from storagesim.errors import NoCandidateHostError
@@ -42,7 +42,6 @@ NAMED_TUPLES = {
     dfs.BlockReplicaSet: ("block_id replicas bytes_mb", {}),
     dfs.DfsFile: ("name size_mb block_size_mb replication_factor blocks", {}),
     simengine.Resource: ("id read_capacity write_capacity", {}),
-    simengine.FlowSpec: ("flow_id path size_mb tags", {"tags": {}}),
     simengine.TraceViolation: ("code time message", {}),
     snapshot.SnapshotPolicy: ("interval_s bandwidth_cap", {"interval_s": 3600.0, "bandwidth_cap": None}),
     snapshot.SnapshotRecord: ("volume_id taken_at bytes_copied", {}),
@@ -114,11 +113,6 @@ def test_named_tuples_keep_their_fields_and_defaults_and_refuse_assignment(cls):
 def test_named_tuple_methods():
     stat = bench.TaskStat(task_index=1, file_size_mb=100.0, elapsed_s=4.0, rate=25.0)
     assert stat == bench.TaskStat(1, 100.0, 4.0, 25.0)
-    spec = simengine.FlowSpec("f", volumes.ResourcePath(("d1",), "write"), 10.0)
-    assert dict(spec.tags) == {} and simengine.FlowSpec("g", spec.path, 1.0).tags is spec.tags  # one shared default
-    with pytest.raises(TypeError):
-        spec.tags["stage"] = "primary"  # read-only, so no flow writes into another's labels
-    assert simengine.FlowSpec("f", spec.path, 10.0, {"stage": "read"}).tags == {"stage": "read"}
     b0 = dfs.BlockReplicaSet("f:b0000", (("vm003", "h03"), ("vm001", "h01"), ("vm002", "h01")), 64.0)
     b1 = dfs.BlockReplicaSet("f:b0001", (("vm003", "h03"), ("vm004", "h04")), 8.0)
     assert b0.vms() == ("vm003", "vm001", "vm002")  # writer first
@@ -126,6 +120,23 @@ def test_named_tuple_methods():
     f = dfs.DfsFile("f", 72.0, 64.0, 3, (b0, b1))
     assert f.holders() == ("vm001", "vm002", "vm003", "vm004")  # sorted, each once
     assert (f.name, f.blocks[1].bytes_mb) == ("f", 8.0)
+
+
+def test_flows_added_without_tags_share_one_read_only_empty_mapping():
+    path = volumes.ResourcePath(("d1",), "write")
+    sim = simengine.Simulation({"d1": simengine.Resource("d1", 100.0, 100.0)})
+    sim.add_flow("f", path, 10.0, 0.0)
+    sim.add_flow("g", path, 1.0, 0.0)
+    sim.add_flow("h", path, 1.0, 0.0, {"stage": "read"})
+    flows = sim.run().flows
+    default = flows["f"].tags
+    assert dict(default) == {} and flows["g"].tags is default  # one shared default
+    with pytest.raises(TypeError):
+        default["stage"] = "primary"  # read-only, so no flow writes into another's labels
+    assert flows["h"].tags == {"stage": "read"}
+    # the tests' workload tuple takes the same default
+    assert FlowSpec._fields == ("flow_id", "path", "size_mb", "tags")
+    assert FlowSpec._field_defaults == {"tags": {}} and FlowSpec("f", path, 10.0).tags is default
 
 
 def test_resource_path_drops_repeated_hops_and_stays_hashable():
@@ -163,7 +174,7 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     assert not any(hasattr(r, "__dict__") for r in records)
     assert simengine.SimTrace().events is not simengine.SimTrace().events
     task = bench._Task(1, bench.READ, "f", 1.0, None, None)
-    assert (task.outstanding, task.label) == (0, "1")  # a count and the flows' "task" tag, not a per-task set
+    assert (task.outstanding, task.task_id) == (0, "t0001")  # a count, and the prefix of its flows' ids
     assert not [s for s in bench._Task.__slots__ if isinstance(getattr(task, s), (list, set, dict))]
     vm = placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0))
     assert vm.volumes is not placement.VmInstance("vm002", "h01", vm.spec).volumes
