@@ -4,15 +4,14 @@ Shows which hosts fit a VM, the virtual racks (a VM's rack is
 its host), and why migration is refused for pinned VMs.
 """
 
+from pathlib import Path
+
 from storagesim.errors import MigrationDisabledError
-from storagesim.placement import (
-    ClusterState,
-    filter_hosts,
-    migrate_vm,
-    place_vm,
-    reference_vm_spec,
-)
+from storagesim.placement import ClusterState, filter_hosts, migrate_vm, place_vm
+from storagesim.scenario import load_scenario
 from storagesim.topology import reference_cluster, validate_topology
+
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml"
 
 topo = validate_topology(reference_cluster())
 print(f"cluster: {len(topo.hosts)} hosts, controller={topo.controller.id}")
@@ -20,7 +19,7 @@ for link in topo.management_links():
     print(f"  management link {link.id}: {link.bandwidth} MB/s between {link.endpoints}")
 
 state = ClusterState.from_topology(topo)
-spec = reference_vm_spec()  # 4 vcpus, 8 GB RAM, 32 GB root + 20 GB ephemeral, pinned
+spec = load_scenario(REFERENCE).vms[0].spec  # 4 vcpus, 8 GB RAM, 32 GB root + 20 GB ephemeral, pinned
 print(f"\ncandidates for the first VM: {filter_hosts(state, spec)}")
 
 for i in range(5):

@@ -10,7 +10,7 @@ exactly the co-location hazard the virtual racks exist to prevent.
 import random
 import warnings
 
-from storagesim.dfs import DfsConfig, place_file, rack_spread
+from storagesim.dfs import DfsConfig, PlacementTables, place_file
 from storagesim.placement import ClusterState, VmSpec, place_vm
 from storagesim.topology import reference_cluster
 
@@ -18,14 +18,20 @@ SMALL = VmSpec(vcpus=1, ram_gb=1.0, root_disk_gb=10.0, migratable=False)
 
 
 def build(n_hosts, vms_per_host):
+    """Placement tables over every VM of a fresh cluster, built once and used for all its files."""
     state = ClusterState.from_topology(reference_cluster(n_hosts))
     for _ in range(n_hosts * vms_per_host):
         state, _ = place_vm(state, SMALL, policy="spread")
-    return state
+    return PlacementTables(state, sorted(state.instances))
 
 
-state = build(n_hosts=5, vms_per_host=1)
-f = place_file(state, "part-00000", 200.0, "vm001", DfsConfig(block_size_mb=64.0, replication_factor=3), random.Random(7))
+def rack_spread(f):
+    """The fewest racks any block of ``f`` spans, read from its replicas' (vm, rack) pairs."""
+    return min(len({rack for _, rack in block.replicas}) for block in f.blocks)
+
+
+tables = build(n_hosts=5, vms_per_host=1)
+f = place_file(tables, "part-00000", 200.0, "vm001", DfsConfig(block_size_mb=64.0, replication_factor=3), random.Random(7))
 print("five hosts, rf=3, 200 MB file in 64 MB blocks:")
 for block in f.blocks:
     print(f"  {block.block_id} ({block.bytes_mb:.0f} MB): {[f'{vm}@{rack}' for vm, rack in block.replicas]}")
@@ -33,7 +39,7 @@ print(f"minimum racks any block spans: {rack_spread(f)}")
 
 print("\n1000 seeded placements, worst-case rack spread:")
 worst = min(
-    rack_spread(place_file(state, f"f{i}", 64.0, "vm003", DfsConfig(replication_factor=3), random.Random(i)))
+    rack_spread(place_file(tables, f"f{i}", 64.0, "vm003", DfsConfig(replication_factor=3), random.Random(i)))
     for i in range(1000)
 )
 print(f"  {worst} (never below 2 on a multi-rack cluster)")

@@ -7,33 +7,21 @@ write-performance gap comes from. Reads stay local on the local config
 because every reader holds a replica of its own file.
 """
 
+from pathlib import Path
+
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.dfs import DfsConfig
-from storagesim.placement import ClusterState, place_vm, reference_vm_spec
-from storagesim.topology import reference_cluster
-from storagesim.volumes import NETWORKED, ROOT, attach_volume, resolve_io_path
+from storagesim.scenario import build_state, load_scenario
+from storagesim.volumes import resolve_io_path
 
+# The canonical cluster and fleet: five pinned 4/8/32+20 VMs, one per host.
+REFERENCE = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml")
 SPEC = DfsioSpec(n_files=10, file_size_mb=1000.0, mode="write", map_capacity=25, slots_per_vm=5)
 CFG = DfsConfig(replication_factor=1)
 
 
-def build(storage):
-    state = ClusterState.from_topology(reference_cluster())
-    for _ in range(5):
-        state, _ = place_vm(state, reference_vm_spec(), policy="spread")
-    hdfs = {}
-    for vm_id in sorted(state.instances):
-        if storage == "local":
-            vm = state.instances[vm_id]
-            hdfs[vm_id] = next(v for v in vm.volumes if state.volumes[v].kind == ROOT)
-        else:
-            state, vol = attach_volume(state, vm_id, NETWORKED, 100.0)
-            hdfs[vm_id] = vol.id
-    return state, hdfs
-
-
 for storage in ("local", "networked"):
-    state, hdfs = build(storage)
+    state, hdfs = build_state(REFERENCE, storage)
     vm0 = sorted(hdfs)[0]
     path = resolve_io_path(state, vm0, hdfs[vm0], "write")
     print(f"{storage}: write path of {vm0} = {list(path.resources)}")

@@ -8,32 +8,20 @@ The crash story: a local volume's data dies with its VM, so only the
 bytes covered by a snapshot taken before the crash survive.
 """
 
+from pathlib import Path
+
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.dfs import DfsConfig
-from storagesim.placement import ClusterState, place_vm, reference_vm_spec
+from storagesim.scenario import build_state, load_scenario
 from storagesim.snapshot import SnapshotPolicy, network_bytes, recoverable_bytes
-from storagesim.topology import reference_cluster
-from storagesim.volumes import NETWORKED, ROOT, attach_volume
 
-
-def build(storage):
-    state = ClusterState.from_topology(reference_cluster())
-    for _ in range(5):
-        state, _ = place_vm(state, reference_vm_spec(), policy="spread")
-    hdfs = {}
-    for vm_id in sorted(state.instances):
-        vm = state.instances[vm_id]
-        if storage == "local":
-            hdfs[vm_id] = next(v for v in vm.volumes if state.volumes[v].kind == ROOT)
-        else:
-            state, vol = attach_volume(state, vm_id, NETWORKED, 100.0)
-            hdfs[vm_id] = vol.id
-    return state, hdfs
+# The canonical cluster and fleet: five pinned 4/8/32+20 VMs, one per host.
+REFERENCE = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml")
 
 
 def write_then_read(storage, reads=5):
     """Write once (snapshotting local volumes hourly as it runs), then read."""
-    state, hdfs = build(storage)
+    state, hdfs = build_state(REFERENCE, storage)
     spec = DfsioSpec(n_files=10, file_size_mb=1024.0, mode="write", slots_per_vm=2)
     snapshots = SnapshotPolicy(interval_s=3600.0) if storage == "local" else None
     w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=9, snapshots=snapshots)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -238,57 +239,43 @@ def run_dfsio(
     queue = deque(tasks)
     running = 0
     by_flow: dict[str, _Task] = {}
-    # Topology and volume attachments stay fixed during a run, so each path is resolved once.
-    io_paths: dict[tuple[str, str], ResourcePath] = {}  # (vm, direction) -> DFS volume path
-    host_links: dict[tuple[str, str], tuple[str, ...]] = {}  # (src host, dst host) -> link resources
-    replica_paths: dict[tuple[str, str], ResourcePath] = {}  # (src host, peer vm) -> replica copy path
-    read_paths: dict[tuple[str, str], ResourcePath] = {}  # (src vm, reader host) -> remote or local read path
     placement = PlacementTables(state, members)  # members and their hosts too: one set of pools per run
-    # (stage, vm, volume vm) -> the tags of every flow of that route, shared and read-only
-    route_tags: dict[tuple[str, str, str], Mapping[str, str]] = {}
 
+    # Topology and volume attachments stay fixed during a run, so each path is resolved once.
+    @cache
     def io_path(vm: str, direction: str) -> ResourcePath:
-        path = io_paths.get((vm, direction))
-        if path is None:
-            path = io_paths[vm, direction] = resolve_io_path(state, vm, hdfs_volumes[vm], direction)
-        return path
+        return resolve_io_path(state, vm, hdfs_volumes[vm], direction)
 
+    @cache
     def links(src_host: str, dst_host: str) -> tuple[str, ...]:
-        found = host_links.get((src_host, dst_host))
-        if found is None:
-            found = host_links[src_host, dst_host] = link_resources(state.topology, src_host, dst_host)
-        return found
+        return link_resources(state.topology, src_host, dst_host)
 
+    @cache
     def replica_path(src_host: str, peer: str) -> ResourcePath:
-        path = replica_paths.get((src_host, peer))
-        if path is None:
-            resources = links(src_host, state.instances[peer].host_id) + io_path(peer, "write").resources
-            path = replica_paths[src_host, peer] = ResourcePath(resources, "write")
-        return path
+        resources = links(src_host, state.instances[peer].host_id) + io_path(peer, "write").resources
+        return ResourcePath(resources, "write")
 
+    @cache
     def read_path(src: str, dst_host: str) -> ResourcePath:
-        path = read_paths.get((src, dst_host))
-        if path is None:
-            resources = io_path(src, "read").resources + links(state.instances[src].host_id, dst_host)
-            path = read_paths[src, dst_host] = ResourcePath(resources, "read")
-        return path
+        resources = io_path(src, "read").resources + links(state.instances[src].host_id, dst_host)
+        return ResourcePath(resources, "read")
+
+    @cache
+    def route_tags(stage: str, vm: str, volume_vm: str) -> Mapping[str, str]:
+        """The tags of every flow of one route, shared and read-only."""
+        vol = state.volumes[hdfs_volumes[volume_vm]]
+        return MappingProxyType({"stage": stage, "vm": vm, "volume_id": vol.id, "volume_kind": vol.kind})
 
     def start_flow(
         task: _Task, fid: str, path: ResourcePath, mb: float, stage: str, vm: str, volume_vm: str, now: float
     ) -> None:
-        tags = route_tags.get((stage, vm, volume_vm))
-        if tags is None:
-            vol = state.volumes[hdfs_volumes[volume_vm]]
-            tags = route_tags[stage, vm, volume_vm] = MappingProxyType(
-                {"stage": stage, "vm": vm, "volume_id": vol.id, "volume_kind": vol.kind}
-            )
-        sim.add_flow(fid, path, mb, now, tags)
+        sim.add_flow(fid, path, mb, now, route_tags(stage, vm, volume_vm))
         task.outstanding += 1
         by_flow[fid] = task
 
     def start_write(task: _Task, now: float) -> None:
         vm = task.vm = task.writer_vm
-        task.file = place_file(state, task.file_name, task.size_mb, vm, dfs_config, placement_rng, placement)
+        task.file = place_file(placement, task.file_name, task.size_mb, vm, dfs_config, placement_rng)
         start_flow(task, f"{task.task_id}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm, now)
 
     def start_replicas(task: _Task, now: float) -> None:

@@ -5,7 +5,8 @@ comparison.json and one trace per config from ``compare``); the lines
 printed to stdout are renderings of the same data. Exit codes: 0 ok,
 2 scenario parse error, 3 validation error, 4 internal invariant
 violation (a produced trace failing its own audit) or internal error,
-whose traceback goes to ``<out>/error.log``.
+whose traceback goes to ``<out>/error.log``, or to stderr when that file
+cannot be written.
 
 A command runs with CPython's automatic cycle collection paused, and
 ``main`` restores the caller's setting when it returns. A run builds tens of
@@ -133,13 +134,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _internal_error(out: Path, message: str) -> int:
-    """Report an unexpected failure in one line; the traceback goes to ``out/error.log``."""
+    """Report an unexpected failure in one line; the traceback goes to ``out/error.log``.
+
+    When that file cannot be written, the traceback follows the line on stderr instead.
+    """
     log = out / "error.log"
+    text = traceback.format_exc()  # taken here: inside the handler below it would be the OSError's
     try:
         out.mkdir(parents=True, exist_ok=True)
-        log.write_text(traceback.format_exc())
+        log.write_text(text)
     except OSError as e:
         print(f"internal error: {message} (could not write {log}: {e})", file=sys.stderr)
+        sys.stderr.write(text)
     else:
         print(f"internal error: {message} (traceback in {log})", file=sys.stderr)
     return EXIT_INTERNAL
@@ -165,7 +171,7 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except SimError as e:
         return _internal_error(Path(args.out), str(e))
-    except Exception as e:  # last resort: the traceback goes to a file, not the UI
+    except Exception as e:  # last resort: the traceback goes to a file when it can, not the UI
         return _internal_error(Path(args.out), f"{type(e).__name__}: {e}")
     finally:
         if collecting:

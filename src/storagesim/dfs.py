@@ -10,12 +10,13 @@ Single-rack clusters are modeled rather than rejected: placement still
 spreads over distinct VMs but emits a ReplicaCoLocationWarning, because
 demonstrating the failure mode is the point.
 
-Members and their hosts stay fixed for a whole benchmark run, so the rack
-map, the candidate pools and each member's ``(vm, rack)`` replica pair live
-in ``PlacementTables``, built once per run and kept across its files and
-blocks, so every block a run places names its replicas by the same pair
-objects. The pools and the ``rng`` draws over them are those of a per-block
-rebuild, so the draw sequence is unchanged.
+``PlacementTables`` is the one placement context: the DFS members, their
+rack map, the candidate pools and each member's ``(vm, rack)`` replica
+pair. Members and their hosts stay fixed for a whole cluster, so the
+caller builds the tables once and passes them to every file and block it
+places, and every block names its replicas by the same pair objects. The
+pools and the ``rng`` draws over them are those of a per-block rebuild, so
+the draw sequence does not depend on how long the tables have been kept.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import warnings
 from typing import NamedTuple
 
 from .errors import InsufficientVmsError, NoFreeSlotsError
-from .placement import RUNNING, ClusterState
+from .placement import ClusterState
 
 
 class ReplicaCoLocationWarning(UserWarning):
@@ -47,9 +48,6 @@ class BlockReplicaSet(NamedTuple):
     def vms(self) -> tuple[str, ...]:
         return tuple(vm for vm, _ in self.replicas)
 
-    def racks(self) -> set[str]:
-        return {rack for _, rack in self.replicas}
-
 
 class DfsFile(NamedTuple):
     name: str
@@ -60,11 +58,6 @@ class DfsFile(NamedTuple):
 
     def holders(self) -> tuple[str, ...]:
         return tuple(sorted({vm for b in self.blocks for vm in b.vms()}))
-
-
-def dfs_members(state: ClusterState) -> list[str]:
-    """Running VMs participating in the DFS, in id order."""
-    return sorted(vm.id for vm in state.instances.values() if vm.state == RUNNING)
 
 
 class PlacementTables:
@@ -103,13 +96,12 @@ class PlacementTables:
 
 
 def place_replicas(
-    state: ClusterState,
+    tables: PlacementTables,
     writer_vm: str,
     block_id: str,
     bytes_mb: float,
     rf: int,
     rng: random.Random,
-    tables: PlacementTables | None = None,
 ) -> BlockReplicaSet:
     """Pick rf replica holders for one block, writer first.
 
@@ -117,15 +109,9 @@ def place_replicas(
     replica 2 goes off the writer's rack, replica 3 onto replica 2's rack
     but a different VM when one exists. Remaining replicas are drawn
     uniformly from the leftover VMs. Selection is deterministic for a
-    given rng state.
-
-    ``tables`` holds the members (all running VMs when omitted, built here)
-    and their pools; a run builds it once and passes it to every block. The
-    draws and their pools do not depend on whether the tables were built
-    for this block or kept from earlier ones.
+    given rng state, whether ``tables`` were built for this block or kept
+    from earlier ones.
     """
-    if tables is None:
-        tables = PlacementTables(state, dfs_members(state))
     members, rack_of = tables.members, tables.rack_of
     if writer_vm not in rack_of:  # keyed by the members: a lookup, not a scan of the list
         raise InsufficientVmsError(f"writer {writer_vm!r} is not a DFS member")
@@ -154,25 +140,19 @@ def place_replicas(
 
 
 def place_file(
-    state: ClusterState,
+    tables: PlacementTables,
     name: str,
     size_mb: float,
     writer_vm: str,
     config: DfsConfig,
     rng: random.Random,
-    tables: PlacementTables | None = None,
 ) -> DfsFile:
-    """Split a file into blocks and place each block's replica set.
-
-    Without ``tables``, one set is built over all running VMs for this file.
-    """
-    if tables is None:
-        tables = PlacementTables(state, dfs_members(state))
+    """Split a file into blocks and place each block's replica set over ``tables``' members."""
     block_size_mb, rf = config.block_size_mb, config.replication_factor
     blocks = []
     for i in range(max(1, math.ceil(size_mb / block_size_mb))):
         block_mb = min(block_size_mb, size_mb - i * block_size_mb)
-        blocks.append(place_replicas(state, writer_vm, f"{name}:b{i:04d}", block_mb, rf, rng, tables))
+        blocks.append(place_replicas(tables, writer_vm, f"{name}:b{i:04d}", block_mb, rf, rng))
     return DfsFile(name, size_mb, block_size_mb, rf, tuple(blocks))
 
 
@@ -188,8 +168,3 @@ def schedule_map_task(task_id: str, slots: dict[str, int], replicas: tuple[str, 
     holder_set = set(replicas)
     local = [vm for vm in free if vm in holder_set]
     return local[0] if local else free[0]
-
-
-def rack_spread(file: DfsFile) -> int:
-    """Minimum number of distinct racks any block's replicas span."""
-    return min(len(b.racks()) for b in file.blocks)

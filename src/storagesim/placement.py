@@ -30,7 +30,7 @@ RUNNING = "running"
 
 
 class VmSpec(NamedTuple):
-    """Resource shape of a VM; the reference shape is 4/8/32+20."""
+    """Resource shape of a VM; ``scenarios/reference.yaml`` pins the reference shape, 4/8/32+20."""
 
     vcpus: int
     ram_gb: float
@@ -38,11 +38,6 @@ class VmSpec(NamedTuple):
     ephemeral_gb: float = 0.0
     requires_local_persistent: bool = False
     migratable: bool = True
-
-
-def reference_vm_spec() -> VmSpec:
-    """The pinned DFS node shape used by the reference scenario."""
-    return VmSpec(vcpus=4, ram_gb=8.0, root_disk_gb=32.0, ephemeral_gb=20.0, migratable=False)
 
 
 class VmInstance:

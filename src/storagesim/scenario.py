@@ -278,7 +278,12 @@ _scenario = _section(
         slots_per_vm=_count,
         read_fraction=_fraction,
     ),
-    snapshot=_section(SnapshotPolicy, interval_s=_positive, bandwidth_cap=_positive, target=_one_of(_str, "controller")),
+    snapshot=_section(
+        SnapshotPolicy,
+        interval_s=_positive,
+        bandwidth_cap=_positive,
+        target=_one_of(_str, "controller"),  # accepted and ignored
+    ),
     prices=_section(
         PriceTable,
         instance_per_hour=_nonnegative,

@@ -5,8 +5,8 @@ interval the bytes written since the last snapshot are copied off to the
 controller as background flows over the management network. Only writes
 cost anything; a write-once/read-many workload ships its data across the
 network once, whereas serving the same workload from networked volumes
-ships every read too. That asymmetry is what the overhead comparison
-quantifies.
+ships every read too. ``network_bytes`` of each side's traces measures
+that asymmetry.
 
 Snapshots are taken inside the measured run, on engine timers: at each
 interval boundary a volume's dirty bytes are the bytes the engine has
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
@@ -62,18 +63,19 @@ def plan_snapshots(
     covered: dict[str, float] = {}  # volume id -> MB captured so far
     k = 0  # boundaries passed
     # The topology and the volumes' backing stay fixed during a run, so each volume's path is built once.
-    paths: dict[str, ResourcePath] = {}  # volume id -> uncapped transfer path to the controller
-    tags_of: dict[str, Mapping[str, str]] = {}  # volume id -> the tags of every transfer of it
-
+    @cache
     def transfer_path(vol_id: str) -> ResourcePath:
-        path = paths.get(vol_id)
-        if path is None:
-            host_id, disk_id = volumes[vol_id].backing
-            controller = topology.controller
-            links = link_resources(topology, host_id, controller.id)
-            sink = disk_resource_id(controller.id, controller.disks[0].id)
-            path = paths[vol_id] = ResourcePath((disk_resource_id(host_id, disk_id),) + links + (sink,), "write")
-        return path
+        """The uncapped transfer path of volume ``vol_id`` to the controller."""
+        host_id, disk_id = volumes[vol_id].backing
+        controller = topology.controller
+        links = link_resources(topology, host_id, controller.id)
+        sink = disk_resource_id(controller.id, controller.disks[0].id)
+        return ResourcePath((disk_resource_id(host_id, disk_id),) + links + (sink,), "write")
+
+    @cache
+    def transfer_tags(vol_id: str) -> Mapping[str, str]:
+        """The tags of every transfer of volume ``vol_id``, shared and read-only."""
+        return MappingProxyType({"kind": "snapshot", "volume_id": vol_id})
 
     # The write flows into snapshotted volumes, each sorted out once, when first seen.
     seen = 0  # flows of the simulation already sorted out
@@ -125,10 +127,7 @@ def plan_snapshots(
                 cap_id = f"cap:{flow_id}"
                 sim.resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)
                 path = ResourcePath((cap_id,) + path.resources, "write")
-            tags = tags_of.get(vol_id)
-            if tags is None:
-                tags = tags_of[vol_id] = MappingProxyType({"kind": "snapshot", "volume_id": vol_id})
-            sim.add_flow(flow_id, path, dirty, now, tags)
+            sim.add_flow(flow_id, path, dirty, now, transfer_tags(vol_id))
         if not sim.idle:
             sim.add_timer((k + 1) * policy.interval_s, take)
 
@@ -177,19 +176,3 @@ def network_bytes(trace: SimTrace) -> float:
             sizes.append(rec.size_mb)
     return math.fsum(sizes)
 
-
-def overhead_comparison(
-    local_traces: Iterable[SimTrace],
-    networked_traces: Iterable[SimTrace],
-) -> tuple[float, float]:
-    """Total network bytes: (local HDFS + snapshots, networked HDFS).
-
-    Both sides must have run the same workload. For any workload with
-    reads, the local side ships only the written bytes (as snapshots)
-    while the networked side ships reads too, so the first element is
-    strictly smaller; a pure-write workload is the equality boundary.
-    """
-    return (
-        math.fsum(network_bytes(t) for t in local_traces),
-        math.fsum(network_bytes(t) for t in networked_traces),
-    )

@@ -1,9 +1,11 @@
-"""Shared helpers: placed clusters with a DFS volume bound per VM, one-call engine runs, and named trace events."""
+"""Shared helpers: placed clusters, their placement tables or a DFS volume bound per VM, one-call engine runs,
+and named trace events."""
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
+from storagesim.dfs import PlacementTables
 from storagesim.placement import ClusterState, VmSpec, place_vm
 from storagesim.simengine import CompletionHook, Resource, Simulation, SimTrace
 from storagesim.topology import reference_cluster
@@ -47,6 +49,11 @@ def placed_cluster(
     for _ in range(n_hosts * vms_per_host):
         state, _vm = place_vm(state, spec, policy="spread")
     return state
+
+
+def member_tables(state: ClusterState) -> PlacementTables:
+    """Placement tables whose members are every VM of ``state``, in id order."""
+    return PlacementTables(state, sorted(state.instances))
 
 
 def bind_dfs_volumes(state: ClusterState, storage: str = "local", volume_size_gb: float = 100.0):

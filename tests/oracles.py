@@ -17,7 +17,7 @@ import math
 import random
 import warnings
 
-from storagesim.dfs import BlockReplicaSet, ReplicaCoLocationWarning, dfs_members
+from storagesim.dfs import BlockReplicaSet, ReplicaCoLocationWarning
 from storagesim.errors import InsufficientVmsError
 from storagesim.placement import ClusterState
 from storagesim.simengine import BYTE_REL_TOL, CAPACITY_REL_EPS, FlowRecord, SimTrace, TraceViolation
@@ -202,11 +202,9 @@ def place_replicas_reference(
     bytes_mb: float,
     rf: int,
     rng: random.Random,
-    members: list[str] | None = None,
+    members: list[str],
 ) -> BlockReplicaSet:
-    """``dfs.place_replicas`` rebuilding the rack map and every pool for each block."""
-    if members is None:
-        members = dfs_members(state)
+    """``dfs.place_replicas`` over ``members`` of ``state``, rebuilding the rack map and every pool for each block."""
     if writer_vm not in members:
         raise InsufficientVmsError(f"writer {writer_vm!r} is not a DFS member")
     if rf < 1:

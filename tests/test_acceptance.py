@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import SMALL_VM, dfs_cluster, placed_cluster
+from helpers import SMALL_VM, dfs_cluster, member_tables, placed_cluster
 from oracles import bottleneck_violations, maxmin_fill_oracle
 from storagesim.bench import DfsioSpec, TaskStat, avg_io_rate, run_dfsio, throughput
 from storagesim.cost import PriceTable, compute_cost, savings
@@ -20,7 +20,7 @@ from storagesim.placement import ClusterState, VmSpec, migrate_vm, place_vm
 from storagesim.scenario import parse_scenario, run_scenario
 from storagesim.topology import reference_cluster
 from storagesim.simengine import FlowRecord, Simulation, allocate_rates, build_resources, verify_trace
-from storagesim.snapshot import SnapshotPolicy, overhead_comparison, plan_snapshots
+from storagesim.snapshot import SnapshotPolicy, network_bytes, plan_snapshots
 from storagesim.volumes import ResourcePath
 
 
@@ -167,21 +167,21 @@ def test_criterion_5_rack_awareness_over_10000_placements():
         per_host = rng.randint(1, 4)
         if hosts * per_host < 3:  # rf=3 needs three member VMs
             per_host = 2
-        clusters.append(placed_cluster(n_hosts=hosts, vms_per_host=per_host, spec=SMALL_VM))
+        clusters.append(member_tables(placed_cluster(n_hosts=hosts, vms_per_host=per_host, spec=SMALL_VM)))
     while placements < 10_000:
-        state = clusters[placements % len(clusters)]
-        members = sorted(state.instances)
+        tables = clusters[placements % len(clusters)]
+        members = tables.members
         writer = members[rng.randrange(len(members))]
-        block = place_replicas(state, writer, f"b{placements}", 64.0, rf=3, rng=rng)
+        block = place_replicas(tables, writer, f"b{placements}", 64.0, rf=3, rng=rng)
         vms = block.vms()
         assert len(set(vms)) == 3, vms
-        assert len(block.racks()) >= 2, block
+        assert len({rack for _, rack in block.replicas}) >= 2, block
         assert vms[0] == writer
         placements += 1
 
     with pytest.warns(ReplicaCoLocationWarning):
-        single = placed_cluster(n_hosts=1, vms_per_host=3, spec=SMALL_VM)
-        place_replicas(single, sorted(single.instances)[0], "b", 64.0, rf=3, rng=rng)
+        single = member_tables(placed_cluster(n_hosts=1, vms_per_host=3, spec=SMALL_VM))
+        place_replicas(single, single.members[0], "b", 64.0, rf=3, rng=rng)
     _line(5, "10,000 seeded placements all span >=2 racks on distinct VMs; single-rack warns", True,
           f"{placements} placements over {len(clusters)} cluster shapes")
 
@@ -205,7 +205,8 @@ def test_criterion_6_snapshot_byte_accounting():
 
     local_traces = run_phases("local")
     networked_traces = run_phases("networked")
-    local_mb, networked_mb = overhead_comparison(local_traces, networked_traces)
+    local_mb = math.fsum(network_bytes(t) for t in local_traces)
+    networked_mb = math.fsum(network_bytes(t) for t in networked_traces)
     exact_ok = local_mb == 10 * 1024.0 and networked_mb == 60 * 1024.0
 
     # conservation: snapshot bytes equal written bytes on 1,000 random

@@ -4,16 +4,14 @@ import warnings
 
 import pytest
 
-from helpers import SMALL_VM, placed_cluster
+from helpers import SMALL_VM, member_tables, placed_cluster
 from oracles import place_replicas_reference
 from storagesim.dfs import (
     DfsConfig,
     PlacementTables,
     ReplicaCoLocationWarning,
-    dfs_members,
     place_file,
     place_replicas,
-    rack_spread,
     schedule_map_task,
 )
 from storagesim.errors import InsufficientVmsError, NoFreeSlotsError
@@ -21,12 +19,16 @@ from storagesim.errors import InsufficientVmsError, NoFreeSlotsError
 
 @pytest.fixture
 def five_hosts():
-    return placed_cluster(n_hosts=5, spec=SMALL_VM)
+    return member_tables(placed_cluster(n_hosts=5, spec=SMALL_VM))
 
 
 @pytest.fixture
 def one_host_three_vms():
-    return placed_cluster(n_hosts=1, vms_per_host=3, spec=SMALL_VM)
+    return member_tables(placed_cluster(n_hosts=1, vms_per_host=3, spec=SMALL_VM))
+
+
+def racks_of(block):
+    return {rack for _, rack in block.replicas}
 
 
 def test_rf1_places_only_on_writer(five_hosts):
@@ -46,14 +48,14 @@ def test_multi_rack_placement_every_seed_spans_two_racks(five_hosts):
         block = place_replicas(five_hosts, "vm001", "b0", 64.0, rf=3, rng=random.Random(seed))
         vms = block.vms()
         assert len(set(vms)) == 3
-        assert len(block.racks()) >= 2
+        assert len(racks_of(block)) >= 2
 
 
 def test_single_rack_cluster_warns_and_spreads_vms(one_host_three_vms):
     with pytest.warns(ReplicaCoLocationWarning):
         block = place_replicas(one_host_three_vms, "vm001", "b0", 64.0, rf=3, rng=random.Random(1))
     assert len(set(block.vms())) == 3
-    assert block.racks() == {"h01"}
+    assert racks_of(block) == {"h01"}
 
 
 def test_rf1_never_warns(one_host_three_vms):
@@ -68,9 +70,9 @@ def test_insufficient_vms(five_hosts):
 
 
 def test_third_replica_prefers_second_replicas_rack():
-    state = placed_cluster(n_hosts=3, vms_per_host=2, spec=SMALL_VM)
+    tables = member_tables(placed_cluster(n_hosts=3, vms_per_host=2, spec=SMALL_VM))
     for seed in range(100):
-        block = place_replicas(state, "vm001", "b0", 64.0, rf=3, rng=random.Random(seed))
+        block = place_replicas(tables, "vm001", "b0", 64.0, rf=3, rng=random.Random(seed))
         racks = [rack for _, rack in block.replicas]
         assert racks[0] != racks[1]  # second replica off the writer's rack
         assert racks[2] == racks[1]  # third rides along on a different VM there
@@ -87,15 +89,15 @@ def test_place_file_blocks_and_sizes(five_hosts):
     f = place_file(five_hosts, "data", 200.0, "vm001", DfsConfig(block_size_mb=64.0, replication_factor=3), random.Random(0))
     assert len(f.blocks) == 4  # ceil(200/64)
     assert [b.bytes_mb for b in f.blocks] == [64.0, 64.0, 64.0, 8.0]
-    assert rack_spread(f) >= 2
+    assert all(len(racks_of(b)) >= 2 for b in f.blocks)
 
 
-def test_rack_spread_degenerate_cases(five_hosts, one_host_three_vms):
+def test_rf1_and_single_rack_files_span_one_rack(five_hosts, one_host_three_vms):
     rf1 = place_file(five_hosts, "a", 64.0, "vm001", DfsConfig(replication_factor=1), random.Random(0))
-    assert rack_spread(rf1) == 1
+    assert [racks_of(b) for b in rf1.blocks] == [{"h01"}]
     with pytest.warns(ReplicaCoLocationWarning):
         single = place_file(one_host_three_vms, "b", 64.0, "vm001", DfsConfig(replication_factor=3), random.Random(0))
-    assert rack_spread(single) == 1
+    assert [racks_of(b) for b in single.blocks] == [{"h01"}]
 
 
 def _recorded(call):
@@ -125,7 +127,7 @@ def test_per_run_tables_place_every_file_like_the_per_block_reference():
             for writer in members:
                 name, size_mb = f"f.{writer}.{rf}", rng.choice([10.0, 64.0, 200.0, 640.0])
                 got, got_warnings = _recorded(
-                    lambda: place_file(state, name, size_mb, writer, config, got_rng, tables)
+                    lambda: place_file(tables, name, size_mb, writer, config, got_rng)
                 )
                 want, want_warnings = _recorded(
                     lambda: [
@@ -146,13 +148,15 @@ def test_per_run_tables_place_every_file_like_the_per_block_reference():
 
 def test_blocks_placed_through_one_table_share_its_replica_pairs():
     state = placed_cluster(n_hosts=4, vms_per_host=2, spec=SMALL_VM)
-    members = dfs_members(state)
-    tables = PlacementTables(state, members)
+    tables = member_tables(state)
+    members = tables.members
     got_rng, want_rng = random.Random(21), random.Random(21)
     pairs = set()
     for writer in members:
-        got = place_file(state, f"f.{writer}", 640.0, writer, DfsConfig(), got_rng, tables)
-        want = [place_replicas_reference(state, writer, f"f.{writer}:b{i:04d}", 64.0, 3, want_rng) for i in range(10)]
+        got = place_file(tables, f"f.{writer}", 640.0, writer, DfsConfig(), got_rng)
+        want = [
+            place_replicas_reference(state, writer, f"f.{writer}:b{i:04d}", 64.0, 3, want_rng, members) for i in range(10)
+        ]
         assert list(got.blocks) == want
         for block in got.blocks:
             for pair in block.replicas:
@@ -175,12 +179,12 @@ def test_schedule_falls_back_to_lowest_free_vm(five_hosts):
 
 def test_schedule_no_free_slots(five_hosts):
     with pytest.raises(NoFreeSlotsError):
-        schedule_map_task("t", {m: 0 for m in dfs_members(five_hosts)})
+        schedule_map_task("t", {m: 0 for m in five_hosts.members})
 
 
 def test_locality_schedule_returns_holder_whenever_one_is_free(five_hosts):
     rng = random.Random(17)
-    members = dfs_members(five_hosts)
+    members = five_hosts.members
     for _ in range(300):
         slots = {m: rng.randint(0, 2) for m in members}
         if all(v == 0 for v in slots.values()):

@@ -526,6 +526,23 @@ def test_internal_error_exits_4_and_leaves_a_traceback(tmp_path, monkeypatch, ca
     assert len(err) == 1 and str(out / "error.log") in err[0] and "Traceback" not in err[0]
 
 
+def test_internal_error_prints_its_traceback_when_the_log_cannot_be_written(tmp_path, monkeypatch, capsys):
+    path = write_scenario(tmp_path, scenario_doc())
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    out = tmp_path / "taken"
+    out.write_text("a file where the output directory should go\n")
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"could not write {out / 'error.log'}" in err.splitlines()[0]
+    assert "Traceback" in err and "in broken" in err and "RuntimeError: boom" in err  # the run's own traceback
+    assert "FileExistsError" not in err  # not the traceback of the failed log write
+    assert out.read_text() == "a file where the output directory should go\n"
+
+
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("code", [0, 2, 3, 4])
 def test_a_command_pauses_cycle_collection_and_restores_the_callers_setting(tmp_path, monkeypatch, code, collecting):

@@ -24,7 +24,6 @@ from storagesim.snapshot import (
     SnapshotRecord,
     merge_snapshot_events,
     network_bytes,
-    overhead_comparison,
     recoverable_bytes,
 )
 from storagesim.scenario import parse_scenario, run_scenario
@@ -173,7 +172,8 @@ def test_write_once_read_five_times_network_bytes():
 
     local_traces = phases("local")
     networked_traces = phases("networked")
-    local_mb, networked_mb = overhead_comparison(local_traces, networked_traces)
+    local_mb = math.fsum(network_bytes(t) for t in local_traces)
+    networked_mb = math.fsum(network_bytes(t) for t in networked_traces)
     assert local_mb == 10 * 1024.0  # exactly the written bytes
     assert networked_mb == 6 * 10 * 1024.0  # writes once plus five reads
     assert local_mb < networked_mb
@@ -187,12 +187,7 @@ def test_pure_write_workload_is_the_equality_boundary():
     lstate, lhdfs = dfs_cluster(n_hosts=5, storage="local")
     local = run_dfsio(lstate, spec, lhdfs, dfs_config=DfsConfig(replication_factor=1), seed=2,
                       snapshots=SnapshotPolicy())
-    local_mb, networked_mb = overhead_comparison([local.trace], [networked.trace])
-    assert local_mb == networked_mb == 2500.0
-
-
-def test_zero_io_workload_comparison_is_zero():
-    assert overhead_comparison([], []) == (0.0, 0.0)
+    assert network_bytes(local.trace) == network_bytes(networked.trace) == 2500.0
 
 
 def test_ratio_identity_for_read_write_mix():

@@ -116,7 +116,6 @@ def test_named_tuple_methods():
     b0 = dfs.BlockReplicaSet("f:b0000", (("vm003", "h03"), ("vm001", "h01"), ("vm002", "h01")), 64.0)
     b1 = dfs.BlockReplicaSet("f:b0001", (("vm003", "h03"), ("vm004", "h04")), 8.0)
     assert b0.vms() == ("vm003", "vm001", "vm002")  # writer first
-    assert b0.racks() == {"h03", "h01"}
     f = dfs.DfsFile("f", 72.0, 64.0, 3, (b0, b1))
     assert f.holders() == ("vm001", "vm002", "vm003", "vm004")  # sorted, each once
     assert (f.name, f.blocks[1].bytes_mb) == ("f", 8.0)
