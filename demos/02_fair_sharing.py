@@ -34,8 +34,8 @@ show("\nA on link1(100); B on link1 and link2(30):", flows, {"link1": 100.0, "li
 print("\nevent-driven run, 500 MB and 1000 MB sharing a 100 MB/s link:")
 sim = Simulation({"link": Resource("link", 100.0, 100.0)})
 link = ResourcePath(("link",), "write")
-sim.add_flow("short", link, 500.0, 0.0)
-sim.add_flow("long", link, 1000.0, 0.0)
+sim.add_flow("short", link, 500.0)
+sim.add_flow("long", link, 1000.0)
 trace = sim.run()
 for rec in trace.flows.values():
     print(f"  {rec.flow_id}: [{rec.start_time}, {rec.end_time}] s")

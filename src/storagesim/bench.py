@@ -266,19 +266,17 @@ def run_dfsio(
         vol = state.volumes[hdfs_volumes[volume_vm]]
         return MappingProxyType({"stage": stage, "vm": vm, "volume_id": vol.id, "volume_kind": vol.kind})
 
-    def start_flow(
-        task: _Task, fid: str, path: ResourcePath, mb: float, stage: str, vm: str, volume_vm: str, now: float
-    ) -> None:
-        sim.add_flow(fid, path, mb, now, route_tags(stage, vm, volume_vm))
+    def start_flow(task: _Task, fid: str, path: ResourcePath, mb: float, stage: str, vm: str, volume_vm: str) -> None:
+        sim.add_flow(fid, path, mb, route_tags(stage, vm, volume_vm))
         task.outstanding += 1
         by_flow[fid] = task
 
-    def start_write(task: _Task, now: float) -> None:
+    def start_write(task: _Task) -> None:
         vm = task.vm = task.writer_vm
         task.file = place_file(placement, task.file_name, task.size_mb, vm, dfs_config, placement_rng)
-        start_flow(task, f"{task.task_id}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm, now)
+        start_flow(task, f"{task.task_id}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm)
 
-    def start_replicas(task: _Task, now: float) -> None:
+    def start_replicas(task: _Task) -> None:
         targets: dict[str, float] = {}  # replica vm -> MB, summed in block order
         for block in task.file.blocks:
             for peer, _rack in block.replicas[1:]:
@@ -286,9 +284,9 @@ def run_dfsio(
         src_host = state.instances[task.vm].host_id
         for peer, mb in sorted(targets.items()):
             fid = f"{task.task_id}.rep.{peer}"
-            start_flow(task, fid, replica_path(src_host, peer), mb, "replica", peer, peer, now)
+            start_flow(task, fid, replica_path(src_host, peer), mb, "replica", peer, peer)
 
-    def start_read(task: _Task, now: float, vm: str) -> None:
+    def start_read(task: _Task, vm: str) -> None:
         task.vm = vm
         by_source: dict[str, float] = {}
         for block in task.file.blocks:
@@ -298,7 +296,7 @@ def run_dfsio(
         dst_host = state.instances[vm].host_id
         for src in sorted(by_source):
             fid = f"{task.task_id}.read.{src}"
-            start_flow(task, fid, read_path(src, dst_host), by_source[src], "read", vm, src, now)
+            start_flow(task, fid, read_path(src, dst_host), by_source[src], "read", vm, src)
 
     def finish_task(task: _Task, now: float) -> None:
         nonlocal running
@@ -326,9 +324,9 @@ def run_dfsio(
             running += 1
             task.start = now
             if task.mode == WRITE:
-                start_write(task, now)
+                start_write(task)
             else:
-                start_read(task, now, vm)
+                start_read(task, vm)
 
     def on_complete(_sim, records, now) -> None:
         for record in records:
@@ -337,7 +335,7 @@ def run_dfsio(
                 continue  # a snapshot transfer
             task.outstanding -= 1
             if record.tags["stage"] == "primary":
-                start_replicas(task, now)  # none at rf = 1, so the task is done below
+                start_replicas(task)  # none at rf = 1, so the task is done below
             if not task.outstanding:
                 finish_task(task, now)
         dispatch(now)

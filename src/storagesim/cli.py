@@ -2,11 +2,13 @@
 
 Outputs are machine-first (result.json, tasks.csv, trace.csv from ``run``;
 comparison.json and one trace per config from ``compare``); the lines
-printed to stdout are renderings of the same data. Exit codes: 0 ok,
-2 scenario parse error, 3 validation error, 4 internal invariant
-violation (a produced trace failing its own audit) or internal error,
-whose traceback goes to ``<out>/error.log``, or to stderr when that file
-cannot be written.
+printed to stdout are renderings of the same data. ``run`` and
+``compare`` create ``--out`` as soon as the scenario has parsed, so an
+unusable output path fails before anything is simulated. Exit codes: 0 ok,
+2 scenario parse error or an ``--out`` that cannot be created, 3
+validation error, 4 internal invariant violation (a produced trace
+failing its own audit) or internal error, whose traceback goes to
+``<out>/error.log``, or to stderr when that file cannot be written.
 
 A command runs with CPython's automatic cycle collection paused, and
 ``main`` restores the caller's setting when it returns. A run builds tens of
@@ -66,7 +68,6 @@ class _InternalViolation(Exception):
 
 
 def _emit_run(run: ScenarioRun, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "result.json", run.to_dict())
     run.trace.write_csv(out / "trace.csv")
     lines = ["task_index,file_size_mb,elapsed_s,rate_mbps"]
@@ -92,7 +93,6 @@ def cmd_compare(scenario: Scenario, args) -> int:
     for run in report.runs.values():
         _verify_or_fail(run)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "comparison.json", report.to_dict())
     for name, run in report.runs.items():
         run.trace.write_csv(out / f"trace_{name}.csv")  # reports stay recomputable
@@ -159,6 +159,12 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if getattr(args, "seed", None) is not None:
             scenario = scenario._replace(seed=args.seed)
+        if args.command != "validate":  # validate writes nothing
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                print(f"cannot create --out {args.out}: {e}", file=sys.stderr)
+                return EXIT_PARSE
         return args.handler(scenario, args)
     except ScenarioParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -14,7 +14,9 @@ Parsing is one check table per section, and every default lives on the
 config type a section builds (``Scenario``, ``DfsConfig``, ``VmSpec``, the
 ``reference_cluster`` knobs), so an absent key or a bare ``key:`` line takes
 that default. Unknown keys, wrong types, non-finite numbers and
-out-of-range values are parse errors that name the field path.
+out-of-range values are parse errors that name the field path. A key
+repeated within one mapping is a parse error that names the key and its
+line, where ``yaml.safe_load`` would keep the last value.
 """
 
 from __future__ import annotations
@@ -300,11 +302,33 @@ def parse_scenario(data: Any) -> Scenario:
     return _scenario(data, "")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader``, but a key repeated within one mapping is an error, not a silent overwrite."""
+
+
+def _construct_unique_key_map(loader: _UniqueKeyLoader, node: yaml.MappingNode):
+    """``SafeLoader``'s mapping constructor, after a check that no key of ``node`` repeats."""
+    seen = []  # a list, so an unhashable key is left for the base constructor to reject
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            continue  # ``<<`` merges are flattened by the base constructor
+        key = loader.construct_object(key_node)
+        if key in seen:
+            raise yaml.constructor.ConstructorError(
+                "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
+            )
+        seen.append(key)
+    return (yield from loader.construct_yaml_map(node))
+
+
+_UniqueKeyLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_unique_key_map)
+
+
 def load_scenario(path) -> Scenario:
-    """Parse a scenario file; YAML syntax errors keep their line marks."""
+    """Parse a scenario file; YAML syntax errors and repeated keys keep their line marks."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as e:
         raise ScenarioParseError(f"cannot parse {path}: {e}") from e
     except OSError as e:

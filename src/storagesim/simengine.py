@@ -18,12 +18,12 @@ every round (see ``_fill``). A resource that reads as fast as it writes
 the whole run; an asymmetric one is re-pooled over the directions of the
 flows crossing it as they start and end. Between events rates are constant,
 so completion times are closed-form and runs are exactly reproducible.
-A flow is one ``FlowRecord`` from ``add_flow`` on: it waits as the
-record, gets its ``start_time`` when it starts and is then the trace's
-entry for it, advanced and completed in place. Every step reads each
-active record's rate and remainder, so a record is a slotted object. A
-path's resources are checked once per simulation, when the first flow on
-that path object is added. A trace event is an exact tuple ``(time, kind,
+A flow starts when it is added: ``add_flow`` builds its ``FlowRecord``,
+which is at once the trace's entry for it and is advanced and completed
+in place; a later arrival is a timer that adds the flow. Every step reads
+each active record's rate and remainder, so a record is a slotted object.
+A path's resources are checked once per simulation, when the first flow
+on that path object is added. A trace event is an exact tuple ``(time, kind,
 flow_id, resource_id, value)`` (see ``SimTrace``): one allocation each, and
 CPython stops tracking it for cycle collection at the first pass. Other
 interpreters lose that gain, not correctness.
@@ -131,9 +131,9 @@ _NO_TAGS: Mapping[str, str] = MappingProxyType({})
 class FlowRecord:
     """A flow, and the engine's only object for it, from ``Simulation.add_flow`` on.
 
-    ``start_time`` is None until the flow starts. The engine advances
-    ``remaining_mb`` and ``rate`` in place while the flow runs, and sets
-    ``end_time`` and zeroes ``remaining_mb`` when it ends.
+    ``start_time`` is the simulation's ``now`` at the add. The engine
+    advances ``remaining_mb`` and ``rate`` in place while the flow runs, and
+    sets ``end_time`` and zeroes ``remaining_mb`` when it ends.
     """
 
     __slots__ = ("flow_id", "path", "size_mb", "start_time", "end_time", "tags", "remaining_mb", "rate")
@@ -143,7 +143,7 @@ class FlowRecord:
         flow_id: str,
         path: ResourcePath,
         size_mb: float,
-        start_time: float | None,
+        start_time: float,
         end_time: float | None,
         tags: Mapping[str, str],
         remaining_mb: float = 0.0,
@@ -372,16 +372,16 @@ class SimTrace:
                 fh.write("\n")
 
 
-# Callback invoked after completions at one instant; may add_flow() at `now`.
+# Callback invoked after the completions at one instant; each add_flow() in it starts a flow at `now`.
 CompletionHook = Callable[["Simulation", list[FlowRecord], float], None]
-# Callback invoked at its scheduled time; may add_flow() or add_timer().
+# Callback invoked at its scheduled time; each add_flow() in it starts a flow at `now`, and it may add_timer().
 TimerCallback = Callable[["Simulation", float], None]
 
 
 class Simulation:
     """Event-driven executor over a resource set.
 
-    Flows can be injected up front, from a completion hook (which is how
+    Flows can be added up front, from a completion hook (which is how
     the benchmark layer dispatches queued tasks the moment a slot frees),
     or from a timer (which is how snapshots are taken mid-run). The hook
     gets the completed flows' records in flow-id order. The trace shares
@@ -395,20 +395,19 @@ class Simulation:
     ``allocate_rates``, runs only when there is nothing to keep: the first
     solve, and a step after every previous flow ended.
 
-    Flows start in (arrival time, add order). A flow added for a later time
-    waits in a heap; one added at ``now`` (the hook's and the timers' flows,
-    and those added at 0.0 before ``run``) skips the heap and joins a list
-    in add order, started right after the heap's flows due at ``now``. That
-    is the heap's own order: a heap entry due at ``now`` was added before
-    the clock reached ``now``, so before every flow in the list.
+    ``add_flow`` starts a flow at ``now``, and the next solve rates it. An
+    instant's events are thus its ``flow_end``s in flow-id order, the hook's
+    flows in add order, each due timer's flows in (time, add) order, then
+    one batch of ``rate_change``s. A later arrival is a timer that adds the
+    flow: it starts after the hook's flows at its instant, and while pending
+    it does not keep a stalled flow from raising ``SimulationStalledError``.
+    Flows added before ``run`` are rated before the timers due at the start
+    instant fire.
     """
 
     def __init__(self, resources: Mapping[str, Resource]):
         self.resources = dict(resources)
         self.now = 0.0
-        self._pending: list[tuple[float, int, FlowRecord]] = []  # heap of the flows added for a later time
-        self._due_now: list[FlowRecord] = []  # the flows added at `now`, in add order
-        self._pending_ids: set[str] = set()  # the flows of both
         # id -> each path whose every resource has a capacity entry; holding the path keeps its id unique.
         self._checked_paths: dict[int, ResourcePath] = {}
         self._timers: list[tuple[float, int, TimerCallback]] = []
@@ -425,21 +424,17 @@ class Simulation:
         self._departed: list[FlowRecord] = []
         self._members: defaultdict[str, dict[str, float]] | None = None
 
-    def add_flow(
-        self, flow_id: str, path: ResourcePath, size_mb: float, at_time: float, tags: Mapping[str, str] = _NO_TAGS
-    ) -> None:
-        """Start a transfer of ``size_mb`` MB over ``path`` at ``at_time``; ``tags`` are free-form labels.
+    def add_flow(self, flow_id: str, path: ResourcePath, size_mb: float, tags: Mapping[str, str] = _NO_TAGS) -> None:
+        """Start a transfer of ``size_mb`` MB over ``path`` at ``now``; ``tags`` are free-form labels.
 
-        The flow's ``FlowRecord`` is built here and waits until ``at_time``;
-        a rejected flow leaves nothing pending.
+        The flow's ``FlowRecord`` enters the trace and its ``flow_start`` is
+        logged at once; it is rated at the next solve. A rejected flow
+        leaves no trace.
         """
-        if not math.isfinite(at_time):
-            raise ValueError(f"cannot schedule {flow_id} at {at_time}")
-        if at_time < self.now:
-            raise ValueError(f"cannot schedule {flow_id} in the past ({at_time} < {self.now})")
         if not 0.0 <= size_mb < math.inf:
             raise ValueError(f"flow {flow_id} has size {size_mb} MB")
-        if flow_id in self._trace.flows or flow_id in self._pending_ids:
+        flows = self._trace.flows
+        if flow_id in flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
         if self._checked_paths.get(id(path)) is not path:
             for rid in path.resources:
@@ -451,19 +446,16 @@ class Simulation:
                         self._pooled[rid] = (resource, Counter())
                     self._capacities[rid] = min(resource.read_capacity, resource.write_capacity)
             self._checked_paths[id(path)] = path
-        record = FlowRecord(flow_id, path, size_mb, None, None, tags, size_mb)
-        if at_time == self.now:
-            self._due_now.append(record)
-        else:
-            heappush(self._pending, (at_time, self._seq, record))
-            self._seq += 1
-        self._pending_ids.add(flow_id)
+        now = self.now
+        self._active[flow_id] = flows[flow_id] = record = FlowRecord(flow_id, path, size_mb, now, None, tags, size_mb)
+        self._trace.events.append((now, "flow_start", flow_id, "", size_mb))
+        self._arrived.append(record)
 
     def add_timer(self, at_time: float, callback: TimerCallback) -> None:
         """Call ``callback(sim, now)`` at ``at_time``.
 
         Due timers fire after the completions at that instant and after
-        the completion hook; flows they add at ``now`` start at once.
+        the completion hook; the flows they add start at once.
         """
         if not math.isfinite(at_time):
             raise ValueError(f"cannot set a timer at {at_time}")
@@ -474,8 +466,8 @@ class Simulation:
 
     @property
     def idle(self) -> bool:
-        """True when no flow is pending or active."""
-        return not (self._pending or self._due_now or self._active)
+        """True when no flow is active."""
+        return not self._active
 
     def started(self, skip: int) -> list[FlowRecord]:
         """The flows started after the first ``skip``, in start order.
@@ -591,35 +583,12 @@ class Simulation:
                     t = end
         return t
 
-    def _start_arrivals(self) -> None:
-        """Start the flows due at ``now``: the heap's in (time, add) order, then those added at ``now``."""
-        pending, due, now = self._pending, self._due_now, self.now
-        if pending and pending[0][0] <= now:
-            from_heap = []
-            while pending and pending[0][0] <= now:
-                from_heap.append(heappop(pending)[2])
-            due[:0] = from_heap
-        if not due:
-            return
-        active, arrived, flows, events = self._active, self._arrived, self._trace.flows, self._trace.events
-        pending_ids = self._pending_ids
-        for record in due:
-            fid = record.flow_id
-            pending_ids.discard(fid)
-            record.start_time = now
-            active[fid] = flows[fid] = record
-            events.append((now, "flow_start", fid, "", record.size_mb))
-        arrived += due
-        due.clear()
-
     def run(self, on_complete: CompletionHook | None = None) -> SimTrace:
-        """Execute until no flow or timer is pending and no flow is active; returns the trace."""
-        while self._pending or self._due_now or self._active or self._timers:
-            if self._due_now:
-                t_arrival = self.now
-            else:
-                t_arrival = self._pending[0][0] if self._pending else math.inf
-            t_flows = min(t_arrival, self._next_completion())
+        """Execute until no flow is active and no timer is pending; returns the trace."""
+        while self._active or self._timers:
+            if self._active:
+                self._reallocate()
+            t_flows = self._next_completion()
             if self._active and math.isinf(t_flows):
                 raise SimulationStalledError(f"{len(self._active)} active flows cannot progress at t={self.now}")
             t = min(t_flows, self._timers[0][0] if self._timers else math.inf)
@@ -647,15 +616,10 @@ class Simulation:
                 f.remaining_mb = 0.0
                 events.append((now, "flow_end", fid, "", f.size_mb))
 
-            self._start_arrivals()
             if completed and on_complete is not None:
                 on_complete(self, completed, self.now)
-                self._start_arrivals()  # the hook may have queued flows for right now
             while self._timers and self._timers[0][0] <= self.now:
                 heappop(self._timers)[2](self, self.now)
-                self._start_arrivals()  # the timer may have queued flows for right now
-            if self._active:
-                self._reallocate()
         return self._trace
 
 

@@ -52,8 +52,10 @@ def plan_snapshots(
     with bytes written since its previous snapshot gets a SnapshotRecord
     and a transfer flow from its host to the controller over the
     management path (subject to the policy's per-transfer bandwidth
-    cap). The timer re-arms while any flow is pending or active, so the
-    last snapshot falls at the first boundary at or after the last write.
+    cap). The timer re-arms while any flow is active, so the last
+    snapshot falls at the first boundary at or after the last write. A
+    flow that another timer adds after a boundary with no flow active is
+    not snapshotted: the chain has stopped there.
 
     Returns the record list, which fills in as ``sim`` runs.
     """
@@ -127,7 +129,7 @@ def plan_snapshots(
                 cap_id = f"cap:{flow_id}"
                 sim.resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)
                 path = ResourcePath((cap_id,) + path.resources, "write")
-            sim.add_flow(flow_id, path, dirty, now, transfer_tags(vol_id))
+            sim.add_flow(flow_id, path, dirty, transfer_tags(vol_id))
         if not sim.idle:
             sim.add_timer((k + 1) * policy.interval_s, take)
 

@@ -27,7 +27,7 @@ class TraceEvent(NamedTuple):
 
 
 class FlowSpec(NamedTuple):
-    """One flow of a test workload: ``Simulation.add_flow``'s arguments bar the arrival time."""
+    """One flow of a test workload: ``Simulation.add_flow``'s arguments."""
 
     flow_id: str
     path: ResourcePath
@@ -80,8 +80,14 @@ def run(
     workload: Iterable[tuple[FlowSpec, float]],
     on_complete: CompletionHook | None = None,
 ) -> SimTrace:
-    """Simulate a finite workload of (flow spec, arrival time) pairs."""
+    """Simulate a finite workload of (flow spec, arrival time) pairs.
+
+    A flow due at 0.0 is added before the run; a later one is added by a timer at its time, in workload order.
+    """
     sim = Simulation(resources)
-    for (flow_id, path, size_mb, tags), at_time in workload:
-        sim.add_flow(flow_id, path, size_mb, at_time, tags)
+    for spec, at_time in workload:
+        if at_time == 0.0:
+            sim.add_flow(*spec)
+        else:
+            sim.add_timer(at_time, lambda sim, now, spec=spec: sim.add_flow(*spec))
     return sim.run(on_complete=on_complete)

@@ -210,7 +210,11 @@ def test_criterion_6_snapshot_byte_accounting():
     exact_ok = local_mb == 10 * 1024.0 and networked_mb == 60 * 1024.0
 
     # conservation: snapshot bytes equal written bytes on 1,000 random
-    # write-once workloads (trace-level: random flows onto root volumes)
+    # write-once workloads (trace-level: random flows onto root volumes).
+    # Each write starts from a timer at its drawn time, and the snapshot
+    # timer re-arms only while a flow is active, so a 30 s read on another
+    # disk keeps the run busy until the last write has started, as a
+    # benchmark's queued tasks do.
     rng = random.Random(60)
     conserved = 0
     for _ in range(1000):
@@ -221,13 +225,14 @@ def test_criterion_6_snapshot_byte_accounting():
         for j in range(n_flows):
             size = rng.choice([16.0, 64.0, 333.0, 1024.0]) * rng.randint(1, 4)
             total += size
-            sim.add_flow(
+            flow = (
                 f"w{j}",
                 ResourcePath(("disk:h01:disk1",), "write"),
                 size,
-                rng.uniform(0.0, 30.0),
                 {"volume_id": f"vol{j % 2:03d}", "volume_kind": "root"},
             )
+            sim.add_timer(rng.uniform(0.0, 30.0), lambda sim, now, flow=flow: sim.add_flow(*flow))
+        sim.add_flow("busy", ResourcePath(("disk:h02:disk1",), "read"), 30 * 1000.0)  # 30 s at 1000 MB/s
         from storagesim.volumes import Volume
 
         volumes = {

@@ -6,7 +6,9 @@ and changes one leaf: it deletes the leaf, replaces it from a fixed
 palette of wrong types and edge values, or adds an unknown key beside it.
 The run must exit 0, 2 or 3, and every parse error must name a field. An
 alarm bounds each run, so a hang surfaces as an exit 4 through the CLI's
-last-resort handler instead of stalling the suite.
+last-resort handler instead of stalling the suite. A key repeated within
+one mapping, which ``yaml.safe_dump`` cannot write, is checked on the text
+of the reference scenario.
 """
 
 import contextlib
@@ -112,3 +114,23 @@ def test_single_leaf_edits_exit_0_2_or_3_and_parse_errors_name_a_field(leaf, edi
     assert code in (0, 2, 3), err
     if code == 2:
         assert err.startswith("parse error: field "), err
+
+
+@pytest.mark.parametrize(
+    "anchor, repeat, key, line",
+    [
+        ("seed: 42\n", "seed: 7\n", "seed", 6),  # top level
+        ("  n_files: 10\n", "  n_files: 3\n", "n_files", 35),  # inside dfsio
+    ],
+)
+def test_a_repeated_key_is_a_parse_error_naming_the_key_and_its_line(tmp_path, anchor, repeat, key, line):
+    text = (SCENARIOS / "reference.yaml").read_text()
+    assert text.count(anchor) == 1
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text.replace(anchor, anchor + repeat))
+    assert scenario.read_text().splitlines()[line - 1] == repeat.rstrip("\n")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["validate", "--scenario", str(scenario)])
+    assert code == 2
+    assert err.getvalue().startswith("parse error: ")
+    assert f"found duplicate key {key!r}\n" in err.getvalue() and f"line {line}, column " in err.getvalue()

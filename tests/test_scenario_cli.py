@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from storagesim import cli
+from storagesim import scenario as scenario_module
 from storagesim.cli import main
 from storagesim.cost import count_io_ops
 from storagesim.errors import (
@@ -533,14 +534,31 @@ def test_internal_error_prints_its_traceback_when_the_log_cannot_be_written(tmp_
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "run_scenario", broken)
-    out = tmp_path / "taken"
-    out.write_text("a file where the output directory should go\n")
+    out = tmp_path / "out"
+    (out / "error.log").mkdir(parents=True)  # a directory where the log should go
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert f"could not write {out / 'error.log'}" in err.splitlines()[0]
     assert "Traceback" in err and "in broken" in err and "RuntimeError: boom" in err  # the run's own traceback
-    assert "FileExistsError" not in err  # not the traceback of the failed log write
-    assert out.read_text() == "a file where the output directory should go\n"
+    assert "IsADirectoryError" not in err  # not the traceback of the failed log write
+    assert list((out / "error.log").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_out_that_cannot_be_created_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys, command):
+    path = write_scenario(tmp_path, scenario_doc())
+    ran = []
+    for module in (cli, scenario_module):  # cmd_run's binding, and the one compare calls
+        monkeypatch.setattr(module, "run_scenario", lambda *a, **k: ran.append(a))
+    taken = tmp_path / "taken"
+    taken.write_text("a file where the output directory should go\n")
+    for out in (taken, taken / "sub"):
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot create --out {out}: ") and "Traceback" not in err[0]
+    assert ran == [] and taken.read_text() == "a file where the output directory should go\n"
+    assert main(["validate", "--scenario", str(path), "--out", str(tmp_path / "never")]) == 0
+    assert not (tmp_path / "never").exists()  # validate creates nothing
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])

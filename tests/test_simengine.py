@@ -435,7 +435,7 @@ def test_on_complete_hook_can_inject_flows():
 
     def chain(sim, records, now):
         if records[0].flow_id == "first":
-            sim.add_flow("second", ResourcePath(("d1",), "write"), 500.0, now)
+            sim.add_flow("second", ResourcePath(("d1",), "write"), 500.0)
 
     trace = run(resources, [(FlowSpec("first", ResourcePath(("d1",), "write"), 1000.0), 0.0)], chain)
     assert trace.flows["second"].start_time == 10.0
@@ -444,7 +444,7 @@ def test_on_complete_hook_can_inject_flows():
 
 def test_timers_fire_after_completions_and_the_hook_and_start_their_flows_at_once():
     sim = Simulation({"d1": res("d1", 100.0)})
-    sim.add_flow("a", ResourcePath(("d1",), "write"), 1000.0, 0.0)
+    sim.add_flow("a", ResourcePath(("d1",), "write"), 1000.0)
     seen = []
 
     def look(sim, now):
@@ -452,11 +452,11 @@ def test_timers_fire_after_completions_and_the_hook_and_start_their_flows_at_onc
 
     def chain(sim, records, now):
         if records[0].flow_id == "a":
-            sim.add_flow("b", ResourcePath(("d1",), "write"), 500.0, now)
+            sim.add_flow("b", ResourcePath(("d1",), "write"), 500.0)
 
     def at_ten(sim, now):
         look(sim, now)
-        sim.add_flow("c", ResourcePath(("d1",), "write"), 500.0, now)
+        sim.add_flow("c", ResourcePath(("d1",), "write"), 500.0)
         sim.add_timer(15.0, look)
 
     sim.add_timer(10.0, at_ten)  # the instant "a" completes
@@ -475,41 +475,70 @@ def test_timers_fire_after_completions_and_the_hook_and_start_their_flows_at_onc
         sim.add_timer(1.0, look)
 
 
-def test_flows_start_in_add_order_when_added_at_now_beside_flows_due_now():
-    # "m" and "b" wait in the heap for t=5; "x" ends then, and the hook and a timer add flows at now
-    disk = ResourcePath(("d1",), "write")
+def test_a_flow_added_in_a_hook_is_started_and_in_the_trace_at_once():
     sim = Simulation({"d1": res("d1", 100.0)})
-    sim.add_flow("x", disk, 500.0, 0.0)
-    sim.add_flow("m", disk, 100.0, 5.0)
-    sim.add_flow("b", disk, 100.0, 5.0)
+    trace = sim._trace
+    sim.add_flow("a", ResourcePath(("d1",), "write"), 100.0)
+    assert trace.events == [(0.0, "flow_start", "a", "", 100.0)] and trace.flows["a"].start_time == 0.0
+    seen = []
 
     def hook(sim, records, now):
-        if records[0].flow_id == "x":
-            sim.add_flow("h", disk, 100.0, now)
+        if records[0].flow_id == "a":
+            sim.add_flow("b", ResourcePath(("d1",), "write"), 50.0)
+            rec = trace.flows["b"]
+            seen.append((trace.events[-1], rec.start_time == sim.now == now, sim.started(1) == [rec], sim.idle))
 
-    def at_five(sim, now):
-        for fid in ("z", "a"):
-            sim.add_flow(fid, disk, 100.0, now)
+    assert sim.run(on_complete=hook) is trace
+    assert seen == [((1.0, "flow_start", "b", "", 50.0), True, True, False)]
+    assert trace.flows["b"].end_time == 1.5 and verify_trace(trace) == []
 
-    sim.add_timer(5.0, at_five)
+
+def test_one_instant_logs_ends_then_hook_flows_then_timer_flows_then_one_batch_of_rates():
+    disk = ResourcePath(("d1",), "write")
+    sim = Simulation({"d1": res("d1", 100.0)})
+    sim.add_flow("y", disk, 250.0)
+    sim.add_flow("x", disk, 250.0)  # both end at 5.0
+
+    def adding(*fids, then=None):
+        def callback(sim, now):
+            for fid in fids:
+                sim.add_flow(fid, disk, 100.0)
+            if then is not None:
+                sim.add_timer(now, then)
+
+        return callback
+
+    def hook(sim, records, now):
+        if [rec.flow_id for rec in records] == ["x", "y"]:
+            for fid in ("h2", "h1"):
+                sim.add_flow(fid, disk, 100.0)
+            sim.add_timer(now, adding("td"))
+
+    sim.add_timer(5.0, adding("tb"))
+    sim.add_timer(5.0, adding("ta1", "ta0", then=adding("tc")))
     trace = sim.run(on_complete=hook)
-    starts = [fid for t, kind, fid, _, _ in trace.events if kind == "flow_start" and t == 5.0]
-    assert starts == ["m", "b", "h", "z", "a"]
+    at_five = [(kind, fid) for t, kind, fid, _, _ in trace.events if t == 5.0]
+    assert at_five == (
+        [("flow_end", "x"), ("flow_end", "y")]  # in flow-id order
+        + [("flow_start", fid) for fid in ("h2", "h1")]  # the hook's, in add order
+        + [("flow_start", fid) for fid in ("tb", "ta1", "ta0", "td", "tc")]  # the due timers', in (time, add) order
+        + [("rate_change", fid) for fid in ("h1", "h2", "ta0", "ta1", "tb", "tc", "td")]  # one solve, flow-id order
+    )
     assert verify_trace(trace) == []
 
 
 def test_flows_added_at_zero_before_run_start_and_keep_the_simulation_busy():
     sim = Simulation({"d1": res("d1", 100.0)})
     assert sim.idle
-    sim.add_flow("a", ResourcePath(("d1",), "write"), 100.0, 0.0)
-    assert not sim.idle  # only the flows added at `now` hold it
+    sim.add_flow("a", ResourcePath(("d1",), "write"), 100.0)
+    assert not sim.idle  # the flow is active from its add on
     seen = []
 
     def add_at_now(sim, now):
-        sim.add_flow("b", ResourcePath(("d1",), "write"), 100.0, now)
+        sim.add_flow("b", ResourcePath(("d1",), "write"), 100.0)
         seen.append(sim.idle)
 
-    sim.add_timer(2.0, add_at_now)  # after "a" ended: nothing else is pending or active
+    sim.add_timer(2.0, add_at_now)  # after "a" ended: nothing is active
     trace = sim.run()
     assert seen == [False]
     assert (trace.flows["a"].start_time, trace.flows["a"].end_time) == (0.0, 1.0)
@@ -520,12 +549,12 @@ def test_flows_added_at_zero_before_run_start_and_keep_the_simulation_busy():
 def test_a_resource_added_mid_run_is_picked_up():
     # a capped snapshot adds its cap resource at each take, on a new path
     sim = Simulation({"d1": res("d1", 100.0)})
-    sim.add_flow("w", ResourcePath(("d1",), "write"), 1000.0, 0.0)
+    sim.add_flow("w", ResourcePath(("d1",), "write"), 1000.0)
 
     def take(sim, now):
         cap_id = f"cap:{now}"
         sim.resources[cap_id] = res(cap_id, 10.0)
-        sim.add_flow(f"snap@{now}", ResourcePath((cap_id, "d1"), "write"), 50.0, now)
+        sim.add_flow(f"snap@{now}", ResourcePath((cap_id, "d1"), "write"), 50.0)
 
     for t in (1.0, 2.0):
         sim.add_timer(t, take)
@@ -539,9 +568,10 @@ def test_a_resource_added_mid_run_is_picked_up():
 
 def test_every_engine_event_and_snapshot_marker_is_an_untracked_plain_tuple():
     sim = Simulation({"d1": res("d1", 100.0), "d2": res("d2", 50.0)})
-    sim.add_flow("a", ResourcePath(("d1",), "write"), 1000.0, 0.0)
-    sim.add_flow("empty", ResourcePath(("d2",), "write"), 0.0, 1.0)  # starts and ends at once
-    sim.add_flow("b", ResourcePath(("d1", "d2"), "read"), 300.0, 2.0)
+    sim.add_flow("a", ResourcePath(("d1",), "write"), 1000.0)
+    # "empty" starts and ends at once
+    sim.add_timer(1.0, lambda sim, now: sim.add_flow("empty", ResourcePath(("d2",), "write"), 0.0))
+    sim.add_timer(2.0, lambda sim, now: sim.add_flow("b", ResourcePath(("d1", "d2"), "read"), 300.0))
     trace = merge_snapshot_events(sim.run(), [SnapshotRecord("v1", taken_at=3.0, bytes_copied=12.5)])
     empty = [(t, kind) for t, kind, fid, _, _ in trace.events if fid == "empty"]
     assert empty[0] == (1.0, "flow_start") and empty[-1] == (1.0, "flow_end")
@@ -576,28 +606,6 @@ def test_work_conservation_some_resource_saturated():
     assert any(abs(usage[r] - caps[r]) <= 1e-9 * caps[r] for r in caps)
 
 
-def test_duplicate_flow_id_rejected_while_pending_active_or_finished():
-    sim = Simulation({"d1": res("d1", 100.0)})
-    path = ResourcePath(("d1",), "write")
-    sim.add_flow("a", path, 100.0, 5.0)
-    with pytest.raises(ValueError, match="duplicate flow id 'a'"):
-        sim.add_flow("a", path, 100.0, 7.0)  # pending
-    checked = []
-
-    def while_active(sim, now):
-        with pytest.raises(ValueError, match="duplicate flow id 'a'"):
-            sim.add_flow("a", path, 100.0, now)
-        checked.append(now)
-
-    sim.add_timer(5.5, while_active)
-    trace = sim.run()
-    assert checked == [5.5] and trace.flows["a"].end_time == 6.0
-    with pytest.raises(ValueError, match="duplicate flow id 'a'"):
-        sim.add_flow("a", path, 100.0, sim.now)  # finished
-    sim.add_flow("b", path, 100.0, sim.now)
-    assert sim.run().flows["b"].end_time == 7.0
-
-
 def test_add_flow_rejects_before_it_builds_and_its_record_is_the_trace_entry(monkeypatch):
     built = []
 
@@ -610,38 +618,38 @@ def test_add_flow_rejects_before_it_builds_and_its_record_is_the_trace_entry(mon
 
     monkeypatch.setattr(simengine, "FlowRecord", Recorded)
     sim = Simulation({"d1": res("d1", 100.0)})
+    trace = sim._trace
     path, ghost = ResourcePath(("d1",), "write"), ResourcePath(("d1", "ghost"), "write")
-    sim.add_flow("a", path, 100.0, 0.0)
-    sim.add_flow("late", path, 100.0, 5.0)
-    rejected = [  # (id, path, size, time): each fails the first of add_flow's checks, in their order
-        ("a", ghost, -1.0, math.nan, ValueError, "cannot schedule a at nan"),
-        ("f", path, 1.0, math.inf, ValueError, "cannot schedule f at inf"),
-        ("a", ghost, -1.0, -1.0, ValueError, r"cannot schedule a in the past \(-1.0 < 0.0\)"),
-        ("a", ghost, math.nan, 0.0, ValueError, "flow a has size nan MB"),
-        ("a", ghost, math.inf, 0.0, ValueError, "flow a has size inf MB"),
-        ("a", ghost, -1.0, 0.0, ValueError, "flow a has size -1.0 MB"),
-        ("a", ghost, 1.0, 0.0, ValueError, "duplicate flow id 'a'"),  # pending at now
-        ("late", ghost, 1.0, 0.0, ValueError, "duplicate flow id 'late'"),  # pending for later
-        ("f", ghost, 1.0, 0.0, UnknownResourceError, "flow f crosses unknown resource 'ghost'"),
+    sim.add_flow("a", path, 100.0)
+    rejected = [  # (id, path, size): each fails the first of add_flow's checks, in their order
+        ("a", ghost, math.nan, ValueError, "flow a has size nan MB"),
+        ("a", ghost, math.inf, ValueError, "flow a has size inf MB"),
+        ("a", ghost, -1.0, ValueError, "flow a has size -1.0 MB"),
+        ("a", ghost, 1.0, ValueError, "duplicate flow id 'a'"),  # active, or ended at 1.0
+        ("f", ghost, 1.0, UnknownResourceError, "flow f crosses unknown resource 'ghost'"),
     ]
-    for fid, fpath, size, at_time, error, message in rejected:
-        with pytest.raises(error, match=f"^{message}$"):
-            sim.add_flow(fid, fpath, size, at_time)
-    assert [rec.flow_id for rec in built] == ["a", "late"]  # a rejected flow builds and leaves nothing
-    seen = []
+    checked = []
 
-    def look(sim, now):
-        seen.append([(rec.flow_id, rec.start_time) for rec in sim.started(0)])
-        seen.append([rec.start_time for rec in built])
+    def reject_each(sim, now):
+        before = (dict(trace.flows), list(trace.events), sim.idle)
+        for fid, fpath, size, error, message in rejected:
+            with pytest.raises(error, match=f"^{message}$"):
+                sim.add_flow(fid, fpath, size)
+            assert (dict(trace.flows), list(trace.events), sim.idle) == before  # a rejected flow leaves no trace
+        checked.append((now, sim.idle))
 
-    sim.add_timer(2.0, look)
-    trace = sim.run()
-    assert seen == [[("a", 0.0)], [0.0, None]]  # "late" waits outside the trace, unstarted
+    reject_each(sim, sim.now)  # "a" is active and not yet rated
+    sim.add_timer(0.5, reject_each)  # "a" runs at its rate
+    sim.add_timer(2.0, reject_each)  # "a" has ended, and nothing is active
+    sim.add_timer(5.0, lambda sim, now: sim.add_flow("late", path, 100.0))
+    assert sim.run() is trace
+    assert checked == [(0.0, False), (0.5, False), (2.0, True)]
+    assert [rec.flow_id for rec in built] == ["a", "late"]  # a rejected flow builds nothing
     assert list(trace.flows) == ["a", "late"] and trace.flows["late"].start_time == 5.0
     assert all(trace.flows[rec.flow_id] is rec for rec in built)  # the object add_flow built
     with pytest.raises(ValueError, match="^duplicate flow id 'late'$"):
-        sim.add_flow("late", path, 1.0, sim.now)  # finished
-    sim.add_flow("f", path, 100.0, sim.now)  # no rejected "f" was left pending
+        sim.add_flow("late", path, 1.0)  # finished
+    sim.add_flow("f", path, 100.0)  # no rejected "f" was left behind
     assert sim.run().flows["f"].end_time == 7.0
 
 
@@ -650,14 +658,14 @@ def test_unresolvable_path_rejected_at_add():
     path = ResourcePath(("d1", "ghost"), "read")
     for fid in ("f", "g"):  # a path that failed its check is checked again
         with pytest.raises(UnknownResourceError, match="ghost"):
-            sim.add_flow(fid, path, 1.0, 0.0)
+            sim.add_flow(fid, path, 1.0)
     assert sim.idle
 
 
 def test_zero_capacity_stalls_cleanly():
     for timer in (False, True):  # a pending timer cannot unstick a stalled flow
         sim = Simulation({"d1": res("d1", 0.0)})
-        sim.add_flow("f", ResourcePath(("d1",), "read"), 10.0, 0.0)
+        sim.add_flow("f", ResourcePath(("d1",), "read"), 10.0)
         if timer:
             sim.add_timer(5.0, lambda sim, now: None)
         with pytest.raises(SimulationStalledError):
@@ -915,7 +923,8 @@ def _random_run(rng, monkeypatch, check, asymmetric=0.1):
     ``asymmetric`` of the resources writes at half or 1.5 times the read
     bandwidth; equal sizes make several flows finish at once; paths may name
     a resource twice; a completion hook and timers inject flows, and some
-    timers add nothing.
+    timers add nothing. A flow drawn for a later time is added by a timer
+    at that time.
     """
     n_res = rng.randint(2, 8)
     resources = {}
@@ -932,15 +941,19 @@ def _random_run(rng, monkeypatch, check, asymmetric=0.1):
 
     def hook(sim, records, now):
         for _ in range(rng.choice([0, 0, 1, 2])):
-            sim.add_flow(*spec(), now)
+            sim.add_flow(*spec())
 
     def timer(sim, now):
         if rng.random() < 0.5:
-            sim.add_flow(*spec(), now)
+            sim.add_flow(*spec())
 
     sim = Simulation(resources)
     for _ in range(rng.randint(2, 20)):
-        sim.add_flow(*spec(), rng.choice([0.0, 0.0, 1.0, rng.uniform(0.0, 20.0)]))
+        flow, at_time = spec(), rng.choice([0.0, 0.0, 1.0, rng.uniform(0.0, 20.0)])
+        if at_time == 0.0:
+            sim.add_flow(*flow)
+        else:
+            sim.add_timer(at_time, lambda sim, now, flow=flow: sim.add_flow(*flow))
     for _ in range(rng.randint(0, 3)):
         sim.add_timer(rng.uniform(0.0, 30.0), timer)
     real = Simulation._reallocate
@@ -1027,14 +1040,15 @@ def test_pooled_capacity_falls_and_rises_with_the_directions_under_warm_solves(m
     def spec(fid, hops, direction, size):
         return fid, ResourcePath(hops, direction), size
 
-    sim.add_flow(*spec("r1", ("d",), "read", 150.0), 0.0)
-    sim.add_flow(*spec("r2", ("d", "l"), "read", 300.0), 0.0)
-    sim.add_flow(*spec("x", ("l",), "write", 1000.0), 0.0)
-    sim.add_flow(*spec("w", ("d",), "write", 10.0), 0.5)  # mixed: the disk pools min(150, 100)
+    sim.add_flow(*spec("r1", ("d",), "read", 150.0))
+    sim.add_flow(*spec("r2", ("d", "l"), "read", 300.0))
+    sim.add_flow(*spec("x", ("l",), "write", 1000.0))
+    # a write joins at 0.5, so the disk pools min(150, 100)
+    sim.add_timer(0.5, lambda sim, now: sim.add_flow(*spec("w", ("d",), "write", 10.0)))
 
     def hook(sim, records, now):
         if any(rec.flow_id == "r2" for rec in records):  # the last read ends as a write starts
-            sim.add_flow(*spec("w2", ("d",), "write", 50.0), now)
+            sim.add_flow(*spec("w2", ("d",), "write", 50.0))
 
     solves = _count_solves(monkeypatch)
     disk_capacity = []  # the disk's from-scratch capacity at each reallocation that crosses it
@@ -1105,8 +1119,6 @@ def test_warm_solves_re_solve_a_minority_of_the_flows(monkeypatch):
 def test_non_finite_times_are_rejected_at_add(at_time):
     sim = Simulation({"d1": res("d1", 100.0)})
     with pytest.raises(ValueError):
-        sim.add_flow("f", ResourcePath(("d1",), "write"), 100.0, at_time)
-    with pytest.raises(ValueError):
         sim.add_timer(at_time, lambda sim, now: None)
     assert sim.idle and sim.run().events == []
 
@@ -1115,8 +1127,8 @@ def test_non_finite_times_are_rejected_at_add(at_time):
 def test_negative_or_non_finite_sizes_are_rejected_at_add(size):
     sim = Simulation({"d1": res("d1", 100.0)})
     with pytest.raises(ValueError):
-        sim.add_flow("f", ResourcePath(("d1",), "write"), size, 0.0)
-    sim.add_flow("empty", ResourcePath(("d1",), "write"), 0.0, 0.0)
+        sim.add_flow("f", ResourcePath(("d1",), "write"), size)
+    sim.add_flow("empty", ResourcePath(("d1",), "write"), 0.0)
     trace = sim.run()
     assert trace.flows["empty"].end_time == 0.0 and verify_trace(trace) == []
 

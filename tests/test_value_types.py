@@ -124,9 +124,9 @@ def test_named_tuple_methods():
 def test_flows_added_without_tags_share_one_read_only_empty_mapping():
     path = volumes.ResourcePath(("d1",), "write")
     sim = simengine.Simulation({"d1": simengine.Resource("d1", 100.0, 100.0)})
-    sim.add_flow("f", path, 10.0, 0.0)
-    sim.add_flow("g", path, 1.0, 0.0)
-    sim.add_flow("h", path, 1.0, 0.0, {"stage": "read"})
+    sim.add_flow("f", path, 10.0)
+    sim.add_flow("g", path, 1.0)
+    sim.add_flow("h", path, 1.0, {"stage": "read"})
     flows = sim.run().flows
     default = flows["f"].tags
     assert dict(default) == {} and flows["g"].tags is default  # one shared default
