@@ -5,7 +5,7 @@ comparison.json and one trace per config from ``compare``); the lines
 printed to stdout are renderings of the same data. ``run`` and
 ``compare`` create ``--out`` as soon as the scenario has parsed, so an
 unusable output path fails before anything is simulated. Exit codes: 0 ok,
-2 scenario parse error or an ``--out`` that cannot be created, 3
+2 scenario parse error or an ``--out`` that cannot be created or written, 3
 validation error, 4 internal invariant violation (a produced trace
 failing its own audit) or internal error, whose traceback goes to
 ``<out>/error.log``, or to stderr when that file cannot be written.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -164,6 +165,9 @@ def main(argv=None) -> int:
                 Path(args.out).mkdir(parents=True, exist_ok=True)
             except OSError as e:
                 print(f"cannot create --out {args.out}: {e}", file=sys.stderr)
+                return EXIT_PARSE
+            if not os.access(args.out, os.W_OK | os.X_OK):
+                print(f"cannot write to --out {args.out}", file=sys.stderr)
                 return EXIT_PARSE
         return args.handler(scenario, args)
     except ScenarioParseError as e:

@@ -466,8 +466,8 @@ class Simulation:
 
     @property
     def idle(self) -> bool:
-        """True when no flow is active."""
-        return not self._active
+        """True when no flow is active and no timer is pending; a timer that is firing no longer counts."""
+        return not (self._active or self._timers)
 
     def started(self, skip: int) -> list[FlowRecord]:
         """The flows started after the first ``skip``, in start order.

@@ -52,10 +52,11 @@ def plan_snapshots(
     with bytes written since its previous snapshot gets a SnapshotRecord
     and a transfer flow from its host to the controller over the
     management path (subject to the policy's per-transfer bandwidth
-    cap). The timer re-arms while any flow is active, so the last
-    snapshot falls at the first boundary at or after the last write. A
-    flow that another timer adds after a boundary with no flow active is
-    not snapshotted: the chain has stopped there.
+    cap). The timer re-arms while any flow is active or another timer is
+    pending (a later arrival is a timer), so the last snapshot falls at
+    the first boundary at or after the last write. Two chains that each
+    re-arm while the other is pending never stop, so call this at most
+    once per simulation.
 
     Returns the record list, which fills in as ``sim`` runs.
     """

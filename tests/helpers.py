@@ -80,14 +80,16 @@ def run(
     workload: Iterable[tuple[FlowSpec, float]],
     on_complete: CompletionHook | None = None,
 ) -> SimTrace:
-    """Simulate a finite workload of (flow spec, arrival time) pairs.
-
-    A flow due at 0.0 is added before the run; a later one is added by a timer at its time, in workload order.
-    """
+    """Simulate a finite workload of (flow spec, arrival time) pairs, each added by ``arrive`` in workload order."""
     sim = Simulation(resources)
     for spec, at_time in workload:
-        if at_time == 0.0:
-            sim.add_flow(*spec)
-        else:
-            sim.add_timer(at_time, lambda sim, now, spec=spec: sim.add_flow(*spec))
+        arrive(sim, spec, at_time)
     return sim.run(on_complete=on_complete)
+
+
+def arrive(sim: Simulation, spec: tuple, at_time: float) -> None:
+    """Add a flow of ``add_flow`` arguments ``spec`` at 0.0 directly, or from a timer at a later ``at_time``."""
+    if at_time == 0.0:
+        sim.add_flow(*spec)
+    else:
+        sim.add_timer(at_time, lambda sim, now: sim.add_flow(*spec))

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import SMALL_VM, dfs_cluster, member_tables, placed_cluster
+from helpers import SMALL_VM, arrive, dfs_cluster, member_tables, placed_cluster
 from oracles import bottleneck_violations, maxmin_fill_oracle
 from storagesim.bench import DfsioSpec, TaskStat, avg_io_rate, run_dfsio, throughput
 from storagesim.cost import PriceTable, compute_cost, savings
@@ -210,11 +210,7 @@ def test_criterion_6_snapshot_byte_accounting():
     exact_ok = local_mb == 10 * 1024.0 and networked_mb == 60 * 1024.0
 
     # conservation: snapshot bytes equal written bytes on 1,000 random
-    # write-once workloads (trace-level: random flows onto root volumes).
-    # Each write starts from a timer at its drawn time, and the snapshot
-    # timer re-arms only while a flow is active, so a 30 s read on another
-    # disk keeps the run busy until the last write has started, as a
-    # benchmark's queued tasks do.
+    # write-once workloads (trace-level: random flows onto root volumes)
     rng = random.Random(60)
     conserved = 0
     for _ in range(1000):
@@ -231,8 +227,7 @@ def test_criterion_6_snapshot_byte_accounting():
                 size,
                 {"volume_id": f"vol{j % 2:03d}", "volume_kind": "root"},
             )
-            sim.add_timer(rng.uniform(0.0, 30.0), lambda sim, now, flow=flow: sim.add_flow(*flow))
-        sim.add_flow("busy", ResourcePath(("disk:h02:disk1",), "read"), 30 * 1000.0)  # 30 s at 1000 MB/s
+            arrive(sim, flow, rng.uniform(0.0, 30.0))
         from storagesim.volumes import Volume
 
         volumes = {

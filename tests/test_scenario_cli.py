@@ -561,6 +561,26 @@ def test_an_out_that_cannot_be_created_exits_2_before_anything_runs(tmp_path, mo
     assert not (tmp_path / "never").exists()  # validate creates nothing
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_out_that_cannot_be_written_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys, command):
+    path = write_scenario(tmp_path, scenario_doc())
+    ran = []
+    for module in (cli, scenario_module):
+        monkeypatch.setattr(module, "run_scenario", lambda *a, **k: ran.append(a))
+    out = tmp_path / "out"
+    out.mkdir()
+    asked = []
+
+    def access(target, mode):  # a read-only directory, whatever user runs the test
+        asked.append((target, mode))
+        return False
+
+    monkeypatch.setattr(cli.os, "access", access)
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"cannot write to --out {out}"]
+    assert ran == [] and asked == [(str(out), cli.os.W_OK | cli.os.X_OK)]
+
+
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("code", [0, 2, 3, 4])
 def test_a_command_pauses_cycle_collection_and_restores_the_callers_setting(tmp_path, monkeypatch, code, collecting):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from helpers import FlowSpec, TraceEvent, run
+from helpers import FlowSpec, TraceEvent, arrive, run
 from oracles import bottleneck_violations, csv_lines_reference, maxmin_fill_oracle, verify_trace_reference
 from storagesim import simengine
 from storagesim.cli import main
@@ -570,8 +570,8 @@ def test_every_engine_event_and_snapshot_marker_is_an_untracked_plain_tuple():
     sim = Simulation({"d1": res("d1", 100.0), "d2": res("d2", 50.0)})
     sim.add_flow("a", ResourcePath(("d1",), "write"), 1000.0)
     # "empty" starts and ends at once
-    sim.add_timer(1.0, lambda sim, now: sim.add_flow("empty", ResourcePath(("d2",), "write"), 0.0))
-    sim.add_timer(2.0, lambda sim, now: sim.add_flow("b", ResourcePath(("d1", "d2"), "read"), 300.0))
+    arrive(sim, ("empty", ResourcePath(("d2",), "write"), 0.0), 1.0)
+    arrive(sim, ("b", ResourcePath(("d1", "d2"), "read"), 300.0), 2.0)
     trace = merge_snapshot_events(sim.run(), [SnapshotRecord("v1", taken_at=3.0, bytes_copied=12.5)])
     empty = [(t, kind) for t, kind, fid, _, _ in trace.events if fid == "empty"]
     assert empty[0] == (1.0, "flow_start") and empty[-1] == (1.0, "flow_end")
@@ -640,10 +640,11 @@ def test_add_flow_rejects_before_it_builds_and_its_record_is_the_trace_entry(mon
 
     reject_each(sim, sim.now)  # "a" is active and not yet rated
     sim.add_timer(0.5, reject_each)  # "a" runs at its rate
-    sim.add_timer(2.0, reject_each)  # "a" has ended, and nothing is active
+    sim.add_timer(2.0, reject_each)  # "a" has ended, and only the 5.0 timer is pending
     sim.add_timer(5.0, lambda sim, now: sim.add_flow("late", path, 100.0))
     assert sim.run() is trace
-    assert checked == [(0.0, False), (0.5, False), (2.0, True)]
+    reject_each(sim, sim.now)  # nothing is active or pending
+    assert checked == [(0.0, False), (0.5, False), (2.0, False), (6.0, True)]
     assert [rec.flow_id for rec in built] == ["a", "late"]  # a rejected flow builds nothing
     assert list(trace.flows) == ["a", "late"] and trace.flows["late"].start_time == 5.0
     assert all(trace.flows[rec.flow_id] is rec for rec in built)  # the object add_flow built
@@ -949,11 +950,8 @@ def _random_run(rng, monkeypatch, check, asymmetric=0.1):
 
     sim = Simulation(resources)
     for _ in range(rng.randint(2, 20)):
-        flow, at_time = spec(), rng.choice([0.0, 0.0, 1.0, rng.uniform(0.0, 20.0)])
-        if at_time == 0.0:
-            sim.add_flow(*flow)
-        else:
-            sim.add_timer(at_time, lambda sim, now, flow=flow: sim.add_flow(*flow))
+        flow = spec()
+        arrive(sim, flow, rng.choice([0.0, 0.0, 1.0, rng.uniform(0.0, 20.0)]))
     for _ in range(rng.randint(0, 3)):
         sim.add_timer(rng.uniform(0.0, 30.0), timer)
     real = Simulation._reallocate
@@ -1044,7 +1042,7 @@ def test_pooled_capacity_falls_and_rises_with_the_directions_under_warm_solves(m
     sim.add_flow(*spec("r2", ("d", "l"), "read", 300.0))
     sim.add_flow(*spec("x", ("l",), "write", 1000.0))
     # a write joins at 0.5, so the disk pools min(150, 100)
-    sim.add_timer(0.5, lambda sim, now: sim.add_flow(*spec("w", ("d",), "write", 10.0)))
+    arrive(sim, spec("w", ("d",), "write", 10.0), 0.5)
 
     def hook(sim, records, now):
         if any(rec.flow_id == "r2" for rec in records):  # the last read ends as a write starts
