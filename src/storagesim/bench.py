@@ -5,6 +5,9 @@ VM's DFS volume path (followed, for replication factors above one, by a
 pipeline of replica-copy flows; the task is done when its last replica
 lands).
 Read mode re-reads previously written files, preferring the local replica.
+Like TestDFSIO ``-read``, a read or mixed run measures files that already
+exist: ``place_input_files`` places them as a write pass that dispatched in
+task order would, without simulating one.
 Tasks queue behind per-VM slots and the cluster-wide map capacity and are
 dispatched the instant a slot frees.
 
@@ -171,6 +174,48 @@ class _Task:
         self.outstanding = 0  # flows started and not yet completed
 
 
+def _members(state: ClusterState, hdfs_volumes: Mapping[str, str]) -> list[str]:
+    """The DFS members in id order, each checked to hold its DFS volume."""
+    members = sorted(hdfs_volumes)
+    if not members:
+        raise ValueError("no DFS members")
+    for vm_id in members:
+        vol = state.volumes.get(hdfs_volumes[vm_id])
+        if vol is None or vol.attached_to != vm_id:
+            raise SimError(f"hdfs volume {hdfs_volumes[vm_id]!r} is not attached to {vm_id}")
+    return members
+
+
+def _file_and_writer(i: int, members: Sequence[str]) -> tuple[str, str]:
+    """Task ``i``'s file name and writer: round-robin, task i on member i mod n."""
+    return f"test_io_{i}", members[i % len(members)]
+
+
+def place_input_files(
+    state: ClusterState,
+    spec: DfsioSpec,
+    hdfs_volumes: Mapping[str, str],
+    dfs_config: DfsConfig,
+) -> list[DfsFile]:
+    """Place the ``spec.n_files`` files a read or mixed run reads, without simulating their writes.
+
+    File i is written by the writer of write task i, and the files are
+    placed in task order with one ``PlacementTables`` and one
+    ``random.Random(dfs_config.seed)``. A simulated write pass draws from
+    that same stream in dispatch order, so the placement is the one it
+    makes whenever it dispatches in task order, which holds unless a
+    writer's slots are full when its task heads the queue.
+    """
+    members = _members(state, hdfs_volumes)
+    tables = PlacementTables(state, members)
+    rng = random.Random(dfs_config.seed)
+    files = []
+    for i in range(spec.n_files):
+        name, writer = _file_and_writer(i, members)
+        files.append(place_file(tables, name, spec.file_size_mb, writer, dfs_config, rng))
+    return files
+
+
 def run_dfsio(
     state: ClusterState,
     spec: DfsioSpec,
@@ -198,13 +243,7 @@ def run_dfsio(
         raise ValueError(f"invalid benchmark spec {spec}")
     if spec.mode not in (WRITE, READ, MIXED):
         raise ValueError(f"unknown mode {spec.mode!r}")
-    members = sorted(hdfs_volumes)
-    if not members:
-        raise ValueError("no DFS members")
-    for vm_id in members:
-        vol = state.volumes.get(hdfs_volumes[vm_id])
-        if vol is None or vol.attached_to != vm_id:
-            raise SimError(f"hdfs volume {hdfs_volumes[vm_id]!r} is not attached to {vm_id}")
+    members = _members(state, hdfs_volumes)
 
     rng = random.Random(seed)
     placement_rng = random.Random(dfs_config.seed)
@@ -219,19 +258,13 @@ def run_dfsio(
         raise ReadBeforeWriteError(f"{spec.n_files} files must be written before they can be read")
 
     tasks = []
-    for i in range(spec.n_files):
-        name = f"test_io_{i}"
-        target = files[i] if task_modes[i] == READ else None
-        tasks.append(
-            _Task(
-                index=i,
-                mode=task_modes[i],
-                file_name=target.name if target else name,
-                size_mb=target.size_mb if target else spec.file_size_mb,
-                writer_vm=members[i % len(members)] if task_modes[i] == WRITE else None,
-                file=target,
-            )
-        )
+    for i, mode in enumerate(task_modes):
+        if mode == READ:
+            target = files[i]
+            tasks.append(_Task(i, READ, target.name, target.size_mb, None, target))
+        else:
+            name, writer = _file_and_writer(i, members)
+            tasks.append(_Task(i, WRITE, name, spec.file_size_mb, writer, None))
 
     sim = Simulation(build_resources(state.topology))
     records = [] if snapshots is None else plan_snapshots(sim, state.volumes, snapshots, state.topology)

@@ -56,10 +56,8 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def _verify_or_fail(run: ScenarioRun) -> None:
-    """Audit the measured trace and every prep-pass trace."""
+    """Audit the run's trace, the one simulation it made."""
     violations = [str(v) for v in verify_trace(run.trace)]
-    for i, trace in enumerate(run.prep_traces):
-        violations += [f"prep trace {i}: {v}" for v in verify_trace(trace)]
     if violations:
         raise _InternalViolation("\n".join(violations))
 

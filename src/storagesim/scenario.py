@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, NamedTuple, NoReturn
 
 import yaml
 
-from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
+from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, place_input_files, run_dfsio
 from .cost import DEFAULT_OP_SIZE_KB, CostReport, PriceTable, compute_cost, count_io_ops, savings
 from .dfs import DfsConfig
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
@@ -400,6 +400,8 @@ class ScenarioRun(NamedTuple):
     cost: CostReport
     io_ops: int
     network_mb: float
+    # Always empty: a read or mixed run places its input files without simulating a write pass.
+    # Kept only because the benchmark harness's run check still reads it; package code never does.
     prep_traces: list[SimTrace]
 
     def to_dict(self) -> dict:
@@ -422,33 +424,25 @@ class ScenarioRun(NamedTuple):
 
 
 def run_scenario(scenario: Scenario, storage_config: str | None = None) -> ScenarioRun:
-    """Run the benchmark under one storage config, snapshots included.
+    """Run the benchmark under one storage config, snapshots included: one simulation.
 
-    Read and mixed modes get the conventional preparatory write pass so
-    the files exist; it is not snapshotted. Under the ``local`` config the
-    measured run takes its snapshots as it goes, in the same single
-    simulation, so their transfers' contention is visible in the metrics.
+    Read and mixed modes read input files that already exist, as TestDFSIO
+    ``-read`` does: ``place_input_files`` places them as a write pass
+    dispatched in task order would, and nothing simulates that pass. Under
+    the ``local`` config the run takes its snapshots as it goes, in the
+    same simulation, so their transfers' contention is visible in the
+    metrics.
 
     Only the measured run is billed: ``io_ops`` and the instance-hours
-    count its trace and its ``finished_at``, never the prep pass, because
-    the benchmark prices the workload it measures, not the set-up of its
-    input files.
+    count its trace and its ``finished_at``, because the benchmark prices
+    the workload it measures, not the set-up of its input files.
     """
     cfg = storage_config or scenario.storage_config
     state, hdfs_volumes = build_state(scenario, cfg)
 
-    prep_traces = []
-    prep_files = None
+    files = None
     if scenario.dfsio.mode in (READ, MIXED):
-        prep = run_dfsio(
-            state,
-            scenario.dfsio._replace(mode=WRITE),
-            hdfs_volumes,
-            dfs_config=scenario.dfs,
-            seed=scenario.seed,
-        )
-        prep_files = prep.files
-        prep_traces.append(prep.trace)
+        files = place_input_files(state, scenario.dfsio, hdfs_volumes, scenario.dfs)
 
     run = run_dfsio(
         state,
@@ -456,7 +450,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
         hdfs_volumes,
         dfs_config=scenario.dfs,
         seed=scenario.seed,
-        files=prep_files,
+        files=files,
         snapshots=scenario.snapshot if cfg == "local" else None,
     )
 
@@ -473,7 +467,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
         cost=compute_cost(len(hdfs_volumes) * hours_each, io_ops, scenario.prices),
         io_ops=io_ops,
         network_mb=network_bytes(run.trace),
-        prep_traces=prep_traces,
+        prep_traces=[],
     )
 
 

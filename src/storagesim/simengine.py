@@ -62,11 +62,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import SimulationStalledError, UnknownResourceError
 from .topology import ClusterTopology
@@ -429,13 +430,17 @@ class Simulation:
 
         The flow's ``FlowRecord`` enters the trace and its ``flow_start`` is
         logged at once; it is rated at the next solve. A rejected flow
-        leaves no trace.
+        (a bad size, a repeated id, ``tags`` that are not a mapping, or an
+        unknown resource) leaves no trace.
         """
         if not 0.0 <= size_mb < math.inf:
             raise ValueError(f"flow {flow_id} has size {size_mb} MB")
         flows = self._trace.flows
         if flow_id in flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
+        # every package caller passes a read-only proxy, so the exact type test spares it the ABC check
+        if type(tags) is not MappingProxyType and not isinstance(tags, Mapping):
+            raise TypeError(f"flow {flow_id} has tags of type {type(tags).__name__}, not a mapping")
         if self._checked_paths.get(id(path)) is not path:
             for rid in path.resources:
                 if rid not in self._capacities:

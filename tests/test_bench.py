@@ -5,13 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import SMALL_VM, dfs_cluster
+from helpers import SMALL_VM, bind_dfs_volumes, dfs_cluster, placed_cluster
 from oracles import avg_rate_oracle, throughput_oracle
 from storagesim import bench
-from storagesim.bench import BenchmarkResult, DfsioSpec, TaskStat, avg_io_rate, run_dfsio, stddev_io_rate, throughput
+from storagesim.bench import (
+    BenchmarkResult,
+    DfsioSpec,
+    TaskStat,
+    avg_io_rate,
+    place_input_files,
+    run_dfsio,
+    stddev_io_rate,
+    throughput,
+)
 from storagesim.dfs import DfsConfig
 from storagesim.errors import EmptyStatsError, ReadBeforeWriteError
-from storagesim.placement import ClusterState
+from storagesim.placement import ClusterState, place_vm
 from storagesim.simengine import verify_trace
 from storagesim.snapshot import SnapshotPolicy
 from storagesim.volumes import ResourcePath, disk_resource_id
@@ -264,6 +273,55 @@ def test_mixed_mode_interleaves_reads_and_writes():
     stages = {rec.tags["stage"] for rec in mixed.trace.flows.values()}
     assert "read" in stages and "primary" in stages
     assert verify_trace(mixed.trace) == []
+
+
+def _dispatch_order(run):
+    """The task ids of a write pass in the order it dispatched them: its primary flows' add order."""
+    return [task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "primary"]
+
+
+def test_input_files_are_the_files_a_write_pass_in_task_order_places():
+    rng = random.Random(26)
+    in_order = 0
+    for _ in range(40):
+        n_hosts, vms_per_host = rng.randint(2, 4), rng.randint(1, 2)
+        state, hdfs = dfs_cluster(n_hosts, vms_per_host, rng.choice(["local", "networked"]), spec=SMALL_VM)
+        rf = rng.randint(1, min(3, n_hosts * vms_per_host))
+        cfg = DfsConfig(replication_factor=rf, seed=rng.randrange(2**31))
+        spec = DfsioSpec(
+            n_files=rng.randint(1, 12),
+            file_size_mb=rng.choice([16.0, 100.0, 300.0]),  # one 64 MB block, or several
+            mode=rng.choice(["read", "mixed"]),
+            map_capacity=rng.randint(1, 8),
+            slots_per_vm=rng.randint(1, 3),
+        )
+        written = run_dfsio(state, spec._replace(mode="write"), hdfs, dfs_config=cfg)
+        order = _dispatch_order(written)
+        if order != sorted(order):
+            continue  # a writer's slots were full when its task headed the queue
+        in_order += 1
+        assert place_input_files(state, spec, hdfs, cfg) == written.files, (spec, cfg)
+    assert in_order >= 30
+
+
+def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out_of_order():
+    # three members on two hosts: vm001 and vm003 share h01's disk, so vm002 finishes first and its
+    # second task is dispatched while vm001's second task still waits for vm001's only slot
+    state = placed_cluster(n_hosts=2, vms_per_host=1, spec=SMALL_VM)
+    state, _vm = place_vm(state, SMALL_VM, policy="spread")
+    state, hdfs = bind_dfs_volumes(state, "local")
+    assert [state.instances[vm].host_id for vm in sorted(hdfs)] == ["h01", "h02", "h01"]
+    cfg = DfsConfig(replication_factor=2, seed=11)
+    spec = DfsioSpec(n_files=6, file_size_mb=200.0, mode="read", map_capacity=3, slots_per_vm=1)
+    slotted = run_dfsio(state, spec._replace(mode="write"), hdfs, dfs_config=cfg)
+    assert _dispatch_order(slotted) == ["t0000", "t0001", "t0002", "t0004", "t0003", "t0005"]
+    # with a slot per task no writer waits, so that write pass dispatches in task order
+    unslotted = run_dfsio(state, spec._replace(mode="write", slots_per_vm=6), hdfs, dfs_config=cfg)
+    assert _dispatch_order(unslotted) == [f"t{i:04d}" for i in range(6)]
+    files = place_input_files(state, spec, hdfs, cfg)
+    assert [f.name for f in files] == [f"test_io_{i}" for i in range(6)]
+    assert files == unslotted.files
+    assert files != slotted.files  # the out-of-order pass drew the shared stream in another order
 
 
 def test_each_run_resolves_every_path_once(monkeypatch):

@@ -6,7 +6,7 @@ one or two switches, so a management path crosses two or three links.
 Disks may read and write at different speeds; every storage config and
 benchmark mode is drawn, with replication up to the host count (at most
 4), and snapshot intervals with or without a bandwidth cap. Every run must exit 0 (so its
-measured and prep traces pass the audit), write byte-identical outputs
+one trace passes the audit), write byte-identical outputs
 when repeated, and keep the DFSIO identities of tasks.csv exactly.
 """
 

@@ -17,7 +17,7 @@ from storagesim.errors import (
     ScenarioValidationError,
     SimError,
 )
-from storagesim.bench import DfsioSpec
+from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.placement import VmSpec
 from storagesim.scenario import Scenario, VmGroup, build_state, compare, load_scenario, parse_scenario, run_scenario
 from storagesim.topology import reference_cluster
@@ -200,31 +200,37 @@ def test_comparison_identical_configs_have_ratio_one():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
-def test_read_mode_scenario_runs_the_conventional_write_pass_first():
+def test_read_mode_scenario_reads_files_placed_as_the_write_pass_places_them():
     doc = scenario_doc()
     doc["dfsio"]["mode"] = "read"
-    run = run_scenario(parse_scenario(doc), storage_config="local")
+    scenario = parse_scenario(doc)
+    run = run_scenario(scenario, storage_config="local")
     assert run.result.mode == "read"
-    assert run.prep_traces, "the preparatory write pass must be kept for auditing"
+    assert run.prep_traces == []  # no write pass is simulated
     assert run.result.n_files == 10
     # local reads are all replica-local: the measured run touches no link
     assert run.network_mb == 0.0
     assert run.snapshot_records == []  # nothing written in the measured window
+    # each task reads its file from the holders the write pass would have placed it on
+    state, hdfs = build_state(scenario, "local")
+    written = run_dfsio(state, scenario.dfsio._replace(mode="write"), hdfs, dfs_config=scenario.dfs).files
+    for fid, rec in run.trace.flows.items():
+        task, stage, src = fid.split(".")
+        assert stage == "read" and rec.tags["vm"] == src  # read where it lies
+        assert src in written[int(task[1:])].holders(), fid
 
 
 def test_read_mode_bills_only_the_measured_run():
-    # The prep write pass only creates the input files; io_ops and instance-hours come from the measured reads.
+    # The input files exist before the run; io_ops and instance-hours come from the measured reads alone.
     doc = scenario_doc(storage_config="networked")
     doc["dfsio"].update(mode="read", file_size_mb=25_000)
     scenario = parse_scenario(doc)
     run = run_scenario(scenario)
-    (prep,) = run.prep_traces
-    prep_s = max(rec.end_time for rec in prep.flows.values())
-    assert count_io_ops(prep, scenario.op_size_kb) > 0
-    assert run.io_ops == count_io_ops(run.trace, scenario.op_size_kb)
+    assert {rec.tags["stage"] for rec in run.trace.flows.values()} == {"read"}  # no write is billed
+    assert run.io_ops == count_io_ops(run.trace, scenario.op_size_kb) > 0
     assert run.cost.storage_cost == run.io_ops / 1_000_000 * scenario.prices.ebs_standard_per_million_ops
-    # billing the prep pass too would cross the hour boundary and bill two hours per VM
-    assert run.result.finished_at < 3600.0 < prep_s + run.result.finished_at
+    assert run.result.finished_at == max(rec.end_time for rec in run.trace.flows.values())
+    assert run.result.finished_at < 3600.0
     assert run.cost.instance_cost == scenario.vms[0].count * scenario.prices.instance_per_hour  # one hour per VM
 
 
@@ -318,7 +324,7 @@ def test_snapshot_target_accepts_only_controller(tmp_path, capsys):
     assert "field snapshot.target: " in capsys.readouterr().err
 
 
-def test_cli_audits_prep_traces(tmp_path, monkeypatch, capsys):
+def test_cli_exits_4_on_a_corrupted_measured_trace(tmp_path, monkeypatch, capsys):
     doc = scenario_doc()
     doc["dfsio"]["mode"] = "read"
     path = write_scenario(tmp_path, doc)
@@ -326,13 +332,14 @@ def test_cli_audits_prep_traces(tmp_path, monkeypatch, capsys):
 
     def corrupted(scenario, *args, **kwargs):
         run = real_run_scenario(scenario, *args, **kwargs)
-        record = next(iter(run.prep_traces[0].flows.values()))
-        record.size_mb *= 2  # the prep trace now moves half of this flow's bytes
+        record = next(iter(run.trace.flows.values()))
+        record.size_mb *= 2  # the trace now moves half of this flow's bytes
         return run
 
     monkeypatch.setattr(cli, "run_scenario", corrupted)
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 4
-    assert "prep trace 0: [byte-conservation]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violation:\n[byte-conservation]")
 
 
 def test_cli_rf_over_vms_exits_3(tmp_path, capsys):

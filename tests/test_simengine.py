@@ -325,7 +325,7 @@ def test_an_asymmetric_scenario_takes_one_full_solve_per_pass(monkeypatch):
     from storagesim.scenario import parse_scenario, run_scenario
 
     # the local_mixed_snapshots shape, shrunk: queued tasks and snapshots keep flows active
-    # throughout each pass, so only its first solve has nothing to keep
+    # throughout the run's one pass, so only its first solve has nothing to keep
     doc = _reference_doc()
     doc["topology"]["reference"].update(disk_read_bw=150, disk_write_bw=100)
     doc["dfsio"].update(n_files=20, file_size_mb=256, mode="mixed", map_capacity=6)
@@ -338,8 +338,9 @@ def test_an_asymmetric_scenario_takes_one_full_solve_per_pass(monkeypatch):
     run = run_scenario(parse_scenario(doc))
 
     assert {rec.path.direction for rec in run.trace.flows.values()} == {"read", "write"}
-    assert len(passes) >= 2 and all(solves.count("cold") <= 1 for solves in passes), passes
-    assert sum(solves.count("warm") for solves in passes) > 50
+    (solves,) = passes  # the mixed run's input files are placed, not written by a simulated pass
+    assert solves.count("cold") <= 1, solves
+    assert solves.count("warm") > 50
 
 
 def test_adding_a_flow_to_the_shared_bottleneck_never_raises_other_rates():
@@ -621,20 +622,22 @@ def test_add_flow_rejects_before_it_builds_and_its_record_is_the_trace_entry(mon
     trace = sim._trace
     path, ghost = ResourcePath(("d1",), "write"), ResourcePath(("d1", "ghost"), "write")
     sim.add_flow("a", path, 100.0)
-    rejected = [  # (id, path, size): each fails the first of add_flow's checks, in their order
-        ("a", ghost, math.nan, ValueError, "flow a has size nan MB"),
-        ("a", ghost, math.inf, ValueError, "flow a has size inf MB"),
-        ("a", ghost, -1.0, ValueError, "flow a has size -1.0 MB"),
-        ("a", ghost, 1.0, ValueError, "duplicate flow id 'a'"),  # active, or ended at 1.0
-        ("f", ghost, 1.0, UnknownResourceError, "flow f crosses unknown resource 'ghost'"),
+    rejected = [  # (id, path, size, tags): each fails the first of add_flow's checks, in their order
+        ("a", ghost, math.nan, 0.0, ValueError, "flow a has size nan MB"),
+        ("a", ghost, math.inf, 0.0, ValueError, "flow a has size inf MB"),
+        ("a", ghost, -1.0, 0.0, ValueError, "flow a has size -1.0 MB"),
+        ("a", ghost, 1.0, 0.0, ValueError, "duplicate flow id 'a'"),  # active, or ended at 1.0
+        ("f", ghost, 1.0, 0.0, TypeError, "flow f has tags of type float, not a mapping"),
+        ("f", ghost, 1.0, [("stage", "read")], TypeError, "flow f has tags of type list, not a mapping"),
+        ("f", ghost, 1.0, {"stage": "read"}, UnknownResourceError, "flow f crosses unknown resource 'ghost'"),
     ]
     checked = []
 
     def reject_each(sim, now):
         before = (dict(trace.flows), list(trace.events), sim.idle)
-        for fid, fpath, size, error, message in rejected:
+        for fid, fpath, size, tags, error, message in rejected:
             with pytest.raises(error, match=f"^{message}$"):
-                sim.add_flow(fid, fpath, size)
+                sim.add_flow(fid, fpath, size, tags)
             assert (dict(trace.flows), list(trace.events), sim.idle) == before  # a rejected flow leaves no trace
         checked.append((now, sim.idle))
 

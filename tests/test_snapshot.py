@@ -208,8 +208,7 @@ def test_ratio_identity_for_read_write_mix():
 def test_network_bytes_equals_the_reference_on_every_golden_trace():
     for name, (doc, _digests) in sorted(GOLDEN.items()):
         run = run_scenario(parse_scenario(doc))
-        for trace in [run.trace] + run.prep_traces:
-            assert network_bytes(trace) == network_bytes_reference(trace), name
+        assert network_bytes(run.trace) == network_bytes_reference(run.trace), name
         assert run.network_mb == network_bytes_reference(run.trace)
 
 
@@ -348,12 +347,11 @@ def test_one_simulation_per_measured_run(monkeypatch):
 
     monkeypatch.setattr(scenario_mod, "run_dfsio", counted)
     doc = yaml.safe_load((SCENARIOS / "reference.yaml").read_text())
-    run_scenario(parse_scenario(doc))
-    assert calls == ["write"]
-    doc["dfsio"]["mode"] = "mixed"
-    calls.clear()
-    run_scenario(parse_scenario(doc))
-    assert calls == ["write", "mixed"]  # the prep write pass, then the measured run
+    for mode in ("write", "read", "mixed"):  # read and mixed runs place their input files without a write pass
+        doc["dfsio"]["mode"] = mode
+        calls.clear()
+        run_scenario(parse_scenario(doc))
+        assert calls == [mode]
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
