@@ -21,7 +21,6 @@ line, where ``yaml.safe_load`` would keep the last value.
 
 from __future__ import annotations
 
-import inspect
 import math
 import sys
 from functools import partial
@@ -159,6 +158,28 @@ def _list_of(check: Check, into: type = tuple) -> Check:
     return list_of
 
 
+def _parameters(build: Callable) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names ``build`` takes by keyword, and those of them without a default, in order.
+
+    Read from the code object, as ``inspect.signature`` reads them: a
+    function's, or the ``__new__`` past ``cls`` of a class (a NamedTuple
+    generates one). A ``partial``'s positional arguments bind the leading
+    parameters.
+    """
+    bound = 0
+    if isinstance(build, partial):
+        build, bound = build.func, len(build.args)
+    if isinstance(build, type):
+        build, bound = build.__new__, bound + 1
+    code = build.__code__
+    n_positional = code.co_argcount
+    names = code.co_varnames[: n_positional + code.co_kwonlyargcount]
+    defaulted = set(names[n_positional - len(build.__defaults__ or ()) : n_positional])
+    defaulted.update(build.__kwdefaults__ or ())
+    names = names[bound:]
+    return names, tuple(name for name in names if name not in defaulted)
+
+
 def _section(build: Callable, **checks: Check) -> Check:
     """A mapping check that calls ``build`` with the fields present.
 
@@ -166,8 +187,9 @@ def _section(build: Callable, **checks: Check) -> Check:
     silently ignored. An absent key, or a bare ``key:`` line, takes
     ``build``'s own default; a parameter without one is reported missing.
     A key that ``build`` has no parameter for is checked and dropped.
+    ``build``'s parameters are read once, by ``_parameters``.
     """
-    params = inspect.signature(build).parameters
+    names, required = _parameters(build)
 
     def section(value: Any, path: str):
         fields = {}
@@ -177,10 +199,10 @@ def _section(build: Callable, **checks: Check) -> Check:
                 _fail(where, "unknown option")
             if item is not None:
                 fields[key] = checks[key](item, where)
-        for name, param in params.items():
-            if param.default is param.empty and name not in fields:
+        for name in required:
+            if name not in fields:
                 _fail(f"{path}.{name}" if path else name, "missing")
-        return build(**{key: fields[key] for key in fields if key in params})
+        return build(**{key: fields[key] for key in fields if key in names})
 
     return section
 
@@ -253,14 +275,14 @@ _vm_spec = _section(
     migratable=_bool,
 )
 _VM_GROUP_CHECKS = {"count": _count, "policy": _one_of(_str, "spread", "first_fit")}
+_vm_group_knobs = _section(partial(VmGroup, None), **_VM_GROUP_CHECKS)  # each group's spec replaces the None
 
 
 def _vm_group(value: Any, path: str) -> VmGroup:
     """One mapping holds the ``VmSpec`` fields beside the group's ``count`` and ``policy``."""
     data = _mapping(value, path)
     spec = _vm_spec({k: v for k, v in data.items() if k not in _VM_GROUP_CHECKS}, path)
-    group = _section(partial(VmGroup, spec), **_VM_GROUP_CHECKS)
-    return group({k: v for k, v in data.items() if k in _VM_GROUP_CHECKS}, path)
+    return _vm_group_knobs({k: v for k, v in data.items() if k in _VM_GROUP_CHECKS}, path)._replace(spec=spec)
 
 
 _scenario = _section(
@@ -302,32 +324,37 @@ def parse_scenario(data: Any) -> Scenario:
     return _scenario(data, "")
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader``, but a key repeated within one mapping is an error, not a silent overwrite."""
+class _UniqueKeyLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """A safe loader, but a key repeated within one mapping is an error, not a silent overwrite.
 
+    It parses with libyaml when PyYAML was built with it, and with PyYAML's
+    own parser otherwise. Both build the same documents through the same
+    constructor; only the wording of a syntax error differs.
+    """
 
-def _construct_unique_key_map(loader: _UniqueKeyLoader, node: yaml.MappingNode):
-    """``SafeLoader``'s mapping constructor, after a check that no key of ``node`` repeats."""
-    seen = []  # a list, so an unhashable key is left for the base constructor to reject
-    for key_node, _ in node.value:
-        if key_node.tag == "tag:yaml.org,2002:merge":
-            continue  # ``<<`` merges are flattened by the base constructor
-        key = loader.construct_object(key_node)
-        if key in seen:
-            raise yaml.constructor.ConstructorError(
-                "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
-            )
-        seen.append(key)
-    return (yield from loader.construct_yaml_map(node))
-
-
-_UniqueKeyLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_unique_key_map)
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list, so an unhashable key is left for the base constructor to reject
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():  # the base rejects the rest
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # ``<<`` merges are flattened by the base constructor
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
+                )
+            seen.append(key)
+        return super().construct_mapping(node, deep)
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a scenario file; YAML syntax errors and repeated keys keep their line marks."""
+    """Parse a scenario file; YAML syntax errors and repeated keys keep their line marks.
+
+    The file is read as bytes, so YAML decodes it by its own rule (UTF-16
+    after a UTF-16 byte-order mark, else UTF-8), whatever the locale. A byte
+    that does not decode is a parse error, like any other bad input.
+    """
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as e:
         raise ScenarioParseError(f"cannot parse {path}: {e}") from e

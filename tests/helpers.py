@@ -1,9 +1,16 @@
 """Shared helpers: placed clusters, their placement tables or a DFS volume bound per VM, one-call engine runs,
-and named trace events."""
+named trace events, and a fresh interpreter that parses scenarios with a chosen YAML parser."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
+
+import pytest
+import yaml
 
 from storagesim.dfs import PlacementTables
 from storagesim.placement import ClusterState, VmSpec, place_vm
@@ -93,3 +100,35 @@ def arrive(sim: Simulation, spec: tuple, at_time: float) -> None:
         sim.add_flow(*spec)
     else:
         sim.add_timer(at_time, lambda sim, now: sim.add_flow(*spec))
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# The scenario parser's two YAML parsers: libyaml when PyYAML has it, PyYAML's own otherwise.
+PARSERS = [
+    pytest.param("libyaml", marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")),
+    "pure",
+]
+_CHOOSE_PARSER = "import sys, yaml\nif sys.argv[1] == 'pure':\n    yaml.__with_libyaml__ = False\n"
+
+
+def in_fresh_interpreter(parser: str, code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports the package from source, with ``args`` in ``sys.argv[2:]``.
+
+    ``parser="pure"`` hides libyaml from the package before ``code`` runs, so it falls back to PyYAML's own parser.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _CHOOSE_PARSER + code, parser, *args],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def cli_in_fresh_interpreter(parser: str, *argv: str) -> subprocess.CompletedProcess:
+    """``storagesim *argv`` in a new interpreter, parsing with ``parser`` (see ``in_fresh_interpreter``)."""
+    return in_fresh_interpreter(parser, "from storagesim.cli import main\nsys.exit(main(sys.argv[2:]))", *argv)

@@ -8,7 +8,7 @@ The run must exit 0, 2 or 3, and every parse error must name a field. An
 alarm bounds each run, so a hang surfaces as an exit 4 through the CLI's
 last-resort handler instead of stalling the suite. A key repeated within
 one mapping, which ``yaml.safe_dump`` cannot write, is checked on the text
-of the reference scenario.
+of the reference scenario, under each YAML parser the package can use.
 """
 
 import contextlib
@@ -26,6 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from helpers import PARSERS, cli_in_fresh_interpreter  # noqa: E402
 from storagesim.cli import main  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -116,6 +117,7 @@ def test_single_leaf_edits_exit_0_2_or_3_and_parse_errors_name_a_field(leaf, edi
         assert err.startswith("parse error: field "), err
 
 
+@pytest.mark.parametrize("parser", PARSERS)
 @pytest.mark.parametrize(
     "anchor, repeat, key, line",
     [
@@ -123,14 +125,14 @@ def test_single_leaf_edits_exit_0_2_or_3_and_parse_errors_name_a_field(leaf, edi
         ("  n_files: 10\n", "  n_files: 3\n", "n_files", 35),  # inside dfsio
     ],
 )
-def test_a_repeated_key_is_a_parse_error_naming_the_key_and_its_line(tmp_path, anchor, repeat, key, line):
+def test_a_repeated_key_is_a_parse_error_naming_the_key_and_its_line(tmp_path, anchor, repeat, key, line, parser):
     text = (SCENARIOS / "reference.yaml").read_text()
     assert text.count(anchor) == 1
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text(text.replace(anchor, anchor + repeat))
     assert scenario.read_text().splitlines()[line - 1] == repeat.rstrip("\n")
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(["validate", "--scenario", str(scenario)])
-    assert code == 2
-    assert err.getvalue().startswith("parse error: ")
-    assert f"found duplicate key {key!r}\n" in err.getvalue() and f"line {line}, column " in err.getvalue()
+    done = cli_in_fresh_interpreter(parser, "validate", "--scenario", str(scenario))
+    assert done.returncode == 2
+    assert done.stderr.startswith("parse error: ")
+    column = len(repeat) - len(repeat.lstrip()) + 1
+    assert f"found duplicate key {key!r}\n" in done.stderr and f"line {line}, column {column}\n" in done.stderr

@@ -17,6 +17,7 @@ ALLOWED = {
     "terminate_vm": "acceptance criterion 8 ends VMs with it, and the durability report (ROADMAP item 7) will",
     "migrate_vm": "acceptance criterion 8 checks the no-migration rule with it; ROADMAP item 7 reads it too",
     "recoverable_bytes": "ROADMAP item 7 derives it from the trace or deletes it",
+    "construct_mapping": "_UniqueKeyLoader overrides PyYAML's hook, and PyYAML's constructor calls it",
 }
 
 

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from helpers import PARSERS, cli_in_fresh_interpreter, in_fresh_interpreter
 from storagesim import cli
 from storagesim import scenario as scenario_module
 from storagesim.cli import main
@@ -305,6 +307,35 @@ def test_cli_malformed_yaml_exits_2(tmp_path, capsys):
     assert main(["validate", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and "line" in err
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_file_that_is_not_utf8_exits_2_without_an_error_log(tmp_path, command, parser):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(b"seed: 1\nname: \xff\xfe bad\n")
+    out = tmp_path / "out"
+    done = cli_in_fresh_interpreter(parser, command, "--scenario", str(path), "--out", str(out))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"parse error: cannot parse {path}: "), done.stderr
+    assert not (out / "error.log").exists()
+
+
+@pytest.mark.parametrize("text", ["seed: !!map [1, 2]\n", "seed: !!map 5\n", "seed: !!set [1]\n"])
+def test_a_mapping_tag_on_a_node_that_is_not_a_mapping_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert main(["validate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "expected a mapping node" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+def test_a_file_with_a_utf16_byte_order_mark_is_decoded_as_utf16(tmp_path, parser):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes((SCENARIOS / "reference.yaml").read_text().encode("utf-16"))
+    done = cli_in_fresh_interpreter(parser, "validate", "--scenario", str(path))
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_bad_field_exits_2_with_field(tmp_path, capsys):
@@ -615,3 +646,83 @@ def test_a_command_pauses_cycle_collection_and_restores_the_callers_setting(tmp_
     finally:
         (gc.enable if was else gc.disable)()
     assert during == ([] if code == 2 else [False])  # a parse error stops before the run
+
+
+# -- the parser's own machinery -----------------------------------------------
+
+
+def section_builders():
+    """Every ``build`` a ``_section`` of the scenario parser calls, found through the checks' closures."""
+    builders, seen = [], set()
+    todo = [value for value in vars(scenario_module).values() if callable(value)]
+    while todo:
+        check = todo.pop()
+        if id(check) in seen or not getattr(check, "__closure__", None):
+            continue
+        seen.add(id(check))
+        cells = dict(zip(check.__code__.co_freevars, (cell.cell_contents for cell in check.__closure__)))
+        if check.__name__ == "section":
+            builders.append(cells["build"])
+        for value in cells.values():
+            todo += value.values() if isinstance(value, dict) else [value]
+    return builders
+
+
+def keyword_only_knobs(a, b=1, *, c, d=2):
+    """A builder shape no section has yet: a required keyword-only parameter."""
+
+
+def test_sections_read_each_builders_parameters_as_inspect_signature_does():
+    builders = section_builders()
+    assert len(builders) == 14 and reference_cluster in builders and VmSpec in builders
+    assert any(getattr(build, "func", None) is VmGroup for build in builders)  # the partial that each group's spec fills
+    for build in builders + [keyword_only_knobs]:
+        params = inspect.signature(build).parameters
+        required = tuple(name for name, param in params.items() if param.default is param.empty)
+        assert scenario_module._parameters(build) == (tuple(params), required), build
+
+
+LOADER_DOCUMENTS = {
+    **{path.name: path.read_text() for path in sorted(SCENARIOS.glob("*.yaml"))},
+    # perfbench's shape: a wider reference cluster, and all three keys that are checked and then dropped
+    "perfbench": yaml.safe_dump(
+        scenario_doc(
+            topology={"reference": {"n_hosts": 16, "disk_read_bw": 100, "link_bw": 125, "local_persistent_gb": 200}},
+            snapshot={"interval_s": 3600, "bandwidth_cap": None, "target": "controller"},
+            prices={"instance_per_hour": 0.24, "ebs_standard_per_million_ops": 0.10, "ebs_provisioned_per_iops_month": 0.1},
+            volume_size_gb=100,
+            op_size_kb=64,
+        )
+    ),
+    # a ``<<`` merge whose keys the mapping then repeats: a merge is not a repeated key
+    "merge": (SCENARIOS / "reference.yaml").read_text().replace("  - vcpus: 4\n", "  - <<: {vcpus: 2, ram_gb: 8}\n    vcpus: 4\n"),
+}
+
+
+@pytest.mark.parametrize("name", LOADER_DOCUMENTS)
+def test_the_unique_key_loader_builds_what_safe_loader_builds(name):
+    text = LOADER_DOCUMENTS[name]
+    data = yaml.load(text, Loader=scenario_module._UniqueKeyLoader)
+    assert data == yaml.load(text, Loader=yaml.SafeLoader)
+    build_state(parse_scenario(data))
+
+
+STARTUP_PROBE = """
+import json
+import storagesim
+from storagesim.scenario import _UniqueKeyLoader, build_state, load_scenario
+build_state(load_scenario("scenarios/reference.yaml"))
+print(json.dumps({
+    "libyaml": yaml.__with_libyaml__,
+    "c_parser": issubclass(_UniqueKeyLoader, getattr(yaml, "CSafeLoader", ())),
+    "inspect": "inspect" in sys.modules,
+}))
+"""
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+def test_start_up_loads_no_inspect_and_parses_with_libyaml_when_pyyaml_has_it(parser):
+    done = in_fresh_interpreter(parser, STARTUP_PROBE)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe == {"libyaml": parser == "libyaml", "c_parser": parser == "libyaml", "inspect": False}
