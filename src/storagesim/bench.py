@@ -35,7 +35,7 @@ from .placement import ClusterState
 from .simengine import Simulation, SimTrace, build_resources
 from .snapshot import SnapshotPolicy, SnapshotRecord, merge_snapshot_events, plan_snapshots
 from .topology import management_path  # noqa: F401  (unused; perfbench's traced-run test asserts this binding)
-from .volumes import ResourcePath, link_resources, resolve_io_path
+from .volumes import ResourcePath, Routes
 
 WRITE = "write"
 READ = "read"
@@ -230,14 +230,14 @@ def run_dfsio(
 
     Write tasks pin their writer round-robin over the members (task i on
     member i mod n, the even distribution a real job settles into), place
-    the file's replicas there, and stream through the writer's volume
-    path. Read tasks are scheduled by replica locality and read remote
-    blocks over the management network when they must. With a
-    ``snapshots`` policy, non-persistent volumes are snapshotted during
-    the run and the transfers contend with the tasks. Returns the metric
-    record, the flow trace (with snapshot markers), the placed files and
-    the snapshot records; ``state`` is only read, and the trace's write
-    flows hold every byte the run wrote.
+    the file's replicas there, and stream through the writer's volume path.
+    Read tasks are scheduled by replica locality and read remote blocks over
+    the management network when they must. Every path comes from the run's
+    one ``Routes`` table. With a ``snapshots`` policy, non-persistent
+    volumes are snapshotted during the run and the transfers contend with
+    the tasks. Returns the metric record, the flow trace (with snapshot
+    markers), the placed files and the snapshot records; ``state`` is only
+    read, and the trace's write flows hold every byte the run wrote.
     """
     if spec.n_files < 1 or spec.file_size_mb <= 0 or spec.map_capacity < 1 or spec.slots_per_vm < 1:
         raise ValueError(f"invalid benchmark spec {spec}")
@@ -266,32 +266,14 @@ def run_dfsio(
             name, writer = _file_and_writer(i, members)
             tasks.append(_Task(i, WRITE, name, spec.file_size_mb, writer, None))
 
+    routes = Routes(state, hdfs_volumes)
     sim = Simulation(build_resources(state.topology))
-    records = [] if snapshots is None else plan_snapshots(sim, state.volumes, snapshots, state.topology)
+    records = [] if snapshots is None else plan_snapshots(sim, state.volumes, snapshots, routes)
     slots = {vm: spec.slots_per_vm for vm in members}
     queue = deque(tasks)
     running = 0
     by_flow: dict[str, _Task] = {}
     placement = PlacementTables(state, members)  # members and their hosts too: one set of pools per run
-
-    # Topology and volume attachments stay fixed during a run, so each path is resolved once.
-    @cache
-    def io_path(vm: str, direction: str) -> ResourcePath:
-        return resolve_io_path(state, vm, hdfs_volumes[vm], direction)
-
-    @cache
-    def links(src_host: str, dst_host: str) -> tuple[str, ...]:
-        return link_resources(state.topology, src_host, dst_host)
-
-    @cache
-    def replica_path(src_host: str, peer: str) -> ResourcePath:
-        resources = links(src_host, state.instances[peer].host_id) + io_path(peer, "write").resources
-        return ResourcePath(resources, "write")
-
-    @cache
-    def read_path(src: str, dst_host: str) -> ResourcePath:
-        resources = io_path(src, "read").resources + links(state.instances[src].host_id, dst_host)
-        return ResourcePath(resources, "read")
 
     @cache
     def route_tags(stage: str, vm: str, volume_vm: str) -> Mapping[str, str]:
@@ -307,17 +289,16 @@ def run_dfsio(
     def start_write(task: _Task) -> None:
         vm = task.vm = task.writer_vm
         task.file = place_file(placement, task.file_name, task.size_mb, vm, dfs_config, placement_rng)
-        start_flow(task, f"{task.task_id}.write", io_path(vm, "write"), task.size_mb, "primary", vm, vm)
+        start_flow(task, f"{task.task_id}.write", routes["volume", vm, "write"], task.size_mb, "primary", vm, vm)
 
     def start_replicas(task: _Task) -> None:
         targets: dict[str, float] = {}  # replica vm -> MB, summed in block order
         for block in task.file.blocks:
             for peer, _rack in block.replicas[1:]:
                 targets[peer] = targets.get(peer, 0.0) + block.bytes_mb
-        src_host = state.instances[task.vm].host_id
         for peer, mb in sorted(targets.items()):
             fid = f"{task.task_id}.rep.{peer}"
-            start_flow(task, fid, replica_path(src_host, peer), mb, "replica", peer, peer)
+            start_flow(task, fid, routes["replica", task.vm, peer], mb, "replica", peer, peer)
 
     def start_read(task: _Task, vm: str) -> None:
         task.vm = vm
@@ -326,10 +307,9 @@ def run_dfsio(
             block_vms = block.vms()
             src = vm if vm in block_vms else min(block_vms)
             by_source[src] = by_source.get(src, 0.0) + block.bytes_mb
-        dst_host = state.instances[vm].host_id
         for src in sorted(by_source):
             fid = f"{task.task_id}.read.{src}"
-            start_flow(task, fid, read_path(src, dst_host), by_source[src], "read", vm, src)
+            start_flow(task, fid, routes["read", src, vm], by_source[src], "read", vm, src)
 
     def finish_task(task: _Task, now: float) -> None:
         nonlocal running

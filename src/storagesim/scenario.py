@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Hashable
 from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Mapping, NamedTuple, NoReturn
@@ -333,16 +334,18 @@ class _UniqueKeyLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeL
     """
 
     def construct_mapping(self, node, deep=False):
-        seen = []  # a list, so an unhashable key is left for the base constructor to reject
+        seen = set()
         for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():  # the base rejects the rest
             if key_node.tag == "tag:yaml.org,2002:merge":
                 continue  # ``<<`` merges are flattened by the base constructor
             key = self.construct_object(key_node)
+            if not isinstance(key, Hashable):
+                continue  # the base constructor rejects it
             if key in seen:
                 raise yaml.constructor.ConstructorError(
                     "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
                 )
-            seen.append(key)
+            seen.add(key)
         return super().construct_mapping(node, deep)
 
 
@@ -356,7 +359,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "rb") as fh:
             data = yaml.load(fh, Loader=_UniqueKeyLoader)
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, RecursionError) as e:  # PyYAML's own parser recurses once per level of nesting
         raise ScenarioParseError(f"cannot parse {path}: {e}") from e
     except OSError as e:
         raise ScenarioParseError(f"cannot read {path}: {e}") from e

@@ -25,8 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .simengine import Event, FlowRecord, Resource, SimTrace, Simulation
-from .topology import ClusterTopology
-from .volumes import VM_LIFETIME_KINDS, ResourcePath, Volume, disk_resource_id, is_link_resource, link_resources
+from .volumes import VM_LIFETIME_KINDS, ResourcePath, Routes, Volume, is_link_resource
 
 
 class SnapshotPolicy(NamedTuple):
@@ -44,15 +43,15 @@ def plan_snapshots(
     sim: Simulation,
     volumes: Mapping[str, Volume],
     policy: SnapshotPolicy,
-    topology: ClusterTopology,
+    routes: Routes,
 ) -> list[SnapshotRecord]:
     """Snapshot every non-persistent volume at each interval boundary of ``sim``.
 
     Arms a timer at ``k * interval_s``. At each boundary every volume
     with bytes written since its previous snapshot gets a SnapshotRecord
-    and a transfer flow from its host to the controller over the
-    management path (subject to the policy's per-transfer bandwidth
-    cap). The timer re-arms while any flow is active or another timer is
+    and a transfer flow to the controller over its ``"snapshot"`` route
+    in the run's ``routes`` (behind a cap resource of its own when the
+    policy caps each transfer's bandwidth). The timer re-arms while any flow is active or another timer is
     pending (a later arrival is a timer), so the last snapshot falls at
     the first boundary at or after the last write. Two chains that each
     re-arm while the other is pending never stop, so call this at most
@@ -65,16 +64,6 @@ def plan_snapshots(
     records: list[SnapshotRecord] = []
     covered: dict[str, float] = {}  # volume id -> MB captured so far
     k = 0  # boundaries passed
-    # The topology and the volumes' backing stay fixed during a run, so each volume's path is built once.
-    @cache
-    def transfer_path(vol_id: str) -> ResourcePath:
-        """The uncapped transfer path of volume ``vol_id`` to the controller."""
-        host_id, disk_id = volumes[vol_id].backing
-        controller = topology.controller
-        links = link_resources(topology, host_id, controller.id)
-        sink = disk_resource_id(controller.id, controller.disks[0].id)
-        return ResourcePath((disk_resource_id(host_id, disk_id),) + links + (sink,), "write")
-
     @cache
     def transfer_tags(vol_id: str) -> Mapping[str, str]:
         """The tags of every transfer of volume ``vol_id``, shared and read-only."""
@@ -125,7 +114,7 @@ def plan_snapshots(
             records.append(SnapshotRecord(vol_id, taken_at=now, bytes_copied=dirty))
             covered[vol_id] = written
             flow_id = f"snap.{vol_id}.{k:03d}"
-            path = transfer_path(vol_id)
+            path = routes["snapshot", *volumes[vol_id].backing]
             if policy.bandwidth_cap is not None:  # each transfer gets its own cap resource, so its own path
                 cap_id = f"cap:{flow_id}"
                 sim.resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)

@@ -8,15 +8,14 @@ VM, attached whole and never reformatted. Only the last two are attached.
 
 ``resolve_io_path`` is the bridge into the flow simulator: it names the
 shared resources (disks, links) an I/O stream crosses, which is where the
-local-versus-networked performance difference comes from. Every route
-between two nodes, for volume I/O, remote reads, replica copies and
-snapshots, is ``link_resources``.
+local-versus-networked performance difference comes from. A run takes
+each of its paths from one ``Routes`` table.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, Mapping
 
 from .errors import (
     InsufficientSpaceError,
@@ -24,7 +23,7 @@ from .errors import (
     VmNotFoundError,
     VolumeNotAttachedError,
 )
-from .topology import ClusterTopology, management_path
+from .topology import management_path
 
 if TYPE_CHECKING:  # placement imports this module at runtime
     from .placement import ClusterState, VmInstance
@@ -112,13 +111,6 @@ def link_resource_id(link_id: str) -> str:
 
 def is_link_resource(resource_id: str) -> bool:
     return resource_id.startswith("link:")
-
-
-def link_resources(topology: ClusterTopology, src: str, dst: str) -> tuple[str, ...]:
-    """The management links from node ``src`` to node ``dst``, as resource ids; none within one node."""
-    if src == dst:
-        return ()
-    return tuple(link_resource_id(l.id) for l in management_path(topology, src, dst))
 
 
 def provision_local_volume(state: ClusterState, vm: VmInstance, kind: str, size_gb: float, disk_id: str) -> Volume:
@@ -215,10 +207,45 @@ def resolve_io_path(state: ClusterState, vm_id: str, volume_id: str, direction: 
         raise VolumeNotAttachedError(f"volume {volume_id!r} is not attached to {vm_id}")
 
     node_id, disk_id = vol.backing
-    if vol.kind in LOCAL_KINDS:
-        return ResourcePath((disk_resource_id(node_id, disk_id),), direction)
-    links = link_resources(state.topology, vm.host_id, node_id)
-    return ResourcePath(links + (disk_resource_id(node_id, disk_id),), direction)
+    hops = () if vol.kind in LOCAL_KINDS else management_path(state.topology, vm.host_id, node_id)
+    return ResourcePath(tuple(link_resource_id(l.id) for l in hops) + (disk_resource_id(node_id, disk_id),), direction)
+
+
+class Routes(dict):
+    """One run's routes, each resolved on first use and then shared by every flow that takes it.
+
+    Keys: ``("links", src, dst)``, the management links between two nodes
+    (none within one); ``("volume", vm, direction)``, a VM's DFS-volume path;
+    ``("replica", src, dst)``, a copy from VM ``src``'s host into ``dst``'s
+    volume; ``("read", src, dst)``, a read of ``src``'s volume to ``dst``'s
+    host; and ``("snapshot", node, disk)``, the transfer of the volume on
+    that disk to the controller's first disk.
+    """
+
+    def __init__(self, state: ClusterState, dfs_volumes: Mapping[str, str]):  # starts empty, like ``dict()``
+        self.state = state
+        self.dfs_volumes = dfs_volumes  # vm id -> DFS volume id
+
+    def __missing__(self, key: tuple[str, str, str]):
+        kind, a, b = key
+        if kind == "links":
+            route = () if a == b else tuple(link_resource_id(l.id) for l in management_path(self.state.topology, a, b))
+        elif kind == "volume":
+            route = resolve_io_path(self.state, a, self.dfs_volumes[a], b)
+        elif kind == "replica":
+            links = self["links", self.state.instances[a].host_id, self.state.instances[b].host_id]
+            route = ResourcePath(links + self["volume", b, "write"].resources, "write")
+        elif kind == "read":  # over the write path's resources, so one resolve serves both directions
+            links = self["links", self.state.instances[a].host_id, self.state.instances[b].host_id]
+            route = ResourcePath(self["volume", a, "write"].resources + links, "read")
+        elif kind == "snapshot":
+            ctl = self.state.topology.controller
+            sink = disk_resource_id(ctl.id, ctl.disks[0].id)
+            route = ResourcePath((disk_resource_id(a, b),) + self["links", a, ctl.id] + (sink,), "write")
+        else:
+            raise KeyError(key)
+        self[key] = route
+        return route
 
 
 def terminate_vm(state: ClusterState, vm_id: str) -> ClusterState:

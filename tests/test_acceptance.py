@@ -21,7 +21,7 @@ from storagesim.scenario import parse_scenario, run_scenario
 from storagesim.topology import reference_cluster
 from storagesim.simengine import FlowRecord, Simulation, allocate_rates, build_resources, verify_trace
 from storagesim.snapshot import SnapshotPolicy, network_bytes, plan_snapshots
-from storagesim.volumes import ResourcePath
+from storagesim.volumes import ResourcePath, Routes
 
 
 def _line(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -233,7 +233,8 @@ def test_criterion_6_snapshot_byte_accounting():
         volumes = {
             f"vol{k:03d}": Volume(f"vol{k:03d}", "root", 100.0, ("h01", "disk1")) for k in range(2)
         }
-        records = plan_snapshots(sim, volumes, SnapshotPolicy(interval_s=rng.choice([3.0, 11.0, 3600.0])), topology)
+        policy = SnapshotPolicy(interval_s=rng.choice([3.0, 11.0, 3600.0]))
+        records = plan_snapshots(sim, volumes, policy, Routes(ClusterState.from_topology(topology), {}))
         sim.run()
         copied = math.fsum(r.bytes_copied for r in records)
         if abs(copied - total) <= 1e-6 * total:

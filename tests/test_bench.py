@@ -7,7 +7,7 @@ import pytest
 
 from helpers import SMALL_VM, bind_dfs_volumes, dfs_cluster, placed_cluster
 from oracles import avg_rate_oracle, throughput_oracle
-from storagesim import bench
+from storagesim import volumes
 from storagesim.bench import (
     BenchmarkResult,
     DfsioSpec,
@@ -324,23 +324,24 @@ def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out
     assert files != slotted.files  # the out-of-order pass drew the shared stream in another order
 
 
-def test_each_run_resolves_every_path_once(monkeypatch):
-    state, hdfs = dfs_cluster(n_hosts=5, storage="networked")
+@pytest.mark.parametrize("storage", ["networked", "local"])
+def test_each_run_resolves_every_path_once(monkeypatch, storage):
+    state, hdfs = dfs_cluster(n_hosts=5, storage=storage)
     dfs_config = DfsConfig(replication_factor=3)
     w = run_dfsio(state, DfsioSpec(n_files=60, file_size_mb=128.0), hdfs, dfs_config=dfs_config, seed=4)
     calls = Counter()
-    real_link_resources, real_resolve_io_path = bench.link_resources, bench.resolve_io_path
+    real_management_path, real_resolve_io_path = volumes.management_path, volumes.resolve_io_path
 
-    def link_resources(topology, src, dst):
+    def management_path(topology, src, dst):
         calls["link", src, dst] += 1
-        return real_link_resources(topology, src, dst)
+        return real_management_path(topology, src, dst)
 
     def resolve_io_path(state, vm_id, volume_id, direction):
-        calls["volume", vm_id, direction] += 1
+        calls["volume", vm_id] += 1
         return real_resolve_io_path(state, vm_id, volume_id, direction)
 
-    monkeypatch.setattr(bench, "link_resources", link_resources)
-    monkeypatch.setattr(bench, "resolve_io_path", resolve_io_path)
+    monkeypatch.setattr(volumes, "management_path", management_path)
+    monkeypatch.setattr(volumes, "resolve_io_path", resolve_io_path)
     run = run_dfsio(
         state,
         DfsioSpec(n_files=60, file_size_mb=128.0, mode="mixed", read_fraction=0.5),
@@ -348,42 +349,51 @@ def test_each_run_resolves_every_path_once(monkeypatch):
         dfs_config=dfs_config,
         seed=4,
         files=w.files,
+        snapshots=SnapshotPolicy(interval_s=5.0) if storage == "local" else None,
     )
-    assert {rec.tags["stage"] for rec in run.trace.flows.values()} == {"primary", "replica", "read"}
-    assert {key[0] for key in calls} == {"link", "volume"}
-    assert {key[2] for key in calls if key[0] == "volume"} == {"read", "write"}
+    flows = run.trace.flows.values()
+    stages = {rec.tags.get("stage") for rec in flows}
+    assert stages - {None} == {"primary", "replica", "read"}
+    assert (None in stages) == (storage == "local")  # snapshot transfers carry no stage
+    # one resolve per VM serves its reads and writes, and each ordered node pair's links are looked up once
     assert max(calls.values()) == 1, calls.most_common(3)
+    assert {key[1] for key in calls if key[0] == "volume"} == set(hdfs)
     host_of = {vm: inst.host_id for vm, inst in state.instances.items()}
+    to_controller = {("link", host, "controller") for host in host_of.values()}
+    assert to_controller <= calls.keys()  # networked volume I/O, or local snapshot transfers
     topology = state.topology
+
+    def links(src_host, dst_host):
+        return tuple(f"link:{l.id}" for l in real_management_path(topology, src_host, dst_host))
 
     def shared_paths(stage, key_of):
         """key -> {id(path): path} over the flows of one stage."""
         paths = {}
-        for rec in run.trace.flows.values():
-            if rec.tags["stage"] == stage:
+        for rec in flows:
+            if rec.tags.get("stage") == stage:
                 paths.setdefault(key_of(rec), {})[id(rec.path)] = rec.path
         return paths
 
-    # every replica flow of one (source host, peer) pair carries one path object, equal to a fresh resolve
-    writer_of = {task_of(rec): rec.tags["vm"] for rec in run.trace.flows.values() if rec.tags["stage"] == "primary"}
-    replica_paths = shared_paths("replica", lambda rec: (host_of[writer_of[task_of(rec)]], rec.tags["vm"]))
+    # every replica flow of one (writer, peer) pair carries one path object, equal to a fresh resolve
+    writer_of = {task_of(rec): rec.tags["vm"] for rec in flows if rec.tags.get("stage") == "primary"}
+    replica_paths = shared_paths("replica", lambda rec: (writer_of[task_of(rec)], rec.tags["vm"]))
 
-    def fresh_replica_path(src_host, peer):
-        links = real_link_resources(topology, src_host, host_of[peer])
-        return ResourcePath(links + real_resolve_io_path(state, peer, hdfs[peer], "write").resources, "write")
+    def fresh_replica_path(writer, peer):
+        volume = real_resolve_io_path(state, peer, hdfs[peer], "write").resources
+        return ResourcePath(links(host_of[writer], host_of[peer]) + volume, "write")
 
     assert all(list(paths.values()) == [fresh_replica_path(*key)] for key, paths in replica_paths.items())
-    # and so does every read flow of one (source VM, reader host) pair
-    read_paths = shared_paths("read", lambda rec: (rec.flow_id.split(".read.")[1], host_of[rec.tags["vm"]]))
+    # and so does every read flow of one (source VM, reader VM) pair
+    read_paths = shared_paths("read", lambda rec: (rec.flow_id.split(".read.")[1], rec.tags["vm"]))
 
-    def fresh_read_path(src, reader_host):
-        links = real_link_resources(topology, host_of[src], reader_host)
-        return ResourcePath(real_resolve_io_path(state, src, hdfs[src], "read").resources + links, "read")
+    def fresh_read_path(src, reader):
+        volume = real_resolve_io_path(state, src, hdfs[src], "read").resources
+        return ResourcePath(volume + links(host_of[src], host_of[reader]), "read")
 
     assert all(list(paths.values()) == [fresh_read_path(*key)] for key, paths in read_paths.items())
-    n_reads = sum(rec.tags["stage"] == "read" for rec in run.trace.flows.values())
+    n_reads = sum(rec.tags.get("stage") == "read" for rec in flows)
     assert n_reads > len(read_paths)  # some read path is shared
-    assert any(host_of[src] != reader_host for src, reader_host in read_paths)  # some read is remote
+    assert any(host_of[src] != host_of[reader] for src, reader in read_paths)  # some read is remote
 
 
 @pytest.mark.parametrize("storage", ["networked", "local"])

@@ -321,6 +321,32 @@ def test_a_file_that_is_not_utf8_exits_2_without_an_error_log(tmp_path, command,
     assert not (out / "error.log").exists()
 
 
+@pytest.mark.parametrize("parser", PARSERS)
+@pytest.mark.parametrize("opening, value, closing", [("[", "", "]"), ("{a: ", "1", "}")])
+def test_a_deeply_nested_scenario_exits_2_without_an_error_log(tmp_path, opening, value, closing, parser):
+    # PyYAML's own parser recurses once per level, so 3 000 levels pass the interpreter's recursion limit
+    path = tmp_path / "scenario.yaml"
+    path.write_text("seed: " + opening * 3000 + value + closing * 3000 + "\n")
+    out = tmp_path / "out"
+    done = cli_in_fresh_interpreter(parser, "validate", "--scenario", str(path), "--out", str(out))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("parse error: "), done.stderr
+    assert not (out / "error.log").exists()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1: a\n1.0: b\n", "found duplicate key 1.0"),  # equal keys collide whatever their type
+        ("? [1]\n: a\n", "found unhashable key"),  # left for the base constructor
+        ("? [1]\n: a\n? [1]\n: b\n", "found unhashable key"),  # reported before it is a repeat
+    ],
+)
+def test_the_unique_key_loader_rejects_equal_and_unhashable_keys(text, error):
+    with pytest.raises(yaml.constructor.ConstructorError, match=error):
+        yaml.load(text, Loader=scenario_module._UniqueKeyLoader)
+
+
 @pytest.mark.parametrize("text", ["seed: !!map [1, 2]\n", "seed: !!map 5\n", "seed: !!set [1]\n"])
 def test_a_mapping_tag_on_a_node_that_is_not_a_mapping_exits_2(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"

@@ -27,7 +27,7 @@ from storagesim.snapshot import (
     recoverable_bytes,
 )
 from storagesim.scenario import parse_scenario, run_scenario
-from storagesim.volumes import ResourcePath, link_resources
+from storagesim.volumes import ResourcePath, Routes
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -124,13 +124,14 @@ def test_snapshots_of_one_volume_share_one_path_unless_capped(cap):
     for rec in _snapshot_flows(run.trace):
         by_volume.setdefault(rec.tags["volume_id"], []).append(rec)
     assert len(by_volume) == 3 and min(len(recs) for recs in by_volume.values()) > 1
+    routes = Routes(state, hdfs)
     for vol_id, recs in by_volume.items():
         host, disk = state.volumes[vol_id].backing
-        links = link_resources(state.topology, host, "controller")
-        route = (f"disk:{host}:{disk}",) + links + ("disk:controller:disk1",)
-        if cap is None:  # one path object, equal to a fresh build
+        route = (f"disk:{host}:{disk}", f"link:mgmt-{host}", "link:mgmt-controller", "disk:controller:disk1")
+        assert routes["snapshot", host, disk].resources == route
+        if cap is None:  # one path object, equal to the table's
             assert len({id(rec.path) for rec in recs}) == 1
-            assert recs[0].path == ResourcePath(route, "write")
+            assert recs[0].path == routes["snapshot", host, disk]
         else:  # each transfer crosses its own cap resource ahead of the same route
             assert [rec.path.resources for rec in recs] == [(f"cap:{rec.flow_id}",) + route for rec in recs]
     assert verify_trace(run.trace) == []

@@ -11,8 +11,9 @@ from storagesim.volumes import (
     NETWORKED,
     ROOT,
     attach_volume,
+    ResourcePath,
+    Routes,
     is_link_resource,
-    link_resources,
     resolve_io_path,
     terminate_vm,
 )
@@ -86,11 +87,29 @@ def test_io_path_networked_crosses_management_links(state):
     assert sum(is_link_resource(r) for r in path.resources) >= 1
 
 
-def test_link_resources_name_the_management_route_and_nothing_within_a_node(state):
-    topology = state.topology
-    assert link_resources(topology, "h01", "controller") == ("link:mgmt-h01", "link:mgmt-controller")
-    assert link_resources(topology, "h01", "h02") == ("link:mgmt-h01", "link:mgmt-h02")
-    assert link_resources(topology, "h01", "h01") == ()
+def test_route_links_name_the_management_route_and_nothing_within_a_node(state):
+    routes = Routes(state, {})
+    assert routes["links", "h01", "controller"] == ("link:mgmt-h01", "link:mgmt-controller")
+    assert routes["links", "h01", "h02"] == ("link:mgmt-h01", "link:mgmt-h02")
+    assert routes["links", "h01", "h01"] == ()
+
+
+def test_routes_compose_volume_paths_and_management_links(state):
+    a, b = vm_of(state, 0), vm_of(state, 1)
+    state, net = attach_volume(state, a, NETWORKED, 10.0)
+    root = next(v for v in state.instances[b].volumes if state.volumes[v].kind == ROOT)
+    routes = Routes(state, {a: net.id, b: root})
+    to_controller = ("link:mgmt-h01", "link:mgmt-controller", "disk:controller:disk1")
+    assert routes["volume", a, "write"] == ResourcePath(to_controller, "write")
+    # a hop named twice is kept once, at its first position
+    assert routes["replica", b, a] == ResourcePath(("link:mgmt-h02",) + to_controller, "write")
+    assert routes["read", a, b] == ResourcePath(to_controller + ("link:mgmt-h02",), "read")
+    assert routes["read", b, a] == ResourcePath(("disk:h02:disk1", "link:mgmt-h02", "link:mgmt-h01"), "read")
+    assert routes["read", b, b] == ResourcePath(("disk:h02:disk1",), "read")
+    snapshot = ("disk:h02:disk1", "link:mgmt-h02", "link:mgmt-controller", "disk:controller:disk1")
+    assert routes["snapshot", "h02", "disk1"] == ResourcePath(snapshot, "write")
+    with pytest.raises(KeyError):
+        routes["bogus", a, b]
 
 
 def test_path_shape_matches_kind_invariant(state):
