@@ -33,7 +33,6 @@ for storage in ("local", "networked"):
         hdfs,
         dfs_config=CFG,
         seed=42,
-        files=write.files,
     )
     w, r = write.result, read.result
     print(f"  write: throughput {w.throughput_mbps:7.2f} MB/s, avg rate {w.avg_io_rate_mbps:7.2f}, exec {w.finished_at:6.1f} s")

@@ -28,7 +28,7 @@ def write_then_read(storage, reads=5):
     traces = [w.trace]
     for _ in range(reads):
         r = run_dfsio(state, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
-                      dfs_config=DfsConfig(replication_factor=1), seed=9, files=w.files)
+                      dfs_config=DfsConfig(replication_factor=1), seed=9)
         traces.append(r.trace)
     return traces, w.snapshot_records
 

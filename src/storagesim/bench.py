@@ -4,10 +4,10 @@ Write mode places each file's replicas and streams it through the task
 VM's DFS volume path (followed, for replication factors above one, by a
 pipeline of replica-copy flows; the task is done when its last replica
 lands).
-Read mode re-reads previously written files, preferring the local replica.
-Like TestDFSIO ``-read``, a read or mixed run measures files that already
-exist: ``place_input_files`` places them as a write pass that dispatched in
-task order would, without simulating one.
+Read mode re-reads existing files, preferring the local replica. Like
+TestDFSIO ``-read``, a read or mixed run measures files that exist before
+it starts: ``run_dfsio`` places them itself, as a write pass that
+dispatched in task order would, without simulating one.
 Tasks queue behind per-VM slots and the cluster-wide map capacity and are
 dispatched the instant a slot frees.
 
@@ -30,9 +30,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dfs import DfsConfig, DfsFile, PlacementTables, place_file, schedule_map_task
-from .errors import EmptyStatsError, ReadBeforeWriteError, SimError
+from .errors import EmptyStatsError, SimError
 from .placement import ClusterState
-from .simengine import Simulation, SimTrace, build_resources
+from .simengine import COMPLETION_EPS, Simulation, SimTrace, build_resources
 from .snapshot import SnapshotPolicy, SnapshotRecord, merge_snapshot_events, plan_snapshots
 from .topology import management_path  # noqa: F401  (unused; perfbench's traced-run test asserts this binding)
 from .volumes import ResourcePath, Routes
@@ -158,7 +158,7 @@ class _Task:
         mode: str,
         file_name: str,
         size_mb: float,
-        writer_vm: str | None,  # pinned target for writes
+        writer_vm: str,  # the file's writer: where a write task runs
         file: DfsFile | None,  # the file a read re-reads; placed at start for a write
     ):
         self.index = index
@@ -191,31 +191,6 @@ def _file_and_writer(i: int, members: Sequence[str]) -> tuple[str, str]:
     return f"test_io_{i}", members[i % len(members)]
 
 
-def place_input_files(
-    state: ClusterState,
-    spec: DfsioSpec,
-    hdfs_volumes: Mapping[str, str],
-    dfs_config: DfsConfig,
-) -> list[DfsFile]:
-    """Place the ``spec.n_files`` files a read or mixed run reads, without simulating their writes.
-
-    File i is written by the writer of write task i, and the files are
-    placed in task order with one ``PlacementTables`` and one
-    ``random.Random(dfs_config.seed)``. A simulated write pass draws from
-    that same stream in dispatch order, so the placement is the one it
-    makes whenever it dispatches in task order, which holds unless a
-    writer's slots are full when its task heads the queue.
-    """
-    members = _members(state, hdfs_volumes)
-    tables = PlacementTables(state, members)
-    rng = random.Random(dfs_config.seed)
-    files = []
-    for i in range(spec.n_files):
-        name, writer = _file_and_writer(i, members)
-        files.append(place_file(tables, name, spec.file_size_mb, writer, dfs_config, rng))
-    return files
-
-
 def run_dfsio(
     state: ClusterState,
     spec: DfsioSpec,
@@ -223,7 +198,6 @@ def run_dfsio(
     *,
     dfs_config: DfsConfig = DfsConfig(),
     seed: int = 0,
-    files: Sequence[DfsFile] | None = None,
     snapshots: SnapshotPolicy | None = None,
 ) -> DfsioRun:
     """Run the benchmark over the VMs in ``hdfs_volumes`` (vm id -> volume id).
@@ -231,15 +205,21 @@ def run_dfsio(
     Write tasks pin their writer round-robin over the members (task i on
     member i mod n, the even distribution a real job settles into), place
     the file's replicas there, and stream through the writer's volume path.
-    Read tasks are scheduled by replica locality and read remote blocks over
-    the management network when they must. Every path comes from the run's
-    one ``Routes`` table. With a ``snapshots`` policy, non-persistent
-    volumes are snapshotted during the run and the transfers contend with
-    the tasks. Returns the metric record, the flow trace (with snapshot
-    markers), the placed files and the snapshot records; ``state`` is only
-    read, and the trace's write flows hold every byte the run wrote.
+    A read or mixed run first places its input files: all ``spec.n_files``,
+    in task order, file i by task i's writer, from one
+    ``random.Random(dfs_config.seed)``. That is the placement of a write
+    pass that dispatched in task order, which holds unless a writer's slots
+    are full when its task heads the queue. Read tasks are scheduled by
+    replica locality and read remote blocks over the management network
+    when they must. Input and written files share the run's one
+    ``PlacementTables``, and every path comes from its one ``Routes``
+    table. With a ``snapshots`` policy, non-persistent volumes are
+    snapshotted during the run and the transfers contend with the tasks.
+    Returns the metric record, the flow trace (with snapshot markers), the
+    placed files and the snapshot records; ``state`` is only read, and the
+    trace's write flows hold every byte the run wrote.
     """
-    if spec.n_files < 1 or spec.file_size_mb <= 0 or spec.map_capacity < 1 or spec.slots_per_vm < 1:
+    if spec.n_files < 1 or spec.file_size_mb <= COMPLETION_EPS or spec.map_capacity < 1 or spec.slots_per_vm < 1:
         raise ValueError(f"invalid benchmark spec {spec}")
     if spec.mode not in (WRITE, READ, MIXED):
         raise ValueError(f"unknown mode {spec.mode!r}")
@@ -254,17 +234,15 @@ def run_dfsio(
         task_modes = [READ] * spec.n_files
     else:
         task_modes = [READ if rng.random() < spec.read_fraction else WRITE for _ in range(spec.n_files)]
-    if READ in task_modes and (files is None or len(files) < spec.n_files):
-        raise ReadBeforeWriteError(f"{spec.n_files} files must be written before they can be read")
 
+    placement = PlacementTables(state, members)  # members and their hosts too: one set of pools per run
+    # Every input file, not just those read: file i's replicas follow the draws for files 0..i-1.
+    input_rng = random.Random(dfs_config.seed) if READ in task_modes else None
     tasks = []
     for i, mode in enumerate(task_modes):
-        if mode == READ:
-            target = files[i]
-            tasks.append(_Task(i, READ, target.name, target.size_mb, None, target))
-        else:
-            name, writer = _file_and_writer(i, members)
-            tasks.append(_Task(i, WRITE, name, spec.file_size_mb, writer, None))
+        name, writer = _file_and_writer(i, members)
+        file = place_file(placement, name, spec.file_size_mb, writer, dfs_config, input_rng) if input_rng else None
+        tasks.append(_Task(i, mode, name, spec.file_size_mb, writer, file if mode == READ else None))
 
     routes = Routes(state, hdfs_volumes)
     sim = Simulation(build_resources(state.topology))
@@ -273,7 +251,6 @@ def run_dfsio(
     queue = deque(tasks)
     running = 0
     by_flow: dict[str, _Task] = {}
-    placement = PlacementTables(state, members)  # members and their hosts too: one set of pools per run
 
     @cache
     def route_tags(stage: str, vm: str, volume_vm: str) -> Mapping[str, str]:

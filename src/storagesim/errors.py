@@ -54,10 +54,6 @@ class NoFreeSlotsError(SimError):
     """No VM has a free map-task slot."""
 
 
-class ReadBeforeWriteError(SimError):
-    """Read benchmark requested before the files were written."""
-
-
 class EmptyStatsError(SimError):
     """Benchmark metrics are undefined over an empty task list."""
 

@@ -30,12 +30,12 @@ from typing import Any, Callable, Mapping, NamedTuple, NoReturn
 
 import yaml
 
-from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, place_input_files, run_dfsio
-from .cost import DEFAULT_OP_SIZE_KB, CostReport, PriceTable, compute_cost, count_io_ops, savings
+from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
+from .cost import DEFAULT_OP_SIZE_KB, KB_PER_MB, CostReport, PriceTable, compute_cost, count_io_ops, savings
 from .dfs import DfsConfig
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
 from .placement import ClusterState, VmSpec, place_vm
-from .simengine import SimTrace
+from .simengine import COMPLETION_EPS, SimTrace
 from .snapshot import SnapshotPolicy, SnapshotRecord, network_bytes
 from .topology import (
     ClusterTopology,
@@ -297,7 +297,8 @@ _scenario = _section(
     dfsio=_section(
         DfsioSpec,
         n_files=_count,
-        file_size_mb=_positive,
+        # the engine completes a file of at most COMPLETION_EPS MB as it starts: 0 s, so no rate
+        file_size_mb=_num_where(lambda x: x > COMPLETION_EPS, f"above {COMPLETION_EPS} MB"),
         mode=_one_of(_str, WRITE, READ, MIXED),
         map_capacity=_count,
         slots_per_vm=_count,
@@ -322,7 +323,11 @@ _scenario = _section(
 
 def parse_scenario(data: Any) -> Scenario:
     """Build a Scenario from parsed config data (field errors carry paths)."""
-    return _scenario(data, "")
+    scenario = _scenario(data, "")
+    ops = scenario.dfsio.file_size_mb * KB_PER_MB / scenario.op_size_kb  # as ``count_io_ops`` counts one file
+    if not math.isfinite(ops):
+        _fail("op_size_kb", f"too small: one file of dfsio.file_size_mb would be {ops} operations")
+    return scenario
 
 
 class _UniqueKeyLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
@@ -457,11 +462,11 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
     """Run the benchmark under one storage config, snapshots included: one simulation.
 
     Read and mixed modes read input files that already exist, as TestDFSIO
-    ``-read`` does: ``place_input_files`` places them as a write pass
-    dispatched in task order would, and nothing simulates that pass. Under
-    the ``local`` config the run takes its snapshots as it goes, in the
-    same simulation, so their transfers' contention is visible in the
-    metrics.
+    ``-read`` does: ``run_dfsio`` places them as a write pass dispatched in
+    task order would, and nothing simulates that pass; a caller prepares
+    nothing in any mode. Under the ``local`` config the run takes its
+    snapshots as it goes, in the same simulation, so their transfers'
+    contention is visible in the metrics.
 
     Only the measured run is billed: ``io_ops`` and the instance-hours
     count its trace and its ``finished_at``, because the benchmark prices
@@ -470,17 +475,12 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
     cfg = storage_config or scenario.storage_config
     state, hdfs_volumes = build_state(scenario, cfg)
 
-    files = None
-    if scenario.dfsio.mode in (READ, MIXED):
-        files = place_input_files(state, scenario.dfsio, hdfs_volumes, scenario.dfs)
-
     run = run_dfsio(
         state,
         scenario.dfsio,
         hdfs_volumes,
         dfs_config=scenario.dfs,
         seed=scenario.seed,
-        files=files,
         snapshots=scenario.snapshot if cfg == "local" else None,
     )
 

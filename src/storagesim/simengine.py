@@ -6,7 +6,7 @@ max-min fair allocation by progressive filling (Bertsekas & Gallager,
 *Data Networks*, 6.5.2): all unfrozen flows rise together until some
 resource saturates, the flows crossing it freeze there, and the rest keep
 rising. The saturation levels sit in a heap, and a resource that a
-freeze touches is only marked stale: it is re-summed (at C level) when its
+freeze touches is only marked stale: it is re-summed (left to right) when its
 old entry comes within a slack of a round's level, so a resource touched
 in several rounds is summed once. A freeze below a resource's level can
 only raise it, bar rounding far below the slack, so an old entry never
@@ -165,6 +165,18 @@ class FlowRecord:
 LEVEL_KEY_SLACK = 1e-9
 
 
+def _left_sum(rates: Iterable[float]) -> float:
+    """``0.0 + r1 + r2 + ...``, left to right: the same float on every CPython.
+
+    The built-in ``sum`` of floats is compensated from CPython 3.12 on
+    (gh-100425), so it can differ from this in the last bit there.
+    """
+    total = 0.0
+    for rate in rates:
+        total += rate
+    return total
+
+
 def _fill(
     members: Mapping[str, dict[str, float]],
     hops: dict[str, tuple[str, ...]],
@@ -187,7 +199,7 @@ def _fill(
     later read could see the skipped writes. The warm solve keeps its
     ``members`` across steps and so keeps every write.
 
-    A resource's saturation is ``(capacity - sum(members)) / live flows``.
+    A resource's saturation is ``(capacity - _left_sum(members)) / live flows``.
     Each round freezes, at the round's level, the live flows of every
     resource whose saturation is at most that level: the least saturation,
     never below the previous round's level.
@@ -213,7 +225,7 @@ def _fill(
     """
     rates = dict.fromkeys(hops, 0.0)
     n_live = len(rates)
-    heap = [((capacities[rid] - sum(members[rid].values())) / len(fids), rid) for rid, fids in live.items()]
+    heap = [((capacities[rid] - _left_sum(members[rid].values())) / len(fids), rid) for rid, fids in live.items()]
     heapify(heap)
     slack = LEVEL_KEY_SLACK * max(map(capacities.__getitem__, live), default=0.0)
     stale: set[str] = set()  # touched by a freeze since its entry was summed
@@ -225,7 +237,7 @@ def _fill(
             continue
         if rid in stale:
             stale.remove(rid)
-            heapreplace(heap, ((capacities[rid] - sum(members[rid].values())) / len(fids), rid))
+            heapreplace(heap, ((capacities[rid] - _left_sum(members[rid].values())) / len(fids), rid))
             continue
         # The top is fresh. Every resource whose saturation is at most the
         # round's level, which is at most `reach - slack`, has its entry within reach.
@@ -237,7 +249,7 @@ def _fill(
             if fids:
                 if rid in stale:
                     stale.remove(rid)
-                    lvl = (capacities[rid] - sum(members[rid].values())) / len(fids)
+                    lvl = (capacities[rid] - _left_sum(members[rid].values())) / len(fids)
                 if lvl < least:
                     least = lvl
                 popped.append((lvl, rid))
@@ -279,13 +291,15 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float])
     solve's tables die with the call, so ``_fill`` returns as soon as a
     round freezes every flow still live, without writing that round into
     them: a solve that one round settles is one pass over the heap.
-    Exactness contract: a re-summed frozen usage is the plain ``sum`` of its
-    members' rates in member (flow-id) order, a live member counting 0.0
-    (``x + 0.0 == x`` for every ``x >= 0``, so this is the sum over the
-    frozen members alone), never ``fsum`` or a running total, and no float
-    depends on the order of a set or of the inputs. The rates are therefore
-    the same floats for any order of ``flows`` and ``capacities``, and equal
-    those of a full rescan every round.
+    Exactness contract: a re-summed frozen usage is the uncompensated
+    left-to-right sum (``_left_sum``) of its members' rates in member
+    (flow-id) order, a live member counting 0.0 (``x + 0.0 == x`` for every
+    ``x >= 0``, so this is the sum over the frozen members alone), never
+    ``fsum``, the compensated built-in ``sum`` of CPython 3.12 on, or a
+    running total, and no float depends on the order of a set or of the
+    inputs. The rates are therefore the same floats for any order of
+    ``flows`` and ``capacities`` and on every CPython, and equal those of a
+    full rescan every round.
     """
     flow_list = sorted(flows, key=attrgetter("flow_id"))
     # resource -> {flow id: its frozen rate, 0.0 while live}, keyed in flow-id order

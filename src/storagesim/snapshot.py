@@ -114,7 +114,7 @@ def plan_snapshots(
             records.append(SnapshotRecord(vol_id, taken_at=now, bytes_copied=dirty))
             covered[vol_id] = written
             flow_id = f"snap.{vol_id}.{k:03d}"
-            path = routes["snapshot", *volumes[vol_id].backing]
+            path = routes[("snapshot", *volumes[vol_id].backing)]
             if policy.bandwidth_cap is not None:  # each transfer gets its own cap resource, so its own path
                 cap_id = f"cap:{flow_id}"
                 sim.resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)

@@ -199,7 +199,7 @@ def test_criterion_6_snapshot_byte_accounting():
         traces = [w.trace]
         for _ in range(5):
             r = run_dfsio(state, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
-                          dfs_config=DfsConfig(replication_factor=1), seed=6, files=w.files)
+                          dfs_config=DfsConfig(replication_factor=1), seed=6)
             traces.append(r.trace)
         return traces
 

@@ -13,13 +13,12 @@ from storagesim.bench import (
     DfsioSpec,
     TaskStat,
     avg_io_rate,
-    place_input_files,
     run_dfsio,
     stddev_io_rate,
     throughput,
 )
 from storagesim.dfs import DfsConfig
-from storagesim.errors import EmptyStatsError, ReadBeforeWriteError
+from storagesim.errors import EmptyStatsError
 from storagesim.placement import ClusterState, place_vm
 from storagesim.simengine import verify_trace
 from storagesim.snapshot import SnapshotPolicy
@@ -158,12 +157,6 @@ def test_networked_write_fair_share_closed_form():
     assert verify_trace(run.trace) == []
 
 
-def test_read_before_write_is_an_error():
-    state, hdfs = dfs_cluster(n_hosts=3, spec=SMALL_VM)
-    with pytest.raises(ReadBeforeWriteError):
-        run_dfsio(state, DfsioSpec(n_files=3, file_size_mb=100.0, mode="read"), hdfs)
-
-
 def test_write_then_read_locality_keeps_reads_local():
     state, hdfs = dfs_cluster(n_hosts=5)
     spec = DfsioSpec(n_files=5, file_size_mb=1000.0, mode="write", slots_per_vm=1)
@@ -174,8 +167,8 @@ def test_write_then_read_locality_keeps_reads_local():
         hdfs,
         dfs_config=DfsConfig(replication_factor=3),
         seed=2,
-        files=w.files,
     )
+    assert r.files == w.files  # the write pass dispatched in task order, so it placed the read run's inputs
     # every reader holds replica 1 of its own file: all reads are disk-local
     assert all(not rec.path.resources[0].startswith("link:") and len(rec.path.resources) == 1
                for rec in r.trace.flows.values())
@@ -209,9 +202,6 @@ def test_run_dfsio_leaves_its_input_state_alone(monkeypatch, mode):
     state, hdfs = dfs_cluster(n_hosts=5)
     cfg = DfsConfig(replication_factor=3)
     spec = DfsioSpec(n_files=10, file_size_mb=128.0, mode=mode, slots_per_vm=2)
-    files = None
-    if mode == "mixed":
-        files = run_dfsio(state, spec._replace(mode="write"), hdfs, dfs_config=cfg, seed=8).files
     before = state.clone()
     cloned = []
     real_clone = ClusterState.clone
@@ -221,7 +211,7 @@ def test_run_dfsio_leaves_its_input_state_alone(monkeypatch, mode):
         return real_clone(self)
 
     monkeypatch.setattr(ClusterState, "clone", clone)
-    run = run_dfsio(state, spec, hdfs, dfs_config=cfg, seed=8, files=files, snapshots=SnapshotPolicy(interval_s=2.0))
+    run = run_dfsio(state, spec, hdfs, dfs_config=cfg, seed=8, snapshots=SnapshotPolicy(interval_s=2.0))
     assert cloned == []  # nothing is written to the state, so there is nothing to copy
     assert state == before
     stages = {rec.tags["stage"] for rec in run.trace.flows.values() if "stage" in rec.tags}
@@ -260,15 +250,12 @@ def test_tasks_queue_behind_map_capacity_and_slots():
 
 def test_mixed_mode_interleaves_reads_and_writes():
     state, hdfs = dfs_cluster(n_hosts=5)
-    spec = DfsioSpec(n_files=6, file_size_mb=200.0, mode="write", slots_per_vm=2)
-    w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=5)
     mixed = run_dfsio(
         state,
         DfsioSpec(n_files=6, file_size_mb=200.0, mode="mixed", slots_per_vm=2, read_fraction=0.5),
         hdfs,
         dfs_config=DfsConfig(replication_factor=1),
         seed=0,  # draws W W R R W R
-        files=w.files,
     )
     stages = {rec.tags["stage"] for rec in mixed.trace.flows.values()}
     assert "read" in stages and "primary" in stages
@@ -282,7 +269,7 @@ def _dispatch_order(run):
 
 def test_input_files_are_the_files_a_write_pass_in_task_order_places():
     rng = random.Random(26)
-    in_order = 0
+    in_order = read_files = 0
     for _ in range(40):
         n_hosts, vms_per_host = rng.randint(2, 4), rng.randint(1, 2)
         state, hdfs = dfs_cluster(n_hosts, vms_per_host, rng.choice(["local", "networked"]), spec=SMALL_VM)
@@ -300,8 +287,16 @@ def test_input_files_are_the_files_a_write_pass_in_task_order_places():
         if order != sorted(order):
             continue  # a writer's slots were full when its task headed the queue
         in_order += 1
-        assert place_input_files(state, spec, hdfs, cfg) == written.files, (spec, cfg)
-    assert in_order >= 30
+        run = run_dfsio(state, spec, hdfs, dfs_config=cfg)
+        # a write task of a mixed run places its own file as it starts; a read task's is its input file
+        reads = {task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "read"}
+        assert len(run.files) == spec.n_files, (spec, cfg)
+        for i, (got, want) in enumerate(zip(run.files, written.files)):
+            assert got.name == want.name
+            if f"t{i:04d}" in reads:
+                assert got == want, (spec, cfg, i)
+                read_files += 1
+    assert in_order >= 30 and read_files >= 100
 
 
 def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out_of_order():
@@ -318,7 +313,7 @@ def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out
     # with a slot per task no writer waits, so that write pass dispatches in task order
     unslotted = run_dfsio(state, spec._replace(mode="write", slots_per_vm=6), hdfs, dfs_config=cfg)
     assert _dispatch_order(unslotted) == [f"t{i:04d}" for i in range(6)]
-    files = place_input_files(state, spec, hdfs, cfg)
+    files = run_dfsio(state, spec, hdfs, dfs_config=cfg).files
     assert [f.name for f in files] == [f"test_io_{i}" for i in range(6)]
     assert files == unslotted.files
     assert files != slotted.files  # the out-of-order pass drew the shared stream in another order
@@ -328,7 +323,6 @@ def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out
 def test_each_run_resolves_every_path_once(monkeypatch, storage):
     state, hdfs = dfs_cluster(n_hosts=5, storage=storage)
     dfs_config = DfsConfig(replication_factor=3)
-    w = run_dfsio(state, DfsioSpec(n_files=60, file_size_mb=128.0), hdfs, dfs_config=dfs_config, seed=4)
     calls = Counter()
     real_management_path, real_resolve_io_path = volumes.management_path, volumes.resolve_io_path
 
@@ -348,7 +342,6 @@ def test_each_run_resolves_every_path_once(monkeypatch, storage):
         hdfs,
         dfs_config=dfs_config,
         seed=4,
-        files=w.files,
         snapshots=SnapshotPolicy(interval_s=5.0) if storage == "local" else None,
     )
     flows = run.trace.flows.values()
@@ -399,10 +392,9 @@ def test_each_run_resolves_every_path_once(monkeypatch, storage):
 @pytest.mark.parametrize("storage", ["networked", "local"])
 def test_flows_of_one_route_share_one_read_only_tags_mapping(storage):
     state, hdfs = dfs_cluster(n_hosts=5, storage=storage)
-    spec = DfsioSpec(n_files=40, file_size_mb=128.0, slots_per_vm=2)
-    files = run_dfsio(state, spec, hdfs, seed=6).files
+    spec = DfsioSpec(n_files=40, file_size_mb=128.0, mode="mixed", slots_per_vm=2)
     snapshots = SnapshotPolicy(interval_s=2.0) if storage == "local" else None
-    run = run_dfsio(state, spec._replace(mode="mixed"), hdfs, seed=6, files=files, snapshots=snapshots)
+    run = run_dfsio(state, spec, hdfs, seed=6, snapshots=snapshots)
     flows = run.trace.flows.values()
     bench_flows = [rec for rec in flows if "stage" in rec.tags]
     snapshot_flows = [rec for rec in flows if rec.tags.get("kind") == "snapshot"]

@@ -6,6 +6,10 @@ records the new digests here and lists the changed values in CHANGES.md.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,8 @@ import yaml
 
 from storagesim.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIOS = REPO / "scenarios"
 OUTPUTS = ("trace.csv", "tasks.csv", "result.json")
 
 
@@ -99,3 +104,46 @@ def test_run_outputs_match_golden_digests(tmp_path, name):
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS}
     assert got == digests
+
+
+# Runs each scenario in sys.argv[2:] through `storagesim run` into sys.argv[1] and prints {name: {file: sha256}}.
+DIGEST_RUNS = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from storagesim.cli import main
+digests = {}
+for scenario in map(Path, sys.argv[2:]):
+    out = Path(sys.argv[1]) / scenario.stem
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--scenario", str(scenario), "--out", str(out)])
+    digests[scenario.stem] = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in %r} if code == 0 else code
+print(json.dumps(digests))
+""" % (OUTPUTS,)
+
+
+def other_interpreters():
+    """The pyenv CPython 3.10+ interpreters installed beside the running one, which is left out."""
+    here = platform.python_version()
+    return [p for p in sorted(Path.home().glob(".pyenv/versions/3.1[0-9]*/bin/python")) if p.parent.parent.name != here]
+
+
+def test_every_installed_cpython_gives_the_golden_bytes(tmp_path):
+    # The engine's sums are left folds, so CPython 3.12's compensated sum() moves no bit; and the package
+    # must parse on 3.10, the declared minimum. PyYAML's C part loads on its own CPython only, so a
+    # directory holding just a link to the running interpreter's pure-Python package serves the rest.
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10+ under ~/.pyenv/versions")
+    (tmp_path / "pyyaml").mkdir()
+    (tmp_path / "pyyaml" / "yaml").symlink_to(Path(yaml.__file__).parent, target_is_directory=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(tmp_path / "pyyaml")]))
+    scenarios = []
+    for name, (doc, _digests) in GOLDEN.items():
+        scenarios.append(tmp_path / f"{name}.yaml")
+        scenarios[-1].write_text(yaml.safe_dump(doc))
+    for python in interpreters:
+        out = tmp_path / python.parent.parent.name
+        argv = [str(python), "-c", DIGEST_RUNS, str(out), *map(str, scenarios)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (python, done.stderr[-2000:])
+        assert json.loads(done.stdout) == {name: digests for name, (_doc, digests) in GOLDEN.items()}, python

@@ -8,13 +8,12 @@ import pytest
 import yaml
 
 from helpers import PARSERS, cli_in_fresh_interpreter, in_fresh_interpreter
-from storagesim import cli
+from storagesim import bench, cli
 from storagesim import scenario as scenario_module
 from storagesim.cli import main
 from storagesim.cost import count_io_ops
 from storagesim.errors import (
     NoFreeSlotsError,
-    ReadBeforeWriteError,
     ScenarioParseError,
     ScenarioValidationError,
     SimError,
@@ -220,6 +219,29 @@ def test_read_mode_scenario_reads_files_placed_as_the_write_pass_places_them():
         task, stage, src = fid.split(".")
         assert stage == "read" and rec.tags["vm"] == src  # read where it lies
         assert src in written[int(task[1:])].holders(), fid
+
+
+def test_a_mixed_run_checks_its_members_once_and_builds_one_set_of_placement_tables(monkeypatch):
+    # input files and written files come from the one run: one member check, one set of tables
+    calls = []
+    real_members, real_tables = bench._members, bench.PlacementTables
+
+    def members(*args):
+        calls.append("members")
+        return real_members(*args)
+
+    def tables(*args):
+        calls.append("tables")
+        return real_tables(*args)
+
+    monkeypatch.setattr(bench, "_members", members)
+    monkeypatch.setattr(bench, "PlacementTables", tables)
+    doc = scenario_doc()
+    doc["dfsio"]["mode"] = "mixed"
+    doc["dfs"]["replication_factor"] = 3
+    run = run_scenario(parse_scenario(doc), storage_config="local")
+    assert {rec.tags.get("stage") for rec in run.trace.flows.values()} >= {"primary", "replica", "read"}
+    assert calls == ["members", "tables"]
 
 
 def test_read_mode_bills_only_the_measured_run():
@@ -543,6 +565,9 @@ MALFORMED = [
     (("topology", "reference", "disk_read_bw"), math.nan),
     (("snapshot", "interval_s"), math.inf),  # these two never finished when accepted
     (("topology", "reference", "link_bw"), math.nan),
+    (("dfsio", "file_size_mb"), 1.0e-12),  # the engine completes such a file as it starts: 0 s, so no rate
+    (("dfsio", "file_size_mb"), 1.0e-9),
+    (("op_size_kb",), 1.0e-306),  # one file's operation count overflows to inf, on a networked run
 ]
 
 
@@ -550,20 +575,36 @@ def field_path(path):
     return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
 
 
-@pytest.mark.parametrize("path, value", MALFORMED, ids=[f"{field_path(p)}={v}" for p, v in MALFORMED])
-def test_cli_malformed_scenario_exits_2_with_the_field_path(tmp_path, capsys, path, value):
-    doc = yaml.safe_load((SCENARIOS / "reference.yaml").read_text())
+def reference_with(path, value, **top):
+    """``reference.yaml`` cut to three files, with ``top``'s keys and the field at ``path`` set to ``value``."""
+    doc = yaml.safe_load((SCENARIOS / "reference.yaml").read_text()) | top
     doc["dfsio"]["n_files"] = 3
     *parents, key = path
     section = doc
     for name in parents:
         section = section[name]
     section[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=[f"{field_path(p)}={v}" for p, v in MALFORMED])
+def test_cli_malformed_scenario_exits_2_with_the_field_path(tmp_path, capsys, path, value):
     out = tmp_path / "out"
-    assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, reference_with(path, value))), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: field ") and f"{field_path(path)}: " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, config",
+    [(("dfsio", "file_size_mb"), 2.0e-9, "local"), (("op_size_kb",), 1.0e-300, "networked")],  # just inside the bounds
+)
+def test_the_smallest_sizes_accepted_run(tmp_path, path, value, config):
+    doc = reference_with(path, value, storage_config=config)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+    assert json.loads((out / "result.json").read_text())["result"]["n_files"] == 3
 
 
 def test_invalid_reference_knob_exits_3(tmp_path, capsys):
@@ -575,7 +616,7 @@ def test_invalid_reference_knob_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("error", [RuntimeError, SimError, ReadBeforeWriteError, NoFreeSlotsError])
+@pytest.mark.parametrize("error", [RuntimeError, SimError, NoFreeSlotsError])
 def test_internal_error_exits_4_and_leaves_a_traceback(tmp_path, monkeypatch, capsys, error):
     path = write_scenario(tmp_path, scenario_doc())
 

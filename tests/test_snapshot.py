@@ -51,10 +51,8 @@ def _snapshot_flows(trace):
 
 def test_read_only_trace_produces_no_snapshots():
     state, hdfs = dfs_cluster(n_hosts=2, spec=SMALL_VM)
-    w = run_dfsio(state, DfsioSpec(n_files=2, file_size_mb=100.0, mode="write", slots_per_vm=1), hdfs,
-                  dfs_config=DfsConfig(replication_factor=1), seed=0)
     r = run_dfsio(state, DfsioSpec(n_files=2, file_size_mb=100.0, mode="read", slots_per_vm=1), hdfs,
-                  dfs_config=DfsConfig(replication_factor=1), seed=0, files=w.files,
+                  dfs_config=DfsConfig(replication_factor=1), seed=0,
                   snapshots=SnapshotPolicy(interval_s=10.0))
     assert r.snapshot_records == []
     assert _snapshot_flows(r.trace) == []
@@ -167,7 +165,7 @@ def test_write_once_read_five_times_network_bytes():
         traces = [w.trace]
         for i in range(5):
             r = run_dfsio(state, DfsioSpec(n_files=10, file_size_mb=1024.0, mode="read", slots_per_vm=2), hdfs,
-                          dfs_config=DfsConfig(replication_factor=1), seed=1, files=w.files)
+                          dfs_config=DfsConfig(replication_factor=1), seed=1)
             traces.append(r.trace)
         return traces
 
@@ -200,7 +198,7 @@ def test_ratio_identity_for_read_write_mix():
         traces = [w.trace]
         for _ in range(reads):
             r = run_dfsio(state, DfsioSpec(n_files=2, file_size_mb=400.0, mode="read", slots_per_vm=1), hdfs,
-                          dfs_config=DfsConfig(replication_factor=1), seed=3, files=w.files)
+                          dfs_config=DfsConfig(replication_factor=1), seed=3)
             traces.append(r.trace)
         total = math.fsum(network_bytes(t) for t in traces)
         assert total == pytest.approx(800.0 * (1 + reads))
