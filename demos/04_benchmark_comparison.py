@@ -12,7 +12,7 @@ from pathlib import Path
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.dfs import DfsConfig
 from storagesim.scenario import build_state, load_scenario
-from storagesim.volumes import resolve_io_path
+from storagesim.volumes import Routes
 
 # The canonical cluster and fleet: five pinned 4/8/32+20 VMs, one per host.
 REFERENCE = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml")
@@ -23,7 +23,7 @@ CFG = DfsConfig(replication_factor=1)
 for storage in ("local", "networked"):
     state, hdfs = build_state(REFERENCE, storage)
     vm0 = sorted(hdfs)[0]
-    path = resolve_io_path(state, vm0, hdfs[vm0], "write")
+    path = Routes(state, hdfs)["volume", vm0, "write"]
     print(f"{storage}: write path of {vm0} = {list(path.resources)}")
 
     write = run_dfsio(state, SPEC, hdfs, dfs_config=CFG, seed=42)

@@ -148,7 +148,7 @@ class DfsioRun(NamedTuple):
 
 class _Task:
     __slots__ = (
-        "index", "task_id", "mode", "file_name", "size_mb", "writer_vm",
+        "index", "task_id", "mode", "file_name", "writer_vm",
         "file", "vm", "start", "end", "outstanding",
     )
 
@@ -157,7 +157,6 @@ class _Task:
         index: int,  # 0-based internally
         mode: str,
         file_name: str,
-        size_mb: float,
         writer_vm: str,  # the file's writer: where a write task runs
         file: DfsFile | None,  # the file a read re-reads; placed at start for a write
     ):
@@ -165,7 +164,6 @@ class _Task:
         self.task_id = f"t{index:04d}"  # the prefix of every flow id the task starts
         self.mode = mode
         self.file_name = file_name
-        self.size_mb = size_mb
         self.writer_vm = writer_vm
         self.file = file
         self.vm: str | None = None
@@ -242,7 +240,7 @@ def run_dfsio(
     for i, mode in enumerate(task_modes):
         name, writer = _file_and_writer(i, members)
         file = place_file(placement, name, spec.file_size_mb, writer, dfs_config, input_rng) if input_rng else None
-        tasks.append(_Task(i, mode, name, spec.file_size_mb, writer, file if mode == READ else None))
+        tasks.append(_Task(i, mode, name, writer, file if mode == READ else None))
 
     routes = Routes(state, hdfs_volumes)
     sim = Simulation(build_resources(state.topology))
@@ -265,8 +263,8 @@ def run_dfsio(
 
     def start_write(task: _Task) -> None:
         vm = task.vm = task.writer_vm
-        task.file = place_file(placement, task.file_name, task.size_mb, vm, dfs_config, placement_rng)
-        start_flow(task, f"{task.task_id}.write", routes["volume", vm, "write"], task.size_mb, "primary", vm, vm)
+        task.file = place_file(placement, task.file_name, spec.file_size_mb, vm, dfs_config, placement_rng)
+        start_flow(task, f"{task.task_id}.write", routes["volume", vm, "write"], spec.file_size_mb, "primary", vm, vm)
 
     def start_replicas(task: _Task) -> None:
         targets: dict[str, float] = {}  # replica vm -> MB, summed in block order
@@ -341,9 +339,9 @@ def run_dfsio(
     stats = [
         TaskStat(
             task_index=t.index + 1,
-            file_size_mb=t.size_mb,
+            file_size_mb=spec.file_size_mb,
             elapsed_s=t.end - t.start,
-            rate=t.size_mb / (t.end - t.start),
+            rate=spec.file_size_mb / (t.end - t.start),
         )
         for t in tasks
     ]

@@ -34,6 +34,11 @@ class ReplicaCoLocationWarning(UserWarning):
     """All replicas share one rack: a host loss would take every copy."""
 
 
+# The most blocks a scenario's file may split into; HDFS's NameNode bounds a file the same way
+# (dfs.namenode.fs-limits.max-blocks-per-file). ``place_file`` builds a replica set per block.
+MAX_BLOCKS_PER_FILE = 10_000
+
+
 class DfsConfig(NamedTuple):
     block_size_mb: float = 64.0
     replication_factor: int = 3
@@ -51,9 +56,6 @@ class BlockReplicaSet(NamedTuple):
 
 class DfsFile(NamedTuple):
     name: str
-    size_mb: float
-    block_size_mb: float
-    replication_factor: int
     blocks: tuple[BlockReplicaSet, ...]
 
     def holders(self) -> tuple[str, ...]:
@@ -153,7 +155,7 @@ def place_file(
     for i in range(max(1, math.ceil(size_mb / block_size_mb))):
         block_mb = min(block_size_mb, size_mb - i * block_size_mb)
         blocks.append(place_replicas(tables, writer_vm, f"{name}:b{i:04d}", block_mb, rf, rng))
-    return DfsFile(name, size_mb, block_size_mb, rf, tuple(blocks))
+    return DfsFile(name, tuple(blocks))
 
 
 def schedule_map_task(task_id: str, slots: dict[str, int], replicas: tuple[str, ...] = ()) -> str:

@@ -41,19 +41,20 @@ class VmSpec(NamedTuple):
 
 
 class VmInstance:
-    __slots__ = ("id", "host_id", "spec", "volumes", "state")
+    """A placed VM; its volumes are those whose ``attached_to`` names it."""
 
-    def __init__(self, id: str, host_id: str, spec: VmSpec, volumes: list[str] | None = None, state: str = RUNNING):
+    __slots__ = ("id", "host_id", "spec", "state")
+
+    def __init__(self, id: str, host_id: str, spec: VmSpec, state: str = RUNNING):
         self.id = id
         self.host_id = host_id
         self.spec = spec
-        self.volumes = [] if volumes is None else volumes
         self.state = state
 
     __eq__ = volumes_mod.same_fields
 
     def copy(self) -> VmInstance:
-        return VmInstance(self.id, self.host_id, self.spec, list(self.volumes), self.state)
+        return VmInstance(self.id, self.host_id, self.spec, self.state)
 
 
 class ClusterState:
@@ -223,9 +224,9 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
         raise InsufficientCapacityError(f"host {target_host} lacks vcpus, RAM or disk room for {vm_id}")
 
     new = state.clone()
-    vm = new.instances[vm_id]
-    for vol_id in list(vm.volumes):
-        vol = new.volumes[vol_id]
+    for vol in new.volumes.values():
+        if vol.attached_to != vm_id:
+            continue
         if vol.kind in volumes_mod.VM_LIFETIME_KINDS:
             # file-backed local disk: recreated empty on the target
             vol.backing = (target_host, target_disk.id)
@@ -233,7 +234,6 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
         elif vol.kind == volumes_mod.LOCAL_PERSISTENT:
             # partition stays put with its data; volume detaches
             vol.attached_to = None
-            vm.volumes.remove(vol_id)
         # networked volumes remain attached unchanged
-    vm.host_id = target_host
+    new.instances[vm_id].host_id = target_host
     return new

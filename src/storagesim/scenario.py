@@ -32,7 +32,7 @@ import yaml
 
 from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
 from .cost import DEFAULT_OP_SIZE_KB, KB_PER_MB, CostReport, PriceTable, compute_cost, count_io_ops, savings
-from .dfs import DfsConfig
+from .dfs import MAX_BLOCKS_PER_FILE, DfsConfig
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
 from .placement import ClusterState, VmSpec, place_vm
 from .simengine import COMPLETION_EPS, SimTrace
@@ -98,7 +98,7 @@ _number = _is(int, float)
 
 
 def _text(value: Any, path: str) -> str:
-    """A link name: a string, or an int taken as its decimal text (YAML reads ``nic_links: [1]`` as an int)."""
+    """A link endpoint: a string, or an int taken as its decimal text (YAML reads ``[1, h1]``'s 1 as an int)."""
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
     return _str(value, path)
@@ -230,10 +230,9 @@ _explicit_topology = _section(
             ram_gb=_num,
             disks=_disks,
             local_persistent_group=_disks,
-            nic_links=_names,
         )
     ),
-    controller=_section(ControllerNode, id=_str, disks=_disks, nic_links=_names),
+    controller=_section(ControllerNode, id=_str, disks=_disks),
     links=_list_of(
         _section(NetworkLink, id=_str, bandwidth=_num, endpoints=_endpoints, role=_str)
     ),
@@ -327,6 +326,9 @@ def parse_scenario(data: Any) -> Scenario:
     ops = scenario.dfsio.file_size_mb * KB_PER_MB / scenario.op_size_kb  # as ``count_io_ops`` counts one file
     if not math.isfinite(ops):
         _fail("op_size_kb", f"too small: one file of dfsio.file_size_mb would be {ops} operations")
+    blocks = scenario.dfsio.file_size_mb / scenario.dfs.block_size_mb  # ``place_file`` makes ceil(blocks) blocks
+    if not blocks <= MAX_BLOCKS_PER_FILE:  # ceil(blocks) exceeds the integer bound exactly when blocks does
+        _fail("dfs.block_size_mb", f"too small: it splits one dfsio file into over {MAX_BLOCKS_PER_FILE} blocks")
     return scenario
 
 
@@ -406,9 +408,8 @@ def build_state(scenario: Scenario, storage_config: str | None = None) -> tuple[
     try:
         for vm_id in vm_ids:
             if cfg == "local":
-                vm = state.instances[vm_id]
-                root = next(v for v in vm.volumes if state.volumes[v].kind == volumes_mod.ROOT)
-                hdfs_volumes[vm_id] = root
+                vols = state.volumes.values()
+                hdfs_volumes[vm_id] = next(v.id for v in vols if v.attached_to == vm_id and v.kind == volumes_mod.ROOT)
             else:
                 kind = volumes_mod.NETWORKED if cfg == "networked" else volumes_mod.LOCAL_PERSISTENT
                 state, vol = volumes_mod.attach_volume(state, vm_id, kind, scenario.volume_size_gb)

@@ -4,7 +4,8 @@ The model is deliberately small. Hosts own local disks (and optionally a
 group of local-persistent partitions), a single controller node backs all
 networked volumes, and point-to-point links form two shared networks: a
 management network that carries every simulated byte of networked-volume
-traffic, and a public network that carries none.
+traffic, and a public network that carries none. A node's links are the
+links whose ``endpoints`` name it; nodes list none themselves.
 
 Units: capacities in GB, bandwidth in MB/s (1 Gbit/s = 125 MB/s).
 """
@@ -43,7 +44,7 @@ class NetworkLink(NamedTuple):
 
 
 class PhysicalHost(NamedTuple):
-    """A compute host: vcpus, RAM, local disks, and NIC attachments.
+    """A compute host: vcpus, RAM and local disks; its links are those whose endpoints name it.
 
     ``local_persistent_group`` models the proposed storage class: disk
     partitions that survive VM termination and are never reformatted.
@@ -54,7 +55,6 @@ class PhysicalHost(NamedTuple):
     ram_gb: float
     disks: tuple[DiskSpec, ...]
     local_persistent_group: tuple[DiskSpec, ...] = ()
-    nic_links: tuple[str, ...] = ()
 
 
 class ControllerNode(NamedTuple):
@@ -62,7 +62,6 @@ class ControllerNode(NamedTuple):
 
     disks: tuple[DiskSpec, ...]
     id: str = CONTROLLER_ID
-    nic_links: tuple[str, ...] = ()
 
 
 class ClusterTopology(NamedTuple):
@@ -123,7 +122,6 @@ def topology_issues(t: ClusterTopology) -> list[TopologyIssue]:
             issues.append(TopologyIssue("duplicate-id", f"id {node_id!r} used more than once"))
         seen.add(node_id)
 
-    link_ids = {l.id for l in t.links}
     for l in t.links:
         if not _finite_positive(l.bandwidth):
             issues.append(TopologyIssue("nonpositive-capacity", f"link {l.id} bandwidth={l.bandwidth}"))
@@ -139,18 +137,10 @@ def topology_issues(t: ClusterTopology) -> list[TopologyIssue]:
             issues.append(TopologyIssue("nonpositive-capacity", f"host {h.id} has no disks"))
         issues.extend(_disk_issues(h.id, h.disks))
         issues.extend(_disk_issues(h.id, h.local_persistent_group))
-        for lid in h.nic_links:
-            if lid not in link_ids:
-                issues.append(TopologyIssue("dangling-link-reference", f"host {h.id} references unknown link {lid!r}"))
 
     if not t.controller.disks:
         issues.append(TopologyIssue("nonpositive-capacity", f"controller {t.controller.id} has no disks"))
     issues.extend(_disk_issues(t.controller.id, t.controller.disks))
-    for lid in t.controller.nic_links:
-        if lid not in link_ids:
-            issues.append(
-                TopologyIssue("dangling-link-reference", f"controller {t.controller.id} references unknown link {lid!r}")
-            )
 
     reachable = _management_tree(t, t.controller.id)
     for h in t.hosts:
@@ -267,7 +257,6 @@ def reference_cluster(
                 ram_gb=ram_gb,
                 disks=(DiskSpec(id="disk1", capacity_gb=disk_capacity_gb, write_bw=disk_write_bw, read_bw=disk_read_bw),),
                 local_persistent_group=group,
-                nic_links=(mgmt.id, pub.id),
             )
         )
 
@@ -284,6 +273,5 @@ def reference_cluster(
                 read_bw=controller_read_bw if controller_read_bw is not None else disk_read_bw,
             ),
         ),
-        nic_links=(ctl_mgmt.id, ctl_pub.id),
     )
     return validate_topology(ClusterTopology(hosts=tuple(hosts), controller=controller, links=tuple(links)))

@@ -33,7 +33,6 @@ EPHEMERAL = "ephemeral"
 NETWORKED = "networked"
 LOCAL_PERSISTENT = "local_persistent"
 
-LOCAL_KINDS = frozenset({ROOT, EPHEMERAL, LOCAL_PERSISTENT})
 # File-backed on the VM's host disk: their data dies with the VM.
 VM_LIFETIME_KINDS = frozenset({ROOT, EPHEMERAL})
 
@@ -127,7 +126,6 @@ def provision_local_volume(state: ClusterState, vm: VmInstance, kind: str, size_
         attached_to=vm.id,
     )
     state.volumes[vol.id] = vol
-    vm.volumes.append(vol.id)
     return vol
 
 
@@ -164,7 +162,6 @@ def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) ->
         vol = _attach_partition(new, vm, size_gb, host)
 
     new.volumes[vol.id] = vol
-    vm.volumes.append(vol.id)
     return new, vol
 
 
@@ -192,13 +189,16 @@ def _attach_partition(state: ClusterState, vm: VmInstance, size_gb: float, host)
     raise InsufficientSpaceError(f"host {host.id} has no free local-persistent partition >= {size_gb} GB")
 
 
-def resolve_io_path(state: ClusterState, vm_id: str, volume_id: str, direction: Direction) -> ResourcePath:
+def resolve_io_path(routes: Routes, vm_id: str, volume_id: str, direction: Direction) -> ResourcePath:
     """Resources an I/O stream from this VM to this volume crosses.
 
-    root/ephemeral/local_persistent touch only the host disk, so their
-    performance never depends on the network. networked volumes cross the
-    management links to the controller and end at the controller disk.
+    The stream crosses ``routes``' links from the VM's host to the volume's
+    node, then the volume's disk. root/ephemeral/local_persistent sit on the
+    VM's own host, so they touch only that disk and their performance never
+    depends on the network. networked volumes cross the management links to
+    the controller and end at the controller disk.
     """
+    state = routes.state
     vm = state.instances.get(vm_id)
     if vm is None:
         raise VmNotFoundError(f"no VM {vm_id!r}")
@@ -207,8 +207,7 @@ def resolve_io_path(state: ClusterState, vm_id: str, volume_id: str, direction: 
         raise VolumeNotAttachedError(f"volume {volume_id!r} is not attached to {vm_id}")
 
     node_id, disk_id = vol.backing
-    hops = () if vol.kind in LOCAL_KINDS else management_path(state.topology, vm.host_id, node_id)
-    return ResourcePath(tuple(link_resource_id(l.id) for l in hops) + (disk_resource_id(node_id, disk_id),), direction)
+    return ResourcePath(routes["links", vm.host_id, node_id] + (disk_resource_id(node_id, disk_id),), direction)
 
 
 class Routes(dict):
@@ -231,7 +230,7 @@ class Routes(dict):
         if kind == "links":
             route = () if a == b else tuple(link_resource_id(l.id) for l in management_path(self.state.topology, a, b))
         elif kind == "volume":
-            route = resolve_io_path(self.state, a, self.dfs_volumes[a], b)
+            route = resolve_io_path(self, a, self.dfs_volumes[a], b)
         elif kind == "replica":
             links = self["links", self.state.instances[a].host_id, self.state.instances[b].host_id]
             route = ResourcePath(links + self["volume", b, "write"].resources, "write")
@@ -256,12 +255,10 @@ def terminate_vm(state: ClusterState, vm_id: str) -> ClusterState:
     """
     state.running_vm(vm_id)  # raises VmNotFoundError
     new = state.clone()
-    vm = new.instances[vm_id]
-    for vol_id in vm.volumes:
-        vol = new.volumes[vol_id]
-        if vol.kind in VM_LIFETIME_KINDS:
-            vol.data_lost = True
-        vol.attached_to = None
-    vm.volumes.clear()
-    vm.state = "terminated"
+    for vol in new.volumes.values():
+        if vol.attached_to == vm_id:
+            if vol.kind in VM_LIFETIME_KINDS:
+                vol.data_lost = True
+            vol.attached_to = None
+    new.instances[vm_id].state = "terminated"
     return new

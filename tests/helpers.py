@@ -63,13 +63,17 @@ def member_tables(state: ClusterState) -> PlacementTables:
     return PlacementTables(state, sorted(state.instances))
 
 
+def attached(state: ClusterState, vm_id: str) -> list[str]:
+    """The ids of the volumes attached to ``vm_id``, in creation order: those whose ``attached_to`` names it."""
+    return [vol.id for vol in state.volumes.values() if vol.attached_to == vm_id]
+
+
 def bind_dfs_volumes(state: ClusterState, storage: str = "local", volume_size_gb: float = 100.0):
     """Attach/locate the DFS data volume for every VM; returns (state, map)."""
     hdfs: dict[str, str] = {}
     for vm_id in sorted(state.instances):
-        vm = state.instances[vm_id]
         if storage == "local":
-            hdfs[vm_id] = next(v for v in vm.volumes if state.volumes[v].kind == ROOT)
+            hdfs[vm_id] = next(v for v in attached(state, vm_id) if state.volumes[v].kind == ROOT)
         else:
             kind = NETWORKED if storage == "networked" else LOCAL_PERSISTENT
             state, vol = attach_volume(state, vm_id, kind, volume_size_gb)

@@ -22,7 +22,7 @@ from storagesim.errors import EmptyStatsError
 from storagesim.placement import ClusterState, place_vm
 from storagesim.simengine import verify_trace
 from storagesim.snapshot import SnapshotPolicy
-from storagesim.volumes import ResourcePath, disk_resource_id
+from storagesim.volumes import ResourcePath, Routes, disk_resource_id
 
 
 def task_of(rec):
@@ -330,9 +330,9 @@ def test_each_run_resolves_every_path_once(monkeypatch, storage):
         calls["link", src, dst] += 1
         return real_management_path(topology, src, dst)
 
-    def resolve_io_path(state, vm_id, volume_id, direction):
+    def resolve_io_path(routes, vm_id, volume_id, direction):
         calls["volume", vm_id] += 1
-        return real_resolve_io_path(state, vm_id, volume_id, direction)
+        return real_resolve_io_path(routes, vm_id, volume_id, direction)
 
     monkeypatch.setattr(volumes, "management_path", management_path)
     monkeypatch.setattr(volumes, "resolve_io_path", resolve_io_path)
@@ -372,7 +372,7 @@ def test_each_run_resolves_every_path_once(monkeypatch, storage):
     replica_paths = shared_paths("replica", lambda rec: (writer_of[task_of(rec)], rec.tags["vm"]))
 
     def fresh_replica_path(writer, peer):
-        volume = real_resolve_io_path(state, peer, hdfs[peer], "write").resources
+        volume = real_resolve_io_path(Routes(state, hdfs), peer, hdfs[peer], "write").resources
         return ResourcePath(links(host_of[writer], host_of[peer]) + volume, "write")
 
     assert all(list(paths.values()) == [fresh_replica_path(*key)] for key, paths in replica_paths.items())
@@ -380,13 +380,33 @@ def test_each_run_resolves_every_path_once(monkeypatch, storage):
     read_paths = shared_paths("read", lambda rec: (rec.flow_id.split(".read.")[1], rec.tags["vm"]))
 
     def fresh_read_path(src, reader):
-        volume = real_resolve_io_path(state, src, hdfs[src], "read").resources
+        volume = real_resolve_io_path(Routes(state, hdfs), src, hdfs[src], "read").resources
         return ResourcePath(volume + links(host_of[src], host_of[reader]), "read")
 
     assert all(list(paths.values()) == [fresh_read_path(*key)] for key, paths in read_paths.items())
     n_reads = sum(rec.tags.get("stage") == "read" for rec in flows)
     assert n_reads > len(read_paths)  # some read path is shared
     assert any(host_of[src] != host_of[reader] for src, reader in read_paths)  # some read is remote
+
+
+def test_vms_that_share_a_host_share_its_links_to_the_controller(monkeypatch):
+    # two networked DFS VMs per host: both volume paths take the host's one ("links", host, controller) entry
+    state, hdfs = dfs_cluster(n_hosts=3, vms_per_host=2, storage="networked", spec=SMALL_VM)
+    calls = Counter()
+    real_management_path = volumes.management_path
+
+    def management_path(topology, src, dst):
+        calls[src, dst] += 1
+        return real_management_path(topology, src, dst)
+
+    monkeypatch.setattr(volumes, "management_path", management_path)
+    spec = DfsioSpec(n_files=12, file_size_mb=100.0, mode="mixed", read_fraction=0.5, slots_per_vm=1)
+    run = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=3), seed=3)
+    assert {rec.tags["stage"] for rec in run.trace.flows.values()} == {"primary", "replica", "read"}
+    hosts = sorted({vm.host_id for vm in state.instances.values()})
+    assert len(hosts) == 3 and len(hdfs) == 6
+    assert {(host, "controller") for host in hosts} <= calls.keys()
+    assert max(calls.values()) == 1, calls.most_common(3)  # one call per node pair routed
 
 
 @pytest.mark.parametrize("storage", ["networked", "local"])

@@ -5,6 +5,7 @@ leave these digests alone. A change that moves any value on purpose
 records the new digests here and lists the changed values in CHANGES.md.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -16,6 +17,9 @@ import pytest
 import yaml
 
 from storagesim.cli import main
+from storagesim.scenario import parse_scenario, run_scenario
+from storagesim.snapshot import SnapshotPolicy
+from storagesim.topology import reference_cluster
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -104,6 +108,37 @@ def test_run_outputs_match_golden_digests(tmp_path, name):
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS}
     assert got == digests
+
+
+def twice_as_fast(doc):
+    """``doc`` with every disk, link and controller bandwidth doubled and the snapshot interval halved.
+
+    An absent knob takes its default first; a controller bandwidth left unset follows the host disks.
+    """
+    doc = copy.deepcopy(doc)
+    knobs, defaults = doc["topology"]["reference"], reference_cluster.__kwdefaults__
+    for knob in ("disk_read_bw", "disk_write_bw", "link_bw", "controller_read_bw", "controller_write_bw"):
+        if knobs.get(knob, defaults[knob]) is not None:
+            knobs[knob] = 2 * knobs.get(knob, defaults[knob])
+    snapshot = doc.setdefault("snapshot", {})
+    snapshot["interval_s"] = snapshot.get("interval_s", SnapshotPolicy().interval_s) / 2
+    if snapshot.get("bandwidth_cap") is not None:
+        snapshot["bandwidth_cap"] *= 2
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_twice_the_bandwidth_halves_every_time_exactly(name):
+    # Metamorphic and oracle-free: a power of two rescales every float exactly, so the run is the same run
+    # at twice the speed, with the same events in the same order.
+    doc = GOLDEN[name][0]
+    base, fast = (run_scenario(parse_scenario(d)) for d in (doc, twice_as_fast(doc)))
+    assert len(fast.trace.events) == len(base.trace.events) > 100
+    for (t, kind, flow, resource, value), got in zip(base.trace.events, fast.trace.events):
+        assert got == (t / 2, kind, flow, resource, 2 * value if kind == "rate_change" else value)
+    assert [(s.task_index, s.file_size_mb, s.elapsed_s / 2, s.rate * 2) for s in base.stats] == fast.stats
+    assert [(r.volume_id, r.taken_at / 2, r.bytes_copied) for r in base.snapshot_records] == fast.snapshot_records
+    assert (fast.network_mb, fast.io_ops) == (base.network_mb, base.io_ops)
 
 
 # Runs each scenario in sys.argv[2:] through `storagesim run` into sys.argv[1] and prints {name: {file: sha256}}.

@@ -41,7 +41,6 @@ EXPLICIT = {
                 "vcpus": 8,
                 "ram_gb": 32,
                 "disks": [{"id": "disk1", "capacity_gb": 500, "write_bw": 120, "read_bw": 150}],
-                "nic_links": ["m1"],
             }
         ],
         "controller": {"id": "controller", "disks": [{"id": "disk1", "capacity_gb": 2000, "write_bw": 100, "read_bw": 100}]},

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import PINNED_VM, SMALL_VM
+from helpers import PINNED_VM, SMALL_VM, attached
 from oracles import capacity_violations
 from storagesim.errors import InsufficientCapacityError, MigrationDisabledError, NoCandidateHostError
 from storagesim.placement import (
@@ -70,9 +70,9 @@ def test_no_candidate_when_spec_exceeds_host(empty_state):
 
 def test_place_creates_root_and_ephemeral_on_same_disk(empty_state):
     state, vm = place_vm(empty_state, PINNED_VM)
-    kinds = {state.volumes[v].kind for v in vm.volumes}
+    kinds = {state.volumes[v].kind for v in attached(state, vm.id)}
     assert kinds == {"root", "ephemeral"}
-    backings = {state.volumes[v].backing for v in vm.volumes}
+    backings = {state.volumes[v].backing for v in attached(state, vm.id)}
     assert backings == {(vm.host_id, "disk1")}
     assert state.disk_used_gb(vm.host_id, "disk1") == 52.0
 
@@ -97,7 +97,7 @@ def test_migration_moves_rack_and_loses_local_data(empty_state):
     spec = VmSpec(vcpus=2, ram_gb=4.0, root_disk_gb=20.0, ephemeral_gb=10.0, migratable=True)
     state, vm = place_vm(empty_state, spec, policy="first_fit")
     state, net_vol = attach_volume(state, vm.id, NETWORKED, 50.0)
-    root_id = next(v for v in state.instances[vm.id].volumes if state.volumes[v].kind == "root")
+    root_id = next(v for v in attached(state, vm.id) if state.volumes[v].kind == "root")
 
     moved = migrate_vm(state, vm.id, "h02")
     vm2 = moved.instances[vm.id]

@@ -57,10 +57,9 @@ def switched_topologies(draw, n_hosts: int) -> dict:
                 "ram_gb": 16,
                 "disks": [disk("disk1", 1000)],
                 "local_persistent_group": [disk("part1", 200)],
-                "nic_links": [f"up-{host_id}"],
             }
         )
-    controller = {"id": "controller", "disks": [disk("disk1", 1000)], "nic_links": ["up-controller"]}
+    controller = {"id": "controller", "disks": [disk("disk1", 1000)]}
     return {"hosts": hosts, "controller": controller, "links": links}
 
 

@@ -111,7 +111,6 @@ def test_explicit_topology_section_round_trips():
                 "vcpus": 8,
                 "ram_gb": 32,
                 "disks": [{"id": "disk1", "capacity_gb": 500, "write_bw": 120, "read_bw": 150}],
-                "nic_links": ["m1"],
             }
         ],
         "controller": {"id": "controller", "disks": [{"id": "disk1", "capacity_gb": 2000, "write_bw": 100, "read_bw": 100}]},
@@ -125,44 +124,55 @@ def test_explicit_topology_section_round_trips():
     assert run.result.n_files == 2
 
 
-def one_host_doc(nic_link="1", endpoint="controller"):
-    """A one-host explicit topology with one link, id "1", from h01 to ``endpoint``."""
+def one_host_doc(host_end="1", controller_end="controller"):
+    """A one-host explicit topology, host "1", with one link from ``host_end`` to ``controller_end``."""
     doc = scenario_doc()
     doc["topology"] = {
         "hosts": [
             {
-                "id": "h01",
+                "id": "1",
                 "vcpus": 8,
                 "ram_gb": 32,
                 "disks": [{"id": "disk1", "capacity_gb": 500, "write_bw": 120, "read_bw": 150}],
-                "nic_links": [nic_link],
             }
         ],
         "controller": {"id": "controller", "disks": [{"id": "disk1", "capacity_gb": 2000, "write_bw": 100, "read_bw": 100}]},
-        "links": [{"id": "1", "bandwidth": 125, "endpoints": ["h01", endpoint]}],
+        "links": [{"id": "m1", "bandwidth": 125, "endpoints": [host_end, controller_end]}],
     }
     doc["vms"] = [{"vcpus": 2, "ram_gb": 4, "root_disk_gb": 20, "count": 2}]
     doc["dfsio"]["n_files"] = 2
     return doc
 
 
-def test_integer_link_name_is_read_as_its_decimal_text(tmp_path):
-    # YAML reads `nic_links: [1]` as an int; it names link "1"
-    path = write_scenario(tmp_path, one_host_doc(nic_link=1))
+def test_integer_endpoint_is_read_as_its_decimal_text(tmp_path):
+    # YAML reads `endpoints: [1, controller]`'s 1 as an int; it names node "1", the host
+    path = write_scenario(tmp_path, one_host_doc(host_end=1))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
-NOT_TEXT = [("nic_link", v) for v in (None, True, [], {"id": "1"}, 1.5, math.nan)]
-NOT_TEXT += [("endpoint", v) for v in (None, 2.0, {})]
-NAME_FIELD = {"nic_link": "topology.hosts[0].nic_links[0]", "endpoint": "topology.links[0].endpoints[1]"}
+NOT_TEXT = [("host_end", v) for v in (None, True, [], {"id": "1"}, 1.5, math.nan)]
+NOT_TEXT += [("controller_end", v) for v in (None, 2.0, {})]
+NAME_FIELD = {"host_end": "topology.links[0].endpoints[0]", "controller_end": "topology.links[0].endpoints[1]"}
 
 
 @pytest.mark.parametrize("key, value", NOT_TEXT, ids=[f"{k}={v!r}" for k, v in NOT_TEXT])
-def test_link_name_that_is_not_text_exits_2_with_the_field_path(tmp_path, capsys, key, value):
+def test_endpoint_that_is_not_text_exits_2_with_the_field_path(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     path = write_scenario(tmp_path, one_host_doc(**{key: value}))
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"parse error: field {NAME_FIELD[key]}: expected str, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("node", ["hosts[0]", "controller"])
+def test_a_node_that_lists_its_links_exits_2(tmp_path, capsys, node):
+    # a node's links are the links whose endpoints name it; there is no second list to keep in step
+    doc = one_host_doc()
+    section = doc["topology"]["hosts"][0] if node == "hosts[0]" else doc["topology"]["controller"]
+    section["nic_links"] = ["m1"]
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"parse error: field topology.{node}.nic_links: unknown option\n"
     assert not out.exists()
 
 
@@ -605,6 +615,21 @@ def test_the_smallest_sizes_accepted_run(tmp_path, path, value, config):
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
     assert json.loads((out / "result.json").read_text())["result"]["n_files"] == 3
+
+
+@pytest.mark.parametrize("file_size_mb", [10_000, 10_001])
+def test_a_file_splits_into_at_most_10000_blocks(tmp_path, capsys, file_size_mb):
+    # place_file makes one block record per block, so a tiny block size is refused before anything runs
+    doc = reference_with(("dfs", "block_size_mb"), 1, storage_config="local_persistent")
+    doc["dfsio"].update(n_files=1, file_size_mb=file_size_mb)
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
+    if file_size_mb == 10_000:
+        assert code == 0 and json.loads((out / "result.json").read_text())["result"]["total_mb"] == 10_000
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.startswith("parse error: field dfs.block_size_mb: too small: ")
+        assert not out.exists()  # so no error.log either
 
 
 def test_invalid_reference_knob_exits_3(tmp_path, capsys):

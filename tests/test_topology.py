@@ -47,17 +47,6 @@ def test_zero_hosts_is_an_error():
     assert "empty-topology" in codes
 
 
-def test_dangling_link_reference():
-    host = PhysicalHost(id="h1", vcpus=4, ram_gb=16, disks=(disk(),), nic_links=("nope",))
-    topo = ClusterTopology(
-        hosts=(host,),
-        controller=ControllerNode(id="c", disks=(disk(),)),
-        links=(NetworkLink(id="m1", bandwidth=125.0, endpoints=("h1", "c")),),
-    )
-    codes = [i.code for i in topology_issues(topo)]
-    assert "dangling-link-reference" in codes
-
-
 def test_unreachable_host_without_management_link():
     host = PhysicalHost(id="h1", vcpus=4, ram_gb=16, disks=(disk(),))
     topo = ClusterTopology(hosts=(host,), controller=ControllerNode(id="c", disks=(disk(),)), links=())
@@ -66,22 +55,24 @@ def test_unreachable_host_without_management_link():
 
 
 def test_every_violation_reported_independently():
-    # three independent faults: nonpositive capacity, duplicate id, dangling link
+    # three independent faults: nonpositive capacity, duplicate id, a link from a node to itself
     bad_disk = DiskSpec(id="d1", capacity_gb=-1.0, write_bw=100.0, read_bw=100.0)
-    host_a = PhysicalHost(id="h1", vcpus=4, ram_gb=16, disks=(bad_disk,), nic_links=("m1",))
-    host_b = PhysicalHost(id="h1", vcpus=4, ram_gb=16, disks=(disk(),), nic_links=("missing",))
+    host_a = PhysicalHost(id="h1", vcpus=4, ram_gb=16, disks=(bad_disk,))
+    host_b = PhysicalHost(id="h1", vcpus=4, ram_gb=16, disks=(disk(),))
     topo = ClusterTopology(
         hosts=(host_a, host_b),
         controller=ControllerNode(id="c", disks=(disk(),)),
         links=(
             NetworkLink(id="m1", bandwidth=125.0, endpoints=("h1", "c")),
             NetworkLink(id="m2", bandwidth=125.0, endpoints=("h1", "c")),
+            NetworkLink(id="loop", bandwidth=125.0, endpoints=("c", "c")),
         ),
     )
     codes = [i.code for i in topology_issues(topo)]
     assert codes.count("nonpositive-capacity") == 1
     assert codes.count("duplicate-id") == 1
-    assert codes.count("dangling-link-reference") == 1
+    assert codes.count("identical-endpoints") == 1
+    assert len(codes) == 3
     with pytest.raises(TopologyValidationError) as exc:
         validate_topology(topo)
     assert len(exc.value.issues) == len(codes)
@@ -131,10 +122,10 @@ def two_route_topology() -> ClusterTopology:
 
     return ClusterTopology(
         hosts=(
-            PhysicalHost(id="h1", vcpus=1, ram_gb=1, disks=(disk(),), nic_links=("b1", "a1")),
+            PhysicalHost(id="h1", vcpus=1, ram_gb=1, disks=(disk(),)),
             PhysicalHost(id="h2", vcpus=1, ram_gb=1, disks=(disk(),)),
         ),
-        controller=ControllerNode(id="c", disks=(disk(),), nic_links=("b2", "a2")),
+        controller=ControllerNode(id="c", disks=(disk(),)),
         links=(mgmt("b1", "h1", "s1"), mgmt("b2", "s1", "c"), mgmt("a1", "h1", "s2"), mgmt("a2", "s2", "c")),
     )
 

@@ -24,11 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
 NAMED_TUPLES = {
     topology.DiskSpec: ("id capacity_gb write_bw read_bw", {}),
     topology.NetworkLink: ("id bandwidth endpoints role", {"role": topology.ROLE_MANAGEMENT}),
-    topology.PhysicalHost: (
-        "id vcpus ram_gb disks local_persistent_group nic_links",
-        {"local_persistent_group": (), "nic_links": ()},
-    ),
-    topology.ControllerNode: ("disks id nic_links", {"id": topology.CONTROLLER_ID, "nic_links": ()}),
+    topology.PhysicalHost: ("id vcpus ram_gb disks local_persistent_group", {"local_persistent_group": ()}),
+    topology.ControllerNode: ("disks id", {"id": topology.CONTROLLER_ID}),
     topology.ClusterTopology: ("hosts controller links", {"links": ()}),
     topology.TopologyIssue: ("code message", {}),
     placement.VmSpec: (
@@ -40,7 +37,7 @@ NAMED_TUPLES = {
         {"block_size_mb": 64.0, "replication_factor": 3, "seed": 0},
     ),
     dfs.BlockReplicaSet: ("block_id replicas bytes_mb", {}),
-    dfs.DfsFile: ("name size_mb block_size_mb replication_factor blocks", {}),
+    dfs.DfsFile: ("name blocks", {}),
     simengine.Resource: ("id read_capacity write_capacity", {}),
     simengine.TraceViolation: ("code time message", {}),
     snapshot.SnapshotPolicy: ("interval_s bandwidth_cap", {"interval_s": 3600.0, "bandwidth_cap": None}),
@@ -116,7 +113,7 @@ def test_named_tuple_methods():
     b0 = dfs.BlockReplicaSet("f:b0000", (("vm003", "h03"), ("vm001", "h01"), ("vm002", "h01")), 64.0)
     b1 = dfs.BlockReplicaSet("f:b0001", (("vm003", "h03"), ("vm004", "h04")), 8.0)
     assert b0.vms() == ("vm003", "vm001", "vm002")  # writer first
-    f = dfs.DfsFile("f", 72.0, 64.0, 3, (b0, b1))
+    f = dfs.DfsFile("f", (b0, b1))
     assert f.holders() == ("vm001", "vm002", "vm003", "vm004")  # sorted, each once
     assert (f.name, f.blocks[1].bytes_mb) == ("f", 8.0)
 
@@ -164,7 +161,7 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     records = [
         simengine.FlowRecord("f", path, 1.0, 0.0, None, {}),
         simengine.SimTrace(),
-        bench._Task(0, bench.WRITE, "test_io_0", 1.0, "vm001", None),
+        bench._Task(0, bench.WRITE, "test_io_0", "vm001", None),
         placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0)),
         placement.ClusterState(topology.reference_cluster(1)),
         volumes.Volume("vol001", volumes.ROOT, 10.0, ("h01", "disk1")),
@@ -172,12 +169,12 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     assert [type(r) for r in records] == list(SLOTTED)
     assert not any(hasattr(r, "__dict__") for r in records)
     assert simengine.SimTrace().events is not simengine.SimTrace().events
-    task = bench._Task(1, bench.READ, "f", 1.0, None, None)
+    task = bench._Task(1, bench.READ, "f", None, None)
     assert (task.outstanding, task.task_id) == (0, "t0001")  # a count, and the prefix of its flows' ids
     assert not [s for s in bench._Task.__slots__ if isinstance(getattr(task, s), (list, set, dict))]
     vm = placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0))
-    assert vm.volumes is not placement.VmInstance("vm002", "h01", vm.spec).volumes
-    assert vm == vm.copy() and vm.copy().volumes is not vm.volumes
+    assert vm == vm.copy() and vm.copy() is not vm
+    assert "volumes" not in placement.VmInstance.__slots__  # a VM's volumes are those attached to it
     changed = vm.copy()
     changed.state = "terminated"
     assert vm != changed

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import SMALL_VM, placed_cluster
+from helpers import SMALL_VM, attached, placed_cluster
 from storagesim.errors import InsufficientSpaceError, NoLocalPersistentGroupError, VolumeNotAttachedError
 from storagesim.placement import place_vm
 from storagesim.volumes import (
@@ -66,23 +66,23 @@ def test_volume_sizes_never_exceed_disk_capacity(state):
 
 def test_io_path_local_kinds_touch_only_the_host_disk(state):
     vm = vm_of(state)
-    root = next(v for v in state.instances[vm].volumes if state.volumes[v].kind == ROOT)
-    path = resolve_io_path(state, vm, root, "read")
+    root = next(v for v in attached(state, vm) if state.volumes[v].kind == ROOT)
+    path = resolve_io_path(Routes(state, {}), vm, root, "read")
     assert path.resources == ("disk:h01:disk1",)
     assert path.direction == "read"
 
     state, placed = place_vm(state, SMALL_VM._replace(ephemeral_gb=5.0), policy="first_fit")
-    eph = next(v for v in placed.volumes if state.volumes[v].kind == EPHEMERAL)
-    assert resolve_io_path(state, placed.id, eph, "write").resources == (f"disk:{placed.host_id}:disk1",)
+    eph = next(v for v in attached(state, placed.id) if state.volumes[v].kind == EPHEMERAL)
+    assert resolve_io_path(Routes(state, {}), placed.id, eph, "write").resources == (f"disk:{placed.host_id}:disk1",)
 
     state, part = attach_volume(state, vm, LOCAL_PERSISTENT, 50.0)
-    assert resolve_io_path(state, vm, part.id, "write").resources == ("disk:h01:part1",)
+    assert resolve_io_path(Routes(state, {}), vm, part.id, "write").resources == ("disk:h01:part1",)
 
 
 def test_io_path_networked_crosses_management_links(state):
     vm = vm_of(state)
     state, vol = attach_volume(state, vm, NETWORKED, 100.0)
-    path = resolve_io_path(state, vm, vol.id, "write")
+    path = resolve_io_path(Routes(state, {}), vm, vol.id, "write")
     assert path.resources == ("link:mgmt-h01", "link:mgmt-controller", "disk:controller:disk1")
     assert sum(is_link_resource(r) for r in path.resources) >= 1
 
@@ -97,7 +97,7 @@ def test_route_links_name_the_management_route_and_nothing_within_a_node(state):
 def test_routes_compose_volume_paths_and_management_links(state):
     a, b = vm_of(state, 0), vm_of(state, 1)
     state, net = attach_volume(state, a, NETWORKED, 10.0)
-    root = next(v for v in state.instances[b].volumes if state.volumes[v].kind == ROOT)
+    root = next(v for v in attached(state, b) if state.volumes[v].kind == ROOT)
     routes = Routes(state, {a: net.id, b: root})
     to_controller = ("link:mgmt-h01", "link:mgmt-controller", "disk:controller:disk1")
     assert routes["volume", a, "write"] == ResourcePath(to_controller, "write")
@@ -116,9 +116,9 @@ def test_path_shape_matches_kind_invariant(state):
     vm = vm_of(state)
     state, net = attach_volume(state, vm, NETWORKED, 10.0)
     state, part = attach_volume(state, vm, LOCAL_PERSISTENT, 10.0)
-    for vol_id in state.instances[vm].volumes:
+    for vol_id in attached(state, vm):
         vol = state.volumes[vol_id]
-        path = resolve_io_path(state, vm, vol_id, "read")
+        path = resolve_io_path(Routes(state, {}), vm, vol_id, "read")
         links = [r for r in path.resources if is_link_resource(r)]
         if vol.kind == NETWORKED:
             assert len(links) >= 1 and path.resources[-1].startswith("disk:controller:")
@@ -131,12 +131,12 @@ def test_detached_volume_has_no_path(state):
     state, vol = attach_volume(state, vm, NETWORKED, 10.0)
     after = terminate_vm(state, vm)
     with pytest.raises(VolumeNotAttachedError):
-        resolve_io_path(after, vm, vol.id, "read")
+        resolve_io_path(Routes(after, {}), vm, vol.id, "read")
 
 
 def test_clean_terminate_loses_root_keeps_networked(state):
     vm = vm_of(state)
-    root = next(v for v in state.instances[vm].volumes if state.volumes[v].kind == ROOT)
+    root = next(v for v in attached(state, vm) if state.volumes[v].kind == ROOT)
     state, net = attach_volume(state, vm, NETWORKED, 10.0)
 
     after = terminate_vm(state, vm)
@@ -186,8 +186,8 @@ def test_multi_hop_networked_path():
         return DiskSpec(id="d1", capacity_gb=1000.0, write_bw=100.0, read_bw=100.0)
 
     topo = ClusterTopology(
-        hosts=(PhysicalHost(id="h1", vcpus=4, ram_gb=16.0, disks=(disk("h1"),), nic_links=("l1",)),),
-        controller=ControllerNode(id="ctl", disks=(disk("ctl"),), nic_links=("l3",)),
+        hosts=(PhysicalHost(id="h1", vcpus=4, ram_gb=16.0, disks=(disk("h1"),)),),
+        controller=ControllerNode(id="ctl", disks=(disk("ctl"),)),
         links=(
             NetworkLink(id="l1", bandwidth=125.0, endpoints=("h1", "agg")),
             NetworkLink(id="l2", bandwidth=125.0, endpoints=("agg", "core")),
@@ -199,7 +199,7 @@ def test_multi_hop_networked_path():
     state = ClusterState.from_topology(topo)
     state, vm = _place(state, VmSpec(vcpus=1, ram_gb=1.0, root_disk_gb=10.0))
     state, vol = attach_volume(state, vm.id, NETWORKED, 50.0)
-    path = resolve_io_path(state, vm.id, vol.id, "write")
+    path = resolve_io_path(Routes(state, {}), vm.id, vol.id, "write")
     assert path.resources == ("link:l1", "link:l2", "link:l3", "disk:ctl:d1")
 
 
