@@ -151,9 +151,16 @@ def _internal_error(out: Path, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     collecting = gc.isenabled()
-    gc.disable()
+    gc.disable()  # before the parser too: building it allocates enough to start a collection
+    try:
+        return _command(_parser().parse_args(argv))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _command(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if getattr(args, "seed", None) is not None:
@@ -181,9 +188,6 @@ def main(argv=None) -> int:
         return _internal_error(Path(args.out), str(e))
     except Exception as e:  # last resort: the traceback goes to a file when it can, not the UI
         return _internal_error(Path(args.out), f"{type(e).__name__}: {e}")
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import gc
 import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -738,6 +739,31 @@ def test_a_command_pauses_cycle_collection_and_restores_the_callers_setting(tmp_
     finally:
         (gc.enable if was else gc.disable)()
     assert during == ([] if code == 2 else [False])  # a parse error stops before the run
+
+
+def test_no_collection_starts_anywhere_inside_a_command(tmp_path):
+    path = write_scenario(tmp_path, scenario_doc())
+    started = []
+
+    def count(phase, info):  # a pass counts when main is on the stack that started it
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not main.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    assert gc.isenabled()
+    gc.set_threshold(1)  # with collection on, the first new container object starts a pass
+    gc.callbacks.append(count)
+    try:
+        assert main(["validate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        with pytest.raises(SystemExit):  # argparse's own exit restores collection too
+            main(["run", "--no-such-option"])
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert started == [] and gc.isenabled()
 
 
 # -- the parser's own machinery -----------------------------------------------
