@@ -11,7 +11,7 @@ from storagesim.volumes import ResourcePath
 
 def running(fid, resources, size_mb=1000.0):
     """A flow that has started at t=0 and not finished, as the engine holds it."""
-    return FlowRecord(fid, ResourcePath(resources, "write"), size_mb, 0.0, None, {}, size_mb)
+    return FlowRecord(fid, ResourcePath(resources, "write"), size_mb, None, {}, size_mb)
 
 
 def show(title, flows, caps):
@@ -37,7 +37,8 @@ link = ResourcePath(("link",), "write")
 sim.add_flow("short", link, 500.0)
 sim.add_flow("long", link, 1000.0)
 trace = sim.run()
+started = {fid: time for time, kind, fid, _, _ in trace.events if kind == "flow_start"}  # a flow's start is in the trace
 for rec in trace.flows.values():
-    print(f"  {rec.flow_id}: [{rec.start_time}, {rec.end_time}] s")
+    print(f"  {rec.flow_id}: [{started[rec.flow_id]}, {rec.end_time}] s")
 print(f"  trace audit: {verify_trace(trace) or 'clean'}")
 print("  (short finishes at 10 s; long then takes the whole link and ends at 15 s)")

@@ -31,15 +31,15 @@ def rack_spread(f):
 
 
 tables = build(n_hosts=5, vms_per_host=1)
-f = place_file(tables, "part-00000", 200.0, "vm001", DfsConfig(block_size_mb=64.0, replication_factor=3), random.Random(7))
+f = place_file(tables, 200.0, "vm001", DfsConfig(block_size_mb=64.0, replication_factor=3), random.Random(7))
 print("five hosts, rf=3, 200 MB file in 64 MB blocks:")
-for block in f.blocks:
-    print(f"  {block.block_id} ({block.bytes_mb:.0f} MB): {[f'{vm}@{rack}' for vm, rack in block.replicas]}")
+for i, block in enumerate(f.blocks):
+    print(f"  block {i} ({block.bytes_mb:.0f} MB): {[f'{vm}@{rack}' for vm, rack in block.replicas]}")
 print(f"minimum racks any block spans: {rack_spread(f)}")
 
 print("\n1000 seeded placements, worst-case rack spread:")
 worst = min(
-    rack_spread(place_file(tables, f"f{i}", 64.0, "vm003", DfsConfig(replication_factor=3), random.Random(i)))
+    rack_spread(place_file(tables, 64.0, "vm003", DfsConfig(replication_factor=3), random.Random(i)))
     for i in range(1000)
 )
 print(f"  {worst} (never below 2 on a multi-rack cluster)")
@@ -48,6 +48,6 @@ print("\nthe degenerate case: three VMs packed on one host")
 single = build(n_hosts=1, vms_per_host=3)
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    f = place_file(single, "risky", 64.0, "vm001", DfsConfig(replication_factor=3), random.Random(0))
+    f = place_file(single, 64.0, "vm001", DfsConfig(replication_factor=3), random.Random(0))
 print(f"  replicas: {[vm for vm, _ in f.blocks[0].replicas]} all on rack h01")
 print(f"  warning raised: {caught[0].message}")

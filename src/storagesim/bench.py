@@ -41,6 +41,10 @@ WRITE = "write"
 READ = "read"
 MIXED = "mixed"
 
+# The most blocks a scenario's run may place: a read or mixed run places every input file before its first task.
+# 10**6 is about 150 times the 6 400 blocks of the reference scenario on 80 hosts (400 files of 16 blocks).
+MAX_BLOCKS_PER_RUN = 10**6
+
 
 class DfsioSpec(NamedTuple):
     """Benchmark shape: how many files, how big, and how parallel."""
@@ -147,23 +151,18 @@ class DfsioRun(NamedTuple):
 
 
 class _Task:
-    __slots__ = (
-        "index", "task_id", "mode", "file_name", "writer_vm",
-        "file", "vm", "start", "end", "outstanding",
-    )
+    __slots__ = ("index", "task_id", "mode", "writer_vm", "file", "vm", "start", "end", "outstanding")
 
     def __init__(
         self,
         index: int,  # 0-based internally
         mode: str,
-        file_name: str,
         writer_vm: str,  # the file's writer: where a write task runs
         file: DfsFile | None,  # the file a read re-reads; placed at start for a write
     ):
         self.index = index
         self.task_id = f"t{index:04d}"  # the prefix of every flow id the task starts
         self.mode = mode
-        self.file_name = file_name
         self.writer_vm = writer_vm
         self.file = file
         self.vm: str | None = None
@@ -182,11 +181,6 @@ def _members(state: ClusterState, hdfs_volumes: Mapping[str, str]) -> list[str]:
         if vol is None or vol.attached_to != vm_id:
             raise SimError(f"hdfs volume {hdfs_volumes[vm_id]!r} is not attached to {vm_id}")
     return members
-
-
-def _file_and_writer(i: int, members: Sequence[str]) -> tuple[str, str]:
-    """Task ``i``'s file name and writer: round-robin, task i on member i mod n."""
-    return f"test_io_{i}", members[i % len(members)]
 
 
 def run_dfsio(
@@ -238,9 +232,9 @@ def run_dfsio(
     input_rng = random.Random(dfs_config.seed) if READ in task_modes else None
     tasks = []
     for i, mode in enumerate(task_modes):
-        name, writer = _file_and_writer(i, members)
-        file = place_file(placement, name, spec.file_size_mb, writer, dfs_config, input_rng) if input_rng else None
-        tasks.append(_Task(i, mode, name, writer, file if mode == READ else None))
+        writer = members[i % len(members)]  # round-robin: task i on member i mod n
+        file = place_file(placement, spec.file_size_mb, writer, dfs_config, input_rng) if input_rng else None
+        tasks.append(_Task(i, mode, writer, file if mode == READ else None))
 
     routes = Routes(state, hdfs_volumes)
     sim = Simulation(build_resources(state.topology))
@@ -263,7 +257,7 @@ def run_dfsio(
 
     def start_write(task: _Task) -> None:
         vm = task.vm = task.writer_vm
-        task.file = place_file(placement, task.file_name, spec.file_size_mb, vm, dfs_config, placement_rng)
+        task.file = place_file(placement, spec.file_size_mb, vm, dfs_config, placement_rng)
         start_flow(task, f"{task.task_id}.write", routes["volume", vm, "write"], spec.file_size_mb, "primary", vm, vm)
 
     def start_replicas(task: _Task) -> None:

@@ -46,7 +46,6 @@ class DfsConfig(NamedTuple):
 
 
 class BlockReplicaSet(NamedTuple):
-    block_id: str
     replicas: tuple[tuple[str, str], ...]  # (vm id, rack id), writer first
     bytes_mb: float
 
@@ -55,7 +54,6 @@ class BlockReplicaSet(NamedTuple):
 
 
 class DfsFile(NamedTuple):
-    name: str
     blocks: tuple[BlockReplicaSet, ...]
 
     def holders(self) -> tuple[str, ...]:
@@ -100,7 +98,6 @@ class PlacementTables:
 def place_replicas(
     tables: PlacementTables,
     writer_vm: str,
-    block_id: str,
     bytes_mb: float,
     rf: int,
     rng: random.Random,
@@ -138,12 +135,11 @@ def place_replicas(
             ReplicaCoLocationWarning,
             stacklevel=2,
         )
-    return BlockReplicaSet(block_id, tuple([tables.pair_of[vm] for vm in chosen]), bytes_mb)
+    return BlockReplicaSet(tuple([tables.pair_of[vm] for vm in chosen]), bytes_mb)
 
 
 def place_file(
     tables: PlacementTables,
-    name: str,
     size_mb: float,
     writer_vm: str,
     config: DfsConfig,
@@ -154,8 +150,8 @@ def place_file(
     blocks = []
     for i in range(max(1, math.ceil(size_mb / block_size_mb))):
         block_mb = min(block_size_mb, size_mb - i * block_size_mb)
-        blocks.append(place_replicas(tables, writer_vm, f"{name}:b{i:04d}", block_mb, rf, rng))
-    return DfsFile(name, tuple(blocks))
+        blocks.append(place_replicas(tables, writer_vm, block_mb, rf, rng))
+    return DfsFile(tuple(blocks))
 
 
 def schedule_map_task(task_id: str, slots: dict[str, int], replicas: tuple[str, ...] = ()) -> str:

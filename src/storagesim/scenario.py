@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, NamedTuple, NoReturn
 
 import yaml
 
-from .bench import MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
+from .bench import MAX_BLOCKS_PER_RUN, MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
 from .cost import DEFAULT_OP_SIZE_KB, KB_PER_MB, CostReport, PriceTable, compute_cost, count_io_ops, savings
 from .dfs import MAX_BLOCKS_PER_FILE, DfsConfig
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
@@ -38,6 +38,9 @@ from .placement import ClusterState, VmSpec, place_vm
 from .simengine import COMPLETION_EPS, SimTrace
 from .snapshot import SnapshotPolicy, SnapshotRecord, network_bytes
 from .topology import (
+    MAX_REFERENCE_HOSTS,
+    ROLE_MANAGEMENT,
+    ROLE_PUBLIC,
     ClusterTopology,
     ControllerNode,
     DiskSpec,
@@ -111,19 +114,19 @@ def _num(value: Any, path: str) -> float:
     return float(value) + 0.0  # -0.0 + 0.0 is 0.0, so no output prints a negative zero; every other float is kept
 
 
-def _num_where(holds: Callable[[float], bool], text: str) -> Check:
-    def check(value: Any, path: str) -> float:
-        value = _num(value, path)
+def _where(check: Check, holds: Callable[[Any], bool], text: str) -> Check:
+    def where(value: Any, path: str) -> Any:
+        value = check(value, path)
         if not holds(value):
             _fail(path, f"must be {text}, got {value}")
         return value
 
-    return check
+    return where
 
 
-_positive = _num_where(lambda x: x > 0, "positive")
-_nonnegative = _num_where(lambda x: x >= 0, "non-negative")
-_fraction = _num_where(lambda x: 0 <= x <= 1, "in [0, 1]")
+_positive = _where(_num, lambda x: x > 0, "positive")
+_nonnegative = _where(_num, lambda x: x >= 0, "non-negative")
+_fraction = _where(_num, lambda x: 0 <= x <= 1, "in [0, 1]")
 
 
 def _int(value: Any, path: str) -> int:
@@ -133,11 +136,7 @@ def _int(value: Any, path: str) -> int:
     return int(value)
 
 
-def _count(value: Any, path: str) -> int:
-    value = _int(value, path)
-    if value < 1:
-        _fail(path, f"must be at least 1, got {value}")
-    return value
+_count = _where(_int, lambda x: x >= 1, "at least 1")
 
 
 def _one_of(check: Check, *choices: Any) -> Check:
@@ -218,6 +217,7 @@ def _endpoints(value: Any, path: str) -> tuple[str, str]:
     return endpoints
 
 
+_role = _one_of(_str, ROLE_MANAGEMENT, ROLE_PUBLIC)  # any other text would count as public: no management path
 _disks = _list_of(_section(DiskSpec, id=_str, capacity_gb=_num, write_bw=_num, read_bw=_num))
 
 _explicit_topology = _section(
@@ -233,16 +233,14 @@ _explicit_topology = _section(
         )
     ),
     controller=_section(ControllerNode, id=_str, disks=_disks),
-    links=_list_of(
-        _section(NetworkLink, id=_str, bandwidth=_num, endpoints=_endpoints, role=_str)
-    ),
+    links=_list_of(_section(NetworkLink, id=_str, bandwidth=_num, endpoints=_endpoints, role=_role)),
 )
 
 _reference_topology = _section(
     lambda reference: reference,
     reference=_section(
         reference_cluster,
-        n_hosts=_count,
+        n_hosts=_where(_int, lambda x: 1 <= x <= MAX_REFERENCE_HOSTS, f"in [1, {MAX_REFERENCE_HOSTS}]"),
         disk_capacity_gb=_num,
         disk_read_bw=_num,
         disk_write_bw=_num,
@@ -297,7 +295,7 @@ _scenario = _section(
         DfsioSpec,
         n_files=_count,
         # the engine completes a file of at most COMPLETION_EPS MB as it starts: 0 s, so no rate
-        file_size_mb=_num_where(lambda x: x > COMPLETION_EPS, f"above {COMPLETION_EPS} MB"),
+        file_size_mb=_where(_num, lambda x: x > COMPLETION_EPS, f"above {COMPLETION_EPS} MB"),
         mode=_one_of(_str, WRITE, READ, MIXED),
         map_capacity=_count,
         slots_per_vm=_count,
@@ -329,6 +327,8 @@ def parse_scenario(data: Any) -> Scenario:
     blocks = scenario.dfsio.file_size_mb / scenario.dfs.block_size_mb  # ``place_file`` makes ceil(blocks) blocks
     if not blocks <= MAX_BLOCKS_PER_FILE:  # ceil(blocks) exceeds the integer bound exactly when blocks does
         _fail("dfs.block_size_mb", f"too small: it splits one dfsio file into over {MAX_BLOCKS_PER_FILE} blocks")
+    if scenario.dfsio.n_files * max(1, math.ceil(blocks)) > MAX_BLOCKS_PER_RUN:
+        _fail("dfsio.n_files", f"too large: the run's files would split into over {MAX_BLOCKS_PER_RUN} blocks")
     return scenario
 
 

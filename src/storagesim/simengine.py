@@ -132,19 +132,18 @@ _NO_TAGS: Mapping[str, str] = MappingProxyType({})
 class FlowRecord:
     """A flow, and the engine's only object for it, from ``Simulation.add_flow`` on.
 
-    ``start_time`` is the simulation's ``now`` at the add. The engine
+    Its start time is its ``flow_start`` event's, in the trace. The engine
     advances ``remaining_mb`` and ``rate`` in place while the flow runs, and
     sets ``end_time`` and zeroes ``remaining_mb`` when it ends.
     """
 
-    __slots__ = ("flow_id", "path", "size_mb", "start_time", "end_time", "tags", "remaining_mb", "rate")
+    __slots__ = ("flow_id", "path", "size_mb", "end_time", "tags", "remaining_mb", "rate")
 
     def __init__(
         self,
         flow_id: str,
         path: ResourcePath,
         size_mb: float,
-        start_time: float,
         end_time: float | None,
         tags: Mapping[str, str],
         remaining_mb: float = 0.0,
@@ -153,7 +152,6 @@ class FlowRecord:
         self.flow_id = flow_id
         self.path = path
         self.size_mb = size_mb
-        self.start_time = start_time
         self.end_time = end_time
         self.tags = tags
         self.remaining_mb = remaining_mb
@@ -466,7 +464,7 @@ class Simulation:
                     self._capacities[rid] = min(resource.read_capacity, resource.write_capacity)
             self._checked_paths[id(path)] = path
         now = self.now
-        self._active[flow_id] = flows[flow_id] = record = FlowRecord(flow_id, path, size_mb, now, None, tags, size_mb)
+        self._active[flow_id] = flows[flow_id] = record = FlowRecord(flow_id, path, size_mb, None, tags, size_mb)
         self._trace.events.append((now, "flow_start", flow_id, "", size_mb))
         self._arrived.append(record)
 
@@ -713,9 +711,7 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
             prev_t = time
 
         if kind == "flow_start":
-            rec = active[fid] = trace.flows.get(fid) or FlowRecord(
-                fid, ResourcePath(("?",), "read"), value, time, None, {}
-            )
+            rec = active[fid] = trace.flows.get(fid) or FlowRecord(fid, ResourcePath(("?",), "read"), value, None, {})
             hops[fid] = rec.path.resources
             rate.setdefault(fid, 0.0)
             moved.setdefault(fid, 0.0)

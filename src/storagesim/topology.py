@@ -207,6 +207,10 @@ def validate_topology(t: ClusterTopology) -> ClusterTopology:
 MANAGEMENT_NET = "mgmt-net"
 PUBLIC_NET = "pub-net"
 
+# The most hosts a scenario's reference cluster may have: placing a VM checks every host, and each check scans the
+# host list, so the cost of building a cluster's state grows with the square of its hosts.
+MAX_REFERENCE_HOSTS = 1000
+
 
 def reference_cluster(
     n_hosts: int = 5,

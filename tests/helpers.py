@@ -1,5 +1,5 @@
 """Shared helpers: placed clusters, their placement tables or a DFS volume bound per VM, one-call engine runs,
-named trace events, and a fresh interpreter that parses scenarios with a chosen YAML parser."""
+named trace events, a flow's start time, and a fresh interpreter that parses scenarios with a chosen YAML parser."""
 
 from __future__ import annotations
 
@@ -114,6 +114,12 @@ PARSERS = [
     "pure",
 ]
 _CHOOSE_PARSER = "import sys, yaml\nif sys.argv[1] == 'pure':\n    yaml.__with_libyaml__ = False\n"
+
+
+def start_time(trace: SimTrace, flow_id: str) -> float:
+    """The time of ``flow_id``'s one ``flow_start`` event: the trace is where a flow's start is kept."""
+    (time,) = [time for time, kind, fid, _, _ in trace.events if kind == "flow_start" and fid == flow_id]
+    return time
 
 
 def in_fresh_interpreter(parser: str, code: str, *args: str) -> subprocess.CompletedProcess:

@@ -172,7 +172,7 @@ def verify_trace_reference(trace: SimTrace) -> list[TraceViolation]:
             prev_t = t
 
         if kind == "flow_start":
-            rec = active[fid] = trace.flows.get(fid) or FlowRecord(fid, ResourcePath(("?",), "read"), value, t, None, {})
+            rec = active[fid] = trace.flows.get(fid) or FlowRecord(fid, ResourcePath(("?",), "read"), value, None, {})
             hops[fid] = rec.path.resources
             moved.setdefault(fid, 0.0)
         elif kind == "rate_change":
@@ -198,7 +198,6 @@ def verify_trace_reference(trace: SimTrace) -> list[TraceViolation]:
 def place_replicas_reference(
     state: ClusterState,
     writer_vm: str,
-    block_id: str,
     bytes_mb: float,
     rf: int,
     rng: random.Random,
@@ -234,11 +233,7 @@ def place_replicas_reference(
             ReplicaCoLocationWarning,
             stacklevel=2,
         )
-    return BlockReplicaSet(
-        block_id=block_id,
-        replicas=tuple((vm, rack_of[vm]) for vm in chosen),
-        bytes_mb=bytes_mb,
-    )
+    return BlockReplicaSet(replicas=tuple((vm, rack_of[vm]) for vm in chosen), bytes_mb=bytes_mb)
 
 
 def network_bytes_reference(trace: SimTrace) -> float:

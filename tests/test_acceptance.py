@@ -139,7 +139,7 @@ def test_criterion_4_fair_share_matches_oracle():
                 for j in range(rng.randint(1, 5))
             }
         flows = [
-            FlowRecord(fid, ResourcePath(p, "write"), 1000.0, 0.0, None, {}, 1000.0)
+            FlowRecord(fid, ResourcePath(p, "write"), 1000.0, None, {}, 1000.0)
             for fid, p in sorted(paths.items())
         ]
         got = allocate_rates(flows, caps)
@@ -172,7 +172,7 @@ def test_criterion_5_rack_awareness_over_10000_placements():
         tables = clusters[placements % len(clusters)]
         members = tables.members
         writer = members[rng.randrange(len(members))]
-        block = place_replicas(tables, writer, f"b{placements}", 64.0, rf=3, rng=rng)
+        block = place_replicas(tables, writer, 64.0, rf=3, rng=rng)
         vms = block.vms()
         assert len(set(vms)) == 3, vms
         assert len({rack for _, rack in block.replicas}) >= 2, block
@@ -181,7 +181,7 @@ def test_criterion_5_rack_awareness_over_10000_placements():
 
     with pytest.warns(ReplicaCoLocationWarning):
         single = member_tables(placed_cluster(n_hosts=1, vms_per_host=3, spec=SMALL_VM))
-        place_replicas(single, single.members[0], "b", 64.0, rf=3, rng=rng)
+        place_replicas(single, single.members[0], 64.0, rf=3, rng=rng)
     _line(5, "10,000 seeded placements all span >=2 racks on distinct VMs; single-rack warns", True,
           f"{placements} placements over {len(clusters)} cluster shapes")
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import SMALL_VM, bind_dfs_volumes, dfs_cluster, placed_cluster
+from helpers import SMALL_VM, bind_dfs_volumes, dfs_cluster, placed_cluster, start_time
 from oracles import avg_rate_oracle, throughput_oracle
 from storagesim import volumes
 from storagesim.bench import (
@@ -235,7 +235,7 @@ def test_tasks_queue_behind_map_capacity_and_slots():
     for rec in run.trace.flows.values():
         idx = task_of(rec)
         s, e = intervals.get(idx, (math.inf, 0.0))
-        intervals[idx] = (min(s, rec.start_time), max(e, rec.end_time))
+        intervals[idx] = (min(s, start_time(run.trace, rec.flow_id)), max(e, rec.end_time))
         if rec.tags["stage"] == "primary":
             vm_of_task[idx] = rec.tags["vm"]
     boundaries = sorted({t for s, e in intervals.values() for t in (s, e)})
@@ -292,7 +292,6 @@ def test_input_files_are_the_files_a_write_pass_in_task_order_places():
         reads = {task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "read"}
         assert len(run.files) == spec.n_files, (spec, cfg)
         for i, (got, want) in enumerate(zip(run.files, written.files)):
-            assert got.name == want.name
             if f"t{i:04d}" in reads:
                 assert got == want, (spec, cfg, i)
                 read_files += 1
@@ -314,7 +313,6 @@ def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out
     unslotted = run_dfsio(state, spec._replace(mode="write", slots_per_vm=6), hdfs, dfs_config=cfg)
     assert _dispatch_order(unslotted) == [f"t{i:04d}" for i in range(6)]
     files = run_dfsio(state, spec, hdfs, dfs_config=cfg).files
-    assert [f.name for f in files] == [f"test_io_{i}" for i in range(6)]
     assert files == unslotted.files
     assert files != slotted.files  # the out-of-order pass drew the shared stream in another order
 

@@ -83,7 +83,6 @@ def _trace_with_networked_flow(size_mb: float) -> SimTrace:
         "f",
         ResourcePath(("link:x", "disk:controller:disk1"), "write"),
         size_mb,
-        0.0,
         1.0,
         {"volume_kind": "networked"},
     )
@@ -99,8 +98,8 @@ def test_count_io_ops_empty_and_exact():
 
 def test_count_io_ops_ignores_local_flows_and_unfinished():
     trace = _trace_with_networked_flow(100.0)
-    trace.flows["local"] = FlowRecord("local", ResourcePath(("disk:h01:disk1",), "write"), 100.0, 0.0, 1.0, {"volume_kind": "root"})
-    trace.flows["open"] = FlowRecord("open", ResourcePath(("link:x",), "write"), 100.0, 0.0, None, {"volume_kind": "networked"})
+    trace.flows["local"] = FlowRecord("local", ResourcePath(("disk:h01:disk1",), "write"), 100.0, 1.0, {"volume_kind": "root"})
+    trace.flows["open"] = FlowRecord("open", ResourcePath(("link:x",), "write"), 100.0, None, {"volume_kind": "networked"})
     assert count_io_ops(trace, 64.0) == 1600  # only the finished networked flow
 
 

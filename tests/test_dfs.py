@@ -32,20 +32,20 @@ def racks_of(block):
 
 
 def test_rf1_places_only_on_writer(five_hosts):
-    block = place_replicas(five_hosts, "vm001", "b0", 64.0, rf=1, rng=random.Random(0))
+    block = place_replicas(five_hosts, "vm001", 64.0, rf=1, rng=random.Random(0))
     assert block.vms() == ("vm001",)
 
 
 def test_writer_always_holds_first_replica(five_hosts):
     for seed in range(50):
-        block = place_replicas(five_hosts, "vm003", "b0", 64.0, rf=3, rng=random.Random(seed))
+        block = place_replicas(five_hosts, "vm003", 64.0, rf=3, rng=random.Random(seed))
         assert block.replicas[0][0] == "vm003"
 
 
 def test_multi_rack_placement_every_seed_spans_two_racks(five_hosts):
     # exhaustive over seeds: distinct VMs, at least two racks, every time
     for seed in range(500):
-        block = place_replicas(five_hosts, "vm001", "b0", 64.0, rf=3, rng=random.Random(seed))
+        block = place_replicas(five_hosts, "vm001", 64.0, rf=3, rng=random.Random(seed))
         vms = block.vms()
         assert len(set(vms)) == 3
         assert len(racks_of(block)) >= 2
@@ -53,7 +53,7 @@ def test_multi_rack_placement_every_seed_spans_two_racks(five_hosts):
 
 def test_single_rack_cluster_warns_and_spreads_vms(one_host_three_vms):
     with pytest.warns(ReplicaCoLocationWarning):
-        block = place_replicas(one_host_three_vms, "vm001", "b0", 64.0, rf=3, rng=random.Random(1))
+        block = place_replicas(one_host_three_vms, "vm001", 64.0, rf=3, rng=random.Random(1))
     assert len(set(block.vms())) == 3
     assert racks_of(block) == {"h01"}
 
@@ -61,18 +61,18 @@ def test_single_rack_cluster_warns_and_spreads_vms(one_host_three_vms):
 def test_rf1_never_warns(one_host_three_vms):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        place_replicas(one_host_three_vms, "vm001", "b0", 64.0, rf=1, rng=random.Random(1))
+        place_replicas(one_host_three_vms, "vm001", 64.0, rf=1, rng=random.Random(1))
 
 
 def test_insufficient_vms(five_hosts):
     with pytest.raises(InsufficientVmsError):
-        place_replicas(five_hosts, "vm001", "b0", 64.0, rf=6, rng=random.Random(0))
+        place_replicas(five_hosts, "vm001", 64.0, rf=6, rng=random.Random(0))
 
 
 def test_third_replica_prefers_second_replicas_rack():
     tables = member_tables(placed_cluster(n_hosts=3, vms_per_host=2, spec=SMALL_VM))
     for seed in range(100):
-        block = place_replicas(tables, "vm001", "b0", 64.0, rf=3, rng=random.Random(seed))
+        block = place_replicas(tables, "vm001", 64.0, rf=3, rng=random.Random(seed))
         racks = [rack for _, rack in block.replicas]
         assert racks[0] != racks[1]  # second replica off the writer's rack
         assert racks[2] == racks[1]  # third rides along on a different VM there
@@ -80,23 +80,23 @@ def test_third_replica_prefers_second_replicas_rack():
 
 
 def test_placement_deterministic_for_a_seed(five_hosts):
-    a = place_replicas(five_hosts, "vm002", "b7", 64.0, rf=3, rng=random.Random(99))
-    b = place_replicas(five_hosts, "vm002", "b7", 64.0, rf=3, rng=random.Random(99))
+    a = place_replicas(five_hosts, "vm002", 64.0, rf=3, rng=random.Random(99))
+    b = place_replicas(five_hosts, "vm002", 64.0, rf=3, rng=random.Random(99))
     assert a == b
 
 
 def test_place_file_blocks_and_sizes(five_hosts):
-    f = place_file(five_hosts, "data", 200.0, "vm001", DfsConfig(block_size_mb=64.0, replication_factor=3), random.Random(0))
+    f = place_file(five_hosts, 200.0, "vm001", DfsConfig(block_size_mb=64.0, replication_factor=3), random.Random(0))
     assert len(f.blocks) == 4  # ceil(200/64)
     assert [b.bytes_mb for b in f.blocks] == [64.0, 64.0, 64.0, 8.0]
     assert all(len(racks_of(b)) >= 2 for b in f.blocks)
 
 
 def test_rf1_and_single_rack_files_span_one_rack(five_hosts, one_host_three_vms):
-    rf1 = place_file(five_hosts, "a", 64.0, "vm001", DfsConfig(replication_factor=1), random.Random(0))
+    rf1 = place_file(five_hosts, 64.0, "vm001", DfsConfig(replication_factor=1), random.Random(0))
     assert [racks_of(b) for b in rf1.blocks] == [{"h01"}]
     with pytest.warns(ReplicaCoLocationWarning):
-        single = place_file(one_host_three_vms, "b", 64.0, "vm001", DfsConfig(replication_factor=3), random.Random(0))
+        single = place_file(one_host_three_vms, 64.0, "vm001", DfsConfig(replication_factor=3), random.Random(0))
     assert [racks_of(b) for b in single.blocks] == [{"h01"}]
 
 
@@ -125,15 +125,11 @@ def test_per_run_tables_place_every_file_like_the_per_block_reference():
             seed = rng.randrange(2**32)
             got_rng, want_rng = random.Random(seed), random.Random(seed)
             for writer in members:
-                name, size_mb = f"f.{writer}.{rf}", rng.choice([10.0, 64.0, 200.0, 640.0])
-                got, got_warnings = _recorded(
-                    lambda: place_file(tables, name, size_mb, writer, config, got_rng)
-                )
+                size_mb = rng.choice([10.0, 64.0, 200.0, 640.0])
+                got, got_warnings = _recorded(lambda: place_file(tables, size_mb, writer, config, got_rng))
                 want, want_warnings = _recorded(
                     lambda: [
-                        place_replicas_reference(
-                            state, writer, f"{name}:b{i:04d}", min(64.0, size_mb - i * 64.0), rf, want_rng, members
-                        )
+                        place_replicas_reference(state, writer, min(64.0, size_mb - i * 64.0), rf, want_rng, members)
                         for i in range(max(1, math.ceil(size_mb / 64.0)))
                     ]
                 )
@@ -153,10 +149,8 @@ def test_blocks_placed_through_one_table_share_its_replica_pairs():
     got_rng, want_rng = random.Random(21), random.Random(21)
     pairs = set()
     for writer in members:
-        got = place_file(tables, f"f.{writer}", 640.0, writer, DfsConfig(), got_rng)
-        want = [
-            place_replicas_reference(state, writer, f"f.{writer}:b{i:04d}", 64.0, 3, want_rng, members) for i in range(10)
-        ]
+        got = place_file(tables, 640.0, writer, DfsConfig(), got_rng)
+        want = [place_replicas_reference(state, writer, 64.0, 3, want_rng, members) for _ in range(10)]
         assert list(got.blocks) == want
         for block in got.blocks:
             for pair in block.replicas:

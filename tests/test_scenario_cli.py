@@ -177,6 +177,29 @@ def test_a_node_that_lists_its_links_exits_2(tmp_path, capsys, node):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role", ["managment", "Management", "mgmt", ""])
+def test_a_link_role_other_than_management_or_public_exits_2(tmp_path, capsys, role):
+    # any other text would make the link a public one, so a typo could silently reroute traffic or strand a host
+    doc = one_host_doc()
+    doc["topology"]["links"][0]["role"] = role
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: field topology.links[0].role: must be one of ('management', 'public'), got {role!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_a_public_link_carries_no_volume_traffic(tmp_path):
+    # a second link, public, whose id sorts first: a management link of that id would carry the volume traffic
+    doc = one_host_doc()
+    doc["storage_config"] = "networked"
+    doc["topology"]["links"].append({"id": "a1", "bandwidth": 1, "endpoints": ["1", "controller"], "role": "public"})
+    run = run_scenario(parse_scenario(doc))
+    links = {rid for rec in run.trace.flows.values() for rid in rec.path.resources if rid.startswith("link:")}
+    assert links == {"link:m1"}
+
+
 def test_defaults_live_on_the_config_types():
     doc = {
         "topology": {"reference": {"n_hosts": 3}},
@@ -579,6 +602,11 @@ MALFORMED = [
     (("dfsio", "file_size_mb"), 1.0e-12),  # the engine completes such a file as it starts: 0 s, so no rate
     (("dfsio", "file_size_mb"), 1.0e-9),
     (("op_size_kb",), 1.0e-306),  # one file's operation count overflows to inf, on a networked run
+    # counts past their ranges: these files exited 4 (OverflowError), these clusters never finished building
+    (("dfsio", "n_files"), 2**64),
+    (("dfsio", "n_files"), 1.0e300),
+    (("topology", "reference", "n_hosts"), 2**64),
+    (("topology", "reference", "n_hosts"), 1.0e300),
 ]
 
 
@@ -631,6 +659,22 @@ def test_a_file_splits_into_at_most_10000_blocks(tmp_path, capsys, file_size_mb)
         assert code == 2
         assert capsys.readouterr().err.startswith("parse error: field dfs.block_size_mb: too small: ")
         assert not out.exists()  # so no error.log either
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_run_places_at_most_a_million_blocks_and_a_reference_cluster_has_at_most_1000_hosts(extra):
+    # a read or mixed run places every input block before its first task; only parsed here, never run
+    doc = reference_with(("dfsio", "n_files"), 62_500 + extra)  # 1000 MB files in 64 MB blocks: 16 blocks each
+    doc["topology"]["reference"]["n_hosts"] = 1000 + extra
+    if not extra:
+        assert parse_scenario(doc).dfsio.n_files * 16 == bench.MAX_BLOCKS_PER_RUN
+        assert len(parse_scenario(doc).topology.hosts) == 1000
+    else:
+        with pytest.raises(ScenarioParseError, match=r"^field topology\.reference\.n_hosts: must be in \[1, 1000\], got 1001$"):
+            parse_scenario(doc)
+        doc["topology"]["reference"]["n_hosts"] = 1000
+        with pytest.raises(ScenarioParseError, match=r"^field dfsio\.n_files: too large: .* over 1000000 blocks$"):
+            parse_scenario(doc)
 
 
 def test_invalid_reference_knob_exits_3(tmp_path, capsys):

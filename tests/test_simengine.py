@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from helpers import FlowSpec, TraceEvent, arrive, run
+from helpers import FlowSpec, TraceEvent, arrive, run, start_time
 from oracles import bottleneck_violations, csv_lines_reference, maxmin_fill_oracle, verify_trace_reference
 from storagesim import simengine
 from storagesim.cli import main
@@ -29,7 +29,7 @@ from storagesim.volumes import ResourcePath
 
 def flow(fid, resources, size=1000.0, direction="write"):
     """A running flow's record, as ``allocate_rates`` takes it."""
-    return FlowRecord(fid, ResourcePath(tuple(resources), direction), size, 0.0, None, {}, size)
+    return FlowRecord(fid, ResourcePath(tuple(resources), direction), size, None, {}, size)
 
 
 def res(rid, cap):
@@ -439,7 +439,7 @@ def test_on_complete_hook_can_inject_flows():
             sim.add_flow("second", ResourcePath(("d1",), "write"), 500.0)
 
     trace = run(resources, [(FlowSpec("first", ResourcePath(("d1",), "write"), 1000.0), 0.0)], chain)
-    assert trace.flows["second"].start_time == 10.0
+    assert start_time(trace, "second") == 10.0
     assert trace.flows["second"].end_time == 15.0
 
 
@@ -468,7 +468,7 @@ def test_timers_fire_after_completions_and_the_hook_and_start_their_flows_at_onc
         (15.0, False, {"a": 1000.0, "b": 250.0, "c": 250.0}),
         (30.0, True, {"a": 1000.0, "b": 500.0, "c": 500.0}),
     ]
-    assert trace.flows["c"].start_time == 10.0
+    assert start_time(trace, "c") == 10.0
     assert trace.flows["b"].end_time == trace.flows["c"].end_time == 20.0
     assert [rec.flow_id for rec in sim.started(1)] == ["b", "c"] and sim.started(3) == []  # those after the first 1, 3
     assert verify_trace(trace) == []
@@ -480,14 +480,14 @@ def test_a_flow_added_in_a_hook_is_started_and_in_the_trace_at_once():
     sim = Simulation({"d1": res("d1", 100.0)})
     trace = sim._trace
     sim.add_flow("a", ResourcePath(("d1",), "write"), 100.0)
-    assert trace.events == [(0.0, "flow_start", "a", "", 100.0)] and trace.flows["a"].start_time == 0.0
+    assert trace.events == [(0.0, "flow_start", "a", "", 100.0)] and start_time(trace, "a") == 0.0
     seen = []
 
     def hook(sim, records, now):
         if records[0].flow_id == "a":
             sim.add_flow("b", ResourcePath(("d1",), "write"), 50.0)
             rec = trace.flows["b"]
-            seen.append((trace.events[-1], rec.start_time == sim.now == now, sim.started(1) == [rec], sim.idle))
+            seen.append((trace.events[-1], start_time(trace, "b") == sim.now == now, sim.started(1) == [rec], sim.idle))
 
     assert sim.run(on_complete=hook) is trace
     assert seen == [((1.0, "flow_start", "b", "", 50.0), True, True, False)]
@@ -542,8 +542,8 @@ def test_flows_added_at_zero_before_run_start_and_keep_the_simulation_busy():
     sim.add_timer(2.0, add_at_now)  # after "a" ended: nothing is active
     trace = sim.run()
     assert seen == [False]
-    assert (trace.flows["a"].start_time, trace.flows["a"].end_time) == (0.0, 1.0)
-    assert (trace.flows["b"].start_time, trace.flows["b"].end_time) == (2.0, 3.0)
+    assert (start_time(trace, "a"), trace.flows["a"].end_time) == (0.0, 1.0)
+    assert (start_time(trace, "b"), trace.flows["b"].end_time) == (2.0, 3.0)
     assert sim.idle
 
 
@@ -563,7 +563,7 @@ def test_a_resource_added_mid_run_is_picked_up():
     for t in (1.0, 2.0):
         rec = trace.flows[f"snap@{t}"]
         assert f"cap:{t}" in trace.resources
-        assert rec.end_time - rec.start_time == pytest.approx(5.0)  # 50 MB at the 10 MB/s cap
+        assert rec.end_time - start_time(trace, rec.flow_id) == pytest.approx(5.0)  # 50 MB at the 10 MB/s cap
     assert verify_trace(trace) == []
 
 
@@ -649,7 +649,7 @@ def test_add_flow_rejects_before_it_builds_and_its_record_is_the_trace_entry(mon
     reject_each(sim, sim.now)  # nothing is active or pending
     assert checked == [(0.0, False), (0.5, False), (2.0, False), (6.0, True)]
     assert [rec.flow_id for rec in built] == ["a", "late"]  # a rejected flow builds nothing
-    assert list(trace.flows) == ["a", "late"] and trace.flows["late"].start_time == 5.0
+    assert list(trace.flows) == ["a", "late"] and start_time(trace, "late") == 5.0
     assert all(trace.flows[rec.flow_id] is rec for rec in built)  # the object add_flow built
     with pytest.raises(ValueError, match="^duplicate flow id 'late'$"):
         sim.add_flow("late", path, 1.0)  # finished
@@ -683,8 +683,8 @@ def test_verify_trace_flags_hand_built_overcapacity():
     trace = SimTrace(resources=resources)
     path = ResourcePath(("link",), "write")
     trace.flows = {
-        "a": FlowRecord("a", path, 600.0, 0.0, 10.0, {}),
-        "b": FlowRecord("b", path, 600.0, 0.0, 10.0, {}),
+        "a": FlowRecord("a", path, 600.0, 10.0, {}),
+        "b": FlowRecord("b", path, 600.0, 10.0, {}),
     }
     trace.events = [
         TraceEvent(0.0, "flow_start", "a", "", 600.0),
@@ -706,7 +706,7 @@ def test_verify_trace_pools_mixed_directions_on_an_asymmetric_disk():
         trace = SimTrace(resources={"d1": disk})
         fids = ("a", "b")
         for fid, direction in zip(fids, directions):
-            trace.flows[fid] = FlowRecord(fid, ResourcePath(("d1",), direction), rate * 10.0, 0.0, 10.0, {})
+            trace.flows[fid] = FlowRecord(fid, ResourcePath(("d1",), direction), rate * 10.0, 10.0, {})
         trace.events = (
             [TraceEvent(0.0, "flow_start", fid, "", rate * 10.0) for fid in fids]
             + [TraceEvent(0.0, "rate_change", fid, "", rate) for fid in fids]
@@ -726,7 +726,7 @@ def test_verify_trace_flags_decreasing_timestamps():
     from storagesim.simengine import FlowRecord
 
     path = ResourcePath(("d1",), "write")
-    trace.flows = {"a": FlowRecord("a", path, 100.0, 0.0, 1.0, {})}
+    trace.flows = {"a": FlowRecord("a", path, 100.0, 1.0, {})}
     trace.events = [
         TraceEvent(5.0, "flow_start", "a", "", 100.0),
         TraceEvent(1.0, "rate_change", "a", "", 100.0),
@@ -741,7 +741,7 @@ def test_verify_trace_flags_byte_shortfall():
 
     trace = SimTrace(resources={"d1": res("d1", 100.0)})
     path = ResourcePath(("d1",), "write")
-    trace.flows = {"a": FlowRecord("a", path, 1000.0, 0.0, 5.0, {})}
+    trace.flows = {"a": FlowRecord("a", path, 1000.0, 5.0, {})}
     trace.events = [
         TraceEvent(0.0, "flow_start", "a", "", 1000.0),
         TraceEvent(0.0, "rate_change", "a", "", 100.0),
@@ -902,7 +902,7 @@ def test_verify_trace_flags_start_without_end():
 
     trace = SimTrace(resources={"d1": res("d1", 100.0)})
     path = ResourcePath(("d1",), "write")
-    trace.flows = {"a": FlowRecord("a", path, 100.0, 0.0, None, {})}
+    trace.flows = {"a": FlowRecord("a", path, 100.0, None, {})}
     trace.events = [
         TraceEvent(0.0, "flow_start", "a", "", 100.0),
         TraceEvent(0.0, "rate_change", "a", "", 100.0),
@@ -1067,7 +1067,7 @@ def test_pooled_capacity_falls_and_rises_with_the_directions_under_warm_solves(m
 
     steps = [c for i, c in enumerate(disk_capacity) if i == 0 or c != disk_capacity[i - 1]]
     assert steps == [(150.0, ["read"]), (100.0, ["read", "write"]), (150.0, ["read"]), (100.0, ["write"])]
-    assert trace.flows["w2"].start_time == trace.flows["r2"].end_time
+    assert start_time(trace, "w2") == trace.flows["r2"].end_time
     assert solves[0] == "cold" and solves.count("cold") == 1 and len(solves) >= 5
     assert verify_trace(trace) == []
 
@@ -1137,7 +1137,7 @@ def test_negative_or_non_finite_sizes_are_rejected_at_add(size):
 def test_verify_trace_flags_nan_bytes_and_rates():
     def violations(size, rate):
         trace = SimTrace(resources={"d1": res("d1", 100.0)})
-        trace.flows["a"] = FlowRecord("a", ResourcePath(("d1",), "write"), size, 0.0, 5.0, {})
+        trace.flows["a"] = FlowRecord("a", ResourcePath(("d1",), "write"), size, 5.0, {})
         trace.events = [
             TraceEvent(0.0, "flow_start", "a", "", size),
             TraceEvent(0.0, "rate_change", "a", "", rate),

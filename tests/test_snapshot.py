@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import storagesim
-from helpers import SMALL_VM, TraceEvent, dfs_cluster
+from helpers import SMALL_VM, TraceEvent, dfs_cluster, start_time
 from oracles import network_bytes_reference
 from test_golden import GOLDEN
 from storagesim import cli
@@ -89,7 +89,7 @@ def test_steady_writes_yield_equal_snapshots_per_interval():
 def test_snapshot_flows_route_over_management_network():
     run = _write_run([500.0])
     (rec,) = _snapshot_flows(run.trace)
-    assert rec.start_time == 100.0
+    assert start_time(run.trace, rec.flow_id) == 100.0
     assert rec.size_mb == 500.0
     assert any(r.startswith("link:") for r in rec.path.resources)
     assert rec.path.resources[-1] == "disk:controller:disk1"
@@ -102,7 +102,7 @@ def test_bandwidth_cap_limits_snapshot_transfer():
     cap = run.trace.resources[rec.path.resources[0]]
     assert (cap.read_capacity, cap.write_capacity) == (10.0, 10.0)
     # 500 MB at the 10 MB/s cap takes 50 s
-    assert rec.end_time - rec.start_time == pytest.approx(50.0)
+    assert rec.end_time - start_time(run.trace, rec.flow_id) == pytest.approx(50.0)
     assert verify_trace(run.trace) == []
     # each take adds its own cap resource mid-run, and every transfer stays under it
     run = _write_run([500.0] * 3, interval_s=4.0, bandwidth_cap=10.0)
@@ -222,10 +222,10 @@ def test_network_bytes_equals_the_reference_on_hand_built_traces():
     ]
     fixed = SimTrace(
         flows={
-            "a": FlowRecord("a", over_link, 0.1, 0.0, 1.0, {}),
-            "b": FlowRecord("b", over_link, 0.2, 0.0, 2.0, {}),
-            "c": FlowRecord("c", over_link, 1e16, 0.0, None, {}),  # unfinished: not counted
-            "d": FlowRecord("d", paths[3], 5.0, 0.0, 1.0, {}),  # no link
+            "a": FlowRecord("a", over_link, 0.1, 1.0, {}),
+            "b": FlowRecord("b", over_link, 0.2, 2.0, {}),
+            "c": FlowRecord("c", over_link, 1e16, None, {}),  # unfinished: not counted
+            "d": FlowRecord("d", paths[3], 5.0, 1.0, {}),  # no link
         }
     )
     assert network_bytes(fixed) == network_bytes_reference(fixed) == 0.1 + 0.2
@@ -238,7 +238,7 @@ def test_network_bytes_equals_the_reference_on_hand_built_traces():
             if rng.random() < 0.3:
                 path = ResourcePath(path.resources, path.direction)  # equal to a shared path, not the same object
             end = None if rng.random() < 0.2 else rng.uniform(0.0, 100.0)
-            flows[f"f{i}"] = FlowRecord(f"f{i}", path, rng.choice(sizes), 0.0, end, {})
+            flows[f"f{i}"] = FlowRecord(f"f{i}", path, rng.choice(sizes), end, {})
         trace = SimTrace(flows=flows)
         assert network_bytes(trace) == network_bytes_reference(trace)
 

@@ -36,8 +36,8 @@ NAMED_TUPLES = {
         "block_size_mb replication_factor seed",
         {"block_size_mb": 64.0, "replication_factor": 3, "seed": 0},
     ),
-    dfs.BlockReplicaSet: ("block_id replicas bytes_mb", {}),
-    dfs.DfsFile: ("name blocks", {}),
+    dfs.BlockReplicaSet: ("replicas bytes_mb", {}),
+    dfs.DfsFile: ("blocks", {}),
     simengine.Resource: ("id read_capacity write_capacity", {}),
     simengine.TraceViolation: ("code time message", {}),
     snapshot.SnapshotPolicy: ("interval_s bandwidth_cap", {"interval_s": 3600.0, "bandwidth_cap": None}),
@@ -110,12 +110,12 @@ def test_named_tuples_keep_their_fields_and_defaults_and_refuse_assignment(cls):
 def test_named_tuple_methods():
     stat = bench.TaskStat(task_index=1, file_size_mb=100.0, elapsed_s=4.0, rate=25.0)
     assert stat == bench.TaskStat(1, 100.0, 4.0, 25.0)
-    b0 = dfs.BlockReplicaSet("f:b0000", (("vm003", "h03"), ("vm001", "h01"), ("vm002", "h01")), 64.0)
-    b1 = dfs.BlockReplicaSet("f:b0001", (("vm003", "h03"), ("vm004", "h04")), 8.0)
+    b0 = dfs.BlockReplicaSet((("vm003", "h03"), ("vm001", "h01"), ("vm002", "h01")), 64.0)
+    b1 = dfs.BlockReplicaSet((("vm003", "h03"), ("vm004", "h04")), 8.0)
     assert b0.vms() == ("vm003", "vm001", "vm002")  # writer first
-    f = dfs.DfsFile("f", (b0, b1))
+    f = dfs.DfsFile((b0, b1))
     assert f.holders() == ("vm001", "vm002", "vm003", "vm004")  # sorted, each once
-    assert (f.name, f.blocks[1].bytes_mb) == ("f", 8.0)
+    assert f.blocks[1].bytes_mb == 8.0
 
 
 def test_flows_added_without_tags_share_one_read_only_empty_mapping():
@@ -159,9 +159,9 @@ def test_resource_path_drops_repeated_hops_and_stays_hashable():
 def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     path = volumes.ResourcePath(("d1",), "write")
     records = [
-        simengine.FlowRecord("f", path, 1.0, 0.0, None, {}),
+        simengine.FlowRecord("f", path, 1.0, None, {}),
         simengine.SimTrace(),
-        bench._Task(0, bench.WRITE, "test_io_0", "vm001", None),
+        bench._Task(0, bench.WRITE, "vm001", None),
         placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0)),
         placement.ClusterState(topology.reference_cluster(1)),
         volumes.Volume("vol001", volumes.ROOT, 10.0, ("h01", "disk1")),
@@ -169,7 +169,7 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     assert [type(r) for r in records] == list(SLOTTED)
     assert not any(hasattr(r, "__dict__") for r in records)
     assert simengine.SimTrace().events is not simengine.SimTrace().events
-    task = bench._Task(1, bench.READ, "f", None, None)
+    task = bench._Task(1, bench.READ, None, None)
     assert (task.outstanding, task.task_id) == (0, "t0001")  # a count, and the prefix of its flows' ids
     assert not [s for s in bench._Task.__slots__ if isinstance(getattr(task, s), (list, set, dict))]
     vm = placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0))
