@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .dfs import DfsConfig, DfsFile, PlacementTables, place_file, schedule_map_task
 from .errors import EmptyStatsError, SimError
 from .placement import ClusterState
-from .simengine import COMPLETION_EPS, Simulation, SimTrace, build_resources
+from .simengine import COMPLETION_EPS, Simulation, SimTrace, TraceReader, build_resources
 from .snapshot import SnapshotPolicy, SnapshotRecord, merge_snapshot_events, plan_snapshots
 from .topology import management_path  # noqa: F401  (unused; perfbench's traced-run test asserts this binding)
 from .volumes import ResourcePath, Routes
@@ -75,10 +75,19 @@ def _exact_sum(values: Iterable[float]) -> tuple[int, int]:
     Every float is n / 2**k, so the terms are summed as integers over the
     largest denominator. A quotient of such sums is then one ``int / int``,
     which rounds the exact ratio once, to the nearest float.
+
+    One pass, holding no list: the running sum is kept over the largest
+    denominator seen so far, and rescaled when a larger one arrives, so the
+    pair is the one a sum over the largest denominator of all gives.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    return sum(n * (den // d) for n, d in ratios), den
+    num, den = 0, 1
+    for v in values:
+        n, d = v.as_integer_ratio()
+        if d > den:
+            num *= d // den
+            den = d
+        num += n * (den // d)
+    return num, den
 
 
 def throughput(stats: Sequence[TaskStat]) -> float:
@@ -191,6 +200,7 @@ def run_dfsio(
     dfs_config: DfsConfig = DfsConfig(),
     seed: int = 0,
     snapshots: SnapshotPolicy | None = None,
+    readers: Sequence[TraceReader] = (),
 ) -> DfsioRun:
     """Run the benchmark over the VMs in ``hdfs_volumes`` (vm id -> volume id).
 
@@ -210,6 +220,10 @@ def run_dfsio(
     Returns the metric record, the flow trace (with snapshot markers), the
     placed files and the snapshot records; ``state`` is only read, and the
     trace's write flows hold every byte the run wrote.
+
+    With ``readers`` the simulation streams its trace to them window by
+    window (see ``Simulation``), each window with its due snapshot markers
+    already spliced in, and the returned trace holds no events.
     """
     if spec.n_files < 1 or spec.file_size_mb <= COMPLETION_EPS or spec.map_capacity < 1 or spec.slots_per_vm < 1:
         raise ValueError(f"invalid benchmark spec {spec}")
@@ -236,8 +250,16 @@ def run_dfsio(
         file = place_file(placement, spec.file_size_mb, writer, dfs_config, input_rng) if input_rng else None
         tasks.append(_Task(i, mode, writer, file if mode == READ else None))
 
+    marked = 0  # snapshot records whose markers are in the trace
+
+    def mark(trace: SimTrace, last: bool) -> None:
+        nonlocal marked
+        marked = merge_snapshot_events(trace, records, marked, last)
+
+    if readers and snapshots is not None:
+        readers = (mark, *readers)  # each window gets its due markers before the caller's readers see it
     routes = Routes(state, hdfs_volumes)
-    sim = Simulation(build_resources(state.topology))
+    sim = Simulation(build_resources(state.topology), readers)
     records = [] if snapshots is None else plan_snapshots(sim, state.volumes, snapshots, routes)
     slots = {vm: spec.slots_per_vm for vm in members}
     queue = deque(tasks)
@@ -324,8 +346,8 @@ def run_dfsio(
 
     dispatch(0.0)
     trace = sim.run(on_complete=on_complete)
-    if snapshots is not None:
-        merge_snapshot_events(trace, records)
+    if snapshots is not None and not readers:
+        mark(trace, True)
     unfinished = [t.index for t in tasks if t.end is None]
     if unfinished:
         raise SimError(f"tasks never completed: {unfinished}")

@@ -4,7 +4,12 @@ Outputs are machine-first (result.json, tasks.csv, trace.csv from ``run``;
 comparison.json and one trace per config from ``compare``); the lines
 printed to stdout are renderings of the same data. ``run`` and
 ``compare`` create ``--out`` as soon as the scenario has parsed, so an
-unusable output path fails before anything is simulated. Exit codes: 0 ok,
+unusable output path fails before anything is simulated. A run streams
+its trace: each window of events is audited and appended to
+``<trace>.part`` in ``--out`` as the simulation goes, and only once every
+audit of the command has passed are the outputs written and each part
+renamed to its trace file. A command that fails deletes its parts, so it
+leaves no output but, after an internal error, ``error.log``. Exit codes: 0 ok,
 2 scenario parse error or an ``--out`` that cannot be created or written, 3
 validation error, 4 internal invariant violation (a produced trace
 failing its own audit) or internal error, whose traceback goes to
@@ -32,14 +37,13 @@ from pathlib import Path
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
 from .scenario import (
     Scenario,
-    ScenarioRun,
     build_state,
     compare,
     load_scenario,
     render_comparison_table,
     run_scenario,
 )
-from .simengine import verify_trace
+from .simengine import AuditState, SimTrace, TraceReader, TraceViolation, verify_trace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -55,30 +59,65 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _verify_or_fail(run: ScenarioRun) -> None:
-    """Audit the run's trace, the one simulation it made."""
-    violations = [str(v) for v in verify_trace(run.trace)]
-    if violations:
-        raise _InternalViolation("\n".join(violations))
-
-
 class _InternalViolation(Exception):
     pass
 
 
-def _emit_run(run: ScenarioRun, out: Path) -> None:
-    _write_json(out / "result.json", run.to_dict())
-    run.trace.write_csv(out / "trace.csv")
-    lines = ["task_index,file_size_mb,elapsed_s,rate_mbps"]
-    lines += [f"{s.task_index},{s.file_size_mb!r},{s.elapsed_s!r},{s.rate!r}" for s in run.stats]
-    (out / "tasks.csv").write_text("\n".join(lines) + "\n")
+class _Traces:
+    """The trace files of one command, each audited and written window by window as its run streams it.
+
+    ``reader(name)`` gives the reader of one run's trace: it audits each
+    window, going on from the last, and appends the window to
+    ``<name>.part`` in ``out``. Leaving the ``with`` block by an exception
+    deletes every part, so the trace files already in ``out`` stay as they
+    were.
+    """
+
+    def __init__(self, out: Path):
+        self.out = out
+        self.violations: dict[str, list[TraceViolation]] = {}  # file name -> its audit's findings, in run order
+
+    def reader(self, name: str) -> TraceReader:
+        part, audit = self.out / f"{name}.part", AuditState()
+        found = self.violations[name] = []
+        first = True
+
+        def read(trace: SimTrace, last: bool) -> None:
+            nonlocal first
+            found.extend(verify_trace(trace, audit, last))
+            trace.write_csv(part, append=not first)
+            first = False
+
+        return read
+
+    def verify(self) -> None:
+        """Raise on the first run whose trace failed its audit."""
+        for found in self.violations.values():
+            if found:
+                raise _InternalViolation("\n".join(map(str, found)))
+
+    def publish(self, name: str) -> None:
+        (self.out / f"{name}.part").replace(self.out / name)
+
+    def __enter__(self) -> _Traces:
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        if kind is not None:
+            for name in self.violations:
+                (self.out / f"{name}.part").unlink(missing_ok=True)
 
 
 def cmd_run(scenario: Scenario, args) -> int:
-    run = run_scenario(scenario)
-    _verify_or_fail(run)
     out = Path(args.out)
-    _emit_run(run, out)
+    with _Traces(out) as traces:
+        run = run_scenario(scenario, readers=(traces.reader("trace.csv"),))
+        traces.verify()
+        _write_json(out / "result.json", run.to_dict())
+        traces.publish("trace.csv")
+        lines = ["task_index,file_size_mb,elapsed_s,rate_mbps"]
+        lines += [f"{s.task_index},{s.file_size_mb!r},{s.elapsed_s!r},{s.rate!r}" for s in run.stats]
+        (out / "tasks.csv").write_text("\n".join(lines) + "\n")
     print(
         f"{run.config}: throughput {run.result.throughput_mbps:.3f} MB/s, "
         f"avg rate {run.result.avg_io_rate_mbps:.3f} MB/s, "
@@ -88,13 +127,13 @@ def cmd_run(scenario: Scenario, args) -> int:
 
 
 def cmd_compare(scenario: Scenario, args) -> int:
-    report = compare(scenario, list(args.configs))
-    for run in report.runs.values():
-        _verify_or_fail(run)
     out = Path(args.out)
-    _write_json(out / "comparison.json", report.to_dict())
-    for name, run in report.runs.items():
-        run.trace.write_csv(out / f"trace_{name}.csv")  # reports stay recomputable
+    with _Traces(out) as traces:
+        report = compare(scenario, list(args.configs), lambda label: (traces.reader(f"trace_{label}.csv"),))
+        traces.verify()
+        _write_json(out / "comparison.json", report.to_dict())
+        for name in report.runs:
+            traces.publish(f"trace_{name}.csv")  # reports stay recomputable
     print(render_comparison_table(report))
     return EXIT_OK
 

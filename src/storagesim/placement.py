@@ -61,10 +61,12 @@ class ClusterState:
     """The whole simulation state: topology plus placed VMs and volumes.
 
     Capacity bookkeeping is derived from the instance/volume tables rather
-    than cached, so it cannot drift.
+    than cached, so it cannot drift. ``hosts_by_id`` maps each host id to
+    its ``PhysicalHost``, built from the topology once per state; an
+    unknown id raises ``KeyError``.
     """
 
-    __slots__ = ("topology", "instances", "volumes", "vm_seq", "vol_seq")
+    __slots__ = ("topology", "instances", "volumes", "vm_seq", "vol_seq", "hosts_by_id")
 
     def __init__(
         self,
@@ -79,6 +81,7 @@ class ClusterState:
         self.volumes = {} if volumes is None else volumes
         self.vm_seq = vm_seq
         self.vol_seq = vol_seq
+        self.hosts_by_id = {h.id: h for h in topology.hosts}
 
     __eq__ = volumes_mod.same_fields
 
@@ -101,11 +104,11 @@ class ClusterState:
         return [vm for vm in self.instances.values() if vm.host_id == host_id and vm.state == RUNNING]
 
     def free_vcpus(self, host_id: str) -> int:
-        host = self.topology.host(host_id)
+        host = self.hosts_by_id[host_id]
         return host.vcpus - sum(vm.spec.vcpus for vm in self.running_on(host_id))
 
     def free_ram_gb(self, host_id: str) -> float:
-        host = self.topology.host(host_id)
+        host = self.hosts_by_id[host_id]
         return host.ram_gb - sum(vm.spec.ram_gb for vm in self.running_on(host_id))
 
     def disk_used_gb(self, node_id: str, disk_id: str) -> float:
@@ -120,7 +123,7 @@ class ClusterState:
         if node_id == self.topology.controller.id:
             pool = self.topology.controller.disks
         else:
-            host = self.topology.host(node_id)
+            host = self.hosts_by_id[node_id]
             pool = host.disks + host.local_persistent_group
         for d in pool:
             if d.id == disk_id:
@@ -196,7 +199,7 @@ def place_vm(
     vm = VmInstance(id=vm_id, host_id=host_id, spec=spec)
     new.instances[vm_id] = vm
 
-    disk = _fits(state, state.topology.host(host_id), spec)
+    disk = _fits(state, state.hosts_by_id[host_id], spec)
     volumes_mod.provision_local_volume(new, vm, volumes_mod.ROOT, spec.root_disk_gb, disk.id)
     if spec.ephemeral_gb > 0:
         volumes_mod.provision_local_volume(new, vm, volumes_mod.EPHEMERAL, spec.ephemeral_gb, disk.id)
@@ -215,7 +218,7 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
     vm = state.running_vm(vm_id)
     if not vm.spec.migratable:
         raise MigrationDisabledError(f"vm {vm_id} is pinned (migratable=False)")
-    target = state.topology.host(target_host)  # KeyError on unknown host
+    target = state.hosts_by_id[target_host]  # KeyError on unknown host
     if target_host == vm.host_id:
         return state.clone()  # nothing moves, nothing lost
 

@@ -26,7 +26,7 @@ import sys
 from collections.abc import Hashable
 from functools import partial
 from itertools import combinations
-from typing import Any, Callable, Mapping, NamedTuple, NoReturn
+from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 import yaml
 
@@ -35,7 +35,7 @@ from .cost import DEFAULT_OP_SIZE_KB, KB_PER_MB, CostReport, PriceTable, compute
 from .dfs import MAX_BLOCKS_PER_FILE, DfsConfig
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
 from .placement import ClusterState, VmSpec, place_vm
-from .simengine import COMPLETION_EPS, SimTrace
+from .simengine import COMPLETION_EPS, SimTrace, TraceReader
 from .snapshot import SnapshotPolicy, SnapshotRecord, network_bytes
 from .topology import (
     MAX_REFERENCE_HOSTS,
@@ -356,8 +356,26 @@ class _UniqueKeyLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeL
         return super().construct_mapping(node, deep)
 
 
+def _construct_int(loader: yaml.SafeLoader, node: yaml.ScalarNode) -> int:
+    """PyYAML's int, but one whose decimal text passes Python's int-to-text limit is a YAML error with the int's line.
+
+    The limit (``sys.get_int_max_str_digits()``, 4 300 digits by default)
+    stops PyYAML reading a longer decimal int, and stops an output writing
+    a long hex or octal one, with a ``ValueError`` that names no field.
+    """
+    try:
+        value = yaml.constructor.SafeConstructor.construct_yaml_int(loader, node)
+        str(value)  # as result.json would write it
+    except ValueError as e:
+        raise yaml.constructor.ConstructorError(None, None, f"integer too long: {e}", node.start_mark) from e
+    return value
+
+
+_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", _construct_int)
+
+
 def load_scenario(path) -> Scenario:
-    """Parse a scenario file; YAML syntax errors and repeated keys keep their line marks.
+    """Parse a scenario file; YAML syntax errors, repeated keys and too-long integers keep their line marks.
 
     The file is read as bytes, so YAML decodes it by its own rule (UTF-16
     after a UTF-16 byte-order mark, else UTF-8), whatever the locale. A byte
@@ -459,7 +477,9 @@ class ScenarioRun(NamedTuple):
         }
 
 
-def run_scenario(scenario: Scenario, storage_config: str | None = None) -> ScenarioRun:
+def run_scenario(
+    scenario: Scenario, storage_config: str | None = None, readers: Sequence[TraceReader] = ()
+) -> ScenarioRun:
     """Run the benchmark under one storage config, snapshots included: one simulation.
 
     Read and mixed modes read input files that already exist, as TestDFSIO
@@ -472,6 +492,9 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
     Only the measured run is billed: ``io_ops`` and the instance-hours
     count its trace and its ``finished_at``, because the benchmark prices
     the workload it measures, not the set-up of its input files.
+
+    With ``readers`` the run streams its trace to them (see ``run_dfsio``),
+    and the run's ``trace`` keeps its flows but no events.
     """
     cfg = storage_config or scenario.storage_config
     state, hdfs_volumes = build_state(scenario, cfg)
@@ -483,6 +506,7 @@ def run_scenario(scenario: Scenario, storage_config: str | None = None) -> Scena
         dfs_config=scenario.dfs,
         seed=scenario.seed,
         snapshots=scenario.snapshot if cfg == "local" else None,
+        readers=readers,
     )
 
     io_ops = count_io_ops(run.trace, scenario.op_size_kb)
@@ -530,11 +554,15 @@ class ComparisonReport(NamedTuple):
         }
 
 
-def compare(scenario: Scenario, configs: list[str]) -> ComparisonReport:
+def compare(
+    scenario: Scenario, configs: list[str], readers: Callable[[str], Sequence[TraceReader]] | None = None
+) -> ComparisonReport:
     """Run the identical workload and seed under each storage config.
 
     Repeating a config is allowed (labels get a #n suffix); identical
-    entries then show a throughput ratio of exactly 1.
+    entries then show a throughput ratio of exactly 1. ``readers``, when
+    given, is called with each run's label, before that run, for the
+    readers its trace streams to.
     """
     if len(configs) < 2:
         raise ScenarioValidationError("compare needs at least two storage configs")
@@ -544,7 +572,7 @@ def compare(scenario: Scenario, configs: list[str]) -> ComparisonReport:
         while label in runs:
             n += 1
             label = f"{cfg}#{n}"
-        runs[label] = run_scenario(scenario, storage_config=cfg)
+        runs[label] = run_scenario(scenario, storage_config=cfg, readers=readers(label) if readers else ())
     return ComparisonReport(seed=scenario.seed, runs=runs)
 
 

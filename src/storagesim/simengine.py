@@ -28,6 +28,15 @@ flow_id, resource_id, value)`` (see ``SimTrace``): one allocation each, and
 CPython stops tracking it for cycle collection at the first pass. Other
 interpreters lose that gain, not correctness.
 
+A simulation given trace readers streams its events: at the end of a step
+at which the trace holds ``CSV_CHUNK_LINES`` events or more, ``run`` hands
+the trace to each reader and then empties its event list, and it hands over
+what is left once more when the run ends. So the events held at once are
+bounded by a window plus one step, whatever the run's length. The audit
+(``verify_trace``) and the CSV writer (``SimTrace.write_csv``) each take one
+window at a time and give the bytes and violations of one pass over the
+whole trace. A simulation with no readers keeps every event.
+
 The solve is warm-started. Filling rounds run in increasing level order,
 and a step can only change the rounds at or above a cut, the lowest of:
 
@@ -67,7 +76,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SimulationStalledError, UnknownResourceError
 from .topology import ClusterTopology
@@ -321,7 +330,8 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float])
 Event = tuple[float, str, str, str, float]
 
 
-# Lines per write of ``SimTrace.write_csv``: bounds the chunk's text to a few hundred KB.
+# Lines per write of ``SimTrace.write_csv``, which bounds the chunk's text to a few hundred KB, and the events a
+# simulation with trace readers gathers before it hands them over.
 CSV_CHUNK_LINES = 4096
 
 
@@ -337,6 +347,11 @@ class SimTrace:
     would stay tracked for its whole life. ``write_csv`` streams the CSV
     from the events in chunks, so the text of the whole file never exists
     at once.
+
+    ``events`` holds the whole history when the simulation has no trace
+    readers. With readers it holds one window at a time: the events since
+    the last hand-over, and nothing once the run has ended. ``flows`` keeps
+    every flow's record either way.
     """
 
     __slots__ = ("events", "flows", "resources")
@@ -371,15 +386,21 @@ class SimTrace:
                 last_value, value_text = value, repr(value)
             yield f"{time_text},{kind},{flow_id},{resource_id},{value_text}"
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, append: bool = False) -> None:
         """``csv_lines``, one per line, streamed: ``CSV_CHUNK_LINES`` lines are made, joined and written at a time.
 
         Only one chunk's lines and text are held at once, so the writer's
         memory does not grow with the trace. No line is empty, so an empty
-        chunk means the lines have run out.
+        chunk means the lines have run out. With ``append`` the events'
+        lines go after the end of the file, with no header: a trace handed
+        over in windows is written as the first window, then each later one
+        appended, and the file is the one a single write of the whole trace
+        makes.
         """
         lines = self.csv_lines()
-        with open(path, "w") as fh:
+        if append:
+            next(lines)  # the header
+        with open(path, "a" if append else "w") as fh:
             while chunk := "\n".join(islice(lines, CSV_CHUNK_LINES)):
                 fh.write(chunk)
                 fh.write("\n")
@@ -389,6 +410,8 @@ class SimTrace:
 CompletionHook = Callable[["Simulation", list[FlowRecord], float], None]
 # Callback invoked at its scheduled time; each add_flow() in it starts a flow at `now`, and it may add_timer().
 TimerCallback = Callable[["Simulation", float], None]
+# Callback handed the trace holding one window of events, and whether that window is the run's last.
+TraceReader = Callable[[SimTrace, bool], None]
 
 
 class Simulation:
@@ -416,10 +439,15 @@ class Simulation:
     it does not keep a stalled flow from raising ``SimulationStalledError``.
     Flows added before ``run`` are rated before the timers due at the start
     instant fire.
+
+    ``readers`` are called in order with each window of the trace (see the
+    module docstring); a reader may insert events into the window before
+    the next one reads it. A run that raises hands no further window over.
     """
 
-    def __init__(self, resources: Mapping[str, Resource]):
+    def __init__(self, resources: Mapping[str, Resource], readers: Sequence[TraceReader] = ()):
         self.resources = dict(resources)
+        self.readers = tuple(readers)
         self.now = 0.0
         # id -> each path whose every resource has a capacity entry; holding the path keeps its id unique.
         self._checked_paths: dict[int, ResourcePath] = {}
@@ -637,7 +665,18 @@ class Simulation:
                 on_complete(self, completed, self.now)
             while self._timers and self._timers[0][0] <= self.now:
                 heappop(self._timers)[2](self, self.now)
+            if self.readers and len(events) >= CSV_CHUNK_LINES:
+                self._hand_over(last=False)
+        if self.readers:
+            self._hand_over(last=True)
         return self._trace
+
+    def _hand_over(self, last: bool) -> None:
+        """Hand the trace's window of events to every reader, then empty it."""
+        trace = self._trace
+        for reader in self.readers:
+            reader(trace, last)
+        trace.events.clear()
 
 
 class TraceViolation(NamedTuple):
@@ -654,20 +693,45 @@ CAPACITY_REL_EPS = 1e-9
 BYTE_REL_TOL = 1e-6
 
 
-def verify_trace(trace: SimTrace) -> list[TraceViolation]:
+class AuditState:
+    """What ``verify_trace`` carries from one window of a trace to the next.
+
+    ``prev_t`` is the last time seen. ``active``, ``hops`` and ``rate`` hold
+    each flow started and not yet ended: its record, its distinct resources
+    and its rate (0.0 from its start until its first ``rate_change``).
+    ``moved`` holds the MB each flow has moved, and ``limits`` each symmetric
+    resource's capacity with the float slack.
+    """
+
+    __slots__ = ("prev_t", "active", "hops", "rate", "moved", "limits")
+
+    def __init__(self):
+        self.prev_t = -math.inf
+        self.active: dict[str, FlowRecord] = {}
+        self.hops: dict[str, tuple[str, ...]] = {}  # keyed like `active`
+        self.rate: dict[str, float] = {}
+        self.moved: dict[str, float] = {}
+        self.limits: dict[str, float] = {}
+
+
+def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = True) -> list[TraceViolation]:
     """Audit a trace: monotone time, byte conservation, capacity limits.
 
     Returns violations as data (empty list means the trace is clean), so
     hand-built traces can be checked the same way as simulated ones.
+
+    A trace handed over in windows is audited one window per call, each
+    call going on from the ``state`` the previous one left, with ``last``
+    false until the run's last window; a flow still active after that one
+    has a start without an end. Each call returns the violations found in
+    its window, and together they are those of one call on the whole trace.
     """
+    if state is None:
+        state = AuditState()
     violations: list[TraceViolation] = []
     resources = trace.resources
-    prev_t = -math.inf
-    active: dict[str, FlowRecord] = {}
-    hops: dict[str, tuple[str, ...]] = {}  # each active flow's distinct resources; keyed like `active`
-    rate: dict[str, float] = {}  # holds every active flow: 0.0 from its start until its first rate_change
-    moved: dict[str, float] = {}
-    limits: dict[str, float] = {}  # symmetric resource -> its capacity with the float slack
+    prev_t = state.prev_t
+    active, hops, rate, moved, limits = state.active, state.hops, state.rate, state.moved, state.limits
 
     def check_interval(t0: float, t1: float) -> None:
         dt = t1 - t0
@@ -732,6 +796,8 @@ def verify_trace(trace: SimTrace) -> list[TraceViolation]:
             hops.pop(fid, None)
         # snapshot events are informational markers
 
-    for fid in active:
-        violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))
+    state.prev_t = prev_t
+    if last:
+        for fid in active:
+            violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))
     return violations

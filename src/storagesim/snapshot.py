@@ -17,12 +17,12 @@ once and contends with the workload it copies.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .simengine import Event, FlowRecord, Resource, SimTrace, Simulation
 from .volumes import VM_LIFETIME_KINDS, ResourcePath, Routes, Volume, is_link_resource
@@ -127,21 +127,37 @@ def plan_snapshots(
     return records
 
 
-def merge_snapshot_events(trace: SimTrace, records: Iterable[SnapshotRecord]) -> SimTrace:
-    """Splice snapshot marker events into a time-ordered trace, in place.
+def merge_snapshot_events(
+    trace: SimTrace, records: Sequence[SnapshotRecord], start: int = 0, last: bool = True
+) -> int:
+    """Splice the markers of ``records[start:]`` that are due into the time-ordered ``trace``, in place.
 
     Records must be in ``taken_at`` order; a marker follows the trace's
     events at its instant, and markers of one instant keep their order.
+    Returns the index of the first record whose marker is not spliced yet.
+
+    Every marker is due in a whole trace, which is its own last window.
+    When ``trace`` holds one window of a run that goes on (``last`` false;
+    such a window is never empty), a marker is due once the window's last
+    event is later than its ``taken_at``. Every event at or before that
+    instant has then gone by, in this window or an earlier one, and every
+    later event is in this window or a later one, so the marker lands
+    where a splice into the whole trace puts it. Pass the returned index
+    as the next window's ``start``.
     """
     events = trace.events
-    spliced: list[tuple[int, Event]] = []  # (index in the unspliced trace, marker)
+    end = len(records)
+    if not last:
+        end = bisect_left(records, events[-1][0], start, end, key=attrgetter("taken_at"))  # the last event's time
+    spliced: list[tuple[int, Event]] = []  # (index in the unspliced window, marker)
     at = 0
-    for r in records:
+    for i in range(start, end):
+        r = records[i]
         at = bisect_right(events, r.taken_at, lo=at, key=itemgetter(0))  # the event time
         spliced.append((at, (r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied)))
     for at, marker in reversed(spliced):  # from the back, so each index still holds
         events.insert(at, marker)
-    return trace
+    return end
 
 
 def recoverable_bytes(volume_id: str, crash_time: float, records: Iterable[SnapshotRecord]) -> float:

@@ -69,12 +69,6 @@ class ClusterTopology(NamedTuple):
     controller: ControllerNode
     links: tuple[NetworkLink, ...] = ()
 
-    def host(self, host_id: str) -> PhysicalHost:
-        for h in self.hosts:
-            if h.id == host_id:
-                return h
-        raise KeyError(host_id)
-
     def management_links(self) -> tuple[NetworkLink, ...]:
         return tuple(l for l in self.links if l.role == ROLE_MANAGEMENT)
 
@@ -208,7 +202,7 @@ MANAGEMENT_NET = "mgmt-net"
 PUBLIC_NET = "pub-net"
 
 # The most hosts a scenario's reference cluster may have: placing a VM checks every host, and each check scans the
-# host list, so the cost of building a cluster's state grows with the square of its hosts.
+# placed VMs and volumes, so the cost of building a cluster's state grows with its hosts times its VMs.
 MAX_REFERENCE_HOSTS = 1000
 
 

@@ -156,7 +156,7 @@ def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) ->
             attached_to=vm_id,
         )
     else:
-        host = new.topology.host(vm.host_id)
+        host = new.hosts_by_id[vm.host_id]
         if not host.local_persistent_group:
             raise NoLocalPersistentGroupError(f"host {vm.host_id} has no local-persistent partition group")
         vol = _attach_partition(new, vm, size_gb, host)

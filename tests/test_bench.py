@@ -7,7 +7,7 @@ import pytest
 
 from helpers import SMALL_VM, bind_dfs_volumes, dfs_cluster, placed_cluster, start_time
 from oracles import avg_rate_oracle, throughput_oracle
-from storagesim import volumes
+from storagesim import bench, volumes
 from storagesim.bench import (
     BenchmarkResult,
     DfsioSpec,
@@ -103,6 +103,27 @@ def test_metrics_equal_the_fraction_sums_exactly():
         tasks = stats_of(list(zip(sizes, times)))
         assert throughput(tasks) == fraction_throughput(tasks)
         assert avg_io_rate(tasks) == fraction_avg_rate(tasks)
+
+
+def test_exact_sum_gives_the_pair_over_the_largest_denominator_in_one_pass():
+    rng = random.Random(32)
+    tiny = math.ulp(0.0)  # the least subnormal
+    draws = [
+        lambda: rng.uniform(0.0, 1e4),
+        lambda: rng.randint(-(10**6), 10**6),
+        lambda: tiny * rng.randint(1, 2**52),  # a subnormal
+        lambda: math.ldexp(rng.random(), rng.randint(-1074, -960)),
+        lambda: math.ldexp(rng.random() + 1.0, rng.randint(960, 1000)),
+        lambda: -rng.expovariate(1.0),
+    ]
+    for _ in range(300):
+        values = [rng.choice(draws)() for _ in range(rng.randint(1, 40))]
+        ratios = [v.as_integer_ratio() for v in values]
+        den = max(d for _, d in ratios)  # the pair a sum over the largest denominator of all gives
+        want = sum(n * (den // d) for n, d in ratios), den
+        assert bench._exact_sum(iter(values)) == want, values
+        assert Fraction(*want) == sum(map(Fraction, values))
+    assert bench._exact_sum([3, 2**-1074, 2.5]) == (3 * 2**1074 + 1 + 5 * 2**1073, 2**1074)
 
 
 def test_stddev_zero_for_identical_rates():

@@ -135,3 +135,29 @@ def test_a_repeated_key_is_a_parse_error_naming_the_key_and_its_line(tmp_path, a
     assert done.stderr.startswith("parse error: ")
     column = len(repeat) - len(repeat.lstrip()) + 1
     assert f"found duplicate key {key!r}\n" in done.stderr and f"line {line}, column {column}\n" in done.stderr
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+@pytest.mark.parametrize(
+    "anchor, digits",
+    [
+        ("seed: 42\n", "9" * 5000),  # PyYAML cannot read a decimal int over the 4 300-digit limit
+        ("seed: 42\n", "0x" + "f" * 5000),  # it reads this one, but no output could write it in decimal
+        ("  n_files: 10\n", "9" * 5000),
+    ],
+    ids=["decimal_seed", "hex_seed", "decimal_n_files"],
+)
+def test_an_integer_past_the_int_to_text_limit_is_a_parse_error_with_its_line(tmp_path, anchor, digits, parser):
+    text = (SCENARIOS / "reference.yaml").read_text()
+    assert text.count(anchor) == 1
+    value = anchor.split()[-1]
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text.replace(anchor, anchor.replace(value, digits)))
+    line, column = 1 + text[: text.index(anchor)].count("\n"), anchor.index(value) + 1
+    for command in ("validate", "run"):
+        out = tmp_path / command
+        done = cli_in_fresh_interpreter(parser, command, "--scenario", str(scenario), "--out", str(out))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("parse error: ") and "integer too long" in done.stderr
+        assert f"line {line}, column {column}\n" in done.stderr
+        assert not out.exists()  # no error.log: the run never started

@@ -153,3 +153,36 @@ def test_random_place_terminate_sequences_never_overcommit():
                 except NoCandidateHostError:
                     pass
             assert capacity_violations(state) == []
+
+
+class _CountedWalks(tuple):
+    """A host tuple that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        _CountedWalks.walks += 1
+        return super().__iter__()
+
+
+def test_host_lookups_read_the_state_table_and_unknown_ids_raise_key_error():
+    topology = reference_cluster(40)
+    counted = ClusterState(topology._replace(hosts=_CountedWalks(topology.hosts)))
+    plain = ClusterState.from_topology(topology)
+    spec = VmSpec(vcpus=1, ram_gb=1.0, root_disk_gb=5.0)  # migratable
+    _CountedWalks.walks = 0
+    for policy in ["spread", "first_fit"] * 10:
+        counted, vm = place_vm(counted, spec, policy=policy)
+        plain, want = place_vm(plain, spec, policy=policy)
+        assert vm.host_id == want.host_id
+    # each placement walks the hosts twice: once to filter them, once to build its new state's table
+    assert _CountedWalks.walks == 2 * 20
+    assert counted.hosts_by_id["h01"] is topology.hosts[0]
+    for lookup in (
+        lambda: plain.free_vcpus("h99"),
+        lambda: plain.free_ram_gb("h99"),
+        lambda: plain.find_disk("h99", "disk1"),
+        lambda: migrate_vm(plain, vm.id, "h99"),
+    ):
+        with pytest.raises(KeyError):
+            lookup()

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from helpers import PARSERS, cli_in_fresh_interpreter, in_fresh_interpreter
-from storagesim import bench, cli
+from storagesim import bench, cli, simengine
 from storagesim import scenario as scenario_module
 from storagesim.cli import main
 from storagesim.cost import count_io_ops
@@ -18,6 +18,7 @@ from storagesim.errors import (
     ScenarioParseError,
     ScenarioValidationError,
     SimError,
+    SimulationStalledError,
 )
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.placement import VmSpec
@@ -443,16 +444,126 @@ def test_cli_exits_4_on_a_corrupted_measured_trace(tmp_path, monkeypatch, capsys
     path = write_scenario(tmp_path, doc)
     real_run_scenario = cli.run_scenario
 
-    def corrupted(scenario, *args, **kwargs):
-        run = real_run_scenario(scenario, *args, **kwargs)
-        record = next(iter(run.trace.flows.values()))
-        record.size_mb *= 2  # the trace now moves half of this flow's bytes
-        return run
+    def corrupted(scenario, *args, readers=(), **kwargs):
+        def corrupt(trace, last):  # ahead of the audit, which reads the trace as the run streams it
+            if not corrupt.done:
+                record = next(iter(trace.flows.values()))
+                record.size_mb *= 2  # the trace now moves half of this flow's bytes
+                corrupt.done = True
+
+        corrupt.done = False
+        return real_run_scenario(scenario, *args, readers=(corrupt, *readers), **kwargs)
 
     monkeypatch.setattr(cli, "run_scenario", corrupted)
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal invariant violation:\n[byte-conservation]")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def _snapshotting_doc():
+    """Reads beside writes under ``local``, snapshotted every 10 s: markers fall inside the run."""
+    doc = scenario_doc()
+    doc["dfsio"].update(n_files=30, file_size_mb=256, mode="mixed", read_fraction=0.5, map_capacity=10)
+    doc["dfs"]["replication_factor"] = 2
+    doc["snapshot"]["interval_s"] = 10
+    return doc
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_outputs_do_not_depend_on_the_window_size(tmp_path, monkeypatch, capsys):
+    path = write_scenario(tmp_path, _snapshotting_doc())
+    want = {}
+    for command in ("run", "compare"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / command)]) == 0
+        want[command] = _files(tmp_path / command), capsys.readouterr().out.replace(str(tmp_path), "")
+    trace = want["run"][0]["trace.csv"].decode().splitlines()
+    assert len(trace) > 500 and sum(",snapshot," in line for line in trace) > 10
+    for size in (1, 2, 3, 64):
+        monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", size)
+        for command in ("run", "compare"):
+            out = tmp_path / f"{command}_{size}"
+            assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+            assert (_files(out), capsys.readouterr().out.replace(str(tmp_path), "").replace(f"_{size}", "")) == want[
+                command
+            ], (command, size)
+
+
+def test_a_failed_audit_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
+    path = write_scenario(tmp_path, _snapshotting_doc())
+    monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", 64)
+    monkeypatch.setattr(simengine, "CAPACITY_REL_EPS", -0.5)  # every resource in full use is over its limit
+    writes = []
+    real_write_csv = simengine.SimTrace.write_csv
+    monkeypatch.setattr(simengine.SimTrace, "write_csv", lambda t, p, **kw: writes.append(p) or real_write_csv(t, p, **kw))
+    for command, kept in (("run", "trace.csv"), ("compare", "trace_local.csv")):
+        out = tmp_path / command
+        for old in ({}, {kept: b"an earlier run's trace\n"}):  # a fresh --out, then one an earlier run wrote
+            out.mkdir(exist_ok=True)
+            for name, text in old.items():
+                (out / name).write_bytes(text)
+            writes.clear()
+            assert main([command, "--scenario", str(path), "--out", str(out)]) == 4
+            assert capsys.readouterr().err.startswith("internal invariant violation:\n[capacity]")
+            assert len(writes) > 5 and {p.name for p in writes} >= {f"{kept}.part"}  # the part was written
+            assert _files(out) == old, command
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_sim_error_mid_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys, command):
+    path = write_scenario(tmp_path, _snapshotting_doc())
+    out = tmp_path / "out"
+    monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", 64)
+    real_next_completion = simengine.Simulation._next_completion
+    steps = []
+
+    def stalls_late(sim):
+        steps.append(sim)
+        if len(steps) == 60:
+            assert any(p.name.endswith(".part") for p in out.iterdir())  # windows are on disk by now
+            raise SimulationStalledError("stalled on purpose")
+        return real_next_completion(sim)
+
+    monkeypatch.setattr(simengine.Simulation, "_next_completion", stalls_late)
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 4
+    assert "stalled on purpose" in capsys.readouterr().err
+    assert sorted(_files(out)) == ["error.log"]
+
+
+def test_a_cli_run_holds_at_most_a_window_and_a_step_of_events(tmp_path, monkeypatch):
+    """``trace.events`` never holds more than ``CSV_CHUNK_LINES`` events plus those of the step that fills it."""
+    doc = scenario_doc(storage_config="networked")
+    doc["dfs"]["replication_factor"] = 3
+    doc["dfsio"].update(n_files=1500, file_size_mb=64)  # 13 500 events; no snapshots, so every step has flows
+    path = write_scenario(tmp_path, doc)
+    per_step = [0]  # events appended in each step so far
+    held = [0]  # the most events the list held
+
+    class Counting(list):
+        def append(self, event):
+            super().append(event)
+            per_step[-1] += 1
+            held[0] = max(held[0], len(self))
+
+    real_init, real_reallocate = simengine.Simulation.__init__, simengine.Simulation._reallocate
+
+    def init(sim, *args, **kwargs):
+        real_init(sim, *args, **kwargs)
+        sim._trace.events = Counting()
+
+    def reallocate(sim):  # a step starts with its solve
+        per_step.append(0)
+        return real_reallocate(sim)
+
+    monkeypatch.setattr(simengine.Simulation, "__init__", init)
+    monkeypatch.setattr(simengine.Simulation, "_reallocate", reallocate)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    events = sum(per_step)
+    assert events == len((tmp_path / "out" / "trace.csv").read_text().splitlines()) - 1 > 3 * simengine.CSV_CHUNK_LINES
+    assert simengine.CSV_CHUNK_LINES <= held[0] < simengine.CSV_CHUNK_LINES + max(per_step)
 
 
 def test_cli_rf_over_vms_exits_3(tmp_path, capsys):

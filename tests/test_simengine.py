@@ -10,7 +10,7 @@ import yaml
 
 from helpers import FlowSpec, TraceEvent, arrive, run, start_time
 from oracles import bottleneck_violations, csv_lines_reference, maxmin_fill_oracle, verify_trace_reference
-from storagesim import simengine
+from storagesim import cli, simengine
 from storagesim.cli import main
 from storagesim.errors import SimulationStalledError, UnknownResourceError
 from storagesim.simengine import (
@@ -275,13 +275,20 @@ def test_a_cold_solve_whose_last_round_freezes_every_flow_equals_the_oracle():
 
 
 def _count_directions_calls(monkeypatch):
-    """Count ``simengine._directions`` calls, and those made inside ``Simulation.run``."""
-    calls, in_run = [], []
-    real_directions, real_run = simengine._directions, Simulation.run
+    """Count ``simengine._directions`` calls, and those the engine makes: inside ``Simulation.run`` but not the audit."""
+    calls, in_run, in_audit = [], [], []
+    real_directions, real_run, real_audit = simengine._directions, Simulation.run, cli.verify_trace
 
     def counting(paths):
-        calls.append(bool(in_run))
+        calls.append(bool(in_run) and not in_audit)
         return real_directions(paths)
+
+    def audit(*args):
+        in_audit.append(1)
+        try:
+            return real_audit(*args)
+        finally:
+            in_audit.pop()
 
     def run(sim, on_complete=None):
         in_run.append(1)
@@ -292,6 +299,7 @@ def _count_directions_calls(monkeypatch):
 
     monkeypatch.setattr(simengine, "_directions", counting)
     monkeypatch.setattr(Simulation, "run", run)
+    monkeypatch.setattr(cli, "verify_trace", audit)
     return calls
 
 
@@ -573,7 +581,8 @@ def test_every_engine_event_and_snapshot_marker_is_an_untracked_plain_tuple():
     # "empty" starts and ends at once
     arrive(sim, ("empty", ResourcePath(("d2",), "write"), 0.0), 1.0)
     arrive(sim, ("b", ResourcePath(("d1", "d2"), "read"), 300.0), 2.0)
-    trace = merge_snapshot_events(sim.run(), [SnapshotRecord("v1", taken_at=3.0, bytes_copied=12.5)])
+    trace = sim.run()
+    assert merge_snapshot_events(trace, [SnapshotRecord("v1", taken_at=3.0, bytes_copied=12.5)]) == 1
     empty = [(t, kind) for t, kind, fid, _, _ in trace.events if fid == "empty"]
     assert empty[0] == (1.0, "flow_start") and empty[-1] == (1.0, "flow_end")
     assert {kind for _, kind, _, _, _ in trace.events} == {"flow_start", "rate_change", "flow_end", "snapshot"}
@@ -888,6 +897,70 @@ def test_verify_trace_equals_the_reference_on_corrupted_traces():
         assert list(trace.csv_lines()) == csv_lines_reference(trace)
         codes.update(code for code, _, _ in want)
     assert codes == {"monotonicity", "capacity", "byte-conservation", "unmatched-flow"}
+
+
+def _windows(events, size):
+    """``events`` cut into consecutive windows of ``size`` events, the last one possibly shorter or empty."""
+    return [events[i : i + size] for i in range(0, len(events), size)] or [[]]
+
+
+def _window_sizes(n):
+    return sorted({1, 2, 3, max(1, n - 1), max(1, n), n + 1, simengine.CSV_CHUNK_LINES})
+
+
+def test_write_csv_in_windows_equals_the_reference_at_every_window_size(tmp_path):
+    path = ResourcePath(("d1",), "write")
+    trace = run({"d1": res("d1", 100.0)}, [(FlowSpec(f"f{i}", path, 10.0 * (i + 1)), float(i)) for i in range(4)])
+    trace.events += [  # values that only their own object's repr prints right
+        TraceEvent(9.0, "rate_change", "a", "", -0.0),
+        TraceEvent(9.0, "rate_change", "b", "", 0.0),
+        TraceEvent(float("9.0"), "snapshot", "snap.v1", "v1", math.nan),
+        TraceEvent(10.0, "rate_change", "c", "", 1e-300),
+    ]
+    events = trace.events
+    want = ("\n".join(csv_lines_reference(trace)) + "\n").encode()
+    for size in _window_sizes(len(events)):
+        out = tmp_path / f"trace_{size}.csv"
+        for i, window in enumerate(_windows(events, size)):
+            SimTrace(events=window).write_csv(out, append=i > 0)
+        assert out.read_bytes() == want, size
+    SimTrace().write_csv(out)
+    SimTrace().write_csv(out, append=True)
+    assert out.read_bytes() == b"time,event_kind,flow_id,resource_id,value\n"
+
+
+def test_verify_trace_in_windows_equals_the_reference_on_corrupted_traces():
+    def report(violations):
+        return [(v.code, repr(v.time), v.message) for v in violations]
+
+    rng = random.Random(32)
+    for trace in _corrupted_traces(2014, 200):
+        want = report(verify_trace_reference(trace))
+        n = len(trace.events)
+        for size in _window_sizes(n) + [rng.randint(1, n + 1)]:
+            state, got = simengine.AuditState(), []
+            windows = _windows(trace.events, size)
+            for i, window in enumerate(windows):
+                piece = SimTrace(events=window, flows=trace.flows, resources=trace.resources)
+                got += verify_trace(piece, state, i == len(windows) - 1)
+            assert report(got) == want, size
+
+
+def test_a_simulation_with_readers_hands_its_trace_over_in_windows(monkeypatch):
+    path = ResourcePath(("d1", "d2"), "write")
+    resources = {"d1": res("d1", 100.0), "d2": res("d2", 30.0)}
+    workload = [(FlowSpec(f"f{i:02d}", path, 5.0 + i), 0.5 * i) for i in range(40)]
+    whole = run(resources, workload).events
+    for size in (1, 2, 3, 17, len(whole) - 1, len(whole), len(whole) + 1):
+        monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", size)
+        handed = []  # (window, last)
+        sim = Simulation(resources, [lambda trace, last: handed.append((list(trace.events), last))])
+        for spec, at_time in workload:
+            arrive(sim, spec, at_time)
+        assert sim.run().events == []
+        assert [last for _, last in handed] == [False] * (len(handed) - 1) + [True]
+        assert all(len(window) >= size for window, _ in handed[:-1])  # a window is handed over once it is full
+        assert [e for window, _ in handed for e in window] == whole, size
 
 
 def test_duplicate_hops_reserve_capacity_once():

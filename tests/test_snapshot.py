@@ -269,7 +269,36 @@ def test_merge_snapshot_events_equals_a_stable_merge_by_time():
             TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied) for r in records
         ]
         want = list(heapq.merge(events, markers, key=lambda e: e.time))
-        assert merge_snapshot_events(SimTrace(events=list(events)), records).events == want
+        trace = SimTrace(events=list(events))
+        assert merge_snapshot_events(trace, records) == len(records)
+        assert trace.events == want
+
+
+def test_merge_snapshot_events_in_windows_equals_a_stable_merge_by_time():
+    rng = random.Random(32)
+    ends_a_window = 0  # markers whose instant is the last event time of some window
+    for _ in range(300):
+        times = sorted(rng.choice([0.0, 1.0, 2.5, 4.0, 7.0]) for _ in range(rng.randint(0, 12)))
+        events = [TraceEvent(t, "flow_start", f"f{i}", "", 1.0) for i, t in enumerate(times)]
+        taken = sorted(rng.choice([-1.0, 0.0, 1.0, 3.0, 4.0, 9.0]) for _ in range(rng.randint(0, 6)))
+        records = [SnapshotRecord(f"v{i}", t, 1.0) for i, t in enumerate(taken)]
+        markers = [
+            TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied) for r in records
+        ]
+        want = list(heapq.merge(events, markers, key=lambda e: e.time))
+        cuts = sorted(rng.sample(range(1, len(events)), rng.randint(0, max(0, len(events) - 1)))) if events else []
+        bounds = [0, *cuts, len(events)]
+        got, start = [], 0
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            window = SimTrace(events=events[lo:hi])
+            last = i == len(bounds) - 2
+            if window.events:
+                ends_a_window += sum(r.taken_at == window.events[-1].time for r in records)
+            start = merge_snapshot_events(window, records, start, last)
+            got += window.events
+        assert start == len(records)
+        assert got == want, (times, taken, cuts)
+    assert ends_a_window > 100
 
 
 # -- snapshots inside a full run ------------------------------------------------
