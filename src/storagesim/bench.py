@@ -33,7 +33,7 @@ from .dfs import DfsConfig, DfsFile, PlacementTables, place_file, schedule_map_t
 from .errors import EmptyStatsError, SimError
 from .placement import ClusterState
 from .simengine import COMPLETION_EPS, Simulation, SimTrace, TraceReader, build_resources
-from .snapshot import SnapshotPolicy, SnapshotRecord, merge_snapshot_events, plan_snapshots
+from .snapshot import SnapshotPolicy, SnapshotRecord, plan_snapshots
 from .topology import management_path  # noqa: F401  (unused; perfbench's traced-run test asserts this binding)
 from .volumes import ResourcePath, Routes
 
@@ -217,13 +217,12 @@ def run_dfsio(
     ``PlacementTables``, and every path comes from its one ``Routes``
     table. With a ``snapshots`` policy, non-persistent volumes are
     snapshotted during the run and the transfers contend with the tasks.
-    Returns the metric record, the flow trace (with snapshot markers), the
-    placed files and the snapshot records; ``state`` is only read, and the
-    trace's write flows hold every byte the run wrote.
+    Returns the metric record, the flow trace (with the snapshot markers the
+    engine logged), the placed files and the snapshot records; ``state`` is
+    only read, and the trace's write flows hold every byte the run wrote.
 
     With ``readers`` the simulation streams its trace to them window by
-    window (see ``Simulation``), each window with its due snapshot markers
-    already spliced in, and the returned trace holds no events.
+    window (see ``Simulation``), and the returned trace holds no events.
     """
     if spec.n_files < 1 or spec.file_size_mb <= COMPLETION_EPS or spec.map_capacity < 1 or spec.slots_per_vm < 1:
         raise ValueError(f"invalid benchmark spec {spec}")
@@ -250,14 +249,6 @@ def run_dfsio(
         file = place_file(placement, spec.file_size_mb, writer, dfs_config, input_rng) if input_rng else None
         tasks.append(_Task(i, mode, writer, file if mode == READ else None))
 
-    marked = 0  # snapshot records whose markers are in the trace
-
-    def mark(trace: SimTrace, last: bool) -> None:
-        nonlocal marked
-        marked = merge_snapshot_events(trace, records, marked, last)
-
-    if readers and snapshots is not None:
-        readers = (mark, *readers)  # each window gets its due markers before the caller's readers see it
     routes = Routes(state, hdfs_volumes)
     sim = Simulation(build_resources(state.topology), readers)
     records = [] if snapshots is None else plan_snapshots(sim, state.volumes, snapshots, routes)
@@ -346,8 +337,6 @@ def run_dfsio(
 
     dispatch(0.0)
     trace = sim.run(on_complete=on_complete)
-    if snapshots is not None and not readers:
-        mark(trace, True)
     unfinished = [t.index for t in tasks if t.end is None]
     if unfinished:
         raise SimError(f"tasks never completed: {unfinished}")

@@ -26,16 +26,19 @@ A path's resources are checked once per simulation, when the first flow
 on that path object is added. A trace event is an exact tuple ``(time, kind,
 flow_id, resource_id, value)`` (see ``SimTrace``): one allocation each, and
 CPython stops tracking it for cycle collection at the first pass. Other
-interpreters lose that gain, not correctness.
+interpreters lose that gain, not correctness. A marker logged with
+``mark`` waits until the clock leaves its instant, so it follows all of
+that instant's events.
 
 A simulation given trace readers streams its events: at the end of a step
 at which the trace holds ``CSV_CHUNK_LINES`` events or more, ``run`` hands
 the trace to each reader and then empties its event list, and it hands over
-what is left once more when the run ends. So the events held at once are
-bounded by a window plus one step, whatever the run's length. The audit
-(``verify_trace``) and the CSV writer (``SimTrace.write_csv``) each take one
-window at a time and give the bytes and violations of one pass over the
-whole trace. A simulation with no readers keeps every event.
+what is left, the last instant's marks included, once more when the run
+ends. Readers only read. So the events held at once are bounded by a window
+plus one step, whatever the run's length. The audit (``verify_trace``) and
+the CSV writer (``SimTrace.write_csv``) each take one window at a time and
+give the bytes and violations of one pass over the whole trace. A
+simulation with no readers keeps every event.
 
 The solve is warm-started. Filling rounds run in increasing level order,
 and a step can only change the rounds at or above a cut, the lowest of:
@@ -340,13 +343,13 @@ class SimTrace:
 
     Each event is an exact ``tuple`` ``(time, kind, flow_id, resource_id,
     value)``, in the order of the ``trace.csv`` header, where ``kind`` is
-    ``flow_start``, ``rate_change``, ``flow_end`` or ``snapshot``. Readers
-    unpack events by position. A plain tuple takes one allocation, and since
-    its fields are all atomic, CPython's cycle collector untracks it at its
-    first pass, so later passes no longer walk the trace; a tuple subclass
-    would stay tracked for its whole life. ``write_csv`` streams the CSV
-    from the events in chunks, so the text of the whole file never exists
-    at once.
+    ``flow_start``, ``rate_change``, ``flow_end`` or ``snapshot`` (a marker,
+    logged by ``Simulation.mark``). Readers unpack events by position. A
+    plain tuple takes one allocation, and since its fields are all atomic,
+    CPython's cycle collector untracks it at its first pass, so later passes
+    no longer walk the trace; a tuple subclass would stay tracked for its
+    whole life. ``write_csv`` streams the CSV from the events in chunks, so
+    the text of the whole file never exists at once.
 
     ``events`` holds the whole history when the simulation has no trace
     readers. With readers it holds one window at a time: the events since
@@ -434,15 +437,16 @@ class Simulation:
     ``add_flow`` starts a flow at ``now``, and the next solve rates it. An
     instant's events are thus its ``flow_end``s in flow-id order, the hook's
     flows in add order, each due timer's flows in (time, add) order, then
-    one batch of ``rate_change``s. A later arrival is a timer that adds the
-    flow: it starts after the hook's flows at its instant, and while pending
-    it does not keep a stalled flow from raising ``SimulationStalledError``.
-    Flows added before ``run`` are rated before the timers due at the start
-    instant fire.
+    one batch of ``rate_change``s, and the zero-length steps that follow;
+    the events logged by ``mark`` come last. A later arrival is a timer that
+    adds the flow: it starts after the hook's flows at its instant, and while
+    pending it does not keep a stalled flow from raising
+    ``SimulationStalledError``. Flows added before ``run`` are rated before
+    the timers due at the start instant fire.
 
     ``readers`` are called in order with each window of the trace (see the
-    module docstring); a reader may insert events into the window before
-    the next one reads it. A run that raises hands no further window over.
+    module docstring), and only read it. A run that raises hands no further
+    window over.
     """
 
     def __init__(self, resources: Mapping[str, Resource], readers: Sequence[TraceReader] = ()):
@@ -455,6 +459,7 @@ class Simulation:
         self._active: dict[str, FlowRecord] = {}
         self._seq = 0
         self._trace = SimTrace(resources=self.resources)
+        self._marks: list[Event] = []  # logged when the clock leaves their instant (see `mark`)
         # Filled as flows are added: each crossed resource's capacity, and each asymmetric resource
         # with the directions of the active flows crossing it, counted for `_reallocate` to re-pool it.
         self._capacities: dict[str, float] = {}
@@ -508,6 +513,16 @@ class Simulation:
             raise ValueError(f"cannot set a timer in the past ({at_time} < {self.now})")
         heappush(self._timers, (at_time, self._seq, callback))
         self._seq += 1
+
+    def mark(self, event: Event) -> None:
+        """Log the informational ``event``, stamped ``now``, after every other event of this instant, in mark order.
+
+        It waits until the clock leaves the instant or the run ends, so it
+        also follows the instant's later flows and zero-length steps.
+        """
+        if event[0] != self.now:
+            raise ValueError(f"cannot mark an event at {event[0]} at time {self.now}")
+        self._marks.append(event)
 
     @property
     def idle(self) -> bool:
@@ -640,7 +655,9 @@ class Simulation:
 
             dt = t - self.now
             advance = dt > 0
-            if advance:
+            if advance:  # the clock leaves its instant: the marks made there follow all of its events
+                self._trace.events += self._marks
+                self._marks.clear()
                 self.now = t
             per_rate = self._slack_per_rate()
             completed = []
@@ -667,6 +684,8 @@ class Simulation:
                 heappop(self._timers)[2](self, self.now)
             if self.readers and len(events) >= CSV_CHUNK_LINES:
                 self._hand_over(last=False)
+        self._trace.events += self._marks
+        self._marks.clear()
         if self.readers:
             self._hand_over(last=True)
         return self._trace

@@ -11,20 +11,20 @@ that asymmetry.
 Snapshots are taken inside the measured run, on engine timers: at each
 interval boundary a volume's dirty bytes are the bytes the engine has
 moved into it since its previous snapshot, and its transfer starts at
-once and contends with the workload it copies.
+once and contends with the workload it copies. Each snapshot's marker is
+logged in the engine's trace at the same instant, after every other event
+of that instant.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import chain
-from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
-from .simengine import Event, FlowRecord, Resource, SimTrace, Simulation
+from .simengine import FlowRecord, Resource, SimTrace, Simulation
 from .volumes import VM_LIFETIME_KINDS, ResourcePath, Routes, Volume, is_link_resource
 
 
@@ -51,11 +51,12 @@ def plan_snapshots(
     with bytes written since its previous snapshot gets a SnapshotRecord
     and a transfer flow to the controller over its ``"snapshot"`` route
     in the run's ``routes`` (behind a cap resource of its own when the
-    policy caps each transfer's bandwidth). The timer re-arms while any flow is active or another timer is
-    pending (a later arrival is a timer), so the last snapshot falls at
-    the first boundary at or after the last write. Two chains that each
-    re-arm while the other is pending never stop, so call this at most
-    once per simulation.
+    policy caps each transfer's bandwidth), and a take that made records
+    logs their markers through ``merge_snapshot_events``. The timer re-arms
+    while any flow is active or another timer is pending (a later arrival
+    is a timer), so the last snapshot falls at the first boundary at or
+    after the last write. Two chains that each re-arm while the other is
+    pending never stop, so call this at most once per simulation.
 
     Returns the record list, which fills in as ``sim`` runs.
     """
@@ -107,6 +108,7 @@ def plan_snapshots(
     def take(sim: Simulation, now: float) -> None:
         nonlocal k
         k += 1
+        made = len(records)
         for vol_id, written in sorted(written_mb(sim).items()):
             dirty = written - covered.get(vol_id, 0.0)
             if dirty <= 0:
@@ -120,6 +122,8 @@ def plan_snapshots(
                 sim.resources[cap_id] = Resource(cap_id, policy.bandwidth_cap, policy.bandwidth_cap)
                 path = ResourcePath((cap_id,) + path.resources, "write")
             sim.add_flow(flow_id, path, dirty, transfer_tags(vol_id))
+        if len(records) > made:
+            merge_snapshot_events(sim, records[made:])
         if not sim.idle:
             sim.add_timer((k + 1) * policy.interval_s, take)
 
@@ -127,37 +131,17 @@ def plan_snapshots(
     return records
 
 
-def merge_snapshot_events(
-    trace: SimTrace, records: Sequence[SnapshotRecord], start: int = 0, last: bool = True
-) -> int:
-    """Splice the markers of ``records[start:]`` that are due into the time-ordered ``trace``, in place.
+def merge_snapshot_events(sim: Simulation, records: Iterable[SnapshotRecord]) -> None:
+    """Log the marker of each of ``records``, taken at ``sim.now``, in ``sim``'s trace, in order.
 
-    Records must be in ``taken_at`` order; a marker follows the trace's
-    events at its instant, and markers of one instant keep their order.
-    Returns the index of the first record whose marker is not spliced yet.
-
-    Every marker is due in a whole trace, which is its own last window.
-    When ``trace`` holds one window of a run that goes on (``last`` false;
-    such a window is never empty), a marker is due once the window's last
-    event is later than its ``taken_at``. Every event at or before that
-    instant has then gone by, in this window or an earlier one, and every
-    later event is in this window or a later one, so the marker lands
-    where a splice into the whole trace puts it. Pass the returned index
-    as the next window's ``start``.
+    A marker is the event ``(taken_at, "snapshot", "snap.<volume>", volume,
+    MB copied)``. ``Simulation.mark`` logs it after every other event of its
+    instant, so the trace is the stable merge by time of the flow events and
+    the markers. This is the one place that turns records into markers; it
+    stays a function because perfbench's tracer times it by this name.
     """
-    events = trace.events
-    end = len(records)
-    if not last:
-        end = bisect_left(records, events[-1][0], start, end, key=attrgetter("taken_at"))  # the last event's time
-    spliced: list[tuple[int, Event]] = []  # (index in the unspliced window, marker)
-    at = 0
-    for i in range(start, end):
-        r = records[i]
-        at = bisect_right(events, r.taken_at, lo=at, key=itemgetter(0))  # the event time
-        spliced.append((at, (r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied)))
-    for at, marker in reversed(spliced):  # from the back, so each index still holds
-        events.insert(at, marker)
-    return end
+    for r in records:
+        sim.mark((r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied))
 
 
 def recoverable_bytes(volume_id: str, crash_time: float, records: Iterable[SnapshotRecord]) -> float:

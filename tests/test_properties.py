@@ -7,7 +7,9 @@ Disks may read and write at different speeds; every storage config and
 benchmark mode is drawn, with replication up to the host count (at most
 4), and snapshot intervals with or without a bandwidth cap. Every run must exit 0 (so its
 one trace passes the audit), write byte-identical outputs
-when repeated, and keep the DFSIO identities of tasks.csv exactly.
+when repeated, and keep the DFSIO identities of tasks.csv exactly. Its
+snapshot markers must be result.json's records, one for one, each last at
+its instant and equal to the transfer it starts.
 """
 
 import json
@@ -118,6 +120,28 @@ def dfsio_identities(out: Path, n_files: int) -> None:
     assert result["avg_io_rate_mbps"] == float(sum(map(Fraction, rate)) / n_files)
 
 
+def snapshot_markers(out: Path) -> None:
+    """Check trace.csv's snapshot markers against result.json's records and the transfers they start."""
+    records = json.loads((out / "result.json").read_text())["snapshots"]
+    rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+    markers = [row for row in rows if row[1] == "snapshot"]
+    assert [(float(t), vol, float(mb)) for t, _, _, vol, mb in markers] == [
+        (r["taken_at_s"], r["volume_id"], r["bytes_copied_mb"]) for r in records
+    ]
+    for row, after in zip(rows, rows[1:]):  # times never fall, so a marker is last at its instant if the next row is
+        if row[1] == "snapshot" and float(after[0]) == float(row[0]):
+            assert after[1] == "snapshot", (row, after)
+    transfers = {}  # (time text, "snap.<volume>") -> MB text of the snapshot transfer started then
+    for t, kind, fid, _, mb in rows:
+        if kind == "flow_start" and fid.startswith("snap."):
+            stem, k = fid.rsplit(".", 1)
+            assert k.isdigit() and (t, stem) not in transfers
+            transfers[t, stem] = mb
+    for t, _, fid, vol, mb in markers:
+        assert fid == f"snap.{vol}" and transfers[t, fid] == mb
+    assert len(transfers) == len(markers)
+
+
 @settings(max_examples=50)
 @given(scenarios())
 def test_generated_scenarios_run_clean_repeat_exactly_and_keep_dfsio_identities(doc):
@@ -131,3 +155,4 @@ def test_generated_scenarios_run_clean_repeat_exactly_and_keep_dfsio_identities(
             outputs.append({f: (tmp / name / f).read_bytes() for f in OUTPUTS})
         assert outputs[0] == outputs[1]
         dfsio_identities(tmp / "a", doc["dfsio"]["n_files"])
+        snapshot_markers(tmp / "a")

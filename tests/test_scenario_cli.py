@@ -475,21 +475,29 @@ def _files(out):
 
 
 def test_outputs_do_not_depend_on_the_window_size(tmp_path, monkeypatch, capsys):
-    path = write_scenario(tmp_path, _snapshotting_doc())
-    want = {}
-    for command in ("run", "compare"):
-        assert main([command, "--scenario", str(path), "--out", str(tmp_path / command)]) == 0
-        want[command] = _files(tmp_path / command), capsys.readouterr().out.replace(str(tmp_path), "")
-    trace = want["run"][0]["trace.csv"].decode().splitlines()
-    assert len(trace) > 500 and sum(",snapshot," in line for line in trace) > 10
-    for size in (1, 2, 3, 64):
-        monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", size)
+    capped = _snapshotting_doc()
+    capped["snapshot"]["bandwidth_cap"] = 20  # each transfer's cap resource joins the simulation mid-run
+    default_size = simengine.CSV_CHUNK_LINES
+    for name, doc in (("uncapped", _snapshotting_doc()), ("capped", capped)):
+        monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", default_size)
+        base = tmp_path / name
+        base.mkdir()
+        path = write_scenario(base, doc)
+        want = {}
         for command in ("run", "compare"):
-            out = tmp_path / f"{command}_{size}"
-            assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
-            assert (_files(out), capsys.readouterr().out.replace(str(tmp_path), "").replace(f"_{size}", "")) == want[
-                command
-            ], (command, size)
+            assert main([command, "--scenario", str(path), "--out", str(base / command)]) == 0
+            want[command] = _files(base / command), capsys.readouterr().out.replace(str(base), "")
+        trace = want["run"][0]["trace.csv"].decode().splitlines()
+        assert len(trace) > 500 and sum(",snapshot," in line for line in trace) > 10
+        snap_rates = [float(line.rsplit(",", 1)[1]) for line in trace if ",rate_change,snap." in line]
+        assert (max(snap_rates) <= 20) == (name == "capped")
+        for size in (1, 2, 3, 64):
+            monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", size)
+            for command in ("run", "compare"):
+                out = base / f"{command}_{size}"
+                assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+                got = _files(out), capsys.readouterr().out.replace(str(base), "").replace(f"_{size}", "")
+                assert got == want[command], (name, command, size)
 
 
 def test_a_failed_audit_leaves_no_trace_file(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from storagesim import cli, simengine
 from storagesim.cli import main
 from storagesim.errors import SimulationStalledError, UnknownResourceError
 from storagesim.simengine import (
+    COMPLETION_EPS,
     FlowRecord,
     Resource,
     SimTrace,
@@ -581,8 +582,9 @@ def test_every_engine_event_and_snapshot_marker_is_an_untracked_plain_tuple():
     # "empty" starts and ends at once
     arrive(sim, ("empty", ResourcePath(("d2",), "write"), 0.0), 1.0)
     arrive(sim, ("b", ResourcePath(("d1", "d2"), "read"), 300.0), 2.0)
+    sim.add_timer(3.0, lambda sim, now: merge_snapshot_events(sim, [SnapshotRecord("v1", now, 12.5)]))
     trace = sim.run()
-    assert merge_snapshot_events(trace, [SnapshotRecord("v1", taken_at=3.0, bytes_copied=12.5)]) == 1
+    assert ("snapshot", "snap.v1", "v1", 12.5) in [e[1:] for e in trace.events if e[0] == 3.0]
     empty = [(t, kind) for t, kind, fid, _, _ in trace.events if fid == "empty"]
     assert empty[0] == (1.0, "flow_start") and empty[-1] == (1.0, "flow_end")
     assert {kind for _, kind, _, _, _ in trace.events} == {"flow_start", "rate_change", "flow_end", "snapshot"}
@@ -961,6 +963,66 @@ def test_a_simulation_with_readers_hands_its_trace_over_in_windows(monkeypatch):
         assert [last for _, last in handed] == [False] * (len(handed) - 1) + [True]
         assert all(len(window) >= size for window, _ in handed[:-1])  # a window is handed over once it is full
         assert [e for window, _ in handed for e in window] == whole, size
+
+
+def _tiny_and_mark(sim, now):
+    """Mark the instant, then start a flow so small that it ends at once, in a zero-length step after this one."""
+    sim.mark((now, "snapshot", "snap.v1", "v1", 12.5))
+    sim.add_flow("tiny", ResourcePath(("d1",), "write"), COMPLETION_EPS)
+
+
+def test_a_mark_follows_the_zero_length_steps_of_its_instant():
+    sim = Simulation({"d1": res("d1", 100.0)})
+    sim.add_flow("a", ResourcePath(("d1",), "write"), 1000.0)
+    sim.add_timer(5.0, _tiny_and_mark)
+    trace = sim.run()
+    events = trace.events
+    at_5 = [(kind, fid) for t, kind, fid, _, _ in events if t == 5.0]
+    assert at_5 == [
+        ("flow_start", "tiny"),
+        ("rate_change", "a"),  # the solve that rates the tiny flow
+        ("rate_change", "tiny"),
+        ("flow_end", "tiny"),  # the next step, zero-length
+        ("rate_change", "a"),  # the solve after it, still at 5
+        ("snapshot", "snap.v1"),
+    ]
+    assert events[-1] == (10.0, "flow_end", "a", "", 1000.0)
+    assert verify_trace(trace) == []
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["kept", "streamed"])
+def test_a_mark_at_the_last_instant_is_the_last_event(monkeypatch, streamed):
+    monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", 2)
+    handed = []  # (window, last)
+    readers = [lambda trace, last: handed.append((list(trace.events), last))] if streamed else []
+    sim = Simulation({"d1": res("d1", 100.0)}, readers)
+    sim.add_flow("a", ResourcePath(("d1",), "write"), 1000.0)
+    sim.add_timer(10.0, _tiny_and_mark)  # at a's end: the run's last instant
+    events = sim.run().events
+    if streamed:
+        assert events == [] and handed[-1][1]
+        events = [e for window, _ in handed for e in window]
+    assert [(t, kind, fid) for t, kind, fid, _, _ in events[-4:]] == [
+        (10.0, "flow_start", "tiny"),
+        (10.0, "rate_change", "tiny"),
+        (10.0, "flow_end", "tiny"),
+        (10.0, "snapshot", "snap.v1"),
+    ]
+
+
+def test_a_mark_is_stamped_now():
+    sim = Simulation({"d1": res("d1", 100.0)})
+
+    def take(sim, now):
+        for at in (0.0, 1.0, 3.0, math.nan):
+            with pytest.raises(ValueError, match="cannot mark"):
+                sim.mark((at, "snapshot", "x", "x", 1.0))
+        sim.mark((now, "snapshot", "snap.v1", "v1", 1.0))
+
+    sim.add_timer(2.0, take)
+    with pytest.raises(ValueError, match="cannot mark an event at 1.0 at time 0.0"):
+        sim.mark((1.0, "snapshot", "snap.v1", "v1", 1.0))
+    assert sim.run().events == [(2.0, "snapshot", "snap.v1", "v1", 1.0)]
 
 
 def test_duplicate_hops_reserve_capacity_once():

@@ -5,20 +5,21 @@ import os
 import random
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 import yaml
 
 import storagesim
-from helpers import SMALL_VM, TraceEvent, dfs_cluster, start_time
+from helpers import SMALL_VM, FlowSpec, arrive, dfs_cluster, start_time
 from oracles import network_bytes_reference
 from test_golden import GOLDEN
-from storagesim import cli
+from storagesim import cli, simengine
 from storagesim import scenario as scenario_mod
 from storagesim.bench import DfsioSpec, run_dfsio
 from storagesim.dfs import DfsConfig
-from storagesim.simengine import FlowRecord, SimTrace, verify_trace
+from storagesim.simengine import COMPLETION_EPS, FlowRecord, Resource, SimTrace, Simulation, verify_trace
 from storagesim.snapshot import (
     SnapshotPolicy,
     SnapshotRecord,
@@ -257,48 +258,55 @@ def test_merge_snapshot_events_keeps_time_order():
         assert all(kind == "snapshot" for t, kind, _, _, _ in events[i + 1 :] if t == events[i][0])
 
 
-def test_merge_snapshot_events_equals_a_stable_merge_by_time():
+def test_marked_trace_is_a_stable_merge_by_time_in_any_window_size(monkeypatch):
+    """Markers logged at any instant follow every event of it, in whole traces and in windows of any size."""
     rng = random.Random(5)
-    for _ in range(50):
-        times = sorted(rng.choice([0.0, 1.0, 2.5, 4.0, 7.0]) for _ in range(rng.randint(0, 12)))
-        events = [TraceEvent(t, "flow_start", f"f{i}", "", 1.0) for i, t in enumerate(times)]
-        # markers before, between, at and after the events' instants; several per instant
-        taken = sorted(rng.choice([-1.0, 0.0, 1.0, 3.0, 4.0, 9.0]) for _ in range(rng.randint(0, 6)))
-        records = [SnapshotRecord(f"v{i}", t, 1.0) for i, t in enumerate(taken)]
-        markers = [
-            TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied) for r in records
+    opens_a_window = 0  # markers first in a window whose instant the window before ended at
+    for _ in range(150):
+        resources = {rid: Resource(rid, cap, cap) for rid, cap in (("d1", 100.0), ("d2", 30.0), ("l", 50.0))}
+        workload = [
+            (
+                FlowSpec(f"f{i}", ResourcePath(tuple(rng.sample(sorted(resources), rng.randint(1, 2))), "write"),
+                         rng.choice([0.0, COMPLETION_EPS, 1.0, 25.0, 100.0, 300.0])),
+                rng.choice([0.0, 0.0, 1.0, 2.5, 4.0]),
+            )
+            for i in range(rng.randint(0, 8))
         ]
-        want = list(heapq.merge(events, markers, key=lambda e: e.time))
-        trace = SimTrace(events=list(events))
-        assert merge_snapshot_events(trace, records) == len(records)
+        # before, at and after the flows' instants, and past the last end; 0-3 markers each
+        takes = [(rng.choice([0.0, 1.0, 2.5, 3.0, 4.0, 9.0]), rng.randint(0, 3)) for _ in range(rng.randint(0, 5))]
+
+        def simulate(marking, readers=()):
+            sim = Simulation(resources, readers)
+            markers = []
+            for spec, at_time in workload:
+                arrive(sim, spec, at_time)
+            for j, (at_time, n) in enumerate(takes):
+
+                def take(sim, now, j=j, n=n):
+                    if marking:
+                        records = [SnapshotRecord(f"v{j}.{m}", now, float(m)) for m in range(n)]
+                        merge_snapshot_events(sim, records)
+                        markers.extend((now, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied)
+                                       for r in records)
+
+                sim.add_timer(at_time, take)
+            return sim.run(), markers
+
+        plain, _ = simulate(False)
+        trace, markers = simulate(True)
+        want = list(heapq.merge(plain.events, markers, key=itemgetter(0)))  # the event time
         assert trace.events == want
-
-
-def test_merge_snapshot_events_in_windows_equals_a_stable_merge_by_time():
-    rng = random.Random(32)
-    ends_a_window = 0  # markers whose instant is the last event time of some window
-    for _ in range(300):
-        times = sorted(rng.choice([0.0, 1.0, 2.5, 4.0, 7.0]) for _ in range(rng.randint(0, 12)))
-        events = [TraceEvent(t, "flow_start", f"f{i}", "", 1.0) for i, t in enumerate(times)]
-        taken = sorted(rng.choice([-1.0, 0.0, 1.0, 3.0, 4.0, 9.0]) for _ in range(rng.randint(0, 6)))
-        records = [SnapshotRecord(f"v{i}", t, 1.0) for i, t in enumerate(taken)]
-        markers = [
-            TraceEvent(r.taken_at, "snapshot", f"snap.{r.volume_id}", r.volume_id, r.bytes_copied) for r in records
-        ]
-        want = list(heapq.merge(events, markers, key=lambda e: e.time))
-        cuts = sorted(rng.sample(range(1, len(events)), rng.randint(0, max(0, len(events) - 1)))) if events else []
-        bounds = [0, *cuts, len(events)]
-        got, start = [], 0
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            window = SimTrace(events=events[lo:hi])
-            last = i == len(bounds) - 2
-            if window.events:
-                ends_a_window += sum(r.taken_at == window.events[-1].time for r in records)
-            start = merge_snapshot_events(window, records, start, last)
-            got += window.events
-        assert start == len(records)
-        assert got == want, (times, taken, cuts)
-    assert ends_a_window > 100
+        assert verify_trace(trace) == []
+        for size in (1, 2, 3, 4096):
+            monkeypatch.setattr(simengine, "CSV_CHUNK_LINES", size)
+            windows = []
+            simulate(True, [lambda trace, last: windows.append((list(trace.events), last))])
+            assert [last for _, last in windows] == [False] * (len(windows) - 1) + [True]
+            assert [e for window, _ in windows for e in window] == want, size
+            for (before, _), (window, _) in zip(windows, windows[1:]):
+                if before and window and window[0][1] == "snapshot" and window[0][0] == before[-1][0]:
+                    opens_a_window += 1
+    assert opens_a_window > 100
 
 
 # -- snapshots inside a full run ------------------------------------------------
