@@ -273,11 +273,14 @@ def run_dfsio(
         task.file = place_file(placement, spec.file_size_mb, vm, dfs_config, placement_rng)
         start_flow(task, f"{task.task_id}.write", routes["volume", vm, "write"], spec.file_size_mb, "primary", vm, vm)
 
+    # A flow that one block feeds takes that block's own `bytes_mb` object: it is positive, so `0.0 + bytes_mb`
+    # is the same float, and a run of one-block files holds no second copy of it per flow.
     def start_replicas(task: _Task) -> None:
         targets: dict[str, float] = {}  # replica vm -> MB, summed in block order
         for block in task.file.blocks:
             for peer, _rack in block.replicas[1:]:
-                targets[peer] = targets.get(peer, 0.0) + block.bytes_mb
+                mb = targets.get(peer)
+                targets[peer] = block.bytes_mb if mb is None else mb + block.bytes_mb
         for peer, mb in sorted(targets.items()):
             fid = f"{task.task_id}.rep.{peer}"
             start_flow(task, fid, routes["replica", task.vm, peer], mb, "replica", peer, peer)
@@ -288,7 +291,8 @@ def run_dfsio(
         for block in task.file.blocks:
             block_vms = block.vms()
             src = vm if vm in block_vms else min(block_vms)
-            by_source[src] = by_source.get(src, 0.0) + block.bytes_mb
+            mb = by_source.get(src)
+            by_source[src] = block.bytes_mb if mb is None else mb + block.bytes_mb
         for src in sorted(by_source):
             fid = f"{task.task_id}.read.{src}"
             start_flow(task, fid, routes["read", src, vm], by_source[src], "read", vm, src)

@@ -61,7 +61,8 @@ class ClusterState:
     """The whole simulation state: topology plus placed VMs and volumes.
 
     Capacity bookkeeping is derived from the instance/volume tables rather
-    than cached, so it cannot drift. ``hosts_by_id`` maps each host id to
+    than cached, so it cannot drift: each capacity method reads a ``Usage``
+    built for the call. ``hosts_by_id`` maps each host id to
     its ``PhysicalHost``, built from the topology once per state; an
     unknown id raises ``KeyError``.
     """
@@ -100,24 +101,21 @@ class ClusterState:
 
     # -- capacity accounting ------------------------------------------------
 
-    def running_on(self, host_id: str) -> list[VmInstance]:
-        return [vm for vm in self.instances.values() if vm.host_id == host_id and vm.state == RUNNING]
-
     def free_vcpus(self, host_id: str) -> int:
-        host = self.hosts_by_id[host_id]
-        return host.vcpus - sum(vm.spec.vcpus for vm in self.running_on(host_id))
+        return Usage(self).free_vcpus(host_id)
 
     def free_ram_gb(self, host_id: str) -> float:
-        host = self.hosts_by_id[host_id]
-        return host.ram_gb - sum(vm.spec.ram_gb for vm in self.running_on(host_id))
+        return Usage(self).free_ram_gb(host_id)
 
     def disk_used_gb(self, node_id: str, disk_id: str) -> float:
-        return sum(
-            v.size_gb for v in self.volumes.values() if v.backing == (node_id, disk_id) and v.occupies_space()
-        )
+        return Usage(self).disk_used_gb(node_id, disk_id)
 
     def disk_free_gb(self, node_id: str, disk_id: str) -> float:
-        return self.find_disk(node_id, disk_id).capacity_gb - self.disk_used_gb(node_id, disk_id)
+        return Usage(self).disk_free_gb(node_id, disk_id)
+
+    def disk_with_room(self, node_id: str, disks: tuple[DiskSpec, ...], gb: float) -> DiskSpec | None:
+        """The first of ``disks`` (on ``node_id``) with ``gb`` free, or None."""
+        return Usage(self).disk_with_room(node_id, disks, gb)
 
     def find_disk(self, node_id: str, disk_id: str) -> DiskSpec:
         if node_id == self.topology.controller.id:
@@ -149,25 +147,73 @@ class ClusterState:
         return f"vol{self.vol_seq:03d}"
 
 
-def _fits(state: ClusterState, host: PhysicalHost, spec: VmSpec) -> DiskSpec | None:
+class Usage:
+    """What a state's running VMs and space-holding volumes take, from one pass over each table.
+
+    ``running`` maps each host id to its running VMs and ``volume_gb`` each
+    ``(node id, disk id)`` to the sizes of the volumes that occupy space
+    there, both in table order. A placement that checks every host reads
+    them instead of scanning the VMs and volumes once per host. Each total
+    is the built-in ``sum`` of the same values in the same order as a scan
+    per host or disk, so it is the same float on every CPython. A usage is
+    a view of one moment: it is built per call and never kept, so it
+    cannot drift from the tables.
+    """
+
+    __slots__ = ("state", "running", "volume_gb")
+
+    def __init__(self, state: ClusterState):
+        self.state = state
+        self.running: dict[str, list[VmInstance]] = {}
+        for vm in state.instances.values():
+            if vm.state == RUNNING:
+                self.running.setdefault(vm.host_id, []).append(vm)
+        self.volume_gb: dict[tuple[str, str], list[float]] = {}
+        for v in state.volumes.values():
+            if v.occupies_space():
+                self.volume_gb.setdefault(v.backing, []).append(v.size_gb)
+
+    def free_vcpus(self, host_id: str) -> int:
+        host = self.state.hosts_by_id[host_id]
+        return host.vcpus - sum(vm.spec.vcpus for vm in self.running.get(host_id, ()))
+
+    def free_ram_gb(self, host_id: str) -> float:
+        host = self.state.hosts_by_id[host_id]
+        return host.ram_gb - sum(vm.spec.ram_gb for vm in self.running.get(host_id, ()))
+
+    def disk_used_gb(self, node_id: str, disk_id: str) -> float:
+        return sum(self.volume_gb.get((node_id, disk_id), ()))
+
+    def disk_free_gb(self, node_id: str, disk_id: str) -> float:
+        return self.state.find_disk(node_id, disk_id).capacity_gb - self.disk_used_gb(node_id, disk_id)
+
+    def disk_with_room(self, node_id: str, disks: tuple[DiskSpec, ...], gb: float) -> DiskSpec | None:
+        """The first of ``disks`` (on ``node_id``) with ``gb`` free, or None."""
+        return next((d for d in disks if self.disk_free_gb(node_id, d.id) >= gb), None)
+
+
+def _fits(usage: Usage, host: PhysicalHost, spec: VmSpec) -> DiskSpec | None:
     """The disk of ``host`` that takes ``spec``'s root and ephemeral storage.
 
     None when the host lacks the free vcpus, the RAM or a disk with room.
     """
-    if state.free_vcpus(host.id) < spec.vcpus or state.free_ram_gb(host.id) < spec.ram_gb:
+    if usage.free_vcpus(host.id) < spec.vcpus or usage.free_ram_gb(host.id) < spec.ram_gb:
         return None
-    return state.disk_with_room(host.id, host.disks, spec.root_disk_gb + spec.ephemeral_gb)
+    return usage.disk_with_room(host.id, host.disks, spec.root_disk_gb + spec.ephemeral_gb)
 
 
-def filter_hosts(state: ClusterState, spec: VmSpec) -> list[str]:
+def filter_hosts(state: ClusterState, spec: VmSpec, usage: Usage | None = None) -> list[str]:
     """Hosts that fit ``spec``, in stable topology order; an empty list is a legal outcome.
 
     A spec that requires local-persistent storage also needs a host with a partition group.
+    ``usage`` is ``state``'s, built here when not given.
     """
+    if usage is None:
+        usage = Usage(state)
     return [
         h.id
         for h in state.topology.hosts
-        if _fits(state, h, spec) and (h.local_persistent_group or not spec.requires_local_persistent)
+        if _fits(usage, h, spec) and (h.local_persistent_group or not spec.requires_local_persistent)
     ]
 
 
@@ -183,12 +229,13 @@ def place_vm(
     Root and ephemeral storage land together on the host's first disk with
     enough free space.
     """
-    candidates = filter_hosts(state, spec)
+    usage = Usage(state)
+    candidates = filter_hosts(state, spec, usage)
     if not candidates:
         raise NoCandidateHostError(f"no host fits spec {spec}")
 
     if policy == "spread":
-        host_id = min(candidates, key=lambda h: (len(state.running_on(h)), h))
+        host_id = min(candidates, key=lambda h: (len(usage.running.get(h, ())), h))
     elif policy == "first_fit":
         host_id = candidates[0]
     else:
@@ -199,7 +246,7 @@ def place_vm(
     vm = VmInstance(id=vm_id, host_id=host_id, spec=spec)
     new.instances[vm_id] = vm
 
-    disk = _fits(state, state.hosts_by_id[host_id], spec)
+    disk = _fits(usage, state.hosts_by_id[host_id], spec)
     volumes_mod.provision_local_volume(new, vm, volumes_mod.ROOT, spec.root_disk_gb, disk.id)
     if spec.ephemeral_gb > 0:
         volumes_mod.provision_local_volume(new, vm, volumes_mod.EPHEMERAL, spec.ephemeral_gb, disk.id)
@@ -222,7 +269,7 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
     if target_host == vm.host_id:
         return state.clone()  # nothing moves, nothing lost
 
-    target_disk = _fits(state, target, vm.spec)
+    target_disk = _fits(Usage(state), target, vm.spec)
     if target_disk is None:
         raise InsufficientCapacityError(f"host {target_host} lacks vcpus, RAM or disk room for {vm_id}")
 

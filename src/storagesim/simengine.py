@@ -35,10 +35,12 @@ at which the trace holds ``CSV_CHUNK_LINES`` events or more, ``run`` hands
 the trace to each reader and then empties its event list, and it hands over
 what is left, the last instant's marks included, once more when the run
 ends. Readers only read. So the events held at once are bounded by a window
-plus one step, whatever the run's length. The audit (``verify_trace``) and
+plus one step, whatever the run's length, and a window of 512 events is
+small beside the run's per-flow records. The audit (``verify_trace``) and
 the CSV writer (``SimTrace.write_csv``) each take one window at a time and
-give the bytes and violations of one pass over the whole trace. A
-simulation with no readers keeps every event.
+give the bytes and violations of one pass over the whole trace; the audit
+empties its state once it has read the last window, so none of it outlives
+the run. A simulation with no readers keeps every event.
 
 The solve is warm-started. Filling rounds run in increasing level order,
 and a step can only change the rounds at or above a cut, the lowest of:
@@ -333,9 +335,10 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float])
 Event = tuple[float, str, str, str, float]
 
 
-# Lines per write of ``SimTrace.write_csv``, which bounds the chunk's text to a few hundred KB, and the events a
-# simulation with trace readers gathers before it hands them over.
-CSV_CHUNK_LINES = 4096
+# Lines per write of ``SimTrace.write_csv``, which bounds the chunk's text to about 30 KB, and the events a
+# simulation with trace readers gathers before it hands them over. At 512 neither a window's events nor its text
+# sets a streamed run's peak memory; the run's flow records do.
+CSV_CHUNK_LINES = 512
 
 
 class SimTrace:
@@ -392,9 +395,9 @@ class SimTrace:
     def write_csv(self, path, append: bool = False) -> None:
         """``csv_lines``, one per line, streamed: ``CSV_CHUNK_LINES`` lines are made, joined and written at a time.
 
-        Only one chunk's lines and text are held at once, so the writer's
-        memory does not grow with the trace. No line is empty, so an empty
-        chunk means the lines have run out. With ``append`` the events'
+        Only one chunk's lines and text, about 30 KB, are held at once, so
+        the writer's memory does not grow with the trace. No line is empty,
+        so an empty chunk means the lines have run out. With ``append`` the events'
         lines go after the end of the file, with no header: a trace handed
         over in windows is written as the first window, then each later one
         appended, and the file is the one a single write of the whole trace
@@ -719,7 +722,9 @@ class AuditState:
     each flow started and not yet ended: its record, its distinct resources
     and its rate (0.0 from its start until its first ``rate_change``).
     ``moved`` holds the MB each flow has moved, and ``limits`` each symmetric
-    resource's capacity with the float slack.
+    resource's capacity with the float slack. ``verify_trace`` empties every
+    table once it has audited the last window: ``moved`` alone holds one
+    float per flow the run started.
     """
 
     __slots__ = ("prev_t", "active", "hops", "rate", "moved", "limits")
@@ -744,6 +749,7 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
     false until the run's last window; a flow still active after that one
     has a start without an end. Each call returns the violations found in
     its window, and together they are those of one call on the whole trace.
+    The call on the last window leaves ``state`` empty, bar ``prev_t``.
     """
     if state is None:
         state = AuditState()
@@ -819,4 +825,6 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
     if last:
         for fid in active:
             violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))
+        for table in (active, hops, rate, moved, limits):  # no later window reads them
+            table.clear()
     return violations

@@ -201,8 +201,8 @@ def validate_topology(t: ClusterTopology) -> ClusterTopology:
 MANAGEMENT_NET = "mgmt-net"
 PUBLIC_NET = "pub-net"
 
-# The most hosts a scenario's reference cluster may have: placing a VM checks every host, and each check scans the
-# placed VMs and volumes, so the cost of building a cluster's state grows with its hosts times its VMs.
+# The most hosts a scenario's reference cluster may have. Placing a VM reads every host's load from one pass over the
+# placed VMs and volumes, then copies the state, so building a cluster's state grows with the square of its VMs.
 MAX_REFERENCE_HOSTS = 1000
 
 

@@ -197,6 +197,34 @@ def test_write_then_read_locality_keeps_reads_local():
     assert verify_trace(r.trace) == []
 
 
+def test_a_flow_that_one_block_feeds_takes_that_blocks_size_object():
+    """A replica or read flow fed by one block holds the block's ``bytes_mb``; one fed by several, their sum from 0.0."""
+    state, hdfs = dfs_cluster(n_hosts=5)
+    seen = Counter()  # (stage, shared size object or not)
+    for size in (64.0, 200.0):  # one block, then four
+        spec = DfsioSpec(n_files=12, file_size_mb=size, mode="mixed", map_capacity=5, slots_per_vm=1)
+        run = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(block_size_mb=64.0, replication_factor=2, seed=3), seed=4)
+        for rec in run.trace.flows.values():
+            task, stage, peer = (rec.flow_id + ".").split(".")[:3]
+            file = run.files[int(task[1:])]
+            if stage == "rep":
+                feeding = [b.bytes_mb for b in file.blocks if peer in b.vms()[1:]]
+            elif stage == "read":
+                vm = rec.tags["vm"]
+                feeding = [b.bytes_mb for b in file.blocks if (vm if vm in b.vms() else min(b.vms())) == peer]
+            else:
+                continue
+            if len(feeding) == 1:
+                assert rec.size_mb is feeding[0], rec.flow_id
+            else:
+                total = 0.0
+                for mb in feeding:
+                    total += mb
+                assert rec.size_mb.hex() == total.hex(), rec.flow_id
+            seen[stage, len(feeding) == 1] += 1
+    assert set(seen) == {("rep", True), ("rep", False), ("read", True), ("read", False)}, seen
+
+
 def test_replication_pipeline_extends_task_time():
     state, hdfs = dfs_cluster(n_hosts=5)
     spec = DfsioSpec(n_files=5, file_size_mb=500.0, mode="write", slots_per_vm=1)

@@ -186,3 +186,45 @@ def test_host_lookups_read_the_state_table_and_unknown_ids_raise_key_error():
     ):
         with pytest.raises(KeyError):
             lookup()
+
+
+class _CountedTable(dict):
+    """A state table that counts the passes over it."""
+
+    passes = 0
+
+    def _count(self, view):
+        _CountedTable.passes += 1
+        return view
+
+    def __iter__(self):
+        return self._count(super().__iter__())
+
+    def keys(self):
+        return self._count(super().keys())
+
+    def values(self):
+        return self._count(super().values())
+
+    def items(self):
+        return self._count(super().items())
+
+
+def test_a_placement_passes_over_the_vms_and_volumes_a_fixed_number_of_times():
+    """``place_vm`` reads every host's load from one pass over each table, however many hosts it checks."""
+    spec = VmSpec(vcpus=1, ram_gb=0.5, root_disk_gb=5.0, ephemeral_gb=2.5)
+    passes = {}
+    for n_hosts in (5, 20, 80):
+        plain = ClusterState.from_topology(reference_cluster(n_hosts))
+        for _ in range(n_hosts):
+            plain, vm = place_vm(plain, spec, policy="spread")
+            plain, _ = attach_volume(plain, vm.id, NETWORKED, 1.0)
+        counted = plain.clone()
+        counted.instances, counted.volumes = _CountedTable(counted.instances), _CountedTable(counted.volumes)
+        for policy in ("spread", "first_fit"):
+            _CountedTable.passes = 0
+            _, vm = place_vm(counted, spec, policy=policy)
+            passes[n_hosts, policy] = _CountedTable.passes
+            assert vm.host_id == place_vm(plain, spec, policy=policy)[1].host_id
+    # one pass over each table to read the load, one over each to clone the state
+    assert set(passes.values()) == {4}, passes

@@ -574,6 +574,26 @@ def test_a_cli_run_holds_at_most_a_window_and_a_step_of_events(tmp_path, monkeyp
     assert simengine.CSV_CHUNK_LINES <= held[0] < simengine.CSV_CHUNK_LINES + max(per_step)
 
 
+def test_no_audit_holds_entries_once_its_run_builds_its_stats(tmp_path, monkeypatch, capsys):
+    """Each audit empties its state at its trace's last window, before ``run_dfsio`` builds that run's stats."""
+    path = write_scenario(tmp_path, _snapshotting_doc())
+    real_from_stats = bench.BenchmarkResult.from_stats.__func__
+    seen = []  # per run: (audits alive, audits holding entries)
+
+    def from_stats(cls, *args):
+        audits = [o for o in gc.get_objects() if type(o) is simengine.AuditState]
+        tables = [s for s in simengine.AuditState.__slots__ if s != "prev_t"]
+        seen.append((len(audits), sum(any(getattr(a, t) for t in tables) for a in audits)))
+        return real_from_stats(cls, *args)
+
+    monkeypatch.setattr(bench.BenchmarkResult, "from_stats", classmethod(from_stats))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    configs = ["local", "networked", "local_persistent"]
+    assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "cmp"), "--configs", *configs]) == 0
+    capsys.readouterr()
+    assert len(seen) == 4 and all(alive >= 1 and holding == 0 for alive, holding in seen), seen
+
+
 def test_cli_rf_over_vms_exits_3(tmp_path, capsys):
     doc = scenario_doc()
     doc["dfs"]["replication_factor"] = 50
