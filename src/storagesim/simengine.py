@@ -10,7 +10,7 @@ freeze touches is only marked stale: it is re-summed (left to right) when its
 old entry comes within a slack of a round's level, so a resource touched
 in several rounds is summed once. A freeze below a resource's level can
 only raise it, bar rounding far below the slack, so an old entry never
-hides a resource that saturates; and with no member changed since its last
+hides a resource that saturates; and with no rate changed since its last
 touch, the re-sum is the float a re-sum after every touch gives. The
 rounds, their levels and every rate are thus the floats of a full rescan
 every round (see ``_fill``). A resource that reads as fast as it writes
@@ -55,10 +55,14 @@ A departure only raises the saturation of resources that froze no flow
 below its old rate, and an arrival cannot freeze anything below its own
 new rate, so every round below the cut freezes the same flows at the same
 float. Each flow whose previous rate is below the cut keeps it; the rest
-and the arrivals are re-solved from the highest kept rate. A resource's
-saturation at the cut, recomputed as ``(capacity - sum(members)) / live``
-over the same members in the same order, is the float the full solve
-cached at that point.
+and the arrivals are re-solved from the highest kept rate. The solver's
+table is the records themselves: each resource keeps the list of active
+records crossing it, in flow-id order, and a solve reads and writes their
+``rate`` in place. A re-solved record counts 0.0 until it freezes, and a
+kept record is never written. A resource's saturation at the cut,
+recomputed as ``(capacity - sum of its records' rates) / live`` over the
+same records in the same order, is the float the full solve cached at that
+point.
 
 The cut stays as it is when a step re-pools an asymmetric capacity. The
 capacity falls only when an arrival adds a direction, since mixed traffic
@@ -75,6 +79,7 @@ iteration order; identical inputs produce byte-identical traces.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from heapq import heapify, heappop, heappush, heapreplace
@@ -147,8 +152,10 @@ class FlowRecord:
     """A flow, and the engine's only object for it, from ``Simulation.add_flow`` on.
 
     Its start time is its ``flow_start`` event's, in the trace. The engine
-    advances ``remaining_mb`` and ``rate`` in place while the flow runs, and
-    sets ``end_time`` and zeroes ``remaining_mb`` when it ends.
+    advances ``remaining_mb`` in place while the flow runs, and sets
+    ``end_time`` and zeroes ``remaining_mb`` when it ends. ``rate`` is the
+    solver's own entry for the flow: ``_fill`` writes it in place, 0.0 while
+    the flow is live in a solve and its round's level once it freezes.
     """
 
     __slots__ = ("flow_id", "path", "size_mb", "end_time", "tags", "remaining_mb", "rate")
@@ -177,44 +184,35 @@ class FlowRecord:
 LEVEL_KEY_SLACK = 1e-9
 
 
-def _left_sum(rates: Iterable[float]) -> float:
-    """``0.0 + r1 + r2 + ...``, left to right: the same float on every CPython.
+def _frozen_usage(records: Iterable[FlowRecord]) -> float:
+    """``0.0 + r1.rate + r2.rate + ...``, left to right: the same float on every CPython.
 
     The built-in ``sum`` of floats is compensated from CPython 3.12 on
     (gh-100425), so it can differ from this in the last bit there.
     """
     total = 0.0
-    for rate in rates:
-        total += rate
+    for f in records:
+        total += f.rate
     return total
 
 
 def _fill(
-    members: Mapping[str, dict[str, float]],
-    hops: dict[str, tuple[str, ...]],
-    live: dict[str, set[str]],
-    level: float,
-    capacities: Mapping[str, float],
-    keep_tables: bool = True,
-) -> dict[str, float]:
-    """Progressive filling of the live flows ``hops`` upward from ``level``.
+    crossing: Mapping[str, list[FlowRecord]], live: list[FlowRecord], level: float, capacities: Mapping[str, float]
+) -> None:
+    """Progressive filling of the ``live`` records upward from ``level``; each record's rate is written in place.
 
-    ``members`` maps each resource to ``{flow id: rate}`` in flow-id order,
-    a live flow counting 0.0 until it freezes, when its rate is written
-    there. ``live`` maps each resource the live flows cross to those flows,
-    and is emptied as they freeze. Returns the live flows' rates, in
-    ``hops`` order.
+    ``crossing`` maps each resource a live record crosses to every record
+    crossing it, in flow-id order: the live ones, and those whose rates
+    stay as they are. The fill sets each live record's rate to 0.0 first,
+    and to its round's level when it freezes.
 
-    With ``keep_tables`` false the caller drops ``members`` and ``live``
-    after the call, so the round that freezes every flow still live writes
-    its level into the returned rates alone and the fill returns there: no
-    later read could see the skipped writes. The warm solve keeps its
-    ``members`` across steps and so keeps every write.
-
-    A resource's saturation is ``(capacity - _left_sum(members)) / live flows``.
-    Each round freezes, at the round's level, the live flows of every
-    resource whose saturation is at most that level: the least saturation,
-    never below the previous round's level.
+    A resource's saturation is ``(capacity - frozen usage) / live count``,
+    its frozen usage the left-to-right sum (``_frozen_usage``) of the rates
+    of the records crossing it, a live record counting 0.0. Each round
+    freezes, at the round's level, the live records of every resource whose
+    saturation is at most that level: the least saturation, never below the
+    previous round's level. The round that freezes every record still live
+    is the last, and returns once it has written its rates.
 
     The saturations sit in a heap of ``(saturation, resource id)``. A
     resource that a freeze touches keeps its entry and is only marked
@@ -222,34 +220,38 @@ def _fill(
     is fresh, the round pops every entry up to ``slack`` above the level
     the top gives, re-summing the stale ones, and its level is the least
     saturation popped. So a stale resource whose re-sum ties the level, or
-    falls below the top's saturation, counts in that round. No member
-    changed since the last touch, so a re-sum is the float a re-sum after
-    every touch gives, and the rounds freeze the same flows at the same
-    floats as a full rescan every round.
+    falls below the top's saturation, counts in that round. No rate changed
+    since the last touch, so a re-sum is the float a re-sum after every
+    touch gives, and the rounds freeze the same records at the same floats
+    as a full rescan every round.
 
     Why no saturation lies more than ``slack`` below its entry: freezing
     flows below a resource's saturation can only raise it, exactly by
     ``(saturation - level) * frozen / still live``. A re-sum over ``m``
-    members rounds it by about ``m * 2**-53`` capacities, which over the
-    touches of a resource with ``n`` live flows adds up to under ``(m + 2)
-    * (ln n + 3) * 2**-53`` capacities: below ``LEVEL_KEY_SLACK`` for any
-    resource under 10**5 flows.
+    records rounds it by about ``m * 2**-53`` capacities, which over the
+    touches of a resource with ``n`` live records adds up to under ``(m +
+    2) * (ln n + 3) * 2**-53`` capacities: below ``LEVEL_KEY_SLACK`` for
+    any resource under 10**5 flows.
     """
-    rates = dict.fromkeys(hops, 0.0)
-    n_live = len(rates)
-    heap = [((capacities[rid] - _left_sum(members[rid].values())) / len(fids), rid) for rid, fids in live.items()]
+    n_live: dict[str, int] = {}  # resource -> the live records crossing it
+    for f in live:
+        f.rate = 0.0
+        for rid in f.path.resources:
+            n_live[rid] = n_live.get(rid, 0) + 1
+    unfrozen = set(live)
+    heap = [((capacities[rid] - _frozen_usage(crossing[rid])) / n, rid) for rid, n in n_live.items()]
     heapify(heap)
-    slack = LEVEL_KEY_SLACK * max(map(capacities.__getitem__, live), default=0.0)
+    slack = LEVEL_KEY_SLACK * max(map(capacities.__getitem__, n_live), default=0.0)
     stale: set[str] = set()  # touched by a freeze since its entry was summed
     while heap:
         least, rid = heap[0]
-        fids = live[rid]
-        if not fids:  # every flow of it froze at another resource
+        n = n_live[rid]
+        if not n:  # every record of it froze at another resource
             heappop(heap)
             continue
         if rid in stale:
             stale.remove(rid)
-            heapreplace(heap, ((capacities[rid] - _left_sum(members[rid].values())) / len(fids), rid))
+            heapreplace(heap, ((capacities[rid] - _frozen_usage(crossing[rid])) / n, rid))
             continue
         # The top is fresh. Every resource whose saturation is at most the
         # round's level, which is at most `reach - slack`, has its entry within reach.
@@ -257,78 +259,80 @@ def _fill(
         popped = []  # (saturation, resource id)
         while heap and heap[0][0] <= reach:
             lvl, rid = heappop(heap)
-            fids = live[rid]
-            if fids:
+            n = n_live[rid]
+            if n:
                 if rid in stale:
                     stale.remove(rid)
-                    lvl = (capacities[rid] - _left_sum(members[rid].values())) / len(fids)
+                    lvl = (capacities[rid] - _frozen_usage(crossing[rid])) / n
                 if lvl < least:
                     least = lvl
                 popped.append((lvl, rid))
         if least > level:
             level = least
-        newly_frozen: set[str] = set()
+        frozen = []
         for lvl, rid in popped:
             if lvl <= level:
-                newly_frozen |= live[rid]
+                for f in crossing[rid]:
+                    if f in unfrozen:
+                        unfrozen.remove(f)
+                        frozen.append(f)
             else:
                 heappush(heap, (lvl, rid))
-        n_live -= len(newly_frozen)
-        if not (n_live or keep_tables):
-            rates.update(dict.fromkeys(newly_frozen, level))
-            return rates
-        for fid in newly_frozen:
-            rates[fid] = level
-            fhops = hops[fid]
+        for f in frozen:
+            f.rate = level
+        if not unfrozen:
+            return
+        for f in frozen:
+            fhops = f.path.resources
             for rid in fhops:
-                members[rid][fid] = level
-                live[rid].discard(fid)
+                n_live[rid] -= 1
             stale.update(fhops)
-    return rates
 
 
 def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float]) -> dict[str, float]:
-    """Max-min fair rates by progressive filling.
+    """Max-min fair rates by progressive filling, written into the records' ``rate``; returns ``{flow id: rate}``.
 
     All unfrozen flows rise uniformly; each round, every resource whose
     saturation level is at most the round's level (the lowest cached
     level, never below the previous round's) freezes its unfrozen flows
     at that level. Repeats until every flow is frozen. Raises
-    UnknownResourceError for a path resource with no capacity entry;
-    entries for resources no flow crosses are never read.
+    UnknownResourceError for a path resource with no capacity entry,
+    before it writes any record; entries for resources no flow crosses
+    are never read.
+
+    The solve rates ``flows`` in place: ``_fill`` sets each record's
+    ``rate`` to 0.0, then to its level, and the returned mapping, in
+    flow-id order, holds those same floats. A caller that must keep its
+    records' rates passes copies.
 
     Each resource's saturation level is ``(capacity - frozen usage) / live
     count``; ``_fill`` keeps the levels in a heap and re-sums a resource
-    touched by a freeze only when the round's level could reach it. The
-    solve's tables die with the call, so ``_fill`` returns as soon as a
-    round freezes every flow still live, without writing that round into
-    them: a solve that one round settles is one pass over the heap.
+    touched by a freeze only when the round's level could reach it, and it
+    returns as soon as a round freezes every flow still live: a solve that
+    one round settles is one pass over the heap.
     Exactness contract: a re-summed frozen usage is the uncompensated
-    left-to-right sum (``_left_sum``) of its members' rates in member
-    (flow-id) order, a live member counting 0.0 (``x + 0.0 == x`` for every
-    ``x >= 0``, so this is the sum over the frozen members alone), never
-    ``fsum``, the compensated built-in ``sum`` of CPython 3.12 on, or a
-    running total, and no float depends on the order of a set or of the
-    inputs. The rates are therefore the same floats for any order of
-    ``flows`` and ``capacities`` and on every CPython, and equal those of a
-    full rescan every round.
+    left-to-right sum (``_frozen_usage``) of the rates of the records
+    crossing the resource, in flow-id order, a live record counting 0.0
+    (``x + 0.0 == x`` for every ``x >= 0``, so this is the sum over the
+    frozen records alone), never ``fsum``, the compensated built-in ``sum``
+    of CPython 3.12 on, or a running total, and no float depends on the
+    order of a set or of the inputs. The rates are therefore the same
+    floats for any order of ``flows`` and ``capacities`` and on every
+    CPython, and equal those of a full rescan every round.
     """
     flow_list = sorted(flows, key=attrgetter("flow_id"))
-    # resource -> {flow id: its frozen rate, 0.0 while live}, keyed in flow-id order
-    members: defaultdict[str, dict[str, float]] = defaultdict(dict)
-    hops: dict[str, tuple[str, ...]] = {}  # flow id -> its distinct resources
+    crossing: defaultdict[str, list[FlowRecord]] = defaultdict(list)  # resource -> its records, in flow-id order
     for f in flow_list:
-        fid = f.flow_id
-        hops[fid] = fhops = f.path.resources
-        for rid in fhops:
-            members[rid][fid] = 0.0
-    if not members.keys() <= capacities.keys():
+        for rid in f.path.resources:
+            crossing[rid].append(f)
+    if not crossing.keys() <= capacities.keys():
         for f in flow_list:
             for rid in f.path.resources:
                 if rid not in capacities:
                     raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
 
-    return _fill(members, hops, {rid: set(fids) for rid, fids in members.items()}, 0.0, capacities, False)
+    _fill(crossing, flow_list, 0.0, capacities)
+    return {f.flow_id: f.rate for f in flow_list}
 
 
 # (time, kind, flow id, resource id, value); see ``SimTrace``.
@@ -433,9 +437,11 @@ class Simulation:
 
     Each reallocation re-solves only the flows at or above the cut (see the
     module docstring) and logs their changed rates in flow-id order; a step
-    that starts and ends no flow re-solves nothing. The full solve,
-    ``allocate_rates``, runs only when there is nothing to keep: the first
-    solve, and a step after every previous flow ended.
+    that starts and ends no flow re-solves nothing. The warm solve keeps, for
+    each resource, the list of active records crossing it, and rates the
+    records in place. The full solve, ``allocate_rates``, runs only when
+    there is nothing to keep: the first solve, and a step after every
+    previous flow ended.
 
     ``add_flow`` starts a flow at ``now``, and the next solve rates it. An
     instant's events are thus its ``flow_end``s in flow-id order, the hook's
@@ -467,11 +473,11 @@ class Simulation:
         # with the directions of the active flows crossing it, counted for `_reallocate` to re-pool it.
         self._capacities: dict[str, float] = {}
         self._pooled: dict[str, tuple[Resource, Counter[str]]] = {}
-        # Warm-start state: the flows started and ended since the last solve, and each
-        # resource's {flow id: rate} in flow-id order (None: rebuilt from `_active` when needed).
+        # Warm-start state: the flows started and ended since the last solve, and each resource's
+        # active records in flow-id order (None: rebuilt from `_active` when needed).
         self._arrived: list[FlowRecord] = []
         self._departed: list[FlowRecord] = []
-        self._members: defaultdict[str, dict[str, float]] | None = None
+        self._crossing: defaultdict[str, list[FlowRecord]] | None = None
 
     def add_flow(self, flow_id: str, path: ResourcePath, size_mb: float, tags: Mapping[str, str] = _NO_TAGS) -> None:
         """Start a transfer of ``size_mb`` MB over ``path`` at ``now``; ``tags`` are free-form labels.
@@ -560,48 +566,38 @@ class Simulation:
                 resource, crossing = pooled[rid]
                 self._capacities[rid] = resource.capacity_for(frozenset(d for d, n in crossing.items() if n))
         if len(arrived) == len(active):  # nothing to keep
-            self._members = None
-            rates = allocate_rates(active.values(), self._capacities)
+            self._crossing = None
+            append, now = self._trace.events.append, self.now
+            # Every active flow is new, so its old rate is 0.0 and its first allocation is logged unless it is
+            # 0.0, which only a zero capacity gives, and such a run ends in SimulationStalledError.
+            for fid, r in allocate_rates(active.values(), self._capacities).items():  # flow-id order
+                if r != 0.0:
+                    append((now, "rate_change", fid, "", r))
         elif arrived or departed:
-            rates = self._resolve(arrived, departed)
-        else:
-            return  # the same flows over the same capacities keep their rates
-        append, now = self._trace.events.append, self.now
-        for fid, r in rates.items():  # flow-id order
-            flow = active[fid]
-            # A new flow's rate is 0.0, so its first allocation is logged unless it is 0.0, which
-            # only a zero capacity gives, and such a run ends in SimulationStalledError.
-            if flow.rate != r:
-                flow.rate = r
-                append((now, "rate_change", fid, "", r))
+            self._resolve(arrived, departed)
+        # else the same flows over the same capacities keep their rates
 
-    def _resolve(self, arrived: list[FlowRecord], departed: list[FlowRecord]) -> dict[str, float]:
-        """Re-solve the flows at or above the cut, and the arrivals; return their rates in flow-id order."""
-        active, capacities, members = self._active, self._capacities, self._members
-        if members is None:
-            members = self._members = defaultdict(dict)
+    def _resolve(self, arrived: list[FlowRecord], departed: list[FlowRecord]) -> None:
+        """Re-solve the flows at or above the cut, and the arrivals; log their changed rates in flow-id order."""
+        active, capacities, crossing = self._active, self._capacities, self._crossing
+        if crossing is None:
+            crossing = self._crossing = defaultdict(list)
             for fid in sorted(active):
                 f = active[fid]
                 for rid in f.path.resources:
-                    members[rid][fid] = f.rate
+                    crossing[rid].append(f)
         else:
             for f in departed:
                 for rid in f.path.resources:
-                    del members[rid][f.flow_id]
-            batches: defaultdict[str, list[str]] = defaultdict(list)
-            for f in sorted(arrived, key=attrgetter("flow_id")):
+                    crossing[rid].remove(f)
+            flow_id = attrgetter("flow_id")
+            for f in arrived:
                 for rid in f.path.resources:
-                    batches[rid].append(f.flow_id)
-            for rid, fids in batches.items():
-                m = members[rid]
-                in_order = not m or next(reversed(m)) < fids[0]
-                m.update(dict.fromkeys(fids, 0.0))
-                if not in_order:
-                    members[rid] = dict(sorted(m.items()))
+                    insort(crossing[rid], f, key=flow_id)
 
         cut = min([f.rate for f in departed], default=math.inf)
         for f in arrived:
-            share = min(capacities[rid] / len(members[rid]) for rid in f.path.resources)
+            share = min(capacities[rid] / len(crossing[rid]) for rid in f.path.resources)
             cut = min(cut, (1 - 1e-9) * share)
         live = {f.flow_id: f for f in arrived}
         level = 0.0  # the highest kept rate: the last round the new solve shares with the old one
@@ -611,18 +607,13 @@ class Simulation:
                 live[fid] = f
             elif r > level:
                 level = r
-        hops: dict[str, tuple[str, ...]] = {}
-        flows_of: dict[str, set[str]] = {}  # resource -> the live flows crossing it
-        for fid in sorted(live):
-            hops[fid] = fhops = live[fid].path.resources
-            for rid in fhops:
-                members[rid][fid] = 0.0
-                fids = flows_of.get(rid)
-                if fids is None:
-                    flows_of[rid] = {fid}
-                else:
-                    fids.add(fid)
-        return _fill(members, hops, flows_of, level, capacities)
+        records = [live[fid] for fid in sorted(live)]
+        old = [f.rate for f in records]
+        _fill(crossing, records, level, capacities)
+        append, now = self._trace.events.append, self.now
+        for f, r in zip(records, old):
+            if f.rate != r:
+                append((now, "rate_change", f.flow_id, "", f.rate))
 
     def _slack_per_rate(self) -> float:
         """A flow is due now once ``remaining_mb <= max(COMPLETION_EPS, rate * this)``.

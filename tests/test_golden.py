@@ -39,6 +39,14 @@ def mixed_doc():
     return doc
 
 
+def wide_doc():
+    """The shape of the benchmark's ``local_write_wide`` workload: 16 hosts with one DFS VM each, 40 local writes."""
+    doc = reference_doc("local")
+    doc["topology"]["reference"]["n_hosts"] = doc["vms"][0]["count"] = 16
+    doc["dfsio"]["n_files"] = 40
+    return doc
+
+
 def asymmetric_doc(storage_config):
     doc = mixed_doc() | {"storage_config": storage_config}
     doc["topology"]["reference"].update(disk_read_bw=150, disk_write_bw=80)
@@ -86,6 +94,15 @@ GOLDEN = {
             "trace.csv": "693cb0f7a92315c682eb55e668abe856e7b745f82096a386df4aaf2d753241de",
             "tasks.csv": "0d807c7b658d33166343992cd3f60e54e6aefa6f4ecdde8e5ca599e52acf3639",
             "result.json": "d0a2d21cefb00a60f17dbeb4cec3d6b643bc8f88d6919ea23b59aa1e2dac6e39",
+        },
+    ),
+    # many flows share each solve: most warm solves keep some rates and re-solve the rest
+    "wide_local": (
+        wide_doc(),
+        {
+            "trace.csv": "ca7039ed1e0dfe90383234d3617c51880cbe622d3897759f0ae4032258b00f52",
+            "tasks.csv": "83a7dc9647237db91766a3f48e7a79fd4a8f175f014299549b6f5b28e34a7ad0",
+            "result.json": "4c5b80b01b219661471426a55ba2eacdfa86079fbf32dd9980c63fa3246cdd8b",
         },
     ),
     "asymmetric_networked": (

@@ -214,26 +214,30 @@ def test_a_re_sum_below_its_old_entry_still_sets_the_round():
 
 
 def test_a_warm_fill_from_a_kept_level_equals_the_generator_resum():
-    # Keep every flow the full solve froze below a cut, at its rate, and re-fill the
+    # Keep every record the full solve froze below a cut, at its rate, and re-fill the
     # rest upward from the highest kept rate: the same rounds give the same floats.
     def check(flows, caps):
         want = _generator_resum_rates(flows, caps)
         for cut in sorted(set(want.values()))[1:]:
-            members: dict[str, dict[str, float]] = {}
-            hops, live = {}, {}
+            crossing: dict[str, list[FlowRecord]] = {}
+            live = []
             for f in sorted(flows, key=lambda f: f.flow_id):
                 kept = want[f.flow_id] < cut
+                f.rate = want[f.flow_id] if kept else 7.5  # a live record's old rate, which the fill discards
                 for rid in f.path.resources:
-                    members.setdefault(rid, {})[f.flow_id] = want[f.flow_id] if kept else 0.0
-                    if not kept:
-                        live.setdefault(rid, set()).add(f.flow_id)
+                    crossing.setdefault(rid, []).append(f)
                 if not kept:
-                    hops[f.flow_id] = f.path.resources
+                    live.append(f)
+            kept_rates = {f.flow_id: f.rate for f in flows if f not in live}
             level = max(r for r in want.values() if r < cut)
             assert level > 0.0
-            got = simengine._fill(members, hops, live, level, caps)
-            assert got == {fid: want[fid] for fid in hops}, (cut, [f.path.resources for f in flows], caps)
-            assert all(members[rid][fid] == want[fid] for fid in hops for rid in hops[fid])
+            assert simengine._fill(crossing, live, level, caps) is None
+            assert all(f.rate is kept_rates[f.flow_id] for f in flows if f not in live)
+            assert {f.flow_id: f.rate for f in live} == {f.flow_id: want[f.flow_id] for f in live}, (
+                cut,
+                [f.path.resources for f in flows],
+                caps,
+            )
         return len(want) > 1
 
     # by hand: three levels, 10 on "a", 20 on "b" and 45 on "c"
@@ -263,15 +267,10 @@ def test_a_cold_solve_whose_last_round_freezes_every_flow_equals_the_oracle():
     ]
     for paths, caps in instances:
         want = maxmin_fill_oracle(paths, caps)
-        assert allocate_rates([flow(f, p) for f, p in paths.items()], caps) == want
-        # the same fill writing its last round into the tables gives the same rates
-        members: dict[str, dict[str, float]] = {}
-        for fid in sorted(paths):
-            for rid in paths[fid]:
-                members.setdefault(rid, {})[fid] = 0.0
-        live = {rid: set(fids) for rid, fids in members.items()}
-        assert simengine._fill(members, dict(paths), live, 0.0, caps) == want
-        assert all(members[rid][fid] == want[fid] for fid in paths for rid in paths[fid])
+        records = [flow(f, p) for f, p in paths.items()]
+        assert allocate_rates(records, caps) == want
+        # the last round, which freezes every flow still live, writes its level into the records too
+        assert {f.flow_id: f.rate for f in records} == want
     assert set(want.values()) == {15.0, 42.5}
 
 
@@ -1107,8 +1106,11 @@ def _random_run(rng, monkeypatch, check, asymmetric=0.1):
 
 
 def _cold_rates(sim):
-    """A from-scratch solve of the active flows, each resource pooled over the directions crossing it."""
-    flows = list(sim._active.values())
+    """A from-scratch solve of copies of the active flows, each resource pooled over the directions crossing it.
+
+    ``allocate_rates`` rates the records it is given, so the check solves copies and never writes into the run.
+    """
+    flows = [FlowRecord(f.flow_id, f.path, f.size_mb, None, f.tags) for f in sim._active.values()]
     dirs = simengine._directions(f.path for f in flows)
     return allocate_rates(flows, {rid: sim.resources[rid].capacity_for(frozenset(d)) for rid, d in dirs.items()})
 
@@ -1146,6 +1148,61 @@ def test_warm_solve_equals_a_cold_solve_at_every_reallocation(monkeypatch):
                 assert batch == sorted(batch) and len(set(batch)) == len(batch), batch
                 batch = []
     assert runs > 300 and len(checks) > 4000 and solves.count("warm") > len(checks) / 2
+
+
+def test_a_solve_writes_the_rates_of_the_records_it_re_solves_and_no_other(monkeypatch):
+    # The records are the solver's table: a warm solve leaves each kept record's rate the same float object
+    # and rates each re-solved one as a cold solve does; allocate_rates returns exactly its records' rates,
+    # in flow-id order, and one that raises UnknownResourceError has written no record.
+    real_fill, real_resolve, real_allocate = simengine._fill, Simulation._resolve, simengine.allocate_rates
+    fills: list[list[FlowRecord]] = []  # the live records of each fill
+    seen = {"kept": 0, "re-solved": 0, "cold": 0, "refused": 0}
+
+    def fill(crossing, live, *args):
+        fills.append(list(live))
+        return real_fill(crossing, live, *args)
+
+    def resolve(sim, arrived, departed):
+        before = {fid: f.rate for fid, f in sim._active.items()}
+        n = len(fills)
+        real_resolve(sim, arrived, departed)
+        live = {f.flow_id for f in fills[n]}
+        cold = _cold_rates(sim)
+        for fid, f in sim._active.items():
+            if fid in live:
+                assert f.rate == cold[fid], (sim.now, fid)
+                seen["re-solved"] += 1
+            else:
+                assert f.rate is before[fid], (sim.now, fid)
+                seen["kept"] += 1
+
+    def allocate(flows, capacities):
+        records = sorted(flows, key=lambda f: f.flow_id)
+        rates = real_allocate(records, capacities)
+        assert list(rates) == [f.flow_id for f in records]
+        assert all(rates[f.flow_id] is f.rate for f in records)
+        seen["cold"] += 1
+        return rates
+
+    def refused(sim):
+        # a solve over the run's own records plus one whose resource has no capacity, sorting after them all
+        records = list(sim._active.values()) + [FlowRecord("g", ResourcePath(("ghost",), "write"), 1.0, None, {})]
+        records[-1].rate = 2.5
+        rates = [f.rate for f in records]
+        with pytest.raises(UnknownResourceError):
+            real_allocate(records, sim._capacities)
+        assert all(f.rate is r for f, r in zip(records, rates))
+        seen["refused"] += 1
+
+    monkeypatch.setattr(simengine, "_fill", fill)
+    monkeypatch.setattr(Simulation, "_resolve", resolve)
+    monkeypatch.setattr(simengine, "allocate_rates", allocate)
+    rng = random.Random(35)
+    for _ in range(150):
+        trace = _random_run(rng, monkeypatch, refused)
+        if trace is not None:
+            assert verify_trace(trace) == []
+    assert seen["cold"] > 200 and min(seen["kept"], seen["re-solved"], seen["refused"]) > 2000, seen
 
 
 def test_warm_solves_stay_warm_when_most_resources_are_asymmetric(monkeypatch):
@@ -1221,9 +1278,9 @@ def test_warm_solves_re_solve_a_minority_of_the_flows(monkeypatch):
     real_fill, real_allocate = simengine._fill, simengine.allocate_rates
     real_reallocate, real_run = Simulation._reallocate, Simulation.run
 
-    def fill(members, hops, *args):
-        resolved.append(len(hops))
-        return real_fill(members, hops, *args)
+    def fill(crossing, live, *args):
+        resolved.append(len(live))
+        return real_fill(crossing, live, *args)
 
     def allocate(flows, capacities):
         cold.append(1)
