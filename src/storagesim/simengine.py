@@ -30,6 +30,14 @@ interpreters lose that gain, not correctness. A marker logged with
 ``mark`` waits until the clock leaves its instant, so it follows all of
 that instant's events.
 
+The solver works on integers. A simulation gives each resource the next
+index when a path first crosses it, keeps the tuple of its path's indices
+beside each checked path, and hands that tuple to every record on the
+path as its ``hops``. Capacities, each resource's crossing records, live
+counts, stale marks and heap keys are then lists and ints over that index
+(see ``_fill``), and no float depends on it. The audit keeps its own index,
+built from the trace's paths, so it never reads what it checks.
+
 A simulation given trace readers streams its events: at the end of a step
 at which the trace holds ``CSV_CHUNK_LINES`` events or more, ``run`` hands
 the trace to each reader and then empties its event list, and it hands over
@@ -73,18 +81,19 @@ when every flow crossing it is an arrival. Either way the resource freezes
 nothing below the cut, before the step or after it.
 
 The solver sums in flow-id order and no float depends on set or dict
-iteration order; identical inputs produce byte-identical traces.
+iteration order, or on the resource index; identical inputs produce
+byte-identical traces.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, le
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -153,12 +162,16 @@ class FlowRecord:
 
     Its start time is its ``flow_start`` event's, in the trace. The engine
     advances ``remaining_mb`` in place while the flow runs, and sets
-    ``end_time`` and zeroes ``remaining_mb`` when it ends. ``rate`` is the
-    solver's own entry for the flow: ``_fill`` writes it in place, 0.0 while
-    the flow is live in a solve and its round's level once it freezes.
+    ``end_time`` and zeroes ``remaining_mb`` when it ends. ``rate`` and
+    ``hops`` are the solver's scratch. ``_fill`` writes ``rate`` in place,
+    0.0 while the flow is live in a solve and its round's level once it
+    freezes. ``hops`` holds the solver's index of each resource of ``path``,
+    in path order: ``add_flow`` sets it from its simulation's index, and
+    ``allocate_rates`` given a ``{resource id: capacity}`` mapping rewrites it
+    from the mapping's order.
     """
 
-    __slots__ = ("flow_id", "path", "size_mb", "end_time", "tags", "remaining_mb", "rate")
+    __slots__ = ("flow_id", "path", "size_mb", "end_time", "tags", "remaining_mb", "rate", "hops")
 
     def __init__(
         self,
@@ -169,6 +182,7 @@ class FlowRecord:
         tags: Mapping[str, str],
         remaining_mb: float = 0.0,
         rate: float = 0.0,  # MB/s
+        hops: tuple[int, ...] = (),
     ):
         self.flow_id = flow_id
         self.path = path
@@ -177,6 +191,7 @@ class FlowRecord:
         self.tags = tags
         self.remaining_mb = remaining_mb
         self.rate = rate
+        self.hops = hops
 
 
 # Rounding can leave a re-summed saturation below its value before a freeze touched it,
@@ -197,12 +212,13 @@ def _frozen_usage(records: Iterable[FlowRecord]) -> float:
 
 
 def _fill(
-    crossing: Mapping[str, list[FlowRecord]], live: list[FlowRecord], level: float, capacities: Mapping[str, float]
+    crossing: Sequence[list[FlowRecord]], live: list[FlowRecord], level: float, capacities: Sequence[float]
 ) -> None:
     """Progressive filling of the ``live`` records upward from ``level``; each record's rate is written in place.
 
-    ``crossing`` maps each resource a live record crosses to every record
-    crossing it, in flow-id order: the live ones, and those whose rates
+    Resources are integer indices: a record's ``hops`` index ``capacities``
+    and ``crossing``, and ``crossing[i]`` holds every record crossing
+    resource ``i``, in flow-id order: the live ones, and those whose rates
     stay as they are. The fill sets each live record's rate to 0.0 first,
     and to its round's level when it freezes.
 
@@ -214,7 +230,7 @@ def _fill(
     previous round's level. The round that freezes every record still live
     is the last, and returns once it has written its rates.
 
-    The saturations sit in a heap of ``(saturation, resource id)``. A
+    The saturations sit in a heap of ``(saturation, resource index)``. A
     resource that a freeze touches keeps its entry and is only marked
     stale. A stale entry at the top is re-summed and put back. Once the top
     is fresh, the round pops every entry up to ``slack`` above the level
@@ -223,7 +239,8 @@ def _fill(
     falls below the top's saturation, counts in that round. No rate changed
     since the last touch, so a re-sum is the float a re-sum after every
     touch gives, and the rounds freeze the same records at the same floats
-    as a full rescan every round.
+    as a full rescan every round. The order in which tied entries pop
+    changes no float.
 
     Why no saturation lies more than ``slack`` below its entry: freezing
     flows below a resource's saturation can only raise it, exactly by
@@ -233,77 +250,83 @@ def _fill(
     2) * (ln n + 3) * 2**-53`` capacities: below ``LEVEL_KEY_SLACK`` for
     any resource under 10**5 flows.
     """
-    n_live: dict[str, int] = {}  # resource -> the live records crossing it
+    n_live = [0] * len(capacities)  # resource -> the live records crossing it
     for f in live:
         f.rate = 0.0
-        for rid in f.path.resources:
-            n_live[rid] = n_live.get(rid, 0) + 1
+        for i in f.hops:
+            n_live[i] += 1
+    used = [i for i, n in enumerate(n_live) if n]  # the resources of the live records
     unfrozen = set(live)
-    heap = [((capacities[rid] - _frozen_usage(crossing[rid])) / n, rid) for rid, n in n_live.items()]
+    heap = [((capacities[i] - _frozen_usage(crossing[i])) / n_live[i], i) for i in used]
     heapify(heap)
-    slack = LEVEL_KEY_SLACK * max(map(capacities.__getitem__, n_live), default=0.0)
-    stale: set[str] = set()  # touched by a freeze since its entry was summed
+    slack = LEVEL_KEY_SLACK * max(map(capacities.__getitem__, used), default=0.0)
+    stale = [False] * len(capacities)  # touched by a freeze since its entry was summed
     while heap:
-        least, rid = heap[0]
-        n = n_live[rid]
+        least, i = heap[0]
+        n = n_live[i]
         if not n:  # every record of it froze at another resource
             heappop(heap)
             continue
-        if rid in stale:
-            stale.remove(rid)
-            heapreplace(heap, ((capacities[rid] - _frozen_usage(crossing[rid])) / n, rid))
+        if stale[i]:
+            stale[i] = False
+            heapreplace(heap, ((capacities[i] - _frozen_usage(crossing[i])) / n, i))
             continue
         # The top is fresh. Every resource whose saturation is at most the
         # round's level, which is at most `reach - slack`, has its entry within reach.
         reach = (level if level > least else least) + slack
-        popped = []  # (saturation, resource id)
+        popped = []  # (saturation, resource index)
         while heap and heap[0][0] <= reach:
-            lvl, rid = heappop(heap)
-            n = n_live[rid]
+            lvl, i = heappop(heap)
+            n = n_live[i]
             if n:
-                if rid in stale:
-                    stale.remove(rid)
-                    lvl = (capacities[rid] - _frozen_usage(crossing[rid])) / n
+                if stale[i]:
+                    stale[i] = False
+                    lvl = (capacities[i] - _frozen_usage(crossing[i])) / n
                 if lvl < least:
                     least = lvl
-                popped.append((lvl, rid))
+                popped.append((lvl, i))
         if least > level:
             level = least
         frozen = []
-        for lvl, rid in popped:
+        for lvl, i in popped:
             if lvl <= level:
-                for f in crossing[rid]:
+                for f in crossing[i]:
                     if f in unfrozen:
                         unfrozen.remove(f)
                         frozen.append(f)
             else:
-                heappush(heap, (lvl, rid))
+                heappush(heap, (lvl, i))
         for f in frozen:
             f.rate = level
         if not unfrozen:
             return
         for f in frozen:
-            fhops = f.path.resources
-            for rid in fhops:
-                n_live[rid] -= 1
-            stale.update(fhops)
+            for i in f.hops:
+                n_live[i] -= 1
+                stale[i] = True
 
 
-def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float]) -> dict[str, float]:
+def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float] | list[float]) -> dict[str, float]:
     """Max-min fair rates by progressive filling, written into the records' ``rate``; returns ``{flow id: rate}``.
 
     All unfrozen flows rise uniformly; each round, every resource whose
     saturation level is at most the round's level (the lowest cached
     level, never below the previous round's) freezes its unfrozen flows
-    at that level. Repeats until every flow is frozen. Raises
-    UnknownResourceError for a path resource with no capacity entry,
-    before it writes any record; entries for resources no flow crosses
-    are never read.
+    at that level. Repeats until every flow is frozen.
+
+    ``capacities`` takes one of two forms. A ``{resource id: capacity}``
+    mapping indexes its resources in the mapping's order and rewrites each
+    record's ``hops`` from it; the solve raises UnknownResourceError for a
+    path resource with no entry, before it writes any record, and never
+    reads the entries of resources no flow crosses. A list is a
+    ``Simulation``'s own capacity table, which the records' ``hops``
+    already index; the engine's cold solve passes it, and nothing is
+    checked.
 
     The solve rates ``flows`` in place: ``_fill`` sets each record's
     ``rate`` to 0.0, then to its level, and the returned mapping, in
     flow-id order, holds those same floats. A caller that must keep its
-    records' rates passes copies.
+    records' rates or ``hops`` passes copies.
 
     Each resource's saturation level is ``(capacity - frozen usage) / live
     count``; ``_fill`` keeps the levels in a heap and re-sums a resource
@@ -316,21 +339,24 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float])
     (``x + 0.0 == x`` for every ``x >= 0``, so this is the sum over the
     frozen records alone), never ``fsum``, the compensated built-in ``sum``
     of CPython 3.12 on, or a running total, and no float depends on the
-    order of a set or of the inputs. The rates are therefore the same
-    floats for any order of ``flows`` and ``capacities`` and on every
-    CPython, and equal those of a full rescan every round.
+    order of a set, of the inputs or of the index. The rates are therefore
+    the same floats for any order of ``flows`` and ``capacities`` and on
+    every CPython, and equal those of a full rescan every round.
     """
     flow_list = sorted(flows, key=attrgetter("flow_id"))
-    crossing: defaultdict[str, list[FlowRecord]] = defaultdict(list)  # resource -> its records, in flow-id order
-    for f in flow_list:
-        for rid in f.path.resources:
-            crossing[rid].append(f)
-    if not crossing.keys() <= capacities.keys():
+    if isinstance(capacities, Mapping):
+        index = {rid: i for i, rid in enumerate(capacities)}
         for f in flow_list:
             for rid in f.path.resources:
-                if rid not in capacities:
+                if rid not in index:
                     raise UnknownResourceError(f"flow {f.flow_id} crosses unknown resource {rid!r}")
-
+        for f in flow_list:
+            f.hops = tuple([index[rid] for rid in f.path.resources])
+        capacities = list(capacities.values())
+    crossing: list[list[FlowRecord]] = [[] for _ in capacities]  # resource -> its records, in flow-id order
+    for f in flow_list:
+        for i in f.hops:
+            crossing[i].append(f)
     _fill(crossing, flow_list, 0.0, capacities)
     return {f.flow_id: f.rate for f in flow_list}
 
@@ -433,7 +459,8 @@ class Simulation:
     gets the completed flows' records in flow-id order. The trace shares
     ``resources``, so a resource added there mid-run, before the first flow
     that crosses it, is audited with the rest. A resource's capacities are
-    read once, when the first flow crossing it is added.
+    read once, when the first flow crossing it is added, and it then takes
+    the next index of the solver's tables (see the module docstring).
 
     Each reallocation re-solves only the flows at or above the cut (see the
     module docstring) and logs their changed rates in flow-id order; a step
@@ -462,22 +489,33 @@ class Simulation:
         self.resources = dict(resources)
         self.readers = tuple(readers)
         self.now = 0.0
-        # id -> each path whose every resource has a capacity entry; holding the path keeps its id unique.
-        self._checked_paths: dict[int, ResourcePath] = {}
+        # id -> each path whose every resource is indexed, and its `hops`; holding the path keeps its id unique.
+        self._checked_paths: dict[int, tuple[ResourcePath, tuple[int, ...]]] = {}
         self._timers: list[tuple[float, int, TimerCallback]] = []
         self._active: dict[str, FlowRecord] = {}
         self._seq = 0
         self._trace = SimTrace(resources=self.resources)
         self._marks: list[Event] = []  # logged when the clock leaves their instant (see `mark`)
-        # Filled as flows are added: each crossed resource's capacity, and each asymmetric resource
-        # with the directions of the active flows crossing it, counted for `_reallocate` to re-pool it.
-        self._capacities: dict[str, float] = {}
-        self._pooled: dict[str, tuple[Resource, Counter[str]]] = {}
+        # Filled as flows are added: each crossed resource's index, its capacity at that index, and each
+        # asymmetric resource with the directions of the active flows crossing it, counted for
+        # `_reallocate` to re-pool it.
+        self._index: dict[str, int] = {}
+        self._caps: list[float] = []
+        self._pooled: dict[int, tuple[Resource, Counter[str]]] = {}
         # Warm-start state: the flows started and ended since the last solve, and each resource's
         # active records in flow-id order (None: rebuilt from `_active` when needed).
         self._arrived: list[FlowRecord] = []
         self._departed: list[FlowRecord] = []
-        self._crossing: defaultdict[str, list[FlowRecord]] | None = None
+        self._crossing: list[list[FlowRecord]] | None = None
+
+    @property
+    def _capacities(self) -> dict[str, float]:
+        """``{resource id: capacity}`` of every indexed resource, in index order: the capacity table in mapping form.
+
+        ``allocate_rates`` indexes a mapping in its order, so given this one
+        it gives each record the ``hops`` this simulation gave it.
+        """
+        return dict(zip(self._index, self._caps))
 
     def add_flow(self, flow_id: str, path: ResourcePath, size_mb: float, tags: Mapping[str, str] = _NO_TAGS) -> None:
         """Start a transfer of ``size_mb`` MB over ``path`` at ``now``; ``tags`` are free-form labels.
@@ -495,18 +533,26 @@ class Simulation:
         # every package caller passes a read-only proxy, so the exact type test spares it the ABC check
         if type(tags) is not MappingProxyType and not isinstance(tags, Mapping):
             raise TypeError(f"flow {flow_id} has tags of type {type(tags).__name__}, not a mapping")
-        if self._checked_paths.get(id(path)) is not path:
+        checked = self._checked_paths.get(id(path))
+        if checked is None or checked[0] is not path:
+            index, caps, hops = self._index, self._caps, []
             for rid in path.resources:
-                if rid not in self._capacities:
+                i = index.get(rid)
+                if i is None:  # the first flow crossing it: the resource takes the next index
                     resource = self.resources.get(rid)
                     if resource is None:
                         raise UnknownResourceError(f"flow {flow_id} crosses unknown resource {rid!r}")
+                    i = index[rid] = len(caps)
+                    caps.append(min(resource.read_capacity, resource.write_capacity))
                     if resource.read_capacity != resource.write_capacity:
-                        self._pooled[rid] = (resource, Counter())
-                    self._capacities[rid] = min(resource.read_capacity, resource.write_capacity)
-            self._checked_paths[id(path)] = path
+                        self._pooled[i] = (resource, Counter())
+                    if self._crossing is not None:
+                        self._crossing.append([])
+                hops.append(i)
+            checked = self._checked_paths[id(path)] = (path, tuple(hops))
         now = self.now
-        self._active[flow_id] = flows[flow_id] = record = FlowRecord(flow_id, path, size_mb, None, tags, size_mb)
+        record = FlowRecord(flow_id, path, size_mb, None, tags, size_mb, 0.0, checked[1])
+        self._active[flow_id] = flows[flow_id] = record
         self._trace.events.append((now, "flow_start", flow_id, "", size_mb))
         self._arrived.append(record)
 
@@ -558,19 +604,19 @@ class Simulation:
             pooled, touched = self._pooled, set()
             for flows, step in ((arrived, 1), (departed, -1)):
                 for f in flows:
-                    for rid in f.path.resources:
-                        if rid in pooled:
-                            pooled[rid][1][f.path.direction] += step
-                            touched.add(rid)
-            for rid in touched:
-                resource, crossing = pooled[rid]
-                self._capacities[rid] = resource.capacity_for(frozenset(d for d, n in crossing.items() if n))
+                    for i in f.hops:
+                        if i in pooled:
+                            pooled[i][1][f.path.direction] += step
+                            touched.add(i)
+            for i in touched:
+                resource, crossing = pooled[i]
+                self._caps[i] = resource.capacity_for(frozenset(d for d, n in crossing.items() if n))
         if len(arrived) == len(active):  # nothing to keep
             self._crossing = None
             append, now = self._trace.events.append, self.now
             # Every active flow is new, so its old rate is 0.0 and its first allocation is logged unless it is
             # 0.0, which only a zero capacity gives, and such a run ends in SimulationStalledError.
-            for fid, r in allocate_rates(active.values(), self._capacities).items():  # flow-id order
+            for fid, r in allocate_rates(active.values(), self._caps).items():  # flow-id order
                 if r != 0.0:
                     append((now, "rate_change", fid, "", r))
         elif arrived or departed:
@@ -579,25 +625,25 @@ class Simulation:
 
     def _resolve(self, arrived: list[FlowRecord], departed: list[FlowRecord]) -> None:
         """Re-solve the flows at or above the cut, and the arrivals; log their changed rates in flow-id order."""
-        active, capacities, crossing = self._active, self._capacities, self._crossing
+        active, capacities, crossing = self._active, self._caps, self._crossing
         if crossing is None:
-            crossing = self._crossing = defaultdict(list)
+            crossing = self._crossing = [[] for _ in capacities]
             for fid in sorted(active):
                 f = active[fid]
-                for rid in f.path.resources:
-                    crossing[rid].append(f)
+                for i in f.hops:
+                    crossing[i].append(f)
         else:
             for f in departed:
-                for rid in f.path.resources:
-                    crossing[rid].remove(f)
+                for i in f.hops:
+                    crossing[i].remove(f)
             flow_id = attrgetter("flow_id")
             for f in arrived:
-                for rid in f.path.resources:
-                    insort(crossing[rid], f, key=flow_id)
+                for i in f.hops:
+                    insort(crossing[i], f, key=flow_id)
 
         cut = min([f.rate for f in departed], default=math.inf)
         for f in arrived:
-            share = min(capacities[rid] / len(crossing[rid]) for rid in f.path.resources)
+            share = min(capacities[i] / len(crossing[i]) for i in f.hops)
             cut = min(cut, (1 - 1e-9) * share)
         live = {f.flow_id: f for f in arrived}
         level = 0.0  # the highest kept rate: the last round the new solve shares with the old one
@@ -709,24 +755,34 @@ BYTE_REL_TOL = 1e-6
 class AuditState:
     """What ``verify_trace`` carries from one window of a trace to the next.
 
-    ``prev_t`` is the last time seen. ``active``, ``hops`` and ``rate`` hold
-    each flow started and not yet ended: its record, its distinct resources
-    and its rate (0.0 from its start until its first ``rate_change``).
-    ``moved`` holds the MB each flow has moved, and ``limits`` each symmetric
-    resource's capacity with the float slack. ``verify_trace`` empties every
-    table once it has audited the last window: ``moved`` alone holds one
-    float per flow the run started.
+    ``prev_t`` is the last time seen. The audit keeps its own index of the
+    resources, built from the paths of the records in ``trace.flows`` and
+    never from the engine's ``hops``: ``index`` maps each resource id met so
+    far to its index, in order of first meeting, and ``paths`` holds each
+    path object met with its index tuple. ``limits`` holds each resource's
+    screen: the smaller of its capacities with the float slack, which is a
+    symmetric resource's limit and at most an asymmetric one's for any
+    directions, or NaN for an unknown resource or a NaN capacity.
+
+    ``cells`` holds one cell per flow started and not yet ended, in start
+    order: ``[rate, MB moved, index tuple, record]``, its rate 0.0 from its
+    start until its first ``rate_change``. ``moved`` holds the MB each ended
+    flow moved, which a repeated start of it goes on from, and ``pending``
+    the rate of a ``rate_change`` for a flow not active, which its start
+    takes. ``verify_trace`` empties every table once it has audited the last
+    window.
     """
 
-    __slots__ = ("prev_t", "active", "hops", "rate", "moved", "limits")
+    __slots__ = ("prev_t", "index", "paths", "limits", "cells", "moved", "pending")
 
     def __init__(self):
         self.prev_t = -math.inf
-        self.active: dict[str, FlowRecord] = {}
-        self.hops: dict[str, tuple[str, ...]] = {}  # keyed like `active`
-        self.rate: dict[str, float] = {}
+        self.index: dict[str, int] = {}
+        self.paths: dict[int, tuple[ResourcePath, tuple[int, ...]]] = {}  # id -> the path and its index tuple
+        self.limits: list[float] = []
+        self.cells: dict[str, list] = {}
         self.moved: dict[str, float] = {}
-        self.limits: dict[str, float] = {}
+        self.pending: dict[str, float] = {}
 
 
 def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = True) -> list[TraceViolation]:
@@ -734,6 +790,17 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
 
     Returns violations as data (empty list means the trace is clean), so
     hand-built traces can be checked the same way as simulated ones.
+
+    Each interval between two event times re-sums each resource's usage,
+    from 0.0 over the active flows in start order, into a list over the
+    audit's own index (see ``AuditState``), and one pass compares it with
+    the screens. A resource that no active flow crosses has usage 0.0, and
+    one whose usage is at most its screen is within its limit whatever the
+    directions, so only a resource over its screen is checked in full: an
+    asymmetric one against ``Resource.capacity_for`` over the directions of
+    the active flows crossing it. Those directions are gathered only then,
+    or to tell whether a resource whose usage is 0.0 is in use, since only
+    a resource in use can fail.
 
     A trace handed over in windows is audited one window per call, each
     call going on from the ``state`` the previous one left, with ``last``
@@ -745,77 +812,103 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
     if state is None:
         state = AuditState()
     violations: list[TraceViolation] = []
-    resources = trace.resources
+    resources, flows = trace.resources, trace.flows
     prev_t = state.prev_t
-    active, hops, rate, moved, limits = state.active, state.hops, state.rate, state.moved, state.limits
+    index, paths, limits = state.index, state.paths, state.limits
+    cells, moved, pending = state.cells, state.moved, state.pending
+
+    def hops_of(path: ResourcePath) -> tuple[int, ...]:
+        """The index tuple of ``path``, each resource new to the index taking the next index and its limit."""
+        hops = []
+        for rid in path.resources:
+            i = index.get(rid)
+            if i is None:
+                i = index[rid] = len(limits)
+                resource = resources.get(rid)
+                if resource is None or math.isnan(resource.read_capacity) or math.isnan(resource.write_capacity):
+                    limits.append(math.nan)
+                else:  # at most the limit of any directions, since `capacity_for` pools at least the smaller
+                    limits.append(min(resource.read_capacity, resource.write_capacity) * (1 + CAPACITY_REL_EPS))
+            hops.append(i)
+        return tuple(hops)
 
     def check_interval(t0: float, t1: float) -> None:
         dt = t1 - t0
-        usage: dict[str, float] = {}
-        used_by = usage.get
-        for fid, fhops in hops.items():  # the active flows, in start order
-            r = rate[fid]
-            for rid in fhops:
-                usage[rid] = used_by(rid, 0.0) + r
-            moved[fid] += r * dt
-        dirs = None  # gathered only if an asymmetric resource is in use
+        usage = [0.0] * len(limits)
+        for cell in cells.values():  # the active flows, in start order
+            r = cell[0]
+            for i in cell[2]:
+                usage[i] += r
+            cell[1] += r * dt
+        if all(map(le, usage, limits)):  # a NaN, in a usage or a limit, fails
+            return
+        dirs = None  # gathered only for a resource over its screen that is asymmetric or may be out of use
         over: list[tuple[str, str]] = []  # (resource, message)
-        for rid, used in usage.items():
-            limit = limits.get(rid)
-            if limit is not None and used <= limit:
+        for rid, used, limit in zip(index, usage, limits):
+            if used <= limit:
                 continue
             resource = resources.get(rid)
+            asymmetric = resource is not None and resource.read_capacity != resource.write_capacity
+            if asymmetric or used == 0.0:  # a usage other than 0.0 has a flow crossing it
+                if dirs is None:
+                    dirs = _directions(cell[3].path for cell in cells.values())
+                if rid not in dirs:  # not in use
+                    continue
             if resource is None:
                 over.append((rid, f"unknown resource {rid!r} in use"))
                 continue
             cap = resource.read_capacity
-            if cap == resource.write_capacity:
-                limit = limits[rid] = cap * (1 + CAPACITY_REL_EPS)
-            else:
-                if dirs is None:
-                    dirs = _directions(rec.path for rec in active.values())
+            if asymmetric:
                 cap = resource.capacity_for(frozenset(dirs[rid]))
-                limit = cap * (1 + CAPACITY_REL_EPS)
-            if not used <= limit:  # a NaN is flagged
+            if not used <= cap * (1 + CAPACITY_REL_EPS):  # a NaN is flagged
                 over.append((rid, f"{rid} carries {used} MB/s > capacity {cap}"))
-        if over:
-            for _, message in sorted(over):
-                violations.append(TraceViolation("capacity", t0, message))
+        for _, message in sorted(over):
+            violations.append(TraceViolation("capacity", t0, message))
 
     for time, kind, fid, _, value in trace.events:
         if time < prev_t:
             violations.append(TraceViolation("monotonicity", time, f"timestamp {time} after {prev_t}"))
         else:
-            if time > prev_t and active:
+            if time > prev_t and cells:
                 check_interval(prev_t, time)
             prev_t = time
 
         if kind == "flow_start":
-            rec = active[fid] = trace.flows.get(fid) or FlowRecord(fid, ResourcePath(("?",), "read"), value, None, {})
-            hops[fid] = rec.path.resources
-            rate.setdefault(fid, 0.0)
-            moved.setdefault(fid, 0.0)
+            rec = flows.get(fid) or FlowRecord(fid, ResourcePath(("?",), "read"), value, None, {})
+            path = rec.path
+            checked = paths.get(id(path))
+            if checked is None or checked[0] is not path:
+                checked = paths[id(path)] = (path, hops_of(path))
+            cell = cells.get(fid)
+            if cell is None:
+                cells[fid] = [pending.pop(fid, 0.0) if pending else 0.0, moved.get(fid, 0.0), checked[1], rec]
+            else:  # a repeated start keeps the flow's rate, MB moved and place in start order
+                cell[2], cell[3] = checked[1], rec
         elif kind == "rate_change":
-            rate[fid] = value
-        elif kind == "flow_end":
-            rec = active.pop(fid, None)
-            if rec is None:
-                violations.append(TraceViolation("unmatched-flow", time, f"end without start: {fid}"))
+            cell = cells.get(fid)
+            if cell is None:
+                pending[fid] = value
             else:
-                got = moved.get(fid, 0.0)
+                cell[0] = value
+        elif kind == "flow_end":
+            cell = cells.pop(fid, None)
+            if cell is None:
+                violations.append(TraceViolation("unmatched-flow", time, f"end without start: {fid}"))
+                pending.pop(fid, None)
+            else:
+                got = moved[fid] = cell[1]
+                rec = cell[3]
                 tol = max(BYTE_REL_TOL * rec.size_mb, 1e-6)
                 if not abs(got - rec.size_mb) <= tol:  # a NaN is flagged
                     violations.append(
                         TraceViolation("byte-conservation", time, f"flow {fid} moved {got} MB of {rec.size_mb} MB")
                     )
-            rate.pop(fid, None)
-            hops.pop(fid, None)
         # snapshot events are informational markers
 
     state.prev_t = prev_t
     if last:
-        for fid in active:
+        for fid in cells:
             violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))
-        for table in (active, hops, rate, moved, limits):  # no later window reads them
+        for table in (index, paths, limits, cells, moved, pending):  # no later window reads them
             table.clear()
     return violations

@@ -218,20 +218,24 @@ def test_a_warm_fill_from_a_kept_level_equals_the_generator_resum():
     # rest upward from the highest kept rate: the same rounds give the same floats.
     def check(flows, caps):
         want = _generator_resum_rates(flows, caps)
+        index = {rid: i for i, rid in enumerate(caps)}  # the resources, indexed in the mapping's order
+        capacities = list(caps.values())
+        for f in flows:
+            f.hops = tuple(index[rid] for rid in f.path.resources)
         for cut in sorted(set(want.values()))[1:]:
-            crossing: dict[str, list[FlowRecord]] = {}
+            crossing: list[list[FlowRecord]] = [[] for _ in capacities]
             live = []
             for f in sorted(flows, key=lambda f: f.flow_id):
                 kept = want[f.flow_id] < cut
                 f.rate = want[f.flow_id] if kept else 7.5  # a live record's old rate, which the fill discards
-                for rid in f.path.resources:
-                    crossing.setdefault(rid, []).append(f)
+                for i in f.hops:
+                    crossing[i].append(f)
                 if not kept:
                     live.append(f)
             kept_rates = {f.flow_id: f.rate for f in flows if f not in live}
             level = max(r for r in want.values() if r < cut)
             assert level > 0.0
-            assert simengine._fill(crossing, live, level, caps) is None
+            assert simengine._fill(crossing, live, level, capacities) is None
             assert all(f.rate is kept_rates[f.flow_id] for f in flows if f not in live)
             assert {f.flow_id: f.rate for f in live} == {f.flow_id: want[f.flow_id] for f in live}, (
                 cut,
@@ -1340,3 +1344,171 @@ def test_verify_trace_flags_nan_bytes_and_rates():
     assert violations(500.0, 100.0) == []
     assert violations(math.nan, 100.0) == ["byte-conservation"]
     assert violations(500.0, math.nan) == ["capacity", "byte-conservation"]
+
+
+# -- the resource index: each resource takes the next integer when a path first crosses it --------------------
+
+
+def test_a_path_that_names_a_resource_twice_keeps_both_hops():
+    sim = Simulation({"d1": res("d1", 100.0), "l": res("l", 30.0), "d2": res("d2", 100.0)})
+    sim.add_flow("a", ResourcePath(("d1",), "write"), 100.0)
+    relayed = ResourcePath(("l", "d1", "l"), "write")  # crosses l twice: one reservation, at its first position
+    sim.add_flow("b", relayed, 100.0)
+    sim.add_flow("c", ResourcePath(("d2", "l"), "write"), 100.0)
+    flows = sim._trace.flows
+    # each resource took the next index when a path first crossed it, and each record's hops follow its path
+    assert sim._capacities == {"d1": 100.0, "l": 30.0, "d2": 100.0}
+    assert [flows[f].hops for f in "abc"] == [(0,), (1, 0), (2, 1)]
+    assert flows["b"].hops is sim._checked_paths[id(relayed)][1]  # one index tuple per path, shared by its flows
+    trace = sim.run()
+    # both hops of b count: l splits 30 between b and c, and d1 gives a the rest
+    assert [r for _, kind, _, _, r in trace.events if kind == "rate_change"][:3] == [85.0, 15.0, 15.0]
+    assert verify_trace(trace) == []
+
+
+def test_a_resource_registered_mid_run_takes_the_next_index(monkeypatch):
+    from helpers import SMALL_VM, dfs_cluster
+    from storagesim.bench import DfsioSpec, run_dfsio
+    from storagesim.dfs import DfsConfig
+    from storagesim.snapshot import SnapshotPolicy
+
+    # a capped snapshot's transfer crosses its own cap resource, which joins the simulation as the transfer starts
+    solves = _count_solves(monkeypatch)
+    caps_added: list[tuple[str, int, int]] = []  # (cap resource, resources indexed before it, its index)
+    checked = []
+    real_add, real_reallocate = Simulation.add_flow, Simulation._reallocate
+
+    def add_flow(sim, flow_id, path, *args):
+        before = len(sim._index)
+        real_add(sim, flow_id, path, *args)
+        caps_added.extend((rid, before, sim._index[rid]) for rid in path.resources if rid.startswith("cap:"))
+
+    def reallocate(sim):
+        n = len(solves)
+        fresh = caps_added and caps_added[-1][0] in {rid for f in sim._arrived for rid in f.path.resources}
+        real_reallocate(sim)
+        assert {fid: f.rate for fid, f in sim._active.items()} == _cold_rates(sim), sim.now
+        if fresh:
+            checked.append(solves[n:])
+
+    monkeypatch.setattr(Simulation, "add_flow", add_flow)
+    monkeypatch.setattr(Simulation, "_reallocate", reallocate)
+    state, hdfs = dfs_cluster(n_hosts=1, spec=SMALL_VM)
+    spec = DfsioSpec(n_files=3, file_size_mb=1000.0, mode="write", slots_per_vm=1)
+    run = run_dfsio(
+        state, spec, hdfs, dfs_config=DfsConfig(replication_factor=1), seed=0,
+        snapshots=SnapshotPolicy(interval_s=4.0, bandwidth_cap=20.0),
+    )
+    assert len(run.snapshot_records) > 3 and verify_trace(run.trace) == []
+    assert len(caps_added) == len(run.snapshot_records)
+    assert all(index == before for _, before, index in caps_added)  # the next index, after all the earlier ones
+    # every solve that rated a new cap resource was warm, and equal to a cold solve
+    assert len(checked) == len(caps_added) and all(s == ["warm"] for s in checked), checked
+
+
+def test_a_re_pooled_asymmetric_capacity_reaches_the_list_the_solver_reads(monkeypatch):
+    disk = Resource("d", read_capacity=150.0, write_capacity=100.0)
+    sim = Simulation({"d": disk, "l": res("l", 120.0)})
+    sim.add_flow("r1", ResourcePath(("d",), "read"), 150.0)
+    sim.add_flow("x", ResourcePath(("l",), "write"), 1000.0)
+    arrive(sim, ("w", ResourcePath(("d", "l"), "write"), 10.0), 0.5)
+    arrive(sim, ("r2", ResourcePath(("d",), "read"), 600.0), 0.7)
+    seen: list[list[float]] = []  # the capacity list each fill reads
+    pooled = []  # per solve: the disk's capacity from the directions of its flows, and the capacity the solver read
+    real, real_fill = Simulation._reallocate, simengine._fill
+
+    def fill(crossing, live, level, capacities):
+        seen.append(list(capacities))
+        return real_fill(crossing, live, level, capacities)
+
+    def checked(sim):
+        n = len(seen)
+        real(sim)
+        dirs = simengine._directions(f.path for f in sim._active.values())
+        if n < len(seen) and "d" in dirs:
+            pooled.append((disk.capacity_for(frozenset(dirs["d"])), seen[-1][sim._index["d"]]))
+
+    monkeypatch.setattr(simengine, "_fill", fill)
+    monkeypatch.setattr(Simulation, "_reallocate", checked)
+    trace = sim.run()
+    assert [want for want, _ in pooled] == [150.0, 100.0, 150.0, 150.0]  # read, mixed while w writes, read again
+    assert all(got == want for want, got in pooled), pooled
+    assert verify_trace(trace) == []
+
+
+def test_a_simulations_own_mapping_gives_allocate_rates_the_simulations_hops(monkeypatch):
+    # allocate_rates indexes a mapping in its order. Given a running simulation's records and that simulation's
+    # own mapping, it rewrites each record's hops with the same indices and its rate with the same float (a warm
+    # solve equals a cold one), so the run goes on exactly as it would have.
+    def trace_of(seed, check):
+        trace = _random_run(random.Random(seed), monkeypatch, check, asymmetric=0.3)
+        return None if trace is None else list(trace.events)
+
+    def resolve_in_place(sim):
+        hops = {fid: f.hops for fid, f in sim._active.items()}
+        rates = allocate_rates(list(sim._active.values()), sim._capacities)
+        assert rates == {fid: f.rate for fid, f in sim._active.items()}
+        assert {fid: f.hops for fid, f in sim._active.items()} == hops
+        calls.append(1)
+
+    calls: list[int] = []
+    compared = 0
+    for seed in range(60):
+        want = trace_of(seed, lambda sim: None)
+        if want is not None:
+            assert trace_of(seed, resolve_in_place) == want, seed
+            compared += 1
+    assert compared > 40 and len(calls) > 500
+
+
+def _streamed_golden_trace(doc):
+    """A golden scenario's run, streamed: its whole event list, from the windows it handed over, and its trace."""
+    from storagesim.scenario import parse_scenario, run_scenario
+
+    events: list = []
+    run = run_scenario(parse_scenario(doc), readers=(lambda trace, last: events.extend(trace.events),))
+    return events, run.trace
+
+
+def _faulted(events, flows, resources):
+    """The trace clean, then with one fault each: a rate on a saturated resource raised by 1e-6 of itself, a
+    dropped ``flow_end``, and a deleted resource, each named; the faults sit in the middle of the trace."""
+    middle = len(events) // 2
+    yield "clean", events, resources
+    for i in range(middle, len(events)):  # the first rate past the middle that the raise puts over a capacity
+        t, kind, fid, rid, value = events[i]
+        if kind == "rate_change":
+            raised = events[:i] + [(t, kind, fid, rid, value * (1 + 1e-6))] + events[i + 1 :]
+            if any(v.code == "capacity" for v in verify_trace_reference(SimTrace(raised, flows, resources))):
+                yield "raised rate", raised, resources
+                break
+    end = next(i for i in range(middle, len(events)) if events[i][1] == "flow_end")
+    yield "dropped flow_end", events[:end] + events[end + 1 :], resources
+    crossed = flows[events[end][2]].path.resources[0]
+    yield "deleted resource", events, {rid: r for rid, r in resources.items() if rid != crossed}
+
+
+@pytest.mark.parametrize("golden", ["wide_local", "asymmetric_local"])
+def test_the_windowed_audit_of_a_streamed_golden_trace_equals_the_reference(golden):
+    from test_golden import GOLDEN
+
+    def report(violations):
+        return [(v.code, repr(v.time), v.message) for v in violations]
+
+    events, trace = _streamed_golden_trace(GOLDEN[golden][0])
+    assert len(trace.flows) > 30 and events[-1][1] in ("flow_end", "snapshot")
+    seen = {}
+    for fault, faulted, resources in _faulted(events, trace.flows, trace.resources):
+        want = report(verify_trace_reference(SimTrace(faulted, trace.flows, resources)))
+        state, got = simengine.AuditState(), []
+        windows = _windows(faulted, simengine.CSV_CHUNK_LINES)
+        for i, window in enumerate(windows):
+            got += verify_trace(SimTrace(window, trace.flows, resources), state, i == len(windows) - 1)
+        assert report(got) == want, fault
+        seen[fault] = {code for code, _, _ in want}
+    assert seen == {
+        "clean": set(),
+        "raised rate": {"capacity"} | seen["raised rate"],
+        "dropped flow_end": {"unmatched-flow"} | seen["dropped flow_end"],
+        "deleted resource": {"capacity"} | seen["deleted resource"],
+    }, seen
