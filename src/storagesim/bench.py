@@ -152,6 +152,13 @@ class BenchmarkResult(NamedTuple):
 
 
 class DfsioRun(NamedTuple):
+    """One run's metrics, trace, per-task stats, read inputs and snapshot records.
+
+    ``files`` holds each read task's input file, in task order: every
+    file of a read run, the read tasks' of a mixed run, and none of a
+    write run, whose files live only as long as the tasks that write them.
+    """
+
     result: BenchmarkResult
     trace: SimTrace
     stats: list[TaskStat]
@@ -160,23 +167,20 @@ class DfsioRun(NamedTuple):
 
 
 class _Task:
-    __slots__ = ("index", "task_id", "mode", "writer_vm", "file", "vm", "start", "end", "outstanding")
+    """A task from its dispatch until its last flow ends; nothing refers to it after that.
 
-    def __init__(
-        self,
-        index: int,  # 0-based internally
-        mode: str,
-        writer_vm: str,  # the file's writer: where a write task runs
-        file: DfsFile | None,  # the file a read re-reads; placed at start for a write
-    ):
+    A write task places its file when it starts, so the file goes with
+    the task. The task's start and end times are kept by ``run_dfsio``,
+    in lists indexed by task.
+    """
+
+    __slots__ = ("index", "task_id", "vm", "file", "outstanding")
+
+    def __init__(self, index: int, vm: str, file: DfsFile | None):  # index is 0-based internally
         self.index = index
         self.task_id = f"t{index:04d}"  # the prefix of every flow id the task starts
-        self.mode = mode
-        self.writer_vm = writer_vm
-        self.file = file
-        self.vm: str | None = None
-        self.start: float | None = None
-        self.end: float | None = None
+        self.vm = vm
+        self.file = file  # a read task's input; a write task's once it places it
         self.outstanding = 0  # flows started and not yet completed
 
 
@@ -218,8 +222,15 @@ def run_dfsio(
     table. With a ``snapshots`` policy, non-persistent volumes are
     snapshotted during the run and the transfers contend with the tasks.
     Returns the metric record, the flow trace (with the snapshot markers the
-    engine logged), the placed files and the snapshot records; ``state`` is
-    only read, and the trace's write flows hold every byte the run wrote.
+    engine logged), the read tasks' input files and the snapshot records;
+    ``state`` is only read, and the trace's write flows hold every byte the
+    run wrote.
+
+    A task's state lives only while it runs. The queue holds task indices,
+    a ``_Task`` is made when its task is dispatched, and nothing refers to
+    it once its last flow ends, so a write task's file goes with it. What
+    the run keeps per task is its input file if it reads one, and its start
+    and end: the step's own ``now`` floats, in two lists.
 
     With ``readers`` the simulation streams its trace to them window by
     window (see ``Simulation``), and the returned trace holds no events.
@@ -234,26 +245,30 @@ def run_dfsio(
     placement_rng = random.Random(dfs_config.seed)
 
     if spec.mode == WRITE:
-        task_modes = [WRITE] * spec.n_files
+        reads: Sequence[bool] = ()  # no input files
     elif spec.mode == READ:
-        task_modes = [READ] * spec.n_files
+        reads = [True] * spec.n_files
     else:
-        task_modes = [READ if rng.random() < spec.read_fraction else WRITE for _ in range(spec.n_files)]
+        reads = [rng.random() < spec.read_fraction for _ in range(spec.n_files)]
 
     placement = PlacementTables(state, members)  # members and their hosts too: one set of pools per run
-    # Every input file, not just those read: file i's replicas follow the draws for files 0..i-1.
-    input_rng = random.Random(dfs_config.seed) if READ in task_modes else None
-    tasks = []
-    for i, mode in enumerate(task_modes):
-        writer = members[i % len(members)]  # round-robin: task i on member i mod n
-        file = place_file(placement, spec.file_size_mb, writer, dfs_config, input_rng) if input_rng else None
-        tasks.append(_Task(i, mode, writer, file if mode == READ else None))
+    inputs: list[DfsFile | None] = [None] * spec.n_files  # task -> the file it reads, None for a write task
+    if any(reads):
+        # Every input file, not just those read: file i's replicas follow the draws for files 0..i-1.
+        input_rng = random.Random(dfs_config.seed)
+        for i, read in enumerate(reads):
+            writer = members[i % len(members)]  # round-robin: task i on member i mod n
+            file = place_file(placement, spec.file_size_mb, writer, dfs_config, input_rng)
+            if read:
+                inputs[i] = file
 
     routes = Routes(state, hdfs_volumes)
     sim = Simulation(build_resources(state.topology), readers)
     records = [] if snapshots is None else plan_snapshots(sim, state.volumes, snapshots, routes)
     slots = {vm: spec.slots_per_vm for vm in members}
-    queue = deque(tasks)
+    queue = deque(range(spec.n_files))
+    starts: list[float | None] = [None] * spec.n_files
+    ends: list[float | None] = [None] * spec.n_files
     running = 0
     by_flow: dict[str, _Task] = {}
 
@@ -269,7 +284,7 @@ def run_dfsio(
         by_flow[fid] = task
 
     def start_write(task: _Task) -> None:
-        vm = task.vm = task.writer_vm
+        vm = task.vm
         task.file = place_file(placement, spec.file_size_mb, vm, dfs_config, placement_rng)
         start_flow(task, f"{task.task_id}.write", routes["volume", vm, "write"], spec.file_size_mb, "primary", vm, vm)
 
@@ -285,8 +300,8 @@ def run_dfsio(
             fid = f"{task.task_id}.rep.{peer}"
             start_flow(task, fid, routes["replica", task.vm, peer], mb, "replica", peer, peer)
 
-    def start_read(task: _Task, vm: str) -> None:
-        task.vm = vm
+    def start_read(task: _Task) -> None:
+        vm = task.vm
         by_source: dict[str, float] = {}
         for block in task.file.blocks:
             block_vms = block.vms()
@@ -299,7 +314,7 @@ def run_dfsio(
 
     def finish_task(task: _Task, now: float) -> None:
         nonlocal running
-        task.end = now
+        ends[task.index] = now
         slots[task.vm] += 1
         running -= 1
 
@@ -308,24 +323,26 @@ def run_dfsio(
         nonlocal running
         i = 0
         while i < len(queue) and running < spec.map_capacity:
-            task = queue[i]
-            if task.mode == WRITE:
-                vm = task.writer_vm
+            index = queue[i]
+            file = inputs[index]
+            if file is None:  # a write task runs on its file's writer
+                vm = members[index % len(members)]
                 if slots[vm] <= 0:
                     i += 1
                     continue
             elif all(s <= 0 for s in slots.values()):
                 break
             else:
-                vm = schedule_map_task(task.task_id, slots, replicas=task.file.holders())
+                vm = schedule_map_task(f"t{index:04d}", slots, replicas=file.holders())
             del queue[i]
             slots[vm] -= 1
             running += 1
-            task.start = now
-            if task.mode == WRITE:
+            starts[index] = now
+            task = _Task(index, vm, file)
+            if file is None:
                 start_write(task)
             else:
-                start_read(task, vm)
+                start_read(task)
 
     def on_complete(_sim, records, now) -> None:
         for record in records:
@@ -341,20 +358,19 @@ def run_dfsio(
 
     dispatch(0.0)
     trace = sim.run(on_complete=on_complete)
-    unfinished = [t.index for t in tasks if t.end is None]
+    unfinished = [i for i, end in enumerate(ends) if end is None]
     if unfinished:
         raise SimError(f"tasks never completed: {unfinished}")
 
     stats = [
         TaskStat(
-            task_index=t.index + 1,
+            task_index=i + 1,
             file_size_mb=spec.file_size_mb,
-            elapsed_s=t.end - t.start,
-            rate=spec.file_size_mb / (t.end - t.start),
+            elapsed_s=end - start,
+            rate=spec.file_size_mb / (end - start),
         )
-        for t in tasks
+        for i, (start, end) in enumerate(zip(starts, ends))
     ]
-    finished_at = max(t.end for t in tasks)
-    result = BenchmarkResult.from_stats(spec.mode, stats, finished_at)
-    out_files = [t.file for t in tasks if t.file is not None]
-    return DfsioRun(result=result, trace=trace, stats=stats, files=out_files, snapshot_records=records)
+    result = BenchmarkResult.from_stats(spec.mode, stats, max(ends))
+    files = [file for file in inputs if file is not None]
+    return DfsioRun(result=result, trace=trace, stats=stats, files=files, snapshot_records=records)

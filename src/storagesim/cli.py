@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import traceback
+from itertools import chain
 from pathlib import Path
 
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
@@ -43,7 +44,7 @@ from .scenario import (
     render_comparison_table,
     run_scenario,
 )
-from .simengine import AuditState, SimTrace, TraceReader, TraceViolation, verify_trace
+from .simengine import AuditState, SimTrace, TraceReader, TraceViolation, verify_trace, write_lines
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -115,9 +116,8 @@ def cmd_run(scenario: Scenario, args) -> int:
         traces.verify()
         _write_json(out / "result.json", run.to_dict())
         traces.publish("trace.csv")
-        lines = ["task_index,file_size_mb,elapsed_s,rate_mbps"]
-        lines += [f"{s.task_index},{s.file_size_mb!r},{s.elapsed_s!r},{s.rate!r}" for s in run.stats]
-        (out / "tasks.csv").write_text("\n".join(lines) + "\n")
+        rows = (f"{s.task_index},{s.file_size_mb!r},{s.elapsed_s!r},{s.rate!r}" for s in run.stats)
+        write_lines(out / "tasks.csv", chain(("task_index,file_size_mb,elapsed_s,rate_mbps",), rows))
     print(
         f"{run.config}: throughput {run.result.throughput_mbps:.3f} MB/s, "
         f"avg rate {run.result.avg_io_rate_mbps:.3f} MB/s, "

@@ -60,20 +60,55 @@ class DfsFile(NamedTuple):
         return tuple(sorted({vm for b in self.blocks for vm in b.vms()}))
 
 
+class _Without:
+    """A read-only view of a sorted list without the entries at some of its positions, given in increasing order.
+
+    ``random.choice`` reads a sequence only through ``len`` and indexing,
+    so it draws the same entry from the view as from a list of the same
+    entries, and no such list is built.
+    """
+
+    __slots__ = ("items", "skip")
+
+    def __init__(self, items: list[str], skip: tuple[int, ...]):
+        self.items = items
+        self.skip = skip
+
+    def __len__(self) -> int:
+        return len(self.items) - len(self.skip)
+
+    def __getitem__(self, i: int) -> str:
+        if i < 0:
+            raise IndexError(i)
+        for at in self.skip:
+            if i >= at:
+                i += 1
+        return self.items[i]
+
+
 class PlacementTables:
     """The members' virtual racks, replica pairs and candidate pools, fixed while members and hosts are.
 
-    A pool is built the first time a (writer) or (writer, second replica)
-    asks for it and kept, so each is built once per tables object.
+    A writer's pool for replica 2 is built the first time it asks for it
+    and kept, so each is built once per tables object. A pool for replica
+    3 is a view, made per block, over a list kept here: the sorted members
+    of the second replica's rack, or of all racks. So the tables hold at
+    most one list per member, one per rack and one more, however many
+    blocks they place.
     """
 
     def __init__(self, state: ClusterState, members: list[str]):
         self.members = members
-        self.rack_of = {vm: state.instances[vm].host_id for vm in members}  # a VM's virtual rack is its host
-        self.pair_of = {vm: (vm, rack) for vm, rack in self.rack_of.items()}  # every block's replica entries
-        self.n_racks = len(set(self.rack_of.values()))
+        self.rack_of = rack_of = {vm: state.instances[vm].host_id for vm in members}  # a VM's virtual rack is its host
+        self.pair_of = {vm: (vm, rack) for vm, rack in rack_of.items()}  # every block's replica entries
         self._second: dict[str, list[str]] = {}  # writer -> candidates for replica 2
-        self._third: dict[tuple[str, str], list[str]] = {}  # (writer, replica 2) -> candidates for replica 3
+        self._sorted = sorted(members)
+        self._at = {vm: i for i, vm in enumerate(self._sorted)}  # member -> its place in the sorted members
+        self._on_rack: dict[str, list[str]] = {}  # rack -> its members, sorted
+        for vm in self._sorted:
+            self._on_rack.setdefault(rack_of[vm], []).append(vm)
+        self._at_on_rack = {vm: i for on_rack in self._on_rack.values() for i, vm in enumerate(on_rack)}
+        self.n_racks = len(self._on_rack)
 
     def second_pool(self, writer: str) -> list[str]:
         """Off the writer's rack, or any other member on a single rack; sorted."""
@@ -84,15 +119,19 @@ class PlacementTables:
             pool = self._second[writer] = off_rack or sorted(m for m in members if m != writer)
         return pool
 
-    def third_pool(self, writer: str, second: str) -> list[str]:
+    def third_pool(self, writer: str, second: str) -> _Without:
         """Another member on the second replica's rack, or any member not yet chosen; sorted."""
-        pool = self._third.get((writer, second))
-        if pool is None:
-            members, rack_of = self.members, self.rack_of
-            chosen = (writer, second)
-            same_as_second = sorted(m for m in members if m not in chosen and rack_of[m] == rack_of[second])
-            pool = self._third[writer, second] = same_as_second or sorted(m for m in members if m not in chosen)
-        return pool
+        rack_of = self.rack_of
+        rack = rack_of[second]
+        on_rack = self._on_rack[rack]
+        if rack_of[writer] != rack:
+            if len(on_rack) > 1:
+                return _Without(on_rack, (self._at_on_rack[second],))
+        elif len(on_rack) > 2:
+            i, j = self._at_on_rack[writer], self._at_on_rack[second]
+            return _Without(on_rack, (i, j) if i < j else (j, i))
+        i, j = self._at[writer], self._at[second]
+        return _Without(self._sorted, (i, j) if i < j else (j, i))
 
 
 def place_replicas(

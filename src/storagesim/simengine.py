@@ -320,8 +320,9 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float] 
     path resource with no entry, before it writes any record, and never
     reads the entries of resources no flow crosses. A list is a
     ``Simulation``'s own capacity table, which the records' ``hops``
-    already index; the engine's cold solve passes it, and nothing is
-    checked.
+    already index; the engine's cold solve passes it. A record that no
+    simulation indexed (``hops == ()``, as a hand-built ``FlowRecord`` has)
+    raises UnknownResourceError; no other check is made.
 
     The solve rates ``flows`` in place: ``_fill`` sets each record's
     ``rate`` to 0.0, then to its level, and the returned mapping, in
@@ -353,6 +354,9 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float] 
         for f in flow_list:
             f.hops = tuple([index[rid] for rid in f.path.resources])
         capacities = list(capacities.values())
+    elif () in map(attrgetter("hops"), flow_list):  # one C-level scan: a record no simulation indexed crosses nothing
+        unindexed = next(f.flow_id for f in flow_list if not f.hops)
+        raise UnknownResourceError(f"flow {unindexed} has no resource index; pass a {{resource id: capacity}} mapping")
     crossing: list[list[FlowRecord]] = [[] for _ in capacities]  # resource -> its records, in flow-id order
     for f in flow_list:
         for i in f.hops:
@@ -423,11 +427,10 @@ class SimTrace:
             yield f"{time_text},{kind},{flow_id},{resource_id},{value_text}"
 
     def write_csv(self, path, append: bool = False) -> None:
-        """``csv_lines``, one per line, streamed: ``CSV_CHUNK_LINES`` lines are made, joined and written at a time.
+        """``csv_lines``, one per line, streamed by ``write_lines``: ``CSV_CHUNK_LINES`` lines at a time.
 
         Only one chunk's lines and text, about 30 KB, are held at once, so
-        the writer's memory does not grow with the trace. No line is empty,
-        so an empty chunk means the lines have run out. With ``append`` the events'
+        the writer's memory does not grow with the trace. With ``append`` the events'
         lines go after the end of the file, with no header: a trace handed
         over in windows is written as the first window, then each later one
         appended, and the file is the one a single write of the whole trace
@@ -436,10 +439,20 @@ class SimTrace:
         lines = self.csv_lines()
         if append:
             next(lines)  # the header
-        with open(path, "a" if append else "w") as fh:
-            while chunk := "\n".join(islice(lines, CSV_CHUNK_LINES)):
-                fh.write(chunk)
-                fh.write("\n")
+        write_lines(path, lines, append)
+
+
+def write_lines(path, lines: Iterator[str], append: bool = False) -> None:
+    """Write the iterator ``lines``, one per line, ``CSV_CHUNK_LINES`` at a time; one chunk's text is held at once.
+
+    The file holds the lines joined by newlines with one after the last,
+    or, with ``append``, that text after its end. No line may be empty,
+    since an empty chunk means the lines have run out.
+    """
+    with open(path, "a" if append else "w") as fh:
+        while chunk := "\n".join(islice(lines, CSV_CHUNK_LINES)):
+            fh.write(chunk)
+            fh.write("\n")
 
 
 # Callback invoked after the completions at one instant; each add_flow() in it starts a flow at `now`.

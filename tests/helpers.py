@@ -1,5 +1,6 @@
 """Shared helpers: placed clusters, their placement tables or a DFS volume bound per VM, one-call engine runs,
-named trace events, a flow's start time, and a fresh interpreter that parses scenarios with a chosen YAML parser."""
+named trace events, a flow's start time, the files a DFSIO run's write tasks placed, and a fresh interpreter that
+parses scenarios with a chosen YAML parser."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from typing import Iterable, Mapping, NamedTuple
 import pytest
 import yaml
 
-from storagesim.dfs import PlacementTables
+from storagesim import bench
+from storagesim.dfs import DfsFile, PlacementTables
 from storagesim.placement import ClusterState, VmSpec, place_vm
 from storagesim.simengine import CompletionHook, Resource, Simulation, SimTrace
 from storagesim.topology import reference_cluster
@@ -120,6 +122,32 @@ def start_time(trace: SimTrace, flow_id: str) -> float:
     """The time of ``flow_id``'s one ``flow_start`` event: the trace is where a flow's start is kept."""
     (time,) = [time for time, kind, fid, _, _ in trace.events if kind == "flow_start" and fid == flow_id]
     return time
+
+
+def dispatch_order(run: bench.DfsioRun) -> list[str]:
+    """The task ids of a run's write tasks in the order it dispatched them: its primary flows' add order."""
+    return [rec.flow_id.split(".", 1)[0] for rec in run.trace.flows.values() if rec.tags.get("stage") == "primary"]
+
+
+def run_keeping_written_files(monkeypatch, *args, **kwargs) -> tuple[bench.DfsioRun, dict[str, DfsFile]]:
+    """``run_dfsio(*args, **kwargs)``, and the file each of its write tasks placed, by task id.
+
+    A run returns no file it wrote, so a spy on ``bench.place_file`` keeps
+    them. The run places its input files, if any, before its first task
+    starts, and then each write task's file as the task starts, so the
+    spy's last calls pair, in order, with the write tasks in dispatch order.
+    """
+    real_place_file, placed = bench.place_file, []
+
+    def place_file(*place_args):
+        placed.append(real_place_file(*place_args))
+        return placed[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "place_file", place_file)
+        run = bench.run_dfsio(*args, **kwargs)
+    order = dispatch_order(run)
+    return run, dict(zip(order, placed[len(placed) - len(order):]))
 
 
 def in_fresh_interpreter(parser: str, code: str, *args: str) -> subprocess.CompletedProcess:

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import SMALL_VM, bind_dfs_volumes, dfs_cluster, placed_cluster, start_time
+from helpers import (
+    SMALL_VM,
+    bind_dfs_volumes,
+    dfs_cluster,
+    dispatch_order,
+    placed_cluster,
+    run_keeping_written_files,
+    start_time,
+)
 from oracles import avg_rate_oracle, throughput_oracle
 from storagesim import bench, volumes
 from storagesim.bench import (
@@ -178,10 +186,16 @@ def test_networked_write_fair_share_closed_form():
     assert verify_trace(run.trace) == []
 
 
-def test_write_then_read_locality_keeps_reads_local():
+def in_task_order(files_by_task):
+    return [files_by_task[task] for task in sorted(files_by_task)]
+
+
+def test_write_then_read_locality_keeps_reads_local(monkeypatch):
     state, hdfs = dfs_cluster(n_hosts=5)
     spec = DfsioSpec(n_files=5, file_size_mb=1000.0, mode="write", slots_per_vm=1)
-    w = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=3), seed=2)
+    cfg = DfsConfig(replication_factor=3)
+    w, written = run_keeping_written_files(monkeypatch, state, spec, hdfs, dfs_config=cfg, seed=2)
+    assert w.files == []  # a write run keeps no file it wrote
     r = run_dfsio(
         state,
         DfsioSpec(n_files=5, file_size_mb=1000.0, mode="read", slots_per_vm=1),
@@ -189,7 +203,7 @@ def test_write_then_read_locality_keeps_reads_local():
         dfs_config=DfsConfig(replication_factor=3),
         seed=2,
     )
-    assert r.files == w.files  # the write pass dispatched in task order, so it placed the read run's inputs
+    assert r.files == in_task_order(written)  # the write pass dispatched in task order, so it placed the read run's inputs
     # every reader holds replica 1 of its own file: all reads are disk-local
     assert all(not rec.path.resources[0].startswith("link:") and len(rec.path.resources) == 1
                for rec in r.trace.flows.values())
@@ -197,16 +211,20 @@ def test_write_then_read_locality_keeps_reads_local():
     assert verify_trace(r.trace) == []
 
 
-def test_a_flow_that_one_block_feeds_takes_that_blocks_size_object():
+def test_a_flow_that_one_block_feeds_takes_that_blocks_size_object(monkeypatch):
     """A replica or read flow fed by one block holds the block's ``bytes_mb``; one fed by several, their sum from 0.0."""
     state, hdfs = dfs_cluster(n_hosts=5)
     seen = Counter()  # (stage, shared size object or not)
     for size in (64.0, 200.0):  # one block, then four
         spec = DfsioSpec(n_files=12, file_size_mb=size, mode="mixed", map_capacity=5, slots_per_vm=1)
-        run = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(block_size_mb=64.0, replication_factor=2, seed=3), seed=4)
+        cfg = DfsConfig(block_size_mb=64.0, replication_factor=2, seed=3)
+        run, files = run_keeping_written_files(monkeypatch, state, spec, hdfs, dfs_config=cfg, seed=4)
+        reads = sorted({task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "read"})
+        assert len(run.files) == len(reads)
+        files.update(zip(reads, run.files))  # the read tasks' inputs, in task order
         for rec in run.trace.flows.values():
             task, stage, peer = (rec.flow_id + ".").split(".")[:3]
-            file = run.files[int(task[1:])]
+            file = files[task]
             if stage == "rep":
                 feeding = [b.bytes_mb for b in file.blocks if peer in b.vms()[1:]]
             elif stage == "read":
@@ -311,12 +329,7 @@ def test_mixed_mode_interleaves_reads_and_writes():
     assert verify_trace(mixed.trace) == []
 
 
-def _dispatch_order(run):
-    """The task ids of a write pass in the order it dispatched them: its primary flows' add order."""
-    return [task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "primary"]
-
-
-def test_input_files_are_the_files_a_write_pass_in_task_order_places():
+def test_input_files_are_the_files_a_write_pass_in_task_order_places(monkeypatch):
     rng = random.Random(26)
     in_order = read_files = 0
     for _ in range(40):
@@ -331,23 +344,23 @@ def test_input_files_are_the_files_a_write_pass_in_task_order_places():
             map_capacity=rng.randint(1, 8),
             slots_per_vm=rng.randint(1, 3),
         )
-        written = run_dfsio(state, spec._replace(mode="write"), hdfs, dfs_config=cfg)
-        order = _dispatch_order(written)
+        write_spec = spec._replace(mode="write")
+        write_run, written = run_keeping_written_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
+        order = dispatch_order(write_run)
         if order != sorted(order):
             continue  # a writer's slots were full when its task headed the queue
         in_order += 1
         run = run_dfsio(state, spec, hdfs, dfs_config=cfg)
         # a write task of a mixed run places its own file as it starts; a read task's is its input file
-        reads = {task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "read"}
-        assert len(run.files) == spec.n_files, (spec, cfg)
-        for i, (got, want) in enumerate(zip(run.files, written.files)):
-            if f"t{i:04d}" in reads:
-                assert got == want, (spec, cfg, i)
-                read_files += 1
+        reads = sorted({task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "read"})
+        assert len(run.files) == len(reads), (spec, cfg)
+        for task, got in zip(reads, run.files):
+            assert got == written[task], (spec, cfg, task)
+            read_files += 1
     assert in_order >= 30 and read_files >= 100
 
 
-def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out_of_order():
+def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out_of_order(monkeypatch):
     # three members on two hosts: vm001 and vm003 share h01's disk, so vm002 finishes first and its
     # second task is dispatched while vm001's second task still waits for vm001's only slot
     state = placed_cluster(n_hosts=2, vms_per_host=1, spec=SMALL_VM)
@@ -356,14 +369,16 @@ def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out
     assert [state.instances[vm].host_id for vm in sorted(hdfs)] == ["h01", "h02", "h01"]
     cfg = DfsConfig(replication_factor=2, seed=11)
     spec = DfsioSpec(n_files=6, file_size_mb=200.0, mode="read", map_capacity=3, slots_per_vm=1)
-    slotted = run_dfsio(state, spec._replace(mode="write"), hdfs, dfs_config=cfg)
-    assert _dispatch_order(slotted) == ["t0000", "t0001", "t0002", "t0004", "t0003", "t0005"]
+    write_spec = spec._replace(mode="write")
+    slotted, slotted_files = run_keeping_written_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
+    assert dispatch_order(slotted) == ["t0000", "t0001", "t0002", "t0004", "t0003", "t0005"]
     # with a slot per task no writer waits, so that write pass dispatches in task order
-    unslotted = run_dfsio(state, spec._replace(mode="write", slots_per_vm=6), hdfs, dfs_config=cfg)
-    assert _dispatch_order(unslotted) == [f"t{i:04d}" for i in range(6)]
+    write_spec = write_spec._replace(slots_per_vm=6)
+    unslotted, unslotted_files = run_keeping_written_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
+    assert dispatch_order(unslotted) == [f"t{i:04d}" for i in range(6)]
     files = run_dfsio(state, spec, hdfs, dfs_config=cfg).files
-    assert files == unslotted.files
-    assert files != slotted.files  # the out-of-order pass drew the shared stream in another order
+    assert files == in_task_order(unslotted_files)
+    assert files != in_task_order(slotted_files)  # the out-of-order pass drew the shared stream in another order
 
 
 @pytest.mark.parametrize("storage", ["networked", "local"])

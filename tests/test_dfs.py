@@ -159,6 +159,64 @@ def test_blocks_placed_through_one_table_share_its_replica_pairs():
     assert len(pairs) == len(members)  # 80 blocks, 240 replicas, one pair object per member
 
 
+class PoolRecorder:
+    """An rng that records each pool ``choice`` draws from, as a list, and draws as ``random.Random(seed)`` does."""
+
+    def __init__(self, seed):
+        self.rng, self.pools = random.Random(seed), []
+
+    def choice(self, pool):
+        self.pools.append(list(pool))
+        return self.rng.choice(pool)
+
+    def sample(self, population, k):
+        return self.rng.sample(population, k)
+
+
+def test_replica_pools_are_the_rebuilt_pools_on_racks_of_several_vms():
+    rng = random.Random(37)
+    pools = 0
+    for _ in range(40):
+        state = placed_cluster(n_hosts=rng.randint(1, 5), vms_per_host=rng.randint(2, 4), spec=SMALL_VM)
+        vms = sorted(state.instances)
+        members = rng.sample(vms, rng.randint(3, len(vms)) if len(vms) > 3 else len(vms))  # in random order
+        tables = PlacementTables(state, members)
+        rf = rng.randint(2, min(5, len(members)))
+        seed = rng.randrange(2**32)
+        got, want = PoolRecorder(seed), PoolRecorder(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReplicaCoLocationWarning)
+            for writer in members * 3:
+                assert place_replicas(tables, writer, 64.0, rf, got) == place_replicas_reference(
+                    state, writer, 64.0, rf, want, members
+                )
+        assert got.pools == want.pools
+        assert got.rng.getstate() == want.rng.getstate()
+        pools += len(got.pools)
+    assert pools > 500
+    # a view reads like the list it stands for: iteration ends at its length, and a negative index is refused
+    view = tables.third_pool(members[0], tables.second_pool(members[0])[0])
+    assert len(view) == len(list(view)) and list(view) == sorted(view)
+    with pytest.raises(IndexError):
+        view[-1]
+
+
+def lists_held(tables):
+    """The lists a ``PlacementTables`` keeps, as attributes or as values of its dicts."""
+    values = [v for value in vars(tables).values() for v in (value.values() if isinstance(value, dict) else [value])]
+    return sum(isinstance(v, list) for v in values)
+
+
+def test_placement_tables_keep_lists_per_member_and_rack_not_per_block():
+    state = placed_cluster(n_hosts=60, spec=SMALL_VM)
+    tables = member_tables(state)
+    rng, config = random.Random(5), DfsConfig(replication_factor=3)
+    for i in range(2000):
+        place_file(tables, 64.0, tables.members[i % 60], config, rng)
+    # a pool per (writer, second replica) pair would be ~1 700 lists here
+    assert lists_held(tables) <= len(tables.members) + tables.n_racks + 2
+
+
 def test_schedule_prefers_replica_holder_with_free_slot(five_hosts):
     slots = {"vm001": 0, "vm002": 0, "vm003": 1, "vm004": 1, "vm005": 1}
     vm = schedule_map_task("t0", slots, replicas=("vm002", "vm004"))

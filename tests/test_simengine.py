@@ -63,6 +63,18 @@ def test_unknown_resource_is_an_error():
         allocate_rates([flow("f1", ["ghost"])], {"d1": 100.0})
 
 
+def test_a_capacity_list_refuses_a_record_no_simulation_indexed():
+    # a hand-built record has no hops: given a list, it would be rated as crossing nothing, at 0.0
+    indexed = flow("f0", ["d1"])
+    allocate_rates([indexed], {"d1": 100.0})  # the mapping form writes its hops
+    assert indexed.hops == (0,)
+    records = [indexed, flow("f1", ["d1"])]
+    with pytest.raises(UnknownResourceError, match="flow f1 has no resource index"):
+        allocate_rates(records, [100.0])
+    assert [r.rate for r in records] == [100.0, 0.0]  # refused before any record was rated
+    assert allocate_rates(records, {"d1": 100.0}) == {"f0": 50.0, "f1": 50.0}
+
+
 def test_allocation_matches_oracle_on_random_small_instances():
     rng = random.Random(11)
     for trial in range(200):

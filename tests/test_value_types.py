@@ -161,7 +161,7 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     records = [
         simengine.FlowRecord("f", path, 1.0, None, {}),
         simengine.SimTrace(),
-        bench._Task(0, bench.WRITE, "vm001", None),
+        bench._Task(0, "vm001", None),
         placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0)),
         placement.ClusterState(topology.reference_cluster(1)),
         volumes.Volume("vol001", volumes.ROOT, 10.0, ("h01", "disk1")),
@@ -169,7 +169,7 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     assert [type(r) for r in records] == list(SLOTTED)
     assert not any(hasattr(r, "__dict__") for r in records)
     assert simengine.SimTrace().events is not simengine.SimTrace().events
-    task = bench._Task(1, bench.READ, None, None)
+    task = bench._Task(1, "vm001", None)
     assert (task.outstanding, task.task_id) == (0, "t0001")  # a count, and the prefix of its flows' ids
     assert not [s for s in bench._Task.__slots__ if isinstance(getattr(task, s), (list, set, dict))]
     vm = placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0))
