@@ -7,7 +7,7 @@ its host), and why migration is refused for pinned VMs.
 from pathlib import Path
 
 from storagesim.errors import MigrationDisabledError
-from storagesim.placement import ClusterState, filter_hosts, migrate_vm, place_vm
+from storagesim.placement import ClusterState, Usage, filter_hosts, migrate_vm, place_vm
 from storagesim.scenario import load_scenario
 from storagesim.topology import reference_cluster, validate_topology
 
@@ -34,5 +34,6 @@ except MigrationDisabledError as e:
     print(f"  refused as designed: {e}")
 
 print("\nper-host free capacity after placement:")
+usage = Usage(state)
 for host in topo.hosts:
-    print(f"  {host.id}: {state.free_vcpus(host.id)} vcpus, {state.free_ram_gb(host.id)} GB RAM free")
+    print(f"  {host.id}: {usage.free_vcpus(host.id)} vcpus, {usage.free_ram_gb(host.id)} GB RAM free")

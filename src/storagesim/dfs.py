@@ -14,9 +14,11 @@ demonstrating the failure mode is the point.
 rack map, the candidate pools and each member's ``(vm, rack)`` replica
 pair. Members and their hosts stay fixed for a whole cluster, so the
 caller builds the tables once and passes them to every file and block it
-places, and every block names its replicas by the same pair objects. The
-pools and the ``rng`` draws over them are those of a per-block rebuild, so
-the draw sequence does not depend on how long the tables have been kept.
+places, and every block names its replicas by the same pair objects. Each
+pool is a sorted list the tables keep and the positions in it to skip, and
+one function, ``_draw``, picks from it with one ``randrange``. The draws
+are those of ``choice`` over a per-block rebuild of the pool, so the draw
+sequence does not depend on how long the tables have been kept.
 """
 
 from __future__ import annotations
@@ -60,78 +62,64 @@ class DfsFile(NamedTuple):
         return tuple(sorted({vm for b in self.blocks for vm in b.vms()}))
 
 
-class _Without:
-    """A read-only view of a sorted list without the entries at some of its positions, given in increasing order.
+def _draw(rng: random.Random, items: list[str], skip: tuple[int, ...]) -> str:
+    """``rng.choice`` over ``items`` without the entries at ``skip``'s positions, given in increasing order.
 
-    ``random.choice`` reads a sequence only through ``len`` and indexing,
-    so it draws the same entry from the view as from a list of the same
-    entries, and no such list is built.
+    ``randrange(n)`` and ``choice`` over n entries each make one
+    ``_randbelow(n)`` draw on CPython 3.10–3.13, so this draws the same entry
+    and leaves the same rng state as ``choice`` over that list, which is
+    never built.
     """
-
-    __slots__ = ("items", "skip")
-
-    def __init__(self, items: list[str], skip: tuple[int, ...]):
-        self.items = items
-        self.skip = skip
-
-    def __len__(self) -> int:
-        return len(self.items) - len(self.skip)
-
-    def __getitem__(self, i: int) -> str:
-        if i < 0:
-            raise IndexError(i)
-        for at in self.skip:
-            if i >= at:
-                i += 1
-        return self.items[i]
+    i = rng.randrange(len(items) - len(skip))
+    for at in skip:
+        if i < at:
+            break
+        i += 1
+    return items[i]
 
 
 class PlacementTables:
     """The members' virtual racks, replica pairs and candidate pools, fixed while members and hosts are.
 
-    A writer's pool for replica 2 is built the first time it asks for it
-    and kept, so each is built once per tables object. A pool for replica
-    3 is a view, made per block, over a list kept here: the sorted members
-    of the second replica's rack, or of all racks. So the tables hold at
-    most one list per member, one per rack and one more, however many
-    blocks they place.
+    Every pool is a sorted list kept here, the members or one rack's
+    members, and a tuple of increasing positions in it to leave out. So the
+    tables hold one list of all members, one per rack and the members as
+    given, however many writers and blocks they place.
     """
 
     def __init__(self, state: ClusterState, members: list[str]):
         self.members = members
         self.rack_of = rack_of = {vm: state.instances[vm].host_id for vm in members}  # a VM's virtual rack is its host
         self.pair_of = {vm: (vm, rack) for vm, rack in rack_of.items()}  # every block's replica entries
-        self._second: dict[str, list[str]] = {}  # writer -> candidates for replica 2
         self._sorted = sorted(members)
         self._at = {vm: i for i, vm in enumerate(self._sorted)}  # member -> its place in the sorted members
         self._on_rack: dict[str, list[str]] = {}  # rack -> its members, sorted
         for vm in self._sorted:
             self._on_rack.setdefault(rack_of[vm], []).append(vm)
         self._at_on_rack = {vm: i for on_rack in self._on_rack.values() for i, vm in enumerate(on_rack)}
+        # rack -> its members' places in the sorted members, increasing
+        self._rack_at = {rack: tuple(self._at[vm] for vm in on_rack) for rack, on_rack in self._on_rack.items()}
         self.n_racks = len(self._on_rack)
 
-    def second_pool(self, writer: str) -> list[str]:
-        """Off the writer's rack, or any other member on a single rack; sorted."""
-        pool = self._second.get(writer)
-        if pool is None:
-            members, rack_of = self.members, self.rack_of
-            off_rack = sorted(m for m in members if rack_of[m] != rack_of[writer])
-            pool = self._second[writer] = off_rack or sorted(m for m in members if m != writer)
-        return pool
+    def second_pool(self, writer: str) -> tuple[list[str], tuple[int, ...]]:
+        """Off the writer's rack, or any other member on a single rack: the sorted members and places to skip."""
+        if self.n_racks > 1:
+            return self._sorted, self._rack_at[self.rack_of[writer]]
+        return self._sorted, (self._at[writer],)
 
-    def third_pool(self, writer: str, second: str) -> _Without:
-        """Another member on the second replica's rack, or any member not yet chosen; sorted."""
+    def third_pool(self, writer: str, second: str) -> tuple[list[str], tuple[int, ...]]:
+        """Another member on the second replica's rack, or any member not yet chosen: a sorted list and places to skip."""
         rack_of = self.rack_of
         rack = rack_of[second]
         on_rack = self._on_rack[rack]
         if rack_of[writer] != rack:
             if len(on_rack) > 1:
-                return _Without(on_rack, (self._at_on_rack[second],))
+                return on_rack, (self._at_on_rack[second],)
         elif len(on_rack) > 2:
             i, j = self._at_on_rack[writer], self._at_on_rack[second]
-            return _Without(on_rack, (i, j) if i < j else (j, i))
+            return on_rack, (i, j) if i < j else (j, i)
         i, j = self._at[writer], self._at[second]
-        return _Without(self._sorted, (i, j) if i < j else (j, i))
+        return self._sorted, (i, j) if i < j else (j, i)
 
 
 def place_replicas(
@@ -160,9 +148,9 @@ def place_replicas(
 
     chosen = [writer_vm]
     if rf >= 2:
-        chosen.append(rng.choice(tables.second_pool(writer_vm)))
+        chosen.append(_draw(rng, *tables.second_pool(writer_vm)))
     if rf >= 3:
-        chosen.append(rng.choice(tables.third_pool(writer_vm, chosen[1])))
+        chosen.append(_draw(rng, *tables.third_pool(writer_vm, chosen[1])))
     if rf > 3:
         rest = sorted(m for m in members if m not in chosen)
         chosen.extend(rng.sample(rest, rf - 3))

@@ -61,10 +61,10 @@ class ClusterState:
     """The whole simulation state: topology plus placed VMs and volumes.
 
     Capacity bookkeeping is derived from the instance/volume tables rather
-    than cached, so it cannot drift: each capacity method reads a ``Usage``
-    built for the call. ``hosts_by_id`` maps each host id to
-    its ``PhysicalHost``, built from the topology once per state; an
-    unknown id raises ``KeyError``.
+    than cached, so it cannot drift: ``disk_with_room`` reads one ``Usage``
+    built for the call, and other readers build their own ``Usage``.
+    ``hosts_by_id`` maps each host id to its ``PhysicalHost``, built from
+    the topology once per state; an unknown id raises ``KeyError``.
     """
 
     __slots__ = ("topology", "instances", "volumes", "vm_seq", "vol_seq", "hosts_by_id")
@@ -101,18 +101,6 @@ class ClusterState:
 
     # -- capacity accounting ------------------------------------------------
 
-    def free_vcpus(self, host_id: str) -> int:
-        return Usage(self).free_vcpus(host_id)
-
-    def free_ram_gb(self, host_id: str) -> float:
-        return Usage(self).free_ram_gb(host_id)
-
-    def disk_used_gb(self, node_id: str, disk_id: str) -> float:
-        return Usage(self).disk_used_gb(node_id, disk_id)
-
-    def disk_free_gb(self, node_id: str, disk_id: str) -> float:
-        return Usage(self).disk_free_gb(node_id, disk_id)
-
     def disk_with_room(self, node_id: str, disks: tuple[DiskSpec, ...], gb: float) -> DiskSpec | None:
         """The first of ``disks`` (on ``node_id``) with ``gb`` free, or None."""
         return Usage(self).disk_with_room(node_id, disks, gb)
@@ -127,10 +115,6 @@ class ClusterState:
             if d.id == disk_id:
                 return d
         raise KeyError((node_id, disk_id))
-
-    def disk_with_room(self, node_id: str, disks: tuple[DiskSpec, ...], gb: float) -> DiskSpec | None:
-        """The first of ``disks`` (on ``node_id``) with ``gb`` free, or None."""
-        return next((d for d in disks if self.disk_free_gb(node_id, d.id) >= gb), None)
 
     def running_vm(self, vm_id: str) -> VmInstance:
         vm = self.instances.get(vm_id)

@@ -422,18 +422,18 @@ def build_state(scenario: Scenario, storage_config: str | None = None) -> tuple[
     if not vm_ids:
         raise ScenarioValidationError("scenario places no VMs")
 
-    hdfs_volumes: dict[str, str] = {}
-    try:
-        for vm_id in vm_ids:
-            if cfg == "local":
-                vols = state.volumes.values()
-                hdfs_volumes[vm_id] = next(v.id for v in vols if v.attached_to == vm_id and v.kind == volumes_mod.ROOT)
-            else:
-                kind = volumes_mod.NETWORKED if cfg == "networked" else volumes_mod.LOCAL_PERSISTENT
+    if cfg == "local":
+        root_of = {v.attached_to: v.id for v in state.volumes.values() if v.kind == volumes_mod.ROOT}  # one per VM
+        hdfs_volumes = {vm_id: root_of[vm_id] for vm_id in vm_ids}
+    else:
+        hdfs_volumes = {}
+        kind = volumes_mod.NETWORKED if cfg == "networked" else volumes_mod.LOCAL_PERSISTENT
+        try:
+            for vm_id in vm_ids:
                 state, vol = volumes_mod.attach_volume(state, vm_id, kind, scenario.volume_size_gb)
                 hdfs_volumes[vm_id] = vol.id
-    except SimError as e:
-        raise ScenarioValidationError(f"cannot attach {cfg} volumes: {e}") from e
+        except SimError as e:
+            raise ScenarioValidationError(f"cannot attach {cfg} volumes: {e}") from e
 
     if scenario.dfs.replication_factor > len(vm_ids):
         raise ScenarioValidationError(

@@ -19,7 +19,7 @@ import warnings
 
 from storagesim.dfs import BlockReplicaSet, ReplicaCoLocationWarning
 from storagesim.errors import InsufficientVmsError
-from storagesim.placement import ClusterState
+from storagesim.placement import ClusterState, Usage
 from storagesim.simengine import BYTE_REL_TOL, CAPACITY_REL_EPS, FlowRecord, SimTrace, TraceViolation
 from storagesim.volumes import ResourcePath, is_link_resource
 
@@ -101,17 +101,17 @@ def avg_rate_oracle(sizes: list[float], times: list[float]) -> float:
 
 def capacity_violations(state: ClusterState) -> list[str]:
     """Committed-resources-over-total violations; empty when healthy."""
-    out = []
+    out, usage = [], Usage(state)
     for host in state.topology.hosts:
-        if state.free_vcpus(host.id) < 0:
+        if usage.free_vcpus(host.id) < 0:
             out.append(f"host {host.id} vcpus overcommitted")
-        if state.free_ram_gb(host.id) < -1e-9:
+        if usage.free_ram_gb(host.id) < -1e-9:
             out.append(f"host {host.id} ram overcommitted")
         for disk in host.disks + host.local_persistent_group:
-            if state.disk_free_gb(host.id, disk.id) < -1e-9:
+            if usage.disk_free_gb(host.id, disk.id) < -1e-9:
                 out.append(f"disk {host.id}/{disk.id} overcommitted")
     for disk in state.topology.controller.disks:
-        if state.disk_free_gb(state.topology.controller.id, disk.id) < -1e-9:
+        if usage.disk_free_gb(state.topology.controller.id, disk.id) < -1e-9:
             out.append(f"controller disk {disk.id} overcommitted")
     return out
 

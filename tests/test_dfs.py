@@ -173,6 +173,23 @@ class PoolRecorder:
         return self.rng.sample(population, k)
 
 
+def spy_pools(tables):
+    """Record each pool ``tables`` hands out, as the list its (items, skip) pair stands for."""
+    pools = []
+
+    def recorded(pool):
+        def call(*args):
+            items, skip = pool(*args)
+            assert list(skip) == sorted(set(skip)) and all(0 <= at < len(items) for at in skip)
+            pools.append([vm for at, vm in enumerate(items) if at not in skip])
+            return items, skip
+
+        return call
+
+    tables.second_pool, tables.third_pool = recorded(tables.second_pool), recorded(tables.third_pool)
+    return pools
+
+
 def test_replica_pools_are_the_rebuilt_pools_on_racks_of_several_vms():
     rng = random.Random(37)
     pools = 0
@@ -181,24 +198,29 @@ def test_replica_pools_are_the_rebuilt_pools_on_racks_of_several_vms():
         vms = sorted(state.instances)
         members = rng.sample(vms, rng.randint(3, len(vms)) if len(vms) > 3 else len(vms))  # in random order
         tables = PlacementTables(state, members)
+        got_pools = spy_pools(tables)
         rf = rng.randint(2, min(5, len(members)))
         seed = rng.randrange(2**32)
-        got, want = PoolRecorder(seed), PoolRecorder(seed)
+        got, want = random.Random(seed), PoolRecorder(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ReplicaCoLocationWarning)
             for writer in members * 3:
                 assert place_replicas(tables, writer, 64.0, rf, got) == place_replicas_reference(
                     state, writer, 64.0, rf, want, members
                 )
-        assert got.pools == want.pools
-        assert got.rng.getstate() == want.rng.getstate()
-        pools += len(got.pools)
+        assert got_pools == want.pools
+        assert got.getstate() == want.rng.getstate()
+        pools += len(got_pools)
     assert pools > 500
-    # a view reads like the list it stands for: iteration ends at its length, and a negative index is refused
-    view = tables.third_pool(members[0], tables.second_pool(members[0])[0])
-    assert len(view) == len(list(view)) and list(view) == sorted(view)
-    with pytest.raises(IndexError):
-        view[-1]
+
+
+def test_randrange_draws_as_choice_over_as_many_entries():
+    # dfs._draw relies on it: randrange(n) and choice over n entries each make one _randbelow(n) draw
+    for seed in range(5):
+        by_index, by_entry = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            assert by_index.randrange(n) == by_entry.choice(list(range(n)))
+            assert by_index.getstate() == by_entry.getstate()
 
 
 def lists_held(tables):
@@ -213,8 +235,8 @@ def test_placement_tables_keep_lists_per_member_and_rack_not_per_block():
     rng, config = random.Random(5), DfsConfig(replication_factor=3)
     for i in range(2000):
         place_file(tables, 64.0, tables.members[i % 60], config, rng)
-    # a pool per (writer, second replica) pair would be ~1 700 lists here
-    assert lists_held(tables) <= len(tables.members) + tables.n_racks + 2
+    # the members as given, all members sorted and one list per rack; a pool per writer would be 60 more
+    assert lists_held(tables) <= tables.n_racks + 2
 
 
 def test_schedule_prefers_replica_holder_with_free_slot(five_hosts):

@@ -8,6 +8,7 @@ from oracles import capacity_violations
 from storagesim.errors import InsufficientCapacityError, MigrationDisabledError, NoCandidateHostError
 from storagesim.placement import (
     ClusterState,
+    Usage,
     VmSpec,
     filter_hosts,
     migrate_vm,
@@ -74,7 +75,7 @@ def test_place_creates_root_and_ephemeral_on_same_disk(empty_state):
     assert kinds == {"root", "ephemeral"}
     backings = {state.volumes[v].backing for v in attached(state, vm.id)}
     assert backings == {(vm.host_id, "disk1")}
-    assert state.disk_used_gb(vm.host_id, "disk1") == 52.0
+    assert Usage(state).disk_used_gb(vm.host_id, "disk1") == 52.0
 
 
 def test_colocated_vms_share_rack_distinct_hosts_do_not(empty_state):
@@ -106,7 +107,7 @@ def test_migration_moves_rack_and_loses_local_data(empty_state):
     assert root.backing[0] == "h02" and root.data_lost
     net = moved.volumes[net_vol.id]
     assert net.attached_to == vm.id and not net.data_lost and net.backing[0] == "controller"
-    assert moved.free_vcpus("h01") == 4  # capacity returned to the source host
+    assert Usage(moved).free_vcpus("h01") == 4  # capacity returned to the source host
     assert capacity_violations(moved) == []
 
 
@@ -124,7 +125,8 @@ def test_migration_to_host_without_disk_room_fails(empty_state):
     state, vm = place_vm(empty_state, spec, policy="first_fit")  # h01
     state, filler = place_vm(state, spec._replace(root_disk_gb=900.0), policy="spread")  # h02
     assert filler.host_id == "h02"
-    assert state.free_vcpus("h02") >= spec.vcpus and state.free_ram_gb("h02") >= spec.ram_gb
+    usage = Usage(state)
+    assert usage.free_vcpus("h02") >= spec.vcpus and usage.free_ram_gb("h02") >= spec.ram_gb
     before = copy.deepcopy(state)
     with pytest.raises(InsufficientCapacityError, match="h02"):
         migrate_vm(state, vm.id, "h02")
@@ -179,8 +181,8 @@ def test_host_lookups_read_the_state_table_and_unknown_ids_raise_key_error():
     assert _CountedWalks.walks == 2 * 20
     assert counted.hosts_by_id["h01"] is topology.hosts[0]
     for lookup in (
-        lambda: plain.free_vcpus("h99"),
-        lambda: plain.free_ram_gb("h99"),
+        lambda: Usage(plain).free_vcpus("h99"),
+        lambda: Usage(plain).free_ram_gb("h99"),
         lambda: plain.find_disk("h99", "disk1"),
         lambda: migrate_vm(plain, vm.id, "h99"),
     ):

@@ -7,6 +7,10 @@ when such a line reads it as an attribute. An import alone is no use. So a
 name that only tests, demos or the benchmark reach fails here, unless
 ``ALLOWED`` names it with its reason.
 
+No module or class body defines one function or class name twice: the
+later definition shadows the earlier, and the name-based walk would count
+the shadowed one as used.
+
 The fields of a class are its ``NamedTuple`` fields, its ``__slots__``
 entries and the public ``self.<name>`` its ``__init__`` sets. A field is
 read when a line outside its own class's ``copy`` loads it as an
@@ -85,6 +89,22 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 def test_every_allowed_name_still_exists_and_still_lacks_a_caller():
     assert sorted(d.name for d in _unused() if d.name in ALLOWED) == sorted(ALLOWED)
+
+
+def test_no_body_defines_a_name_twice():
+    twice, bodies = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for body in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+            bodies += 1
+            seen = set()
+            for item in body.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if item.name in seen:
+                        twice.append(f"{path.name}:{item.lineno} {item.name}")
+                    seen.add(item.name)
+    assert bodies > 50  # the walk sees the modules and their classes
+    assert not twice, f"names defined twice in one body (the later shadows the earlier): {twice}"
 
 
 class Field:

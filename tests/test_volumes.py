@@ -4,7 +4,7 @@ import pytest
 
 from helpers import SMALL_VM, attached, placed_cluster
 from storagesim.errors import InsufficientSpaceError, NoLocalPersistentGroupError, VolumeNotAttachedError
-from storagesim.placement import place_vm
+from storagesim.placement import Usage, place_vm
 from storagesim.volumes import (
     EPHEMERAL,
     LOCAL_PERSISTENT,
@@ -61,7 +61,7 @@ def test_volume_sizes_never_exceed_disk_capacity(state):
         except InsufficientSpaceError:
             break
     assert attached == 3  # 3x300 fits, a 4th would not
-    assert state.disk_used_gb("controller", "disk1") <= 1000.0
+    assert Usage(state).disk_used_gb("controller", "disk1") <= 1000.0
 
 
 def test_io_path_local_kinds_touch_only_the_host_disk(state):
