@@ -16,8 +16,9 @@ the mean of per-task rates. Both are evaluated in exact rational
 arithmetic with a single final rounding, so N identical tasks yield
 exactly equal metrics, not merely close ones. The standard deviation is
 computed from the sum and sum of squares of the rates, as TestDFSIO's
-reducer does; the result reports only the deviation, since ``tasks.csv``
-holds every rate.
+reducer does; those two sums are exact too, each rounded once. One pass
+over the task stats keeps all four sums. The result reports only the
+deviation, since ``tasks.csv`` holds every rate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from collections import deque
 from functools import cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dfs import DfsConfig, DfsFile, PlacementTables, place_file, schedule_map_task
 from .errors import EmptyStatsError, SimError
@@ -64,58 +65,60 @@ class TaskStat(NamedTuple):
     rate: float  # file_size_mb / elapsed_s
 
 
-def _require_stats(stats: Sequence[TaskStat]) -> None:
-    if not stats:
-        raise EmptyStatsError("no task statistics")
+class TaskStats(Sequence[TaskStat]):
+    """A run's task stats, read-only: each ``TaskStat`` is made on access from its task's start and end.
+
+    The run keeps each task's start and end, the step's own ``now``
+    floats, in two lists, and the file size once. A stat's ``elapsed_s``
+    is ``end - start`` and its ``rate`` is ``file_size_mb / elapsed_s``.
+    """
+
+    __slots__ = ("_size", "_starts", "_ends")
+
+    def __init__(self, file_size_mb: float, starts: list[float], ends: list[float]):
+        self._size, self._starts, self._ends = file_size_mb, starts, ends
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, i: int) -> TaskStat:
+        i = range(len(self._starts))[i]  # an IndexError past either end, and a negative index counted from the end
+        elapsed = self._ends[i] - self._starts[i]
+        return TaskStat(i + 1, self._size, elapsed, self._size / elapsed)
+
+    def __iter__(self) -> Iterator[TaskStat]:
+        size = self._size
+        for i, (start, end) in enumerate(zip(self._starts, self._ends), 1):
+            elapsed = end - start
+            yield TaskStat(i, size, elapsed, size / elapsed)
 
 
-def _exact_sum(values: Iterable[float]) -> tuple[int, int]:
-    """The exact rational sum of floats or ints, as (numerator, denominator).
+class _ExactSum:
+    """The exact running sum of floats or ints, as ``num / den``.
 
     Every float is n / 2**k, so the terms are summed as integers over the
-    largest denominator. A quotient of such sums is then one ``int / int``,
-    which rounds the exact ratio once, to the nearest float.
-
-    One pass, holding no list: the running sum is kept over the largest
-    denominator seen so far, and rescaled when a larger one arrives, so the
-    pair is the one a sum over the largest denominator of all gives.
+    largest denominator seen so far, and the sum is rescaled when a larger
+    one arrives: the pair is the one a sum over the largest denominator of
+    all gives. ``num / den``, or a quotient of two such sums, is then one
+    ``int / int``, which rounds the exact ratio once, to the nearest float:
+    the float ``math.fsum`` gives for a sum, since both round correctly.
     """
-    num, den = 0, 1
-    for v in values:
-        n, d = v.as_integer_ratio()
-        if d > den:
-            num *= d // den
-            den = d
-        num += n * (den // d)
-    return num, den
 
+    __slots__ = ("num", "den")
 
-def throughput(stats: Sequence[TaskStat]) -> float:
-    """Total data over total task time: sum(size_i) / sum(time_i)."""
-    _require_stats(stats)
-    size_num, size_den = _exact_sum(s.file_size_mb for s in stats)
-    time_num, time_den = _exact_sum(s.elapsed_s for s in stats)
-    return (size_num * time_den) / (size_den * time_num)
+    def __init__(self):
+        self.num, self.den = 0, 1
 
-
-def avg_io_rate(stats: Sequence[TaskStat]) -> float:
-    """Mean of per-task rates: sum(size_i / time_i) / N."""
-    _require_stats(stats)
-    rate_num, rate_den = _exact_sum(s.rate for s in stats)
-    return rate_num / (rate_den * len(stats))
-
-
-def stddev_io_rate(stats: Sequence[TaskStat]) -> float:
-    """Population standard deviation of per-task rates.
-
-    Computed from the running sum and sum-of-squares the reducer collects,
-    clamped at zero against cancellation dust.
-    """
-    _require_stats(stats)
-    n = len(stats)
-    sum_rate = math.fsum(s.rate for s in stats)
-    sum_sq = math.fsum(s.rate * s.rate for s in stats)
-    return math.sqrt(max(0.0, sum_sq / n - (sum_rate / n) ** 2))
+    def add(self, value: float) -> None:
+        n, d = value.as_integer_ratio()
+        den = self.den
+        if d == den:
+            self.num += n
+        elif d < den:
+            self.num += n * (den // d)
+        else:
+            self.num = self.num * (d // den) + n
+            self.den = d
 
 
 class BenchmarkResult(NamedTuple):
@@ -128,15 +131,36 @@ class BenchmarkResult(NamedTuple):
     stddev_io_rate_mbps: float
 
     @classmethod
-    def from_stats(cls, mode: str, stats: Sequence[TaskStat], finished_at: float) -> BenchmarkResult:
+    def from_stats(cls, mode: str, stats: Iterable[TaskStat], finished_at: float) -> BenchmarkResult:
+        """The metrics of ``stats``, read in one pass.
+
+        The pass keeps exact sums of the sizes, the task times, the rates
+        and the squared rates ``rate * rate``, so each figure below rounds
+        once. Throughput is sum(size_i) / sum(time_i), the average I/O rate
+        sum(rate_i) / N, and the deviation the population one, from the sum
+        and sum of squares of the rates as TestDFSIO's reducer keeps them,
+        clamped at zero against cancellation dust.
+        """
+        n = 0
+        size, time, rate, square = _ExactSum(), _ExactSum(), _ExactSum(), _ExactSum()
+        for s in stats:
+            n += 1
+            size.add(s.file_size_mb)
+            time.add(s.elapsed_s)
+            r = s.rate
+            rate.add(r)
+            square.add(r * r)
+        if not n:
+            raise EmptyStatsError("no task statistics")
+        mean_rate = rate.num / rate.den / n
         return cls(
             mode=mode,
             finished_at=finished_at,
-            n_files=len(stats),
-            total_mb=math.fsum(s.file_size_mb for s in stats),
-            throughput_mbps=throughput(stats),
-            avg_io_rate_mbps=avg_io_rate(stats),
-            stddev_io_rate_mbps=stddev_io_rate(stats),
+            n_files=n,
+            total_mb=size.num / size.den,
+            throughput_mbps=(size.num * time.den) / (size.den * time.num),
+            avg_io_rate_mbps=rate.num / (rate.den * n),
+            stddev_io_rate_mbps=math.sqrt(max(0.0, square.num / square.den / n - mean_rate**2)),
         )
 
     def to_dict(self) -> dict:
@@ -154,14 +178,16 @@ class BenchmarkResult(NamedTuple):
 class DfsioRun(NamedTuple):
     """One run's metrics, trace, per-task stats, read inputs and snapshot records.
 
-    ``files`` holds each read task's input file, in task order: every
-    file of a read run, the read tasks' of a mixed run, and none of a
-    write run, whose files live only as long as the tasks that write them.
+    ``stats`` makes each task's ``TaskStat`` when it is read, from the
+    task's start and end, so no stat outlives its reader. ``files`` holds
+    each read task's input file, in task order: every file of a read run,
+    the read tasks' of a mixed run, and none of a write run, whose files
+    live only as long as the tasks that write them.
     """
 
     result: BenchmarkResult
     trace: SimTrace
-    stats: list[TaskStat]
+    stats: TaskStats
     files: list[DfsFile]
     snapshot_records: list[SnapshotRecord]
 
@@ -230,7 +256,9 @@ def run_dfsio(
     a ``_Task`` is made when its task is dispatched, and nothing refers to
     it once its last flow ends, so a write task's file goes with it. What
     the run keeps per task is its input file if it reads one, and its start
-    and end: the step's own ``now`` floats, in two lists.
+    and end: the step's own ``now`` floats, in two lists. The returned
+    ``stats`` are those two lists and the file size, and the metrics are
+    read from them in one pass, so no ``TaskStat`` is kept per task.
 
     With ``readers`` the simulation streams its trace to them window by
     window (see ``Simulation``), and the returned trace holds no events.
@@ -362,15 +390,7 @@ def run_dfsio(
     if unfinished:
         raise SimError(f"tasks never completed: {unfinished}")
 
-    stats = [
-        TaskStat(
-            task_index=i + 1,
-            file_size_mb=spec.file_size_mb,
-            elapsed_s=end - start,
-            rate=spec.file_size_mb / (end - start),
-        )
-        for i, (start, end) in enumerate(zip(starts, ends))
-    ]
+    stats = TaskStats(spec.file_size_mb, starts, ends)
     result = BenchmarkResult.from_stats(spec.mode, stats, max(ends))
     files = [file for file in inputs if file is not None]
     return DfsioRun(result=result, trace=trace, stats=stats, files=files, snapshot_records=records)

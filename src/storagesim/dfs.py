@@ -84,7 +84,9 @@ class PlacementTables:
     Every pool is a sorted list kept here, the members or one rack's
     members, and a tuple of increasing positions in it to leave out. So the
     tables hold one list of all members, one per rack and the members as
-    given, however many writers and blocks they place.
+    given, however many writers and blocks they place. Replicas past the
+    third are sampled from ``others``: the sorted members without the
+    chosen ones, a list cut from the sorted members for each block.
     """
 
     def __init__(self, state: ClusterState, members: list[str]):
@@ -121,6 +123,15 @@ class PlacementTables:
         i, j = self._at[writer], self._at[second]
         return self._sorted, (i, j) if i < j else (j, i)
 
+    def others(self, chosen: list[str]) -> list[str]:
+        """The sorted members not in ``chosen``, cut from the sorted members at the chosen ones' places."""
+        items, rest, start = self._sorted, [], 0
+        for at in sorted(self._at[vm] for vm in chosen):
+            rest += items[start:at]
+            start = at + 1
+        rest += items[start:]
+        return rest
+
 
 def place_replicas(
     tables: PlacementTables,
@@ -152,8 +163,7 @@ def place_replicas(
     if rf >= 3:
         chosen.append(_draw(rng, *tables.third_pool(writer_vm, chosen[1])))
     if rf > 3:
-        rest = sorted(m for m in members if m not in chosen)
-        chosen.extend(rng.sample(rest, rf - 3))
+        chosen.extend(rng.sample(tables.others(chosen), rf - 3))
 
     if rf >= 2 and tables.n_racks == 1:
         # stable message so the default warning filter collapses repeats

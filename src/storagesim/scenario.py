@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 import yaml
 
-from .bench import MAX_BLOCKS_PER_RUN, MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
+from .bench import MAX_BLOCKS_PER_RUN, MIXED, READ, WRITE, BenchmarkResult, DfsioSpec, TaskStats, run_dfsio
 from .cost import DEFAULT_OP_SIZE_KB, KB_PER_MB, CostReport, PriceTable, compute_cost, count_io_ops, savings
 from .dfs import MAX_BLOCKS_PER_FILE, DfsConfig
 from .errors import ScenarioParseError, ScenarioValidationError, SimError, TopologyValidationError
@@ -443,12 +443,16 @@ def build_state(scenario: Scenario, storage_config: str | None = None) -> tuple[
 
 
 class ScenarioRun(NamedTuple):
-    """Everything one storage config produced for one scenario."""
+    """Everything one storage config produced for one scenario.
+
+    ``stats`` is the run's ``DfsioRun.stats``: each ``TaskStat`` is made when
+    it is read, from the task's start and end.
+    """
 
     config: str
     seed: int
     result: BenchmarkResult
-    stats: list[TaskStat]
+    stats: TaskStats
     trace: SimTrace
     snapshot_records: list[SnapshotRecord]
     cost: CostReport

@@ -779,14 +779,15 @@ class AuditState:
 
     ``cells`` holds one cell per flow started and not yet ended, in start
     order: ``[rate, MB moved, index tuple, record]``, its rate 0.0 from its
-    start until its first ``rate_change``. ``moved`` holds the MB each ended
-    flow moved, which a repeated start of it goes on from, and ``pending``
-    the rate of a ``rate_change`` for a flow not active, which its start
-    takes. ``verify_trace`` empties every table once it has audited the last
-    window.
+    start until its first ``rate_change``. A cell goes at its flow's
+    ``flow_end``, and nothing is kept for an ended flow: a later
+    ``flow_start`` of its id begins a new flow at 0.0 MB moved. ``pending``
+    holds the rate of a ``rate_change`` for a flow not active, which its
+    start takes. ``verify_trace`` empties every table once it has audited
+    the last window.
     """
 
-    __slots__ = ("prev_t", "index", "paths", "limits", "cells", "moved", "pending")
+    __slots__ = ("prev_t", "index", "paths", "limits", "cells", "pending")
 
     def __init__(self):
         self.prev_t = -math.inf
@@ -794,7 +795,6 @@ class AuditState:
         self.paths: dict[int, tuple[ResourcePath, tuple[int, ...]]] = {}  # id -> the path and its index tuple
         self.limits: list[float] = []
         self.cells: dict[str, list] = {}
-        self.moved: dict[str, float] = {}
         self.pending: dict[str, float] = {}
 
 
@@ -815,6 +815,12 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
     or to tell whether a resource whose usage is 0.0 is in use, since only
     a resource in use can fail.
 
+    Each flow is checked at its ``flow_end`` for the MB it moved since its
+    ``flow_start``. A repeated ``flow_start`` while the flow is active keeps
+    its rate, MB moved and place in start order; a ``flow_start`` after the
+    id's ``flow_end`` starts a new flow, at 0.0 MB, so the audit keeps
+    nothing for a flow once it ends.
+
     A trace handed over in windows is audited one window per call, each
     call going on from the ``state`` the previous one left, with ``last``
     false until the run's last window; a flow still active after that one
@@ -828,7 +834,7 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
     resources, flows = trace.resources, trace.flows
     prev_t = state.prev_t
     index, paths, limits = state.index, state.paths, state.limits
-    cells, moved, pending = state.cells, state.moved, state.pending
+    cells, pending = state.cells, state.pending
 
     def hops_of(path: ResourcePath) -> tuple[int, ...]:
         """The index tuple of ``path``, each resource new to the index taking the next index and its limit."""
@@ -894,7 +900,7 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
                 checked = paths[id(path)] = (path, hops_of(path))
             cell = cells.get(fid)
             if cell is None:
-                cells[fid] = [pending.pop(fid, 0.0) if pending else 0.0, moved.get(fid, 0.0), checked[1], rec]
+                cells[fid] = [pending.pop(fid, 0.0) if pending else 0.0, 0.0, checked[1], rec]
             else:  # a repeated start keeps the flow's rate, MB moved and place in start order
                 cell[2], cell[3] = checked[1], rec
         elif kind == "rate_change":
@@ -909,7 +915,7 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
                 violations.append(TraceViolation("unmatched-flow", time, f"end without start: {fid}"))
                 pending.pop(fid, None)
             else:
-                got = moved[fid] = cell[1]
+                got = cell[1]
                 rec = cell[3]
                 tol = max(BYTE_REL_TOL * rec.size_mb, 1e-6)
                 if not abs(got - rec.size_mb) <= tol:  # a NaN is flagged
@@ -922,6 +928,6 @@ def verify_trace(trace: SimTrace, state: AuditState | None = None, last: bool = 
     if last:
         for fid in cells:
             violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))
-        for table in (index, paths, limits, cells, moved, pending):  # no later window reads them
+        for table in (index, paths, limits, cells, pending):  # no later window reads them
             table.clear()
     return violations

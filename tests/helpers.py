@@ -1,6 +1,6 @@
 """Shared helpers: placed clusters, their placement tables or a DFS volume bound per VM, one-call engine runs,
-named trace events, a flow's start time, the files a DFSIO run's write tasks placed, and a fresh interpreter that
-parses scenarios with a chosen YAML parser."""
+named trace events, a flow's start time, the files a DFSIO run's write tasks placed, each DFSIO metric of a list of
+task stats, and a fresh interpreter that parses scenarios with a chosen YAML parser."""
 
 from __future__ import annotations
 
@@ -148,6 +148,21 @@ def run_keeping_written_files(monkeypatch, *args, **kwargs) -> tuple[bench.Dfsio
         run = bench.run_dfsio(*args, **kwargs)
     order = dispatch_order(run)
     return run, dict(zip(order, placed[len(placed) - len(order):]))
+
+
+def throughput(stats: Iterable[bench.TaskStat]) -> float:
+    """The throughput ``BenchmarkResult.from_stats`` gives ``stats``: sum(size_i) / sum(time_i)."""
+    return bench.BenchmarkResult.from_stats(bench.WRITE, stats, 0.0).throughput_mbps
+
+
+def avg_io_rate(stats: Iterable[bench.TaskStat]) -> float:
+    """The average I/O rate ``BenchmarkResult.from_stats`` gives ``stats``: sum(rate_i) / N."""
+    return bench.BenchmarkResult.from_stats(bench.WRITE, stats, 0.0).avg_io_rate_mbps
+
+
+def stddev_io_rate(stats: Iterable[bench.TaskStat]) -> float:
+    """The deviation of the rates ``BenchmarkResult.from_stats`` gives ``stats``."""
+    return bench.BenchmarkResult.from_stats(bench.WRITE, stats, 0.0).stddev_io_rate_mbps
 
 
 def in_fresh_interpreter(parser: str, code: str, *args: str) -> subprocess.CompletedProcess:

@@ -3,8 +3,9 @@
 These deliberately use different algorithm structure than the package:
 the fair-share oracle raises rates by explicit uniform increments instead
 of solving saturation levels, and the metric oracles are the naive direct
-formulas. The capacity oracle checks every committed resource against its
-total after placement. The trace references are the plain one-pass forms
+formulas, or the multi-pass ``math.fsum`` and exact-sum formulas that
+``BenchmarkResult.from_stats`` computes in one pass. The capacity oracle
+checks every committed resource against its total after placement. The trace references are the plain one-pass forms
 of the package's trace writer and audit, kept so that their faster forms
 can be checked for byte-equal output. The placement and network-bytes
 references rebuild per block and per flow what the package keeps per run.
@@ -99,6 +100,29 @@ def avg_rate_oracle(sizes: list[float], times: list[float]) -> float:
     return sum(s / t for s, t in zip(sizes, times)) / len(sizes)
 
 
+def _exact_sum_reference(values) -> tuple[int, int]:
+    """The exact sum of floats or ints as (numerator, denominator), over the largest denominator of all."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return sum(n * (den // d) for n, d in ratios), den
+
+
+def dfsio_metrics_reference(stats) -> tuple[float, float, float, float]:
+    """``BenchmarkResult.from_stats``' total MB, throughput, average rate and rate deviation, a pass per sum."""
+    n = len(stats)
+    size_num, size_den = _exact_sum_reference(s.file_size_mb for s in stats)
+    time_num, time_den = _exact_sum_reference(s.elapsed_s for s in stats)
+    rate_num, rate_den = _exact_sum_reference(s.rate for s in stats)
+    sum_rate = math.fsum(s.rate for s in stats)
+    sum_sq = math.fsum(s.rate * s.rate for s in stats)
+    return (
+        math.fsum(s.file_size_mb for s in stats),
+        (size_num * time_den) / (size_den * time_num),
+        rate_num / (rate_den * n),
+        math.sqrt(max(0.0, sum_sq / n - (sum_rate / n) ** 2)),
+    )
+
+
 def capacity_violations(state: ClusterState) -> list[str]:
     """Committed-resources-over-total violations; empty when healthy."""
     out, usage = [], Usage(state)
@@ -174,7 +198,7 @@ def verify_trace_reference(trace: SimTrace) -> list[TraceViolation]:
         if kind == "flow_start":
             rec = active[fid] = trace.flows.get(fid) or FlowRecord(fid, ResourcePath(("?",), "read"), value, None, {})
             hops[fid] = rec.path.resources
-            moved.setdefault(fid, 0.0)
+            moved.setdefault(fid, 0.0)  # a start after the id's end begins a new flow, at 0.0 MB
         elif kind == "rate_change":
             rate[fid] = value
         elif kind == "flow_end":
@@ -189,6 +213,7 @@ def verify_trace_reference(trace: SimTrace) -> list[TraceViolation]:
                     violations.append(TraceViolation("byte-conservation", t, message))
             rate.pop(fid, None)
             hops.pop(fid, None)
+            moved.pop(fid, None)
 
     for fid in active:
         violations.append(TraceViolation("unmatched-flow", prev_t, f"start without end: {fid}"))

@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from helpers import SMALL_VM, arrive, dfs_cluster, member_tables, placed_cluster
+from helpers import SMALL_VM, arrive, avg_io_rate, dfs_cluster, member_tables, placed_cluster, throughput
 from oracles import bottleneck_violations, maxmin_fill_oracle
-from storagesim.bench import DfsioSpec, TaskStat, avg_io_rate, run_dfsio, throughput
+from storagesim.bench import DfsioSpec, TaskStat, run_dfsio
 from storagesim.cost import PriceTable, compute_cost, savings
 from storagesim.dfs import DfsConfig, ReplicaCoLocationWarning, place_replicas
 from storagesim.errors import MigrationDisabledError, NoCandidateHostError

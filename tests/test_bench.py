@@ -7,24 +7,19 @@ import pytest
 
 from helpers import (
     SMALL_VM,
+    avg_io_rate,
     bind_dfs_volumes,
     dfs_cluster,
     dispatch_order,
     placed_cluster,
     run_keeping_written_files,
     start_time,
-)
-from oracles import avg_rate_oracle, throughput_oracle
-from storagesim import bench, volumes
-from storagesim.bench import (
-    BenchmarkResult,
-    DfsioSpec,
-    TaskStat,
-    avg_io_rate,
-    run_dfsio,
     stddev_io_rate,
     throughput,
 )
+from oracles import avg_rate_oracle, throughput_oracle
+from storagesim import bench, volumes
+from storagesim.bench import BenchmarkResult, DfsioSpec, TaskStat, run_dfsio
 from storagesim.dfs import DfsConfig
 from storagesim.errors import EmptyStatsError
 from storagesim.placement import ClusterState, place_vm
@@ -113,6 +108,14 @@ def test_metrics_equal_the_fraction_sums_exactly():
         assert avg_io_rate(tasks) == fraction_avg_rate(tasks)
 
 
+def exact_sum(values):
+    """The (numerator, denominator) pair of a running ``bench._ExactSum`` after adding ``values``."""
+    total = bench._ExactSum()
+    for v in values:
+        total.add(v)
+    return total.num, total.den
+
+
 def test_exact_sum_gives_the_pair_over_the_largest_denominator_in_one_pass():
     rng = random.Random(32)
     tiny = math.ulp(0.0)  # the least subnormal
@@ -129,9 +132,9 @@ def test_exact_sum_gives_the_pair_over_the_largest_denominator_in_one_pass():
         ratios = [v.as_integer_ratio() for v in values]
         den = max(d for _, d in ratios)  # the pair a sum over the largest denominator of all gives
         want = sum(n * (den // d) for n, d in ratios), den
-        assert bench._exact_sum(iter(values)) == want, values
+        assert exact_sum(values) == want, values
         assert Fraction(*want) == sum(map(Fraction, values))
-    assert bench._exact_sum([3, 2**-1074, 2.5]) == (3 * 2**1074 + 1 + 5 * 2**1073, 2**1074)
+    assert exact_sum([3, 2**-1074, 2.5]) == (3 * 2**1074 + 1 + 5 * 2**1073, 2**1074)
 
 
 def test_stddev_zero_for_identical_rates():
@@ -169,6 +172,29 @@ def test_local_write_closed_form():
     assert (r.throughput_mbps, r.avg_io_rate_mbps, r.stddev_io_rate_mbps) == (100.0, 100.0, 0.0)
     assert all(s.elapsed_s == 10.0 for s in run.stats)
     assert verify_trace(run.trace) == []
+
+
+def test_a_runs_stats_are_made_on_access_from_each_tasks_start_and_end():
+    state, hdfs = dfs_cluster(n_hosts=5, storage="networked")
+    spec = DfsioSpec(n_files=12, file_size_mb=300, mode="write", map_capacity=4, slots_per_vm=1)  # an int size
+    run = run_dfsio(state, spec, hdfs, dfs_config=DfsConfig(replication_factor=2), seed=3)
+    stats = run.stats
+    assert isinstance(stats, bench.TaskStats) and len(stats) == 12
+    # the run keeps each task's start and end and the size, and no TaskStat
+    assert not hasattr(stats, "__dict__") and len(stats._starts) == len(stats._ends) == 12 and stats._size == 300
+    ends = {}  # a task ends with its last flow, and starts with its primary write
+    for rec in run.trace.flows.values():
+        ends[task_of(rec)] = max(ends.get(task_of(rec), 0.0), rec.end_time)
+    want = []
+    for i in range(12):
+        elapsed = ends[f"t{i:04d}"] - start_time(run.trace, f"t{i:04d}.write")
+        want.append(TaskStat(i + 1, 300, elapsed, 300 / elapsed))
+    assert list(stats) == [stats[i] for i in range(12)] == [stats[i - 12] for i in range(12)] == want
+    assert len({s.elapsed_s for s in stats}) > 1  # tasks that queued and shared the controller differ
+    for bad in (12, -13):
+        with pytest.raises(IndexError):
+            stats[bad]
+    assert run.result == BenchmarkResult.from_stats("write", want, max(rec.end_time for rec in run.trace.flows.values()))
 
 
 def test_networked_write_fair_share_closed_form():

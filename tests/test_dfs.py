@@ -239,6 +239,30 @@ def test_placement_tables_keep_lists_per_member_and_rack_not_per_block():
     assert lists_held(tables) <= tables.n_racks + 2
 
 
+def test_replicas_past_the_third_are_sampled_as_from_the_rebuilt_leftover_members():
+    # rf 4 and 5 sample from the sorted members without the chosen ones, cut from the tables' sorted list: the
+    # population, the draws and the rng state after them are those of the per-block rebuild
+    rng = random.Random(41)
+    blocks = 0
+    for n_hosts, per_host in [(4, 1), (3, 2), (12, 2), (30, 1)]:
+        state = placed_cluster(n_hosts=n_hosts, vms_per_host=per_host, spec=SMALL_VM)
+        members = rng.sample(sorted(state.instances), len(state.instances))  # every VM, in random order
+        tables = PlacementTables(state, members)
+        for rf in (4, 5):
+            if rf > len(members):
+                continue
+            seed = rng.randrange(2**32)
+            got, want = random.Random(seed), random.Random(seed)
+            for writer in members * 3:
+                block = place_replicas(tables, writer, 64.0, rf, got)
+                assert block == place_replicas_reference(state, writer, 64.0, rf, want, members)
+                assert got.getstate() == want.getstate()
+                chosen = list(block.vms()[:3])
+                assert tables.others(chosen) == sorted(m for m in members if m not in chosen)
+                blocks += 1
+    assert blocks > 300
+
+
 def test_schedule_prefers_replica_holder_with_free_slot(five_hosts):
     slots = {"vm001": 0, "vm002": 0, "vm003": 1, "vm004": 1, "vm005": 1}
     vm = schedule_map_task("t0", slots, replicas=("vm002", "vm004"))

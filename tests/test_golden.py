@@ -153,7 +153,7 @@ def test_twice_the_bandwidth_halves_every_time_exactly(name):
     assert len(fast.trace.events) == len(base.trace.events) > 100
     for (t, kind, flow, resource, value), got in zip(base.trace.events, fast.trace.events):
         assert got == (t / 2, kind, flow, resource, 2 * value if kind == "rate_change" else value)
-    assert [(s.task_index, s.file_size_mb, s.elapsed_s / 2, s.rate * 2) for s in base.stats] == fast.stats
+    assert [(s.task_index, s.file_size_mb, s.elapsed_s / 2, s.rate * 2) for s in base.stats] == list(fast.stats)
     assert [(r.volume_id, r.taken_at / 2, r.bytes_copied) for r in base.snapshot_records] == fast.snapshot_records
     assert (fast.network_mb, fast.io_ops) == (base.network_mb, base.io_ops)
 

@@ -10,6 +10,11 @@ one trace passes the audit), write byte-identical outputs
 when repeated, and keep the DFSIO identities of tasks.csv exactly. Its
 snapshot markers must be result.json's records, one for one, each last at
 its instant and equal to the transfer it starts.
+
+The DFSIO metrics have a property of their own: over any list of
+positive (size, elapsed) pairs, subnormal, huge or repeated, the one pass
+of ``BenchmarkResult.from_stats`` gives exactly the floats of the
+multi-pass formulas in ``tests/oracles.py``.
 """
 
 import json
@@ -25,6 +30,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import dfsio_metrics_reference  # noqa: E402
+from storagesim.bench import BenchmarkResult, TaskStat  # noqa: E402
 from storagesim.cli import main  # noqa: E402
 
 OUTPUTS = ("result.json", "trace.csv", "tasks.csv")
@@ -156,3 +163,21 @@ def test_generated_scenarios_run_clean_repeat_exactly_and_keep_dfsio_identities(
         assert outputs[0] == outputs[1]
         dfsio_identities(tmp / "a", doc["dfsio"]["n_files"])
         snapshot_markers(tmp / "a")
+
+
+# Sizes and task times from the least subnormal up; sizes may be ints, as YAML gives them. A rate is kept at most
+# 1e150, so 30 squared rates sum below the largest float: past that, fsum and the exact sums overflow differently.
+SIZES = st.one_of(st.integers(1, 10**6), st.floats(math.ulp(0.0), 1e75), st.sampled_from([math.ulp(0.0), 1e75, 1.0]))
+TIMES = st.one_of(st.floats(math.ulp(0.0), 1e75), st.sampled_from([math.ulp(0.0), 2.0**-1022, 1e75, 0.1]))
+TASKS = st.tuples(SIZES, TIMES).filter(lambda task: task[0] / task[1] <= 1e150)
+REPEATED = st.tuples(TASKS, st.integers(1, 30)).map(lambda task_and_n: [task_and_n[0]] * task_and_n[1])
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(TASKS, min_size=1, max_size=30), REPEATED))
+def test_one_pass_metrics_equal_the_multi_pass_formulas_exactly(tasks):
+    stats = [TaskStat(i + 1, size, elapsed, size / elapsed) for i, (size, elapsed) in enumerate(tasks)]
+    result = BenchmarkResult.from_stats("write", iter(stats), finished_at=1.0)  # an iterator: read once
+    got = (result.total_mb, result.throughput_mbps, result.avg_io_rate_mbps, result.stddev_io_rate_mbps)
+    assert result.n_files == len(stats)
+    assert got == dfsio_metrics_reference(stats)

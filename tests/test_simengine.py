@@ -963,6 +963,52 @@ def test_verify_trace_in_windows_equals_the_reference_on_corrupted_traces():
             assert report(got) == want, size
 
 
+def test_a_flow_started_again_after_its_end_is_a_new_flow_from_0_mb():
+    # The audit keeps nothing for an ended flow, so a start of its id after its end begins a new flow: each
+    # incarnation must move the flow's whole size itself. A repeated start while the flow runs changes nothing.
+    flows = {"f": FlowRecord("f", ResourcePath(("d1",), "write"), 100.0, None, {})}
+    resources = {"d1": res("d1", 100.0)}
+
+    def trace(*events):
+        return SimTrace(events=[TraceEvent(*e) for e in events], flows=flows, resources=resources)
+
+    def audit(trace):
+        """The violations of one whole-trace call, each equal to those of the windowed calls and the reference."""
+        got = verify_trace(trace)
+        assert got == verify_trace_reference(trace)
+        for size in (1, 2, 3):
+            state, windowed = simengine.AuditState(), []
+            windows = _windows(trace.events, size)
+            for i, window in enumerate(windows):
+                windowed += verify_trace(SimTrace(window, flows, resources), state, i == len(windows) - 1)
+            assert windowed == got, size
+            assert not (state.cells or state.pending)
+        return [(v.code, v.time, v.message) for v in got]
+
+    def twice(second_rate):
+        return trace(
+            (0.0, "flow_start", "f", "", 100.0),
+            (0.0, "rate_change", "f", "", 100.0),
+            (1.0, "flow_end", "f", "", 100.0),
+            (2.0, "flow_start", "f", "", 100.0),
+            (2.0, "rate_change", "f", "", second_rate),
+            (3.0, "flow_end", "f", "", 100.0),
+        )
+
+    state = simengine.AuditState()
+    assert verify_trace(SimTrace(twice(100.0).events[:3], flows, resources), state, last=False) == []
+    assert state.cells == {} and state.pending == {}  # nothing is kept for the ended flow
+    assert audit(twice(100.0)) == []  # each incarnation moved 100 MB
+    assert audit(twice(50.0)) == [("byte-conservation", 3.0, "flow f moved 50.0 MB of 100.0 MB")]  # its own total
+    repeated = trace(
+        (0.0, "flow_start", "f", "", 100.0),
+        (0.0, "rate_change", "f", "", 100.0),
+        (0.5, "flow_start", "f", "", 100.0),  # while it runs: same rate, and the 50 MB moved so far
+        (1.0, "flow_end", "f", "", 100.0),
+    )
+    assert audit(repeated) == []
+
+
 def test_a_simulation_with_readers_hands_its_trace_over_in_windows(monkeypatch):
     path = ResourcePath(("d1", "d2"), "write")
     resources = {"d1": res("d1", 100.0), "d2": res("d2", 30.0)}
