@@ -7,8 +7,9 @@ DFS layer reads ``host_id`` as the rack and treats co-located VMs as a
 single failure domain. Hadoop-style VMs are pinned:
 ``migratable=False`` makes migration fail without touching state.
 
-All operations are pure: they return a new ClusterState and never mutate
-their input.
+All operations are pure, and the types keep them so: a ClusterState is two
+tables of immutable records, an operation writes only into the tables of
+the clone it returns, and a changed record is a ``_replace`` of the old.
 """
 
 from __future__ import annotations
@@ -40,21 +41,13 @@ class VmSpec(NamedTuple):
     migratable: bool = True
 
 
-class VmInstance:
+class VmInstance(NamedTuple):
     """A placed VM; its volumes are those whose ``attached_to`` names it."""
 
-    __slots__ = ("id", "host_id", "spec", "state")
-
-    def __init__(self, id: str, host_id: str, spec: VmSpec, state: str = RUNNING):
-        self.id = id
-        self.host_id = host_id
-        self.spec = spec
-        self.state = state
-
-    __eq__ = volumes_mod.same_fields
-
-    def copy(self) -> VmInstance:
-        return VmInstance(self.id, self.host_id, self.spec, self.state)
+    id: str
+    host_id: str
+    spec: VmSpec
+    state: str = RUNNING
 
 
 class ClusterState:
@@ -65,39 +58,38 @@ class ClusterState:
     built for the call, and other readers build their own ``Usage``.
     ``hosts_by_id`` maps each host id to its ``PhysicalHost``, built from
     the topology once per state; an unknown id raises ``KeyError``.
+
+    Nothing removes a VM or a volume from its table (a terminated VM stays,
+    as do detached volumes), so each table's size is the number of records
+    ever created, and the next id follows from it.
     """
 
-    __slots__ = ("topology", "instances", "volumes", "vm_seq", "vol_seq", "hosts_by_id")
+    __slots__ = ("topology", "instances", "volumes", "hosts_by_id")
 
     def __init__(
         self,
         topology: ClusterTopology,
         instances: dict[str, VmInstance] | None = None,
         volumes: dict[str, volumes_mod.Volume] | None = None,
-        vm_seq: int = 0,
-        vol_seq: int = 0,
     ):
         self.topology = topology
         self.instances = {} if instances is None else instances
         self.volumes = {} if volumes is None else volumes
-        self.vm_seq = vm_seq
-        self.vol_seq = vol_seq
         self.hosts_by_id = {h.id: h for h in topology.hosts}
 
-    __eq__ = volumes_mod.same_fields
+    def __eq__(self, other):
+        """The same topology and equal tables; ``hosts_by_id`` follows from the topology."""
+        if other.__class__ is not ClusterState:
+            return NotImplemented
+        return (self.topology, self.instances, self.volumes) == (other.topology, other.instances, other.volumes)
 
     @classmethod
     def from_topology(cls, topology: ClusterTopology) -> ClusterState:
         return cls(topology=validate_topology(topology))
 
     def clone(self) -> ClusterState:
-        return ClusterState(
-            self.topology,
-            {k: v.copy() for k, v in self.instances.items()},
-            {k: v.copy() for k, v in self.volumes.items()},
-            self.vm_seq,
-            self.vol_seq,
-        )
+        """A state with its own two tables, holding the same (immutable) records."""
+        return ClusterState(self.topology, dict(self.instances), dict(self.volumes))
 
     # -- capacity accounting ------------------------------------------------
 
@@ -123,12 +115,10 @@ class ClusterState:
         return vm
 
     def next_vm_id(self) -> str:
-        self.vm_seq += 1
-        return f"vm{self.vm_seq:03d}"
+        return f"vm{len(self.instances) + 1:03d}"
 
     def next_volume_id(self) -> str:
-        self.vol_seq += 1
-        return f"vol{self.vol_seq:03d}"
+        return f"vol{len(self.volumes) + 1:03d}"
 
 
 class Usage:
@@ -258,16 +248,15 @@ def migrate_vm(state: ClusterState, vm_id: str, target_host: str) -> ClusterStat
         raise InsufficientCapacityError(f"host {target_host} lacks vcpus, RAM or disk room for {vm_id}")
 
     new = state.clone()
-    for vol in new.volumes.values():
+    for vol in state.volumes.values():
         if vol.attached_to != vm_id:
             continue
         if vol.kind in volumes_mod.VM_LIFETIME_KINDS:
             # file-backed local disk: recreated empty on the target
-            vol.backing = (target_host, target_disk.id)
-            vol.data_lost = True
+            new.volumes[vol.id] = vol._replace(backing=(target_host, target_disk.id), data_lost=True)
         elif vol.kind == volumes_mod.LOCAL_PERSISTENT:
             # partition stays put with its data; volume detaches
-            vol.attached_to = None
+            new.volumes[vol.id] = vol._replace(attached_to=None)
         # networked volumes remain attached unchanged
-    new.instances[vm_id].host_id = target_host
+    new.instances[vm_id] = vm._replace(host_id=target_host)
     return new

@@ -521,15 +521,6 @@ class Simulation:
         self._departed: list[FlowRecord] = []
         self._crossing: list[list[FlowRecord]] | None = None
 
-    @property
-    def _capacities(self) -> dict[str, float]:
-        """``{resource id: capacity}`` of every indexed resource, in index order: the capacity table in mapping form.
-
-        ``allocate_rates`` indexes a mapping in its order, so given this one
-        it gives each record the ``hops`` this simulation gave it.
-        """
-        return dict(zip(self._index, self._caps))
-
     def add_flow(self, flow_id: str, path: ResourcePath, size_mb: float, tags: Mapping[str, str] = _NO_TAGS) -> None:
         """Start a transfer of ``size_mb`` MB over ``path`` at ``now``; ``tags`` are free-form labels.
 

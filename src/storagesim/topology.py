@@ -202,7 +202,8 @@ MANAGEMENT_NET = "mgmt-net"
 PUBLIC_NET = "pub-net"
 
 # The most hosts a scenario's reference cluster may have. Placing a VM reads every host's load from one pass over the
-# placed VMs and volumes, then copies the state, so building a cluster's state grows with the square of its VMs.
+# placed VMs and volumes and checks every host, and each placement or attach copies the two tables (though not their
+# records), so building a cluster's state still grows with the square of its VMs.
 MAX_REFERENCE_HOSTS = 1000
 
 

@@ -15,7 +15,7 @@ each of its paths from one ``Routes`` table.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Literal, Mapping
+from typing import TYPE_CHECKING, Literal, Mapping, NamedTuple
 
 from .errors import (
     InsufficientSpaceError,
@@ -39,36 +39,13 @@ VM_LIFETIME_KINDS = frozenset({ROOT, EPHEMERAL})
 Direction = Literal["read", "write"]
 
 
-def same_fields(a, b):
-    """``==`` for a slotted record: the same class, and equal slots in order."""
-    if a.__class__ is not b.__class__:
-        return NotImplemented
-    return [getattr(a, s) for s in a.__slots__] == [getattr(b, s) for s in b.__slots__]
-
-
-class Volume:
-    __slots__ = ("id", "kind", "size_gb", "backing", "attached_to", "data_lost")
-
-    def __init__(
-        self,
-        id: str,
-        kind: str,
-        size_gb: float,
-        backing: tuple[str, str],  # (node id, disk id)
-        attached_to: str | None = None,
-        data_lost: bool = False,
-    ):
-        self.id = id
-        self.kind = kind
-        self.size_gb = size_gb
-        self.backing = backing
-        self.attached_to = attached_to
-        self.data_lost = data_lost
-
-    __eq__ = same_fields
-
-    def copy(self) -> Volume:
-        return Volume(self.id, self.kind, self.size_gb, self.backing, self.attached_to, self.data_lost)
+class Volume(NamedTuple):
+    id: str
+    kind: str
+    size_gb: float
+    backing: tuple[str, str]  # (node id, disk id)
+    attached_to: str | None = None
+    data_lost: bool = False
 
     def occupies_space(self) -> bool:
         # file-backed local disks are deleted on detach; persistent kinds
@@ -115,8 +92,8 @@ def is_link_resource(resource_id: str) -> bool:
 def provision_local_volume(state: ClusterState, vm: VmInstance, kind: str, size_gb: float, disk_id: str) -> Volume:
     """Create a root/ephemeral volume on a specific host disk.
 
-    Internal helper for place_vm; mutates the (already cloned) state in
-    place.
+    Internal helper for place_vm: adds the volume to the table of ``state``,
+    the clone that place_vm returns.
     """
     vol = Volume(
         id=state.next_volume_id(),
@@ -139,28 +116,27 @@ def attach_volume(state: ClusterState, vm_id: str, kind: str, size_gb: float) ->
     """
     if kind not in (NETWORKED, LOCAL_PERSISTENT):
         raise ValueError(f"cannot attach a volume of kind {kind!r}: only {NETWORKED} and {LOCAL_PERSISTENT} attach")
-    state.running_vm(vm_id)  # raises VmNotFoundError
-    new = state.clone()
-    vm = new.instances[vm_id]
+    vm = state.running_vm(vm_id)  # raises VmNotFoundError
 
     if kind == NETWORKED:
-        ctl = new.topology.controller
-        disk = new.disk_with_room(ctl.id, ctl.disks, size_gb)
+        ctl = state.topology.controller
+        disk = state.disk_with_room(ctl.id, ctl.disks, size_gb)
         if disk is None:
             raise InsufficientSpaceError(f"controller has no disk with {size_gb} GB free")
         vol = Volume(
-            id=new.next_volume_id(),
+            id=state.next_volume_id(),
             kind=kind,
             size_gb=size_gb,
             backing=(ctl.id, disk.id),
             attached_to=vm_id,
         )
     else:
-        host = new.hosts_by_id[vm.host_id]
+        host = state.hosts_by_id[vm.host_id]
         if not host.local_persistent_group:
             raise NoLocalPersistentGroupError(f"host {vm.host_id} has no local-persistent partition group")
-        vol = _attach_partition(new, vm, size_gb, host)
+        vol = _attach_partition(state, vm, size_gb, host)
 
+    new = state.clone()
     new.volumes[vol.id] = vol
     return new, vol
 
@@ -173,9 +149,7 @@ def _attach_partition(state: ClusterState, vm: VmInstance, size_gb: float, host)
         if v.kind == LOCAL_PERSISTENT and v.attached_to is None and v.backing[0] == host.id and v.size_gb >= size_gb
     )
     if detached:
-        vol = state.volumes[detached[0]]
-        vol.attached_to = vm.id
-        return vol
+        return state.volumes[detached[0]]._replace(attached_to=vm.id)
     occupied = {v.backing for v in state.volumes.values() if v.kind == LOCAL_PERSISTENT}
     for part in host.local_persistent_group:
         if (host.id, part.id) not in occupied and part.capacity_gb >= size_gb:
@@ -253,12 +227,13 @@ def terminate_vm(state: ClusterState, vm_id: str) -> ClusterState:
     Root/ephemeral data is lost (recoverable only from snapshots) while
     networked and local-persistent volumes survive detached.
     """
-    state.running_vm(vm_id)  # raises VmNotFoundError
+    vm = state.running_vm(vm_id)  # raises VmNotFoundError
     new = state.clone()
-    for vol in new.volumes.values():
+    for vol in state.volumes.values():
         if vol.attached_to == vm_id:
             if vol.kind in VM_LIFETIME_KINDS:
-                vol.data_lost = True
-            vol.attached_to = None
-    new.instances[vm_id].state = "terminated"
+                new.volumes[vol.id] = vol._replace(attached_to=None, data_lost=True)
+            else:
+                new.volumes[vol.id] = vol._replace(attached_to=None)
+    new.instances[vm_id] = vm._replace(state="terminated")
     return new

@@ -1,6 +1,6 @@
 """Shared helpers: placed clusters, their placement tables or a DFS volume bound per VM, one-call engine runs,
-named trace events, a flow's start time, the files a DFSIO run's write tasks placed, each DFSIO metric of a list of
-task stats, and a fresh interpreter that parses scenarios with a chosen YAML parser."""
+named trace events, a simulation's capacity table, a flow's start time, the files a DFSIO run's write tasks placed,
+each DFSIO metric of a list of task stats, and a fresh interpreter that parses scenarios with a chosen YAML parser."""
 
 from __future__ import annotations
 
@@ -116,6 +116,15 @@ PARSERS = [
     "pure",
 ]
 _CHOOSE_PARSER = "import sys, yaml\nif sys.argv[1] == 'pure':\n    yaml.__with_libyaml__ = False\n"
+
+
+def capacities(sim: Simulation) -> dict[str, float]:
+    """``{resource id: capacity}`` of every resource ``sim`` indexed, in index order: its capacity table as a mapping.
+
+    ``allocate_rates`` indexes a mapping in its order, so given this one it
+    gives each record the ``hops`` ``sim`` gave it.
+    """
+    return dict(zip(sim._index, sim._caps))
 
 
 def start_time(trace: SimTrace, flow_id: str) -> float:

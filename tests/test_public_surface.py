@@ -13,11 +13,10 @@ the shadowed one as used.
 
 The fields of a class are its ``NamedTuple`` fields, its ``__slots__``
 entries and the public ``self.<name>`` its ``__init__`` sets. A field is
-read when a line outside its own class's ``copy`` loads it as an
-attribute; stores, keyword arguments and ``_replace`` do not count. The
-match is by name, like the method check, so a field passes when any
-attribute of that name is read. A field that nothing reads fails, unless
-``ALLOWED_FIELDS`` names it with its reason.
+read when a line loads it as an attribute; stores, keyword arguments and
+``_replace`` do not count. The match is by name, like the method check,
+so a field passes when any attribute of that name is read. A field that
+nothing reads fails, unless ``ALLOWED_FIELDS`` names it with its reason.
 """
 
 import ast
@@ -110,8 +109,6 @@ def test_no_body_defines_a_name_twice():
 class Field:
     def __init__(self, cls, name, path):
         self.name, self.key, self.path, self.line = name, f"{cls.name}.{name}", path, cls.lineno
-        copy = [item for item in cls.body if isinstance(item, ast.FunctionDef) and item.name == "copy"]
-        self.copy = range(copy[0].lineno, copy[0].end_lineno + 1) if copy else range(0)
 
     def __str__(self):
         return f"{self.path.name}:{self.line} {self.key}"
@@ -139,22 +136,18 @@ def _declared(cls):
 
 
 def _unread_fields():
-    fields, loads = [], []
+    fields, loads = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
                 fields += [Field(cls, name, path) for name in _declared(cls)]
-        loads += [
-            (node.attr, path, node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        ]
+        loads |= {
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
     keys = {f.key for f in fields}
     assert len(fields) > 100 and {"DfsioSpec.n_files", "FlowRecord.rate", "Volume.attached_to"} <= keys  # the walk sees them
-    return [
-        f for f in fields if not any(name == f.name and not (path == f.path and line in f.copy) for name, path, line in loads)
-    ]
+    return [f for f in fields if f.name not in loads]
 
 
 def test_every_record_field_is_read_in_the_package():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from helpers import FlowSpec, TraceEvent, arrive, run, start_time
+from helpers import FlowSpec, TraceEvent, arrive, capacities, run, start_time
 from oracles import bottleneck_violations, csv_lines_reference, maxmin_fill_oracle, verify_trace_reference
 from storagesim import cli, simengine
 from storagesim.cli import main
@@ -1252,7 +1252,7 @@ def test_a_solve_writes_the_rates_of_the_records_it_re_solves_and_no_other(monke
         records[-1].rate = 2.5
         rates = [f.rate for f in records]
         with pytest.raises(UnknownResourceError):
-            real_allocate(records, sim._capacities)
+            real_allocate(records, capacities(sim))
         assert all(f.rate is r for f, r in zip(records, rates))
         seen["refused"] += 1
 
@@ -1415,7 +1415,7 @@ def test_a_path_that_names_a_resource_twice_keeps_both_hops():
     sim.add_flow("c", ResourcePath(("d2", "l"), "write"), 100.0)
     flows = sim._trace.flows
     # each resource took the next index when a path first crossed it, and each record's hops follow its path
-    assert sim._capacities == {"d1": 100.0, "l": 30.0, "d2": 100.0}
+    assert capacities(sim) == {"d1": 100.0, "l": 30.0, "d2": 100.0}
     assert [flows[f].hops for f in "abc"] == [(0,), (1, 0), (2, 1)]
     assert flows["b"].hops is sim._checked_paths[id(relayed)][1]  # one index tuple per path, shared by its flows
     trace = sim.run()
@@ -1504,7 +1504,7 @@ def test_a_simulations_own_mapping_gives_allocate_rates_the_simulations_hops(mon
 
     def resolve_in_place(sim):
         hops = {fid: f.hops for fid, f in sim._active.items()}
-        rates = allocate_rates(list(sim._active.values()), sim._capacities)
+        rates = allocate_rates(list(sim._active.values()), capacities(sim))
         assert rates == {fid: f.rate for fid, f in sim._active.items()}
         assert {fid: f.hops for fid, f in sim._active.items()} == hops
         calls.append(1)

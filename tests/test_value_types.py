@@ -32,6 +32,8 @@ NAMED_TUPLES = {
         "vcpus ram_gb root_disk_gb ephemeral_gb requires_local_persistent migratable",
         {"ephemeral_gb": 0.0, "requires_local_persistent": False, "migratable": True},
     ),
+    placement.VmInstance: ("id host_id spec state", {"state": placement.RUNNING}),
+    volumes.Volume: ("id kind size_gb backing attached_to data_lost", {"attached_to": None, "data_lost": False}),
     dfs.DfsConfig: (
         "block_size_mb replication_factor seed",
         {"block_size_mb": 64.0, "replication_factor": 3, "seed": 0},
@@ -78,9 +80,7 @@ SLOTTED = (
     simengine.FlowRecord,
     simengine.SimTrace,
     bench._Task,
-    placement.VmInstance,
     placement.ClusterState,
-    volumes.Volume,
 )
 
 MODULES = (bench, cost, dfs, placement, scenario, simengine, snapshot, topology, volumes)
@@ -162,9 +162,7 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
         simengine.FlowRecord("f", path, 1.0, None, {}),
         simengine.SimTrace(),
         bench._Task(0, "vm001", None),
-        placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0)),
         placement.ClusterState(topology.reference_cluster(1)),
-        volumes.Volume("vol001", volumes.ROOT, 10.0, ("h01", "disk1")),
     ]
     assert [type(r) for r in records] == list(SLOTTED)
     assert not any(hasattr(r, "__dict__") for r in records)
@@ -172,12 +170,23 @@ def test_slotted_records_have_no_instance_dict_and_fresh_mutable_defaults():
     task = bench._Task(1, "vm001", None)
     assert (task.outstanding, task.task_id) == (0, "t0001")  # a count, and the prefix of its flows' ids
     assert not [s for s in bench._Task.__slots__ if isinstance(getattr(task, s), (list, set, dict))]
-    vm = placement.VmInstance("vm001", "h01", placement.VmSpec(1, 1.0, 10.0))
-    assert vm == vm.copy() and vm.copy() is not vm
-    assert "volumes" not in placement.VmInstance.__slots__  # a VM's volumes are those attached to it
-    changed = vm.copy()
-    changed.state = "terminated"
-    assert vm != changed
+
+
+def test_vm_and_volume_records_change_only_by_replace():
+    """A state's records are values: a change is a new record, and the old one stays as it was."""
+    spec = placement.VmSpec(1, 1.0, 10.0)
+    vm = placement.VmInstance("vm001", "h01", spec)
+    vol = volumes.Volume("vol001", volumes.ROOT, 10.0, ("h01", "disk1"), attached_to="vm001")
+    for record, field, value in ((vm, "state", "terminated"), (vol, "attached_to", None)):
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        changed = record._replace(**{field: value})
+        assert getattr(changed, field) == value and changed != record and type(changed) is type(record)
+    assert vm.state == placement.RUNNING and vol.attached_to == "vm001"  # the originals are unchanged
+    assert "volumes" not in placement.VmInstance._fields  # a VM's volumes are those attached to it
+    # a record equals the plain tuple with the same fields
+    assert vm == ("vm001", "h01", spec, placement.RUNNING)
+    assert vol == ("vol001", volumes.ROOT, 10.0, ("h01", "disk1"), "vm001", False)
 
 
 def test_spec_messages_print_the_spec(tmp_path, capsys):
