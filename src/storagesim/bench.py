@@ -176,19 +176,17 @@ class BenchmarkResult(NamedTuple):
 
 
 class DfsioRun(NamedTuple):
-    """One run's metrics, trace, per-task stats, read inputs and snapshot records.
+    """One run's metrics, trace, per-task stats and snapshot records.
 
     ``stats`` makes each task's ``TaskStat`` when it is read, from the
-    task's start and end, so no stat outlives its reader. ``files`` holds
-    each read task's input file, in task order: every file of a read run,
-    the read tasks' of a mixed run, and none of a write run, whose files
-    live only as long as the tasks that write them.
+    task's start and end, so no stat outlives its reader. No file is
+    returned: a write task's file lives as long as the task, and a read
+    task's input as long as the run.
     """
 
     result: BenchmarkResult
     trace: SimTrace
     stats: TaskStats
-    files: list[DfsFile]
     snapshot_records: list[SnapshotRecord]
 
 
@@ -248,8 +246,7 @@ def run_dfsio(
     table. With a ``snapshots`` policy, non-persistent volumes are
     snapshotted during the run and the transfers contend with the tasks.
     Returns the metric record, the flow trace (with the snapshot markers the
-    engine logged), the read tasks' input files and the snapshot records;
-    ``state`` is only read, and the trace's write flows hold every byte the
+    engine logged) and the snapshot records; ``state`` is only read, and the trace's write flows hold every byte the
     run wrote.
 
     A task's state lives only while it runs. The queue holds task indices,
@@ -392,5 +389,4 @@ def run_dfsio(
 
     stats = TaskStats(spec.file_size_mb, starts, ends)
     result = BenchmarkResult.from_stats(spec.mode, stats, max(ends))
-    files = [file for file in inputs if file is not None]
-    return DfsioRun(result=result, trace=trace, stats=stats, files=files, snapshot_records=records)
+    return DfsioRun(result=result, trace=trace, stats=stats, snapshot_records=records)

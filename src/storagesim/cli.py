@@ -129,7 +129,7 @@ def cmd_run(scenario: Scenario, args) -> int:
 def cmd_compare(scenario: Scenario, args) -> int:
     out = Path(args.out)
     with _Traces(out) as traces:
-        report = compare(scenario, list(args.configs), lambda label: (traces.reader(f"trace_{label}.csv"),))
+        report = compare(scenario, list(args.configs), lambda cfg: (traces.reader(f"trace_{cfg}.csv"),))
         traces.verify()
         _write_json(out / "comparison.json", report.to_dict())
         for name in report.runs:

@@ -97,17 +97,6 @@ class ClusterState:
         """The first of ``disks`` (on ``node_id``) with ``gb`` free, or None."""
         return Usage(self).disk_with_room(node_id, disks, gb)
 
-    def find_disk(self, node_id: str, disk_id: str) -> DiskSpec:
-        if node_id == self.topology.controller.id:
-            pool = self.topology.controller.disks
-        else:
-            host = self.hosts_by_id[node_id]
-            pool = host.disks + host.local_persistent_group
-        for d in pool:
-            if d.id == disk_id:
-                return d
-        raise KeyError((node_id, disk_id))
-
     def running_vm(self, vm_id: str) -> VmInstance:
         vm = self.instances.get(vm_id)
         if vm is None or vm.state != RUNNING:
@@ -124,46 +113,46 @@ class ClusterState:
 class Usage:
     """What a state's running VMs and space-holding volumes take, from one pass over each table.
 
-    ``running`` maps each host id to its running VMs and ``volume_gb`` each
-    ``(node id, disk id)`` to the sizes of the volumes that occupy space
-    there, both in table order. A placement that checks every host reads
-    them instead of scanning the VMs and volumes once per host. Each total
-    is the built-in ``sum`` of the same values in the same order as a scan
-    per host or disk, so it is the same float on every CPython. A usage is
-    a view of one moment: it is built per call and never kept, so it
-    cannot drift from the tables.
+    ``running``, ``vcpus`` and ``ram_gb`` map each host id to the number of
+    its running VMs and to their vCPUs and RAM; ``volume_gb`` maps each
+    ``(node id, disk id)`` to the GB of the volumes that occupy space
+    there. A host or disk that nothing takes has no entry. Every read is a
+    lookup, so a placement that checks every host scans the VMs and volumes
+    once, not once per host. Each total is a left fold, ``0 + v1 + v2 +
+    ...`` in table order, as the engine sums (``_frozen_usage``): the float
+    the built-in ``sum`` gives on CPython 3.10 and 3.11, which is
+    compensated from 3.12 on (gh-100425) and could move a placement there.
+    A usage is a view of one moment: it is built per call and never kept,
+    so it cannot drift from the tables.
     """
 
-    __slots__ = ("state", "running", "volume_gb")
+    __slots__ = ("state", "running", "vcpus", "ram_gb", "volume_gb")
 
     def __init__(self, state: ClusterState):
         self.state = state
-        self.running: dict[str, list[VmInstance]] = {}
+        self.running: dict[str, int] = {}
+        self.vcpus: dict[str, int] = {}
+        self.ram_gb: dict[str, float] = {}
         for vm in state.instances.values():
             if vm.state == RUNNING:
-                self.running.setdefault(vm.host_id, []).append(vm)
-        self.volume_gb: dict[tuple[str, str], list[float]] = {}
+                host_id = vm.host_id
+                self.running[host_id] = self.running.get(host_id, 0) + 1
+                self.vcpus[host_id] = self.vcpus.get(host_id, 0) + vm.spec.vcpus
+                self.ram_gb[host_id] = self.ram_gb.get(host_id, 0) + vm.spec.ram_gb
+        self.volume_gb: dict[tuple[str, str], float] = {}
         for v in state.volumes.values():
             if v.occupies_space():
-                self.volume_gb.setdefault(v.backing, []).append(v.size_gb)
+                self.volume_gb[v.backing] = self.volume_gb.get(v.backing, 0) + v.size_gb
 
     def free_vcpus(self, host_id: str) -> int:
-        host = self.state.hosts_by_id[host_id]
-        return host.vcpus - sum(vm.spec.vcpus for vm in self.running.get(host_id, ()))
+        return self.state.hosts_by_id[host_id].vcpus - self.vcpus.get(host_id, 0)
 
     def free_ram_gb(self, host_id: str) -> float:
-        host = self.state.hosts_by_id[host_id]
-        return host.ram_gb - sum(vm.spec.ram_gb for vm in self.running.get(host_id, ()))
-
-    def disk_used_gb(self, node_id: str, disk_id: str) -> float:
-        return sum(self.volume_gb.get((node_id, disk_id), ()))
-
-    def disk_free_gb(self, node_id: str, disk_id: str) -> float:
-        return self.state.find_disk(node_id, disk_id).capacity_gb - self.disk_used_gb(node_id, disk_id)
+        return self.state.hosts_by_id[host_id].ram_gb - self.ram_gb.get(host_id, 0)
 
     def disk_with_room(self, node_id: str, disks: tuple[DiskSpec, ...], gb: float) -> DiskSpec | None:
         """The first of ``disks`` (on ``node_id``) with ``gb`` free, or None."""
-        return next((d for d in disks if self.disk_free_gb(node_id, d.id) >= gb), None)
+        return next((d for d in disks if d.capacity_gb - self.volume_gb.get((node_id, d.id), 0) >= gb), None)
 
 
 def _fits(usage: Usage, host: PhysicalHost, spec: VmSpec) -> DiskSpec | None:
@@ -209,7 +198,7 @@ def place_vm(
         raise NoCandidateHostError(f"no host fits spec {spec}")
 
     if policy == "spread":
-        host_id = min(candidates, key=lambda h: (len(usage.running.get(h, ())), h))
+        host_id = min(candidates, key=lambda h: (usage.running.get(h, 0), h))
     elif policy == "first_fit":
         host_id = candidates[0]
     else:

@@ -561,22 +561,17 @@ class ComparisonReport(NamedTuple):
 def compare(
     scenario: Scenario, configs: list[str], readers: Callable[[str], Sequence[TraceReader]] | None = None
 ) -> ComparisonReport:
-    """Run the identical workload and seed under each storage config.
+    """Run the identical workload and seed under each storage config, once each.
 
-    Repeating a config is allowed (labels get a #n suffix); identical
-    entries then show a throughput ratio of exactly 1. ``readers``, when
-    given, is called with each run's label, before that run, for the
-    readers its trace streams to.
+    A config named twice is an error. ``readers``, when given, is called
+    with each config, before its run, for the readers its trace streams to.
     """
     if len(configs) < 2:
         raise ScenarioValidationError("compare needs at least two storage configs")
-    runs = {}
-    for cfg in configs:
-        label, n = cfg, 1
-        while label in runs:
-            n += 1
-            label = f"{cfg}#{n}"
-        runs[label] = run_scenario(scenario, storage_config=cfg, readers=readers(label) if readers else ())
+    repeated = sorted({cfg for cfg in configs if configs.count(cfg) > 1})
+    if repeated:
+        raise ScenarioValidationError(f"compare runs each storage config once; repeated: {', '.join(repeated)}")
+    runs = {cfg: run_scenario(scenario, storage_config=cfg, readers=readers(cfg) if readers else ()) for cfg in configs}
     return ComparisonReport(seed=scenario.seed, runs=runs)
 
 

@@ -322,7 +322,12 @@ def allocate_rates(flows: Iterable[FlowRecord], capacities: Mapping[str, float] 
     ``Simulation``'s own capacity table, which the records' ``hops``
     already index; the engine's cold solve passes it. A record that no
     simulation indexed (``hops == ()``, as a hand-built ``FlowRecord`` has)
-    raises UnknownResourceError; no other check is made.
+    raises UnknownResourceError; no other check is made. The mapping form
+    stays public although the engine passes its list: it is the full solve
+    from resource ids alone, which acceptance criterion 4 checks against
+    the fair-share oracle, the warm-equals-cold checks take as the
+    reference for the engine's warm solves, and the fair-sharing demo
+    shows.
 
     The solve rates ``flows`` in place: ``_fill`` sets each record's
     ``rate`` to 0.0, then to its level, and the returned mapping, in

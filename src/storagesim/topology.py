@@ -88,8 +88,12 @@ def _finite_positive(x: float) -> bool:
 
 
 def _disk_issues(owner: str, disks: tuple[DiskSpec, ...]) -> list[TopologyIssue]:
-    issues = []
+    """The issues of one node's disks; a disk id names one disk of its node, as a usage key and a resource id."""
+    issues, seen = [], set()
     for d in disks:
+        if d.id in seen:
+            issues.append(TopologyIssue("duplicate-id", f"disk {owner}/{d.id} used more than once"))
+        seen.add(d.id)
         if not _finite_positive(d.capacity_gb):
             issues.append(TopologyIssue("nonpositive-capacity", f"disk {owner}/{d.id} capacity_gb={d.capacity_gb}"))
         if not (_finite_positive(d.read_bw) and _finite_positive(d.write_bw)):
@@ -129,8 +133,7 @@ def topology_issues(t: ClusterTopology) -> list[TopologyIssue]:
             issues.append(TopologyIssue("nonpositive-capacity", f"host {h.id} ram_gb={h.ram_gb}"))
         if not h.disks:
             issues.append(TopologyIssue("nonpositive-capacity", f"host {h.id} has no disks"))
-        issues.extend(_disk_issues(h.id, h.disks))
-        issues.extend(_disk_issues(h.id, h.local_persistent_group))
+        issues.extend(_disk_issues(h.id, h.disks + h.local_persistent_group))
 
     if not t.controller.disks:
         issues.append(TopologyIssue("nonpositive-capacity", f"controller {t.controller.id} has no disks"))
@@ -201,9 +204,10 @@ def validate_topology(t: ClusterTopology) -> ClusterTopology:
 MANAGEMENT_NET = "mgmt-net"
 PUBLIC_NET = "pub-net"
 
-# The most hosts a scenario's reference cluster may have. Placing a VM reads every host's load from one pass over the
-# placed VMs and volumes and checks every host, and each placement or attach copies the two tables (though not their
-# records), so building a cluster's state still grows with the square of its VMs.
+# The most hosts a scenario's reference cluster may have. Placing a VM builds the totals of every host and disk in one
+# pass over the placed VMs and volumes and checks every host, a networked attach builds them all to read one controller
+# disk, and each placement or attach copies the two tables (though not their records), so building a cluster's state
+# still grows with the square of its VMs.
 MAX_REFERENCE_HOSTS = 1000
 
 

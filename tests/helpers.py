@@ -1,5 +1,5 @@
 """Shared helpers: placed clusters, their placement tables or a DFS volume bound per VM, one-call engine runs,
-named trace events, a simulation's capacity table, a flow's start time, the files a DFSIO run's write tasks placed,
+named trace events, a simulation's capacity table, a flow's start time, the files a DFSIO run's tasks read or wrote,
 each DFSIO metric of a list of task stats, and a fresh interpreter that parses scenarios with a chosen YAML parser."""
 
 from __future__ import annotations
@@ -138,13 +138,16 @@ def dispatch_order(run: bench.DfsioRun) -> list[str]:
     return [rec.flow_id.split(".", 1)[0] for rec in run.trace.flows.values() if rec.tags.get("stage") == "primary"]
 
 
-def run_keeping_written_files(monkeypatch, *args, **kwargs) -> tuple[bench.DfsioRun, dict[str, DfsFile]]:
-    """``run_dfsio(*args, **kwargs)``, and the file each of its write tasks placed, by task id.
+def run_keeping_files(monkeypatch, *args, **kwargs) -> tuple[bench.DfsioRun, dict[str, DfsFile]]:
+    """``run_dfsio(*args, **kwargs)``, and the file each of its tasks read or wrote, by task id.
 
-    A run returns no file it wrote, so a spy on ``bench.place_file`` keeps
-    them. The run places its input files, if any, before its first task
-    starts, and then each write task's file as the task starts, so the
-    spy's last calls pair, in order, with the write tasks in dispatch order.
+    A run returns no file, so a spy on ``bench.place_file`` keeps them. A
+    read or mixed run places its input files, all ``n_files`` of them in
+    task order, before its first task starts, and then each write task
+    places its file as the task starts. So the spy's last calls pair, in
+    order, with the write tasks in dispatch order, and the calls before
+    them with every task in task order. A write task's own file replaces
+    the input it does not read.
     """
     real_place_file, placed = bench.place_file, []
 
@@ -156,7 +159,10 @@ def run_keeping_written_files(monkeypatch, *args, **kwargs) -> tuple[bench.Dfsio
         patch.setattr(bench, "place_file", place_file)
         run = bench.run_dfsio(*args, **kwargs)
     order = dispatch_order(run)
-    return run, dict(zip(order, placed[len(placed) - len(order):]))
+    inputs = placed[: len(placed) - len(order)]
+    files = {f"t{i:04d}": file for i, file in enumerate(inputs)}
+    files.update(zip(order, placed[len(inputs) :]))
+    return run, files
 
 
 def throughput(stats: Iterable[bench.TaskStat]) -> float:

@@ -20,7 +20,7 @@ import warnings
 
 from storagesim.dfs import BlockReplicaSet, ReplicaCoLocationWarning
 from storagesim.errors import InsufficientVmsError
-from storagesim.placement import ClusterState, Usage
+from storagesim.placement import ClusterState
 from storagesim.simengine import BYTE_REL_TOL, CAPACITY_REL_EPS, FlowRecord, SimTrace, TraceViolation
 from storagesim.volumes import ResourcePath, is_link_resource
 
@@ -124,18 +124,28 @@ def dfsio_metrics_reference(stats) -> tuple[float, float, float, float]:
 
 
 def capacity_violations(state: ClusterState) -> list[str]:
-    """Committed-resources-over-total violations; empty when healthy."""
-    out, usage = [], Usage(state)
+    """Committed-resources-over-total violations; empty when healthy.
+
+    Each total is a ``math.fsum`` over a scan of a whole table per host or
+    disk, not the package's one-pass ``Usage``.
+    """
+    running = [vm for vm in state.instances.values() if vm.state == "running"]
+    holding = [v for v in state.volumes.values() if v.occupies_space()]
+
+    def over(node_id, disk):
+        return math.fsum(v.size_gb for v in holding if v.backing == (node_id, disk.id)) - disk.capacity_gb > 1e-9
+
+    out = []
     for host in state.topology.hosts:
-        if usage.free_vcpus(host.id) < 0:
+        if sum(vm.spec.vcpus for vm in running if vm.host_id == host.id) > host.vcpus:
             out.append(f"host {host.id} vcpus overcommitted")
-        if usage.free_ram_gb(host.id) < -1e-9:
+        if math.fsum(vm.spec.ram_gb for vm in running if vm.host_id == host.id) - host.ram_gb > 1e-9:
             out.append(f"host {host.id} ram overcommitted")
         for disk in host.disks + host.local_persistent_group:
-            if usage.disk_free_gb(host.id, disk.id) < -1e-9:
+            if over(host.id, disk):
                 out.append(f"disk {host.id}/{disk.id} overcommitted")
     for disk in state.topology.controller.disks:
-        if usage.disk_free_gb(state.topology.controller.id, disk.id) < -1e-9:
+        if over(state.topology.controller.id, disk):
             out.append(f"controller disk {disk.id} overcommitted")
     return out
 

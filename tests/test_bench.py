@@ -12,7 +12,7 @@ from helpers import (
     dfs_cluster,
     dispatch_order,
     placed_cluster,
-    run_keeping_written_files,
+    run_keeping_files,
     start_time,
     stddev_io_rate,
     throughput,
@@ -212,24 +212,13 @@ def test_networked_write_fair_share_closed_form():
     assert verify_trace(run.trace) == []
 
 
-def in_task_order(files_by_task):
-    return [files_by_task[task] for task in sorted(files_by_task)]
-
-
 def test_write_then_read_locality_keeps_reads_local(monkeypatch):
     state, hdfs = dfs_cluster(n_hosts=5)
     spec = DfsioSpec(n_files=5, file_size_mb=1000.0, mode="write", slots_per_vm=1)
     cfg = DfsConfig(replication_factor=3)
-    w, written = run_keeping_written_files(monkeypatch, state, spec, hdfs, dfs_config=cfg, seed=2)
-    assert w.files == []  # a write run keeps no file it wrote
-    r = run_dfsio(
-        state,
-        DfsioSpec(n_files=5, file_size_mb=1000.0, mode="read", slots_per_vm=1),
-        hdfs,
-        dfs_config=DfsConfig(replication_factor=3),
-        seed=2,
-    )
-    assert r.files == in_task_order(written)  # the write pass dispatched in task order, so it placed the read run's inputs
+    _w, written = run_keeping_files(monkeypatch, state, spec, hdfs, dfs_config=cfg, seed=2)
+    r, read = run_keeping_files(monkeypatch, state, spec._replace(mode="read"), hdfs, dfs_config=cfg, seed=2)
+    assert read == written  # the write pass dispatched in task order, so it placed the read run's inputs
     # every reader holds replica 1 of its own file: all reads are disk-local
     assert all(not rec.path.resources[0].startswith("link:") and len(rec.path.resources) == 1
                for rec in r.trace.flows.values())
@@ -244,10 +233,7 @@ def test_a_flow_that_one_block_feeds_takes_that_blocks_size_object(monkeypatch):
     for size in (64.0, 200.0):  # one block, then four
         spec = DfsioSpec(n_files=12, file_size_mb=size, mode="mixed", map_capacity=5, slots_per_vm=1)
         cfg = DfsConfig(block_size_mb=64.0, replication_factor=2, seed=3)
-        run, files = run_keeping_written_files(monkeypatch, state, spec, hdfs, dfs_config=cfg, seed=4)
-        reads = sorted({task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "read"})
-        assert len(run.files) == len(reads)
-        files.update(zip(reads, run.files))  # the read tasks' inputs, in task order
+        run, files = run_keeping_files(monkeypatch, state, spec, hdfs, dfs_config=cfg, seed=4)
         for rec in run.trace.flows.values():
             task, stage, peer = (rec.flow_id + ".").split(".")[:3]
             file = files[task]
@@ -371,17 +357,16 @@ def test_input_files_are_the_files_a_write_pass_in_task_order_places(monkeypatch
             slots_per_vm=rng.randint(1, 3),
         )
         write_spec = spec._replace(mode="write")
-        write_run, written = run_keeping_written_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
+        write_run, written = run_keeping_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
         order = dispatch_order(write_run)
         if order != sorted(order):
             continue  # a writer's slots were full when its task headed the queue
         in_order += 1
-        run = run_dfsio(state, spec, hdfs, dfs_config=cfg)
+        run, files = run_keeping_files(monkeypatch, state, spec, hdfs, dfs_config=cfg)
         # a write task of a mixed run places its own file as it starts; a read task's is its input file
         reads = sorted({task_of(rec) for rec in run.trace.flows.values() if rec.tags["stage"] == "read"})
-        assert len(run.files) == len(reads), (spec, cfg)
-        for task, got in zip(reads, run.files):
-            assert got == written[task], (spec, cfg, task)
+        for task in reads:
+            assert files[task] == written[task], (spec, cfg, task)
             read_files += 1
     assert in_order >= 30 and read_files >= 100
 
@@ -396,15 +381,15 @@ def test_input_files_are_placed_in_task_order_when_the_write_pass_dispatches_out
     cfg = DfsConfig(replication_factor=2, seed=11)
     spec = DfsioSpec(n_files=6, file_size_mb=200.0, mode="read", map_capacity=3, slots_per_vm=1)
     write_spec = spec._replace(mode="write")
-    slotted, slotted_files = run_keeping_written_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
+    slotted, slotted_files = run_keeping_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
     assert dispatch_order(slotted) == ["t0000", "t0001", "t0002", "t0004", "t0003", "t0005"]
     # with a slot per task no writer waits, so that write pass dispatches in task order
     write_spec = write_spec._replace(slots_per_vm=6)
-    unslotted, unslotted_files = run_keeping_written_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
+    unslotted, unslotted_files = run_keeping_files(monkeypatch, state, write_spec, hdfs, dfs_config=cfg)
     assert dispatch_order(unslotted) == [f"t{i:04d}" for i in range(6)]
-    files = run_dfsio(state, spec, hdfs, dfs_config=cfg).files
-    assert files == in_task_order(unslotted_files)
-    assert files != in_task_order(slotted_files)  # the out-of-order pass drew the shared stream in another order
+    _run, files = run_keeping_files(monkeypatch, state, spec, hdfs, dfs_config=cfg)
+    assert files == unslotted_files
+    assert files != slotted_files  # the out-of-order pass drew the shared stream in another order
 
 
 @pytest.mark.parametrize("storage", ["networked", "local"])

@@ -179,23 +179,68 @@ def other_interpreters():
     return [p for p in sorted(Path.home().glob(".pyenv/versions/3.1[0-9]*/bin/python")) if p.parent.parent.name != here]
 
 
-def test_every_installed_cpython_gives_the_golden_bytes(tmp_path):
-    # The engine's sums are left folds, so CPython 3.12's compensated sum() moves no bit; and the package
-    # must parse on 3.10, the declared minimum. PyYAML's C part loads on its own CPython only, so a
-    # directory holding just a link to the running interpreter's pure-Python package serves the rest.
+def each_other_interpreters_output(tmp_path, code, *args):
+    """``(interpreter, stdout)`` of ``python -c code *args`` under each of ``other_interpreters``, which must exit 0.
+
+    Skips when there is none. PyYAML's C part loads on its own CPython
+    only, so a directory holding just a link to the running interpreter's
+    pure-Python package serves the rest.
+    """
     interpreters = other_interpreters()
     if not interpreters:
         pytest.skip("no other CPython 3.10+ under ~/.pyenv/versions")
     (tmp_path / "pyyaml").mkdir()
     (tmp_path / "pyyaml" / "yaml").symlink_to(Path(yaml.__file__).parent, target_is_directory=True)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(tmp_path / "pyyaml")]))
+    outputs = []
+    for python in interpreters:
+        argv = [str(python), "-c", code, *map(str, args)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (python, done.stderr[-2000:])
+        outputs.append((python, done.stdout))
+    return outputs
+
+
+def test_every_installed_cpython_gives_the_golden_bytes(tmp_path):
+    # The engine's sums are left folds, so CPython 3.12's compensated sum() moves no bit; and the package
+    # must parse on 3.10, the declared minimum.
     scenarios = []
     for name, (doc, _digests) in GOLDEN.items():
         scenarios.append(tmp_path / f"{name}.yaml")
         scenarios[-1].write_text(yaml.safe_dump(doc))
-    for python in interpreters:
-        out = tmp_path / python.parent.parent.name
-        argv = [str(python), "-c", DIGEST_RUNS, str(out), *map(str, scenarios)]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, (python, done.stderr[-2000:])
-        assert json.loads(done.stdout) == {name: digests for name, (_doc, digests) in GOLDEN.items()}, python
+    for python, stdout in each_other_interpreters_output(tmp_path, DIGEST_RUNS, tmp_path / "out", *scenarios):
+        assert json.loads(stdout) == {name: digests for name, (_doc, digests) in GOLDEN.items()}, python
+
+
+# Places two first-fit fleets of four VMs on two hosts and prints each VM's host, by fleet. Each host has 1.0 GB of
+# RAM (or disk) and the VMs take 0.1, 0.2, 0.3 and 0.4 GB of it: 1.0 - (0.1 + 0.2 + 0.3), summed left to right, is
+# 0.3999999999999999, so the fourth VM goes to h02. A compensated sum, as CPython 3.12's sum() is, leaves 0.4 on h01.
+FIRST_FIT_FLEETS = """
+import json
+from storagesim.placement import ClusterState, VmSpec, place_vm
+from storagesim.topology import reference_cluster
+
+def hosts(topology, specs):
+    state, out = ClusterState.from_topology(topology), []
+    for spec in specs:
+        state, vm = place_vm(state, spec, policy="first_fit")
+        out.append(vm.host_id)
+    return out
+
+sizes = (0.1, 0.2, 0.3, 0.4)
+print(json.dumps({
+    "ram": hosts(reference_cluster(2, ram_gb=1.0), [VmSpec(1, ram_gb=gb, root_disk_gb=1.0) for gb in sizes]),
+    "disk": hosts(reference_cluster(2, disk_capacity_gb=1.0), [VmSpec(1, ram_gb=1.0, root_disk_gb=gb) for gb in sizes]),
+}))
+"""
+FLEET_HOSTS = {"ram": ["h01", "h01", "h01", "h02"], "disk": ["h01", "h01", "h01", "h02"]}
+
+
+def test_placement_checks_capacity_against_left_folded_totals(capsys):
+    exec(FIRST_FIT_FLEETS, {})
+    assert json.loads(capsys.readouterr().out) == FLEET_HOSTS
+
+
+def test_every_installed_cpython_places_the_first_fit_fleets_alike(tmp_path):
+    for python, stdout in each_other_interpreters_output(tmp_path, FIRST_FIT_FLEETS):
+        assert json.loads(stdout) == FLEET_HOSTS, python

@@ -75,7 +75,7 @@ def test_place_creates_root_and_ephemeral_on_same_disk(empty_state):
     assert kinds == {"root", "ephemeral"}
     backings = {state.volumes[v].backing for v in attached(state, vm.id)}
     assert backings == {(vm.host_id, "disk1")}
-    assert Usage(state).disk_used_gb(vm.host_id, "disk1") == 52.0
+    assert Usage(state).volume_gb[vm.host_id, "disk1"] == 52.0
 
 
 def test_colocated_vms_share_rack_distinct_hosts_do_not(empty_state):
@@ -183,7 +183,6 @@ def test_host_lookups_read_the_state_table_and_unknown_ids_raise_key_error():
     for lookup in (
         lambda: Usage(plain).free_vcpus("h99"),
         lambda: Usage(plain).free_ram_gb("h99"),
-        lambda: plain.find_disk("h99", "disk1"),
         lambda: migrate_vm(plain, vm.id, "h99"),
     ):
         with pytest.raises(KeyError):

@@ -32,8 +32,6 @@ ALLOWED = {
 }
 
 ALLOWED_FIELDS = {
-    "DfsioRun.files": "the only place a read run's input placement can be observed; the contract tests compare it "
-    "with the files a write pass places, which a spy on bench.place_file keeps since a write run returns none",
     "ScenarioRun.prep_traces": "perfbench/checks.py reads it; ROADMAP item 1 deletes it",
     "Volume.data_lost": "the acceptance criterion 8 tests read it, and the durability report (ROADMAP item 7) will",
 }

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from helpers import PARSERS, cli_in_fresh_interpreter, in_fresh_interpreter, run_keeping_written_files
+from helpers import PARSERS, cli_in_fresh_interpreter, in_fresh_interpreter, run_keeping_files
 from storagesim import bench, cli, simengine
 from storagesim import scenario as scenario_module
 from storagesim.cli import main
@@ -227,14 +227,20 @@ def test_local_config_plans_snapshots_networked_does_not(tmp_path):
     assert networked.snapshot_records == []
 
 
-def test_comparison_identical_configs_have_ratio_one():
+def test_two_runs_of_one_config_in_one_process_give_the_same_output():
     scenario = parse_scenario(scenario_doc())
-    report = compare(scenario, ["local", "local"])
-    (pair,) = report.pairs()
-    assert pair["throughput_ratio"] == 1.0
-    assert pair["savings_of_a_vs_b"] == 0.0
-    a, b = report.runs.values()
+    a, b = (run_scenario(scenario, storage_config="local") for _ in range(2))
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+def test_compare_refuses_a_repeated_config_and_names_it(tmp_path, capsys):
+    scenario = parse_scenario(scenario_doc())
+    with pytest.raises(ScenarioValidationError, match="repeated: local$"):
+        compare(scenario, ["local", "networked", "local"])
+    argv = ["compare", "--scenario", str(SCENARIOS / "reference.yaml"), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--configs", "networked", "networked"]) == 3  # before any run starts its trace
+    assert "repeated: networked" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_read_mode_scenario_reads_files_placed_as_the_write_pass_places_them(monkeypatch):
@@ -251,7 +257,7 @@ def test_read_mode_scenario_reads_files_placed_as_the_write_pass_places_them(mon
     # each task reads its file from the holders the write pass would have placed it on
     state, hdfs = build_state(scenario, "local")
     write_spec = scenario.dfsio._replace(mode="write")
-    _, written = run_keeping_written_files(monkeypatch, state, write_spec, hdfs, dfs_config=scenario.dfs)
+    _, written = run_keeping_files(monkeypatch, state, write_spec, hdfs, dfs_config=scenario.dfs)
     for fid, rec in run.trace.flows.items():
         task, stage, src = fid.split(".")
         assert stage == "read" and rec.tags["vm"] == src  # read where it lies

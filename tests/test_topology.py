@@ -78,6 +78,16 @@ def test_every_violation_reported_independently():
     assert len(exc.value.issues) == len(codes)
 
 
+def test_a_disk_id_names_one_disk_of_its_node():
+    # placement keys a disk's usage by (node id, disk id), and the engine names its resource by the same pair
+    topo = reference_cluster(2, local_persistent_gb=100.0)
+    h01, h02 = topo.hosts
+    twice = h01._replace(local_persistent_group=(h01.local_persistent_group[0]._replace(id="disk1"),))
+    issues = topology_issues(topo._replace(hosts=(twice, h02)))
+    assert [(i.code, i.message) for i in issues] == [("duplicate-id", "disk h01/disk1 used more than once")]
+    assert topology_issues(topo) == []  # the same id on two nodes is two disks
+
+
 def test_nonpositive_capacity_detected():
     topo = reference_cluster()
     bad = ClusterTopology(

@@ -53,7 +53,7 @@ NAMED_TUPLES = {
         "mode finished_at n_files total_mb throughput_mbps avg_io_rate_mbps stddev_io_rate_mbps",
         {},
     ),
-    bench.DfsioRun: ("result trace stats files snapshot_records", {}),
+    bench.DfsioRun: ("result trace stats snapshot_records", {}),
     cost.PriceTable: (
         "instance_per_hour ebs_standard_per_million_ops",
         {"instance_per_hour": 0.24, "ebs_standard_per_million_ops": 0.10},

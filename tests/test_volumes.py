@@ -61,7 +61,7 @@ def test_volume_sizes_never_exceed_disk_capacity(state):
         except InsufficientSpaceError:
             break
     assert attached == 3  # 3x300 fits, a 4th would not
-    assert Usage(state).disk_used_gb("controller", "disk1") <= 1000.0
+    assert Usage(state).volume_gb["controller", "disk1"] == 900.0
 
 
 def test_io_path_local_kinds_touch_only_the_host_disk(state):
