@@ -147,7 +147,9 @@ def run_keeping_files(monkeypatch, *args, **kwargs) -> tuple[bench.DfsioRun, dic
     places its file as the task starts. So the spy's last calls pair, in
     order, with the write tasks in dispatch order, and the calls before
     them with every task in task order. A write task's own file replaces
-    the input it does not read.
+    the input it does not read. That pairing is checked against the trace:
+    each task's read or replica flows carry, by peer, the MB of the blocks
+    of its file that the peer serves or holds.
     """
     real_place_file, placed = bench.place_file, []
 
@@ -162,6 +164,25 @@ def run_keeping_files(monkeypatch, *args, **kwargs) -> tuple[bench.DfsioRun, dic
     inputs = placed[: len(placed) - len(order)]
     files = {f"t{i:04d}": file for i, file in enumerate(inputs)}
     files.update(zip(order, placed[len(inputs) :]))
+    fed: dict[tuple[str, str], dict[str, float]] = {}  # (task, "read" or "rep") -> {peer: MB}
+    reader: dict[str, str] = {}
+    for rec in run.trace.flows.values():
+        task, stage, peer = (rec.flow_id + ".").split(".")[:3]
+        if stage in ("read", "rep"):
+            fed.setdefault((task, stage), {})[peer] = rec.size_mb
+        if stage == "read":
+            reader[task] = rec.tags["vm"]
+    for (task, stage), by_peer in fed.items():
+        want: dict[str, float] = {}
+        for block in files[task].blocks:
+            vms = block.vms()
+            if stage == "rep":
+                peers = vms[1:]
+            else:
+                peers = [reader[task] if reader[task] in vms else min(vms)]
+            for peer in peers:
+                want[peer] = want.get(peer, 0.0) + block.bytes_mb
+        assert by_peer == want, (task, stage)
     return run, files
 
 

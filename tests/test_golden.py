@@ -179,12 +179,12 @@ def other_interpreters():
     return [p for p in sorted(Path.home().glob(".pyenv/versions/3.1[0-9]*/bin/python")) if p.parent.parent.name != here]
 
 
-def each_other_interpreters_output(tmp_path, code, *args):
-    """``(interpreter, stdout)`` of ``python -c code *args`` under each of ``other_interpreters``, which must exit 0.
+def each_other_interpreters_output(tmp_path, code, args_for=lambda python: ()):
+    """``(interpreter, stdout)`` of ``python -c code *args_for(python)`` under each of ``other_interpreters``.
 
-    Skips when there is none. PyYAML's C part loads on its own CPython
-    only, so a directory holding just a link to the running interpreter's
-    pure-Python package serves the rest.
+    Each must exit 0. Skips when there is none. PyYAML's C part loads on
+    its own CPython only, so a directory holding just a link to the running
+    interpreter's pure-Python package serves the rest.
     """
     interpreters = other_interpreters()
     if not interpreters:
@@ -194,7 +194,7 @@ def each_other_interpreters_output(tmp_path, code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(tmp_path / "pyyaml")]))
     outputs = []
     for python in interpreters:
-        argv = [str(python), "-c", code, *map(str, args)]
+        argv = [str(python), "-c", code, *map(str, args_for(python))]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, (python, done.stderr[-2000:])
         outputs.append((python, done.stdout))
@@ -208,7 +208,11 @@ def test_every_installed_cpython_gives_the_golden_bytes(tmp_path):
     for name, (doc, _digests) in GOLDEN.items():
         scenarios.append(tmp_path / f"{name}.yaml")
         scenarios[-1].write_text(yaml.safe_dump(doc))
-    for python, stdout in each_other_interpreters_output(tmp_path, DIGEST_RUNS, tmp_path / "out", *scenarios):
+
+    def args_for(python):  # its own output directory, so each digest is of a file that interpreter wrote
+        return [tmp_path / python.parent.parent.name, *scenarios]
+
+    for python, stdout in each_other_interpreters_output(tmp_path, DIGEST_RUNS, args_for):
         assert json.loads(stdout) == {name: digests for name, (_doc, digests) in GOLDEN.items()}, python
 
 
